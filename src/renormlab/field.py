@@ -53,6 +53,14 @@ class Grid:
     L: float
     N: int
 
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise FieldError(f"dim must be 1 or 2, got {self.dim}")
+        if not self.L > 0:
+            raise FieldError(f"box size must be positive, got {self.L}")
+        if self.N < 8 or self.N % 2 != 0:
+            raise FieldError(f"N must be even and >= 8 (aliasing hazard), got {self.N}")
+
     @property
     def h(self) -> float:
         return self.L / self.N
@@ -94,12 +102,7 @@ class Grid:
 
 
 def build_grid(dim: int, L: float, N: int) -> Grid:
-    if dim not in (1, 2):
-        raise FieldError(f"dim must be 1 or 2, got {dim}")
-    if L <= 0:
-        raise FieldError(f"box size must be positive, got {L}")
-    if N < 8 or N % 2 != 0:
-        raise FieldError(f"N must be even and >= 8 (aliasing hazard), got {N}")
+    """Grid with its fields coerced to int/float; Grid itself validates them."""
     return Grid(dim=int(dim), L=float(L), N=int(N))
 
 
@@ -314,6 +317,18 @@ def jacobian(v: GridVector) -> np.ndarray:
     return out
 
 
+def vector_laplacian(v: GridVector) -> np.ndarray:
+    """Laplacian of each component: out[i] = sum_j d_j d_j v_i, each a grid array."""
+    g = v.grid
+    out = np.zeros_like(v.values)
+    for i in range(g.dim):
+        for axis in range(g.dim):
+            beta = [0] * g.dim
+            beta[axis] = 2
+            out[i] += spectral_derivative(GridScalar(g, v.values[i]), beta).values
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Mollifier
 # ---------------------------------------------------------------------------
@@ -473,10 +488,16 @@ def load_field(path):
         header = json.loads(fh.readline().decode("ascii"))
         raw = fh.read()
     grid = build_grid(header["dim"], header["L"], header["N"])
-    data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     times = header["times"]
     comps = header["components"]
     per_slice = comps * grid.N**grid.dim
+    expected = len(times or [1]) * per_slice
+    if len(raw) != 8 * expected:
+        raise FieldError(
+            f"{path}: payload has {len(raw)} bytes, header implies "
+            f"{expected} float64 values ({8 * expected} bytes)"
+        )
+    data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if times:
         data = data.reshape((len(times), comps) + grid.shape)
         slices = [GridVector(grid, data[j]) for j in range(len(times))]

@@ -234,6 +234,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         out.append(f"grid.L must be a positive float, got {g.L}")
     if not (isinstance(g.N, int) and 8 <= g.N <= 512):
         out.append(f"grid.N must be an integer in [8, 512], got {g.N}")
+    elif g.N % 2 != 0:
+        out.append(f"grid.N must be even (odd N has no Nyquist mode), got {g.N}")
     if not (t.T > 0 and math.isfinite(t.T)):
         out.append(f"time.T must be positive, got {t.T}")
     if not (t.dt > 0 and t.dt <= t.T):

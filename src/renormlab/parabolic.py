@@ -17,22 +17,22 @@ left-endpoint sub-intervals with the damping factor integrated exactly
 g_l the left-endpoint source.  This rule is a left-endpoint quadrature like
 every other integral in the package, but it is *exact* for drifts that are
 constant in space and time, which keeps the closed-form checks at round-off
-instead of at O(dt).  Picard iteration supplies the b . grad v coupling.
+instead of at O(dt).  Because g_l = b_l + (b_l . grad) v_l reads only the
+left endpoint, one forward march computes v exactly: it *is* the fixed point
+of the discrete mild map, with no iteration.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import logging
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import parallel
 from .field import (
-    FieldError,
     Grid,
     GridScalar,
     GridVector,
@@ -41,6 +41,7 @@ from .field import (
     jacobian,
     lp_norm,
     spectral_derivative,
+    vector_laplacian,
 )
 
 __all__ = [
@@ -56,9 +57,6 @@ __all__ = [
     "space_time_norm",
     "write_decay_csv",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class ParabolicError(ValueError):
     pass
@@ -100,14 +98,10 @@ def heat_apply(g, t: float):
 
 @dataclass
 class ParabolicSolution:
-    """Backward-time solution slices plus the Picard convergence record."""
+    """Backward-time solution slices u(t_j) at damping lam."""
 
     lam: float
     u: TimeGridVector
-    iterations: int
-    residual: float
-    contraction_ratios: list = dataclass_field(default_factory=list)
-    convention: str = "half_laplacian"
 
 
 def _advect_vector(b_slice: GridVector, u_slice: GridVector) -> np.ndarray:
@@ -123,19 +117,12 @@ def _check_uniform_times(times: np.ndarray) -> float:
     return float(dts[0])
 
 
-def mild_solve(
-    b: TimeGridVector,
-    lam: float,
-    quad_steps: int,
-    tol: float = 1e-10,
-    max_iter: int = 80,
-) -> ParabolicSolution:
-    """Picard-iterate the mild form; return backward-time slices.
+def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolution:
+    """March the mild form forward once; return backward-time slices.
 
     The drift must be sampled on the quadrature grid itself (quad_steps
-    uniform sub-intervals of [0, T]).  Raises on non-convergence; logs a
-    warning when the crude smoothing estimate ||b||_inf sqrt(2/lambda) >= 1
-    suggests the contraction may be slow.
+    uniform sub-intervals of [0, T]).  Step l+1 needs only v_l, so the march
+    reproduces mild_defect's re-application bit for bit: the defect is 0.
     """
     if lam <= 0:
         raise ParabolicError(f"damping lambda must be positive, got {lam}")
@@ -146,59 +133,19 @@ def mild_solve(
     dt = _check_uniform_times(b.times)
     grid = b.grid
     steps = quad_steps
-
-    b_sup = max(float(np.max(np.sqrt(np.einsum("i...,i...->...", s.values, s.values)))) for s in b.slices)
-    if b_sup * math.sqrt(2.0 / lam) >= 1.0:
-        logger.warning(
-            "contraction estimate %.3f >= 1 at lambda=%g; Picard may converge slowly",
-            b_sup * math.sqrt(2.0 / lam),
-            lam,
-        )
-
-    # forward twin: drift reversed in time
-    reversed_slices = [b.slices[steps - l] for l in range(steps + 1)]
     decay = math.exp(-lam * dt)
     weight = (1.0 - decay) / lam
 
-    shape = (steps + 1, grid.dim) + grid.shape
-    current = np.zeros(shape)
-    defect_history: list[float] = []
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new = np.zeros(shape)
-        for l in range(steps):
-            g_l = reversed_slices[l].values + _advect_vector(
-                reversed_slices[l], GridVector(grid, current[l])
-            )
-            pre = decay * new[l] + weight * g_l
-            new[l + 1] = heat_apply(GridVector(grid, pre), dt).values
-        defect = float(np.max(np.abs(new - current)))
-        defect_history.append(defect)
-        current = new
-        if defect <= tol:
-            break
-    else:
-        raise ParabolicError(
-            f"Picard did not reach tol={tol} in {max_iter} iterations "
-            f"(last defect {defect_history[-1]:.3e})"
-        )
-
-    ratios = [
-        defect_history[i + 1] / defect_history[i]
-        for i in range(len(defect_history) - 1)
-        if defect_history[i] > 0
-    ]
+    v = np.zeros((steps + 1, grid.dim) + grid.shape)
+    for l in range(steps):
+        b_l = b.slices[steps - l]  # forward twin: drift reversed in time
+        g_l = b_l.values + _advect_vector(b_l, GridVector(grid, v[l]))
+        pre = decay * v[l] + weight * g_l
+        v[l + 1] = heat_apply(GridVector(grid, pre), dt).values
 
     # report in backward-time variables: u(t_j) = v(T - t_j)
-    slices = [GridVector(grid, current[steps - j]) for j in range(steps + 1)]
-    u = TimeGridVector(grid, b.times.copy(), slices)
-    return ParabolicSolution(
-        lam=float(lam),
-        u=u,
-        iterations=iterations,
-        residual=defect_history[-1],
-        contraction_ratios=ratios,
-    )
+    slices = [GridVector(grid, v[steps - j]) for j in range(steps + 1)]
+    return ParabolicSolution(lam=float(lam), u=TimeGridVector(grid, b.times.copy(), slices))
 
 
 def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
@@ -232,18 +179,10 @@ def pde_residual(sol: ParabolicSolution, b: TimeGridVector) -> float:
     for j in range(len(b.times) - 1):
         u_j = sol.u.slices[j]
         du_dt = (sol.u.slices[j + 1].values - u_j.values) / dt
-        lap = np.empty_like(u_j.values)
-        for i in range(grid.dim):
-            acc = np.zeros(grid.shape)
-            for axis in range(grid.dim):
-                beta = [0] * grid.dim
-                beta[axis] = 2
-                acc += spectral_derivative(GridScalar(grid, u_j.values[i]), beta).values
-            lap[i] = acc
         resid = (
             du_dt
             + _advect_vector(b.slices[j], u_j)
-            + 0.5 * lap
+            + 0.5 * vector_laplacian(u_j)
             - sol.lam * u_j.values
             + b.slices[j].values
         )
@@ -315,7 +254,6 @@ def decay_study(
     p: float,
     q: float,
     quad_steps: int | None = None,
-    tol: float = 1e-10,
 ) -> DecayStudy:
     """Fit the decay rate of ||grad^alpha u_lambda||_{L^q_t(L^r)} in lambda.
 
@@ -337,7 +275,7 @@ def decay_study(
     steps = quad_steps if quad_steps is not None else len(b.times) - 1
 
     def solve_one(lam: float) -> float:
-        sol = mild_solve(b, lam, steps, tol=tol)
+        sol = mild_solve(b, lam, steps)
         return space_time_norm(sol.u, alpha, r, q)
 
     norms = parallel.ordered_map(solve_one, lams)

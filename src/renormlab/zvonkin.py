@@ -43,7 +43,7 @@ from .field import (
     divergence,
     jacobian,
     lp_norm,
-    spectral_derivative,
+    vector_laplacian,
 )
 from .flow import BrownianPath
 from .interp import jacobian_interpolant, scalar_interpolant, vector_interpolant
@@ -249,17 +249,6 @@ def pushforward_under_diffeo(
     return GridScalar(grid, f_at / det)
 
 
-def _laplacian_vector(sl: GridVector) -> np.ndarray:
-    out = np.zeros_like(sl.values)
-    for i in range(sl.grid.dim):
-        comp = sl.component(i)
-        for axis in range(sl.grid.dim):
-            idx = [0] * sl.grid.dim
-            idx[axis] = 2
-            out[i] += spectral_derivative(comp, idx).values
-    return out
-
-
 def _warn_if_displacement_mismatches(
     u: TimeGridVector, b: TimeGridVector, lam: float
 ) -> None:
@@ -275,7 +264,7 @@ def _warn_if_displacement_mismatches(
         b_l = b.slice_at(float(u.times[l]))
         d_t = (u.slices[l + 1].values - u_l.values) / dt
         advect = np.einsum("j...,ij...->i...", b_l.values, jacobian(u_l))
-        defect = d_t + advect + 0.5 * _laplacian_vector(u_l) - lam * u_l.values + b_l.values
+        defect = d_t + advect + 0.5 * vector_laplacian(u_l) - lam * u_l.values + b_l.values
         scale = lam * float(np.abs(u_l.values).max()) + float(np.abs(b_l.values).max())
         if scale > 0.0:
             worst = max(worst, float(np.abs(defect).max()) / scale)

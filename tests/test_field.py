@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from renormlab.field import (
     BoxRegion,
     FieldError,
+    Grid,
     GridScalar,
     GridVector,
     TimeGridVector,
@@ -66,6 +67,14 @@ class TestGrid:
             build_grid(1, L, 33)
         with pytest.raises(FieldError):
             build_grid(1, L, 4)
+        # direct construction is validated too: odd N has no Nyquist mode,
+        # yet odd-order derivative multipliers zero index N // 2
+        with pytest.raises(FieldError, match="N must be even"):
+            Grid(dim=1, L=L, N=63)
+        with pytest.raises(FieldError, match="dim"):
+            Grid(dim=3, L=L, N=32)
+        with pytest.raises(FieldError, match="box size"):
+            Grid(dim=1, L=0.0, N=32)
 
     def test_wrapped_coordinates_exact_negation(self):
         g = build_grid(1, L, 64)
@@ -358,3 +367,13 @@ class TestFieldIO:
         with open(p, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["dim"] == 1 and header["N"] == 16 and header["components"] == 1
+
+    @pytest.mark.parametrize("delta", [-8, 8, -3])
+    def test_payload_size_checked(self, tmp_path, delta):
+        g = build_grid(1, L, 16)
+        p = tmp_path / "f.fld"
+        save_field(p, GridScalar.constant(g, 2.0))
+        raw = p.read_bytes()
+        p.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+        with pytest.raises(FieldError, match=f"payload has {128 + delta} bytes.*16 float64"):
+            load_field(p)

@@ -86,6 +86,11 @@ class TestExperimentConfig:
         with pytest.raises(LabError, match="grid.'shape'"):
             ExperimentConfig.from_dict(config_payload(grid={"dim": 1, "shape": 3}))
 
+    def test_odd_grid_rejected(self):
+        payload = config_payload(grid={"dim": 1, "L": TWO_PI, "N": 63})
+        with pytest.raises(LabError, match="grid.N must be even"):
+            ExperimentConfig.from_dict(payload)
+
     def test_lambda_ladder_must_increase(self):
         with pytest.raises(LabError, match="strictly increasing"):
             ExperimentConfig(
@@ -298,6 +303,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "LabError" in err and "valid tags" in err
 
+    def test_odd_grid_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "odd.json"
+        payload = config_payload(grid={"dim": 1, "L": TWO_PI, "N": 63})
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "grid.N must be even" in err and "63" in err
+
     def test_run_prints_artifacts(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         payload = config_payload(output_dir=str(tmp_path / "out"))
@@ -319,6 +332,14 @@ class TestCli:
         stray.write_text("hello")
         assert cli.main(["inspect", str(stray)]) == cli.EXIT_CONFIG_ERROR
         assert cli.main(["inspect", str(tmp_path / "ghost.fld")]) == cli.EXIT_CONFIG_ERROR
+
+    def test_inspect_reports_truncated_field(self, tmp_path, capsys):
+        field_path = tmp_path / "cut.fld"
+        save_field(field_path, presets.default_datum(Grid(dim=1, L=TWO_PI, N=16)))
+        field_path.write_bytes(field_path.read_bytes()[:-8])
+        assert cli.main(["inspect", str(field_path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "FieldError" in err and "120 bytes" in err and "16 float64 values" in err
 
     def test_accept_exit_codes(self, tmp_path, capsys, monkeypatch):
         # The real suite runs for a minute; the exit-code mapping is what the

@@ -9,7 +9,9 @@ Oracles:
 * space-constant but time-varying drift collapses the whole solve to a
   scalar recursion, reimplemented below with plain floats, which pins the
   time-reversal indexing exactly;
-* for constant drift the relaxation residual is a finite geometric sum.
+* for constant drift the relaxation residual is a finite geometric sum;
+* mild_defect re-applies the mild map on its own, and the direct march must
+  be its exact fixed point: the defect is 0.0, not merely small.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from renormlab.parabolic import (
     space_time_norm,
     write_decay_csv,
 )
+from renormlab.presets import decay_drift, sample_constant_in_time, trig_flow_drift
 from renormlab.rng import stream
 
 L = 2.0 * math.pi
@@ -113,8 +116,7 @@ class TestMildSolve:
         g = grid1()
         b = constant_in_time(GridVector(g, np.zeros((1,) + g.shape)), 16)
         sol = mild_solve(b, 4.0, 16)
-        assert sol.iterations == 1
-        assert sol.residual == 0.0
+        assert mild_defect(sol, b) == 0.0
         for s in sol.u.slices:
             assert np.array_equal(s.values, np.zeros((1,) + g.shape))
 
@@ -154,11 +156,21 @@ class TestMildSolve:
         g = grid1()
         prof = np.sin(g.axis_coordinates()) + 0.3 * np.cos(2 * g.axis_coordinates())
         b = constant_in_time(GridVector(g, prof[None, :]), 64)
-        sol = mild_solve(b, 8.0, 64, tol=1e-10)
-        assert sol.residual <= 1e-10
-        assert mild_defect(sol, b) < 1e-9
-        assert sol.iterations < 30
-        assert all(r < 1.0 for r in sol.contraction_ratios[-3:])
+        sol = mild_solve(b, 8.0, 64)
+        assert mild_defect(sol, b) == 0.0
+
+    @pytest.mark.parametrize(
+        "preset, lam, steps",
+        [("decay", lam, 256) for lam in (32.0, 64.0, 128.0, 256.0)]
+        + [("trig_flow", lam, 128) for lam in (4.0, 16.0, 64.0)],
+    )
+    def test_march_is_the_mild_fixed_point(self, preset, lam, steps):
+        # the decay and straightening ladders of the acceptance suite: the
+        # march reproduces mild_defect's independent re-application exactly
+        g = build_grid(1, L, 64)
+        profile = {"decay": decay_drift, "trig_flow": trig_flow_drift}[preset](g)
+        b = sample_constant_in_time(profile, T, steps)
+        assert mild_defect(mild_solve(b, lam, steps), b) == 0.0
 
     def test_validation(self):
         g = grid1()
@@ -175,24 +187,14 @@ class TestMildSolve:
         with pytest.raises(ParabolicError):
             mild_solve(bent, 4.0, 16)
 
-    def test_non_convergence_raises(self):
-        g = grid1()
-        prof = np.sin(g.axis_coordinates())
-        b = constant_in_time(GridVector(g, prof[None, :]), 32)
-        with pytest.raises(ParabolicError, match="Picard"):
-            mild_solve(b, 8.0, 32, max_iter=2)
-
-    def test_slow_contraction_warning(self, caplog):
+    def test_strong_drift_logs_nothing(self, caplog):
         g = grid1()
         prof = 4.0 * np.sin(g.axis_coordinates())
         b = constant_in_time(GridVector(g, prof[None, :]), 32)
-        with caplog.at_level(logging.WARNING, logger="renormlab.parabolic"):
-            mild_solve(b, 2.0, 32, tol=1e-8, max_iter=200)
-        assert any("contraction" in rec.message for rec in caplog.records)
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="renormlab.parabolic"):
-            mild_solve(b, 64.0, 32)
+        with caplog.at_level(logging.DEBUG, logger="renormlab.parabolic"):
+            sol = mild_solve(b, 2.0, 32)
         assert not caplog.records
+        assert mild_defect(sol, b) == 0.0
 
     def test_defect_rejects_foreign_time_grid(self):
         g = grid1()
