@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from renormlab import commutator
-from renormlab.field import Grid, GridScalar, GridVector, central_half
+from renormlab.field import FieldError, Grid, GridScalar, GridVector, central_half
 
 
 def main() -> int:
@@ -23,7 +23,10 @@ def main() -> int:
     parser.add_argument("--r", type=float, default=2.0, help="error norm exponent")
     args = parser.parse_args()
 
-    grid = Grid(dim=1, L=2.0 * np.pi, N=args.grid_points)
+    try:
+        grid = Grid(dim=1, L=2.0 * np.pi, N=args.grid_points)
+    except FieldError as exc:
+        parser.error(f"--grid-points: {exc}")  # exits 2, as the CLI does
     x = grid.coordinates()[0]
     sigma = GridVector(grid, np.sin(x)[None])
     f = GridScalar(grid, np.cos(x))

@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from renormlab import presets
-from renormlab.field import Grid
+from renormlab.field import FieldError, Grid
 from renormlab.parabolic import mild_solve, relaxation_residuals
 from renormlab.zvonkin import relaxation_metrics, transform_coeffs
 
@@ -28,7 +28,10 @@ def main() -> int:
     parser.add_argument("--grid-points", type=int, default=64)
     args = parser.parse_args()
 
-    grid = Grid(dim=1, L=2.0 * np.pi, N=args.grid_points)
+    try:
+        grid = Grid(dim=1, L=2.0 * np.pi, N=args.grid_points)
+    except FieldError as exc:
+        parser.error(f"--grid-points: {exc}")  # exits 2, as the CLI does
     b = presets.sample_constant_in_time(
         presets.trig_flow_drift(grid), args.horizon, args.steps
     )

@@ -206,10 +206,16 @@ class TimeGridVector:
 
     def slice_at(self, t: float) -> GridVector:
         """Slice at the largest sample time <= t (left-endpoint convention)."""
-        j = int(np.searchsorted(self.times, t + 1e-12 * max(self.T, 1.0), side="right") - 1)
-        if j < 0 or t > self.T * (1 + 1e-12):
-            raise FieldError(f"time {t} outside [0, {self.T}]")
-        return self.slices[j]
+        return self.slices[int(self.slice_indices(t))]
+
+    def slice_indices(self, ts) -> np.ndarray:
+        """Index of the slice ``slice_at`` picks, for each time in ``ts``."""
+        ts = np.asarray(ts, dtype=np.float64)
+        j = np.searchsorted(self.times, ts + 1e-12 * max(self.T, 1.0), side="right") - 1
+        outside = (j < 0) | (ts > self.T * (1 + 1e-12))
+        if np.any(outside):
+            raise FieldError(f"time {ts[outside][0]} outside [0, {self.T}]")
+        return j
 
     def index_of(self, t: float) -> int:
         j = int(round(t / (self.times[1] - self.times[0])))
@@ -487,6 +493,11 @@ def load_field(path):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
         raw = fh.read()
+    if not isinstance(header, dict):
+        raise FieldError(f"{path}: header is not a JSON object")
+    missing = [k for k in ("dim", "L", "N", "times", "components") if k not in header]
+    if missing:
+        raise FieldError(f"{path}: header lacks {', '.join(missing)}")
     grid = build_grid(header["dim"], header["L"], header["N"])
     times = header["times"]
     comps = header["components"]

@@ -14,8 +14,21 @@ log-determinant recursion
                      - (1/2) d_i sigma^k_j d_j sigma^k_i dt
 
 -- whose agreement is a genuine two-sided consistency check, since neither
-feeds the other.  Inverse maps come from Newton iteration on the
-interpolated displacement field, and weak solutions are realized as
+feeds the other.
+
+Coefficients are evaluated off the nodes by cubic splines.  The steps of a
+path are grouped by the slices of [b, sigma^1, ...] in force at l*dt (one
+group for a coefficient constant in time), and each group gets one stacked
+spline: the values for the flow, the Jacobians for the variational
+recursion, and (Div, twist) for the log-determinant.  The flow itself is
+sequential, one spline call per step.  The two recursions read positions the
+flow already stored, so they evaluate their spline on blocks of many steps
+at once and only the cheap update runs step by step.  A spline evaluates
+every point on its own, so the batching changes no bit of any result.
+
+Inverse maps come from Newton iteration on the interpolated displacement
+field (with pointwise step halving where full steps overshoot), and weak
+solutions are realized as
 
     f(t, x) = f0(Psi_t(x)) det(dPsi_t(x)),
 
@@ -41,7 +54,7 @@ from .field import (
     divergence,
     jacobian,
 )
-from .interp import PeriodicInterpolant, jacobian_interpolant, vector_interpolant
+from .interp import PeriodicInterpolant, vector_interpolant
 from .rng import stream
 
 __all__ = [
@@ -164,44 +177,10 @@ class FlowEnsemble:
     logdet_exponential: np.ndarray | None = None  # (steps+1,) + grid.shape
 
 
-class _SliceInterpolants:
-    """Lazy per-slice interpolants of one time-indexed coefficient.
-
-    Keyed by slice identity, so coefficients that reuse one GridVector for
-    every time (the common constant-in-time case) build each interpolant
-    exactly once.
-    """
-
-    def __init__(self, coefficient: TimeGridVector):
-        self.coefficient = coefficient
-        self._vector: dict[int, PeriodicInterpolant] = {}
-        self._jacobian: dict[int, PeriodicInterpolant] = {}
-        self._scalars: dict[int, PeriodicInterpolant] = {}
-
-    def vector(self, t: float) -> PeriodicInterpolant:
-        sl = self.coefficient.slice_at(t)
-        key = id(sl)
-        if key not in self._vector:
-            self._vector[key] = vector_interpolant(sl)
-        return self._vector[key]
-
-    def jacobian(self, t: float) -> PeriodicInterpolant:
-        sl = self.coefficient.slice_at(t)
-        key = id(sl)
-        if key not in self._jacobian:
-            self._jacobian[key] = jacobian_interpolant(sl)
-        return self._jacobian[key]
-
-    def logdet_scalars(self, t: float) -> PeriodicInterpolant:
-        """Stacked (divergence, d_i v_j d_j v_i) scalar pair for one slice."""
-        sl = self.coefficient.slice_at(t)
-        key = id(sl)
-        if key not in self._scalars:
-            jac = jacobian(sl)
-            twist = np.einsum("ij...,ji...->...", jac, jac)
-            stacked = np.stack([divergence(sl).values, twist])
-            self._scalars[key] = PeriodicInterpolant(sl.grid, stacked)
-        return self._scalars[key]
+# Points per batched spline call in the two recursions over stored positions.
+# Past a few thousand points the per-call overhead no longer shows, and a
+# bounded block keeps the temporary arrays of each worker thread small.
+_BLOCK_POINTS = 2048
 
 
 def _validate_coefficients(b: TimeGridVector, sigmas, path: BrownianPath) -> Grid:
@@ -219,6 +198,47 @@ def _validate_coefficients(b: TimeGridVector, sigmas, path: BrownianPath) -> Gri
     return grid
 
 
+def _slice_groups(b: TimeGridVector, sigmas, path: BrownianPath):
+    """Group the steps of ``path`` by the slices of [b, sigma^1..] in force at l*dt.
+
+    Returns the distinct slice tuples and the group of each step.  Slices are
+    told apart by identity, so a coefficient that holds one slice at every
+    time (every coefficient the lab builds) puts all steps in one group.
+    """
+    coefficients = [b, *sigmas]
+    times = np.arange(path.steps) * path.dt
+    columns = []
+    for c in coefficients:
+        first: dict[int, int] = {}
+        owner = np.array([first.setdefault(id(s), j) for j, s in enumerate(c.slices)])
+        columns.append(owner[c.slice_indices(times)])
+    keys, group_of_step = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    slice_sets = [tuple(c.slices[j] for c, j in zip(coefficients, key)) for key in keys]
+    return slice_sets, group_of_step.reshape(-1)
+
+
+def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
+    """Yield (steps, values): each step's interpolant at its stored positions.
+
+    Steps come in order, in blocks of about _BLOCK_POINTS points.  values
+    carries the interpolant head axes, then one axis over the block's steps,
+    then the grid axes.
+    """
+    grid = ensemble.seeds_grid
+    per_block = max(1, _BLOCK_POINTS // grid.N**grid.dim)
+    head_shape = interpolants[0].head_shape
+    head = (slice(None),) * len(head_shape)
+    for start in range(0, ensemble.path.steps, per_block):
+        steps = range(start, min(start + per_block, ensemble.path.steps))
+        points = np.moveaxis(ensemble.paths[steps.start : steps.stop], 0, 1)
+        groups = group_of_step[steps.start : steps.stop]
+        values = np.empty(head_shape + points.shape[1:])
+        for g in np.unique(groups):
+            pick = groups == g
+            values[head + (pick,)] = interpolants[g](points[:, pick])
+        yield steps, values
+
+
 def simulate_flow(
     b: TimeGridVector,
     sigmas: list[TimeGridVector],
@@ -229,18 +249,19 @@ def simulate_flow(
     if abs(config.dt - path.dt) > 1e-12 * max(path.dt, 1.0):
         raise FlowError(f"config dt {config.dt} does not match path dt {path.dt}")
     grid = _validate_coefficients(b, sigmas, path)
-    steps = path.steps
-    drift_cache = _SliceInterpolants(b)
-    noise_caches = [_SliceInterpolants(s) for s in sigmas]
+    slice_sets, group_of_step = _slice_groups(b, sigmas, path)
+    interpolants = [
+        PeriodicInterpolant(grid, np.stack([s.values for s in slices])) for slices in slice_sets
+    ]
 
-    positions = np.empty((steps + 1, grid.dim) + grid.shape)
+    positions = np.empty((path.steps + 1, grid.dim) + grid.shape)
     X = np.stack(grid.coordinates())
     positions[0] = X
-    for l in range(steps):
-        t = l * path.dt
-        move = drift_cache.vector(t)(X) * path.dt
-        for k, cache in enumerate(noise_caches):
-            move += cache.vector(t)(X) * path.increments[l, k]
+    for l in range(path.steps):
+        coefficients = interpolants[group_of_step[l]](X)
+        move = coefficients[0] * path.dt
+        for k in range(len(sigmas)):
+            move += coefficients[1 + k] * path.increments[l, k]
         X = X + move
         if not np.all(np.isfinite(X)):
             raise FlowError(f"trajectory lost finiteness at step {l + 1}")
@@ -254,22 +275,22 @@ def variational_jacobian(
     """Integrate the matrix recursion for dPhi along every stored trajectory."""
     grid = _validate_coefficients(b, sigmas, ensemble.path)
     path = ensemble.path
-    steps = path.steps
-    drift_cache = _SliceInterpolants(b)
-    noise_caches = [_SliceInterpolants(s) for s in sigmas]
+    slice_sets, group_of_step = _slice_groups(b, sigmas, path)
+    interpolants = [
+        PeriodicInterpolant(grid, np.stack([jacobian(s) for s in slices])) for slices in slice_sets
+    ]
 
-    J = np.zeros((steps + 1, grid.dim, grid.dim) + grid.shape)
+    J = np.zeros((path.steps + 1, grid.dim, grid.dim) + grid.shape)
     for i in range(grid.dim):
         J[0, i, i] = 1.0
-    for l in range(steps):
-        t = l * path.dt
-        X = ensemble.paths[l]
-        growth = drift_cache.jacobian(t)(X) * path.dt
-        for k, cache in enumerate(noise_caches):
-            growth += cache.jacobian(t)(X) * path.increments[l, k]
-        J[l + 1] = J[l] + np.einsum("ik...,kj...->ij...", growth, J[l])
-        if not np.all(np.isfinite(J[l + 1])):
-            raise FlowError(f"variational recursion lost finiteness at step {l + 1}")
+    for steps, jacobians in _along_paths(ensemble, interpolants, group_of_step):
+        for n, l in enumerate(steps):
+            growth = jacobians[0, :, :, n] * path.dt
+            for k in range(len(sigmas)):
+                growth += jacobians[1 + k, :, :, n] * path.increments[l, k]
+            J[l + 1] = J[l] + np.einsum("ik...,kj...->ij...", growth, J[l])
+            if not np.all(np.isfinite(J[l + 1])):
+                raise FlowError(f"variational recursion lost finiteness at step {l + 1}")
     ensemble.jac_variational = J
     return ensemble
 
@@ -285,20 +306,27 @@ def logdet_stochastic_exponential(
     """
     grid = _validate_coefficients(b, sigmas, ensemble.path)
     path = ensemble.path
-    steps = path.steps
-    drift_cache = _SliceInterpolants(b)
-    noise_caches = [_SliceInterpolants(s) for s in sigmas]
+    slice_sets, group_of_step = _slice_groups(b, sigmas, path)
+    interpolants = []
+    for drift, *noises in slice_sets:
+        scalars = [divergence(drift).values]
+        for s in noises:
+            jac = jacobian(s)
+            scalars += [divergence(s).values, np.einsum("ij...,ji...->...", jac, jac)]
+        interpolants.append(PeriodicInterpolant(grid, np.stack(scalars)))
 
-    logdet = np.zeros((steps + 1,) + grid.shape)
-    for l in range(steps):
-        t = l * path.dt
-        X = ensemble.paths[l]
-        div_b = drift_cache.logdet_scalars(t)(X)[0]
-        increment = div_b * path.dt
-        for k, cache in enumerate(noise_caches):
-            div_s, twist = cache.logdet_scalars(t)(X)
-            increment += div_s * path.increments[l, k] - 0.5 * twist * path.dt
-        logdet[l + 1] = logdet[l] + increment
+    logdet = np.zeros((path.steps + 1,) + grid.shape)
+    for steps, scalars in _along_paths(ensemble, interpolants, group_of_step):
+        dW = path.increments[steps.start : steps.stop].reshape(
+            (len(steps), path.k_count) + (1,) * grid.dim
+        )
+        increment = scalars[0] * path.dt
+        for k in range(len(sigmas)):
+            increment += scalars[1 + 2 * k] * dW[:, k] - 0.5 * scalars[2 + 2 * k] * path.dt
+        logdet[steps.start + 1 : steps.stop + 1] = increment
+    # add.accumulate runs along time one step after the other: the same sums,
+    # in the same order, as logdet[l + 1] = logdet[l] + increment[l]
+    np.cumsum(logdet, axis=0, out=logdet)
     ensemble.logdet_exponential = logdet
     return ensemble
 
@@ -307,24 +335,13 @@ def logdet_gap(ensemble: FlowEnsemble, step: int | None = None) -> float:
     """Sup over nodes of |logdet_exponential - log det jac_variational|."""
     if ensemble.jac_variational is None or ensemble.logdet_exponential is None:
         raise FlowError("run variational_jacobian and logdet_stochastic_exponential first")
-    J = ensemble.jac_variational
-    dets = _matrix_determinant(J)
+    dets = _det_stack(np.moveaxis(ensemble.jac_variational, 0, 2))
     if np.min(dets) <= 0:
         raise FlowError("variational determinant lost positivity")
     gap = np.abs(ensemble.logdet_exponential - np.log(dets))
     if step is not None:
         return float(np.max(gap[step]))
     return float(np.max(gap))
-
-
-def _matrix_determinant(J: np.ndarray) -> np.ndarray:
-    """det over the (i, j) axes of a (time, dim, dim, *spatial) stack."""
-    dim = J.shape[1]
-    if dim == 1:
-        return J[:, 0, 0]
-    if dim == 2:
-        return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    raise FlowError(f"unsupported dimension {dim}")
 
 
 def invert_flow(
@@ -342,18 +359,17 @@ def invert_flow(
     X0 = np.stack(grid.coordinates())
     disp = GridVector(grid, ensemble.paths[step] - X0)
 
-    node_jac = _identity_plus(jacobian(disp))
-    node_det = _det_stack(node_jac)
+    disp_jac = jacobian(disp)
+    node_det = _det_stack(_identity_plus(disp_jac))
     if float(np.min(node_det)) <= 0.0:
         raise FlowError(
             f"forward map is not injective at t={t}: min Jacobian determinant "
             f"{float(np.min(node_det)):.3e}"
         )
-    disp_jac = jacobian(disp)
     lipschitz = float(np.max(np.sqrt(np.einsum("ij...,ij...->...", disp_jac, disp_jac))))
 
     D = vector_interpolant(disp)
-    JD = jacobian_interpolant(disp)
+    JD = PeriodicInterpolant(grid, disp_jac)
     Y = X0.copy()
     converged = False
     iterations = 0
@@ -377,6 +393,9 @@ def invert_flow(
                     break
                 Y = Y_next
         if not converged:
+            Y, extra, converged = _damped_newton(D, JD, X0, tol, max_newton)
+            iterations += extra
+        if not converged:
             residual = float(np.max(np.abs(Y + D(Y) - X0)))
             raise FlowError(f"flow inversion stagnated (residual {residual:.3e})")
 
@@ -386,6 +405,35 @@ def invert_flow(
         det=GridScalar(grid, inverse_det),
         newton_iterations=iterations,
     )
+
+
+def _damped_newton(D, JD, X0: np.ndarray, tol: float, max_newton: int):
+    """Newton on y + D(y) = x from y = x, each point halving its own step.
+
+    A point takes the largest step 2^-m (m <= 30) of its Newton step that
+    lowers its residual |F|.  The fallback for maps whose full Newton steps
+    overshoot: a large displacement with a strong compression.  Returns
+    (Y, iterations, converged).
+    """
+    Y = X0.copy()
+    F = Y + D(Y) - X0
+    for iterations in range(1, max_newton + 1):
+        size = np.max(np.abs(F), axis=0)
+        if float(np.max(size)) < tol:
+            return Y, iterations, True
+        step = _solve_stack(_identity_plus(JD(Y)), F)
+        scale = np.ones_like(size)
+        for _ in range(31):
+            trial = Y - scale * step
+            F_trial = trial + D(trial) - X0
+            worse = (np.max(np.abs(F_trial), axis=0) >= size) & (size >= tol)
+            if not np.any(worse):
+                break
+            scale[worse] *= 0.5
+        Y, F = trial, F_trial
+        if not np.all(np.isfinite(Y)):
+            raise FlowError("Newton iteration lost finiteness")
+    return Y, max_newton, float(np.max(np.abs(F))) < tol
 
 
 @dataclass
@@ -480,6 +528,9 @@ def ensemble_moment(ensembles, functional, power: float = 1.0) -> MomentEstimate
 # Persistence (.flo: one-line JSON header + flat little-endian float64 blocks)
 # ---------------------------------------------------------------------------
 
+_FLO_KEYS = ("dim", "L", "N", "T", "dt", "k_count", "seed", "has_jacobian", "has_logdet")
+
+
 def save_ensemble(path_name, ensemble: FlowEnsemble) -> None:
     grid = ensemble.seeds_grid
     header = {
@@ -509,8 +560,11 @@ def load_ensemble(path_name) -> FlowEnsemble:
     with open(path_name, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
         raw = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    if header.get("format") != "flo":
+    if not isinstance(header, dict) or header.get("format") != "flo":
         raise FlowError(f"not a flow ensemble file: {path_name}")
+    missing = [k for k in _FLO_KEYS if k not in header]
+    if missing:
+        raise FlowError(f"{path_name}: header lacks {', '.join(missing)}")
     grid = build_grid(header["dim"], header["L"], header["N"])
     steps = int(round(header["T"] / header["dt"]))
     k_count = header["k_count"]

@@ -21,7 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab.field import GridScalar, GridVector, TimeGridVector, build_grid
+from renormlab import presets
+from renormlab.field import (
+    GridScalar,
+    GridVector,
+    TimeGridVector,
+    build_grid,
+    divergence,
+    jacobian,
+)
 from renormlab.flow import (
     BrownianPath,
     FlowEnsemble,
@@ -39,7 +47,7 @@ from renormlab.flow import (
     simulate_flow,
     variational_jacobian,
 )
-from renormlab.interp import vector_interpolant
+from renormlab.interp import PeriodicInterpolant, jacobian_interpolant, vector_interpolant
 from renormlab.rng import stream
 
 L = 2.0 * math.pi
@@ -224,6 +232,105 @@ class TestJacobians:
             logdet_gap(ens)
 
 
+def reference_kernels(b, sigmas, path):
+    """simulate_flow, variational_jacobian and logdet_stochastic_exponential
+    done one step and one coefficient at a time, with a fresh spline per call.
+
+    Returns (paths, jac_variational, logdet_exponential).
+    """
+    grid = b.grid
+    dt, dW = path.dt, path.increments
+    X = np.stack(grid.coordinates())
+    paths = [X]
+    for l in range(path.steps):
+        t = l * dt
+        move = vector_interpolant(b.slice_at(t))(X) * dt
+        for k, s in enumerate(sigmas):
+            move += vector_interpolant(s.slice_at(t))(X) * dW[l, k]
+        X = X + move
+        paths.append(X)
+    J = [np.einsum("ij,...->ij...", np.eye(grid.dim), np.ones(grid.shape))]
+    logdet = [np.zeros(grid.shape)]
+    for l in range(path.steps):
+        t, X = l * dt, paths[l]
+        growth = jacobian_interpolant(b.slice_at(t))(X) * dt
+        for k, s in enumerate(sigmas):
+            growth += jacobian_interpolant(s.slice_at(t))(X) * dW[l, k]
+        J.append(J[l] + np.einsum("ik...,kj...->ij...", growth, J[l]))
+        increment = PeriodicInterpolant(grid, divergence(b.slice_at(t)).values)(X) * dt
+        for k, s in enumerate(sigmas):
+            sl = s.slice_at(t)
+            jac = jacobian(sl)
+            twist = PeriodicInterpolant(grid, np.einsum("ij...,ji...->...", jac, jac))(X)
+            div = PeriodicInterpolant(grid, divergence(sl).values)(X)
+            increment += div * dW[l, k] - 0.5 * twist * dt
+        logdet.append(logdet[l] + increment)
+    return np.stack(paths), np.stack(J), np.stack(logdet)
+
+
+def trig_case():
+    g = grid1()
+    steps = 500
+    b = presets.sample_constant_in_time(presets.trig_flow_drift(g), T, steps)
+    sigmas = [presets.sample_constant_in_time(s, T, steps) for s in presets.trig_flow_noise(g)]
+    return b, sigmas, sample_brownian(T, T / steps, 1, 2024)
+
+
+def divfree_case():
+    g = build_grid(2, L, 16)
+    horizon, steps = 0.1, 50
+    b = presets.sample_constant_in_time(presets.divfree_2d_drift(g), horizon, steps)
+    sigmas = [
+        presets.sample_constant_in_time(s, horizon, steps) for s in presets.divfree_2d_noise(g)
+    ]
+    return b, sigmas, sample_brownian(horizon, horizon / steps, 2, 2025)
+
+
+def time_dependent_case():
+    # a new drift slice at every step, a new noise slice every fourth step,
+    # and a second noise held still: steps fall into many slice groups
+    g = grid1()
+    steps = 200
+    b = TimeGridVector.from_function(
+        g,
+        np.linspace(0.0, T, steps + 1),
+        lambda t: [lambda x: 0.6 * np.sin(x + 3.0 * t) + 0.2 * t],
+    )
+    s1 = TimeGridVector.from_function(
+        g,
+        np.linspace(0.0, T, steps // 4 + 1),
+        lambda t: [lambda x: 0.4 + 0.3 * np.cos(x - t)],
+    )
+    s2 = still(GridVector(g, (0.2 * np.sin(2.0 * g.axis_coordinates()))[None, :]))
+    return b, [s1, s2], sample_brownian(T, T / steps, 2, 2026)
+
+
+class TestBatchedKernels:
+    """The batched kernels against the step-by-step reference, bit for bit."""
+
+    @pytest.mark.parametrize("case", [trig_case, divfree_case, time_dependent_case])
+    def test_bitwise_equal_to_reference(self, case):
+        b, sigmas, path = case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        variational_jacobian(ens, b, sigmas)
+        logdet_stochastic_exponential(ens, b, sigmas)
+        paths, jac, logdet = reference_kernels(b, sigmas, path)
+        assert np.array_equal(ens.paths, paths)
+        assert np.array_equal(ens.jac_variational, jac)
+        assert np.array_equal(ens.logdet_exponential, logdet)
+
+    def test_variational_blow_up_reports_step(self):
+        # trajectories held at the nodes, so J grows by 1 + 10 cos(x) a step
+        # and overflows at step 297, in the third block of stored positions
+        g = grid1(16)
+        b = still(GridVector(g, (1e3 * np.sin(g.axis_coordinates()))[None, :]), horizon=4.0)
+        path = sample_brownian(4.0, 0.01, 0, 0)
+        X0 = np.stack(g.coordinates())
+        ens = FlowEnsemble(g, path, np.stack([X0] * (path.steps + 1)))
+        with pytest.raises(FlowError, match="variational recursion lost finiteness at step 297$"):
+            variational_jacobian(ens, b, [])
+
+
 class TestInversion:
     def test_translation(self):
         g = grid1()
@@ -264,6 +371,20 @@ class TestInversion:
         ens = simulate_flow(b, [], SdeConfig(dt=0.05), sample_brownian(T, 0.05, 0, 1))
         with pytest.raises(FlowError, match="step grid"):
             invert_flow(ens, 0.033)
+
+    def test_overshooting_newton_falls_back_to_step_halving(self):
+        # full Newton steps stagnate at residual 90 on this trig-preset flow,
+        # though det(I + dD) >= 0.258 on the nodes; halved steps converge
+        b, sigmas, _ = trig_case()
+        path = sample_brownian(T, 1e-3, 1, 1677528212305881673)
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=1e-3), path)
+        inv = invert_flow(ens, T)
+        X0 = ens.paths[0]
+        D = vector_interpolant(GridVector(grid1(), ens.paths[-1] - X0))
+        psi = inv.psi.values
+        assert np.abs(psi + D(psi) - X0).max() < 1e-10
+        assert inv.newton_iterations > 30
+        assert inv.det.values.min() > 0.0
 
     def test_non_injective_map_rejected(self):
         # hand-built displacement with derivative dipping below -1

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from renormlab.lab import (
 )
 
 TWO_PI = 2.0 * math.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def config_payload(**overrides) -> dict:
@@ -340,6 +345,41 @@ class TestCli:
         assert cli.main(["inspect", str(field_path)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "FieldError" in err and "120 bytes" in err and "16 float64 values" in err
+
+    def test_inspect_reports_field_header_without_key(self, tmp_path, capsys):
+        field_path = tmp_path / "bare.fld"
+        field_path.write_bytes(b'{"dim": 1, "L": 6.28, "N": 16}\n' + bytes(128))
+        assert cli.main(["inspect", str(field_path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "FieldError" in err and "header lacks times, components" in err
+        field_path.write_bytes(b"[1, 16]\n" + bytes(128))
+        assert cli.main(["inspect", str(field_path)]) == cli.EXIT_CONFIG_ERROR
+        assert "header is not a JSON object" in capsys.readouterr().err
+
+    def test_inspect_reports_flow_header_without_key(self, tmp_path, capsys):
+        ensemble_path = tmp_path / "bare.flo"
+        header = {"format": "flo", "dim": 1, "L": 6.28, "N": 16, "T": 0.5, "dt": 0.25}
+        ensemble_path.write_bytes(json.dumps(header).encode("ascii") + b"\n")
+        assert cli.main(["inspect", str(ensemble_path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "FlowError" in err
+        assert "header lacks k_count, seed, has_jacobian, has_logdet" in err
+        ensemble_path.write_bytes(b"[1, 16]\n")
+        assert cli.main(["inspect", str(ensemble_path)]) == cli.EXIT_CONFIG_ERROR
+        assert "not a flow ensemble file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("script", ["damping_ladder.py", "commutator_rates.py"])
+    def test_script_rejects_odd_grid(self, script):
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), "--grid-points", "63"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            check=False,
+        )
+        assert run.returncode == 2
+        assert "--grid-points" in run.stderr and "got 63" in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_accept_exit_codes(self, tmp_path, capsys, monkeypatch):
         # The real suite runs for a minute; the exit-code mapping is what the
