@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 
 from renormlab.lab import ExperimentConfig, ScalarConfig, acceptance_suite
+from renormlab.weakform import RENORMALIZED_TERMS
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--master-seed", type=int, default=0)
     parser.add_argument(
-        "--flip-sign", default=None, metavar="TERM",
+        "--flip-sign", default=None, metavar="TERM", choices=RENORMALIZED_TERMS,
         help="negate this renormalized-ledger term (debug; expect failures)",
     )
     args = parser.parse_args()

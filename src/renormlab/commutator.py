@@ -21,7 +21,6 @@ this sign set.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "CommutatorStudy",
     "op_T",
     "op_S",
-    "op_T_drift",
     "commutator_limits",
     "convergence_study",
     "write_study_csv",
@@ -58,8 +56,7 @@ LIMIT_SIGN_T = -1.0
 
 TAG_T = "T"
 TAG_S = "S"
-TAG_T_DRIFT = "T_drift"
-_TAGS = (TAG_T, TAG_S, TAG_T_DRIFT)
+_TAGS = (TAG_T, TAG_S)
 
 # Threshold below which a study is the constant-coefficient degenerate case.
 _DEGENERATE_TOL = 1e-12
@@ -86,11 +83,6 @@ def op_T(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
     return GridScalar(g, _advect(sigma, f_eps) - convolve(kernel, div_sf).values)
 
 
-def op_T_drift(b: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
-    """Drift commutator; same structure as op_T with b in place of sigma."""
-    return op_T(b, f, epsilon)
-
-
 def op_S(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
     """Second-order commutator L(f_eps) - sigma.grad(Div(sigma f))_eps + (L* f)_eps."""
     _check_inputs(sigma, f)
@@ -112,15 +104,7 @@ def op_S(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
     middle = _advect(sigma, convolve(kernel, div_sf))
 
     # L* f = (1/2) d_i d_j (sigma_i sigma_j f), mollified afterwards
-    adjoint = np.zeros(g.shape)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            beta = [0] * g.dim
-            beta[i] += 1
-            beta[j] += 1
-            prod = GridScalar(g, sigma.values[i] * sigma.values[j] * f.values)
-            adjoint += spectral_derivative(prod, beta).values
-    adjoint *= 0.5
+    adjoint = _adjoint_second_order(sigma, f.values)
 
     return GridScalar(g, forward - middle + convolve(kernel, GridScalar(g, adjoint)).values)
 

@@ -224,11 +224,6 @@ class TimeGridVector:
         return j
 
     @classmethod
-    def constant_in_time(cls, gv: GridVector, T: float, steps: int = 1) -> "TimeGridVector":
-        times = np.linspace(0.0, T, steps + 1)
-        return cls(gv.grid, times, [gv] * (steps + 1))
-
-    @classmethod
     def from_function(cls, grid: Grid, times, fns_of_t) -> "TimeGridVector":
         """fns_of_t(t) must return a list of per-component callables."""
         times = np.asarray(times, dtype=np.float64)

@@ -83,19 +83,13 @@ class FlowError(ValueError):
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Time step, scheme tag, and Monte Carlo width of a flow experiment."""
+    """Time step of an Euler-Maruyama flow."""
 
     dt: float
-    mc_members: int = 1
-    scheme: str = "euler_maruyama"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise FlowError(f"dt must be positive, got {self.dt}")
-        if self.mc_members < 1:
-            raise FlowError(f"mc_members must be >= 1, got {self.mc_members}")
-        if self.scheme != "euler_maruyama":
-            raise FlowError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass

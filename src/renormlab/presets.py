@@ -3,24 +3,30 @@
 Each builder returns plain grid fields; experiment plumbing decides how to
 sample them in time.  The random profiles draw from fixed derivation
 streams, so a preset is a pure function of its grid and the master seed --
-re-running anywhere reproduces the same coefficients bitwise.
+re-running anywhere reproduces the same coefficients bitwise.  ``PRESETS``
+maps each tag to its dimension and its drift and noise builders:
 
-    constant         b = c e_1 (spatially and temporally constant)
+    constant         b = c e_1 (spatially and temporally constant), unit noise
     trig_flow        random low-mode 1-d drift, gentle compressible noise
     drift_dominated  strong 1-d drift with faint noise (refinement studies)
     divfree_2d       rotation field of the stream function 2 cos x cos y
-    decay_drift      rough-ish 1-d profile with a slow power-law tail
+    decay            rough-ish 1-d profile with a slow power-law tail, unit noise
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from .field import Grid, GridScalar, GridVector, TimeGridVector, build_grid
+from .field import Grid, GridScalar, GridVector, TimeGridVector
 from .rng import stream
 
 __all__ = [
+    "PRESETS",
     "PRESET_TAGS",
+    "Preset",
     "constant_drift",
     "trig_flow_drift",
     "trig_flow_noise",
@@ -28,18 +34,11 @@ __all__ = [
     "drift_dominated_noise",
     "divfree_2d_drift",
     "divfree_2d_noise",
+    "unit_noise",
     "decay_drift",
     "default_datum",
     "sample_constant_in_time",
 ]
-
-PRESET_TAGS = (
-    "constant",
-    "trig_flow",
-    "drift_dominated",
-    "divfree_2d",
-    "decay",
-)
 
 
 def sample_constant_in_time(gv: GridVector, T: float, steps: int) -> TimeGridVector:
@@ -128,3 +127,22 @@ def default_datum(grid: Grid) -> GridScalar:
     if grid.dim == 1:
         return GridScalar.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(x))
     return GridScalar.from_function(grid, lambda x, y: 1.0 + 0.5 * np.sin(x) * np.sin(y))
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A coefficient set: grid dimension (None for any) and field builders."""
+
+    dim: int | None
+    drift: Callable[[Grid], GridVector]
+    noise: Callable[[Grid], list[GridVector]]
+
+
+PRESETS = {
+    "constant": Preset(None, constant_drift, unit_noise),
+    "trig_flow": Preset(1, trig_flow_drift, trig_flow_noise),
+    "drift_dominated": Preset(1, drift_dominated_drift, drift_dominated_noise),
+    "divfree_2d": Preset(2, divfree_2d_drift, divfree_2d_noise),
+    "decay": Preset(1, decay_drift, unit_noise),
+}
+PRESET_TAGS = tuple(PRESETS)

@@ -41,7 +41,6 @@ from renormlab.commutator import (
     convergence_study,
     op_S,
     op_T,
-    op_T_drift,
     r1_reconstruction,
     r1_remainder,
     r2_reconstruction,
@@ -232,12 +231,6 @@ class TestExamples:
         got = op_T(sig, one, eps)
         want = -convolve(mollifier(g, eps), divergence(sig)).values
         assert np.max(np.abs(got.values - want)) < 1e-12
-
-    def test_drift_variant_matches(self):
-        g = build_grid(1, L, 64)
-        b = GridVector.from_functions(g, [np.sin])
-        f = GridScalar.from_function(g, np.cos)
-        assert np.array_equal(op_T_drift(b, f, L / 8).values, op_T(b, f, L / 8).values)
 
     def test_limits_1d_preset(self):
         g = build_grid(1, L, 64)

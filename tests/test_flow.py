@@ -59,7 +59,7 @@ def grid1(n=64):
 
 
 def still(vec, horizon=T):
-    return TimeGridVector.constant_in_time(vec, horizon)
+    return presets.sample_constant_in_time(vec, horizon, 1)
 
 
 def sine_contraction(grid):
@@ -81,10 +81,6 @@ class TestSdeConfig:
     def test_validation(self):
         with pytest.raises(FlowError):
             SdeConfig(dt=0.0)
-        with pytest.raises(FlowError):
-            SdeConfig(dt=1e-3, mc_members=0)
-        with pytest.raises(FlowError):
-            SdeConfig(dt=1e-3, scheme="milstein")
 
 
 class TestBrownian:

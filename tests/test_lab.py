@@ -13,15 +13,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from renormlab import cli, lab, presets
+from renormlab import cli, flow, lab, presets
 from renormlab.field import Grid, GridVector, load_field, save_field
-from renormlab.flow import load_ensemble
+from renormlab.flow import load_ensemble, sample_brownian
 from renormlab.lab import (
     CheckResult,
     CoefficientConfig,
@@ -240,6 +241,31 @@ class TestRunExperiment:
         files = lab.run_experiment(cfg)
         assert len(files) == 2
 
+    def test_field_file_renorm_refines_in_dt_only(self, tmp_path):
+        # A .fld pair fixes N, so the refined ledger keeps the files' grid.
+        grid = Grid(dim=1, L=TWO_PI, N=32)
+        drift_path = tmp_path / "b.fld"
+        noise_path = tmp_path / "s.fld"
+        save_field(drift_path, presets.drift_dominated_drift(grid))
+        save_field(noise_path, presets.drift_dominated_noise(grid)[0])
+        cfg = small_config(
+            "renorm_residual",
+            tmp_path,
+            time=TimeConfig(T=0.125, dt=0.005),
+            coefficients=CoefficientConfig(
+                preset=None,
+                drift_file=str(drift_path),
+                noise_files=(str(noise_path),),
+            ),
+        )
+        ledger_path, refine_path = lab.run_experiment(cfg)
+        assert ledger_path.is_file() and refine_path.is_file()
+        assert ledger_path.read_text().splitlines()[0] == lab.CSV_VERSION_LINE
+        lines = refine_path.read_text().splitlines()
+        base, fine = lines[2].split(","), lines[3].split(",")
+        assert base[1] == fine[1]
+        assert float(base[0]) == pytest.approx(4.0 * float(fine[0]))
+
     def test_field_file_grid_mismatch(self, tmp_path):
         wrong = Grid(dim=1, L=TWO_PI, N=16)
         drift_path = tmp_path / "b.fld"
@@ -253,6 +279,44 @@ class TestRunExperiment:
         )
         with pytest.raises(LabError, match="different grid"):
             lab.run_experiment(cfg)
+
+
+class TestPresetTable:
+    @pytest.mark.parametrize("tag", presets.PRESET_TAGS)
+    def test_every_tag_builds_at_its_dimension(self, tag):
+        preset = presets.PRESETS[tag]
+        for dim in (1, 2) if preset.dim is None else (preset.dim,):
+            source = preset if preset.dim is not None else replace(preset, dim=dim)
+            prob = lab._problem(source, 16, 0.1, 0.025)
+            assert prob.grid.dim == dim and prob.grid.N == 16
+            assert prob.steps == 4 and prob.dt == 0.025
+            assert prob.b.grid == prob.grid and prob.b.slices[0].values.shape[0] == dim
+            assert len(prob.sigmas) >= 1
+            assert all(s.grid == prob.grid for s in prob.sigmas)
+            assert prob.f0.grid == prob.grid and prob.phi.values.grid == prob.grid
+
+    @pytest.mark.parametrize("tag", presets.PRESET_TAGS)
+    def test_coefficients_hold_one_slice_object(self, tag):
+        source = replace(presets.PRESETS[tag], dim=presets.PRESETS[tag].dim or 1)
+        prob = lab._problem(source, 16, 0.1, 0.025)
+        for c in (prob.b, *prob.sigmas):
+            assert len(c.slices) == prob.steps + 1
+            assert all(sl is c.slices[0] for sl in c.slices)
+        path = sample_brownian(0.1, 0.025, len(prob.sigmas), 7)
+        slice_sets, group_of_step = flow._slice_groups(prob.b, prob.sigmas, path)
+        assert len(slice_sets) == 1 and not group_of_step.any()
+
+    @pytest.mark.parametrize(
+        "tag", [t for t in presets.PRESET_TAGS if presets.PRESETS[t].dim is not None]
+    )
+    def test_config_dimension_must_match_table(self, tag):
+        want = presets.PRESETS[tag].dim
+        with pytest.raises(LabError, match=f"{want}-dimensional, grid.dim is {3 - want}"):
+            ExperimentConfig(
+                experiment="commutator_study",
+                grid=GridConfig(dim=3 - want),
+                coefficients=CoefficientConfig(preset=tag),
+            )
 
 
 class TestReports:
@@ -380,6 +444,29 @@ class TestCli:
         assert run.returncode == 2
         assert "--grid-points" in run.stderr and "got 63" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_gate_rejects_unknown_flip_term(self):
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "acceptance_gate.py"),
+             "--flip-sign", "g_div_bb"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            check=False,
+        )
+        assert run.returncode == 2
+        assert "--flip-sign" in run.stderr and "'g_div_bb'" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_suite_rejects_unknown_flip_term_before_any_check(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(lab, "_SUITE", (lambda cfg: ran.append(cfg) or [],))
+        cfg = ExperimentConfig(experiment="acceptance_all")
+        with pytest.raises(LabError, match="cannot flip unknown term 'g_div_bb'"):
+            lab.acceptance_suite(cfg, flip_sign_of="g_div_bb")
+        assert ran == []
+        lab.acceptance_suite(cfg, flip_sign_of="g_div_b")
+        assert len(ran) == 1
 
     def test_accept_exit_codes(self, tmp_path, capsys, monkeypatch):
         # The real suite runs for a minute; the exit-code mapping is what the

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from renormlab.field import (
     GridScalar,
     GridVector,
-    TimeGridVector,
     build_grid,
     gradient,
 )
@@ -42,6 +41,7 @@ from renormlab.flow import (
     sample_brownian,
     simulate_flow,
 )
+from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import (
     ORIGINAL_TERMS,
     RENORMALIZED_TERMS,
@@ -64,7 +64,7 @@ def grid1(N=64):
 
 
 def still(vec, T):
-    return TimeGridVector.constant_in_time(vec, T)
+    return sample_constant_in_time(vec, T, 1)
 
 
 def central_diff(fn, z, step):

@@ -44,6 +44,7 @@ from renormlab.flow import (
 )
 from renormlab.interp import scalar_interpolant, vector_interpolant
 from renormlab.parabolic import mild_solve
+from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import bump_test_function, residual_original
 from renormlab.zvonkin import (
     Diffeo,
@@ -67,15 +68,11 @@ def grid1(N=64):
 
 def still(grid, amp_fn, T=0.5, steps=2):
     """Time-frozen displacement from per-component profile callables."""
-    return TimeGridVector.constant_in_time(
-        GridVector.from_functions(grid, amp_fn), T, steps=steps
-    )
+    return sample_constant_in_time(GridVector.from_functions(grid, amp_fn), T, steps)
 
 
 def zero_displacement(grid, T=0.5, steps=2):
-    return TimeGridVector.constant_in_time(
-        GridVector.constant(grid, [0.0] * grid.dim), T, steps=steps
-    )
+    return sample_constant_in_time(GridVector.constant(grid, [0.0] * grid.dim), T, steps)
 
 
 def nodes_of(grid):
