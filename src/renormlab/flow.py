@@ -24,11 +24,15 @@ recursion, and (Div, twist) for the log-determinant.  The flow itself is
 sequential, one spline call per step.  The two recursions read positions the
 flow already stored, so they evaluate their spline on blocks of many steps
 at once and only the cheap update runs step by step.  A spline evaluates
-every point on its own, so the batching changes no bit of any result.
+every point on its own, so the batching changes no bit of any result.  A
+component constant in space (the unit noise e_k) is no spline at all: the
+interpolant returns its exact value.
 
 Inverse maps come from Newton iteration on the interpolated displacement
-field (with pointwise step halving where full steps overshoot), and weak
-solutions are realized as
+field (with pointwise step halving where full steps overshoot).  The first
+step starts from y = x, where the splines of the displacement and of its
+Jacobian reproduce the node arrays, so it is taken on those arrays with no
+spline call.  Weak solutions are realized as
 
     f(t, x) = f0(Psi_t(x)) det(dPsi_t(x)),
 
@@ -115,10 +119,6 @@ class BrownianPath:
     @property
     def steps(self) -> int:
         return self.increments.shape[0]
-
-    def partial_sum(self, step: int) -> np.ndarray:
-        """W at time step*dt, one value per component."""
-        return self.increments[:step].sum(axis=0)
 
 
 def sample_brownian(T: float, dt: float, k_count: int, stream_id: int) -> BrownianPath:
@@ -253,10 +253,11 @@ def simulate_flow(
     positions[0] = X
     for l in range(path.steps):
         coefficients = interpolants[group_of_step[l]](X)
-        move = coefficients[0] * path.dt
-        for k in range(len(sigmas)):
-            move += coefficients[1 + k] * path.increments[l, k]
-        X = X + move
+        with np.errstate(over="ignore", invalid="ignore"):
+            move = coefficients[0] * path.dt
+            for k in range(len(sigmas)):
+                move += coefficients[1 + k] * path.increments[l, k]
+            X = X + move
         if not np.all(np.isfinite(X)):
             raise FlowError(f"trajectory lost finiteness at step {l + 1}")
         positions[l + 1] = X
@@ -364,7 +365,9 @@ def invert_flow(
 
     D = vector_interpolant(disp)
     JD = PeriodicInterpolant(grid, disp_jac)
-    Y = X0.copy()
+    # first Newton step from y = x: there the splines of D and dD reproduce
+    # disp and disp_jac, so the node arrays stand in for them
+    Y = X0 - _solve_stack(_identity_plus(disp_jac), disp.values)
     converged = False
     iterations = 0
     for iterations in range(1, max_newton + 1):
@@ -432,7 +435,13 @@ def _damped_newton(D, JD, X0: np.ndarray, tol: float, max_newton: int):
 
 @dataclass
 class InverseFlow:
-    """Inverse map Psi_t on the nodes and its Jacobian determinant."""
+    """Inverse map Psi_t on the nodes and its Jacobian determinant.
+
+    newton_iterations counts the Newton rounds that evaluate the residual on
+    the splines, in the plain loop and in the step-halving fallback.  The
+    first step, taken from y = x on node data, does not count, nor do the
+    sweeps of the contraction fallback.
+    """
 
     psi: GridVector
     det: GridScalar

@@ -6,9 +6,15 @@ runs once per field (solving the banded interpolation system), after which
 each query is a local 4^dim tensor-product stencil.  Node values are
 reproduced to round-off, off-node error is O(h^4), and the wrap mode makes
 the interpolant exactly L-periodic, so query points may lie anywhere in R^n.
+
+A component whose node values are all equal (the unit noise fields e_k, a
+zero displacement) gets no spline: it evaluates to that exact constant,
+where a spline would return it only to a few ulp, and costs no stencil.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -42,9 +48,17 @@ class PeriodicInterpolant:
         self.grid = grid
         self.head_shape = values.shape[: values.ndim - grid.dim]
         flat = values.reshape((-1,) + grid.shape)
-        self._coeffs = [
-            ndimage.spline_filter(comp, order=_ORDER, mode="grid-wrap") for comp in flat
-        ]
+        self._components = len(flat)
+        self._constants = []
+        self._splines = []
+        for i, comp in enumerate(flat):
+            # NaN compares unequal to itself, so a NaN field is never constant
+            if np.all(comp == comp.flat[0]):
+                self._constants.append((i, comp.flat[0]))
+            else:
+                self._splines.append(
+                    (i, ndimage.spline_filter(comp, order=_ORDER, mode="grid-wrap"))
+                )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -53,16 +67,17 @@ class PeriodicInterpolant:
                 f"points must have leading axis of length {self.grid.dim}, got shape {pts.shape}"
             )
         tail_shape = pts.shape[1:]
-        index_coords = pts.reshape(self.grid.dim, -1) / self.grid.h
-        stacked = np.stack(
-            [
+        out = np.empty((self._components, math.prod(tail_shape)))
+        for i, value in self._constants:
+            out[i] = value
+        if self._splines:
+            index_coords = pts.reshape(self.grid.dim, -1) / self.grid.h
+            for i, coeff in self._splines:
                 ndimage.map_coordinates(
-                    coeff, index_coords, order=_ORDER, mode="grid-wrap", prefilter=False
+                    coeff, index_coords, output=out[i], order=_ORDER, mode="grid-wrap",
+                    prefilter=False,
                 )
-                for coeff in self._coeffs
-            ]
-        )
-        return stacked.reshape(self.head_shape + tail_shape)
+        return out.reshape(self.head_shape + tail_shape)
 
 
 def scalar_interpolant(field: GridScalar) -> PeriodicInterpolant:

@@ -327,7 +327,52 @@ class TestBatchedKernels:
             variational_jacobian(ens, b, [])
 
 
+def reference_inverse(ensemble, step, tol=1e-10):
+    """Plain Newton from y = x with a spline residual in every round.
+
+    Returns (psi, det, rounds).
+    """
+    grid = ensemble.seeds_grid
+    X0 = ensemble.paths[0].reshape(grid.dim, -1)
+    disp = GridVector(grid, ensemble.paths[step] - ensemble.paths[0])
+    D, JD = vector_interpolant(disp), PeriodicInterpolant(grid, jacobian(disp))
+
+    def matrices(Y):  # I + dD(y), one (dim, dim) matrix per point
+        return np.eye(grid.dim) + np.moveaxis(JD(Y), -1, 0)
+
+    Y = X0.copy()
+    for rounds in range(1, 31):
+        F = Y + D(Y) - X0
+        if np.abs(F).max() < tol:
+            break
+        Y = Y - np.linalg.solve(matrices(Y), F.T[..., None])[..., 0].T
+    det = 1.0 / np.linalg.det(matrices(Y))
+    return Y.reshape(ensemble.paths[0].shape), det.reshape(grid.shape), rounds
+
+
 class TestInversion:
+    @pytest.mark.parametrize("case", [trig_case, divfree_case])
+    def test_identity_at_time_zero(self, case):
+        b, sigmas, path = case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        inv = invert_flow(ens, 0.0)
+        assert np.array_equal(inv.psi.values, ens.paths[0])
+        assert np.array_equal(inv.det.values, np.ones(b.grid.shape))
+        assert inv.newton_iterations == 1
+
+    @pytest.mark.parametrize("case", [trig_case, divfree_case])
+    def test_node_step_matches_newton_from_x(self, case):
+        # the first step is taken on node data; a reference that evaluates
+        # the splines in every round lands on the same inverse, one round later
+        b, sigmas, path = case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        for step in (1, path.steps // 2, path.steps):
+            inv = invert_flow(ens, step * path.dt)
+            psi, det, rounds = reference_inverse(ens, step)
+            assert np.abs(inv.psi.values - psi).max() < 1e-13
+            assert np.abs(inv.det.values - det).max() < 1e-13
+            assert inv.newton_iterations == rounds - 1
+
     def test_translation(self):
         g = grid1()
         b = still(GridVector.constant(g, [0.0]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,46 @@ class TestShapes:
         itp = PeriodicInterpolant(g, np.zeros(g.shape))
         with pytest.raises(FieldError):
             itp(np.zeros((3, 10)))
+
+
+class TestConstantComponents:
+    def test_constant_is_exact_anywhere(self):
+        g = build_grid(2, L, 16)
+        values = np.stack([np.full(g.shape, c) for c in (0.0, 1.0, -0.1, 1e308)])
+        itp = PeriodicInterpolant(g, values)
+        near = stream(6, 0).uniform(-L, 2 * L, (2, 50))
+        far = np.array([[1e6, -1e12, 1e308, -1e308], [3.7, 1e300, -1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts in (near, far):
+                out = itp(pts)
+                for row, c in zip(out, (0.0, 1.0, -0.1, 1e308)):
+                    assert np.array_equal(row, np.full(pts.shape[1:], c))
+                huge = scalar_interpolant(GridScalar.constant(g, 1e308))(pts)
+                assert np.array_equal(huge, np.full(pts.shape[1:], 1e308))
+
+    def test_mixed_stack_matches_single_components(self):
+        g = build_grid(2, L, 16)
+        xx, yy = g.coordinates()
+        varying = [np.sin(xx) * np.cos(2 * yy), np.exp(np.cos(xx + yy))]
+        values = np.stack([varying[0], np.full(g.shape, 0.25), varying[1], np.zeros(g.shape)])
+        pts = stream(7, 0).uniform(-L, 2 * L, (2, 9, 11))
+        out = PeriodicInterpolant(g, values)(pts)
+        assert out.shape == (4, 9, 11)
+        assert np.array_equal(out[0], PeriodicInterpolant(g, varying[0])(pts))
+        assert np.array_equal(out[2], PeriodicInterpolant(g, varying[1])(pts))
+        assert np.array_equal(out[1], np.full((9, 11), 0.25))
+        assert np.array_equal(out[3], np.zeros((9, 11)))
+
+    def test_nan_is_not_constant(self):
+        # one NaN node in a field of ones: a spline spreads it, a constant would not
+        g = build_grid(1, L, 16)
+        values = np.ones((2,) + g.shape)
+        values[0, 5] = np.nan
+        values[1, 0] = np.nan
+        itp = PeriodicInterpolant(g, values)
+        out = itp(stream(8, 0).uniform(0.0, L, (1, 30)))
+        assert np.all(np.isnan(out))
 
 
 @settings(max_examples=20, deadline=None)
