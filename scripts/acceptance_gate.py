@@ -1,11 +1,13 @@
 """Run the acceptance suite, optionally with the sign-flip debug hook.
 
 Equivalent to `renormlab accept` but exposes the flip_sign_of hook, which
-negates one named term of the renormalized ledger before the residual is
-formed.  Flipping any live term must turn the renormalized-residual check
-red; running this with --flip-sign g_div_b is the quickest way to convince
-yourself the suite is actually wired to the term signs and not vacuously
-green.
+negates one named term of each finished renormalized ledger and re-forms its
+residual.  Running this with --flip-sign g_div_b is the quickest way to
+convince yourself the suite is actually wired to the term signs and not
+vacuously green.  Not every live term is watched yet: flipping g_gradsigma or
+h_divsigma_sq (the twist of sigma and |Div sigma|^2) leaves the renorm rows
+green, since at the current presets both sit below the discretization
+residual, and the script then exits 0.
 """
 
 from __future__ import annotations

@@ -217,6 +217,25 @@ class TimeGridVector:
             raise FieldError(f"time {ts[outside][0]} outside [0, {self.T}]")
         return j
 
+    def distinct(self) -> tuple[list, np.ndarray]:
+        """The distinct slice objects, and the index of each sample's slice among them.
+
+        Slices are told apart by identity, not value.  This is the one place
+        that decides which samples share a slice, so per-slice work is done
+        once per distinct slice: a coefficient that holds one slice at every
+        time (every coefficient the lab builds) has one.
+        """
+        unique: list = []
+        index = []
+        i = -1
+        for s in self.slices:
+            if i < 0 or unique[i] is not s:  # samples that share a slice usually sit together
+                i = next((k for k, u in enumerate(unique) if u is s), len(unique))
+                if i == len(unique):
+                    unique.append(s)
+            index.append(i)
+        return unique, np.array(index, dtype=np.intp)
+
     def index_of(self, t: float) -> int:
         j = int(round(t / (self.times[1] - self.times[0])))
         if j < 0 or j >= len(self.times) or abs(self.times[j] - t) > 1e-9 * max(self.T, 1.0):

@@ -196,18 +196,18 @@ def _slice_groups(b: TimeGridVector, sigmas, path: BrownianPath):
     """Group the steps of ``path`` by the slices of [b, sigma^1..] in force at l*dt.
 
     Returns the distinct slice tuples and the group of each step.  Slices are
-    told apart by identity, so a coefficient that holds one slice at every
-    time (every coefficient the lab builds) puts all steps in one group.
+    grouped through ``TimeGridVector.distinct``, so a coefficient that holds
+    one slice at every time (every coefficient the lab builds) puts all steps
+    in one group.
     """
-    coefficients = [b, *sigmas]
     times = np.arange(path.steps) * path.dt
-    columns = []
-    for c in coefficients:
-        first: dict[int, int] = {}
-        owner = np.array([first.setdefault(id(s), j) for j, s in enumerate(c.slices)])
-        columns.append(owner[c.slice_indices(times)])
+    uniques, columns = [], []
+    for c in (b, *sigmas):
+        unique, index = c.distinct()
+        uniques.append(unique)
+        columns.append(index[c.slice_indices(times)])
     keys, group_of_step = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
-    slice_sets = [tuple(c.slices[j] for c, j in zip(coefficients, key)) for key in keys]
+    slice_sets = [tuple(u[i] for u, i in zip(uniques, key)) for key in keys]
     return slice_sets, group_of_step.reshape(-1)
 
 

@@ -265,6 +265,22 @@ class WeakFormLedger:
         if not all(math.isfinite(v) for v in values):
             raise WeakFormError("non-finite ledger entry")
 
+    @classmethod
+    def from_terms(cls, variant: str, terms: dict, lhs_delta: float) -> "WeakFormLedger":
+        """The ledger whose residual is lhs_delta minus the sum of the terms."""
+        return cls(variant, terms, lhs_delta, lhs_delta - sum(terms.values()))
+
+    def flipped(self, term: str) -> "WeakFormLedger":
+        """This ledger with one right-hand term negated and the residual re-formed.
+
+        It certifies that a check watches the sign of each term: a flipped
+        live term moves the residual by twice its value.
+        """
+        if term not in self.terms:
+            raise WeakFormError(f"cannot flip unknown term {term!r}")
+        terms = {name: -v if name == term else v for name, v in self.terms.items()}
+        return WeakFormLedger.from_terms(self.variant, terms, self.lhs_delta)
+
 
 def _phi_calculus(phi: TestFunction):
     """Gradient and Hessian of the test function, spectral."""
@@ -280,7 +296,7 @@ def _phi_calculus(phi: TestFunction):
     return grad, hess
 
 
-def _check_sampling(fpath, grid: Grid, path: BrownianPath):
+def _check_sampling(fpath, sigmas, grid: Grid, path: BrownianPath):
     if len(fpath) != path.steps + 1:
         raise WeakFormError(
             f"solution path has {len(fpath)} slices, Brownian path wants {path.steps + 1}"
@@ -288,26 +304,21 @@ def _check_sampling(fpath, grid: Grid, path: BrownianPath):
     for f in fpath:
         if f.grid != grid:
             raise WeakFormError("solution slices live on a different grid")
+    if len(sigmas) != path.k_count:
+        raise WeakFormError("noise field count does not match the path")
 
 
-class _SigmaCalculus:
-    """Per-slice divergence and Jacobian contraction, cached by slice identity."""
+def _at_times(c: TimeGridVector, times: np.ndarray, compute) -> list:
+    """compute(slice) once per distinct slice of c, listed for each time in times."""
+    slices, index = c.distinct()
+    done = [compute(sl) for sl in slices]
+    return [done[i] for i in index[c.slice_indices(times)]]
 
-    def __init__(self, sigma: TimeGridVector):
-        self.sigma = sigma
-        self._cache: dict[int, tuple] = {}
 
-    def at(self, t: float):
-        sl = self.sigma.slice_at(t)
-        key = id(sl)
-        if key not in self._cache:
-            jac = jacobian(sl)
-            self._cache[key] = (
-                sl.values,
-                divergence(sl).values,
-                np.einsum("ij...,ji...->...", jac, jac),
-            )
-        return self._cache[key]
+def _sigma_terms(sl: GridVector) -> tuple:
+    """Values, divergence and Jacobian contraction of one noise slice."""
+    jac = jacobian(sl)
+    return sl.values, divergence(sl).values, np.einsum("ij...,ji...->...", jac, jac)
 
 
 def residual_original(
@@ -319,9 +330,7 @@ def residual_original(
 ) -> WeakFormLedger:
     """Ledger of the plain weak form: drift, diffusion, and Ito terms."""
     grid = phi.values.grid
-    _check_sampling(fpath, grid, path)
-    if len(sigmas) != path.k_count:
-        raise WeakFormError("noise field count does not match the path")
+    _check_sampling(fpath, sigmas, grid, path)
     grad_phi, hess_phi = _phi_calculus(phi)
     vol = grid.cell_volume
     dt = path.dt
@@ -340,12 +349,7 @@ def residual_original(
             ito += float(np.sum(f * advect)) * vol * path.increments[l, k]
     lhs_delta = float(np.sum((fpath[-1].values - fpath[0].values) * phi.values.values)) * vol
     terms = {"drift": drift, "diffusion": diffusion, "ito": ito}
-    return WeakFormLedger(
-        variant="original",
-        terms=terms,
-        lhs_delta=lhs_delta,
-        residual=lhs_delta - sum(terms.values()),
-    )
+    return WeakFormLedger.from_terms("original", terms, lhs_delta)
 
 
 def residual_renormalized(
@@ -355,43 +359,31 @@ def residual_renormalized(
     phi: TestFunction,
     renorm: Renormalizer,
     path: BrownianPath,
-    flip_sign_of: str | None = None,
 ) -> WeakFormLedger:
-    """Ledger of the renormalized weak form (all eight right-hand terms).
-
-    flip_sign_of negates one named term before the residual is formed; it
-    exists for the sign-certification anti-test and for nothing else.
-    """
+    """Ledger of the renormalized weak form (all eight right-hand terms)."""
     grid = phi.values.grid
-    _check_sampling(fpath, grid, path)
-    if len(sigmas) != path.k_count:
-        raise WeakFormError("noise field count does not match the path")
-    if flip_sign_of is not None and flip_sign_of not in RENORMALIZED_TERMS:
-        raise WeakFormError(f"cannot flip unknown term {flip_sign_of!r}")
+    _check_sampling(fpath, sigmas, grid, path)
     grad_phi, hess_phi = _phi_calculus(phi)
     phi_vals = phi.values.values
     vol = grid.cell_volume
     dt = path.dt
-    sigma_calc = [_SigmaCalculus(sigma) for sigma in sigmas]
-    div_b_cache: dict[int, np.ndarray] = {}
+    times = np.arange(path.steps) * dt
+    drift = _at_times(b, times, lambda sl: (sl.values, divergence(sl).values))
+    noise = [_at_times(sigma, times, _sigma_terms) for sigma in sigmas]
 
     sums = {name: 0.0 for name in RENORMALIZED_TERMS}
     for l in range(path.steps):
-        t = l * dt
         f = fpath[l].values
         gamma_f = renorm.gamma(f)
         g_f = renorm.g(f)
         h_f = renorm.h(f)
-        b_slice = b.slice_at(t)
-        if id(b_slice) not in div_b_cache:
-            div_b_cache[id(b_slice)] = divergence(b_slice).values
-        div_b = div_b_cache[id(b_slice)]
+        b_vals, div_b = drift[l]
 
-        adv_b = np.einsum("i...,i...->...", b_slice.values, grad_phi)
+        adv_b = np.einsum("i...,i...->...", b_vals, grad_phi)
         sums["gamma_drift"] += float(np.sum(gamma_f * adv_b)) * vol * dt
         sums["g_div_b"] -= float(np.sum(g_f * div_b * phi_vals)) * vol * dt
-        for k, calc in enumerate(sigma_calc):
-            s_vals, div_s, twist = calc.at(t)
+        for k, noise_k in enumerate(noise):
+            s_vals, div_s, twist = noise_k[l]
             dW = path.increments[l, k]
             pair = np.einsum("i...,j...,ij...->...", s_vals, s_vals, hess_phi)
             sums["gamma_diffusion"] += 0.5 * float(np.sum(gamma_f * pair)) * vol * dt
@@ -402,19 +394,11 @@ def residual_renormalized(
             sums["g_gradsigma"] += 0.5 * float(np.sum(g_f * twist * phi_vals)) * vol * dt
             sums["h_divsigma_sq"] += 0.5 * float(np.sum(h_f * div_s**2 * phi_vals)) * vol * dt
 
-    if flip_sign_of is not None:
-        sums[flip_sign_of] = -sums[flip_sign_of]
     lhs_delta = (
         float(np.sum((renorm.gamma(fpath[-1].values) - renorm.gamma(fpath[0].values)) * phi_vals))
         * vol
     )
-    terms = {name: sums[name] for name in RENORMALIZED_TERMS}
-    return WeakFormLedger(
-        variant="renormalized",
-        terms=terms,
-        lhs_delta=lhs_delta,
-        residual=lhs_delta - sum(terms.values()),
-    )
+    return WeakFormLedger.from_terms("renormalized", sums, lhs_delta)
 
 
 def write_ledger_csv(ledger: WeakFormLedger, path_name) -> None:
@@ -519,16 +503,17 @@ def weighted_l1_stability(
         stderr[l] = math.sqrt(spread / (count - 1) / count)
 
     one_plus = 1.0 + np.sqrt(np.sum((np.stack(grid.coordinates()) - grid.L / 2.0) ** 2, axis=0))
+
+    def reach(sl: GridVector) -> float:  # sup |v| / (1 + |x - center|)
+        return float(np.max(np.sqrt(np.einsum("i...,i...->...", sl.values, sl.values)) / one_plus))
+
+    b_reach = _at_times(b, times[:-1], reach)
+    s_reach = [_at_times(sigma, times[:-1], reach) for sigma in sigmas]
     rate = np.empty(steps)
     for l in range(steps):
-        t = times[l]
-        b_amp = np.sqrt(np.einsum("i...,i...->...", b.slice_at(t).values, b.slice_at(t).values))
-        total = float(np.max(b_amp / one_plus))
-        for sigma in sigmas:
-            s_amp = np.sqrt(
-                np.einsum("i...,i...->...", sigma.slice_at(t).values, sigma.slice_at(t).values)
-            )
-            total += float(np.max(s_amp / one_plus)) ** 2
+        total = b_reach[l]
+        for sigma_reach in s_reach:
+            total += sigma_reach[l] ** 2
         rate[l] = total
     base = float(np.sum(weight * np.abs(f0.values))) * vol
     envelope = np.empty(steps + 1)

@@ -24,6 +24,10 @@ Div b_hat -> Div b in the space-time norms relaxation_metrics reports.
 Inversion is the Banach iteration y <- x - u(t, y), contracting at rate
 lip per sweep; off-node values come from the periodic spline interpolants,
 so query points may sit anywhere in R^n.
+
+transform_coeffs builds one Straightening per (u, lam), inverting the nodes
+under each distinct slice of u once; pushforward_under_diffeo and
+transformed_residual only read it, however many paths share it.
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ from .field import (
 )
 from .flow import BrownianPath
 from .interp import jacobian_interpolant, scalar_interpolant, vector_interpolant
-from .weakform import TestFunction, WeakFormLedger, residual_original
+from .weakform import TestFunction, WeakFormLedger, _at_times, residual_original
 
 __all__ = [
     "ZvonkinError",
     "LipTooLarge",
     "Diffeo",
-    "TransformedCoeffs",
+    "Straightening",
     "RelaxationRecord",
     "build_diffeo",
     "invert_diffeo",
@@ -93,12 +97,18 @@ class Diffeo:
 
 
 @dataclass(frozen=True)
-class TransformedCoeffs:
-    """Straightened drift lam*u and noise columns of I + grad u, both
-    evaluated at inverted points, sampled on the displacement's grid."""
+class Straightening:
+    """Straightened drift lam*u and noise columns of I + grad u, both at the
+    inverted nodes y and sampled on u's time grid.  inverted[i] is (y,
+    det(I + grad u)(y)) for the i-th distinct slice of u, None where u = 0;
+    slice_of maps each time sample of u to its distinct slice."""
 
+    diffeo: Diffeo
+    lam: float
     b_hat: TimeGridVector
     sigma_hat: list
+    inverted: list
+    slice_of: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,11 +139,7 @@ def build_diffeo(u: TimeGridVector) -> Diffeo:
         raise ZvonkinError(f"displacement must be a TimeGridVector, got {type(u).__name__}")
     dim = u.grid.dim
     lip = 0.0
-    seen: set[int] = set()
-    for sl in u.slices:
-        if id(sl) in seen:
-            continue
-        seen.add(id(sl))
+    for sl in u.distinct()[0]:
         lip = max(lip, _operator_norm_sup(jacobian(sl), dim))
     if lip >= 1.0:
         raise LipTooLarge(lip)
@@ -143,9 +149,7 @@ def build_diffeo(u: TimeGridVector) -> Diffeo:
 def _invert_slice(
     sl: GridVector, lip: float, pts: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Banach iteration y <- x - u(y) for one displacement slice."""
-    if not np.any(sl.values):
-        return pts.copy()
+    """Banach iteration y <- x - u(y) for one displacement slice (y = x exactly if u = 0)."""
     u_t = vector_interpolant(sl)
     # Error contracts by lip per sweep from an initial gap of sup|u|, so
     # the budget below is generous whenever the recorded constant is
@@ -188,65 +192,54 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
     return _invert_slice(sl, diffeo.lip, pts, tol)
 
 
-def transform_coeffs(u: TimeGridVector, lam: float, tol: float = 1e-12) -> TransformedCoeffs:
-    """Straightened coefficients lam*u(y) and e_k + grad u(y) e_k, y the
-    inverted node, on every slice of the displacement's time grid."""
+def transform_coeffs(u: TimeGridVector, lam: float, tol: float = 1e-12) -> Straightening:
+    """Straighten u at damping lam: invert the nodes under each distinct
+    slice once, and sample lam*u(y) and e_k + grad u(y) e_k there."""
     if lam <= 0.0:
         raise ZvonkinError(f"damping lambda must be positive, got {lam}")
     diffeo = build_diffeo(u)
     grid = u.grid
     dim = grid.dim
     nodes = np.stack(grid.coordinates())
-    eye_cols = [np.eye(dim)[:, k].reshape((dim,) + (1,) * dim) for k in range(dim)]
+    eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
 
-    cache: dict[int, tuple[GridVector, list[GridVector]]] = {}
-    b_slices: list[GridVector] = []
-    sigma_slices: list[list[GridVector]] = [[] for _ in range(dim)]
-    for sl in u.slices:
-        key = id(sl)
-        if key not in cache:
-            if not np.any(sl.values):
-                b_hat = GridVector.constant(grid, [0.0] * dim)
-                cols = [GridVector(grid, np.broadcast_to(eye_cols[k], (dim,) + grid.shape).copy())
-                        for k in range(dim)]
-            else:
-                y = _invert_slice(sl, diffeo.lip, nodes, tol)
-                u_at = vector_interpolant(sl)(y)
-                jac_at = jacobian_interpolant(sl)(y)
-                b_hat = GridVector(grid, lam * u_at)
-                cols = [GridVector(grid, eye_cols[k] + jac_at[:, k]) for k in range(dim)]
-            cache[key] = (b_hat, cols)
-        b_hat, cols = cache[key]
-        b_slices.append(b_hat)
-        for k in range(dim):
-            sigma_slices[k].append(cols[k])
+    slices, slice_of = u.distinct()
+    b_distinct, cols_distinct, inverted = [], [], []
+    for sl in slices:
+        if np.any(sl.values):
+            y = _invert_slice(sl, diffeo.lip, nodes, tol)
+            u_at, cols = vector_interpolant(sl)(y), eye + jacobian_interpolant(sl)(y)
+            inverted.append((y, np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))))
+        else:  # x + u is the identity: nothing to invert or interpolate
+            u_at, cols = np.zeros_like(nodes), eye + np.zeros((dim, dim) + grid.shape)
+            inverted.append(None)
+        b_distinct.append(GridVector(grid, lam * u_at))
+        cols_distinct.append([GridVector(grid, cols[:, k]) for k in range(dim)])
 
-    b_tgv = TimeGridVector(grid, u.times.copy(), b_slices)
-    sigma_tgv = [TimeGridVector(grid, u.times.copy(), sigma_slices[k]) for k in range(dim)]
-    return TransformedCoeffs(b_hat=b_tgv, sigma_hat=sigma_tgv)
+    b_hat = TimeGridVector(grid, u.times.copy(), [b_distinct[i] for i in slice_of])
+    sigma_hat = [
+        TimeGridVector(grid, u.times.copy(), [cols_distinct[i][k] for i in slice_of])
+        for k in range(dim)
+    ]
+    return Straightening(diffeo, lam, b_hat, sigma_hat, inverted, slice_of)
 
 
-def pushforward_under_diffeo(
-    f: GridScalar, diffeo: Diffeo, t: float, tol: float = 1e-12
-) -> GridScalar:
+def pushforward_under_diffeo(f: GridScalar, straightening: Straightening, t: float) -> GridScalar:
     """Transfer f under x + u(t, x): h(x) = f(y) / det(I + grad u)(y).
 
     The density is divided, not multiplied, because the Jacobian of the
     inverse map is the inverse matrix of I + grad u at the inverted point;
-    mass is conserved up to interpolation and quadrature error.
+    mass is conserved up to interpolation and quadrature error.  y and the
+    determinant come from the straightening; only f is interpolated here.
     """
-    if f.grid != diffeo.u.grid:
+    u = straightening.diffeo.u
+    if f.grid != u.grid:
         raise ZvonkinError("field and displacement live on different grids")
-    sl = diffeo.u.slice_at(t)
-    if not np.any(sl.values):
+    node = straightening.inverted[straightening.slice_of[u.slice_indices(t)]]
+    if node is None:
         return GridScalar(f.grid, f.values.copy())
-    grid = f.grid
-    y = _invert_slice(sl, diffeo.lip, np.stack(grid.coordinates()), tol)
-    f_at = scalar_interpolant(f)(y)
-    jac_at = jacobian_interpolant(sl)(y)
-    mats = np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(grid.dim)
-    det = np.linalg.det(mats)
-    return GridScalar(grid, f_at / det)
+    y, det = node
+    return GridScalar(f.grid, scalar_interpolant(f)(y) / det)
 
 
 def _warn_if_displacement_mismatches(
@@ -279,12 +272,10 @@ def _warn_if_displacement_mismatches(
 
 def transformed_residual(
     fpath,
-    u: TimeGridVector,
-    lam: float,
+    straightening: Straightening,
     b: TimeGridVector,
     phi_test: TestFunction,
     path: BrownianPath,
-    tol: float = 1e-12,
 ) -> WeakFormLedger:
     """Ledger of the straightened weak form along one driving path.
 
@@ -293,6 +284,7 @@ def transformed_residual(
     x + u(t, x) and the plain ledger is assembled against the transformed
     coefficients, reusing the path's own increments for the Ito sums.
     """
+    u = straightening.diffeo.u
     grid = u.grid
     if b.grid != grid:
         raise ZvonkinError("drift and displacement live on different grids")
@@ -306,15 +298,13 @@ def transformed_residual(
         path.T, 1.0
     ):
         raise ZvonkinError("displacement time grid must match the driving path")
-    _warn_if_displacement_mismatches(u, b, lam)
+    _warn_if_displacement_mismatches(u, b, straightening.lam)
 
-    diffeo = build_diffeo(u)
-    coeffs = transform_coeffs(u, lam, tol)
     hpath = [
-        pushforward_under_diffeo(f_l, diffeo, float(t_l), tol)
+        pushforward_under_diffeo(f_l, straightening, float(t_l))
         for f_l, t_l in zip(fpath, u.times)
     ]
-    return residual_original(hpath, coeffs.b_hat, coeffs.sigma_hat, phi_test, path)
+    return residual_original(hpath, straightening.b_hat, straightening.sigma_hat, phi_test, path)
 
 
 def _time_lq(values: np.ndarray, dt: float, q: float) -> float:
@@ -324,7 +314,7 @@ def _time_lq(values: np.ndarray, dt: float, q: float) -> float:
 
 
 def relaxation_metrics(
-    coeffs: TransformedCoeffs, b: TimeGridVector, q: float, p: float, r: float
+    coeffs: Straightening, b: TimeGridVector, q: float, p: float, r: float
 ) -> RelaxationRecord:
     """The four straightening errors as space-time norms.
 
@@ -351,14 +341,9 @@ def relaxation_metrics(
     dt = float(b.times[1] - b.times[0])
     steps = len(b.times) - 1
 
-    div_cache: dict[int, np.ndarray] = {}
-
-    def div_of(sl: GridVector) -> np.ndarray:
-        key = id(sl)
-        if key not in div_cache:
-            div_cache[key] = divergence(sl).values
-        return div_cache[key]
-
+    div_b, div_bh = (
+        _at_times(c, c.times, lambda sl: divergence(sl).values) for c in (b, coeffs.b_hat)
+    )
     eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
     b_norms = np.empty(steps + 1)
     s_norms = np.empty(steps + 1)
@@ -379,7 +364,7 @@ def relaxation_metrics(
         )
         g_norms[l] = lp_norm(GridScalar(grid, np.sqrt((grads**2).sum(axis=(0, 1, 2)))), r)
 
-        d_norms[l] = lp_norm(GridScalar(grid, np.abs(div_of(bh_sl) - div_of(b_sl))), 1.0)
+        d_norms[l] = lp_norm(GridScalar(grid, np.abs(div_bh[l] - div_b[l])), 1.0)
 
     return RelaxationRecord(
         bhat_err=_time_lq(b_norms, dt, q),

@@ -324,6 +324,34 @@ class TestTimeSlices:
         with pytest.raises(FieldError):
             tgv.index_of(0.3)
 
+    def test_distinct_of_shared_slices(self):
+        g = build_grid(1, L, 16)
+        one = GridVector.constant(g, [0.3])
+        tgv = TimeGridVector(g, np.linspace(0.0, 1.0, 5), [one] * 5)
+        unique, index = tgv.distinct()
+        assert len(unique) == 1 and unique[0] is one
+        assert index.tolist() == [0] * 5
+
+    def test_distinct_of_from_function(self):
+        g = build_grid(1, L, 16)
+        tgv = TimeGridVector.from_function(
+            g, np.linspace(0.0, 1.0, 5), lambda t: [lambda x: 0.0 * x + 1.0]
+        )
+        unique, index = tgv.distinct()
+        # equal values in separate objects stay apart: identity, not value
+        assert len(unique) == 5 and all(u is s for u, s in zip(unique, tgv.slices))
+        assert index.tolist() == list(range(5))
+
+    def test_distinct_of_a_mix(self):
+        g = build_grid(1, L, 16)
+        a, b, c = (GridVector.constant(g, [v]) for v in (1.0, 2.0, 1.0))
+        tgv = TimeGridVector(g, np.linspace(0.0, 1.0, 7), [a, a, b, a, c, c, b])
+        unique, index = tgv.distinct()
+        assert len(unique) == 3
+        assert unique[0] is a and unique[1] is b and unique[2] is c
+        assert index.tolist() == [0, 0, 1, 0, 2, 2, 1]
+        assert all(unique[i] is s for i, s in zip(index, tgv.slices))
+
     def test_validation(self):
         g = build_grid(1, L, 16)
         with pytest.raises(FieldError):

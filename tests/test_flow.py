@@ -301,10 +301,23 @@ def time_dependent_case():
     return b, [s1, s2], sample_brownian(T, T / steps, 2, 2026)
 
 
+def copied_slices_case():
+    # the trig case with every coefficient held as N+1 separate copies of its
+    # one slice: one slice group per step instead of one for the whole path
+    b, sigmas, path = trig_case()
+    copied = [
+        TimeGridVector(c.grid, c.times, [GridVector(c.grid, sl.values.copy()) for sl in c.slices])
+        for c in (b, *sigmas)
+    ]
+    return copied[0], copied[1:], path
+
+
 class TestBatchedKernels:
     """The batched kernels against the step-by-step reference, bit for bit."""
 
-    @pytest.mark.parametrize("case", [trig_case, divfree_case, time_dependent_case])
+    @pytest.mark.parametrize(
+        "case", [trig_case, divfree_case, time_dependent_case, copied_slices_case]
+    )
     def test_bitwise_equal_to_reference(self, case):
         b, sigmas, path = case()
         ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)

@@ -301,7 +301,9 @@ class TestPresetTable:
         prob = lab._problem(source, 16, 0.1, 0.025)
         for c in (prob.b, *prob.sigmas):
             assert len(c.slices) == prob.steps + 1
-            assert all(sl is c.slices[0] for sl in c.slices)
+            unique, index = c.distinct()
+            assert len(unique) == 1 and unique[0] is c.slices[0]
+            assert index.tolist() == [0] * (prob.steps + 1)
         path = sample_brownian(0.1, 0.025, len(prob.sigmas), 7)
         slice_sets, group_of_step = flow._slice_groups(prob.b, prob.sigmas, path)
         assert len(slice_sets) == 1 and not group_of_step.any()
@@ -359,6 +361,36 @@ class TestReports:
     def test_adjacent_ratio_flags_strict_decrease(self, values):
         strictly_decreasing = all(b < a for a, b in zip(values, values[1:]))
         assert (lab._adjacent_ratio(values) < 1.0) == strictly_decreasing
+
+
+SCALAR_FOR_LIST = [
+    ("coefficients", "noise_files", "a.fld"),
+    ("scalars", "lambdas", 4),
+    ("scalars", "epsilons", 0.5),
+]
+
+
+class TestListFields:
+    """A scalar where a JSON list belongs is refused by name, not iterated."""
+
+    @pytest.mark.parametrize("section,key,value", SCALAR_FOR_LIST)
+    def test_from_dict_names_the_field(self, section, key, value):
+        payload = config_payload()
+        payload[section] = {**payload[section], key: value}
+        with pytest.raises(LabError, match=rf"{section}\.{key} must be a list") as err:
+            ExperimentConfig.from_dict(payload)
+        assert "does not exist" not in str(err.value)
+
+    @pytest.mark.parametrize("section,key,value", SCALAR_FOR_LIST)
+    def test_run_exits_2(self, tmp_path, capsys, section, key, value):
+        payload = config_payload(output_dir=str(tmp_path / "out"))
+        payload[section] = {**payload[section], key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "LabError" in err and f"{section}.{key} must be a list" in err
+        assert "Traceback" not in err
 
 
 class TestCli:

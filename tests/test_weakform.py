@@ -30,7 +30,9 @@ from hypothesis import strategies as st
 from renormlab.field import (
     GridScalar,
     GridVector,
+    TimeGridVector,
     build_grid,
+    divergence,
     gradient,
 )
 from renormlab.flow import (
@@ -370,19 +372,74 @@ class TestRenormalizedLedger:
         _, phi, path, fpath, b, sig = transport_setup()
         rn = make_renormalizer("tanh")
         plain = residual_renormalized(fpath, b, [sig], phi, rn, path)
-        flipped = residual_renormalized(
-            fpath, b, [sig], phi, rn, path, flip_sign_of="gamma_ito"
-        )
+        flipped = plain.flipped("gamma_ito")
         expected = plain.residual + 2.0 * plain.terms["gamma_ito"]
         assert abs(flipped.residual - expected) < 1e-12
         assert abs(flipped.residual) > 100 * abs(plain.residual)
+        assert flipped.terms == {
+            name: -v if name == "gamma_ito" else v for name, v in plain.terms.items()
+        }
+        assert flipped.lhs_delta == plain.lhs_delta
+        assert flipped.residual == flipped.lhs_delta - sum(flipped.terms.values())
+        twice = flipped.flipped("gamma_ito")
+        assert twice.terms == plain.terms and twice.residual == plain.residual
 
     def test_flip_unknown_term_rejected(self):
         _, phi, path, fpath, b, sig = transport_setup(T=0.05)
+        ledger = residual_renormalized(fpath, b, [sig], phi, make_renormalizer("tanh"), path)
         with pytest.raises(WeakFormError, match="flip"):
+            ledger.flipped("drift")
+
+    def test_shared_and_copied_slices_agree_bitwise(self):
+        # slice sharing only saves work: N+1 copies of one slice give the
+        # ledger of N+1 references to it, bit for bit
+        g, phi, path, fpath, _, _ = transport_setup()
+        x = g.axis_coordinates()
+        b_vec = GridVector(g, (0.5 + 0.3 * np.sin(x))[None, :])
+        s_vec = GridVector(g, (0.4 + 0.2 * np.cos(x))[None, :])
+        rn = make_renormalizer("tanh")
+
+        def sampled(vec, copy):
+            shared = sample_constant_in_time(vec, path.T, path.steps)
+            if not copy:
+                return shared
+            copies = [GridVector(g, sl.values.copy()) for sl in shared.slices]
+            return TimeGridVector(g, shared.times, copies)
+
+        ledgers = [
             residual_renormalized(
-                fpath, b, [sig], phi, make_renormalizer("tanh"), path, flip_sign_of="drift"
+                fpath, sampled(b_vec, copy), [sampled(s_vec, copy)], phi, rn, path
             )
+            for copy in (False, True)
+        ]
+        assert all(v != 0.0 for v in ledgers[0].terms.values())
+        hexed = [
+            [v.hex() for v in (led.lhs_delta, led.residual, *led.terms.values())]
+            for led in ledgers
+        ]
+        assert hexed[0] == hexed[1]
+
+    def test_time_dependent_coefficients_read_the_slice_in_force(self):
+        # a new slice at every coefficient sample, four samples per step: the
+        # divergence-driven terms against a loop that looks each slice up
+        g, phi, path, fpath, _, _ = transport_setup()
+        times = np.linspace(0.0, path.T, 4 * path.steps + 1)
+        b = TimeGridVector.from_function(
+            g, times, lambda t: [lambda x: 0.5 + 0.3 * np.sin(x + 5 * t)]
+        )
+        sig = TimeGridVector.from_function(g, times, lambda t: [lambda x: 0.4 * np.cos(x - 3 * t)])
+        rn = make_renormalizer("tanh")
+        ledger = residual_renormalized(fpath, b, [sig], phi, rn, path)
+        vol, dt, psi = g.cell_volume, path.dt, phi.values.values
+        g_div_b = h_divsigma_sq = 0.0
+        for l in range(path.steps):
+            f = fpath[l].values
+            div_b = divergence(b.slice_at(l * dt)).values
+            g_div_b -= float(np.sum(rn.g(f) * div_b * psi)) * vol * dt
+            div_s = divergence(sig.slice_at(l * dt)).values
+            h_divsigma_sq += 0.5 * float(np.sum(rn.h(f) * div_s**2 * psi)) * vol * dt
+        assert ledger.terms["g_div_b"] == g_div_b
+        assert ledger.terms["h_divsigma_sq"] == h_divsigma_sq
 
     def _compressible_residual(self, dt, flip=None):
         """Pushforward along b = 0.5 + 0.3 sin x with no noise, frozen values."""
@@ -398,10 +455,8 @@ class TestRenormalizedLedger:
         )
         ens = simulate_flow(b, [], SdeConfig(dt=dt), path)
         fpath = [pushforward_solution(f0, ens, l * dt) for l in range(steps + 1)]
-        ledger = residual_renormalized(
-            fpath, b, [], phi, make_renormalizer("tanh"), path, flip_sign_of=flip
-        )
-        return ledger
+        ledger = residual_renormalized(fpath, b, [], phi, make_renormalizer("tanh"), path)
+        return ledger if flip is None else ledger.flipped(flip)
 
     def test_compressible_pushforward_refines(self):
         coarse = self._compressible_residual(2e-3)

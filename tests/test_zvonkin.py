@@ -27,11 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renormlab import zvonkin
 from renormlab.field import (
     GridScalar,
     GridVector,
     TimeGridVector,
     build_grid,
+    divergence,
     jacobian,
     lp_norm,
 )
@@ -42,7 +44,7 @@ from renormlab.flow import (
     sample_brownian,
     simulate_flow,
 )
-from renormlab.interp import scalar_interpolant, vector_interpolant
+from renormlab.interp import jacobian_interpolant, scalar_interpolant, vector_interpolant
 from renormlab.parabolic import mild_solve
 from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import bump_test_function, residual_original
@@ -281,7 +283,7 @@ class TestPushforward:
     def test_identity_pushforward_copies_the_field(self):
         g = grid1()
         f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
-        h = pushforward_under_diffeo(f, build_diffeo(zero_displacement(g)), 0.1)
+        h = pushforward_under_diffeo(f, transform_coeffs(zero_displacement(g), 1.0), 0.1)
         assert np.array_equal(h.values, f.values)
         assert h.values is not f.values
 
@@ -289,9 +291,9 @@ class TestPushforward:
         g = grid1()
         amp = 0.25
         u = still(g, [lambda x: amp * np.sin(x)])
-        d = build_diffeo(u)
-        h = pushforward_under_diffeo(GridScalar.constant(g, 1.3), d, 0.0)
-        y = invert_diffeo(d, 0.0, nodes_of(g), tol=1e-12)
+        straightening = transform_coeffs(u, 1.0)
+        h = pushforward_under_diffeo(GridScalar.constant(g, 1.3), straightening, 0.0)
+        y = invert_diffeo(straightening.diffeo, 0.0, nodes_of(g), tol=1e-12)
         analytic = 1.3 / (1.0 + amp * np.cos(y[0]))
         assert np.abs(h.values - analytic).max() < 1e-5
         assert abs(h.values.sum() * g.cell_volume - 1.3 * L) < 1e-6
@@ -299,13 +301,13 @@ class TestPushforward:
     def test_mass_preserved_in_both_dimensions(self):
         g = grid1()
         f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
-        d = build_diffeo(still(g, [lambda x: 0.25 * np.sin(x)]))
-        h = pushforward_under_diffeo(f, d, 0.0)
+        st1 = transform_coeffs(still(g, [lambda x: 0.25 * np.sin(x)]), 1.0)
+        h = pushforward_under_diffeo(f, st1, 0.0)
         assert abs((h.values - f.values).sum() * g.cell_volume) < 1e-7
 
         g2 = build_grid(2, L, 32)
         f2 = GridScalar.from_function(g2, lambda x, y: 1.0 + 0.4 * np.sin(x) * np.cos(y))
-        d2 = build_diffeo(
+        st2 = transform_coeffs(
             still(
                 g2,
                 [
@@ -313,16 +315,17 @@ class TestPushforward:
                     lambda x, y: 0.3 * np.cos(2 * x) * np.sin(y),
                 ],
                 T=0.25,
-            )
+            ),
+            1.0,
         )
-        h2 = pushforward_under_diffeo(f2, d2, 0.0)
+        h2 = pushforward_under_diffeo(f2, st2, 0.0)
         assert abs((h2.values - f2.values).sum() * g2.cell_volume) < 1e-4
 
     def test_duality_against_forward_composition(self):
         g = grid1()
         f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
         u = still(g, [lambda x: 0.25 * np.sin(x)])
-        h = pushforward_under_diffeo(f, build_diffeo(u), 0.0)
+        h = pushforward_under_diffeo(f, transform_coeffs(u, 1.0), 0.0)
         psi = bump_test_function(g, center=[L / 2], radius=L / 6)
         lhs = (h.values * psi.values.values).sum() * g.cell_volume
         pts = nodes_of(g)
@@ -332,9 +335,119 @@ class TestPushforward:
 
     def test_grid_mismatch_rejected(self):
         f = GridScalar.constant(build_grid(1, L, 32), 1.0)
-        d = build_diffeo(zero_displacement(grid1()))
+        straightening = transform_coeffs(zero_displacement(grid1()), 1.0)
         with pytest.raises(ZvonkinError, match="grids"):
-            pushforward_under_diffeo(f, d, 0.0)
+            pushforward_under_diffeo(f, straightening, 0.0)
+
+
+def copied(c):
+    """The same samples as c, each in a slice object of its own."""
+    copies = [GridVector(c.grid, sl.values.copy()) for sl in c.slices]
+    return TimeGridVector(c.grid, c.times, copies)
+
+
+class TestStraightening:
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        """Every displacement slice zvonkin inverts, in call order."""
+        calls = []
+        invert = zvonkin._invert_slice
+
+        def counting(sl, *args):
+            calls.append(sl)
+            return invert(sl, *args)
+
+        monkeypatch.setattr(zvonkin, "_invert_slice", counting)
+        return calls
+
+    def test_inverts_each_distinct_nonzero_slice_once(self, inversions):
+        g = grid1()
+        a = GridVector.from_functions(g, [lambda x: 0.3 * np.sin(x)])
+        z = GridVector.constant(g, [0.0])
+        c = GridVector.from_functions(g, [lambda x: 0.2 * np.cos(x)])
+        u = TimeGridVector(g, np.linspace(0.0, 0.5, 6), [a, a, z, c, c, a])
+        straightening = transform_coeffs(u, 4.0)
+        assert len(inversions) == 2
+        assert inversions[0] is a and inversions[1] is c
+        assert straightening.inverted[1] is None
+        assert straightening.slice_of.tolist() == [0, 0, 1, 2, 2, 0]
+
+    def test_reading_a_straightening_inverts_nothing(self, inversions):
+        g = grid1()
+        T, dt, lam = 0.125, 0.125 / 20, 8.0
+        fpath, b, _, path = drifted_solution(g, wiggly_drift, T, dt, stream_id=9)
+        u = mild_solve(b, lam, path.steps).u
+        straightening = transform_coeffs(u, lam)
+        nonzero = [sl for sl in u.distinct()[0] if np.any(sl.values)]
+        assert len(nonzero) == path.steps
+        assert len(inversions) == len(nonzero)
+        assert all(got is want for got, want in zip(inversions, nonzero))
+        inversions.clear()
+        phi = bump_test_function(g, center=[L / 2], radius=L / 8)
+        transformed_residual(fpath, straightening, b, phi, path)
+        pushforward_under_diffeo(fpath[3], straightening, 3 * dt)
+        assert inversions == []
+
+    def test_stored_nodes_are_the_inverse_and_its_determinant(self):
+        g = build_grid(2, L, 16)
+        u = still(
+            g,
+            [
+                lambda x, y: 0.3 * np.sin(x) * np.cos(y),
+                lambda x, y: 0.3 * np.cos(2 * x) * np.sin(y),
+            ],
+            T=0.25,
+        )
+        straightening = transform_coeffs(u, 3.0)
+        y, det = straightening.inverted[0]
+        assert np.array_equal(y, invert_diffeo(straightening.diffeo, 0.1, nodes_of(g)))
+        jac_at = jacobian_interpolant(u.slices[0])(y)
+        mats = np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(2)
+        assert np.array_equal(det, np.linalg.det(mats))
+
+    def test_time_dependent_straightening_reads_the_slice_in_force(self):
+        g = grid1()
+        T, steps, lam = 0.25, 16, 8.0
+        b = sampled_drift(g, wiggly_drift, T, steps)
+        u = mild_solve(b, lam, steps).u
+        straightening = transform_coeffs(u, lam)
+        f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
+        for j in (0, 5, steps - 1):
+            t = float(u.times[j])
+            y = invert_diffeo(straightening.diffeo, t, nodes_of(g))
+            jac_at = jacobian_interpolant(u.slices[j])(y)
+            det = np.linalg.det(np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(1))
+            h = pushforward_under_diffeo(f, straightening, t)
+            assert np.array_equal(h.values, scalar_interpolant(f)(y) / det)
+        h_end = pushforward_under_diffeo(f, straightening, T)  # u(T) = 0
+        assert np.array_equal(h_end.values, f.values)
+        rec = relaxation_metrics(straightening, b, 4.0, 8.0, 4.0)
+        div_gap = [
+            lp_norm(GridScalar(g, np.abs(divergence(bh).values - divergence(bb).values)), 1.0)
+            for bh, bb in zip(straightening.b_hat.slices[:-1], b.slices[:-1])
+        ]
+        assert abs(rec.div_err - sum(div_gap) * (T / steps)) <= 1e-12 * rec.div_err
+
+    def test_shared_and_copied_slices_agree_bitwise(self):
+        # slice sharing only saves work: copies give the numbers of references
+        g = grid1()
+        T, steps, lam = 0.25, 8, 4.0
+        u = still(g, [lambda x: 0.3 * np.sin(x + 0.2)], T=T, steps=steps)
+        b = sampled_drift(g, wiggly_drift, T, steps)
+        results = []
+        for uu, bb in ((u, b), (copied(u), copied(b))):
+            straightening = transform_coeffs(uu, lam)
+            rec = relaxation_metrics(straightening, bb, 4.0, 8.0, 4.0)
+            results.append((straightening, rec))
+        (shared, rec_s), (copies, rec_c) = results
+        assert len(shared.inverted) == 1 and len(copies.inverted) == steps + 1
+        fields = ("bhat_err", "sigma_err", "grad_sigma_err", "div_err")
+        hexed = [[getattr(rec, f).hex() for f in fields] for rec in (rec_s, rec_c)]
+        assert hexed[0] == hexed[1]
+        assert all(getattr(rec_s, f) > 0.0 for f in fields)
+        for c_s, c_c in zip([shared.b_hat, *shared.sigma_hat], [copies.b_hat, *copies.sigma_hat]):
+            for sl_s, sl_c in zip(c_s.slices, c_c.slices):
+                assert np.array_equal(sl_s.values, sl_c.values)
 
 
 def drifted_solution(grid, bfun, T, dt, stream_id):
@@ -360,7 +473,7 @@ class TestTransformedResidual:
         fpath, _, noise, path = drifted_solution(g, lambda x: 0.0 * x, T, dt, stream_id=9)
         zero = zero_displacement(g, T=T, steps=path.steps)
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
-        straightened = transformed_residual(fpath, zero, 4.0, zero, phi, path)
+        straightened = transformed_residual(fpath, transform_coeffs(zero, 4.0), zero, phi, path)
         plain = residual_original(fpath, zero, [noise], phi, path)
         assert straightened.terms == plain.terms
         assert straightened.lhs_delta == plain.lhs_delta
@@ -374,7 +487,8 @@ class TestTransformedResidual:
         residuals = []
         for lam in (8.0, 16.0, 32.0):
             u = mild_solve(b, lam, path.steps).u
-            residuals.append(transformed_residual(fpath, u, lam, b, phi, path).residual)
+            straightening = transform_coeffs(u, lam)
+            residuals.append(transformed_residual(fpath, straightening, b, phi, path).residual)
         for r in residuals:
             assert abs(r) <= 1e-2
         for lo, hi in zip(residuals, residuals[1:]):
@@ -385,14 +499,12 @@ class TestTransformedResidual:
         T, dt, lam = 0.125, 2.5e-3, 16.0
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
         coarse, fine = [], []
-        u_cache = {}
+        straightened = {}
         for m in range(4):
             fpath, b, noise, path = drifted_solution(g, wiggly_drift, T, dt, stream_id=1800 + m)
-            if "c" not in u_cache:
-                u_cache["c"] = mild_solve(b, lam, path.steps).u
-            coarse.append(
-                transformed_residual(fpath, u_cache["c"], lam, b, phi, path).residual
-            )
+            if "c" not in straightened:
+                straightened["c"] = transform_coeffs(mild_solve(b, lam, path.steps).u, lam)
+            coarse.append(transformed_residual(fpath, straightened["c"], b, phi, path).residual)
             half = refine_brownian(path, 8)
             steps_f = half.steps
             b_f = sampled_drift(g, wiggly_drift, T, steps_f)
@@ -402,11 +514,9 @@ class TestTransformedResidual:
             fpath_f = [
                 pushforward_solution(f0, ens_f, l * half.dt) for l in range(steps_f + 1)
             ]
-            if "f" not in u_cache:
-                u_cache["f"] = mild_solve(b_f, lam, steps_f).u
-            fine.append(
-                transformed_residual(fpath_f, u_cache["f"], lam, b_f, phi, half).residual
-            )
+            if "f" not in straightened:
+                straightened["f"] = transform_coeffs(mild_solve(b_f, lam, steps_f).u, lam)
+            fine.append(transformed_residual(fpath_f, straightened["f"], b_f, phi, half).residual)
         rms = lambda v: float(np.sqrt(np.mean(np.square(v))))
         assert rms(fine) <= rms(coarse) / 1.4
 
@@ -417,7 +527,7 @@ class TestTransformedResidual:
         zero = zero_displacement(g, T=T, steps=path.steps)
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
         with caplog.at_level(logging.WARNING, logger="renormlab.zvonkin"):
-            transformed_residual(fpath, zero, 4.0, b, phi, path)
+            transformed_residual(fpath, transform_coeffs(zero, 4.0), b, phi, path)
         assert any("parabolic balance" in message for message in caplog.messages)
 
     def test_time_grid_and_noise_validation(self):
@@ -427,11 +537,11 @@ class TestTransformedResidual:
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
         short = zero_displacement(g, T=T, steps=path.steps // 2)
         with pytest.raises(ZvonkinError, match="time grid"):
-            transformed_residual(fpath, short, 4.0, b, phi, path)
+            transformed_residual(fpath, transform_coeffs(short, 4.0), b, phi, path)
         wide = sample_brownian(T, dt, 2, stream_id=9)
         good = zero_displacement(g, T=T, steps=path.steps)
         with pytest.raises(ZvonkinError, match="unit noise"):
-            transformed_residual(fpath, good, 4.0, b, phi, wide)
+            transformed_residual(fpath, transform_coeffs(good, 4.0), b, phi, wide)
 
 
 class TestRelaxationMetrics:
