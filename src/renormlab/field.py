@@ -227,10 +227,12 @@ class TimeGridVector:
         """
         unique: list = []
         index = []
+        # self.slices keeps every slice alive for the whole call, so no id is reused
+        position: dict[int, int] = {}
         i = -1
         for s in self.slices:
             if i < 0 or unique[i] is not s:  # samples that share a slice usually sit together
-                i = next((k for k, u in enumerate(unique) if u is s), len(unique))
+                i = position.setdefault(id(s), len(unique))
                 if i == len(unique):
                     unique.append(s)
             index.append(i)

@@ -21,12 +21,14 @@ path are grouped by the slices of [b, sigma^1, ...] in force at l*dt (one
 group for a coefficient constant in time), and each group gets one stacked
 spline: the values for the flow, the Jacobians for the variational
 recursion, and (Div, twist) for the log-determinant.  The flow itself is
-sequential, one spline call per step.  The two recursions read positions the
-flow already stored, so they evaluate their spline on blocks of many steps
-at once and only the cheap update runs step by step.  A spline evaluates
-every point on its own, so the batching changes no bit of any result.  A
-component constant in space (the unit noise e_k) is no spline at all: the
-interpolant returns its exact value.
+sequential, one spline call per step, and checks every step for finiteness
+before the next spline call.  The two recursions read positions the flow
+already stored, so they evaluate their spline on blocks of many steps at
+once and only the cheap update runs step by step; the variational recursion
+checks finiteness once per block and reports the first step that lost it.
+A spline evaluates every point on its own, so the batching changes no bit
+of any result.  A component constant in space (the unit noise e_k) is no
+spline at all: the interpolant returns its exact value.
 
 Inverse maps come from Newton iteration on the interpolated displacement
 field (with pointwise step halving where full steps overshoot).  The first
@@ -195,20 +197,26 @@ def _validate_coefficients(b: TimeGridVector, sigmas, path: BrownianPath) -> Gri
 def _slice_groups(b: TimeGridVector, sigmas, path: BrownianPath):
     """Group the steps of ``path`` by the slices of [b, sigma^1..] in force at l*dt.
 
-    Returns the distinct slice tuples and the group of each step.  Slices are
-    grouped through ``TimeGridVector.distinct``, so a coefficient that holds
-    one slice at every time (every coefficient the lab builds) puts all steps
-    in one group.
+    Returns the distinct slice tuples, in lexicographic order of their slice
+    indices, and the group of each step.  Slices are grouped through
+    ``TimeGridVector.distinct``, so a coefficient that holds one slice at
+    every time (every coefficient the lab builds) puts all steps in one group.
     """
     times = np.arange(path.steps) * path.dt
     uniques, columns = [], []
+    group_of_step = np.zeros(path.steps, dtype=np.intp)
     for c in (b, *sigmas):
         unique, index = c.distinct()
         uniques.append(unique)
         columns.append(index[c.slice_indices(times)])
-    keys, group_of_step = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
-    slice_sets = [tuple(u[i] for u, i in zip(uniques, key)) for key in keys]
-    return slice_sets, group_of_step.reshape(-1)
+        # a mixed-radix code, earlier coefficients the more significant digits:
+        # np.unique ranks it in lexicographic order of the index rows so far,
+        # and the rank keeps the next code below steps * len(unique)
+        _, first, group_of_step = np.unique(
+            group_of_step * len(unique) + columns[-1], return_index=True, return_inverse=True
+        )
+    slice_sets = [tuple(u[column[l]] for u, column in zip(uniques, columns)) for l in first]
+    return slice_sets, group_of_step
 
 
 def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
@@ -216,7 +224,7 @@ def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
 
     Steps come in order, in blocks of about _BLOCK_POINTS points.  values
     carries the interpolant head axes, then one axis over the block's steps,
-    then the grid axes.
+    then the grid axes.  Each run of steps in one group is one spline call.
     """
     grid = ensemble.seeds_grid
     per_block = max(1, _BLOCK_POINTS // grid.N**grid.dim)
@@ -226,10 +234,13 @@ def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
         steps = range(start, min(start + per_block, ensemble.path.steps))
         points = np.moveaxis(ensemble.paths[steps.start : steps.stop], 0, 1)
         groups = group_of_step[steps.start : steps.stop]
+        edges = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1), len(steps)]
+        if len(edges) == 2:
+            yield steps, interpolants[groups[0]](points)
+            continue
         values = np.empty(head_shape + points.shape[1:])
-        for g in np.unique(groups):
-            pick = groups == g
-            values[head + (pick,)] = interpolants[g](points[:, pick])
+        for a, z in zip(edges, edges[1:]):
+            values[head + (slice(a, z),)] = interpolants[groups[a]](points[:, a:z])
         yield steps, values
 
 
@@ -249,25 +260,30 @@ def simulate_flow(
     ]
 
     positions = np.empty((path.steps + 1, grid.dim) + grid.shape)
-    X = np.stack(grid.coordinates())
-    positions[0] = X
-    for l in range(path.steps):
-        coefficients = interpolants[group_of_step[l]](X)
-        with np.errstate(over="ignore", invalid="ignore"):
+    X = positions[0]
+    X[...] = grid.coordinates()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(path.steps):
+            coefficients = interpolants[group_of_step[l]](X)
             move = coefficients[0] * path.dt
             for k in range(len(sigmas)):
                 move += coefficients[1 + k] * path.increments[l, k]
-            X = X + move
-        if not np.all(np.isfinite(X)):
-            raise FlowError(f"trajectory lost finiteness at step {l + 1}")
-        positions[l + 1] = X
+            X = np.add(X, move, out=positions[l + 1])
+            # checked before the next spline call reads X
+            if not np.isfinite(X).all():
+                raise FlowError(f"trajectory lost finiteness at step {l + 1}")
     return FlowEnsemble(seeds_grid=grid, path=path, paths=positions)
 
 
 def variational_jacobian(
     ensemble: FlowEnsemble, b: TimeGridVector, sigmas: list[TimeGridVector]
 ) -> FlowEnsemble:
-    """Integrate the matrix recursion for dPhi along every stored trajectory."""
+    """Integrate the matrix recursion for dPhi along every stored trajectory.
+
+    The growth matrices db dt + dsigma^k dW^k of a block of steps are formed
+    at once, and J[l + 1] = J[l] + growth J[l] runs step by step.  Finiteness
+    is checked once per block; the error names the first step that lost it.
+    """
     grid = _validate_coefficients(b, sigmas, ensemble.path)
     path = ensemble.path
     slice_sets, group_of_step = _slice_groups(b, sigmas, path)
@@ -279,13 +295,19 @@ def variational_jacobian(
     for i in range(grid.dim):
         J[0, i, i] = 1.0
     for steps, jacobians in _along_paths(ensemble, interpolants, group_of_step):
-        for n, l in enumerate(steps):
-            growth = jacobians[0, :, :, n] * path.dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = jacobians[0] * path.dt
             for k in range(len(sigmas)):
-                growth += jacobians[1 + k, :, :, n] * path.increments[l, k]
-            J[l + 1] = J[l] + np.einsum("ik...,kj...->ij...", growth, J[l])
-            if not np.all(np.isfinite(J[l + 1])):
-                raise FlowError(f"variational recursion lost finiteness at step {l + 1}")
+                dW = path.increments[steps.start : steps.stop, k]
+                growth += jacobians[1 + k] * dW.reshape((len(steps),) + (1,) * grid.dim)
+            growth = np.moveaxis(growth, 2, 0)
+            for n, l in enumerate(steps):
+                np.add(J[l], np.einsum("ik...,kj...->ij...", growth[n], J[l]), out=J[l + 1])
+        block = J[steps.start + 1 : steps.stop + 1].reshape(len(steps), -1)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            first_bad = steps.start + int(np.argmin(finite)) + 1
+            raise FlowError(f"variational recursion lost finiteness at step {first_bad}")
     ensemble.jac_variational = J
     return ensemble
 

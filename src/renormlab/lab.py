@@ -216,12 +216,9 @@ def _sub_config(name: str, sub_cls, payload):
             + "\n".join(f"  - unknown key {name}.{k!r}" for k in unknown)
         )
     coerced = dict(payload)
-    for key in [k for k in ("lambdas", "epsilons", "noise_files") if k in coerced]:
-        if not isinstance(coerced[key], list):
-            raise LabError(
-                f"invalid experiment config:\n  - {name}.{key} must be a list, got {coerced[key]!r}"
-            )
-        coerced[key] = tuple(coerced[key])
+    for key in ("lambdas", "epsilons", "noise_files"):
+        if isinstance(coerced.get(key), list):
+            coerced[key] = tuple(coerced[key])
     return sub_cls(**coerced)
 
 
@@ -260,17 +257,20 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
                 out.append(f"preset {c.preset!r} is {want}-dimensional, grid.dim is {g.dim}")
     if c.drift_file is not None and not Path(c.drift_file).is_file():
         out.append(f"drift_file {c.drift_file!r} does not exist")
-    for nf in c.noise_files:
-        if not Path(nf).is_file():
-            out.append(f"noise file {nf!r} does not exist")
-    if len(s.lambdas) < 1 or any(l <= 0 for l in s.lambdas):
-        out.append(f"scalars.lambdas must be positive, got {s.lambdas}")
-    elif any(b <= a for a, b in zip(s.lambdas, s.lambdas[1:])):
-        out.append(f"scalars.lambdas must be strictly increasing, got {s.lambdas}")
-    if any(e <= 0 for e in s.epsilons):
-        out.append(f"scalars.epsilons must be positive, got {s.epsilons}")
-    elif any(b >= a for a, b in zip(s.epsilons, s.epsilons[1:])):
-        out.append(f"scalars.epsilons must be strictly decreasing, got {s.epsilons}")
+    if _is_list(out, "coefficients.noise_files", c.noise_files):
+        for nf in c.noise_files:
+            if not Path(nf).is_file():
+                out.append(f"noise file {nf!r} does not exist")
+    if _is_list(out, "scalars.lambdas", s.lambdas):
+        if len(s.lambdas) < 1 or any(l <= 0 for l in s.lambdas):
+            out.append(f"scalars.lambdas must be positive, got {s.lambdas}")
+        elif any(b <= a for a, b in zip(s.lambdas, s.lambdas[1:])):
+            out.append(f"scalars.lambdas must be strictly increasing, got {s.lambdas}")
+    if _is_list(out, "scalars.epsilons", s.epsilons):
+        if any(e <= 0 for e in s.epsilons):
+            out.append(f"scalars.epsilons must be positive, got {s.epsilons}")
+        elif any(b >= a for a, b in zip(s.epsilons, s.epsilons[1:])):
+            out.append(f"scalars.epsilons must be strictly decreasing, got {s.epsilons}")
     for label, value in (("p", s.p), ("q", s.q), ("r", s.r)):
         if not value >= 1:
             out.append(f"scalars.{label} must be >= 1, got {value}")
@@ -281,6 +281,18 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if not str(cfg.output_dir).strip():
         out.append("output_dir must be a nonempty path")
     return out
+
+
+def _is_list(out: list[str], name: str, value) -> bool:
+    """Whether a list field holds a list; if not, say so in ``out``.
+
+    A string or a number there would be iterated, or fail to be, by the
+    checks of its entries.
+    """
+    if isinstance(value, (list, tuple)):
+        return True
+    out.append(f"{name} must be a list, got {value!r}")
+    return False
 
 
 def _load_vector(path_name: str, grid: Grid) -> GridVector:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import presets
+from renormlab import flow, presets
 from renormlab.field import (
     GridScalar,
     GridVector,
@@ -75,6 +75,32 @@ def contraction_map(y0, t):
 def contraction_jacobian(y0, t):
     u0 = np.tan((y0 - L / 2) / 2)
     return math.exp(-t) * (1 + u0**2) / (1 + u0**2 * math.exp(-2 * t))
+
+
+# Steps per block of the recursions over stored positions on a 16-node grid.
+BLOCK = flow._BLOCK_POINTS // 16
+# step 1, the last step of a block, the first step of a later one, the last step
+SPIKE_STEPS = [1, BLOCK, BLOCK + 1, 3 * BLOCK]
+
+
+def spiked_case(k_count, step):
+    """Coefficients that are zero at every step of a 3-block path but one.
+
+    Step ``step`` (1-based) reads 1e305 sin(x), in the drift when k_count is
+    0 and in the one noise otherwise; dt and every dW are 1e4, so the flow
+    and the variational recursion overflow at exactly that step.  Returns
+    (b, sigmas, path).
+    """
+    g = grid1(16)
+    steps, dt = 3 * BLOCK, 1e4
+    zero = GridVector.constant(g, [0.0])
+    slices = [zero] * (steps + 1)
+    slices[step - 1] = GridVector(g, (1e305 * np.sin(g.axis_coordinates()))[None, :])
+    spike = TimeGridVector(g, np.arange(steps + 1) * dt, slices)
+    path = BrownianPath(steps * dt, dt, k_count, np.full((steps, k_count), 1e4), 0)
+    if k_count == 0:
+        return spike, [], path
+    return still(zero, horizon=path.T), [spike], path
 
 
 class TestSdeConfig:
@@ -165,6 +191,13 @@ class TestSimulate:
         path = sample_brownian(2.0, 0.125, 0, 0)
         with pytest.raises(FlowError, match="step"):
             simulate_flow(b, [], SdeConfig(dt=0.125), path)
+
+    @pytest.mark.parametrize("k_count", [0, 1])
+    @pytest.mark.parametrize("step", SPIKE_STEPS)
+    def test_blow_up_at_a_chosen_step(self, k_count, step):
+        b, sigmas, path = spiked_case(k_count, step)
+        with pytest.raises(FlowError, match=f"trajectory lost finiteness at step {step}$"):
+            simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
 
     def test_validation(self):
         g = grid1()
@@ -338,6 +371,70 @@ class TestBatchedKernels:
         ens = FlowEnsemble(g, path, np.stack([X0] * (path.steps + 1)))
         with pytest.raises(FlowError, match="variational recursion lost finiteness at step 297$"):
             variational_jacobian(ens, b, [])
+
+    @pytest.mark.parametrize("k_count", [0, 1])
+    @pytest.mark.parametrize("step", SPIKE_STEPS)
+    def test_variational_blow_up_at_block_edges(self, k_count, step):
+        # trajectories held at the nodes; finiteness is checked once per block
+        b, sigmas, path = spiked_case(k_count, step)
+        g = b.grid
+        ens = FlowEnsemble(g, path, np.stack([np.stack(g.coordinates())] * (path.steps + 1)))
+        message = f"variational recursion lost finiteness at step {step}$"
+        with pytest.raises(FlowError, match=message):
+            variational_jacobian(ens, b, sigmas)
+
+
+def reference_slice_groups(b, sigmas, path):
+    """Group steps by np.unique over the rows of their slice indices.
+
+    Returns (slice_sets, group_of_step) as flow._slice_groups does.
+    """
+    times = np.arange(path.steps) * path.dt
+    uniques, columns = [], []
+    for c in (b, *sigmas):
+        unique, index = c.distinct()
+        uniques.append(unique)
+        columns.append(index[c.slice_indices(times)])
+    keys, group_of_step = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    return [tuple(u[i] for u, i in zip(uniques, key)) for key in keys], group_of_step.reshape(-1)
+
+
+def cycling_case():
+    # three coefficients, each cycling through its own pool of slice objects
+    # with its own period: slice indices repeat out of time order, and every
+    # coefficient's index varies within the groups
+    g = grid1()
+    steps = 120
+    dt = T / steps
+    x = g.axis_coordinates()
+
+    def cycling(pool_size, period):
+        pool = [GridVector(g, np.sin(x + j)[None, :]) for j in range(pool_size)]
+        slices = [pool[(l // period) % pool_size] for l in range(steps + 1)]
+        return TimeGridVector(g, np.arange(steps + 1) * dt, slices)
+
+    return cycling(3, 1), [cycling(4, 2), cycling(2, 5)], sample_brownian(T, dt, 2, 7)
+
+
+class TestSliceGroups:
+    """flow._slice_groups against a grouping by rows of slice indices."""
+
+    @pytest.mark.parametrize("case", [cycling_case, copied_slices_case, trig_case])
+    def test_matches_row_grouping(self, case):
+        b, sigmas, path = case()
+        slice_sets, group_of_step = flow._slice_groups(b, sigmas, path)
+        want_sets, want_groups = reference_slice_groups(b, sigmas, path)
+        assert len(slice_sets) == len(want_sets)
+        for got, want in zip(slice_sets, want_sets):
+            assert len(got) == len(want) == 1 + len(sigmas)
+            assert all(s is w for s, w in zip(got, want))
+        assert np.array_equal(group_of_step, want_groups)
+
+    def test_cycling_case_varies_every_digit(self):
+        b, sigmas, path = cycling_case()
+        slice_sets, _ = flow._slice_groups(b, sigmas, path)
+        for c, coefficient in enumerate((b, *sigmas)):
+            assert len({id(s[c]) for s in slice_sets}) == len(coefficient.distinct()[0])
 
 
 def reference_inverse(ensemble, step, tol=1e-10):

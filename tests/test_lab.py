@@ -382,6 +382,20 @@ class TestListFields:
         assert "does not exist" not in str(err.value)
 
     @pytest.mark.parametrize("section,key,value", SCALAR_FOR_LIST)
+    def test_direct_construction_names_the_field(self, section, key, value):
+        sub_cls = {"coefficients": CoefficientConfig, "scalars": ScalarConfig}[section]
+        with pytest.raises(LabError, match=rf"{section}\.{key} must be a list") as err:
+            ExperimentConfig(experiment="commutator_study", **{section: sub_cls(**{key: value})})
+        assert "does not exist" not in str(err.value)
+
+    def test_direct_construction_takes_lists_and_tuples(self):
+        for lambdas in ([4.0, 16.0], (4.0, 16.0)):
+            cfg = ExperimentConfig(
+                experiment="commutator_study", scalars=ScalarConfig(lambdas=lambdas)
+            )
+            assert list(cfg.scalars.lambdas) == [4.0, 16.0]
+
+    @pytest.mark.parametrize("section,key,value", SCALAR_FOR_LIST)
     def test_run_exits_2(self, tmp_path, capsys, section, key, value):
         payload = config_payload(output_dir=str(tmp_path / "out"))
         payload[section] = {**payload[section], key: value}
