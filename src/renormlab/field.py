@@ -329,13 +329,23 @@ def divergence(v: GridVector) -> GridScalar:
 
 def jacobian(v: GridVector) -> np.ndarray:
     """All first partials of a vector field: out[i, j] = d_j v_i, each a grid array."""
-    g = v.grid
-    out = np.empty((g.dim, g.dim) + g.shape)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            beta = [0] * g.dim
-            beta[j] = 1
-            out[i, j] = spectral_derivative(GridScalar(g, v.values[i]), beta).values
+    return jacobian_stack(v.grid, v.values)
+
+
+def jacobian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Jacobians of a stack of vector fields, (..., dim) + grid shape in.
+
+    Returns (..., dim, dim) + grid shape, entry [..., i, j] = d_j v_i.  One
+    FFT over the grid axes per field; the numbers are spectral_derivative's
+    bit for bit.
+    """
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    spectrum = np.fft.fftn(values, axes=axes)
+    out = np.empty(values.shape[: -grid.dim] + (grid.dim,) + grid.shape)
+    for j in range(grid.dim):
+        beta = tuple(int(a == j) for a in range(grid.dim))
+        mult = _derivative_multiplier(grid.dim, grid.L, grid.N, beta)
+        out[(..., j) + (slice(None),) * grid.dim] = np.fft.ifftn(mult * spectrum, axes=axes).real
     return out
 
 

@@ -31,10 +31,19 @@ of any result.  A component constant in space (the unit noise e_k) is no
 spline at all: the interpolant returns its exact value.
 
 Inverse maps come from Newton iteration on the interpolated displacement
-field (with pointwise step halving where full steps overshoot).  The first
-step starts from y = x, where the splines of the displacement and of its
-Jacobian reproduce the node arrays, so it is taken on those arrays with no
-spline call.  Weak solutions are realized as
+field, over a block of steps at once (about _BLOCK_POINTS points): one
+spectral Jacobian for the block, one SplineStack of D and dD, and in each
+round one call that evaluates both at the points of the steps still
+iterating.  A step leaves the block in the round its own residual falls
+below tol, so its iterates, determinant and round count are those of a
+Newton on that step alone; a step still iterating after max_newton rounds
+falls back on its own row (a contraction sweep, then pointwise step
+halving where full steps overshoot).  The first step starts from y = x,
+where the splines of the displacement and of its Jacobian reproduce the
+node arrays, so it is taken on those arrays with no spline call.
+invert_flow and pushforward_solution are one-step calls of this block
+Newton; pushforward_path runs it over a whole path with one spline of f0.
+Weak solutions are realized as
 
     f(t, x) = f0(Psi_t(x)) det(dPsi_t(x)),
 
@@ -46,12 +55,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import parallel
 from .field import (
+    FieldError,
     Grid,
     GridScalar,
     GridVector,
@@ -59,8 +70,9 @@ from .field import (
     build_grid,
     divergence,
     jacobian,
+    jacobian_stack,
 )
-from .interp import PeriodicInterpolant, vector_interpolant
+from .interp import PeriodicInterpolant, SplineStack
 from .rng import stream
 
 __all__ = [
@@ -77,6 +89,7 @@ __all__ = [
     "logdet_gap",
     "invert_flow",
     "pushforward_solution",
+    "pushforward_path",
     "ensemble_moment",
     "save_ensemble",
     "load_ensemble",
@@ -173,9 +186,10 @@ class FlowEnsemble:
     logdet_exponential: np.ndarray | None = None  # (steps+1,) + grid.shape
 
 
-# Points per batched spline call in the two recursions over stored positions.
-# Past a few thousand points the per-call overhead no longer shows, and a
-# bounded block keeps the temporary arrays of each worker thread small.
+# Points per batched spline call in the two recursions over stored positions,
+# and per block of steps in the flow inversion.  Past a few thousand points
+# the per-call overhead no longer shows, and a bounded block keeps the
+# temporary arrays of each worker thread small.
 _BLOCK_POINTS = 2048
 
 
@@ -361,6 +375,13 @@ def logdet_gap(ensemble: FlowEnsemble, step: int | None = None) -> float:
     return float(np.max(gap))
 
 
+def _step_of(path: BrownianPath, t: float) -> int:
+    step = int(round(t / path.dt))
+    if step < 0 or step > path.steps or abs(step * path.dt - t) > 1e-9 * max(path.T, 1.0):
+        raise FlowError(f"time {t} is not on the path step grid")
+    return step
+
+
 def invert_flow(
     ensemble: FlowEnsemble,
     t: float,
@@ -369,61 +390,104 @@ def invert_flow(
 ) -> "InverseFlow":
     """Solve Phi_t(y) = x at every node x by Newton on the displacement."""
     grid = ensemble.seeds_grid
-    path = ensemble.path
-    step = int(round(t / path.dt))
-    if step < 0 or step > path.steps or abs(step * path.dt - t) > 1e-9 * max(path.T, 1.0):
-        raise FlowError(f"time {t} is not on the path step grid")
-    X0 = np.stack(grid.coordinates())
-    disp = GridVector(grid, ensemble.paths[step] - X0)
-
-    disp_jac = jacobian(disp)
-    node_det = _det_stack(_identity_plus(disp_jac))
-    if float(np.min(node_det)) <= 0.0:
-        raise FlowError(
-            f"forward map is not injective at t={t}: min Jacobian determinant "
-            f"{float(np.min(node_det)):.3e}"
-        )
-    lipschitz = float(np.max(np.sqrt(np.einsum("ij...,ij...->...", disp_jac, disp_jac))))
-
-    D = vector_interpolant(disp)
-    JD = PeriodicInterpolant(grid, disp_jac)
-    # first Newton step from y = x: there the splines of D and dD reproduce
-    # disp and disp_jac, so the node arrays stand in for them
-    Y = X0 - _solve_stack(_identity_plus(disp_jac), disp.values)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_newton + 1):
-        F = Y + D(Y) - X0
-        if float(np.max(np.abs(F))) < tol:
-            converged = True
-            break
-        M = _identity_plus(JD(Y))
-        Y = Y - _solve_stack(M, F)
-        if not np.all(np.isfinite(Y)):
-            raise FlowError("Newton iteration lost finiteness")
-    if not converged:
-        if lipschitz < 1.0:
-            # displacement is a contraction: y = x - D(y) converges geometrically
-            for _ in range(500):
-                Y_next = X0 - D(Y)
-                if float(np.max(np.abs(Y_next - Y))) < tol:
-                    Y = Y_next
-                    converged = True
-                    break
-                Y = Y_next
-        if not converged:
-            Y, extra, converged = _damped_newton(D, JD, X0, tol, max_newton)
-            iterations += extra
-        if not converged:
-            residual = float(np.max(np.abs(Y + D(Y) - X0)))
-            raise FlowError(f"flow inversion stagnated (residual {residual:.3e})")
-
-    inverse_det = 1.0 / _det_stack(_identity_plus(JD(Y)))
+    step = _step_of(ensemble.path, t)
+    (_, psi, det, iterations), = _inverse_blocks(ensemble, [step], tol, max_newton)
     return InverseFlow(
-        psi=GridVector(grid, Y),
-        det=GridScalar(grid, inverse_det),
-        newton_iterations=iterations,
+        psi=GridVector(grid, psi[:, 0].reshape((grid.dim,) + grid.shape)),
+        det=GridScalar(grid, det[0].reshape(grid.shape)),
+        newton_iterations=int(iterations[0]),
     )
+
+
+def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10, max_newton: int = 30):
+    """Invert the flow at the given steps, yielding one block of steps at a time.
+
+    Yields (steps, psi, det, iterations) with psi of shape (dim, steps, N^dim),
+    det of shape (steps, N^dim) and one Newton round count per step.  All
+    steps of a block share one SplineStack of the displacement and its
+    Jacobian; a step leaves the Newton loop in the round its own residual
+    drops below tol, so its iterates are those of a Newton on that step alone.
+    """
+    grid = ensemble.seeds_grid
+    path = ensemble.path
+    dim = grid.dim
+    nodes = np.stack(grid.coordinates())
+    X0 = nodes.reshape(dim, 1, -1)
+    per_block = max(1, _BLOCK_POINTS // grid.N**dim)
+    for start in range(0, len(steps), per_block):
+        block = list(steps[start : start + per_block])
+        disp = ensemble.paths[block] - nodes
+        if not np.all(np.isfinite(disp)):
+            raise FieldError("vector field contains non-finite values")
+        disp_jac = jacobian_stack(grid, disp)
+        count = len(block)
+        # (dim, dim, steps, points): the node Jacobian of I + D, step by step
+        node_mat = _identity_plus(np.moveaxis(disp_jac, 0, 2).reshape(dim, dim, count, -1))
+        node_det = _det_stack(node_mat).min(axis=1)
+        if float(np.min(node_det)) <= 0.0:
+            n = int(np.flatnonzero(node_det <= 0.0)[0])
+            raise FlowError(
+                f"forward map is not injective at t={block[n] * path.dt}: min Jacobian "
+                f"determinant {float(node_det[n]):.3e}"
+            )
+        spline = SplineStack(
+            grid, np.concatenate([disp, disp_jac.reshape((count, dim * dim) + grid.shape)], axis=1)
+        )
+        # first Newton step from y = x: there the splines of D and dD reproduce
+        # disp and disp_jac, so the node arrays stand in for them
+        Y = X0 - _solve_stack(node_mat, np.moveaxis(disp, 0, 1).reshape(dim, count, -1))
+        det = np.empty((count, Y.shape[2]))
+        iterations = np.full(count, max_newton)
+        active = np.arange(count)
+        for round_ in range(1, max_newton + 1):
+            values = spline(active, Y[:, active])
+            F = Y[:, active] + values[:dim] - X0
+            mat = _identity_plus(values[dim:].reshape((dim, dim) + F.shape[1:]))
+            done = np.max(np.abs(F), axis=(0, 2)) < tol
+            det[active[done]] = 1.0 / _det_stack(mat[:, :, done])
+            iterations[active[done]] = round_
+            active, F, mat = active[~done], F[:, ~done], mat[:, :, ~done]
+            if not len(active):
+                break
+            Y_next = Y[:, active] - _solve_stack(mat, F)
+            if not np.all(np.isfinite(Y_next)):
+                raise FlowError("Newton iteration lost finiteness")
+            Y[:, active] = Y_next
+        for n in active:
+
+            def D(points, n=n):
+                return spline([n], points[:, None])[:dim, 0]
+
+            def JD(points, n=n):
+                return spline([n], points[:, None])[dim:, 0].reshape((dim, dim, -1))
+
+            jac = disp_jac[n]
+            lipschitz = float(np.max(np.sqrt(np.einsum("ij...,ij...->...", jac, jac))))
+            Y[:, n], extra = _fallback(D, JD, X0[:, 0], Y[:, n], lipschitz, tol, max_newton)
+            iterations[n] += extra
+            det[n] = 1.0 / _det_stack(_identity_plus(JD(Y[:, n])))
+        yield block, Y, det, iterations
+
+
+def _fallback(D, JD, X0: np.ndarray, Y: np.ndarray, lipschitz: float, tol: float, max_newton: int):
+    """Finish a point set on which max_newton plain Newton rounds did not converge.
+
+    A contraction (lipschitz < 1) first runs the sweep y = x - D(y) from Y;
+    otherwise, or if that stalls, the step-halving Newton restarts from y = x.
+    Returns (Y, extra Newton rounds).
+    """
+    if lipschitz < 1.0:
+        # displacement is a contraction: y = x - D(y) converges geometrically
+        for _ in range(500):
+            Y_next = X0 - D(Y)
+            if float(np.max(np.abs(Y_next - Y))) < tol:
+                return Y_next, 0
+            Y = Y_next
+    Y, extra, converged = _damped_newton(D, JD, X0, tol, max_newton)
+    if not converged:
+        residual = float(np.max(np.abs(Y + D(Y) - X0)))
+        raise FlowError(f"flow inversion stagnated (residual {residual:.3e})")
+    return Y, extra
 
 
 def _damped_newton(D, JD, X0: np.ndarray, tol: float, max_newton: int):
@@ -505,9 +569,33 @@ def pushforward_solution(f0: GridScalar, ensemble: FlowEnsemble, t: float) -> Gr
     """Realize the weak solution f(t, x) = f0(Psi_t(x)) det(dPsi_t(x))."""
     if f0.grid != ensemble.seeds_grid:
         raise FlowError("initial datum lives on a different grid than the flow")
-    inverse = invert_flow(ensemble, t)
-    values = PeriodicInterpolant(f0.grid, f0.values)(inverse.psi.values)
-    return GridScalar(f0.grid, values * inverse.det.values)
+    return next(pushforward_path(f0, ensemble, [_step_of(ensemble.path, t)]))
+
+
+def pushforward_path(f0: GridScalar, ensemble: FlowEnsemble, steps=None) -> Iterator[GridScalar]:
+    """Yield the weak solution at each of ``steps`` (all steps 0..steps by default).
+
+    One spline of f0 serves the whole path.  The inverse maps are made block
+    by block, so only one block's fields are held at a time; the arguments
+    are checked before the first field is made.
+    """
+    grid = ensemble.seeds_grid
+    if f0.grid != grid:
+        raise FlowError("initial datum lives on a different grid than the flow")
+    last = ensemble.path.steps
+    steps = range(last + 1) if steps is None else list(steps)
+    for step in steps:
+        if not (isinstance(step, (int, np.integer)) and 0 <= step <= last):
+            raise FlowError(f"step {step!r} is not on the path step grid 0..{last}")
+    datum = SplineStack(grid, f0.values[None, None])
+
+    def fields():
+        for block, psi, det, _ in _inverse_blocks(ensemble, steps):
+            values = datum(np.zeros(len(block), dtype=np.intp), psi)[0] * det
+            for v in values:
+                yield GridScalar(grid, v.reshape(grid.shape))
+
+    return fields()
 
 
 class MomentEstimate(tuple):

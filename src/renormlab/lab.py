@@ -19,8 +19,15 @@ import json
 import logging
 import math
 import platform
-from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields, replace
+from dataclasses import (
+    dataclass,
+    field as dataclass_field,
+    fields as dataclass_fields,
+    is_dataclass,
+    replace,
+)
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -46,6 +53,7 @@ from .flow import (
     ensemble_moment,
     logdet_gap,
     logdet_stochastic_exponential,
+    pushforward_path,
     pushforward_solution,
     refine_brownian,
     sample_brownian,
@@ -223,76 +231,119 @@ def _sub_config(name: str, sub_cls, payload):
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
-    out: list[str] = []
-    if cfg.experiment not in EXPERIMENT_TAGS:
+    wrong = _type_errors(cfg)
+    out = list(wrong.values())
+
+    def typed(*names: str) -> bool:  # value checks run only on well-typed fields
+        return not any(n in wrong or n.split(".")[0] in wrong for n in names)
+
+    if typed("experiment") and cfg.experiment not in EXPERIMENT_TAGS:
         out.append(
             f"unknown experiment {cfg.experiment!r}; valid tags: {', '.join(EXPERIMENT_TAGS)}"
         )
     g, t, c, s = cfg.grid, cfg.time, cfg.coefficients, cfg.scalars
-    if g.dim not in (1, 2):
+    if typed("grid.dim") and g.dim not in (1, 2):
         out.append(f"grid.dim must be 1 or 2, got {g.dim}")
-    if not (g.L > 0 and math.isfinite(g.L)):
+    if typed("grid.L") and not (g.L > 0 and math.isfinite(g.L)):
         out.append(f"grid.L must be a positive float, got {g.L}")
-    if not (isinstance(g.N, int) and 8 <= g.N <= 512):
-        out.append(f"grid.N must be an integer in [8, 512], got {g.N}")
-    elif g.N % 2 != 0:
-        out.append(f"grid.N must be even (odd N has no Nyquist mode), got {g.N}")
-    if not (t.T > 0 and math.isfinite(t.T)):
+    if typed("grid.N"):
+        if not 8 <= g.N <= 512:
+            out.append(f"grid.N must be an integer in [8, 512], got {g.N}")
+        elif g.N % 2 != 0:
+            out.append(f"grid.N must be even (odd N has no Nyquist mode), got {g.N}")
+    if typed("time.T") and not (t.T > 0 and math.isfinite(t.T)):
         out.append(f"time.T must be positive, got {t.T}")
-    if not (t.dt > 0 and t.dt <= t.T):
-        out.append(f"time.dt must lie in (0, T], got {t.dt}")
-    elif abs(t.T / t.dt - round(t.T / t.dt)) > 1e-9:
-        out.append(f"time.T must be an integer multiple of dt, got T/dt = {t.T / t.dt}")
-    if c.preset is None and c.drift_file is None:
-        out.append("coefficients need a preset or a drift_file")
-    if c.preset is not None:
-        if c.preset not in presets.PRESET_TAGS:
-            out.append(
-                f"unknown coefficient preset {c.preset!r}; "
-                f"valid presets: {', '.join(presets.PRESET_TAGS)}"
-            )
-        else:
-            want = presets.PRESETS[c.preset].dim
-            if want is not None and g.dim in (1, 2) and want != g.dim:
-                out.append(f"preset {c.preset!r} is {want}-dimensional, grid.dim is {g.dim}")
-    if c.drift_file is not None and not Path(c.drift_file).is_file():
-        out.append(f"drift_file {c.drift_file!r} does not exist")
-    if _is_list(out, "coefficients.noise_files", c.noise_files):
+    if typed("time.T", "time.dt"):
+        if not (t.dt > 0 and t.dt <= t.T):
+            out.append(f"time.dt must lie in (0, T], got {t.dt}")
+        elif not math.isfinite(t.T / t.dt):
+            out.append(f"time.T / time.dt must be a finite step count, got {t.T / t.dt}")
+        elif abs(t.T / t.dt - round(t.T / t.dt)) > 1e-9:
+            out.append(f"time.T must be an integer multiple of dt, got T/dt = {t.T / t.dt}")
+    if typed("coefficients.preset", "coefficients.drift_file"):
+        if c.preset is None and c.drift_file is None:
+            out.append("coefficients need a preset or a drift_file")
+        if c.preset is not None:
+            if c.preset not in presets.PRESET_TAGS:
+                out.append(
+                    f"unknown coefficient preset {c.preset!r}; "
+                    f"valid presets: {', '.join(presets.PRESET_TAGS)}"
+                )
+            else:
+                want = presets.PRESETS[c.preset].dim
+                if want is not None and typed("grid.dim") and g.dim in (1, 2) and want != g.dim:
+                    out.append(f"preset {c.preset!r} is {want}-dimensional, grid.dim is {g.dim}")
+        if c.drift_file is not None and not Path(c.drift_file).is_file():
+            out.append(f"drift_file {c.drift_file!r} does not exist")
+    if typed("coefficients.noise_files"):
         for nf in c.noise_files:
             if not Path(nf).is_file():
                 out.append(f"noise file {nf!r} does not exist")
-    if _is_list(out, "scalars.lambdas", s.lambdas):
+    if typed("scalars.lambdas"):
         if len(s.lambdas) < 1 or any(l <= 0 for l in s.lambdas):
             out.append(f"scalars.lambdas must be positive, got {s.lambdas}")
         elif any(b <= a for a, b in zip(s.lambdas, s.lambdas[1:])):
             out.append(f"scalars.lambdas must be strictly increasing, got {s.lambdas}")
-    if _is_list(out, "scalars.epsilons", s.epsilons):
+    if typed("scalars.epsilons"):
         if any(e <= 0 for e in s.epsilons):
             out.append(f"scalars.epsilons must be positive, got {s.epsilons}")
         elif any(b >= a for a, b in zip(s.epsilons, s.epsilons[1:])):
             out.append(f"scalars.epsilons must be strictly decreasing, got {s.epsilons}")
-    for label, value in (("p", s.p), ("q", s.q), ("r", s.r)):
-        if not value >= 1:
-            out.append(f"scalars.{label} must be >= 1, got {value}")
-    if not (isinstance(s.mc_members, int) and 2 <= s.mc_members <= 256):
+    for label in ("p", "q", "r"):
+        if typed(f"scalars.{label}") and not getattr(s, label) >= 1:
+            out.append(f"scalars.{label} must be >= 1, got {getattr(s, label)}")
+    if typed("scalars.mc_members") and not 2 <= s.mc_members <= 256:
         out.append(f"scalars.mc_members must be an integer in [2, 256], got {s.mc_members}")
-    if not (isinstance(s.master_seed, int) and s.master_seed >= 0):
+    if typed("scalars.master_seed") and s.master_seed < 0:
         out.append(f"scalars.master_seed must be a nonnegative integer, got {s.master_seed}")
-    if not str(cfg.output_dir).strip():
+    if typed("output_dir") and not cfg.output_dir.strip():
         out.append("output_dir must be a nonempty path")
     return out
 
 
-def _is_list(out: list[str], name: str, value) -> bool:
-    """Whether a list field holds a list; if not, say so in ``out``.
+def _type_errors(cfg: ExperimentConfig) -> dict[str, str]:
+    """Each field whose value lacks its annotated type, with a message naming it.
 
-    A string or a number there would be iterated, or fail to be, by the
-    checks of its entries.
+    A section that is not its config class counts as one wrong field.  A bool
+    is refused where a number is meant, though Python counts it as an int.
     """
-    if isinstance(value, (list, tuple)):
-        return True
-    out.append(f"{name} must be a list, got {value!r}")
-    return False
+    wrong: dict[str, str] = {}
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        value = getattr(cfg, name)
+        if not is_dataclass(hint):
+            if not _has_type(value, hint):
+                wrong[name] = f"{name} must be {_type_name(hint)}, got {value!r}"
+        elif not isinstance(value, hint):
+            wrong[name] = f"{name} must be an object, got {value!r}"
+        else:
+            for key, key_hint in get_type_hints(hint).items():
+                field_value = getattr(value, key)
+                if not _has_type(field_value, key_hint):
+                    wrong[f"{name}.{key}"] = (
+                        f"{name}.{key} must be {_type_name(key_hint)}, got {field_value!r}"
+                    )
+    return wrong
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+def _has_type(value, hint) -> bool:
+    if hint in (int, float):
+        kinds = (int,) if hint is int else (int, float)
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    if get_origin(hint) is tuple:  # a JSON list, or a tuple built in Python
+        entry = get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_has_type(v, entry) for v in value)
+    if get_args(hint):  # X | None
+        return any(_has_type(value, h) for h in get_args(hint))
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    if get_origin(hint) is tuple:
+        return "a list of " + {float: "numbers", str: "strings"}[get_args(hint)[0]]
+    return " or ".join(_TYPE_NAMES[h] for h in (get_args(hint) or (hint,)))
 
 
 def _load_vector(path_name: str, grid: Grid) -> GridVector:
@@ -380,8 +431,7 @@ def _pushforward_pair(
     runs = []
     for prob, p in ((base, path), (fine, refine_brownian(path, factor))):
         ens = simulate_flow(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), p)
-        fpath = [pushforward_solution(prob.f0, ens, l * prob.dt) for l in range(prob.steps + 1)]
-        runs.append((prob, p, fpath))
+        runs.append((prob, p, list(pushforward_path(prob.f0, ens))))
     return runs
 
 
@@ -525,8 +575,8 @@ def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
         path = sample_brownian(T, dt, len(sigmas), seed0 + m)
         ens = simulate_flow(b, sigmas, SdeConfig(dt=dt), path)
         rows = []
-        for l in range(0, steps + 1, stride):
-            f_l = pushforward_solution(f0, ens, l * dt)
+        sampled = range(0, steps + 1, stride)
+        for l, f_l in zip(sampled, pushforward_path(f0, ens, sampled)):
             mass = float(np.sum(f_l.values)) * grid.cell_volume
             rows.append((m, l, l * dt, mass - mass0, lp_norm(f_l, cfg.scalars.p) / norm0))
         return ens, rows
@@ -817,8 +867,7 @@ def _check_conservation(cfg: ExperimentConfig) -> list[CheckResult]:
         path = sample_brownian(T, dt, 2, seed0 + m)
         ens = simulate_flow(b, sigmas, SdeConfig(dt=dt), path)
         worst_mass, worst_norm = 0.0, 0.0
-        for l in range(0, steps + 1, 25):
-            f_l = pushforward_solution(f0, ens, l * dt)
+        for f_l in pushforward_path(f0, ens, range(0, steps + 1, 25)):
             mass = float(np.sum(f_l.values)) * grid.cell_volume
             worst_mass = max(worst_mass, abs(mass - mass0))
             worst_norm = max(worst_norm, abs(lp_norm(f_l, 2.0) / norm0 - 1.0))

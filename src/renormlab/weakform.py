@@ -460,7 +460,7 @@ def weighted_l1_stability(
     sup|b|/(1 + |x|) + sum_k sup(|sigma^k|/(1 + |x|))^2 applied to the
     initial weighted mass.
     """
-    from .flow import pushforward_solution  # deferred to keep import one-way
+    from .flow import pushforward_path  # deferred to keep import one-way
 
     ensembles = list(ensembles)
     if len(ensembles) < 2:
@@ -484,8 +484,7 @@ def weighted_l1_stability(
 
     series = np.empty((len(ensembles), steps + 1))
     for m, ens in enumerate(ensembles):
-        for l in range(steps + 1):
-            f_l = pushforward_solution(f0, ens, times[l])
+        for l, f_l in enumerate(pushforward_path(f0, ens)):
             series[m, l] = float(np.sum(weight * np.abs(f_l.values))) * vol
 
     mean = np.empty(steps + 1)

@@ -591,6 +591,125 @@ class TestPushforward:
             pushforward_solution(GridScalar.constant(other, 1.0), ens, T)
 
 
+def constant_case():
+    g = build_grid(2, L, 16)
+    horizon, steps = 0.1, 30
+    preset = presets.PRESETS["constant"]
+    b, *sigmas = [
+        presets.sample_constant_in_time(v, horizon, steps)
+        for v in (preset.drift(g), *preset.noise(g))
+    ]
+    return b, sigmas, sample_brownian(horizon, horizon / steps, len(sigmas), 2026)
+
+
+def per_step_inverse(ensemble, step, tol=1e-10, max_newton=30):
+    """Newton on one step alone, with PeriodicInterpolant (map_coordinates) splines.
+
+    The node-exact first step, plain Newton rounds, then flow's fallbacks.
+    Returns (psi, det, rounds).
+    """
+    grid = ensemble.seeds_grid
+    X0 = np.stack(grid.coordinates())
+    disp = GridVector(grid, ensemble.paths[step] - X0)
+    disp_jac = jacobian(disp)
+    D, JD = vector_interpolant(disp), PeriodicInterpolant(grid, disp_jac)
+    Y = X0 - flow._solve_stack(flow._identity_plus(disp_jac), disp.values)
+    for rounds in range(1, max_newton + 1):
+        F = Y + D(Y) - X0
+        if np.abs(F).max() < tol:
+            break
+        Y = Y - flow._solve_stack(flow._identity_plus(JD(Y)), F)
+    else:
+        lipschitz = float(np.max(np.sqrt(np.einsum("ij...,ij...->...", disp_jac, disp_jac))))
+        Y, extra = flow._fallback(D, JD, X0, Y, lipschitz, tol, max_newton)
+        rounds = max_newton + extra
+    return Y, 1.0 / flow._det_stack(flow._identity_plus(JD(Y))), rounds
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPushforwardPath:
+    """Block Newton and pushforward_path against one step at a time, bit for bit."""
+
+    def check_blocks(self, ens, steps):
+        grid = ens.seeds_grid
+        seen = []
+        for block, psi, det, iterations in flow._inverse_blocks(ens, steps):
+            for n, step in enumerate(block):
+                want_psi, want_det, rounds = per_step_inverse(ens, step)
+                assert same_bits(psi[:, n].reshape(want_psi.shape), want_psi)
+                assert same_bits(det[n].reshape(grid.shape), want_det)
+                assert iterations[n] == rounds
+                assert invert_flow(ens, step * ens.path.dt).newton_iterations == rounds
+                seen.append(step)
+        assert seen == list(steps)
+
+    @pytest.mark.parametrize("case", [trig_case, divfree_case, constant_case])
+    def test_whole_path(self, case):
+        b, sigmas, path = case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        grid = b.grid
+        per_block = max(1, flow._BLOCK_POINTS // grid.N**grid.dim)
+        assert per_block > 1 and (path.steps + 1) % per_block != 0
+        f0 = presets.default_datum(grid)
+        fpath = list(flow.pushforward_path(f0, ens))
+        assert len(fpath) == path.steps + 1
+        for l, f in enumerate(fpath):
+            assert same_bits(f.values, pushforward_solution(f0, ens, l * path.dt).values)
+        self.check_blocks(ens, range(path.steps + 1))
+
+    def test_strided_steps(self):
+        b, sigmas, path = divfree_case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        f0 = presets.default_datum(b.grid)
+        steps = range(1, path.steps + 1, 3)
+        fpath = list(flow.pushforward_path(f0, ens, steps))
+        assert len(fpath) == len(steps)
+        for l, f in zip(steps, fpath):
+            assert same_bits(f.values, pushforward_solution(f0, ens, l * path.dt).values)
+
+    def test_fallback_step_in_a_converging_block(self):
+        # the path of test_overshooting_newton_falls_back_to_step_halving: at
+        # step 500 full Newton steps stagnate; at the other sampled steps
+        # plain Newton converges, so one row of the block falls back alone
+        b, sigmas, _ = trig_case()
+        path = sample_brownian(T, 1e-3, 1, 1677528212305881673)
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=1e-3), path)
+        steps = range(0, path.steps + 1, 20)
+        (_, _, _, iterations), = flow._inverse_blocks(ens, steps)
+        assert iterations[-1] > 30 and iterations[:-1].max() <= 30
+        self.check_blocks(ens, steps)
+        f0 = presets.default_datum(b.grid)
+        *_, last = flow.pushforward_path(f0, ens, steps)
+        assert same_bits(last.values, pushforward_solution(f0, ens, T).values)
+
+    def test_grid_mismatch_refused(self):
+        b, sigmas, path = trig_case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        with pytest.raises(FlowError, match="different grid"):
+            flow.pushforward_path(GridScalar.constant(grid1(32), 1.0), ens)
+
+    @pytest.mark.parametrize("step", [-1, 501, 2.0, 0.5])
+    def test_off_grid_step_refused(self, step):
+        b, sigmas, path = trig_case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        with pytest.raises(FlowError, match="step grid"):
+            flow.pushforward_path(presets.default_datum(b.grid), ens, [0, step])
+
+    def test_injectivity_error_names_the_first_bad_step(self):
+        g = grid1()
+        X0 = np.stack(g.coordinates())
+        bend = np.sin(g.axis_coordinates())[None, :]
+        paths = np.stack([X0, X0 + 0.5 * bend, X0 + 1.5 * bend, X0 + 2.0 * bend])
+        ens = FlowEnsemble(
+            seeds_grid=g, path=BrownianPath(0.15, 0.05, 0, np.zeros((3, 0)), 0), paths=paths
+        )
+        with pytest.raises(FlowError, match="not injective at t=0.1:"):
+            list(flow.pushforward_path(GridScalar.constant(g, 1.0), ens))
+
+
 class TestFlowProperty:
     def test_composition_matches_full_run(self):
         g = grid1()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from renormlab.field import FieldError, GridScalar, GridVector, build_grid
 from renormlab.interp import (
     PeriodicInterpolant,
+    SplineStack,
     jacobian_interpolant,
     scalar_interpolant,
     vector_interpolant,
@@ -115,6 +116,79 @@ class TestConstantComponents:
         itp = PeriodicInterpolant(g, values)
         out = itp(stream(8, 0).uniform(0.0, L, (1, 30)))
         assert np.all(np.isnan(out))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def stack_points(g, rows, seed):
+    """Random points over +-5 periods, plus the wrap's edge cases, per row."""
+    pts = stream(seed, 0).uniform(-5 * L, 5 * L, (g.dim, rows, 400))
+    edges = np.concatenate([np.arange(-5, 6) * L, [-1e-300, 1e-300, -0.0, L * (1 - 2**-52)]])
+    pts[..., : len(edges)] = edges
+    pts[-1, :, len(edges) : 2 * len(edges)] = edges  # each edge against a random point
+    return pts
+
+
+class TestSplineStack:
+    """SplineStack row by row against PeriodicInterpolant (map_coordinates)."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 48), (2, 16), (2, 24)])
+    def test_rows_match_periodic_interpolant(self, dim, n):
+        g = build_grid(dim, L, n)
+        values = stream(11, dim).normal(size=(5, 3) + g.shape)
+        stack = SplineStack(g, values)
+        pts = stack_points(g, 5, 12)
+        out = stack(np.arange(5), pts)
+        assert out.shape == (3, 5, 400)
+        for r in range(5):
+            assert same_bits(out[:, r], PeriodicInterpolant(g, values[r])(pts[:, r]))
+
+    def test_rows_in_any_order_and_repeated(self):
+        g = build_grid(2, L, 16)
+        values = stream(13, 0).normal(size=(4, 2) + g.shape)
+        rows = np.array([3, 0, 3, 1])
+        pts = stream(14, 0).uniform(-L, 2 * L, (2, 4, 6, 7))
+        out = SplineStack(g, values)(rows, pts)
+        assert out.shape == (2, 4, 6, 7)
+        for n, r in enumerate(rows):
+            assert same_bits(out[:, n], PeriodicInterpolant(g, values[r])(pts[:, n]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_components_and_rows(self, dim):
+        g = build_grid(dim, L, 16)
+        values = stream(15, dim).normal(size=(3, 3) + g.shape)
+        values[0, 1] = 0.25  # one constant component in a varying row
+        values[1] = -1.5  # an all-constant row
+        values[2, 2] = 0.0
+        stack = SplineStack(g, values)
+        pts = stack_points(g, 3, 16)
+        out = stack(np.arange(3), pts)
+        for r in range(3):
+            assert same_bits(out[:, r], PeriodicInterpolant(g, values[r])(pts[:, r]))
+        assert np.all(out[1, 0] == 0.25) and np.all(out[:, 1] == -1.5)
+        # only constant components asked for: exact values, even far away
+        far = np.full((dim, 1, 3), 1e300)
+        assert np.array_equal(stack([1], far), np.full((3, 1, 3), -1.5))
+
+    def test_nan_field_is_not_constant(self):
+        g = build_grid(1, L, 16)
+        values = np.ones((2, 2) + g.shape)
+        values[0, 1, 5] = np.nan
+        out = SplineStack(g, values)(np.arange(2), stream(17, 0).uniform(0.0, L, (1, 2, 30)))
+        assert np.all(np.isnan(out[1, 0]))
+        assert np.array_equal(out[0], np.ones((2, 30))) and np.array_equal(out[1, 1], np.ones(30))
+
+    def test_validation(self):
+        g = build_grid(2, L, 16)
+        with pytest.raises(FieldError):
+            SplineStack(g, np.zeros((2,) + g.shape))
+        stack = SplineStack(g, stream(18, 0).normal(size=(2, 1) + g.shape))
+        with pytest.raises(FieldError):
+            stack([0, 1], np.zeros((2, 3, 5)))
+        with pytest.raises(FieldError, match="finite"):
+            stack([0], np.full((2, 1, 4), np.nan))
 
 
 @settings(max_examples=20, deadline=None)

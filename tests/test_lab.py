@@ -407,6 +407,57 @@ class TestListFields:
         assert "Traceback" not in err
 
 
+# (section or None for a top-level key, fields, the name the message gives)
+WRONG_TYPE_PROBES = [
+    ("grid", {"L": "abc"}, "grid.L must be a number"),
+    ("time", {"T": 1e308, "dt": 1e-300}, "time.T / time.dt must be a finite step count"),
+    ("scalars", {"lambdas": [4, "x"]}, "scalars.lambdas must be a list of numbers"),
+    ("grid", {"dim": True}, "grid.dim must be an integer"),
+    (None, {"output_dir": 5}, "output_dir must be a string"),
+]
+
+
+class TestTypeFirstValidation:
+    """A field of the wrong type is refused by name; its value checks are skipped."""
+
+    @pytest.mark.parametrize("section,fields,message", WRONG_TYPE_PROBES)
+    def test_run_exits_2(self, tmp_path, capsys, section, fields, message):
+        payload = config_payload(output_dir=str(tmp_path / "out"))
+        if section is None:
+            payload.update(fields)
+        else:
+            payload[section] = {**payload[section], **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "LabError" in err and message in err
+        assert err.count("\n  - ") == 1
+        assert "Traceback" not in err
+
+    def test_bool_is_not_a_number(self):
+        with pytest.raises(LabError) as err:
+            ExperimentConfig(
+                experiment="commutator_study",
+                grid=GridConfig(N=True),
+                scalars=ScalarConfig(master_seed=False, p=True, lambdas=(True, 4.0)),
+            )
+        message = str(err.value)
+        for name in ("grid.N", "scalars.master_seed", "scalars.p", "scalars.lambdas"):
+            assert f"{name} must be " in message
+        assert message.count("\n  - ") == 4
+
+    def test_ints_are_numbers(self):
+        cfg = ExperimentConfig(
+            experiment="commutator_study", grid=GridConfig(L=6), time=TimeConfig(T=1, dt=0.5)
+        )
+        assert cfg.grid.L == 6 and cfg.time.T == 1
+
+    def test_a_section_of_the_wrong_type(self):
+        with pytest.raises(LabError, match="grid must be an object, got 5"):
+            ExperimentConfig(experiment="commutator_study", grid=5)
+
+
 class TestCli:
     def test_no_command_is_config_error(self, capsys):
         assert cli.main([]) == cli.EXIT_CONFIG_ERROR
