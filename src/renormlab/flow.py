@@ -20,15 +20,20 @@ Coefficients are evaluated off the nodes by cubic splines.  The steps of a
 path are grouped by the slices of [b, sigma^1, ...] in force at l*dt (one
 group for a coefficient constant in time), and each group gets one stacked
 spline: the values for the flow, the Jacobians for the variational
-recursion, and (Div, twist) for the log-determinant.  The flow itself is
-sequential, one spline call per step, and checks every step for finiteness
-before the next spline call.  The two recursions read positions the flow
-already stored, so they evaluate their spline on blocks of many steps at
-once and only the cheap update runs step by step; the variational recursion
-checks finiteness once per block and reports the first step that lost it.
-A spline evaluates every point on its own, so the batching changes no bit
-of any result.  A component constant in space (the unit noise e_k) is no
-spline at all: the interpolant returns its exact value.
+recursion, and (Div, twist) for the log-determinant.  The flow is
+sequential in time and batched over Monte Carlo members: simulate_flows
+integrates a chunk of members together (members_per_chunk: about
+_BLOCK_POINTS points, at most _CHUNK_VALUES stored positions), one spline
+call per step for the whole chunk, each member moved by its own Brownian
+increments; chunks run on the worker pool, and simulate_flow is the
+one-path case.  Every step is checked for finiteness before the next spline
+call.  The two recursions read positions the flow already stored, so they
+evaluate their spline on blocks of many steps at once and only the cheap
+update runs step by step; the variational recursion checks finiteness once
+per block and reports the first step that lost it.  A spline evaluates
+every point on its own, so neither batching changes a bit of any result.
+A component constant in space (the unit noise e_k) is no spline at all:
+the interpolant returns its exact value.
 
 Inverse maps come from Newton iteration on the interpolated displacement
 field, over a block of steps at once (about _BLOCK_POINTS points): one
@@ -84,6 +89,8 @@ __all__ = [
     "MomentEstimate",
     "sample_brownian",
     "simulate_flow",
+    "simulate_flows",
+    "members_per_chunk",
     "variational_jacobian",
     "logdet_stochastic_exponential",
     "logdet_gap",
@@ -186,11 +193,16 @@ class FlowEnsemble:
     logdet_exponential: np.ndarray | None = None  # (steps+1,) + grid.shape
 
 
-# Points per batched spline call in the two recursions over stored positions,
-# and per block of steps in the flow inversion.  Past a few thousand points
-# the per-call overhead no longer shows, and a bounded block keeps the
-# temporary arrays of each worker thread small.
+# Points per batched spline call: a chunk of members in the flow, a block of
+# steps in the two recursions over stored positions and in the flow
+# inversion.  Past a few thousand points the per-call overhead no longer
+# shows, and a bounded block keeps the temporary arrays of each worker
+# thread small.
 _BLOCK_POINTS = 2048
+
+# Stored positions per chunk of members in simulate_flows (4 MB): a chunk of
+# long paths, such as 2,000 steps on 64 nodes, holds fewer members.
+_CHUNK_VALUES = 2**19
 
 
 def _validate_coefficients(b: TimeGridVector, sigmas, path: BrownianPath) -> Grid:
@@ -258,6 +270,18 @@ def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
         yield steps, values
 
 
+def members_per_chunk(grid: Grid, steps: int) -> int:
+    """Members whose flows simulate_flows integrates together, on paths of ``steps`` steps.
+
+    A chunk holds about _BLOCK_POINTS points, so that one spline call per
+    step serves many members, and at most _CHUNK_VALUES stored positions,
+    so that a chunk of long paths stays small.  At least one member.
+    """
+    points = grid.N**grid.dim
+    by_memory = _CHUNK_VALUES // ((steps + 1) * grid.dim * points)
+    return max(1, min(_BLOCK_POINTS // points, by_memory))
+
+
 def simulate_flow(
     b: TimeGridVector,
     sigmas: list[TimeGridVector],
@@ -265,6 +289,31 @@ def simulate_flow(
     path: BrownianPath,
 ) -> FlowEnsemble:
     """Euler-Maruyama flow from every grid node, one shared Brownian path."""
+    return simulate_flows(b, sigmas, config, [path])[0]
+
+
+def simulate_flows(
+    b: TimeGridVector,
+    sigmas: list[TimeGridVector],
+    config: SdeConfig,
+    paths: list[BrownianPath],
+) -> list[FlowEnsemble]:
+    """Euler-Maruyama flows from every grid node, one ensemble per Brownian path.
+
+    The paths share T, dt and k_count.  Their members are integrated together,
+    members_per_chunk at a time: one loop over points of shape
+    (dim, members) + grid.shape, one spline call per step for the chunk, each
+    member moved by its own increments.  Chunks run on the worker pool.  Each
+    ensemble's paths is a view into its chunk's array.  If a trajectory loses
+    finiteness, the error names the first step at which any member lost it.
+    """
+    paths = list(paths)
+    if not paths:
+        raise FlowError("need at least one Brownian path")
+    path = paths[0]
+    for p in paths[1:]:
+        if (p.T, p.dt, p.k_count) != (path.T, path.dt, path.k_count):
+            raise FlowError("Brownian paths differ in horizon, step or noise count")
     if abs(config.dt - path.dt) > 1e-12 * max(path.dt, 1.0):
         raise FlowError(f"config dt {config.dt} does not match path dt {path.dt}")
     grid = _validate_coefficients(b, sigmas, path)
@@ -272,21 +321,38 @@ def simulate_flow(
     interpolants = [
         PeriodicInterpolant(grid, np.stack([s.values for s in slices])) for slices in slice_sets
     ]
+    nodes = np.stack(grid.coordinates())[:, None]
 
-    positions = np.empty((path.steps + 1, grid.dim) + grid.shape)
-    X = positions[0]
-    X[...] = grid.coordinates()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(path.steps):
-            coefficients = interpolants[group_of_step[l]](X)
-            move = coefficients[0] * path.dt
-            for k in range(len(sigmas)):
-                move += coefficients[1 + k] * path.increments[l, k]
-            X = np.add(X, move, out=positions[l + 1])
-            # checked before the next spline call reads X
-            if not np.isfinite(X).all():
-                raise FlowError(f"trajectory lost finiteness at step {l + 1}")
-    return FlowEnsemble(seeds_grid=grid, path=path, paths=positions)
+    def integrate(chunk):
+        """The chunk's ensembles, or the first step at which it lost finiteness."""
+        # (steps, k_count, members, 1, ...): each member's dW against its points
+        increments = np.stack([p.increments for p in chunk], axis=2)
+        increments = increments.reshape(increments.shape + (1,) * grid.dim)
+        positions = np.empty((path.steps + 1, grid.dim, len(chunk)) + grid.shape)
+        X = positions[0]
+        X[...] = nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l in range(path.steps):
+                coefficients = interpolants[group_of_step[l]](X)
+                move = coefficients[0] * path.dt
+                for k in range(len(sigmas)):
+                    move += coefficients[1 + k] * increments[l, k]
+                X = np.add(X, move, out=positions[l + 1])
+                # checked before the next spline call reads X
+                if not np.isfinite(X).all():
+                    return l + 1
+        return [
+            FlowEnsemble(seeds_grid=grid, path=p, paths=positions[:, :, m])
+            for m, p in enumerate(chunk)
+        ]
+
+    per_chunk = members_per_chunk(grid, path.steps)
+    chunks = [paths[i : i + per_chunk] for i in range(0, len(paths), per_chunk)]
+    done = parallel.ordered_map(integrate, chunks)
+    lost = [step for step in done if isinstance(step, int)]
+    if lost:
+        raise FlowError(f"trajectory lost finiteness at step {min(lost)}")
+    return [ensemble for chunk in done for ensemble in chunk]
 
 
 def variational_jacobian(

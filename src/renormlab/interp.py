@@ -11,13 +11,17 @@ A component whose node values are all equal (the unit noise fields e_k, a
 zero displacement) gets no spline: it evaluates to that exact constant,
 where a spline would return it only to a few ulp, and costs no stencil.
 
-PeriodicInterpolant evaluates with scipy's map_coordinates, one call per
-component.  SplineStack holds the splines of many rows of fields (the
-displacements of a block of flow steps) and evaluates each row at its own
-points in numpy: the B-spline weights of a point are computed once for all
-components, and the stencil is summed in map_coordinates' order, so both
-give the same bits.  scipy is the faster of the two on small calls (64
-points), SplineStack on large ones and wherever weights are shared.
+There are two evaluators of the same splines, one per size range.  Both
+read the coefficients of the one prefilter and give the same bits.
+scipy's map_coordinates makes one call per component, and is the faster of
+the two on small calls (the 64 nodes of one 1-d flow).  The numpy stencil
+(_Stencil) computes the B-spline weights of a point once for all
+components and sums the stencil in map_coordinates' order; it wins from
+about 3,000 spline values per call (a chunk of Monte Carlo members, a block
+of steps of the recursions, a 64^2 grid).  PeriodicInterpolant picks the
+evaluator by the size of each call.  SplineStack holds the splines of many
+rows of fields (the displacements of a block of flow steps) and evaluates
+each row at its own points, always with the stencil.
 """
 
 from __future__ import annotations
@@ -39,13 +43,30 @@ __all__ = [
 
 _ORDER = 3
 
+# Spline values per call (points times non-constant components) from which
+# a PeriodicInterpolant call evaluates with the stencil rather than with
+# map_coordinates: the measured crossover, about 1,500 points for 2
+# components and 3,000 for one (timings in ROADMAP item 3).
+_STENCIL_VALUES = 3072
+
+
+def _prefilter(values: np.ndarray, dim: int) -> np.ndarray:
+    """Cubic B-spline coefficients of the fields in the last ``dim`` axes."""
+    for axis in range(values.ndim - dim, values.ndim):
+        values = ndimage.spline_filter1d(values, order=_ORDER, axis=axis, mode="grid-wrap")
+    return values
+
 
 class PeriodicInterpolant:
     """Cubic-spline interpolant of a stack of scalar fields on one grid.
 
     ``values`` may carry leading component axes (e.g. a vector or matrix
     field); evaluation returns those axes followed by the query-point axes.
-    Query points are physical coordinates with shape (dim, ...).
+    Query points are physical coordinates with shape (dim, ...).  A call
+    that asks for fewer than _STENCIL_VALUES spline values (points times
+    components that are not constant) runs map_coordinates, a larger one
+    the stencil; the numbers do not depend on the evaluator.  A point that
+    is not finite is refused with a FieldError by either.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -57,17 +78,20 @@ class PeriodicInterpolant:
         self.grid = grid
         self.head_shape = values.shape[: values.ndim - grid.dim]
         flat = values.reshape((-1,) + grid.shape)
+        nodes = flat.reshape(len(flat), -1)
+        # NaN compares unequal to itself, so a NaN field is never constant
+        constant = (nodes == nodes[:, :1]).all(axis=1).tolist()
         self._components = len(flat)
-        self._constants = []
-        self._splines = []
-        for i, comp in enumerate(flat):
-            # NaN compares unequal to itself, so a NaN field is never constant
-            if np.all(comp == comp.flat[0]):
-                self._constants.append((i, comp.flat[0]))
-            else:
-                self._splines.append(
-                    (i, ndimage.spline_filter(comp, order=_ORDER, mode="grid-wrap"))
-                )
+        self._constants = [(i, nodes[i, 0]) for i, c in enumerate(constant) if c]
+        self._varying = [i for i, c in enumerate(constant) if not c]
+        self._splines = []  # (component, its coefficients), for map_coordinates
+        if self._varying:
+            varying = flat if len(self._varying) == len(flat) else flat[self._varying]
+            self._coeff = _prefilter(varying, grid.dim)
+            self._splines = list(zip(self._varying, self._coeff))
+        # made from the same coefficients by the first call large enough to
+        # use it, so that a build for small calls costs no more than scipy's
+        self._stencil = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -76,16 +100,29 @@ class PeriodicInterpolant:
                 f"points must have leading axis of length {self.grid.dim}, got shape {pts.shape}"
             )
         tail_shape = pts.shape[1:]
-        out = np.empty((self._components, math.prod(tail_shape)))
+        count = math.prod(tail_shape)
+        out = np.empty((self._components, count))
         for i, value in self._constants:
             out[i] = value
         if self._splines:
             index_coords = pts.reshape(self.grid.dim, -1) / self.grid.h
-            for i, coeff in self._splines:
-                ndimage.map_coordinates(
-                    coeff, index_coords, output=out[i], order=_ORDER, mode="grid-wrap",
-                    prefilter=False,
-                )
+            # the sum is finite exactly when every point is, short of points
+            # some 1e300 periods away, which no spline can tell apart anyway
+            if not math.isfinite(np.add.reduce(index_coords, axis=None)):
+                raise FieldError("points must be finite")
+            if count * len(self._splines) >= _STENCIL_VALUES:
+                # threads that race here make equal stencils; either may stay
+                if self._stencil is None:
+                    self._stencil = _Stencil(self.grid, self._coeff[None])
+                sums = np.zeros((len(self._splines), 1, count))
+                self._stencil.add(np.zeros(1, dtype=np.intp), index_coords[:, None], sums)
+                out[self._varying] = sums[:, 0]
+            else:
+                for i, coeff in self._splines:
+                    ndimage.map_coordinates(
+                        coeff, index_coords, output=out[i], order=_ORDER, mode="grid-wrap",
+                        prefilter=False,
+                    )
         return out.reshape(self.head_shape + tail_shape)
 
 
@@ -95,12 +132,9 @@ class SplineStack:
     ``values`` has shape (rows, comps) + grid.shape.  ``stack(rows, points)``
     takes row indices and points of shape (dim, len(rows)) + tail, and
     returns (comps, len(rows)) + tail: the components of row ``rows[n]`` at
-    the points ``points[:, n]``.  The B-spline weights of a point are
-    computed once and shared by all components, and the numbers equal
-    ``PeriodicInterpolant``'s bit for bit: the same prefilter, the same
-    periodic wrap, the same weight formulas and the same stencil sum as
-    ``map_coordinates``.  A component constant in space returns its exact
-    value.
+    the points ``points[:, n]``.  It evaluates with the stencil, so the
+    numbers equal ``PeriodicInterpolant``'s bit for bit.  A component
+    constant in space returns its exact value.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -115,18 +149,7 @@ class SplineStack:
         # NaN compares unequal to itself, so a NaN field is never constant
         self._constant = np.all(flat == flat[:, :, :1], axis=2)
         self._value = flat[:, :, 0].copy()
-        coeff = values
-        for a in range(grid.dim):
-            coeff = ndimage.spline_filter1d(coeff, order=_ORDER, axis=2 + a, mode="grid-wrap")
-        # periodic pad: the stencil of a wrapped point x starts at floor(x) - 1,
-        # and a point at -1e-300 wraps to exactly N, so 1 before and 3 after
-        coeff = np.pad(coeff, ((0, 0), (0, 0)) + ((1, 3),) * grid.dim, mode="wrap")
-        self._width = grid.N + 4
-        # one flat axis over rows and padded nodes, components first
-        self._coeff = np.moveaxis(coeff, 1, 0).reshape(comps, -1)
-        self._offsets = np.zeros(1, dtype=np.intp)
-        for a in range(grid.dim):
-            self._offsets = (self._offsets[:, None] * self._width + np.arange(4)).ravel()
+        self._stencil = _Stencil(grid, _prefilter(values, grid.dim))
 
     def __call__(self, rows, points: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
@@ -141,13 +164,39 @@ class SplineStack:
         constant = self._constant[rows].T  # (comps, rows)
         out = np.zeros((len(constant),) + x.shape[1:])
         if not constant.all():
-            self._add_stencils(rows, x, out)
+            self._stencil.add(rows, x, out)
         if constant.any():
             out[constant] = self._value[rows].T[constant][:, None]
         return out.reshape(out.shape[:2] + tail_shape)
 
-    def _add_stencils(self, rows, x, out):
-        """Add to ``out`` (comps, rows, points) the spline sums at index points x."""
+
+class _Stencil:
+    """Spline sums of rows of prefiltered coefficients, in map_coordinates' bits.
+
+    ``coeff`` has shape (rows, comps) + grid.shape.  The B-spline weights of
+    a point are computed once and shared by all components, with
+    map_coordinates' periodic wrap, weight formulas and stencil order.
+    """
+
+    def __init__(self, grid: Grid, coeff: np.ndarray):
+        self.grid = grid
+        # periodic pad: the stencil of a wrapped point x starts at floor(x) - 1,
+        # and a point at -1e-300 wraps to exactly N, so 1 before and 3 after
+        wrap = np.arange(-1, grid.N + 3) % grid.N
+        for a in range(grid.dim):
+            coeff = coeff.take(wrap, axis=2 + a)
+        self._width = grid.N + 4
+        # one flat axis over rows and padded nodes, components first
+        self._coeff = np.moveaxis(coeff, 1, 0).reshape(coeff.shape[1], -1)
+        self._offsets = np.zeros(1, dtype=np.intp)
+        for a in range(grid.dim):
+            self._offsets = (self._offsets[:, None] * self._width + np.arange(4)).ravel()
+
+    def add(self, rows, x, out):
+        """Add to ``out`` (comps, rows, points) the spline sums at index points x.
+
+        x has shape (dim, rows, points): point x[:, n, p] is read in row rows[n].
+        """
         dim, N = self.grid.dim, self.grid.N
         # map_coordinates' grid-wrap: into [0, N - 1] by whole periods, kept
         # as is in (N - 1, N)
@@ -175,7 +224,6 @@ class SplineStack:
             for a in range(dim):
                 term *= weights[stencil[a]][a]
             out += term
-        return out
 
 
 def scalar_interpolant(field: GridScalar) -> PeriodicInterpolant:

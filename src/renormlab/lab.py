@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import platform
+import sys
 from dataclasses import (
     dataclass,
     field as dataclass_field,
@@ -49,16 +50,19 @@ from .field import (
 )
 from .flow import (
     BrownianPath,
+    FlowEnsemble,
     SdeConfig,
     ensemble_moment,
     logdet_gap,
     logdet_stochastic_exponential,
+    members_per_chunk,
     pushforward_path,
     pushforward_solution,
     refine_brownian,
     sample_brownian,
     save_ensemble,
     simulate_flow,
+    simulate_flows,
     variational_jacobian,
 )
 from .parabolic import (
@@ -305,7 +309,8 @@ def _type_errors(cfg: ExperimentConfig) -> dict[str, str]:
     """Each field whose value lacks its annotated type, with a message naming it.
 
     A section that is not its config class counts as one wrong field.  A bool
-    is refused where a number is meant, though Python counts it as an int.
+    is refused where a number is meant, though Python counts it as an int,
+    and so is an int too large for a float.
     """
     wrong: dict[str, str] = {}
     for name, hint in get_type_hints(ExperimentConfig).items():
@@ -331,7 +336,10 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", type(None)
 def _has_type(value, hint) -> bool:
     if hint in (int, float):
         kinds = (int,) if hint is int else (int, float)
-        return isinstance(value, kinds) and not isinstance(value, bool)
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            return False
+        # an int is taken for a number only if a float can hold it
+        return hint is int or isinstance(value, float) or abs(value) <= sys.float_info.max
     if get_origin(hint) is tuple:  # a JSON list, or a tuple built in Python
         entry = get_args(hint)[0]
         return isinstance(value, (list, tuple)) and all(_has_type(v, entry) for v in value)
@@ -413,6 +421,25 @@ def _config_problem(cfg: ExperimentConfig) -> Problem:
     return _problem(
         _config_source(cfg), cfg.grid.N, cfg.time.T, cfg.time.dt, cfg.grid.L
     )
+
+
+def _member_flows(prob: Problem, T: float, seed0: int, members: int) -> list[FlowEnsemble]:
+    """Flows of ``prob`` on the paths drawn from streams seed0 .. seed0 + members - 1."""
+    paths = [sample_brownian(T, prob.dt, len(prob.sigmas), seed0 + m) for m in range(members)]
+    return simulate_flows(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), paths)
+
+
+def _flow_chunks(prob: Problem, paths: list[BrownianPath]):
+    """Yield the flows of ``prob`` on ``paths``, one chunk of members at a time.
+
+    A caller that reduces each flow to a few numbers holds one chunk of
+    positions at a time (``flow.members_per_chunk`` bounds it).
+    """
+    per_chunk = members_per_chunk(prob.grid, prob.steps)
+    for start in range(0, len(paths), per_chunk):
+        yield simulate_flows(
+            prob.b, prob.sigmas, SdeConfig(dt=prob.dt), paths[start : start + per_chunk]
+        )
 
 
 def _pushforward_pair(
@@ -564,33 +591,37 @@ def _run_parabolic_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
     prob = _config_problem(cfg)
-    grid, b, sigmas, f0, steps = prob.grid, prob.b, prob.sigmas, prob.f0, prob.steps
+    grid, sigmas, f0, steps = prob.grid, prob.sigmas, prob.f0, prob.steps
     T, dt = cfg.time.T, cfg.time.dt
     mass0 = float(np.sum(f0.values)) * grid.cell_volume
     norm0 = lp_norm(f0, cfg.scalars.p)
-    stride = max(1, steps // 10)
+    sampled = range(0, steps + 1, max(1, steps // 10))
     seed0 = cfg.scalars.master_seed + _STREAM_DIVFREE
+    paths = [
+        sample_brownian(T, dt, len(sigmas), seed0 + m) for m in range(cfg.scalars.mc_members)
+    ]
 
-    def one_member(m: int):
-        path = sample_brownian(T, dt, len(sigmas), seed0 + m)
-        ens = simulate_flow(b, sigmas, SdeConfig(dt=dt), path)
+    def member_rows(ens: FlowEnsemble):
         rows = []
-        sampled = range(0, steps + 1, stride)
         for l, f_l in zip(sampled, pushforward_path(f0, ens, sampled)):
             mass = float(np.sum(f_l.values)) * grid.cell_volume
-            rows.append((m, l, l * dt, mass - mass0, lp_norm(f_l, cfg.scalars.p) / norm0))
-        return ens, rows
+            rows.append((l, l * dt, mass - mass0, lp_norm(f_l, cfg.scalars.p) / norm0))
+        return rows
 
-    results = parallel.ordered_map(one_member, range(cfg.scalars.mc_members))
+    results = []
+    for chunk in _flow_chunks(prob, paths):
+        results += parallel.ordered_map(member_rows, chunk)
+    # only the last member is saved: its positions, without the rest of its chunk
+    last_ens = replace(chunk[-1], paths=chunk[-1].paths.copy())
+    del chunk
     csv_path = out / "flow_conservation.csv"
     with open(csv_path, "w", newline="") as handle:
         handle.write(CSV_VERSION_LINE + "\n")
         writer = csv.writer(handle)
         writer.writerow(["member", "step", "time", "mass_gap", "lp_ratio"])
-        for _, rows in results:
-            for m, l, t, gap, ratio in rows:
+        for m, rows in enumerate(results):
+            for l, t, gap, ratio in rows:
                 writer.writerow([m, l, f"{t:.12g}", f"{gap:.12g}", f"{ratio:.12g}"])
-    last_ens = results[-1][0]
     field_path = out / "flow_final.fld"
     save_field(field_path, pushforward_solution(f0, last_ens, T))
     ens_path = out / "flow_paths.flo"
@@ -793,29 +824,31 @@ def _check_cancellation(cfg: ExperimentConfig) -> list[CheckResult]:
     return out
 
 
-def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
-    """Per-path sup gap at (dt, dt/4); bridge-coupled refinement."""
-    prob = _problem("trig_flow", 64, T, dt)
-    b, sigmas = prob.b, prob.sigmas
-    prob4 = _problem("trig_flow", 64, T, dt / 4.0)
-    b4, sigmas4 = prob4.b, prob4.sigmas
-    seed0 = cfg.scalars.master_seed + _STREAM_LOGDET
+def _sup_gaps(prob: Problem, paths: list[BrownianPath]) -> list[float]:
+    """logdet_gap of the flow on each path, one chunk of members at a time.
 
-    def one_path(m: int):
-        path = sample_brownian(T, dt, 1, seed0 + m)
-        ens = simulate_flow(b, sigmas, SdeConfig(dt=dt), path)
+    Each member's two recursions run on the worker pool, on a copy of its
+    ensemble, so that only the gaps outlive the chunk.
+    """
+    b, sigmas = prob.b, prob.sigmas
+
+    def gap(ens: FlowEnsemble) -> float:
+        ens = replace(ens)
         variational_jacobian(ens, b, sigmas)
         logdet_stochastic_exponential(ens, b, sigmas)
-        coarse = logdet_gap(ens)
-        fine_path = refine_brownian(path, 4)
-        ens4 = simulate_flow(b4, sigmas4, SdeConfig(dt=dt / 4.0), fine_path)
-        variational_jacobian(ens4, b4, sigmas4)
-        logdet_stochastic_exponential(ens4, b4, sigmas4)
-        return coarse, logdet_gap(ens4)
+        return logdet_gap(ens)
 
-    results = parallel.ordered_map(one_path, range(members))
-    coarse = [r[0] for r in results]
-    fine = [r[1] for r in results]
+    return [g for chunk in _flow_chunks(prob, paths) for g in parallel.ordered_map(gap, chunk)]
+
+
+def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
+    """Per-path sup gap at (dt, dt/4); bridge-coupled refinement."""
+    seed0 = cfg.scalars.master_seed + _STREAM_LOGDET
+    paths = [sample_brownian(T, dt, 1, seed0 + m) for m in range(members)]
+    coarse = _sup_gaps(_problem("trig_flow", 64, T, dt), paths)
+    fine = _sup_gaps(
+        _problem("trig_flow", 64, T, dt / 4.0), [refine_brownian(p, 4) for p in paths]
+    )
     return coarse, fine
 
 
@@ -901,13 +934,7 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     growth = m * (div_b + 0.5 * twist) + 0.5 * m * m * div_s**2
     envelope = math.exp(growth * T) * lp_norm(f0, 2.0 * p) ** (2.0 * p)
 
-    seed0 = cfg.scalars.master_seed + _STREAM_MOMENT
-    ensembles = parallel.ordered_map(
-        lambda mm: simulate_flow(
-            b, sigmas, SdeConfig(dt=dt), sample_brownian(T, dt, 1, seed0 + mm)
-        ),
-        range(members),
-    )
+    ensembles = _member_flows(prob, T, cfg.scalars.master_seed + _STREAM_MOMENT, members)
     est = ensemble_moment(
         ensembles, lambda e: lp_norm(pushforward_solution(f0, e, T), 2.0 * p), power=2.0 * p
     )
@@ -1097,15 +1124,8 @@ def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
 
 def _stability_series(cfg, members: int, T: float, dt: float, seed_offset: int):
     prob = _problem("trig_flow", 64, T, dt)
-    b, sigmas, f0 = prob.b, prob.sigmas, prob.f0
-    seed0 = cfg.scalars.master_seed + seed_offset
-    ensembles = parallel.ordered_map(
-        lambda m: simulate_flow(
-            b, sigmas, SdeConfig(dt=dt), sample_brownian(T, dt, 1, seed0 + m)
-        ),
-        range(members),
-    )
-    return weighted_l1_stability(ensembles, f0, b, sigmas, 2.0)
+    ensembles = _member_flows(prob, T, cfg.scalars.master_seed + seed_offset, members)
+    return weighted_l1_stability(ensembles, prob.f0, prob.b, prob.sigmas, 2.0)
 
 
 def _check_stability(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -1116,15 +1136,8 @@ def _check_stability(cfg: ExperimentConfig) -> list[CheckResult]:
 
     T2, dt2 = 0.25, 0.025
     prob2 = _problem("divfree_2d", 64, T2, dt2)
-    b2, sig2, f02 = prob2.b, prob2.sigmas, prob2.f0
-    seed0 = cfg.scalars.master_seed + _STREAM_CONSTANCY
-    ens2 = parallel.ordered_map(
-        lambda m: simulate_flow(
-            b2, sig2, SdeConfig(dt=dt2), sample_brownian(T2, dt2, 2, seed0 + m)
-        ),
-        range(8),
-    )
-    series2 = weighted_l1_stability(ens2, f02, b2, sig2, 0.0)
+    ens2 = _member_flows(prob2, T2, cfg.scalars.master_seed + _STREAM_CONSTANCY, 8)
+    series2 = weighted_l1_stability(ens2, prob2.f0, prob2.b, prob2.sigmas, 0.0)
     z = np.abs(series2.mean[1:] - series2.mean[0]) / np.maximum(series2.stderr[1:], 1e-300)
     return [
         _result("stability_envelope", exceed, 1e-12, "<=", "trig preset, 8 members, 95%"),
@@ -1139,18 +1152,11 @@ def _determinism_payload(cfg: ExperimentConfig) -> tuple:
     """Reduced-scale re-run of the three Monte Carlo checks, flattened."""
     coarse, fine = _logdet_sup_gaps(cfg, members=6, T=0.25, dt=2e-3)
 
-    T, dt = 0.25, 5e-3
-    prob = _problem("trig_flow", 64, T, dt)
-    b, sigmas, f0 = prob.b, prob.sigmas, prob.f0
-    seed0 = cfg.scalars.master_seed + _STREAM_MOMENT
-    ensembles = parallel.ordered_map(
-        lambda m: simulate_flow(
-            b, sigmas, SdeConfig(dt=dt), sample_brownian(T, dt, 1, seed0 + m)
-        ),
-        range(8),
-    )
+    T = 0.25
+    prob = _problem("trig_flow", 64, T, 5e-3)
+    ensembles = _member_flows(prob, T, cfg.scalars.master_seed + _STREAM_MOMENT, 8)
     est = ensemble_moment(
-        ensembles, lambda e: lp_norm(pushforward_solution(f0, e, T), 4.0), power=4.0
+        ensembles, lambda e: lp_norm(pushforward_solution(prob.f0, e, T), 4.0), power=4.0
     )
 
     series = _stability_series(cfg, members=4, T=0.25, dt=5e-3, seed_offset=_STREAM_STABILITY)

@@ -261,15 +261,12 @@ class TestJacobians:
             logdet_gap(ens)
 
 
-def reference_kernels(b, sigmas, path):
-    """simulate_flow, variational_jacobian and logdet_stochastic_exponential
-    done one step and one coefficient at a time, with a fresh spline per call.
-
-    Returns (paths, jac_variational, logdet_exponential).
+def reference_flow(b, sigmas, path):
+    """simulate_flow for one path, one step and one coefficient at a time,
+    with a fresh spline per call.  Returns the (steps+1, dim) + grid positions.
     """
-    grid = b.grid
     dt, dW = path.dt, path.increments
-    X = np.stack(grid.coordinates())
+    X = np.stack(b.grid.coordinates())
     paths = [X]
     for l in range(path.steps):
         t = l * dt
@@ -278,6 +275,18 @@ def reference_kernels(b, sigmas, path):
             move += vector_interpolant(s.slice_at(t))(X) * dW[l, k]
         X = X + move
         paths.append(X)
+    return np.stack(paths)
+
+
+def reference_kernels(b, sigmas, path):
+    """simulate_flow, variational_jacobian and logdet_stochastic_exponential
+    done one step and one coefficient at a time, with a fresh spline per call.
+
+    Returns (paths, jac_variational, logdet_exponential).
+    """
+    grid = b.grid
+    dt, dW = path.dt, path.increments
+    paths = reference_flow(b, sigmas, path)
     J = [np.einsum("ij,...->ij...", np.eye(grid.dim), np.ones(grid.shape))]
     logdet = [np.zeros(grid.shape)]
     for l in range(path.steps):
@@ -294,7 +303,7 @@ def reference_kernels(b, sigmas, path):
             div = PeriodicInterpolant(grid, divergence(sl).values)(X)
             increment += div * dW[l, k] - 0.5 * twist * dt
         logdet.append(logdet[l] + increment)
-    return np.stack(paths), np.stack(J), np.stack(logdet)
+    return paths, np.stack(J), np.stack(logdet)
 
 
 def trig_case():
@@ -435,6 +444,101 @@ class TestSliceGroups:
         slice_sets, _ = flow._slice_groups(b, sigmas, path)
         for c, coefficient in enumerate((b, *sigmas)):
             assert len({id(s[c]) for s in slice_sets}) == len(coefficient.distinct()[0])
+
+
+def member_paths(path, count):
+    """``count`` paths on the time grid and noise count of ``path``, streams 100.."""
+    return [sample_brownian(path.T, path.dt, path.k_count, 100 + m) for m in range(count)]
+
+
+def blow_up_case(members, steps_of):
+    """Constant noise 1e300 on 64 nodes, 40 steps; member m's path has dW = 0
+    except dW = 1e9 at step ``steps_of[m]`` (1-based), where its flow
+    overflows.  Returns (b, sigmas, paths)."""
+    g = grid1()
+    steps, dt = 40, 0.01
+    horizon = steps * dt
+    b = still(GridVector.constant(g, [0.0]), horizon=horizon)
+    sigma = still(GridVector.constant(g, [1e300]), horizon=horizon)
+    paths = []
+    for m in range(members):
+        increments = np.zeros((steps, 1))
+        if m in steps_of:
+            increments[steps_of[m] - 1] = 1e9
+        paths.append(BrownianPath(horizon, dt, 1, increments, m))
+    return b, [sigma], paths
+
+
+class TestSimulateFlows:
+    """Member-batched flows against the per-path reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case,members", [(trig_case, 37), (divfree_case, 11), (cycling_case, 35)]
+    )
+    def test_every_member_bitwise_equal_to_reference(self, case, members):
+        b, sigmas, path = case()
+        per_chunk = flow.members_per_chunk(b.grid, path.steps)
+        # several chunks, the last one partly filled
+        assert per_chunk > 1 and members > per_chunk and members % per_chunk
+        paths = member_paths(path, members)
+        ensembles = flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), paths)
+        assert len(ensembles) == members
+        assert len({id(ens.paths.base) for ens in ensembles}) == -(-members // per_chunk)
+        for ens, p in zip(ensembles, paths):
+            assert ens.path is p and ens.seeds_grid == b.grid
+            assert np.array_equal(ens.paths, reference_flow(b, sigmas, p))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_error_names_the_first_step_over_all_members(self, monkeypatch, workers):
+        monkeypatch.setenv("RENORMLAB_THREADS", workers)
+        # 32 members per chunk: member 3 (first chunk) overflows at step 30,
+        # member 35 (second chunk) at step 12, member 36 at step 20
+        b, sigmas, paths = blow_up_case(40, {3: 30, 35: 12, 36: 20})
+        assert flow.members_per_chunk(b.grid, 40) == 32
+        with pytest.raises(FlowError, match="trajectory lost finiteness at step 12$"):
+            flow.simulate_flows(b, sigmas, SdeConfig(dt=0.01), paths)
+        b, sigmas, paths = blow_up_case(40, {3: 30, 5: 7})
+        with pytest.raises(FlowError, match="trajectory lost finiteness at step 7$"):
+            flow.simulate_flows(b, sigmas, SdeConfig(dt=0.01), paths)
+        b, sigmas, paths = blow_up_case(40, {})
+        assert len(flow.simulate_flows(b, sigmas, SdeConfig(dt=0.01), paths)) == 40
+
+    def test_member_round_trips_through_flo(self, tmp_path):
+        b, sigmas, path = trig_case()
+        paths = member_paths(path, 5)
+        ens = flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), paths)[2]
+        variational_jacobian(ens, b, sigmas)
+        logdet_stochastic_exponential(ens, b, sigmas)
+        alone = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), paths[2])
+        variational_jacobian(alone, b, sigmas)
+        logdet_stochastic_exponential(alone, b, sigmas)
+        save_ensemble(tmp_path / "member.flo", ens)
+        save_ensemble(tmp_path / "alone.flo", alone)
+        assert (tmp_path / "member.flo").read_bytes() == (tmp_path / "alone.flo").read_bytes()
+        back = load_ensemble(tmp_path / "member.flo")
+        assert np.array_equal(back.paths, ens.paths)
+        assert np.array_equal(back.path.increments, paths[2].increments)
+        assert np.array_equal(back.jac_variational, ens.jac_variational)
+        assert np.array_equal(back.logdet_exponential, ens.logdet_exponential)
+        assert back.path.seed == paths[2].seed
+
+    def test_paths_must_share_the_time_grid(self):
+        b, sigmas, path = trig_case()
+        config = SdeConfig(dt=path.dt)
+        with pytest.raises(FlowError, match="at least one"):
+            flow.simulate_flows(b, sigmas, config, [])
+        other_dt = sample_brownian(path.T, path.dt / 2, 1, 1)
+        shorter = sample_brownian(path.T / 2, path.dt, 1, 1)
+        for odd in (other_dt, shorter, sample_brownian(path.T, path.dt, 2, 1)):
+            with pytest.raises(FlowError, match="differ"):
+                flow.simulate_flows(b, sigmas, config, [path, odd])
+
+    def test_chunk_sizes(self):
+        # about _BLOCK_POINTS points, at most _CHUNK_VALUES stored positions
+        assert flow.members_per_chunk(grid1(), 200) == 32
+        assert flow.members_per_chunk(grid1(), 2000) == 4
+        assert flow.members_per_chunk(build_grid(2, L, 64), 10) == 1
+        assert flow.members_per_chunk(build_grid(2, L, 16), 50) == 8
 
 
 def reference_inverse(ensemble, step, tol=1e-10):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renormlab import interp
 from renormlab.field import FieldError, GridScalar, GridVector, build_grid
 from renormlab.interp import (
     PeriodicInterpolant,
@@ -189,6 +190,60 @@ class TestSplineStack:
             stack([0, 1], np.zeros((2, 3, 5)))
         with pytest.raises(FieldError, match="finite"):
             stack([0], np.full((2, 1, 4), np.nan))
+
+
+class TestEvaluatorBySize:
+    """PeriodicInterpolant's two evaluators: the same bits and the same errors."""
+
+    @staticmethod
+    def count_map_coordinates(monkeypatch):
+        calls = []
+        original = interp.ndimage.map_coordinates
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interp.ndimage, "map_coordinates", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim,n,comps", [(1, 64, 2), (1, 48, 1), (2, 16, 3), (2, 24, 2)])
+    def test_one_large_call_equals_small_calls(self, monkeypatch, dim, n, comps):
+        g = build_grid(dim, L, n)
+        values = stream(21, dim).normal(size=(comps + 1,) + g.shape)
+        values[1] = 0.75  # a constant component among the varying ones
+        itp = PeriodicInterpolant(g, values)
+        pts = stack_points(g, 10, 22).reshape(dim, 4000)
+        calls = self.count_map_coordinates(monkeypatch)
+        whole = itp(pts)
+        assert not calls  # 4,000 points of 1 to 3 varying components: the stencil
+        parts = np.concatenate([itp(pts[:, i : i + 100]) for i in range(0, 4000, 100)], axis=1)
+        assert len(calls) == 40 * comps  # one map_coordinates call per varying component
+        assert same_bits(whole, parts)
+        assert np.all(whole[1] == 0.75)
+
+    def test_the_size_rule(self, monkeypatch):
+        g = build_grid(1, L, 64)
+        itp = PeriodicInterpolant(g, stream(23, 0).normal(size=(3,) + g.shape))
+        calls = self.count_map_coordinates(monkeypatch)
+        edge = interp._STENCIL_VALUES // 3  # values per call = points x 3 components
+        small = itp(stream(24, 0).uniform(0.0, L, (1, edge - 1)))
+        assert len(calls) == 3
+        large = itp(stream(24, 0).uniform(0.0, L, (1, edge)))
+        assert len(calls) == 3
+        assert same_bits(small, large[:, : edge - 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim,count", [(1, 64), (1, 4096), (2, 64), (2, 4096)])
+    def test_non_finite_point_refused_by_both(self, bad, dim, count):
+        g = build_grid(dim, L, 16)
+        itp = PeriodicInterpolant(g, stream(25, dim).normal(size=(2,) + g.shape))
+        pts = stream(26, dim).uniform(0.0, L, (dim, count))
+        pts[-1, count // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldError, match="finite"):
+                itp(pts)
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,19 +8,21 @@ live in the per-module suites and tests/test_acceptance.py.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import weakref
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from renormlab import cli, flow, lab, presets
+from renormlab import cli, flow, lab, parallel, presets
 from renormlab.field import Grid, GridVector, load_field, save_field
 from renormlab.flow import load_ensemble, sample_brownian
 from renormlab.lab import (
@@ -205,6 +207,41 @@ class TestRunExperiment:
         assert final.grid.N == 16
         ens = load_ensemble(ens_path)
         assert ens.path.k_count == 2
+
+    def test_flow_conservation_keeps_only_the_saved_ensemble(self, tmp_path, monkeypatch):
+        # 40 members of 10 steps on 64 nodes: two chunks of flows (32 + 8)
+        chunks, alive_at_save = [], []
+        simulate_flows, save_ensemble = lab.simulate_flows, lab.save_ensemble
+
+        def recording(*args):
+            ensembles = simulate_flows(*args)
+            chunks.append(weakref.ref(ensembles[0].paths.base))
+            return ensembles
+
+        def saving(path_name, ens):
+            gc.collect()
+            alive_at_save.append(sum(ref() is not None for ref in chunks))
+            save_ensemble(path_name, ens)
+
+        monkeypatch.setattr(lab, "simulate_flows", recording)
+        monkeypatch.setattr(lab, "save_ensemble", saving)
+        cfg = small_config(
+            "flow_conservation",
+            tmp_path,
+            grid=GridConfig(dim=1, N=64),
+            time=TimeConfig(T=0.1, dt=0.01),
+            scalars=ScalarConfig(mc_members=40, p=2.0),
+        )
+        csv_path, _, ens_path = lab.run_experiment(cfg)
+        assert len(chunks) == 2 and alive_at_save == [0]
+        members = [int(row.split(",")[0]) for row in csv_path.read_text().splitlines()[2:]]
+        assert members == [m for m in range(40) for _ in range(11)]
+        prob = lab._config_problem(cfg)
+        last = flow.simulate_flow(
+            prob.b, prob.sigmas, flow.SdeConfig(dt=0.01),
+            sample_brownian(0.1, 0.01, 1, lab._STREAM_DIVFREE + 39),
+        )
+        assert np.array_equal(load_ensemble(ens_path).paths, last.paths)
 
     def test_renorm_refinement_schema(self, tmp_path):
         cfg = small_config(
@@ -414,6 +451,9 @@ WRONG_TYPE_PROBES = [
     ("scalars", {"lambdas": [4, "x"]}, "scalars.lambdas must be a list of numbers"),
     ("grid", {"dim": True}, "grid.dim must be an integer"),
     (None, {"output_dir": 5}, "output_dir must be a string"),
+    # an integer no float can hold
+    ("grid", {"L": 10**400}, "grid.L must be a number"),
+    ("scalars", {"lambdas": [4, 10**400]}, "scalars.lambdas must be a list of numbers"),
 ]
 
 
@@ -586,3 +626,62 @@ class TestCli:
         assert cli.main(["accept", str(path)]) == cli.EXIT_CHECK_FAIL
         out = capsys.readouterr().out
         assert "FAIL only" in out
+
+
+class TestWorkerInvariant:
+    def test_determinism_payload_hands_the_pool_several_items(self, monkeypatch):
+        # determinism_workers compares 1 and 8 workers; it means something only
+        # while the payload gives an 8-worker pool more than one item at once
+        handed = []
+
+        class Recording(parallel.ThreadPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                items = list(iterables[0])
+                handed.append((self._max_workers, len(items)))
+                return super().map(fn, items, **kwargs)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
+        monkeypatch.setenv(parallel.ENV_VAR, "8")
+        lab._determinism_payload(ExperimentConfig(experiment="acceptance_all"))
+        assert handed and all(workers == 8 for workers, _ in handed)
+        assert max(count for _, count in handed) > 1
+
+
+CONFIG_FILES = sorted((ROOT / "configs").glob("*.json"))
+SECTIONS = {
+    "grid": GridConfig, "time": TimeConfig, "coefficients": CoefficientConfig,
+    "scalars": ScalarConfig,
+}
+# every field a config can carry: the top-level ones and each section's
+FIELD_PATHS = [(f.name,) for f in dataclass_fields(ExperimentConfig)] + [
+    (section, f.name) for section, cls in SECTIONS.items() for f in dataclass_fields(cls)
+]
+HUGE_AND_TINY = st.sampled_from(
+    [1e308, -1e308, 1.7976931348623157e308, 1e-308, 5e-324, -5e-324, 0.0, -0.0,
+     float("inf"), float("-inf"), float("nan"), 2**63, -(2**63), 10**400, -1]
+)
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(), st.floats(),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+MUTATION = st.one_of(
+    HUGE_AND_TINY, WRONG_TYPES, st.lists(st.one_of(HUGE_AND_TINY, WRONG_TYPES), max_size=3)
+)
+
+
+@pytest.mark.parametrize("config_file", CONFIG_FILES, ids=lambda p: p.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_config_returns_or_raises_lab_error(config_file, data):
+    payload = json.loads(config_file.read_text())
+    targets = data.draw(st.lists(st.sampled_from(FIELD_PATHS), min_size=1, max_size=3))
+    for target in targets:
+        value = data.draw(MUTATION)
+        if len(target) == 1:
+            payload[target[0]] = value
+        elif isinstance(payload.get(target[0], {}), dict):
+            payload.setdefault(target[0], {})[target[1]] = value
+    try:
+        ExperimentConfig.from_dict(payload)
+    except LabError:
+        pass
