@@ -318,13 +318,25 @@ def gradient(f: GridScalar) -> GridVector:
 
 
 def divergence(v: GridVector) -> GridScalar:
-    g = v.grid
-    total = np.zeros(g.shape)
-    for axis in range(g.dim):
-        beta = [0] * g.dim
-        beta[axis] = 1
-        total += spectral_derivative(GridScalar(g, v.values[axis]), beta).values
-    return GridScalar(g, total)
+    return GridScalar(v.grid, divergence_stack(v.grid, v.values))
+
+
+def divergence_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Divergences of a stack of vector fields, (..., dim) + grid shape in.
+
+    Returns (...) + grid shape.  One FFT over the grid axes per field, and
+    the partials d_i v_i summed from 0.0 in the order of i, so the numbers
+    are spectral_derivative's bit for bit.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    cells = (slice(None),) * grid.dim
+    spectrum = np.fft.fftn(values, axes=axes)
+    total = np.zeros(values.shape[: -grid.dim - 1] + grid.shape)
+    for i in range(grid.dim):
+        beta = tuple(int(a == i) for a in range(grid.dim))
+        mult = _derivative_multiplier(grid.dim, grid.L, grid.N, beta)
+        total += np.fft.ifftn(mult * spectrum[(..., i) + cells], axes=axes).real
+    return total
 
 
 def jacobian(v: GridVector) -> np.ndarray:
@@ -346,6 +358,29 @@ def jacobian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
         beta = tuple(int(a == j) for a in range(grid.dim))
         mult = _derivative_multiplier(grid.dim, grid.L, grid.N, beta)
         out[(..., j) + (slice(None),) * grid.dim] = np.fft.ifftn(mult * spectrum, axes=axes).real
+    return out
+
+
+def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Second partials of a stack of scalar fields, (...) + grid shape in.
+
+    Returns (..., dim, dim) + grid shape, entry [..., j, k] = d_j d_k f.  One
+    FFT over the grid axes per field; the numbers are spectral_derivative's
+    bit for bit.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    cells = (slice(None),) * grid.dim
+    spectrum = np.fft.fftn(values, axes=axes)
+    out = np.empty(values.shape[: values.ndim - grid.dim] + (grid.dim, grid.dim) + grid.shape)
+    for j in range(grid.dim):
+        for k in range(j, grid.dim):
+            beta = [0] * grid.dim
+            beta[j] += 1
+            beta[k] += 1
+            mult = _derivative_multiplier(grid.dim, grid.L, grid.N, tuple(beta))
+            second = np.fft.ifftn(mult * spectrum, axes=axes).real
+            out[(..., j, k) + cells] = second
+            out[(..., k, j) + cells] = second
     return out
 
 

@@ -200,6 +200,16 @@ class FlowEnsemble:
 # thread small.
 _BLOCK_POINTS = 2048
 
+def _blocks(grid: Grid, count: int) -> list[range]:
+    """Cut 0..count into consecutive ranges of about _BLOCK_POINTS points of grid.
+
+    The one block rule of the package: steps of a path here, distinct time
+    slices in the straightening and in the parabolic norms.
+    """
+    per_block = max(1, _BLOCK_POINTS // grid.N**grid.dim)
+    return [range(start, min(start + per_block, count)) for start in range(0, count, per_block)]
+
+
 # Stored positions per chunk of members in simulate_flows (4 MB): a chunk of
 # long paths, such as 2,000 steps on 64 nodes, holds fewer members.
 _CHUNK_VALUES = 2**19
@@ -252,12 +262,9 @@ def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
     carries the interpolant head axes, then one axis over the block's steps,
     then the grid axes.  Each run of steps in one group is one spline call.
     """
-    grid = ensemble.seeds_grid
-    per_block = max(1, _BLOCK_POINTS // grid.N**grid.dim)
     head_shape = interpolants[0].head_shape
     head = (slice(None),) * len(head_shape)
-    for start in range(0, ensemble.path.steps, per_block):
-        steps = range(start, min(start + per_block, ensemble.path.steps))
+    for steps in _blocks(ensemble.seeds_grid, ensemble.path.steps):
         points = np.moveaxis(ensemble.paths[steps.start : steps.stop], 0, 1)
         groups = group_of_step[steps.start : steps.stop]
         edges = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1), len(steps)]
@@ -479,9 +486,8 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10, max_newto
     dim = grid.dim
     nodes = np.stack(grid.coordinates())
     X0 = nodes.reshape(dim, 1, -1)
-    per_block = max(1, _BLOCK_POINTS // grid.N**dim)
-    for start in range(0, len(steps), per_block):
-        block = list(steps[start : start + per_block])
+    for rows in _blocks(grid, len(steps)):
+        block = [steps[n] for n in rows]
         disp = ensemble.paths[block] - nodes
         if not np.all(np.isfinite(disp)):
             raise FieldError("vector field contains non-finite values")

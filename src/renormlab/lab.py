@@ -112,6 +112,14 @@ _STREAM_CONSTANCY = 890
 _STREAM_LOGDET = 1000
 _STREAM_ZVONKIN = 1700
 _STREAM_MOMENT = 2000
+# The largest stream id a run draws from is master_seed + _LAST_STREAM: the
+# largest offset plus the largest member index (mc_members <= 256).  rng.stream
+# keeps only the low 64 bits of an id, so master_seed is held below
+# 2**64 - _LAST_STREAM, where no id wraps onto another seed's.
+_LAST_STREAM = max(
+    _STREAM_PUSHFORWARD, _STREAM_DIVFREE, _STREAM_STABILITY, _STREAM_CONSTANCY,
+    _STREAM_LOGDET, _STREAM_ZVONKIN, _STREAM_MOMENT,
+) + 255
 
 
 class LabError(ValueError):
@@ -298,8 +306,11 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"scalars.{label} must be >= 1, got {getattr(s, label)}")
     if typed("scalars.mc_members") and not 2 <= s.mc_members <= 256:
         out.append(f"scalars.mc_members must be an integer in [2, 256], got {s.mc_members}")
-    if typed("scalars.master_seed") and s.master_seed < 0:
-        out.append(f"scalars.master_seed must be a nonnegative integer, got {s.master_seed}")
+    if typed("scalars.master_seed") and not 0 <= s.master_seed < 2**64 - _LAST_STREAM:
+        out.append(
+            f"scalars.master_seed must be an integer in [0, 2**64 - {_LAST_STREAM}), "
+            f"got {s.master_seed}"
+        )
     if typed("output_dir") and not cfg.output_dir.strip():
         out.append("output_dir must be a nonempty path")
     return out
@@ -1101,14 +1112,8 @@ def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
         st = transform_coeffs(mild_solve(b, lam_j, steps).u, lam_j)
         rec = relaxation_metrics(st, b, q=4.0, p=8.0, r=4.0)
         ladder_rows.append((rec.bhat_err, rec.sigma_err, rec.grad_sigma_err, rec.div_err))
-        diffeo = st.diffeo
-        for sl in diffeo.u.slices:
-            det = 1.0 + jacobian(sl)[0, 0]
-            bracket_worst = max(
-                bracket_worst,
-                diffeo.det_lo - float(det.min()),
-                float(det.max()) - diffeo.det_hi,
-            )
+        d = st.diffeo
+        bracket_worst = max(bracket_worst, d.det_lo - d.det_min, d.det_max - d.det_hi)
     ladder = max(
         _adjacent_ratio([row[i] for row in ladder_rows]) for i in range(4)
     )

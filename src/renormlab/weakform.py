@@ -31,8 +31,8 @@ from .field import (
     TimeGridVector,
     divergence,
     gradient,
+    hessian_stack,
     jacobian,
-    spectral_derivative,
 )
 from .flow import BrownianPath
 
@@ -285,15 +285,7 @@ class WeakFormLedger:
 def _phi_calculus(phi: TestFunction):
     """Gradient and Hessian of the test function, spectral."""
     grid = phi.values.grid
-    grad = gradient(phi.values).values
-    hess = np.empty((grid.dim, grid.dim) + grid.shape)
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            order = [0] * grid.dim
-            order[i] += 1
-            order[j] += 1
-            hess[i, j] = spectral_derivative(phi.values, order).values
-    return grad, hess
+    return gradient(phi.values).values, hessian_stack(grid, phi.values.values)
 
 
 def _check_sampling(fpath, sigmas, grid: Grid, path: BrownianPath):
@@ -334,15 +326,17 @@ def residual_original(
     grad_phi, hess_phi = _phi_calculus(phi)
     vol = grid.cell_volume
     dt = path.dt
+    # the slice in force at each step, looked up once per coefficient
+    times = np.arange(path.steps) * dt
+    b_at, sigmas_at = b.slice_indices(times), [sigma.slice_indices(times) for sigma in sigmas]
 
     drift = diffusion = ito = 0.0
     for l in range(path.steps):
-        t = l * dt
         f = fpath[l].values
-        b_l = b.slice_at(t).values
+        b_l = b.slices[b_at[l]].values
         drift += float(np.sum(f * np.einsum("i...,i...->...", b_l, grad_phi))) * vol * dt
         for k, sigma in enumerate(sigmas):
-            s_l = sigma.slice_at(t).values
+            s_l = sigma.slices[sigmas_at[k][l]].values
             pair = np.einsum("i...,j...,ij...->...", s_l, s_l, hess_phi)
             diffusion += 0.5 * float(np.sum(f * pair)) * vol * dt
             advect = np.einsum("i...,i...->...", s_l, grad_phi)

@@ -22,12 +22,22 @@ b_hat -> b, sigma_hat^k -> e_k, grad sigma_hat^k -> 0 and
 Div b_hat -> Div b in the space-time norms relaxation_metrics reports.
 
 Inversion is the Banach iteration y <- x - u(t, y), contracting at rate
-lip per sweep; off-node values come from the periodic spline interpolants,
-so query points may sit anywhere in R^n.
+lip per sweep; off-node values come from periodic cubic splines, so query
+points may sit anywhere in R^n.  It runs on a block of distinct slices at
+once (the flow's block rule: 32 slices on 64 nodes, one on 64^2), with one
+SplineStack of the block's displacements: each slice sweeps until its own
+error is below tol, within its own budget, so its iterates are those of a
+sweep on that slice alone.  invert_diffeo is its one-slice call.
 
 transform_coeffs builds one Straightening per (u, lam), inverting the nodes
-under each distinct slice of u once; pushforward_under_diffeo and
-transformed_residual only read it, however many paths share it.
+under each distinct slice of u once; per block it takes the Jacobians from
+one FFT, grad u at the inverted nodes from one more SplineStack, and the
+determinants from one batched call.  pushforward_under_diffeo and
+transformed_residual only read it, however many paths share it; the path
+form pushforward_path_under_diffeo splines a block of fields at once.
+build_diffeo and relaxation_metrics take their spectral derivatives a block
+of distinct slices at a time too, and every per-slice norm and time sum is
+formed as it would be one slice at a time, so no number changes.
 """
 
 from __future__ import annotations
@@ -44,14 +54,16 @@ from .field import (
     GridScalar,
     GridVector,
     TimeGridVector,
-    divergence,
+    divergence_stack,
     jacobian,
+    jacobian_stack,
     lp_norm,
     vector_laplacian,
 )
-from .flow import BrownianPath
-from .interp import jacobian_interpolant, scalar_interpolant, vector_interpolant
-from .weakform import TestFunction, WeakFormLedger, _at_times, residual_original
+from .flow import BrownianPath, _blocks, _det_stack, _identity_plus
+from .interp import SplineStack
+from .parabolic import _by_slice
+from .weakform import TestFunction, WeakFormLedger, residual_original
 
 __all__ = [
     "ZvonkinError",
@@ -63,6 +75,7 @@ __all__ = [
     "invert_diffeo",
     "transform_coeffs",
     "pushforward_under_diffeo",
+    "pushforward_path_under_diffeo",
     "transformed_residual",
     "relaxation_metrics",
     "write_relaxation_csv",
@@ -88,12 +101,19 @@ class LipTooLarge(ZvonkinError):
 
 @dataclass(frozen=True)
 class Diffeo:
-    """Torus map x + u(t, x) with its measured steepness and det bracket."""
+    """Torus map x + u(t, x) with its measured steepness and det bracket.
+
+    det_lo and det_hi are the bracket (1 -/+ lip)^n; det_min and det_max are
+    the smallest and largest det(I + grad u) over the nodes of every
+    distinct slice of u, which the bracket must hold.
+    """
 
     u: TimeGridVector
     lip: float
     det_lo: float
     det_hi: float
+    det_min: float
+    det_max: float
 
 
 @dataclass(frozen=True)
@@ -121,57 +141,85 @@ class RelaxationRecord:
     div_err: float
 
 
-def _operator_norm_sup(jac: np.ndarray, dim: int) -> float:
-    """Largest matrix 2-norm of a (dim, dim, *grid) Jacobian stack."""
-    mats = np.moveaxis(jac.reshape(dim, dim, -1), -1, 0)
-    return float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max())
-
-
 def build_diffeo(u: TimeGridVector) -> Diffeo:
     """Record the displacement's Lipschitz constant; refuse lip >= 1.
 
     The constant is the sup over slices and nodes of the operator norm of
     the spectral Jacobian.  With that choice the eigenvalues of I + grad u
     sit in the disc of radius lip around one, so the determinant bracket
-    (1 -/+ lip)^n holds pointwise and not just on average.
+    (1 -/+ lip)^n holds pointwise and not just on average.  The Jacobians
+    come from one FFT per block of distinct slices.
     """
     if not isinstance(u, TimeGridVector):
         raise ZvonkinError(f"displacement must be a TimeGridVector, got {type(u).__name__}")
     dim = u.grid.dim
-    lip = 0.0
-    for sl in u.distinct()[0]:
-        lip = max(lip, _operator_norm_sup(jacobian(sl), dim))
+    lip, det_min, det_max = 0.0, math.inf, -math.inf
+    slices = u.distinct()[0]
+    for rows in _blocks(u.grid, len(slices)):
+        jac = jacobian_stack(u.grid, np.stack([slices[n].values for n in rows]))
+        if dim == 1:
+            # a 1x1 matrix has 2-norm |a|; the SVD returns those bits too, short
+            # of entries beyond about 1e+-146, which it rescales first
+            norms = np.abs(jac)
+        else:
+            mats = np.moveaxis(jac.reshape(len(rows), dim, dim, -1), -1, 1)
+            norms = np.linalg.norm(mats, ord=2, axis=(2, 3))
+        lip = max(lip, float(norms.max()))
+        det = _det_stack(_identity_plus(np.moveaxis(jac, 0, 2)))
+        det_min, det_max = min(det_min, float(det.min())), max(det_max, float(det.max()))
     if lip >= 1.0:
         raise LipTooLarge(lip)
-    return Diffeo(u=u, lip=lip, det_lo=(1.0 - lip) ** dim, det_hi=(1.0 + lip) ** dim)
+    return Diffeo(
+        u=u, lip=lip, det_lo=(1.0 - lip) ** dim, det_hi=(1.0 + lip) ** dim,
+        det_min=det_min, det_max=det_max,
+    )
 
 
-def _invert_slice(
-    sl: GridVector, lip: float, pts: np.ndarray, tol: float
-) -> np.ndarray:
-    """Banach iteration y <- x - u(y) for one displacement slice (y = x exactly if u = 0)."""
-    u_t = vector_interpolant(sl)
+def _invert_rows(
+    grid: Grid, values: np.ndarray, lip: float, pts: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Banach iteration y <- x - u(y) for each row of a (rows, dim) + grid stack.
+
+    pts holds the points x, (dim, P), the same for every row.  Returns y and
+    u(y), each (dim, rows, P); y = x exactly where a row is 0.  A row stops
+    in the sweep its own error max|y + u(y) - x| falls to tol, within its
+    own budget; if rows run out of budget, the lowest one is reported.
+    """
     # Error contracts by lip per sweep from an initial gap of sup|u|, so
     # the budget below is generous whenever the recorded constant is
     # honest; the slack absorbs spline wiggle between nodes.
-    budget = 8
-    if lip > 0.0:
-        sup_u = float(np.max(np.linalg.norm(sl.values, axis=0)))
-        if sup_u > tol:
+    budgets = []
+    for sup_u in np.linalg.norm(values, axis=1).reshape(len(values), -1).max(axis=1).tolist():
+        budget = 8
+        if lip > 0.0 and sup_u > tol:
             budget += int(math.ceil(math.log(tol / sup_u) / math.log(lip)))
-    y = pts.copy()
-    v = u_t(y)
-    err = math.inf
-    for _ in range(budget):
-        y = pts - v
-        v = u_t(y)
-        err = float(np.sqrt(np.sum((y + v - pts) ** 2, axis=0).max()))
-        if err <= tol:
-            return y
-    raise ZvonkinError(
-        f"inversion stagnated at residual {err:.3e} after {budget} sweeps "
-        f"(tol {tol:.1e}); the Lipschitz bound must have been optimistic"
-    )
+        budgets.append(budget)
+    budget_of = np.array(budgets)
+    stack = SplineStack(grid, values)
+    x = pts[:, None]
+    y = np.repeat(x, len(values), axis=1)
+    active = np.arange(len(values))
+    v = stack(active, y)
+    err = np.full(len(values), math.inf)
+    stalled = []
+    for sweep in range(1, max(budgets) + 1):
+        y_a = x - v[:, active]
+        v_a = stack(active, y_a)
+        err_a = np.sqrt(np.sum((y_a + v_a - x) ** 2, axis=0).max(axis=1))
+        y[:, active], v[:, active], err[active] = y_a, v_a, err_a
+        going = err_a > tol
+        spent = going & (budget_of[active] <= sweep)
+        stalled.extend(active[spent].tolist())
+        active = active[going & ~spent]
+        if not len(active):
+            break
+    if stalled:
+        n = min(stalled)
+        raise ZvonkinError(
+            f"inversion stagnated at residual {err[n]:.3e} after {budgets[n]} sweeps "
+            f"(tol {tol:.1e}); the Lipschitz bound must have been optimistic"
+        )
+    return y, v
 
 
 def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -189,30 +237,49 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
         raise ZvonkinError(
             f"query points need a leading axis of length {sl.grid.dim}, got shape {pts.shape}"
         )
-    return _invert_slice(sl, diffeo.lip, pts, tol)
+    y, _ = _invert_rows(sl.grid, sl.values[None], diffeo.lip, pts.reshape(len(pts), -1), tol)
+    return y[:, 0].reshape(pts.shape)
 
 
 def transform_coeffs(u: TimeGridVector, lam: float, tol: float = 1e-12) -> Straightening:
     """Straighten u at damping lam: invert the nodes under each distinct
-    slice once, and sample lam*u(y) and e_k + grad u(y) e_k there."""
+    slice once, and sample lam*u(y) and e_k + grad u(y) e_k there.
+
+    The non-zero distinct slices go a block at a time: one inversion of the
+    block, one FFT for its Jacobians, one SplineStack call for grad u at the
+    inverted nodes and one batched determinant.
+    """
     if lam <= 0.0:
         raise ZvonkinError(f"damping lambda must be positive, got {lam}")
     diffeo = build_diffeo(u)
     grid = u.grid
     dim = grid.dim
-    nodes = np.stack(grid.coordinates())
+    nodes = np.stack(grid.coordinates()).reshape(dim, -1)
     eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
 
     slices, slice_of = u.distinct()
+    live = [n for n, sl in enumerate(slices) if np.any(sl.values)]
+    moved = {}  # distinct slice -> (u(y), I + grad u(y), (y, det))
+    for rows in _blocks(grid, len(live)):
+        block = [live[n] for n in rows]
+        values = np.stack([slices[n].values for n in block])
+        y, u_at = _invert_rows(grid, values, diffeo.lip, nodes, tol)
+        jac = jacobian_stack(grid, values).reshape((len(block), dim * dim) + grid.shape)
+        jac_at = SplineStack(grid, jac)(np.arange(len(block)), y)
+        cols = eye[:, :, None] + jac_at.reshape((dim, dim, len(block)) + grid.shape)
+        det = np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))
+        for r, n in enumerate(block):
+            y_r = y[:, r].reshape((dim,) + grid.shape)
+            moved[n] = (u_at[:, r].reshape(y_r.shape), cols[:, :, r], (y_r, det[r]))
+
     b_distinct, cols_distinct, inverted = [], [], []
-    for sl in slices:
-        if np.any(sl.values):
-            y = _invert_slice(sl, diffeo.lip, nodes, tol)
-            u_at, cols = vector_interpolant(sl)(y), eye + jacobian_interpolant(sl)(y)
-            inverted.append((y, np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))))
+    for n in range(len(slices)):
+        if n in moved:
+            u_at, cols, node = moved[n]
         else:  # x + u is the identity: nothing to invert or interpolate
-            u_at, cols = np.zeros_like(nodes), eye + np.zeros((dim, dim) + grid.shape)
-            inverted.append(None)
+            u_at, node = np.zeros((dim,) + grid.shape), None
+            cols = eye + np.zeros((dim, dim) + grid.shape)
+        inverted.append(node)
         b_distinct.append(GridVector(grid, lam * u_at))
         cols_distinct.append([GridVector(grid, cols[:, k]) for k in range(dim)])
 
@@ -231,15 +298,40 @@ def pushforward_under_diffeo(f: GridScalar, straightening: Straightening, t: flo
     inverse map is the inverse matrix of I + grad u at the inverted point;
     mass is conserved up to interpolation and quadrature error.  y and the
     determinant come from the straightening; only f is interpolated here.
+    This is the one-field call of pushforward_path_under_diffeo.
+    """
+    return pushforward_path_under_diffeo([f], straightening, [t])[0]
+
+
+def pushforward_path_under_diffeo(fields, straightening: Straightening, times) -> list:
+    """Transfer each fields[l] under x + u(times[l], x), as pushforward_under_diffeo.
+
+    The fields are splined a block at a time, one SplineStack per block,
+    each evaluated at the inverted nodes of the slice in force at its own
+    time; a field where that slice is 0 is copied.
     """
     u = straightening.diffeo.u
-    if f.grid != u.grid:
+    grid = u.grid
+    fields = list(fields)
+    if any(f.grid != grid for f in fields):
         raise ZvonkinError("field and displacement live on different grids")
-    node = straightening.inverted[straightening.slice_of[u.slice_indices(t)]]
-    if node is None:
-        return GridScalar(f.grid, f.values.copy())
-    y, det = node
-    return GridScalar(f.grid, scalar_interpolant(f)(y) / det)
+    times = np.asarray(times, dtype=np.float64)
+    if times.shape != (len(fields),):
+        raise ZvonkinError(f"{len(fields)} fields need as many times, got shape {times.shape}")
+    stored = [straightening.inverted[i] for i in straightening.slice_of[u.slice_indices(times)]]
+    out, moved = [None] * len(fields), []
+    for l, (f, at) in enumerate(zip(fields, stored)):
+        if at is None:
+            out[l] = GridScalar(grid, f.values.copy())
+        else:
+            moved.append(l)
+    for rows in _blocks(grid, len(moved)):
+        block = [moved[n] for n in rows]
+        spline = SplineStack(grid, np.stack([fields[l].values for l in block])[:, None])
+        y = np.stack([stored[l][0] for l in block], axis=1)
+        for l, f_at in zip(block, spline(np.arange(len(block)), y)[0]):
+            out[l] = GridScalar(grid, f_at / stored[l][1])
+    return out
 
 
 def _warn_if_displacement_mismatches(
@@ -300,10 +392,7 @@ def transformed_residual(
         raise ZvonkinError("displacement time grid must match the driving path")
     _warn_if_displacement_mismatches(u, b, straightening.lam)
 
-    hpath = [
-        pushforward_under_diffeo(f_l, straightening, float(t_l))
-        for f_l, t_l in zip(fpath, u.times)
-    ]
+    hpath = pushforward_path_under_diffeo(fpath, straightening, u.times)
     return residual_original(hpath, straightening.b_hat, straightening.sigma_hat, phi_test, path)
 
 
@@ -341,30 +430,35 @@ def relaxation_metrics(
     dt = float(b.times[1] - b.times[0])
     steps = len(b.times) - 1
 
-    div_b, div_bh = (
-        _at_times(c, c.times, lambda sl: divergence(sl).values) for c in (b, coeffs.b_hat)
-    )
+    # per distinct slice of the straightening, a block at a time: Div b_hat,
+    # |sigma_hat - I| in L^p and |grad sigma_hat| in L^r
     eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+    first = np.unique(coeffs.slice_of, return_index=True)[1]
+    per_slice = []
+    for rows in _blocks(grid, len(first)):
+        samples = first[rows.start : rows.stop]
+        b_hat = np.stack([coeffs.b_hat.slices[l].values for l in samples])
+        cols = np.stack(  # [n, i, k] = sigma_hat^k_i
+            [np.stack([s.slices[l].values for s in coeffs.sigma_hat], axis=1) for l in samples]
+        )
+        dev = np.sqrt(((cols - eye) ** 2).sum(axis=(1, 2)))
+        grads = jacobian_stack(grid, np.swapaxes(cols, 1, 2))  # [n, k, i, j] = d_j sigma_hat^k_i
+        grad_mag = np.sqrt((grads**2).sum(axis=(1, 2, 3)))
+        for div, s_mag, g_mag in zip(divergence_stack(grid, b_hat), dev, grad_mag):
+            per_slice.append(
+                (div, lp_norm(GridScalar(grid, s_mag), p), lp_norm(GridScalar(grid, g_mag), r))
+            )
+    div_b = _by_slice(b, lambda values: divergence_stack(grid, values))
+
     b_norms = np.empty(steps + 1)
     s_norms = np.empty(steps + 1)
     g_norms = np.empty(steps + 1)
     d_norms = np.empty(steps + 1)
     for l in range(steps + 1):
-        b_sl = b.slices[l]
-        bh_sl = coeffs.b_hat.slices[l]
-        diff = bh_sl.values - b_sl.values
+        div_bh, s_norms[l], g_norms[l] = per_slice[coeffs.slice_of[l]]
+        diff = coeffs.b_hat.slices[l].values - b.slices[l].values
         b_norms[l] = lp_norm(GridScalar(grid, np.sqrt((diff**2).sum(axis=0))), p)
-
-        stack = np.stack([coeffs.sigma_hat[k].slices[l].values for k in range(dim)], axis=1)
-        dev = stack - eye
-        s_norms[l] = lp_norm(GridScalar(grid, np.sqrt((dev**2).sum(axis=(0, 1)))), p)
-
-        grads = np.stack(
-            [jacobian(coeffs.sigma_hat[k].slices[l]) for k in range(dim)]
-        )
-        g_norms[l] = lp_norm(GridScalar(grid, np.sqrt((grads**2).sum(axis=(0, 1, 2)))), r)
-
-        d_norms[l] = lp_norm(GridScalar(grid, np.abs(div_bh[l] - div_b[l])), 1.0)
+        d_norms[l] = lp_norm(GridScalar(grid, np.abs(div_bh - div_b[l])), 1.0)
 
     return RelaxationRecord(
         bhat_err=_time_lq(b_norms, dt, q),

@@ -29,7 +29,9 @@ from renormlab.field import (
     central_half,
     convolve,
     divergence,
+    divergence_stack,
     gradient,
+    hessian_stack,
     inner,
     kernel_moment,
     load_field,
@@ -136,6 +138,30 @@ class TestSpectralDerivative:
             spectral_derivative(f, (2, 0)).values + spectral_derivative(f, (0, 2)).values
         )
         assert np.max(np.abs(lap.values - direct)) < 1e-11
+
+    @pytest.mark.parametrize("dim,N", [(1, 64), (2, 16)])
+    def test_stacks_match_one_derivative_at_a_time(self, dim, N):
+        # a (3, dim) stack of vector fields: each entry bit for bit the
+        # spectral_derivative of one component, divergence summed from 0.0
+        g = build_grid(dim, L, N)
+        values = np.random.default_rng(4).standard_normal((3, dim) + g.shape)
+        div = divergence_stack(g, values)
+        hess = hessian_stack(g, values)
+        assert div.shape == (3,) + g.shape and hess.shape == (3, dim, dim, dim) + g.shape
+        for r in range(3):
+            total = np.zeros(g.shape)
+            for i in range(dim):
+                e_i = tuple(int(a == i) for a in range(dim))
+                total += spectral_derivative(GridScalar(g, values[r, i]), e_i).values
+                for j in range(dim):
+                    for k in range(dim):
+                        beta = [0] * dim
+                        beta[j] += 1
+                        beta[k] += 1
+                        want = spectral_derivative(GridScalar(g, values[r, i]), beta).values
+                        assert np.array_equal(hess[r, i, j, k], want)
+            assert np.array_equal(div[r], total)
+            assert np.array_equal(divergence(GridVector(g, values[r])).values, total)
 
 
 class TestMollifier:

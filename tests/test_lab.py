@@ -457,6 +457,35 @@ WRONG_TYPE_PROBES = [
 ]
 
 
+class TestSeedRange:
+    """rng.stream keeps the low 64 bits of a stream id, so a master_seed whose
+    stream ids (seed + offset + member index) reach 2**64 would rerun a
+    smaller seed's draws; such a seed is refused by name."""
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 - lab._LAST_STREAM, 2**70])
+    def test_run_exits_2(self, tmp_path, capsys, seed):
+        payload = config_payload(output_dir=str(tmp_path / "out"))
+        payload["scalars"] = {**payload["scalars"], "master_seed": seed}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"scalars.master_seed must be an integer in [0, 2**64 - 2255), got {seed}" in err
+        assert err.count("\n  - ") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_reaches_the_last_stream_id(self):
+        top = 2**64 - lab._LAST_STREAM - 1
+        cfg = ExperimentConfig.from_dict(config_payload(scalars={"master_seed": top}))
+        assert cfg.scalars.master_seed + lab._LAST_STREAM == 2**64 - 1
+
+    def test_bound_covers_every_offset_and_member(self):
+        offsets = [v for k, v in vars(lab).items() if k.startswith("_STREAM_")]
+        assert len(offsets) == 7
+        assert lab._LAST_STREAM == max(offsets) + 255 == 2255
+
+
 class TestTypeFirstValidation:
     """A field of the wrong type is refused by name; its value checks are skipped."""
 

@@ -24,10 +24,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab.field import GridScalar, GridVector, TimeGridVector, build_grid
+from renormlab.field import (
+    GridScalar,
+    GridVector,
+    TimeGridVector,
+    build_grid,
+    divergence,
+    jacobian,
+    lp_norm,
+    spectral_derivative,
+)
 from renormlab.parabolic import (
     DecayStudy,
     ParabolicError,
+    ParabolicSolution,
     decay_study,
     heat_apply,
     mild_defect,
@@ -300,6 +310,80 @@ class TestRelaxation:
         )
         with pytest.raises(ParabolicError):
             relaxation_residuals(sol, other)
+
+
+def reference_magnitude(sl: GridVector, alpha: int) -> np.ndarray:
+    """|grad^alpha v| of one slice, one spectral derivative at a time."""
+    grid = sl.grid
+    if alpha == 0:
+        return np.sqrt(np.einsum("i...,i...->...", sl.values, sl.values))
+    if alpha == 1:
+        jac = jacobian(sl)
+        return np.sqrt(np.einsum("ij...,ij...->...", jac, jac))
+    acc = np.zeros(grid.shape)
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            for k in range(grid.dim):
+                beta = [0] * grid.dim
+                beta[j] += 1
+                beta[k] += 1
+                acc += spectral_derivative(GridScalar(grid, sl.values[i]), beta).values ** 2
+    return np.sqrt(acc)
+
+
+def moving_field(grid, count, seed):
+    """count random smooth slices, every third one repeating the slice before."""
+    rng = stream(seed, 0)
+    slices = []
+    for j in range(count):
+        if j % 3 == 2:
+            slices.append(slices[-1])
+            continue
+        coarse = rng.standard_normal((grid.dim,) + (8,) * grid.dim)
+        spectrum = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+        spectrum[(slice(None),) + (slice(0, 8),) * grid.dim] = coarse
+        values = np.fft.ifftn(spectrum, axes=range(1, 1 + grid.dim)).real * grid.N
+        slices.append(GridVector(grid, values))
+    return TimeGridVector(grid, np.linspace(0.0, T, count), slices)
+
+
+BLOCK_CASES = [(build_grid(1, L, 64), 75), (build_grid(2, L, 16), 21)]
+
+
+class TestBlockedNorms:
+    """The blocked norms against one slice at a time, bit for bit, over
+    several blocks (32 slices on 64 nodes, 8 on 16^2)."""
+
+    @pytest.mark.parametrize("grid,count", BLOCK_CASES, ids=["1d", "2d"])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_space_time_norm(self, grid, count, alpha):
+        u = moving_field(grid, count, seed=5)
+        dt = float(u.times[1])
+        for r, q in ((2.0, 4.0), (8.0, 3.0), (math.inf, math.inf)):
+            per_step = [
+                lp_norm(GridScalar(grid, reference_magnitude(s, alpha)), r) for s in u.slices[:-1]
+            ]
+            if math.isinf(q):
+                want = max(per_step)
+            else:
+                want = float(sum(v**q for v in per_step) * dt) ** (1.0 / q)
+            assert space_time_norm(u, alpha, r, q).hex() == want.hex()
+
+    @pytest.mark.parametrize("grid,count", BLOCK_CASES, ids=["1d", "2d"])
+    def test_relaxation_residuals(self, grid, count):
+        b = moving_field(grid, count, seed=6)
+        sol = ParabolicSolution(lam=3.0, u=moving_field(grid, count, seed=7))
+        dt = float(b.times[1])
+        for p in (math.inf, 2.0):
+            drift = div = 0.0
+            for j in range(count - 1):
+                gap = sol.lam * sol.u.slices[j].values - b.slices[j].values
+                mag = np.sqrt(np.einsum("i...,i...->...", gap, gap))
+                drift += lp_norm(GridScalar(grid, mag), p) * dt
+                div += lp_norm(divergence(GridVector(grid, gap)), 1) * dt
+            got = relaxation_residuals(sol, b, p)
+            assert got.drift_residual.hex() == drift.hex()
+            assert got.divergence_residual.hex() == div.hex()
 
 
 class TestLipschitzDecay:

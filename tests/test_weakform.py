@@ -43,6 +43,7 @@ from renormlab.flow import (
     sample_brownian,
     simulate_flow,
 )
+from renormlab import weakform
 from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import (
     ORIGINAL_TERMS,
@@ -266,6 +267,48 @@ class TestOriginalLedger:
             assert abs(ledger.terms[name] - expected_terms[name]) < 1e-12
         assert abs(ledger.lhs_delta - expected_lhs) < 1e-12
         assert abs(ledger.residual) < 2e-3
+
+    def test_cycling_slices_match_per_step_lookup(self):
+        # coefficients sampled 3, 2 and 5 times per step, cycling through
+        # slice objects with periods 2, 3 and 2: the ledger equals a loop that
+        # looks each coefficient's slice up at every step
+        g, phi, path, fpath, _, _ = transport_setup()
+        x = g.axis_coordinates()
+        b_cycle = [GridVector(g, (0.5 + 0.3 * np.sin(x + j))[None, :]) for j in range(2)]
+        s_cycle = [GridVector(g, (0.4 + 0.2 * np.cos(x - j))[None, :]) for j in range(3)]
+
+        def cycling(per_step, cycle, period):
+            times = np.linspace(0.0, path.T, per_step * path.steps + 1)
+            return TimeGridVector(g, times, [cycle[j % period] for j in range(len(times))])
+
+        b = cycling(3, b_cycle, 2)
+        sigs = [cycling(2, s_cycle, 3), cycling(5, s_cycle[1:], 2)]
+        wide = BrownianPath(
+            T=path.T, dt=path.dt, k_count=2,
+            increments=np.stack([path.increments[:, 0], -0.5 * path.increments[:, 0]], axis=1),
+            seed=0,
+        )
+        ledger = residual_original(fpath, b, sigs, phi, wide)
+        grad_phi = gradient(phi.values).values
+        hess_phi = weakform._phi_calculus(phi)[1]
+        vol, dt = g.cell_volume, wide.dt
+        drift = diffusion = ito = 0.0
+        seen = set()
+        for l in range(wide.steps):
+            t = l * dt
+            f = fpath[l].values
+            b_l = b.slice_at(t).values
+            seen.add(id(b.slice_at(t)))
+            drift += float(np.sum(f * np.einsum("i...,i...->...", b_l, grad_phi))) * vol * dt
+            for k, sigma in enumerate(sigs):
+                s_l = sigma.slice_at(t).values
+                pair = np.einsum("i...,j...,ij...->...", s_l, s_l, hess_phi)
+                diffusion += 0.5 * float(np.sum(f * pair)) * vol * dt
+                advect = np.einsum("i...,i...->...", s_l, grad_phi)
+                ito += float(np.sum(f * advect)) * vol * wide.increments[l, k]
+        assert len(seen) == 2
+        got = [ledger.terms[name].hex() for name in ORIGINAL_TERMS]
+        assert got == [drift.hex(), diffusion.hex(), ito.hex()]
 
     def test_constant_f_every_term_vanishes(self):
         g = grid1()

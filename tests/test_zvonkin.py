@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import zvonkin
+from renormlab import flow, zvonkin
 from renormlab.field import (
     GridScalar,
     GridVector,
@@ -349,15 +349,15 @@ def copied(c):
 class TestStraightening:
     @pytest.fixture
     def inversions(self, monkeypatch):
-        """Every displacement slice zvonkin inverts, in call order."""
+        """The values of every displacement row zvonkin inverts, in call order."""
         calls = []
-        invert = zvonkin._invert_slice
+        invert = zvonkin._invert_rows
 
-        def counting(sl, *args):
-            calls.append(sl)
-            return invert(sl, *args)
+        def counting(grid, values, *args):
+            calls.extend(values)
+            return invert(grid, values, *args)
 
-        monkeypatch.setattr(zvonkin, "_invert_slice", counting)
+        monkeypatch.setattr(zvonkin, "_invert_rows", counting)
         return calls
 
     def test_inverts_each_distinct_nonzero_slice_once(self, inversions):
@@ -368,7 +368,7 @@ class TestStraightening:
         u = TimeGridVector(g, np.linspace(0.0, 0.5, 6), [a, a, z, c, c, a])
         straightening = transform_coeffs(u, 4.0)
         assert len(inversions) == 2
-        assert inversions[0] is a and inversions[1] is c
+        assert np.array_equal(inversions[0], a.values) and np.array_equal(inversions[1], c.values)
         assert straightening.inverted[1] is None
         assert straightening.slice_of.tolist() == [0, 0, 1, 2, 2, 0]
 
@@ -381,7 +381,7 @@ class TestStraightening:
         nonzero = [sl for sl in u.distinct()[0] if np.any(sl.values)]
         assert len(nonzero) == path.steps
         assert len(inversions) == len(nonzero)
-        assert all(got is want for got, want in zip(inversions, nonzero))
+        assert all(np.array_equal(got, want.values) for got, want in zip(inversions, nonzero))
         inversions.clear()
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
         transformed_residual(fpath, straightening, b, phi, path)
@@ -629,3 +629,231 @@ class TestRelaxationMetrics:
         assert lines[0] == "lambda,bhat_err,sigma_err,grad_sigma_err,div_err"
         assert len(lines) == 3
         assert [float(tok) for tok in lines[1].split(",")] == [4.0, 0.0, 0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# Batched straightening against the per-slice computation it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_invert(sl, lip, pts, tol):
+    """The Banach sweep y <- x - u(y) on one slice, with its own interpolant."""
+    u_t = vector_interpolant(sl)
+    budget = 8
+    if lip > 0.0:
+        sup_u = float(np.max(np.linalg.norm(sl.values, axis=0)))
+        if sup_u > tol:
+            budget += int(math.ceil(math.log(tol / sup_u) / math.log(lip)))
+    y = pts.copy()
+    v = u_t(y)
+    err = math.inf
+    for _ in range(budget):
+        y = pts - v
+        v = u_t(y)
+        err = float(np.sqrt(np.sum((y + v - pts) ** 2, axis=0).max()))
+        if err <= tol:
+            return y
+    raise ZvonkinError(
+        f"inversion stagnated at residual {err:.3e} after {budget} sweeps "
+        f"(tol {tol:.1e}); the Lipschitz bound must have been optimistic"
+    )
+
+
+def reference_straightening(u, lam, tol=1e-12):
+    """lip, the node det range and, per distinct slice, (lam u(y), I + grad u(y), node),
+    one slice at a time with fresh interpolants."""
+    grid, dim = u.grid, u.grid.dim
+    slices = u.distinct()[0]
+    lip, dets = 0.0, []
+    for sl in slices:
+        jac = jacobian(sl)
+        mats = np.moveaxis(jac.reshape(dim, dim, -1), -1, 0)
+        lip = max(lip, float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max()))
+        if dim == 1:
+            dets.append(1.0 + jac[0, 0])
+        else:
+            dets.append((jac[0, 0] + 1.0) * (jac[1, 1] + 1.0) - jac[0, 1] * jac[1, 0])
+    det_min = min(float(d.min()) for d in dets)
+    det_max = max(float(d.max()) for d in dets)
+    nodes = nodes_of(grid)
+    eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+    per_slice = []
+    for sl in slices:
+        if not np.any(sl.values):
+            per_slice.append((np.zeros_like(nodes), eye + np.zeros((dim, dim) + grid.shape), None))
+            continue
+        y = reference_invert(sl, lip, nodes, tol)
+        cols = eye + jacobian_interpolant(sl)(y)
+        det = np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))
+        per_slice.append((lam * vector_interpolant(sl)(y), cols, (y, det)))
+    return lip, det_min, det_max, per_slice
+
+
+def ragged_displacement(grid, count, zero_every=5):
+    """count samples of a moving sine displacement: amplitudes (so sweep
+    budgets) differ, every zero_every-th sample is 0 and every 7th repeats
+    the slice object before it."""
+    slices = []
+    for j in range(count):
+        if j % zero_every == 2:
+            slices.append(GridVector.constant(grid, [0.0] * grid.dim))
+        elif j % 7 == 6:
+            slices.append(slices[-1])
+        else:
+            amp = 0.05 + 0.35 * j / count
+            if grid.dim == 1:
+                fns = [lambda x, a=amp, j=j: a * np.sin(x + 0.3 * j)]
+            else:
+                fns = [
+                    lambda x, y, a=amp, j=j: a * np.sin(x + 0.3 * j) * np.cos(y),
+                    lambda x, y, a=amp, j=j: 0.5 * a * np.cos(2 * x) * np.sin(y - 0.2 * j),
+                ]
+            slices.append(GridVector.from_functions(grid, fns))
+    return TimeGridVector(grid, np.linspace(0.0, 0.5, count), slices)
+
+
+def ragged_cases():
+    # 1-d: 58 distinct live slices, two blocks of 32; 2-d on 16^2: blocks of 8
+    return [(grid1(), 70), (build_grid(2, L, 16), 20)]
+
+
+class TestBatchedStraightening:
+    @pytest.mark.parametrize("grid,count", ragged_cases(), ids=["1d", "2d"])
+    def test_bitwise_equal_to_per_slice_reference(self, grid, count):
+        u = ragged_displacement(grid, count)
+        lam = 5.0
+        straightening = transform_coeffs(u, lam)
+        lip, det_min, det_max, per_slice = reference_straightening(u, lam)
+        d = straightening.diffeo
+        assert (d.lip, d.det_min, d.det_max) == (lip, det_min, det_max)
+        assert d.det_lo <= d.det_min < 1.0 < d.det_max <= d.det_hi
+        assert len(straightening.inverted) == len(per_slice)
+        first = np.unique(straightening.slice_of, return_index=True)[1]
+        for n, (b_hat, cols, node) in enumerate(per_slice):
+            l = first[n]
+            assert np.array_equal(straightening.b_hat.slices[l].values, b_hat)
+            for k in range(grid.dim):
+                assert np.array_equal(straightening.sigma_hat[k].slices[l].values, cols[:, k])
+            got = straightening.inverted[n]
+            if node is None:
+                assert got is None
+            else:
+                assert np.array_equal(got[0], node[0]) and np.array_equal(got[1], node[1])
+        live = [node for _, _, node in per_slice if node is not None]
+        assert len(live) > flow_block(grid) and None in straightening.inverted
+
+    @pytest.mark.parametrize("grid,count", ragged_cases(), ids=["1d", "2d"])
+    def test_invert_diffeo_is_the_one_row_call(self, grid, count):
+        u = ragged_displacement(grid, count)
+        d = build_diffeo(u)
+        rng = np.random.default_rng(7)
+        for shape in ((grid.dim,), (grid.dim, 5, 3)):
+            x = rng.uniform(-3.0, 9.0, size=shape)
+            for j in (0, 2, count - 1):
+                got = invert_diffeo(d, float(u.times[j]), x)
+                assert got.shape == x.shape
+                assert np.array_equal(got, reference_invert(u.slices[j], d.lip, x, 1e-12))
+
+    @pytest.mark.parametrize("grid,count", ragged_cases(), ids=["1d", "2d"])
+    def test_path_pushforward_matches_one_field_at_a_time(self, grid, count):
+        u = ragged_displacement(grid, count)
+        straightening = transform_coeffs(u, 2.0)
+        rng = np.random.default_rng(11)
+        fields = [
+            GridScalar(grid, 1.0 + 0.3 * rng.standard_normal(grid.shape)) for _ in range(count)
+        ]
+        fields[4] = GridScalar.constant(grid, 0.7)  # a constant field is exact
+        times = np.concatenate([u.times[:-1] + 0.25 * (u.times[1] - u.times[0]), [u.T]])
+        path = zvonkin.pushforward_path_under_diffeo(fields, straightening, times)
+        for f, t, h in zip(fields, times, path):
+            node = straightening.inverted[straightening.slice_of[u.slice_indices(t)]]
+            want = f.values if node is None else scalar_interpolant(f)(node[0]) / node[1]
+            assert np.array_equal(h.values, want)
+            assert h.values is not f.values
+            assert np.array_equal(h.values, pushforward_under_diffeo(f, straightening, t).values)
+        with pytest.raises(ZvonkinError, match="as many times"):
+            zvonkin.pushforward_path_under_diffeo(fields, straightening, times[:-1])
+
+    @pytest.mark.parametrize("grid,count", ragged_cases(), ids=["1d", "2d"])
+    def test_relaxation_metrics_match_per_time_reference(self, grid, count):
+        u = ragged_displacement(grid, count)
+        if grid.dim == 1:
+            fns = lambda t: [lambda x: 0.5 + 0.3 * np.sin(x + 5 * t)]
+        else:
+            fns = lambda t: [
+                lambda x, y: np.sin(x + t) * np.cos(y),
+                lambda x, y: 0.4 * np.cos(x - y),
+            ]
+        b = TimeGridVector.from_function(grid, u.times, fns)
+        straightening = transform_coeffs(u, 3.0)
+        got = relaxation_metrics(straightening, b, 4.0, 8.0, 4.0)
+        want = reference_relaxation_metrics(straightening, b, 4.0, 8.0, 4.0)
+        fields = ("bhat_err", "sigma_err", "grad_sigma_err", "div_err")
+        assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+        assert all(getattr(got, f) > 0.0 for f in fields)
+
+    def test_rows_stop_within_their_own_budgets(self):
+        # sup|u| sets a row's budget and the slope its contraction: rows 1, 2
+        # and 4 run out, in the order 4, 2, 1; the lowest is reported, with
+        # its own budget and residual
+        g = grid1()
+        shapes = [(0.0, 1), (0.6, 1), (0.1, 6), (0.02, 1), (0.05, 12)]
+        values = np.stack([[a * np.sin(k * g.axis_coordinates())] for a, k in shapes])
+        rows = [GridVector(g, v) for v in values]
+        pts = nodes_of(g)
+        lip = 0.3
+        messages = []
+        for sl in rows:
+            try:
+                reference_invert(sl, lip, pts, 1e-12)
+                messages.append(None)
+            except ZvonkinError as err:
+                messages.append(str(err))
+        assert messages[0] is None and messages[3] is None
+        assert [m.split(" after ")[1][:9] for m in messages[1:3] + messages[4:]] == [
+            "31 sweeps", "30 sweeps", "29 sweeps",
+        ]
+        for order, lowest in (([0, 1, 2, 3, 4], 1), ([0, 3, 2, 1], 2)):
+            with pytest.raises(ZvonkinError) as err:
+                zvonkin._invert_rows(g, values[order], lip, pts, 1e-12)
+            assert str(err.value) == messages[lowest]
+        # without the stalled rows, every row's iterates are its own sweep's
+        kept = [0, 3]
+        y, v = zvonkin._invert_rows(g, values[kept], lip, pts, 1e-12)
+        for r, n in enumerate(kept):
+            want = reference_invert(rows[n], lip, pts, 1e-12)
+            assert np.array_equal(y[:, r], want)
+            assert np.array_equal(v[:, r], vector_interpolant(rows[n])(want))
+        assert np.array_equal(y[:, 0], pts)
+
+
+def flow_block(grid):
+    """Slices in one block of the straightening: the flow's block rule."""
+    return max(1, flow._BLOCK_POINTS // grid.N**grid.dim)
+
+
+def reference_relaxation_metrics(coeffs, b, q, p, r):
+    """relaxation_metrics one time sample at a time, with per-slice spectral calls."""
+    grid = b.grid
+    dim = grid.dim
+    dt = float(b.times[1] - b.times[0])
+    steps = len(b.times) - 1
+    eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
+    norms = np.empty((4, steps + 1))
+    for l in range(steps + 1):
+        diff = coeffs.b_hat.slices[l].values - b.slices[l].values
+        norms[0, l] = lp_norm(GridScalar(grid, np.sqrt((diff**2).sum(axis=0))), p)
+        stack = np.stack([coeffs.sigma_hat[k].slices[l].values for k in range(dim)], axis=1)
+        dev = stack - eye
+        norms[1, l] = lp_norm(GridScalar(grid, np.sqrt((dev**2).sum(axis=(0, 1)))), p)
+        grads = np.stack([jacobian(coeffs.sigma_hat[k].slices[l]) for k in range(dim)])
+        norms[2, l] = lp_norm(GridScalar(grid, np.sqrt((grads**2).sum(axis=(0, 1, 2)))), r)
+        div_gap = divergence(coeffs.b_hat.slices[l]).values - divergence(b.slices[l]).values
+        norms[3, l] = lp_norm(GridScalar(grid, np.abs(div_gap)), 1.0)
+
+    def time_lq(values, q):
+        return float((np.abs(values[:-1]) ** q).sum() * dt) ** (1.0 / q)
+
+    return zvonkin.RelaxationRecord(
+        time_lq(norms[0], q), time_lq(norms[1], q), time_lq(norms[2], q), time_lq(norms[3], 1.0)
+    )
