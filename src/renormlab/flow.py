@@ -35,19 +35,20 @@ every point on its own, so neither batching changes a bit of any result.
 A component constant in space (the unit noise e_k) is no spline at all:
 the interpolant returns its exact value.
 
-Inverse maps come from Newton iteration on the interpolated displacement
-field, over a block of steps at once (about _BLOCK_POINTS points): one
+Inverse maps come from _newton_rows, the package's one solver of
+y + D(y) = x (the straightening in zvonkin uses it too).  It runs Newton
+over a block of rows at once (here steps, about _BLOCK_POINTS points): one
 spectral Jacobian for the block, one SplineStack of D and dD, and in each
-round one call that evaluates both at the points of the steps still
-iterating.  A step leaves the block in the round its own residual falls
+round one call that evaluates both at the points of the rows still
+iterating.  A row leaves the block in the round its own residual falls
 below tol, so its iterates, determinant and round count are those of a
-Newton on that step alone; a step still iterating after max_newton rounds
-falls back on its own row (a contraction sweep, then pointwise step
-halving where full steps overshoot).  The first step starts from y = x,
-where the splines of the displacement and of its Jacobian reproduce the
-node arrays, so it is taken on those arrays with no spline call.
-invert_flow and pushforward_solution are one-step calls of this block
-Newton; pushforward_path runs it over a whole path with one spline of f0.
+Newton on that row alone; a row still iterating after _MAX_NEWTON rounds
+restarts from y = x and halves its step point by point where full steps
+overshoot, in the same loop.  The first step starts from y = x, where the
+splines of the displacement and of its Jacobian reproduce the node arrays,
+so it is taken on those arrays with no spline call.  invert_flow and
+pushforward_solution are one-step calls of this block Newton;
+pushforward_path runs it over a whole path with one spline of f0.
 Weak solutions are realized as
 
     f(t, x) = f0(Psi_t(x)) det(dPsi_t(x)),
@@ -58,6 +59,7 @@ geometry, so discrete mass conservation is limited only by quadrature.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -455,16 +457,11 @@ def _step_of(path: BrownianPath, t: float) -> int:
     return step
 
 
-def invert_flow(
-    ensemble: FlowEnsemble,
-    t: float,
-    tol: float = 1e-10,
-    max_newton: int = 30,
-) -> "InverseFlow":
+def invert_flow(ensemble: FlowEnsemble, t: float, tol: float = 1e-10) -> "InverseFlow":
     """Solve Phi_t(y) = x at every node x by Newton on the displacement."""
     grid = ensemble.seeds_grid
     step = _step_of(ensemble.path, t)
-    (_, psi, det, iterations), = _inverse_blocks(ensemble, [step], tol, max_newton)
+    (_, psi, det, iterations), = _inverse_blocks(ensemble, [step], tol)
     return InverseFlow(
         psi=GridVector(grid, psi[:, 0].reshape((grid.dim,) + grid.shape)),
         det=GridScalar(grid, det[0].reshape(grid.shape)),
@@ -472,14 +469,12 @@ def invert_flow(
     )
 
 
-def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10, max_newton: int = 30):
+def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10):
     """Invert the flow at the given steps, yielding one block of steps at a time.
 
     Yields (steps, psi, det, iterations) with psi of shape (dim, steps, N^dim),
-    det of shape (steps, N^dim) and one Newton round count per step.  All
-    steps of a block share one SplineStack of the displacement and its
-    Jacobian; a step leaves the Newton loop in the round its own residual
-    drops below tol, so its iterates are those of a Newton on that step alone.
+    det of shape (steps, N^dim) and one Newton round count per step, from
+    _newton_rows on the block's displacements.
     """
     grid = ensemble.seeds_grid
     path = ensemble.path
@@ -492,9 +487,7 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10, max_newto
         if not np.all(np.isfinite(disp)):
             raise FieldError("vector field contains non-finite values")
         disp_jac = jacobian_stack(grid, disp)
-        count = len(block)
-        # (dim, dim, steps, points): the node Jacobian of I + D, step by step
-        node_mat = _identity_plus(np.moveaxis(disp_jac, 0, 2).reshape(dim, dim, count, -1))
+        node_mat = _node_matrices(disp_jac)
         node_det = _det_stack(node_mat).min(axis=1)
         if float(np.min(node_det)) <= 0.0:
             n = int(np.flatnonzero(node_det <= 0.0)[0])
@@ -502,93 +495,82 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10, max_newto
                 f"forward map is not injective at t={block[n] * path.dt}: min Jacobian "
                 f"determinant {float(node_det[n]):.3e}"
             )
-        spline = SplineStack(
-            grid, np.concatenate([disp, disp_jac.reshape((count, dim * dim) + grid.shape)], axis=1)
-        )
         # first Newton step from y = x: there the splines of D and dD reproduce
         # disp and disp_jac, so the node arrays stand in for them
-        Y = X0 - _solve_stack(node_mat, np.moveaxis(disp, 0, 1).reshape(dim, count, -1))
-        det = np.empty((count, Y.shape[2]))
-        iterations = np.full(count, max_newton)
-        active = np.arange(count)
-        for round_ in range(1, max_newton + 1):
-            values = spline(active, Y[:, active])
-            F = Y[:, active] + values[:dim] - X0
-            mat = _identity_plus(values[dim:].reshape((dim, dim) + F.shape[1:]))
-            done = np.max(np.abs(F), axis=(0, 2)) < tol
-            det[active[done]] = 1.0 / _det_stack(mat[:, :, done])
-            iterations[active[done]] = round_
-            active, F, mat = active[~done], F[:, ~done], mat[:, :, ~done]
-            if not len(active):
-                break
-            Y_next = Y[:, active] - _solve_stack(mat, F)
-            if not np.all(np.isfinite(Y_next)):
-                raise FlowError("Newton iteration lost finiteness")
-            Y[:, active] = Y_next
-        for n in active:
-
-            def D(points, n=n):
-                return spline([n], points[:, None])[:dim, 0]
-
-            def JD(points, n=n):
-                return spline([n], points[:, None])[dim:, 0].reshape((dim, dim, -1))
-
-            jac = disp_jac[n]
-            lipschitz = float(np.max(np.sqrt(np.einsum("ij...,ij...->...", jac, jac))))
-            Y[:, n], extra = _fallback(D, JD, X0[:, 0], Y[:, n], lipschitz, tol, max_newton)
-            iterations[n] += extra
-            det[n] = 1.0 / _det_stack(_identity_plus(JD(Y[:, n])))
+        Y = X0 - _solve_stack(node_mat, np.moveaxis(disp, 0, 1).reshape(dim, len(block), -1))
+        Y, values, iterations = _newton_rows(grid, disp, disp_jac, X0, Y, tol)
+        det = 1.0 / _det_stack(_identity_plus(values[dim:].reshape((dim, dim) + Y.shape[1:])))
         yield block, Y, det, iterations
 
 
-def _fallback(D, JD, X0: np.ndarray, Y: np.ndarray, lipschitz: float, tol: float, max_newton: int):
-    """Finish a point set on which max_newton plain Newton rounds did not converge.
+# Newton rounds in each phase of _newton_rows: full steps from the caller's
+# first iterate, then halved steps from y = x.
+_MAX_NEWTON = 30
 
-    A contraction (lipschitz < 1) first runs the sweep y = x - D(y) from Y;
-    otherwise, or if that stalls, the step-halving Newton restarts from y = x.
-    Returns (Y, extra Newton rounds).
+
+def _node_matrices(disp_jac: np.ndarray) -> np.ndarray:
+    """I + dD on the nodes, (dim, dim, rows, N^dim), from a (rows, dim, dim) + grid stack."""
+    rows, dim = disp_jac.shape[:2]
+    return _identity_plus(np.moveaxis(disp_jac, 0, 2).reshape(dim, dim, rows, -1))
+
+
+def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
+    """Solve y + D(y) = x by Newton for each row of a block of displacements.
+
+    The package's one inverse-map solver: flow inversion and the straightening
+    both call it.  disp is (rows, dim) + grid shape and disp_jac its spectral
+    Jacobians (rows, dim, dim) + grid shape; one SplineStack of [D, dD] serves
+    the block.  X holds the points x, (dim, rows or 1, P), and Y the caller's
+    first iterate, (dim, rows, P).  Each round makes one spline call at the
+    points of the rows still iterating.  A row leaves in the round its own
+    residual max|y + D(y) - x| falls below tol, so its iterates and round
+    count are those of a Newton on that row alone.  A row still iterating
+    after _MAX_NEWTON rounds restarts from y = x and then halves its step,
+    point by point, until the residual at that point drops (at most 30
+    halvings), for another _MAX_NEWTON + 1 rounds; this is for maps whose
+    full steps overshoot, a large displacement with a strong compression.
+    Returns (y, [D, dD] at y as (dim + dim^2, rows, P), rounds per row).
     """
-    if lipschitz < 1.0:
-        # displacement is a contraction: y = x - D(y) converges geometrically
-        for _ in range(500):
-            Y_next = X0 - D(Y)
-            if float(np.max(np.abs(Y_next - Y))) < tol:
-                return Y_next, 0
-            Y = Y_next
-    Y, extra, converged = _damped_newton(D, JD, X0, tol, max_newton)
-    if not converged:
-        residual = float(np.max(np.abs(Y + D(Y) - X0)))
-        raise FlowError(f"flow inversion stagnated (residual {residual:.3e})")
-    return Y, extra
-
-
-def _damped_newton(D, JD, X0: np.ndarray, tol: float, max_newton: int):
-    """Newton on y + D(y) = x from y = x, each point halving its own step.
-
-    A point takes the largest step 2^-m (m <= 30) of its Newton step that
-    lowers its residual |F|.  The fallback for maps whose full Newton steps
-    overshoot: a large displacement with a strong compression.  Returns
-    (Y, iterations, converged).
-    """
-    Y = X0.copy()
-    F = Y + D(Y) - X0
-    for iterations in range(1, max_newton + 1):
+    dim, count = Y.shape[:2]
+    spline = SplineStack(
+        grid, np.concatenate([disp, disp_jac.reshape((count, dim * dim) + grid.shape)], axis=1)
+    )
+    X = np.broadcast_to(X, Y.shape)
+    values = np.empty((dim + dim * dim,) + Y.shape[1:])
+    rounds = np.zeros(count, dtype=np.intp)
+    active = np.arange(count)
+    V = spline(active, Y)
+    for round_ in itertools.count(1):
+        F = Y[:, active] + V[:dim] - X[:, active]
         size = np.max(np.abs(F), axis=0)
-        if float(np.max(size)) < tol:
-            return Y, iterations, True
-        step = _solve_stack(_identity_plus(JD(Y)), F)
-        scale = np.ones_like(size)
-        for _ in range(31):
-            trial = Y - scale * step
-            F_trial = trial + D(trial) - X0
-            worse = (np.max(np.abs(F_trial), axis=0) >= size) & (size >= tol)
-            if not np.any(worse):
-                break
-            scale[worse] *= 0.5
-        Y, F = trial, F_trial
-        if not np.all(np.isfinite(Y)):
-            raise FlowError("Newton iteration lost finiteness")
-    return Y, max_newton, float(np.max(np.abs(F))) < tol
+        done = np.max(size, axis=1) < tol
+        rounds[active[done]] = round_
+        values[:, active[done]] = V[:, done]
+        active, F, V, size = active[~done], F[:, ~done], V[:, ~done], size[~done]
+        if not len(active):
+            return Y, values, rounds
+        if round_ > 2 * _MAX_NEWTON:
+            residual = float(np.max(size))
+            raise FlowError(f"inversion stagnated (residual {residual:.3e}, tol {tol:.1e})")
+        if round_ == _MAX_NEWTON:
+            trial = X[:, active]
+            V = spline(active, trial)
+        else:
+            step = _solve_stack(_identity_plus(V[dim:].reshape((dim, dim) + F.shape[1:])), F)
+            scale = np.ones_like(size)
+            for _ in range(31):
+                trial = Y[:, active] - scale * step
+                if not np.all(np.isfinite(trial)):
+                    raise FlowError("Newton iteration lost finiteness")
+                V = spline(active, trial)
+                if round_ < _MAX_NEWTON:
+                    break
+                F_trial = trial + V[:dim] - X[:, active]
+                worse = (np.max(np.abs(F_trial), axis=0) >= size) & (size >= tol)
+                if not np.any(worse):
+                    break
+                scale[worse] *= 0.5
+        Y[:, active] = trial
 
 
 @dataclass
@@ -596,9 +578,9 @@ class InverseFlow:
     """Inverse map Psi_t on the nodes and its Jacobian determinant.
 
     newton_iterations counts the Newton rounds that evaluate the residual on
-    the splines, in the plain loop and in the step-halving fallback.  The
-    first step, taken from y = x on node data, does not count, nor do the
-    sweeps of the contraction fallback.
+    the splines: the full-step rounds, then, past _MAX_NEWTON of them, the
+    restart from y = x and the step-halving rounds.  The first step, taken
+    from y = x on node data, does not count.
     """
 
     psi: GridVector
@@ -750,9 +732,23 @@ def load_ensemble(path_name) -> FlowEnsemble:
     missing = [k for k in _FLO_KEYS if k not in header]
     if missing:
         raise FlowError(f"{path_name}: header lacks {', '.join(missing)}")
-    grid = build_grid(header["dim"], header["L"], header["N"])
-    steps = int(round(header["T"] / header["dt"]))
+    for key in ("T", "dt"):
+        value = header[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value < math.inf):
+            raise FlowError(
+                f"{path_name}: header {key} must be a finite positive number, got {value!r}"
+            )
     k_count = header["k_count"]
+    if isinstance(k_count, bool) or not isinstance(k_count, int) or k_count < 0:
+        raise FlowError(
+            f"{path_name}: header k_count must be a non-negative int, got {k_count!r}"
+        )
+    grid = build_grid(header["dim"], header["L"], header["N"])
+    steps = header["T"] / header["dt"]
+    if not steps <= raw.size:
+        raise FlowError(f"{path_name}: header T/dt = {steps:.6g} exceeds the payload")
+    steps = int(round(steps))
     cursor = 0
 
     def take(shape):

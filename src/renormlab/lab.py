@@ -42,6 +42,7 @@ from .field import (
     central_half,
     divergence,
     jacobian,
+    jacobian_stack,
     kernel_moment,
     load_field,
     lp_norm,
@@ -66,6 +67,7 @@ from .flow import (
     variational_jacobian,
 )
 from .parabolic import (
+    _by_slice,
     decay_study,
     mild_solve,
     relaxation_residuals,
@@ -959,7 +961,10 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
 
 
 def _grad_sup(sol) -> float:
-    return max(float(np.max(np.abs(jacobian(sl)))) for sl in sol.u.slices)
+    def sups(values):
+        return np.abs(jacobian_stack(sol.u.grid, values)).reshape(len(values), -1).max(axis=1)
+
+    return float(max(_by_slice(sol.u, sups)))
 
 
 def _check_parabolic_closed_form(cfg: ExperimentConfig) -> list[CheckResult]:

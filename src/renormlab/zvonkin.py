@@ -21,18 +21,20 @@ to the usual discretization debts.  As lam grows the transform relaxes:
 b_hat -> b, sigma_hat^k -> e_k, grad sigma_hat^k -> 0 and
 Div b_hat -> Div b in the space-time norms relaxation_metrics reports.
 
-Inversion is the Banach iteration y <- x - u(t, y), contracting at rate
-lip per sweep; off-node values come from periodic cubic splines, so query
-points may sit anywhere in R^n.  It runs on a block of distinct slices at
-once (the flow's block rule: 32 slices on 64 nodes, one on 64^2), with one
-SplineStack of the block's displacements: each slice sweeps until its own
-error is below tol, within its own budget, so its iterates are those of a
-sweep on that slice alone.  invert_diffeo is its one-slice call.
+Inversion is Newton on y + u(t, y) = x with flow._newton_rows, the solver
+that also inverts the stochastic flow; off-node values come from periodic
+cubic splines, so query points may sit anywhere in R^n.  It runs on a
+block of distinct slices at once (the flow's block rule: 32 slices on 64
+nodes, one on 64^2), with one SplineStack of the block's u and grad u:
+each slice iterates until its own residual max|y + u(y) - x| is below tol,
+so its iterates are those of a Newton on that slice alone.  invert_diffeo
+is its one-slice call and starts from y = x.
 
 transform_coeffs builds one Straightening per (u, lam), inverting the nodes
 under each distinct slice of u once; per block it takes the Jacobians from
-one FFT, grad u at the inverted nodes from one more SplineStack, and the
-determinants from one batched call.  pushforward_under_diffeo and
+one FFT, starts Newton from the node-exact step, reads lam u and I + grad u
+at the inverted nodes off the solver's last spline call, and takes the
+determinants in one batched call.  pushforward_under_diffeo and
 transformed_residual only read it, however many paths share it; the path
 form pushforward_path_under_diffeo splines a block of fields at once.
 build_diffeo and relaxation_metrics take their spectral derivatives a block
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
-    Grid,
     GridScalar,
     GridVector,
     TimeGridVector,
@@ -60,7 +61,15 @@ from .field import (
     lp_norm,
     vector_laplacian,
 )
-from .flow import BrownianPath, _blocks, _det_stack, _identity_plus
+from .flow import (
+    BrownianPath,
+    _blocks,
+    _det_stack,
+    _identity_plus,
+    _newton_rows,
+    _node_matrices,
+    _solve_stack,
+)
 from .interp import SplineStack
 from .parabolic import _by_slice
 from .weakform import TestFunction, WeakFormLedger, residual_original
@@ -175,59 +184,13 @@ def build_diffeo(u: TimeGridVector) -> Diffeo:
     )
 
 
-def _invert_rows(
-    grid: Grid, values: np.ndarray, lip: float, pts: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Banach iteration y <- x - u(y) for each row of a (rows, dim) + grid stack.
-
-    pts holds the points x, (dim, P), the same for every row.  Returns y and
-    u(y), each (dim, rows, P); y = x exactly where a row is 0.  A row stops
-    in the sweep its own error max|y + u(y) - x| falls to tol, within its
-    own budget; if rows run out of budget, the lowest one is reported.
-    """
-    # Error contracts by lip per sweep from an initial gap of sup|u|, so
-    # the budget below is generous whenever the recorded constant is
-    # honest; the slack absorbs spline wiggle between nodes.
-    budgets = []
-    for sup_u in np.linalg.norm(values, axis=1).reshape(len(values), -1).max(axis=1).tolist():
-        budget = 8
-        if lip > 0.0 and sup_u > tol:
-            budget += int(math.ceil(math.log(tol / sup_u) / math.log(lip)))
-        budgets.append(budget)
-    budget_of = np.array(budgets)
-    stack = SplineStack(grid, values)
-    x = pts[:, None]
-    y = np.repeat(x, len(values), axis=1)
-    active = np.arange(len(values))
-    v = stack(active, y)
-    err = np.full(len(values), math.inf)
-    stalled = []
-    for sweep in range(1, max(budgets) + 1):
-        y_a = x - v[:, active]
-        v_a = stack(active, y_a)
-        err_a = np.sqrt(np.sum((y_a + v_a - x) ** 2, axis=0).max(axis=1))
-        y[:, active], v[:, active], err[active] = y_a, v_a, err_a
-        going = err_a > tol
-        spent = going & (budget_of[active] <= sweep)
-        stalled.extend(active[spent].tolist())
-        active = active[going & ~spent]
-        if not len(active):
-            break
-    if stalled:
-        n = min(stalled)
-        raise ZvonkinError(
-            f"inversion stagnated at residual {err[n]:.3e} after {budgets[n]} sweeps "
-            f"(tol {tol:.1e}); the Lipschitz bound must have been optimistic"
-        )
-    return y, v
-
-
 def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Solve y + u(t, y) = x; returns y with the shape of x.
 
     x carries physical coordinates on a leading axis of length dim (a bare
-    (dim,) point or any (dim, ...) batch).  The returned y satisfies
-    |y + u(t, y) - x| <= tol in the Euclidean norm at every query point.
+    (dim,) point or any (dim, ...) batch).  Newton starts from y = x, and the
+    returned y satisfies max_i |y_i + u_i(t, y) - x_i| < tol over the
+    components and every query point.
     """
     if tol <= 0.0:
         raise ZvonkinError(f"inversion tolerance must be positive, got {tol}")
@@ -237,7 +200,9 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
         raise ZvonkinError(
             f"query points need a leading axis of length {sl.grid.dim}, got shape {pts.shape}"
         )
-    y, _ = _invert_rows(sl.grid, sl.values[None], diffeo.lip, pts.reshape(len(pts), -1), tol)
+    values = sl.values[None]
+    X = pts.reshape(len(pts), 1, -1)
+    y, _, _ = _newton_rows(sl.grid, values, jacobian_stack(sl.grid, values), X, X.copy(), tol)
     return y[:, 0].reshape(pts.shape)
 
 
@@ -245,16 +210,17 @@ def transform_coeffs(u: TimeGridVector, lam: float, tol: float = 1e-12) -> Strai
     """Straighten u at damping lam: invert the nodes under each distinct
     slice once, and sample lam*u(y) and e_k + grad u(y) e_k there.
 
-    The non-zero distinct slices go a block at a time: one inversion of the
-    block, one FFT for its Jacobians, one SplineStack call for grad u at the
-    inverted nodes and one batched determinant.
+    The non-zero distinct slices go a block at a time: one FFT for their
+    Jacobians, one Newton on the block, from the node-exact first step,
+    whose last spline call gives u and grad u at the inverted nodes, and one
+    batched determinant.
     """
     if lam <= 0.0:
         raise ZvonkinError(f"damping lambda must be positive, got {lam}")
     diffeo = build_diffeo(u)
     grid = u.grid
     dim = grid.dim
-    nodes = np.stack(grid.coordinates()).reshape(dim, -1)
+    nodes = np.stack(grid.coordinates()).reshape(dim, 1, -1)
     eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
 
     slices, slice_of = u.distinct()
@@ -263,14 +229,16 @@ def transform_coeffs(u: TimeGridVector, lam: float, tol: float = 1e-12) -> Strai
     for rows in _blocks(grid, len(live)):
         block = [live[n] for n in rows]
         values = np.stack([slices[n].values for n in block])
-        y, u_at = _invert_rows(grid, values, diffeo.lip, nodes, tol)
-        jac = jacobian_stack(grid, values).reshape((len(block), dim * dim) + grid.shape)
-        jac_at = SplineStack(grid, jac)(np.arange(len(block)), y)
-        cols = eye[:, :, None] + jac_at.reshape((dim, dim, len(block)) + grid.shape)
+        jac = jacobian_stack(grid, values)
+        first = nodes - _solve_stack(
+            _node_matrices(jac), np.moveaxis(values, 0, 1).reshape(dim, len(block), -1)
+        )
+        y, at, _ = _newton_rows(grid, values, jac, nodes, first, tol)
+        cols = eye[:, :, None] + at[dim:].reshape((dim, dim, len(block)) + grid.shape)
         det = np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))
         for r, n in enumerate(block):
             y_r = y[:, r].reshape((dim,) + grid.shape)
-            moved[n] = (u_at[:, r].reshape(y_r.shape), cols[:, :, r], (y_r, det[r]))
+            moved[n] = (at[:dim, r].reshape(y_r.shape), cols[:, :, r], (y_r, det[r]))
 
     b_distinct, cols_distinct, inverted = [], [], []
     for n in range(len(slices)):

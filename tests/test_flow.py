@@ -706,28 +706,66 @@ def constant_case():
     return b, sigmas, sample_brownian(horizon, horizon / steps, len(sigmas), 2026)
 
 
+def solve_pointwise(mat, rhs):
+    """mat @ out = rhs at every point, for (dim, dim, ...) / (dim, ...), dim 1 or 2."""
+    if len(mat) == 1:
+        return rhs / mat[0, 0]
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    return np.stack([
+        (mat[1, 1] * rhs[0] - mat[0, 1] * rhs[1]) / det,
+        (mat[0, 0] * rhs[1] - mat[1, 0] * rhs[0]) / det,
+    ])
+
+
+def det_pointwise(mat):
+    if len(mat) == 1:
+        return mat[0, 0]
+    return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+
+
+def plus_identity(jac):
+    out = jac.copy()
+    for i in range(len(jac)):
+        out[i, i] += 1.0
+    return out
+
+
 def per_step_inverse(ensemble, step, tol=1e-10, max_newton=30):
     """Newton on one step alone, with PeriodicInterpolant (map_coordinates) splines.
 
-    The node-exact first step, plain Newton rounds, then flow's fallbacks.
-    Returns (psi, det, rounds).
+    The node-exact first step, then up to max_newton full-step rounds; a
+    step still iterating then restarts from y = x and, for up to
+    max_newton + 1 more rounds, halves its step at each point (at most 30
+    times) until the residual there drops.  A round is one residual
+    evaluation.  Returns (psi, det, rounds).
     """
     grid = ensemble.seeds_grid
     X0 = np.stack(grid.coordinates())
     disp = GridVector(grid, ensemble.paths[step] - X0)
     disp_jac = jacobian(disp)
     D, JD = vector_interpolant(disp), PeriodicInterpolant(grid, disp_jac)
-    Y = X0 - flow._solve_stack(flow._identity_plus(disp_jac), disp.values)
-    for rounds in range(1, max_newton + 1):
+    Y = X0 - solve_pointwise(plus_identity(disp_jac), disp.values)
+    for rounds in range(1, 2 * max_newton + 2):
         F = Y + D(Y) - X0
-        if np.abs(F).max() < tol:
-            break
-        Y = Y - flow._solve_stack(flow._identity_plus(JD(Y)), F)
-    else:
-        lipschitz = float(np.max(np.sqrt(np.einsum("ij...,ij...->...", disp_jac, disp_jac))))
-        Y, extra = flow._fallback(D, JD, X0, Y, lipschitz, tol, max_newton)
-        rounds = max_newton + extra
-    return Y, 1.0 / flow._det_stack(flow._identity_plus(JD(Y))), rounds
+        size = np.abs(F).max(axis=0)
+        if size.max() < tol:
+            return Y, 1.0 / det_pointwise(plus_identity(JD(Y))), rounds
+        if rounds == max_newton:
+            Y = X0.copy()
+            continue
+        step_ = solve_pointwise(plus_identity(JD(Y)), F)
+        if rounds < max_newton:
+            Y = Y - step_
+            continue
+        scale = np.ones_like(size)
+        for _ in range(31):
+            trial = Y - scale * step_
+            worse = (np.abs(trial + D(trial) - X0).max(axis=0) >= size) & (size >= tol)
+            if not worse.any():
+                break
+            scale[worse] *= 0.5
+        Y = trial
+    raise AssertionError("reference Newton did not converge")
 
 
 def same_bits(a, b):

@@ -598,6 +598,37 @@ class TestCli:
         assert cli.main(["inspect", str(ensemble_path)]) == cli.EXIT_CONFIG_ERROR
         assert "not a flow ensemble file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("k_count", "1", "header k_count must be"),
+            ("T", "0.01", "header T must be"),
+            ("dt", 0, "header dt must be"),
+            ("T", 1e300, "header T/dt = 1e+302 exceeds the payload"),
+        ],
+    )
+    def test_inspect_reports_bad_flow_header_value(self, tmp_path, key, value, message):
+        grid = Grid(dim=1, L=TWO_PI, N=16)
+        ensemble = flow.FlowEnsemble(
+            seeds_grid=grid, path=sample_brownian(0.02, 0.01, 1, 3), paths=np.zeros((3, 1, 16))
+        )
+        ensemble_path = tmp_path / "edited.flo"
+        flow.save_ensemble(ensemble_path, ensemble)
+        head, payload = ensemble_path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header[key] = value
+        ensemble_path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        run = subprocess.run(
+            [sys.executable, "-m", "renormlab.cli", "inspect", str(ensemble_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            check=False,
+        )
+        assert run.returncode == cli.EXIT_CONFIG_ERROR
+        assert "FlowError" in run.stderr and message in run.stderr
+        assert "Traceback" not in run.stderr
+
     @pytest.mark.parametrize("script", ["damping_ladder.py", "commutator_rates.py"])
     def test_script_rejects_odd_grid(self, script):
         run = subprocess.run(

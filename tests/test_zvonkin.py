@@ -35,6 +35,7 @@ from renormlab.field import (
     build_grid,
     divergence,
     jacobian,
+    jacobian_stack,
     lp_norm,
 )
 from renormlab.flow import (
@@ -351,13 +352,13 @@ class TestStraightening:
     def inversions(self, monkeypatch):
         """The values of every displacement row zvonkin inverts, in call order."""
         calls = []
-        invert = zvonkin._invert_rows
+        invert = zvonkin._newton_rows
 
         def counting(grid, values, *args):
             calls.extend(values)
             return invert(grid, values, *args)
 
-        monkeypatch.setattr(zvonkin, "_invert_rows", counting)
+        monkeypatch.setattr(zvonkin, "_newton_rows", counting)
         return calls
 
     def test_inverts_each_distinct_nonzero_slice_once(self, inversions):
@@ -400,7 +401,9 @@ class TestStraightening:
         )
         straightening = transform_coeffs(u, 3.0)
         y, det = straightening.inverted[0]
-        assert np.array_equal(y, invert_diffeo(straightening.diffeo, 0.1, nodes_of(g)))
+        assert np.array_equal(y, reference_invert(u.slices[0], nodes_of(g), node_step(u.slices[0])))
+        # invert_diffeo starts from y = x, not from the node step
+        assert np.abs(y - invert_diffeo(straightening.diffeo, 0.1, nodes_of(g))).max() < 1e-11
         jac_at = jacobian_interpolant(u.slices[0])(y)
         mats = np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(2)
         assert np.array_equal(det, np.linalg.det(mats))
@@ -414,7 +417,7 @@ class TestStraightening:
         f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
         for j in (0, 5, steps - 1):
             t = float(u.times[j])
-            y = invert_diffeo(straightening.diffeo, t, nodes_of(g))
+            y = reference_invert(u.slices[j], nodes_of(g), node_step(u.slices[j]))
             jac_at = jacobian_interpolant(u.slices[j])(y)
             det = np.linalg.det(np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(1))
             h = pushforward_under_diffeo(f, straightening, t)
@@ -636,27 +639,57 @@ class TestRelaxationMetrics:
 # ---------------------------------------------------------------------------
 
 
-def reference_invert(sl, lip, pts, tol):
-    """The Banach sweep y <- x - u(y) on one slice, with its own interpolant."""
-    u_t = vector_interpolant(sl)
-    budget = 8
-    if lip > 0.0:
-        sup_u = float(np.max(np.linalg.norm(sl.values, axis=0)))
-        if sup_u > tol:
-            budget += int(math.ceil(math.log(tol / sup_u) / math.log(lip)))
-    y = pts.copy()
-    v = u_t(y)
-    err = math.inf
-    for _ in range(budget):
-        y = pts - v
-        v = u_t(y)
-        err = float(np.sqrt(np.sum((y + v - pts) ** 2, axis=0).max()))
-        if err <= tol:
+def node_step(sl):
+    """The first Newton iterate from y = x on the nodes, on node arrays."""
+    dim = sl.grid.dim
+    mat = jacobian(sl) + np.eye(dim).reshape((dim, dim) + (1,) * dim)
+    if dim == 1:
+        return nodes_of(sl.grid) - sl.values / mat[0, 0]
+    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    u1, u2 = sl.values
+    step = [(mat[1, 1] * u1 - mat[0, 1] * u2) / det, (mat[0, 0] * u2 - mat[1, 0] * u1) / det]
+    return nodes_of(sl.grid) - np.stack(step)
+
+
+def reference_invert(sl, pts, y, tol=1e-12, max_newton=30):
+    """Newton on y + u(y) = x for one slice alone, with its own interpolants.
+
+    From the first iterate y: up to max_newton full steps, then a restart
+    from y = x with up to max_newton + 1 rounds of steps halved point by
+    point (at most 30 times) until the residual there drops.  Each round is
+    one residual evaluation, and a row stops once max|y + u(y) - x| < tol.
+    """
+    dim = sl.grid.dim
+    u_t, grad_u = vector_interpolant(sl), jacobian_interpolant(sl)
+    eye = np.eye(dim).reshape((dim, dim) + (1,) * (pts.ndim - 1))
+    for rounds in range(1, 2 * max_newton + 2):
+        F = y + u_t(y) - pts
+        size = np.abs(F).max(axis=0)
+        if size.max() < tol:
             return y
-    raise ZvonkinError(
-        f"inversion stagnated at residual {err:.3e} after {budget} sweeps "
-        f"(tol {tol:.1e}); the Lipschitz bound must have been optimistic"
-    )
+        if rounds == max_newton:
+            y = pts.copy()
+            continue
+        mat = eye + grad_u(y)
+        if dim == 1:
+            step = F / mat[0, 0]
+        else:
+            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+            step = np.stack([
+                (mat[1, 1] * F[0] - mat[0, 1] * F[1]) / det,
+                (mat[0, 0] * F[1] - mat[1, 0] * F[0]) / det,
+            ])
+        scale = np.ones_like(size)
+        for _ in range(31):
+            trial = y - scale * step
+            if rounds < max_newton:
+                break
+            worse = (np.abs(trial + u_t(trial) - pts).max(axis=0) >= size) & (size >= tol)
+            if not worse.any():
+                break
+            scale[worse] *= 0.5
+        y = trial
+    raise AssertionError("reference Newton did not converge")
 
 
 def reference_straightening(u, lam, tol=1e-12):
@@ -682,7 +715,7 @@ def reference_straightening(u, lam, tol=1e-12):
         if not np.any(sl.values):
             per_slice.append((np.zeros_like(nodes), eye + np.zeros((dim, dim) + grid.shape), None))
             continue
-        y = reference_invert(sl, lip, nodes, tol)
+        y = reference_invert(sl, nodes, node_step(sl), tol)
         cols = eye + jacobian_interpolant(sl)(y)
         det = np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))
         per_slice.append((lam * vector_interpolant(sl)(y), cols, (y, det)))
@@ -690,8 +723,8 @@ def reference_straightening(u, lam, tol=1e-12):
 
 
 def ragged_displacement(grid, count, zero_every=5):
-    """count samples of a moving sine displacement: amplitudes (so sweep
-    budgets) differ, every zero_every-th sample is 0 and every 7th repeats
+    """count samples of a moving sine displacement: amplitudes (so Newton
+    round counts) differ, every zero_every-th sample is 0 and every 7th repeats
     the slice object before it."""
     slices = []
     for j in range(count):
@@ -752,7 +785,7 @@ class TestBatchedStraightening:
             for j in (0, 2, count - 1):
                 got = invert_diffeo(d, float(u.times[j]), x)
                 assert got.shape == x.shape
-                assert np.array_equal(got, reference_invert(u.slices[j], d.lip, x, 1e-12))
+                assert np.array_equal(got, reference_invert(u.slices[j], x, x.copy()))
 
     @pytest.mark.parametrize("grid,count", ragged_cases(), ids=["1d", "2d"])
     def test_path_pushforward_matches_one_field_at_a_time(self, grid, count):
@@ -792,39 +825,33 @@ class TestBatchedStraightening:
         assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
         assert all(getattr(got, f) > 0.0 for f in fields)
 
-    def test_rows_stop_within_their_own_budgets(self):
-        # sup|u| sets a row's budget and the slope its contraction: rows 1, 2
-        # and 4 run out, in the order 4, 2, 1; the lowest is reported, with
-        # its own budget and residual
+    def test_a_halving_row_leaves_the_other_rows_alone(self):
+        # 0.99 sin(x) has lip 0.99 < 1, so the straightening takes it, but
+        # full Newton steps from the node step do not converge in 30 rounds
+        # there: that row restarts from y = x and halves its steps, in the
+        # same block as rows that converge in a few rounds
         g = grid1()
-        shapes = [(0.0, 1), (0.6, 1), (0.1, 6), (0.02, 1), (0.05, 12)]
-        values = np.stack([[a * np.sin(k * g.axis_coordinates())] for a, k in shapes])
-        rows = [GridVector(g, v) for v in values]
-        pts = nodes_of(g)
-        lip = 0.3
-        messages = []
-        for sl in rows:
-            try:
-                reference_invert(sl, lip, pts, 1e-12)
-                messages.append(None)
-            except ZvonkinError as err:
-                messages.append(str(err))
-        assert messages[0] is None and messages[3] is None
-        assert [m.split(" after ")[1][:9] for m in messages[1:3] + messages[4:]] == [
-            "31 sweeps", "30 sweeps", "29 sweeps",
-        ]
-        for order, lowest in (([0, 1, 2, 3, 4], 1), ([0, 3, 2, 1], 2)):
-            with pytest.raises(ZvonkinError) as err:
-                zvonkin._invert_rows(g, values[order], lip, pts, 1e-12)
-            assert str(err.value) == messages[lowest]
-        # without the stalled rows, every row's iterates are its own sweep's
-        kept = [0, 3]
-        y, v = zvonkin._invert_rows(g, values[kept], lip, pts, 1e-12)
-        for r, n in enumerate(kept):
-            want = reference_invert(rows[n], lip, pts, 1e-12)
-            assert np.array_equal(y[:, r], want)
-            assert np.array_equal(v[:, r], vector_interpolant(rows[n])(want))
-        assert np.array_equal(y[:, 0], pts)
+        x = g.axis_coordinates()
+        shapes = [(0.3, 0.4), (0.99, 0.0), (0.1, 0.8), (0.6, 1.2)]
+        slices = [GridVector(g, (a * np.sin(x + phase))[None]) for a, phase in shapes]
+        u = TimeGridVector(g, np.linspace(0.0, 0.5, len(slices)), slices)
+        values = np.stack([sl.values for sl in slices])
+        jac = jacobian_stack(g, values)
+        nodes = nodes_of(g)[:, None]
+        first = np.stack([node_step(sl) for sl in slices], axis=1)
+        _, _, rounds = flow._newton_rows(g, values, jac, nodes, first.copy(), 1e-12)
+        assert rounds[1] > flow._MAX_NEWTON >= max(rounds[[0, 2, 3]])
+        straightening = transform_coeffs(u, 2.0)
+        for n, sl in enumerate(slices):
+            want = reference_invert(sl, nodes_of(g), node_step(sl))
+            assert np.array_equal(straightening.inverted[n][0], want)
+            alone, at, _ = flow._newton_rows(
+                g, values[[n]], jac[[n]], nodes, first[:, [n]].copy(), 1e-12
+            )
+            assert np.array_equal(alone[:, 0], want)
+            assert np.array_equal(straightening.b_hat.slices[n].values, 2.0 * at[:1, 0])
+        y = straightening.inverted[1][0]
+        assert np.abs(y + vector_interpolant(slices[1])(y) - nodes_of(g)).max() < 1e-12
 
 
 def flow_block(grid):
