@@ -1,9 +1,10 @@
-"""Run the acceptance suite, optionally with the sign-flip debug hook.
+"""Run the acceptance suite, optionally re-gated with one term's sign flipped.
 
-Equivalent to `renormlab accept` but exposes the flip_sign_of hook, which
-negates one named term of each finished renormalized ledger and re-forms its
-residual.  Running this with --flip-sign g_div_b is the quickest way to
-convince yourself the suite is actually wired to the term signs and not
+Equivalent to `renormlab accept`, but `--flip-sign TERM` prints the finished
+report re-gated by `RunReport.flipped`: TERM is negated in every renormalized
+ledger the renorm rows carry, and those rows are gated again without
+recomputing a flow.  Running this with --flip-sign g_div_b is the quickest way
+to convince yourself the suite is actually wired to the term signs and not
 vacuously green.  Not every live term is watched yet: flipping g_gradsigma or
 h_divsigma_sq (the twist of sigma and |Div sigma|^2) leaves the renorm rows
 green, since at the current presets both sit below the discretization
@@ -31,7 +32,9 @@ def main() -> int:
         experiment="acceptance_all",
         scalars=ScalarConfig(master_seed=args.master_seed),
     )
-    report = acceptance_suite(cfg, flip_sign_of=args.flip_sign)
+    report = acceptance_suite(cfg)
+    if args.flip_sign is not None:
+        report = report.flipped(args.flip_sign)
     for line in report.summary_lines():
         print(line)
     passed = sum(c.passed for c in report.checks)

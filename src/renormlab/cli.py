@@ -11,7 +11,6 @@ produces bitwise-identical numbers.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -80,25 +79,24 @@ def _cmd_accept(config_path: str) -> int:
     return _accept(ExperimentConfig.from_json(config_path))
 
 
-def _read_header(path: Path) -> dict:
-    with open(path, "rb") as handle:
-        return json.loads(handle.readline().decode("ascii"))
-
-
 def _cmd_inspect(artifact: str) -> int:
     path = Path(artifact)
     if not path.is_file():
         raise LabError(f"no such artifact: {artifact}")
     suffix = path.suffix.lower()
+    # each artifact is loaded, and so its header checked, before anything is printed
     if suffix == ".fld":
-        header = _read_header(path)
         obj = load_field(path)
         kind = {GridScalar: "scalar", GridVector: "vector"}.get(type(obj), "time-indexed vector")
+        grid = obj.grid
         print(f"{path}: field ({kind})")
-        for key in ("dim", "L", "N", "components"):
-            print(f"  {key} = {header[key]}")
-        if header.get("times"):
-            print(f"  times = {len(header['times'])} slices on [0, {header['times'][-1]:g}]")
+        for key, value in (
+            ("dim", grid.dim), ("L", grid.L), ("N", grid.N),
+            ("components", 1 if kind == "scalar" else grid.dim),
+        ):
+            print(f"  {key} = {value}")
+        if kind == "time-indexed vector":
+            print(f"  times = {len(obj.times)} slices on [0, {obj.times[-1]:g}]")
         values = obj.values if hasattr(obj, "values") else obj.slices[0].values
         print(
             f"  values: min {np.min(values):.6g}  max {np.max(values):.6g}"
@@ -106,12 +104,15 @@ def _cmd_inspect(artifact: str) -> int:
         )
         return EXIT_OK
     if suffix == ".flo":
-        header = _read_header(path)
         ens = load_ensemble(path)
+        grid, bm = ens.seeds_grid, ens.path
         print(f"{path}: flow ensemble")
-        for key in ("dim", "L", "N", "T", "dt", "k_count", "seed"):
-            print(f"  {key} = {header[key]}")
-        print(f"  steps = {ens.path.steps}")
+        for key, value in (
+            ("dim", grid.dim), ("L", grid.L), ("N", grid.N), ("T", bm.T), ("dt", bm.dt),
+            ("k_count", bm.k_count), ("seed", bm.seed),
+        ):
+            print(f"  {key} = {value}")
+        print(f"  steps = {bm.steps}")
         print(f"  jacobian cached = {ens.jac_variational is not None}")
         print(f"  logdet cached = {ens.logdet_exponential is not None}")
         return EXIT_OK

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -520,8 +521,60 @@ def spectral_energy(f: GridScalar) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (.fld)
+# Serialization (.fld; flow's .flo shares the header check)
 # ---------------------------------------------------------------------------
+
+def _is_number(value) -> bool:
+    """A JSON number a float can hold: no bool, no nan, no int beyond the float range."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# each kind of header key: its test and what a failing value is told it must be
+_HEADER_KINDS = {
+    "int": (_is_int, "an integer"),
+    "count": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "positive": (lambda v: _is_number(v) and v > 0, "a finite positive number"),
+    "times": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+}
+# the grid keys of every .fld and .flo header
+_GRID_HEADER = {"dim": "int", "L": "positive", "N": "int"}
+_FLD_HEADER = {**_GRID_HEADER, "times": "times", "components": "int"}
+
+
+def _read_header(fh, path, error: type[ValueError]):
+    """The parsed one-line JSON header of an open .fld or .flo file."""
+    try:
+        return json.loads(fh.readline().decode("ascii"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"{path}: header is not one line of JSON text ({exc})") from None
+
+
+def _check_header(path, header: dict, kinds: dict, error: type[ValueError]) -> Grid:
+    """Check each key's type before any arithmetic, then return the header's grid.
+
+    ``kinds`` maps each required key to a kind of ``_HEADER_KINDS``.  Every
+    failure raises ``error`` naming the file and the key.
+    """
+    missing = [k for k in kinds if k not in header]
+    if missing:
+        raise error(f"{path}: header lacks {', '.join(missing)}")
+    for key, kind in kinds.items():
+        test, want = _HEADER_KINDS[kind]
+        if not test(header[key]):
+            raise error(f"{path}: header {key} must be {want}, got {header[key]!r}")
+    try:
+        return Grid(dim=header["dim"], L=float(header["L"]), N=header["N"])
+    except FieldError as exc:  # dim not 1 or 2, or N odd or below 8; the message names it
+        raise error(f"{path}: header {exc}") from None
+
 
 def _field_payload(obj) -> tuple[dict, np.ndarray]:
     if isinstance(obj, GridScalar):
@@ -552,28 +605,31 @@ def save_field(path, obj) -> None:
 
 def load_field(path):
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
+        header = _read_header(fh, path, FieldError)
         raw = fh.read()
     if not isinstance(header, dict):
         raise FieldError(f"{path}: header is not a JSON object")
-    missing = [k for k in ("dim", "L", "N", "times", "components") if k not in header]
-    if missing:
-        raise FieldError(f"{path}: header lacks {', '.join(missing)}")
-    grid = build_grid(header["dim"], header["L"], header["N"])
+    grid = _check_header(path, header, _FLD_HEADER, FieldError)
     times = header["times"]
     comps = header["components"]
-    per_slice = comps * grid.N**grid.dim
-    expected = len(times or [1]) * per_slice
+    if comps != grid.dim and (comps != 1 or times):
+        raise FieldError(
+            f"{path}: header components must be dim, or 1 for a static scalar, got {comps}"
+        )
+    expected = len(times or [1]) * comps * grid.N**grid.dim
     if len(raw) != 8 * expected:
         raise FieldError(
             f"{path}: payload has {len(raw)} bytes, header implies "
             f"{expected} float64 values ({8 * expected} bytes)"
         )
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if times:
-        data = data.reshape((len(times), comps) + grid.shape)
-        slices = [GridVector(grid, data[j]) for j in range(len(times))]
-        return TimeGridVector(grid, np.asarray(times), slices)
-    if comps == 1:
-        return GridScalar(grid, data.reshape(grid.shape))
-    return GridVector(grid, data.reshape((comps,) + grid.shape))
+    try:
+        if times:
+            data = data.reshape((len(times), comps) + grid.shape)
+            slices = [GridVector(grid, data[j]) for j in range(len(times))]
+            return TimeGridVector(grid, np.asarray(times), slices)
+        if comps == 1:
+            return GridScalar(grid, data.reshape(grid.shape))
+        return GridVector(grid, data.reshape((comps,) + grid.shape))
+    except FieldError as exc:  # non-finite values, or times that do not start at 0 and rise
+        raise FieldError(f"{path}: {exc}") from None

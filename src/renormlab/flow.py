@@ -74,7 +74,9 @@ from .field import (
     GridScalar,
     GridVector,
     TimeGridVector,
-    build_grid,
+    _GRID_HEADER,
+    _check_header,
+    _read_header,
     divergence,
     jacobian,
     jacobian_stack,
@@ -695,7 +697,10 @@ def ensemble_moment(ensembles, functional, power: float = 1.0) -> MomentEstimate
 # Persistence (.flo: one-line JSON header + flat little-endian float64 blocks)
 # ---------------------------------------------------------------------------
 
-_FLO_KEYS = ("dim", "L", "N", "T", "dt", "k_count", "seed", "has_jacobian", "has_logdet")
+_FLO_HEADER = {
+    **_GRID_HEADER, "T": "positive", "dt": "positive", "k_count": "count", "seed": "int",
+    "has_jacobian": "flag", "has_logdet": "flag",
+}
 
 
 def save_ensemble(path_name, ensemble: FlowEnsemble) -> None:
@@ -725,26 +730,15 @@ def save_ensemble(path_name, ensemble: FlowEnsemble) -> None:
 
 def load_ensemble(path_name) -> FlowEnsemble:
     with open(path_name, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        raw = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+        header = _read_header(fh, path_name, FlowError)
+        raw = fh.read()
     if not isinstance(header, dict) or header.get("format") != "flo":
         raise FlowError(f"not a flow ensemble file: {path_name}")
-    missing = [k for k in _FLO_KEYS if k not in header]
-    if missing:
-        raise FlowError(f"{path_name}: header lacks {', '.join(missing)}")
-    for key in ("T", "dt"):
-        value = header[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 < value < math.inf):
-            raise FlowError(
-                f"{path_name}: header {key} must be a finite positive number, got {value!r}"
-            )
+    grid = _check_header(path_name, header, _FLO_HEADER, FlowError)
+    if len(raw) % 8:
+        raise FlowError(f"{path_name}: payload of {len(raw)} bytes is not float64 values")
+    raw = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     k_count = header["k_count"]
-    if isinstance(k_count, bool) or not isinstance(k_count, int) or k_count < 0:
-        raise FlowError(
-            f"{path_name}: header k_count must be a non-negative int, got {k_count!r}"
-        )
-    grid = build_grid(header["dim"], header["L"], header["N"])
     steps = header["T"] / header["dt"]
     if not steps <= raw.size:
         raise FlowError(f"{path_name}: header T/dt = {steps:.6g} exceeds the payload")
@@ -753,7 +747,9 @@ def load_ensemble(path_name) -> FlowEnsemble:
 
     def take(shape):
         nonlocal cursor
-        size = int(np.prod(shape))
+        size = math.prod(shape)
+        if cursor + size > raw.size:
+            raise FlowError(f"{path_name}: payload ends before the blocks the header implies")
         block = raw[cursor : cursor + size].reshape(shape)
         cursor += size
         return block

@@ -3,10 +3,12 @@
 Everything user-facing funnels through here: JSON configs become
 ``ExperimentConfig``, ``run_experiment`` writes CSV/field artifacts under the
 configured output directory, and ``acceptance_suite`` replays the whole
-battery of desk-scale checks into a ``RunReport``.  All randomness is derived
-from ``master_seed`` plus fixed per-check offsets, so a report is a pure
-function of its config; the certified pass margins were frozen at
-``master_seed = 0`` and other seeds are run at the caller's own risk.
+battery of desk-scale checks into a ``RunReport``.  The renorm rows keep their
+ledgers, so ``RunReport.flipped`` re-gates a finished report with one term's
+sign negated, without recomputing a flow.  All randomness is derived from
+``master_seed`` plus fixed per-check offsets, so a report is a pure function
+of its config; the certified pass margins were frozen at ``master_seed = 0``
+and other seeds are run at the caller's own risk.
 
 CSV artifacts carry a leading ``# renormlab v1`` comment so downstream
 consumers can detect schema drift.
@@ -74,7 +76,6 @@ from .parabolic import (
     write_decay_csv,
 )
 from .weakform import (
-    RENORMALIZED_TERMS,
     TestFunction,
     WeakFormLedger,
     bump_test_function,
@@ -489,6 +490,8 @@ class CheckResult:
     relation: str  # "<=", "<", or ">="
     passed: bool
     detail: str = ""
+    # the renorm rows' ledgers, {"divfree": (base, fine), "smooth": (base, fine)}
+    ledgers: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -500,7 +503,7 @@ class CheckResult:
 
 @dataclass
 class RunReport:
-    """Full acceptance record: per-check rows plus the environment stamp."""
+    """Acceptance record: per-check rows (renorm rows with their ledgers) and environment."""
 
     checks: list[CheckResult]
     environment: dict[str, str]
@@ -511,6 +514,20 @@ class RunReport:
 
     def summary_lines(self) -> list[str]:
         return [c.line() for c in self.checks]
+
+    def flipped(self, term: str) -> "RunReport":
+        """This report with ``term`` negated in the ledgers its renorm rows carry.
+
+        ``_renorm_rows`` re-gates those rows in place; no flow is recomputed.
+        At master_seed 0 every term turns some renorm row red but g_gradsigma
+        and h_divsigma_sq, which sit below the discretization residual.
+        """
+        carried = next((c.ledgers for c in self.checks if c.ledgers), None)
+        if carried is None:
+            raise LabError("report carries no renormalized ledgers to flip")
+        flipped = {key: tuple(led.flipped(term) for led in leds) for key, leds in carried.items()}
+        regated = {row.name: row for row in _renorm_rows(flipped)}
+        return replace(self, checks=[regated[c.name] if c.ledgers else c for c in self.checks])
 
 
 def _environment_stamp(cfg: ExperimentConfig) -> dict[str, str]:
@@ -1029,39 +1046,29 @@ def _check_relaxation(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _renorm_ledgers(cfg: ExperimentConfig, flip_sign_of: str | None):
-    """Base and refined renormalized residuals for both criterion presets.
-
-    Each ledger is computed once; the sign-flip anti-test and a requested
-    flip are arithmetic on the finished ledgers.
-    """
+def _renorm_ledgers(cfg: ExperimentConfig) -> dict[str, tuple[WeakFormLedger, ...]]:
+    """Base and refined renormalized ledgers for both criterion presets."""
     renorm = make_renormalizer("tanh")
     seed = cfg.scalars.master_seed
 
-    def ledgers(*pair) -> list[WeakFormLedger]:
-        return [
+    def ledgers(*pair) -> tuple[WeakFormLedger, ...]:
+        return tuple(
             residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path)
             for prob, path, fpath in _pushforward_pair(*pair)
-        ]
+        )
 
-    found = {
+    return {
         "divfree": ledgers("divfree_2d", 64, 64, 0.25, 1e-3, seed + _STREAM_DIVFREE),
         "smooth": ledgers("drift_dominated", 64, 128, 0.5, 1e-3, seed + _STREAM_PUSHFORWARD),
     }
-    anti = found["smooth"][0].flipped("g_div_b")
-    if flip_sign_of is not None:
-        found = {key: [led.flipped(flip_sign_of) for led in leds] for key, leds in found.items()}
-    out = {key: tuple(led.residual for led in leds) for key, leds in found.items()}
-    out["anti"] = (out["smooth"][0], anti.residual)
-    return out
 
 
-def _check_renorm_residual(cfg: ExperimentConfig, flip_sign_of: str | None = None):
-    led = _renorm_ledgers(cfg, flip_sign_of)
-    base_d, fine_d = led["divfree"]
-    base_s, fine_s = led["smooth"]
-    honest, flipped = led["anti"]
-    return [
+def _renorm_rows(ledgers: dict[str, tuple[WeakFormLedger, ...]]) -> list[CheckResult]:
+    """The five renorm rows gated on finished ledgers; every row carries them."""
+    base_d, fine_d = (led.residual for led in ledgers["divfree"])
+    base_s, fine_s = (led.residual for led in ledgers["smooth"])
+    anti = ledgers["smooth"][0].flipped("g_div_b").residual
+    rows = [
         _result("renorm_divfree_residual", abs(base_d), 2e-2, "<=", "unit noise, 2-d"),
         _result(
             "renorm_divfree_refinement", abs(base_d) / abs(fine_d), 2.0, ">=",
@@ -1073,10 +1080,15 @@ def _check_renorm_residual(cfg: ExperimentConfig, flip_sign_of: str | None = Non
             f"{base_s:+.3e} -> {fine_s:+.3e} under (2N, dt/4)",
         ),
         _result(
-            "renorm_sign_flip_anti", abs(flipped) / abs(honest), 10.0, ">=",
+            "renorm_sign_flip_anti", abs(anti) / abs(base_s), 10.0, ">=",
             "g_div_b term negated",
         ),
     ]
+    return [replace(row, ledgers=ledgers) for row in rows]
+
+
+def _check_renorm_residual(cfg: ExperimentConfig) -> list[CheckResult]:
+    return _renorm_rows(_renorm_ledgers(cfg))
 
 
 def _zvonkin_member_residual(
@@ -1224,26 +1236,11 @@ _SUITE = (
 )
 
 
-def acceptance_suite(cfg: ExperimentConfig, flip_sign_of: str | None = None) -> RunReport:
-    """Run every acceptance check at desk scale and collect the report.
-
-    flip_sign_of is a debug hook: it negates the named term of each finished
-    renormalized ledger, which turns that check red for every term but
-    g_gradsigma and h_divsigma_sq (below the discretization residual at the
-    current presets).  A name outside RENORMALIZED_TERMS is refused before
-    any check runs.
-    """
-    if flip_sign_of is not None and flip_sign_of not in RENORMALIZED_TERMS:
-        raise LabError(
-            f"cannot flip unknown term {flip_sign_of!r}; "
-            f"valid terms: {', '.join(RENORMALIZED_TERMS)}"
-        )
+def acceptance_suite(cfg: ExperimentConfig) -> RunReport:
+    """Run every acceptance check at desk scale and collect the report."""
     checks: list[CheckResult] = []
     for fn in _SUITE:
-        if fn is _check_renorm_residual:
-            rows = fn(cfg, flip_sign_of=flip_sign_of)
-        else:
-            rows = fn(cfg)
+        rows = fn(cfg)
         checks.extend(rows)
         for row in rows:
             logger.info("%s", row.line())

@@ -177,20 +177,20 @@ def pde_residual(sol: ParabolicSolution, b: TimeGridVector) -> float:
     if not np.array_equal(sol.u.times, b.times):
         raise ParabolicError("solution and drift live on different time grids")
     dt = _check_uniform_times(b.times)
-    grid = b.grid
     total = 0.0
     for j in range(len(b.times) - 1):
-        u_j = sol.u.slices[j]
-        du_dt = (sol.u.slices[j + 1].values - u_j.values) / dt
-        resid = (
-            du_dt
-            + _advect_vector(b.slices[j], u_j)
-            + 0.5 * vector_laplacian(u_j)
-            - sol.lam * u_j.values
-            + b.slices[j].values
-        )
-        total += float(np.sum(resid**2)) * grid.cell_volume * dt
+        resid = _backward_defect(sol.u.slices[j], sol.u.slices[j + 1], b.slices[j], sol.lam, dt)
+        total += float(np.sum(resid**2)) * b.grid.cell_volume * dt
     return math.sqrt(total)
+
+
+def _backward_defect(
+    u_l: GridVector, u_next: GridVector, b_l: GridVector, lam: float, dt: float
+) -> np.ndarray:
+    """d_t u + (b.grad) u + (1/2)Lap u - lam u + b at one slice, d_t a forward difference."""
+    d_t = (u_next.values - u_l.values) / dt
+    advect = _advect_vector(b_l, u_l)
+    return d_t + advect + 0.5 * vector_laplacian(u_l) - lam * u_l.values + b_l.values
 
 
 # ---------------------------------------------------------------------------

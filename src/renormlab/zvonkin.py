@@ -56,10 +56,8 @@ from .field import (
     GridVector,
     TimeGridVector,
     divergence_stack,
-    jacobian,
     jacobian_stack,
     lp_norm,
-    vector_laplacian,
 )
 from .flow import (
     BrownianPath,
@@ -71,7 +69,7 @@ from .flow import (
     _solve_stack,
 )
 from .interp import SplineStack
-from .parabolic import _by_slice
+from .parabolic import _backward_defect, _by_slice
 from .weakform import TestFunction, WeakFormLedger, residual_original
 
 __all__ = [
@@ -315,9 +313,7 @@ def _warn_if_displacement_mismatches(
     for l in {0, steps // 2} - {steps}:
         u_l = u.slices[l]
         b_l = b.slice_at(float(u.times[l]))
-        d_t = (u.slices[l + 1].values - u_l.values) / dt
-        advect = np.einsum("j...,ij...->i...", b_l.values, jacobian(u_l))
-        defect = d_t + advect + 0.5 * vector_laplacian(u_l) - lam * u_l.values + b_l.values
+        defect = _backward_defect(u_l, u.slices[l + 1], b_l, lam, dt)
         scale = lam * float(np.abs(u_l.values).max()) + float(np.abs(b_l.values).max())
         if scale > 0.0:
             worst = max(worst, float(np.abs(defect).max()) / scale)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renormlab import cli, flow, lab, parallel, presets
-from renormlab.field import Grid, GridVector, load_field, save_field
+from renormlab.field import FieldError, Grid, GridVector, load_field, save_field
 from renormlab.flow import load_ensemble, sample_brownian
 from renormlab.lab import (
     CheckResult,
@@ -35,6 +35,7 @@ from renormlab.lab import (
     ScalarConfig,
     TimeConfig,
 )
+from renormlab.weakform import RENORMALIZED_TERMS, WeakFormError, WeakFormLedger
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -388,6 +389,21 @@ class TestReports:
         assert lines[-1].startswith("beta,3,")
         assert lines[-1].endswith("fail,of interest")
 
+    def test_flip_refuses_an_unknown_term(self):
+        terms = {name: 0.25 for name in RENORMALIZED_TERMS}
+        ledger = WeakFormLedger.from_terms("renormalized", terms, 3.0)
+        ledgers = {"divfree": (ledger, ledger), "smooth": (ledger, ledger)}
+        report = RunReport(checks=lab._renorm_rows(ledgers), environment={})
+        flipped = report.flipped("g_div_b").checks
+        assert flipped[0].value == abs(ledger.flipped("g_div_b").residual) == 1.5
+        with pytest.raises(WeakFormError, match="cannot flip unknown term 'g_div_bb'"):
+            report.flipped("g_div_bb")
+
+    def test_flip_needs_ledgers(self):
+        report = RunReport(checks=[CheckResult("alpha", 0.5, 1.0, "<=", True)], environment={})
+        with pytest.raises(LabError, match="no renormalized ledgers"):
+            report.flipped("g_div_b")
+
     def test_environment_stamp_fields(self):
         cfg = ExperimentConfig(experiment="acceptance_all")
         stamp = lab._environment_stamp(cfg)
@@ -527,6 +543,36 @@ class TestTypeFirstValidation:
             ExperimentConfig(experiment="commutator_study", grid=5)
 
 
+def saved_artifact(tmp_path, suffix):
+    """A small saved .fld or .flo: its path, its header and its payload bytes."""
+    grid = Grid(dim=1, L=TWO_PI, N=16)
+    target = tmp_path / f"edited{suffix}"
+    if suffix == ".fld":
+        save_field(target, presets.default_datum(grid))
+    else:
+        path = sample_brownian(0.02, 0.01, 1, 3)
+        flow.save_ensemble(
+            target, flow.FlowEnsemble(seeds_grid=grid, path=path, paths=np.zeros((3, 1, 16)))
+        )
+    head, payload = target.read_bytes().split(b"\n", 1)
+    return target, json.loads(head), payload
+
+
+# hand-edited .fld header keys that loaded, or failed without naming the key
+FIELD_HEADER_PROBES = [
+    ("N", "8", "header N must be an integer, got '8'"),
+    ("N", 8.5, "header N must be an integer, got 8.5"),
+    ("N", True, "header N must be an integer, got True"),
+    ("L", "6.28", "header L must be a finite positive number, got '6.28'"),
+    ("L", float("inf"), "header L must be a finite positive number, got inf"),
+    ("dim", 1.0, "header dim must be an integer, got 1.0"),
+    ("components", 1.0, "header components must be an integer, got 1.0"),
+    ("components", 2, "header components must be dim, or 1 for a static scalar"),
+    ("times", "abc", "header times must be a list of numbers, got 'abc'"),
+    ("times", [0.0], "need at least two time samples"),
+]
+
+
 class TestCli:
     def test_no_command_is_config_error(self, capsys):
         assert cli.main([]) == cli.EXIT_CONFIG_ERROR
@@ -605,29 +651,50 @@ class TestCli:
             ("T", "0.01", "header T must be"),
             ("dt", 0, "header dt must be"),
             ("T", 1e300, "header T/dt = 1e+302 exceeds the payload"),
+            ("seed", 5.5, "header seed must be an integer, got 5.5"),
+            ("seed", "7", "header seed must be an integer, got '7'"),
+            ("N", 8.0, "header N must be an integer, got 8.0"),
+            ("dim", True, "header dim must be an integer, got True"),
+            ("dim", 3, "header dim must be 1 or 2, got 3"),
+            ("has_jacobian", "no", "header has_jacobian must be true or false, got 'no'"),
+            ("dt", -1e-3, "header dt must be a finite positive number, got -0.001"),
+            ("k_count", -1, "header k_count must be a non-negative integer, got -1"),
         ],
     )
-    def test_inspect_reports_bad_flow_header_value(self, tmp_path, key, value, message):
-        grid = Grid(dim=1, L=TWO_PI, N=16)
-        ensemble = flow.FlowEnsemble(
-            seeds_grid=grid, path=sample_brownian(0.02, 0.01, 1, 3), paths=np.zeros((3, 1, 16))
-        )
-        ensemble_path = tmp_path / "edited.flo"
-        flow.save_ensemble(ensemble_path, ensemble)
-        head, payload = ensemble_path.read_bytes().split(b"\n", 1)
-        header = json.loads(head)
+    def test_inspect_reports_bad_flow_header_value(self, tmp_path, capsys, key, value, message):
+        ensemble_path, header, payload = saved_artifact(tmp_path, ".flo")
         header[key] = value
         ensemble_path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
-        run = subprocess.run(
-            [sys.executable, "-m", "renormlab.cli", "inspect", str(ensemble_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            check=False,
-        )
-        assert run.returncode == cli.EXIT_CONFIG_ERROR
-        assert "FlowError" in run.stderr and message in run.stderr
-        assert "Traceback" not in run.stderr
+        assert cli.main(["inspect", str(ensemble_path)]) == cli.EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and f"FlowError: {ensemble_path}: {message}" in err
+
+    @pytest.mark.parametrize("key,value,message", FIELD_HEADER_PROBES)
+    def test_inspect_reports_bad_field_header_value(self, tmp_path, capsys, key, value, message):
+        field_path, header, payload = saved_artifact(tmp_path, ".fld")
+        header[key] = value
+        field_path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        assert cli.main(["inspect", str(field_path)]) == cli.EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and f"FieldError: {field_path}: {message}" in err
+
+    @pytest.mark.parametrize("suffix", [".fld", ".flo"])
+    @pytest.mark.parametrize("head", [b'{"dim": 1, "N"', b"\xff\xfe\x00\x01"])
+    def test_inspect_refuses_a_header_that_is_not_json(self, tmp_path, capsys, suffix, head):
+        target = tmp_path / f"garbled{suffix}"
+        target.write_bytes(head + b"\n" + bytes(128))
+        assert cli.main(["inspect", str(target)]) == cli.EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{target}: header is not one line of JSON text" in err
+
+    @pytest.mark.parametrize("cut", [8, 3])
+    def test_inspect_refuses_a_cut_flow_payload(self, tmp_path, capsys, cut):
+        target, _, _ = saved_artifact(tmp_path, ".flo")
+        target.write_bytes(target.read_bytes()[:-cut])
+        assert cli.main(["inspect", str(target)]) == cli.EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and f"FlowError: {target}: payload" in err
 
     @pytest.mark.parametrize("script", ["damping_ladder.py", "commutator_rates.py"])
     def test_script_rejects_odd_grid(self, script):
@@ -654,16 +721,6 @@ class TestCli:
         assert run.returncode == 2
         assert "--flip-sign" in run.stderr and "'g_div_bb'" in run.stderr
         assert "Traceback" not in run.stderr
-
-    def test_suite_rejects_unknown_flip_term_before_any_check(self, monkeypatch):
-        ran = []
-        monkeypatch.setattr(lab, "_SUITE", (lambda cfg: ran.append(cfg) or [],))
-        cfg = ExperimentConfig(experiment="acceptance_all")
-        with pytest.raises(LabError, match="cannot flip unknown term 'g_div_bb'"):
-            lab.acceptance_suite(cfg, flip_sign_of="g_div_bb")
-        assert ran == []
-        lab.acceptance_suite(cfg, flip_sign_of="g_div_b")
-        assert len(ran) == 1
 
     def test_accept_exit_codes(self, tmp_path, capsys, monkeypatch):
         # The real suite runs for a minute; the exit-code mapping is what the
@@ -744,4 +801,19 @@ def test_mutated_config_returns_or_raises_lab_error(config_file, data):
     try:
         ExperimentConfig.from_dict(payload)
     except LabError:
+        pass
+
+
+@pytest.mark.parametrize("suffix", [".fld", ".flo"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_header_loads_or_raises_its_module_error(tmp_path_factory, suffix, data):
+    target, header, payload = saved_artifact(tmp_path_factory.mktemp("header"), suffix)
+    for key in data.draw(st.lists(st.sampled_from(sorted(header)), min_size=1, max_size=3)):
+        header[key] = data.draw(MUTATION)
+    cut = data.draw(st.sampled_from([0, 0, 1, 8]))
+    target.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload[cut:])
+    try:
+        (load_field if suffix == ".fld" else load_ensemble)(target)
+    except (FieldError, flow.FlowError):
         pass

@@ -533,6 +533,18 @@ class TestTransformedResidual:
             transformed_residual(fpath, transform_coeffs(zero, 4.0), b, phi, path)
         assert any("parabolic balance" in message for message in caplog.messages)
 
+    def test_displacement_of_another_drift_warns_and_its_own_does_not(self, caplog):
+        g = grid1()
+        T, steps, lam = 0.25, 100, 16.0
+        b = sampled_drift(g, wiggly_drift, T, steps)
+        other = sampled_drift(g, lambda x: -2.0 * np.cos(2.0 * x), T, steps)
+        with caplog.at_level(logging.WARNING, logger="renormlab.zvonkin"):
+            zvonkin._warn_if_displacement_mismatches(mild_solve(b, lam, steps).u, b, lam)
+            assert not caplog.records
+            zvonkin._warn_if_displacement_mismatches(mild_solve(other, lam, steps).u, b, lam)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "parabolic balance" in caplog.messages[0]
+
     def test_time_grid_and_noise_validation(self):
         g = grid1()
         T, dt = 0.125, 0.125 / 20
