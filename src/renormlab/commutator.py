@@ -20,7 +20,6 @@ this sign set.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "op_S",
     "commutator_limits",
     "convergence_study",
-    "write_study_csv",
 ]
 
 # Sign of the first-order commutator limit, fixed once by the smooth-case
@@ -224,15 +222,6 @@ def convergence_study(
         degenerate=degenerate,
         r_exponent=float(r),
     )
-
-
-def write_study_csv(study: CommutatorStudy, path) -> None:
-    """One header line, then one row per epsilon."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "error_Lr", "bound_ratio"])
-        for eps, err, ratio in zip(study.epsilons, study.errors, study.bound_ratios):
-            writer.writerow([f"{eps:.12g}", f"{err:.12g}", f"{ratio:.12g}"])
 
 
 # ---------------------------------------------------------------------------

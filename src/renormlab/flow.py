@@ -459,11 +459,11 @@ def _step_of(path: BrownianPath, t: float) -> int:
     return step
 
 
-def invert_flow(ensemble: FlowEnsemble, t: float, tol: float = 1e-10) -> "InverseFlow":
+def invert_flow(ensemble: FlowEnsemble, t: float) -> "InverseFlow":
     """Solve Phi_t(y) = x at every node x by Newton on the displacement."""
     grid = ensemble.seeds_grid
     step = _step_of(ensemble.path, t)
-    (_, psi, det, iterations), = _inverse_blocks(ensemble, [step], tol)
+    (_, psi, det, iterations), = _inverse_blocks(ensemble, [step])
     return InverseFlow(
         psi=GridVector(grid, psi[:, 0].reshape((grid.dim,) + grid.shape)),
         det=GridScalar(grid, det[0].reshape(grid.shape)),
@@ -471,7 +471,7 @@ def invert_flow(ensemble: FlowEnsemble, t: float, tol: float = 1e-10) -> "Invers
     )
 
 
-def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10):
+def _inverse_blocks(ensemble: FlowEnsemble, steps):
     """Invert the flow at the given steps, yielding one block of steps at a time.
 
     Yields (steps, psi, det, iterations) with psi of shape (dim, steps, N^dim),
@@ -500,14 +500,16 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps, tol: float = 1e-10):
         # first Newton step from y = x: there the splines of D and dD reproduce
         # disp and disp_jac, so the node arrays stand in for them
         Y = X0 - _solve_stack(node_mat, np.moveaxis(disp, 0, 1).reshape(dim, len(block), -1))
-        Y, values, iterations = _newton_rows(grid, disp, disp_jac, X0, Y, tol)
+        Y, values, iterations = _newton_rows(grid, disp, disp_jac, X0, Y, _INVERSE_TOL)
         det = 1.0 / _det_stack(_identity_plus(values[dim:].reshape((dim, dim) + Y.shape[1:])))
         yield block, Y, det, iterations
 
 
 # Newton rounds in each phase of _newton_rows: full steps from the caller's
-# first iterate, then halved steps from y = x.
+# first iterate, then halved steps from y = x.  A flow inversion stops a row
+# once its max|y + D(y) - x| is below _INVERSE_TOL.
 _MAX_NEWTON = 30
+_INVERSE_TOL = 1e-10
 
 
 def _node_matrices(disp_jac: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ sign negated, without recomputing a flow.  All randomness is derived from
 of its config; the certified pass margins were frozen at ``master_seed = 0``
 and other seeds are run at the caller's own risk.
 
-CSV artifacts carry a leading ``# renormlab v1`` comment so downstream
-consumers can detect schema drift.
+Every CSV artifact is written by ``_write_csv`` alone: a leading
+``# renormlab v1`` line (so downstream consumers can detect schema drift),
+optional ``# key=value`` comments, the header and the rows, with LF line
+endings and floats as ``.12g``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .parabolic import (
     decay_study,
     mild_solve,
     relaxation_residuals,
-    write_decay_csv,
 )
 from .weakform import (
     TestFunction,
@@ -83,14 +84,12 @@ from .weakform import (
     residual_original,
     residual_renormalized,
     weighted_l1_stability,
-    write_ledger_csv,
 )
 from .zvonkin import (
     Straightening,
     relaxation_metrics,
     transform_coeffs,
     transformed_residual,
-    write_relaxation_csv,
 )
 
 logger = logging.getLogger(__name__)
@@ -261,6 +260,9 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         out.append(f"grid.dim must be 1 or 2, got {g.dim}")
     if typed("grid.L") and not (g.L > 0 and math.isfinite(g.L)):
         out.append(f"grid.L must be a positive float, got {g.L}")
+    elif typed("grid.L") and g.L != 2.0 * math.pi:
+        # the presets and the default datum are 2*pi-periodic profiles
+        out.append(f"grid.L must be 2*pi (6.283185307179586), got {g.L}")
     if typed("grid.N"):
         if not 8 <= g.N <= 512:
             out.append(f"grid.N must be an integer in [8, 512], got {g.N}")
@@ -415,13 +417,11 @@ class Problem:
     phi: TestFunction
 
 
-def _problem(
-    source: str | presets.Preset, N: int, T: float, dt: float, L: float = 2.0 * math.pi
-) -> Problem:
-    """Build a preset (a ``presets.PRESETS`` tag or a Preset) on an N-point grid."""
+def _problem(source: str | presets.Preset, N: int, T: float, dt: float) -> Problem:
+    """Build a preset (a ``presets.PRESETS`` tag or a Preset) on an N-point 2*pi box."""
     if isinstance(source, str):
         source = presets.PRESETS[source]
-    grid = Grid(dim=source.dim, L=L, N=N)
+    grid = Grid(dim=source.dim, L=2.0 * math.pi, N=N)
     steps = round(T / dt)
     b, *sigmas = [
         presets.sample_constant_in_time(v, T, steps)
@@ -432,9 +432,7 @@ def _problem(
 
 
 def _config_problem(cfg: ExperimentConfig) -> Problem:
-    return _problem(
-        _config_source(cfg), cfg.grid.N, cfg.time.T, cfg.time.dt, cfg.grid.L
-    )
+    return _problem(_config_source(cfg), cfg.grid.N, cfg.time.T, cfg.time.dt)
 
 
 def _member_flows(prob: Problem, T: float, seed0: int, members: int) -> list[FlowEnsemble]:
@@ -458,7 +456,7 @@ def _flow_chunks(prob: Problem, paths: list[BrownianPath]):
 
 def _pushforward_pair(
     source: str | presets.Preset, N: int, fine_N: int, T: float, dt: float, seed: int,
-    factor: int = 4, L: float = 2.0 * math.pi,
+    factor: int = 4,
 ) -> list[tuple[Problem, BrownianPath, list[GridScalar]]]:
     """f0 pushed forward at every step, base and refined, on one Brownian path.
 
@@ -466,9 +464,9 @@ def _pushforward_pair(
     refined run is (fine_N, dt / factor) on its bridge refinement.  Each entry
     is (problem, path, pushforward at steps 0..steps).
     """
-    base = _problem(source, N, T, dt, L)
+    base = _problem(source, N, T, dt)
     path = sample_brownian(T, dt, len(base.sigmas), seed)
-    fine = _problem(source, fine_N, T, dt / factor, L)
+    fine = _problem(source, fine_N, T, dt / factor)
     runs = []
     for prob, p in ((base, path), (fine, refine_brownian(path, factor))):
         ens = simulate_flow(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), p)
@@ -542,25 +540,32 @@ def _environment_stamp(cfg: ExperimentConfig) -> dict[str, str]:
     }
 
 
-def write_report_csv(report: RunReport, path_name) -> None:
-    with open(path_name, "w", newline="") as handle:
+def _write_csv(path, columns, rows, comments=()) -> Path:
+    """Write one CSV artifact: the version line, ``# key=value`` comments, header, rows.
+
+    Lines end in LF, floats are written as ``.12g`` and other cells as given.
+    """
+    with open(path, "w", newline="") as handle:
         handle.write(CSV_VERSION_LINE + "\n")
-        for key, value in report.environment.items():
+        for key, value in comments:
             handle.write(f"# {key}={value}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["name", "value", "relation", "threshold", "passed", "detail"])
-        for c in report.checks:
-            writer.writerow(
-                [c.name, f"{c.value:.12g}", c.relation, f"{c.threshold:.12g}",
-                 "pass" if c.passed else "fail", c.detail]
-            )
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    return Path(path)
 
 
-def _stamp_version(path_name) -> None:
-    """Prepend the schema comment to a CSV a module writer just produced."""
-    path = Path(path_name)
-    body = path.read_text()
-    path.write_text(CSV_VERSION_LINE + "\n" + body)
+def write_report_csv(report: RunReport, path_name) -> None:
+    _write_csv(
+        path_name,
+        ["name", "value", "relation", "threshold", "passed", "detail"],
+        [
+            [c.name, c.value, c.relation, c.threshold, "pass" if c.passed else "fail", c.detail]
+            for c in report.checks
+        ],
+        report.environment.items(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +604,10 @@ def _run_commutator_study(cfg: ExperimentConfig, out: Path) -> list[Path]:
     files = []
     for tag in (commutator.TAG_T, commutator.TAG_S):
         study = commutator.convergence_study(tag, sigma, prob.f0, eps, cfg.scalars.r, region)
-        path = out / f"commutator_{tag}.csv"
-        commutator.write_study_csv(study, path)
-        _stamp_version(path)
-        files.append(path)
+        files.append(_write_csv(
+            out / f"commutator_{tag}.csv", ["epsilon", "error_Lr", "bound_ratio"],
+            zip(study.epsilons, study.errors, study.bound_ratios),
+        ))
     return files
 
 
@@ -612,10 +617,11 @@ def _run_parabolic_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
     files = []
     for alpha in (0, 1):
         study = decay_study(b, list(s.lambdas), alpha, s.r, s.p, s.q)
-        path = out / f"decay_alpha{alpha}.csv"
-        write_decay_csv(study, path)
-        _stamp_version(path)
-        files.append(path)
+        files.append(_write_csv(
+            out / f"decay_alpha{alpha}.csv", ["lambda", "norm", "theory_delta", "fitted_slope"],
+            [(lam, norm, study.theory_delta, study.fitted_slope)
+             for lam, norm in zip(study.lambdas, study.norms)],
+        ))
     return files
 
 
@@ -644,14 +650,10 @@ def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
     # only the last member is saved: its positions, without the rest of its chunk
     last_ens = replace(chunk[-1], paths=chunk[-1].paths.copy())
     del chunk
-    csv_path = out / "flow_conservation.csv"
-    with open(csv_path, "w", newline="") as handle:
-        handle.write(CSV_VERSION_LINE + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(["member", "step", "time", "mass_gap", "lp_ratio"])
-        for m, rows in enumerate(results):
-            for l, t, gap, ratio in rows:
-                writer.writerow([m, l, f"{t:.12g}", f"{gap:.12g}", f"{ratio:.12g}"])
+    csv_path = _write_csv(
+        out / "flow_conservation.csv", ["member", "step", "time", "mass_gap", "lp_ratio"],
+        [(m, *row) for m, rows in enumerate(results) for row in rows],
+    )
     field_path = out / "flow_final.fld"
     save_field(field_path, pushforward_solution(f0, last_ens, T))
     ens_path = out / "flow_paths.flo"
@@ -668,28 +670,25 @@ def _run_renorm_residual(cfg: ExperimentConfig, out: Path) -> list[Path]:
     fine_N = 2 * N if cfg.grid.dim == 1 and cfg.coefficients.drift_file is None else N
     runs = _pushforward_pair(
         _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt,
-        cfg.scalars.master_seed + _STREAM_PUSHFORWARD, L=cfg.grid.L,
+        cfg.scalars.master_seed + _STREAM_PUSHFORWARD,
     )
     ledgers = [
         residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path)
         for prob, path, fpath in runs
     ]
-
-    ledger_path = out / "renorm_ledger.csv"
-    write_ledger_csv(ledgers[0], ledger_path)
-    _stamp_version(ledger_path)
-    refine_path = out / "renorm_refinement.csv"
-    with open(refine_path, "w", newline="") as handle:
-        handle.write(CSV_VERSION_LINE + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(["dt", "h", "epsilon", "residual"])
-        for (prob, _, _), led in zip(runs, ledgers):
-            eps = "" if renorm.epsilon is None else f"{renorm.epsilon:.12g}"
-            writer.writerow([
-                f"{prob.dt:.12g}", f"{prob.grid.L / prob.grid.N:.12g}", eps,
-                f"{led.residual:.12g}",
-            ])
-    return [ledger_path, refine_path]
+    base = ledgers[0]
+    return [
+        _write_csv(
+            out / "renorm_ledger.csv", ["term_name", "value"],
+            [("lhs_delta", base.lhs_delta), *base.terms.items(), ("residual", base.residual)],
+        ),
+        # a renormalizer without a cutoff scale leaves the epsilon cell empty
+        _write_csv(
+            out / "renorm_refinement.csv", ["dt", "h", "epsilon", "residual"],
+            [(prob.dt, prob.grid.L / prob.grid.N, renorm.epsilon, led.residual)
+             for (prob, _, _), led in zip(runs, ledgers)],
+        ),
+    ]
 
 
 def _run_zvonkin_relaxation(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -700,11 +699,12 @@ def _run_zvonkin_relaxation(cfg: ExperimentConfig, out: Path) -> list[Path]:
     for lam in s.lambdas:
         sol = mild_solve(b, lam, steps)
         coeffs = transform_coeffs(sol.u, lam)
-        rows.append((lam, relaxation_metrics(coeffs, b, q=s.q, p=s.p, r=s.r)))
-    path = out / "zvonkin_relaxation.csv"
-    write_relaxation_csv(rows, path)
-    _stamp_version(path)
-    return [path]
+        rec = relaxation_metrics(coeffs, b, q=s.q, p=s.p, r=s.r)
+        rows.append((float(lam), rec.bhat_err, rec.sigma_err, rec.grad_sigma_err, rec.div_err))
+    return [_write_csv(
+        out / "zvonkin_relaxation.csv",
+        ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"], rows,
+    )]
 
 
 def _run_acceptance_all(cfg: ExperimentConfig, out: Path) -> list[Path]:

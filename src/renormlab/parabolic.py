@@ -24,7 +24,6 @@ of the discrete mild map, with no iteration.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -58,7 +57,6 @@ __all__ = [
     "decay_study",
     "relaxation_residuals",
     "space_time_norm",
-    "write_decay_csv",
 ]
 
 class ParabolicError(ValueError):
@@ -271,14 +269,14 @@ def decay_study(
     r: float,
     p: float,
     q: float,
-    quad_steps: int | None = None,
 ) -> DecayStudy:
     """Fit the decay rate of ||grad^alpha u_lambda||_{L^q_t(L^r)} in lambda.
 
     theory_delta = 1 - alpha/2 + (n/2)(1/r - 1/p); the integrability pair
     (p, q) must satisfy the subcritical condition 2/q + n/p < 1, and r <= p
     (strictly for alpha = 2).  slope_ok records the one-sided comparison
-    fitted_slope <= -theory_delta + 0.15.
+    fitted_slope <= -theory_delta + 0.15.  The quadrature steps are the
+    drift's own, the only ones mild_solve accepts.
     """
     lams = [float(l) for l in lambda_list]
     if len(lams) < 3:
@@ -290,10 +288,9 @@ def decay_study(
         raise ParabolicError(f"(p, q) = ({p}, {q}) violates 2/q + n/p < 1 in dim {n}")
     if (alpha in (0, 1) and r > p) or (alpha == 2 and r >= p):
         raise ParabolicError(f"spatial exponent r = {r} incompatible with p = {p} at alpha = {alpha}")
-    steps = quad_steps if quad_steps is not None else len(b.times) - 1
 
     def solve_one(lam: float) -> float:
-        sol = mild_solve(b, lam, steps)
+        sol = mild_solve(b, lam, len(b.times) - 1)
         return space_time_norm(sol.u, alpha, r, q)
 
     norms = parallel.ordered_map(solve_one, lams)
@@ -340,13 +337,3 @@ def relaxation_residuals(
             drift_total += lp_norm(GridScalar(grid, mag), p) * dt
             div_total += lp_norm(GridScalar(grid, div_gap), 1) * dt
     return ParabolicRelaxation(drift_residual=drift_total, divergence_residual=div_total)
-
-
-def write_decay_csv(study: DecayStudy, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "norm", "theory_delta", "fitted_slope"])
-        for lam, norm in zip(study.lambdas, study.norms):
-            writer.writerow(
-                [f"{lam:.12g}", f"{norm:.12g}", f"{study.theory_delta:.12g}", f"{study.fitted_slope:.12g}"]
-            )

@@ -17,7 +17,6 @@ right-hand terms); for a true solution it vanishes as (dt, h) refine.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ __all__ = [
     "residual_original",
     "residual_renormalized",
     "weighted_l1_stability",
-    "write_ledger_csv",
     "ORIGINAL_TERMS",
     "RENORMALIZED_TERMS",
 ]
@@ -393,16 +391,6 @@ def residual_renormalized(
         * vol
     )
     return WeakFormLedger.from_terms("renormalized", sums, lhs_delta)
-
-
-def write_ledger_csv(ledger: WeakFormLedger, path_name) -> None:
-    with open(path_name, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term_name", "value"])
-        writer.writerow(["lhs_delta", f"{ledger.lhs_delta:.12g}"])
-        for name, value in ledger.terms.items():
-            writer.writerow([name, f"{value:.12g}"])
-        writer.writerow(["residual", f"{ledger.residual:.12g}"])
 
 
 # ---------------------------------------------------------------------------

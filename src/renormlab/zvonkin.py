@@ -44,7 +44,6 @@ formed as it would be one slice at a time, so no number changes.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -85,10 +84,12 @@ __all__ = [
     "pushforward_path_under_diffeo",
     "transformed_residual",
     "relaxation_metrics",
-    "write_relaxation_csv",
 ]
 
 logger = logging.getLogger(__name__)
+
+# transform_coeffs stops a slice once its max|y + u(y) - x| is below this.
+_STRAIGHTEN_TOL = 1e-12
 
 
 class ZvonkinError(ValueError):
@@ -204,7 +205,7 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
     return y[:, 0].reshape(pts.shape)
 
 
-def transform_coeffs(u: TimeGridVector, lam: float, tol: float = 1e-12) -> Straightening:
+def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     """Straighten u at damping lam: invert the nodes under each distinct
     slice once, and sample lam*u(y) and e_k + grad u(y) e_k there.
 
@@ -231,7 +232,7 @@ def transform_coeffs(u: TimeGridVector, lam: float, tol: float = 1e-12) -> Strai
         first = nodes - _solve_stack(
             _node_matrices(jac), np.moveaxis(values, 0, 1).reshape(dim, len(block), -1)
         )
-        y, at, _ = _newton_rows(grid, values, jac, nodes, first, tol)
+        y, at, _ = _newton_rows(grid, values, jac, nodes, first, _STRAIGHTEN_TOL)
         cols = eye[:, :, None] + at[dim:].reshape((dim, dim, len(block)) + grid.shape)
         det = np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))
         for r, n in enumerate(block):
@@ -430,20 +431,3 @@ def relaxation_metrics(
         grad_sigma_err=_time_lq(g_norms, dt, q),
         div_err=_time_lq(d_norms, dt, 1.0),
     )
-
-
-def write_relaxation_csv(rows, path_name) -> None:
-    """Rows of (lambda, RelaxationRecord) to CSV for trend analysis."""
-    with open(path_name, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"])
-        for lam, rec in rows:
-            writer.writerow(
-                [
-                    f"{lam:.12g}",
-                    f"{rec.bhat_err:.12g}",
-                    f"{rec.sigma_err:.12g}",
-                    f"{rec.grad_sigma_err:.12g}",
-                    f"{rec.div_err:.12g}",
-                ]
-            )

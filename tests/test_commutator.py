@@ -45,7 +45,6 @@ from renormlab.commutator import (
     r1_remainder,
     r2_reconstruction,
     r2_remainder,
-    write_study_csv,
 )
 
 L = 2.0 * math.pi
@@ -467,22 +466,6 @@ class TestRenormalizerIdentities:
         defect = r1_remainder(sig, f, eps, cubic).values
         rebuilt = r1_reconstruction(sig, f, eps, cubic).values
         assert np.max(np.abs(defect - rebuilt)) < 1e-12 * max(1.0, np.max(np.abs(defect)))
-
-
-def test_study_csv_output(tmp_path):
-    g = build_grid(1, L, 64)
-    sig = GridVector.from_functions(g, [np.sin])
-    f = GridScalar.from_function(g, np.cos)
-    study = convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 2.0, central_half(g))
-    out = tmp_path / "study.csv"
-    write_study_csv(study, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "epsilon,error_Lr,bound_ratio"
-    assert len(lines) == 4
-    eps0, err0, ratio0 = (float(tok) for tok in lines[1].split(","))
-    assert eps0 == pytest.approx(L / 8)
-    assert err0 == pytest.approx(study.errors[0])
-    assert ratio0 == pytest.approx(study.bound_ratios[0])
 
 
 @given(a=st.floats(-3, 3, allow_nan=False), b=st.floats(-3, 3, allow_nan=False))

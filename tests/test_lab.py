@@ -1,13 +1,15 @@
 """Config ingestion, experiment artifacts, report plumbing, and the CLI.
 
-Artifact contents are cross-checked against the module-level writers they
-delegate to, so these tests exercise the plumbing (paths, version stamps,
-byte determinism, exit codes) rather than re-deriving the numerics, which
-live in the per-module suites and tests/test_acceptance.py.
+Every CSV artifact goes through lab's one writer, so one parametrized test
+checks the format of each (version line, LF endings, header, row count, first
+row).  These tests exercise the plumbing (paths, formats, byte determinism,
+exit codes) rather than re-deriving the numerics, which live in the
+per-module suites and tests/test_acceptance.py.
 """
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import math
@@ -107,6 +109,12 @@ class TestExperimentConfig:
                 scalars=ScalarConfig(lambdas=(16.0, 4.0)),
             )
 
+    def test_box_must_be_two_pi(self):
+        for L, message in ((6, "grid.L must be 2*pi"), (-1.0, "grid.L must be a positive")):
+            with pytest.raises(LabError) as info:
+                ExperimentConfig(experiment="commutator_study", grid=GridConfig(L=L))
+            assert str(info.value).count("\n  - ") == 1 and message in str(info.value)
+
     def test_horizon_must_be_step_multiple(self):
         with pytest.raises(LabError, match="integer multiple"):
             ExperimentConfig(
@@ -157,6 +165,102 @@ def small_config(experiment: str, tmp_path, **kwargs) -> ExperimentConfig:
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+# The artifacts each experiment writes, as README's experiment table lists them.
+ARTIFACTS = {
+    "commutator_study": ["commutator_S.csv", "commutator_T.csv"],
+    "parabolic_decay": ["decay_alpha0.csv", "decay_alpha1.csv"],
+    "flow_conservation": ["flow_conservation.csv", "flow_final.fld", "flow_paths.flo"],
+    "renorm_residual": ["renorm_ledger.csv", "renorm_refinement.csv"],
+    "zvonkin_relaxation": ["zvonkin_relaxation.csv"],
+}
+# Every CSV artifact: its header, its row count under small_config and the
+# leading cells of its first row (numbers compared after reading back with
+# float).  acceptance_report.csv is write_report_csv on CANNED_REPORT.
+CSV_ARTIFACTS = {
+    "commutator_S.csv": (["epsilon", "error_Lr", "bound_ratio"], 3, [TWO_PI / 4]),
+    "commutator_T.csv": (["epsilon", "error_Lr", "bound_ratio"], 3, [TWO_PI / 4]),
+    "decay_alpha0.csv": (["lambda", "norm", "theory_delta", "fitted_slope"], 3, [4.0]),
+    "decay_alpha1.csv": (["lambda", "norm", "theory_delta", "fitted_slope"], 3, [4.0]),
+    "flow_conservation.csv": (
+        ["member", "step", "time", "mass_gap", "lp_ratio"], 2 * 11, ["0", "0", 0.0],
+    ),
+    "renorm_ledger.csv": (["term_name", "value"], 2 + len(RENORMALIZED_TERMS), ["lhs_delta"]),
+    "renorm_refinement.csv": (
+        ["dt", "h", "epsilon", "residual"], 2, [0.0125, TWO_PI / 32, ""],
+    ),
+    "zvonkin_relaxation.csv": (
+        ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"], 3, [4.0],
+    ),
+    "acceptance_report.csv": (
+        ["name", "value", "relation", "threshold", "passed", "detail"], 2,
+        ["alpha", 0.5, "<=", 1.0, "pass", ""],
+    ),
+}
+CANNED_REPORT = RunReport(
+    checks=[
+        CheckResult("alpha", 0.5, 1.0, "<=", True),
+        CheckResult("beta", 3.0, 2.0, "<=", False, "of interest"),
+    ],
+    environment={"renormlab": "0.1.0", "master_seed": "0"},
+)
+
+
+@pytest.fixture(scope="module")
+def csv_artifacts(tmp_path_factory) -> dict[str, Path]:
+    """Every CSV artifact by name, from one small run of each experiment."""
+    root = tmp_path_factory.mktemp("artifacts")
+    paths = {
+        path.name: path
+        for experiment in ARTIFACTS
+        for path in lab.run_experiment(small_config(experiment, root))
+    }
+    paths["acceptance_report.csv"] = root / "acceptance_report.csv"
+    lab.write_report_csv(CANNED_REPORT, paths["acceptance_report.csv"])
+    return {name: path for name, path in paths.items() if name.endswith(".csv")}
+
+
+def csv_rows(path: Path) -> list[list[str]]:
+    """The header and rows of a CSV artifact, below its comment lines."""
+    lines = path.read_text().splitlines()
+    return list(csv.reader(line for line in lines if not line.startswith("#")))
+
+
+def test_every_csv_artifact_is_listed(csv_artifacts):
+    assert sorted(csv_artifacts) == sorted(CSV_ARTIFACTS)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_ARTIFACTS))
+def test_csv_artifact_format(csv_artifacts, name):
+    columns, count, first = CSV_ARTIFACTS[name]
+    raw = csv_artifacts[name].read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    assert raw.decode().split("\n")[0] == lab.CSV_VERSION_LINE
+    header, *rows = csv_rows(csv_artifacts[name])
+    assert header == columns
+    assert len(rows) == count
+    for cell, want in zip(rows[0], first):
+        assert cell == want if isinstance(want, str) else float(cell) == pytest.approx(want)
+    if name != "acceptance_report.csv":
+        assert all(math.isfinite(float(cell)) for cell in rows[0][len(first):])
+
+
+def test_write_csv_cells(tmp_path):
+    rows = [(0.1 + 0.2, 3, None, 'x, "y"'), (1.0 / 3.0, -2.5e-17, "", math.inf)]
+    path = lab._write_csv(tmp_path / "cells.csv", ["a", "b", "c", "d"], rows, [("k", "v=1")])
+    assert path == tmp_path / "cells.csv"
+    assert path.read_bytes() == (
+        b"# renormlab v1\n# k=v=1\na,b,c,d\n"
+        b'0.3,3,,"x, ""y"""\n0.333333333333,-2.5e-17,,inf\n'
+    )
+
+
+def test_renorm_ledger_rows_close(csv_artifacts):
+    _, *rows = csv_rows(csv_artifacts["renorm_ledger.csv"])
+    assert [name for name, _ in rows] == ["lhs_delta", *RENORMALIZED_TERMS, "residual"]
+    values = [float(value) for _, value in rows]
+    assert values[-1] == pytest.approx(values[0] - sum(values[1:-1]), rel=1e-9, abs=1e-12)
 
 
 class TestRunExperiment:
@@ -373,16 +477,9 @@ class TestReports:
         assert lab._result("x", 2.0, 2.0, ">=").passed
 
     def test_report_csv_round_trip(self, tmp_path):
-        report = RunReport(
-            checks=[
-                CheckResult("alpha", 0.5, 1.0, "<=", True),
-                CheckResult("beta", 3.0, 2.0, "<=", False, "of interest"),
-            ],
-            environment={"renormlab": "0.1.0", "master_seed": "0"},
-        )
-        assert not report.passed
+        assert not CANNED_REPORT.passed
         path = tmp_path / "report.csv"
-        lab.write_report_csv(report, path)
+        lab.write_report_csv(CANNED_REPORT, path)
         lines = path.read_text().splitlines()
         assert lines[0] == lab.CSV_VERSION_LINE
         assert "# renormlab=0.1.0" in lines
@@ -533,10 +630,8 @@ class TestTypeFirstValidation:
         assert message.count("\n  - ") == 4
 
     def test_ints_are_numbers(self):
-        cfg = ExperimentConfig(
-            experiment="commutator_study", grid=GridConfig(L=6), time=TimeConfig(T=1, dt=0.5)
-        )
-        assert cfg.grid.L == 6 and cfg.time.T == 1
+        cfg = ExperimentConfig(experiment="commutator_study", time=TimeConfig(T=1, dt=0.5))
+        assert cfg.time.T == 1 and cfg.time.dt == 0.5
 
     def test_a_section_of_the_wrong_type(self):
         with pytest.raises(LabError, match="grid must be an object, got 5"):
@@ -784,6 +879,18 @@ WRONG_TYPES = st.one_of(
 MUTATION = st.one_of(
     HUGE_AND_TINY, WRONG_TYPES, st.lists(st.one_of(HUGE_AND_TINY, WRONG_TYPES), max_size=3)
 )
+
+
+@pytest.mark.parametrize(
+    "config_file", [p for p in CONFIG_FILES if p.name != "acceptance.json"],
+    ids=lambda p: p.name,
+)
+def test_shipped_config_writes_its_artifacts(config_file, tmp_path):
+    payload = json.loads(config_file.read_text())
+    payload["output_dir"] = str(tmp_path)
+    files = lab.run_experiment(ExperimentConfig.from_dict(payload))
+    assert sorted(f.name for f in files) == ARTIFACTS[payload["experiment"]]
+    assert all(f.parent == tmp_path and f.is_file() for f in files)
 
 
 @pytest.mark.parametrize("config_file", CONFIG_FILES, ids=lambda p: p.name)

@@ -45,7 +45,6 @@ from renormlab.parabolic import (
     pde_residual,
     relaxation_residuals,
     space_time_norm,
-    write_decay_csv,
 )
 from renormlab.presets import decay_drift, sample_constant_in_time, trig_flow_drift
 from renormlab.rng import stream
@@ -432,14 +431,3 @@ class TestDecayStudy:
             DecayStudy(0, 8.0, [4.0, 2.0, 16.0], [1.0, 1.0, 1.0], -1.0, 1.0, True)
         with pytest.raises(ParabolicError):
             DecayStudy(0, 8.0, [4.0, 8.0, 16.0], [1.0, 0.0, 1.0], -1.0, 1.0, True)
-
-    def test_csv_round_trip(self, tmp_path):
-        study = DecayStudy(0, 8.0, [4.0, 8.0, 16.0], [0.2, 0.11, 0.06], -0.93, 1.0, True)
-        path = tmp_path / "decay.csv"
-        write_decay_csv(study, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "lambda,norm,theory_delta,fitted_slope"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert float(first[0]) == 4.0
-        assert float(first[1]) == 0.2

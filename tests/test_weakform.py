@@ -56,7 +56,6 @@ from renormlab.weakform import (
     residual_original,
     residual_renormalized,
     weighted_l1_stability,
-    write_ledger_csv,
 )
 
 L = 2 * np.pi
@@ -375,17 +374,6 @@ class TestOriginalLedger:
                 lhs_delta=0.0,
                 residual=0.0,
             )
-
-    def test_csv_round_trip(self, tmp_path):
-        _, phi, path, fpath, b, sig = transport_setup(T=0.05)
-        ledger = residual_original(fpath, b, [sig], phi, path)
-        target = tmp_path / "ledger.csv"
-        write_ledger_csv(ledger, target)
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "term_name,value"
-        rows = dict(line.split(",") for line in lines[1:])
-        assert set(rows) == {"lhs_delta", "residual", *ORIGINAL_TERMS}
-        assert abs(float(rows["residual"]) - ledger.residual) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ from renormlab.zvonkin import (
     relaxation_metrics,
     transform_coeffs,
     transformed_residual,
-    write_relaxation_csv,
 )
 
 L = 2.0 * np.pi
@@ -633,17 +632,6 @@ class TestRelaxationMetrics:
             relaxation_metrics(coeffs, zero, 4.0, 8.0, 8.0)
         with pytest.raises(ZvonkinError, match=">= 1"):
             relaxation_metrics(coeffs, zero, 0.5, 8.0, 4.0)
-
-    def test_csv_round_trip(self, tmp_path):
-        g = grid1()
-        zero = zero_displacement(g, T=0.25, steps=4)
-        rec = relaxation_metrics(transform_coeffs(zero, 4.0), zero, 4.0, 8.0, 4.0)
-        target = tmp_path / "relaxation.csv"
-        write_relaxation_csv([(4.0, rec), (16.0, rec)], target)
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "lambda,bhat_err,sigma_err,grad_sigma_err,div_err"
-        assert len(lines) == 3
-        assert [float(tok) for tok in lines[1].split(",")] == [4.0, 0.0, 0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
