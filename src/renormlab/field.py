@@ -154,9 +154,6 @@ class GridVector:
         if not np.all(np.isfinite(self.values)):
             raise FieldError("vector field contains non-finite values")
 
-    def component(self, i: int) -> GridScalar:
-        return GridScalar(self.grid, self.values[i])
-
     @classmethod
     def from_functions(cls, grid: Grid, fns) -> "GridVector":
         mesh = grid.coordinates()
@@ -290,6 +287,37 @@ def _derivative_multiplier(dim: int, L: float, N: int, multi_index: tuple[int, .
     return mult
 
 
+def _spectral(grid: Grid, values: np.ndarray, multipliers=None) -> np.ndarray:
+    """Each Fourier multiplier applied to each field of a (...) + grid shape stack.
+
+    Returns the real parts, (..., len(multipliers)) + grid shape, from one
+    forward transform per field; with no multipliers, the complex spectra
+    themselves.  This is the package's one FFT path.  It transforms axis by
+    axis, last axis first, exactly as np.fft.fftn does, so the bits are
+    fftn's without fftn's per-call cost.
+    """
+    axes = range(-1, -grid.dim - 1, -1)
+    spectrum = values
+    for axis in axes:
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    if multipliers is None:
+        return spectrum
+    cells = (slice(None),) * grid.dim
+    out = np.empty(values.shape[: values.ndim - grid.dim] + (len(multipliers),) + grid.shape)
+    for m, mult in enumerate(multipliers):
+        image = mult * spectrum
+        for axis in axes:
+            image = np.fft.ifft(image, axis=axis)
+        out[(..., m) + cells] = image.real
+    return out
+
+
+def _partials(grid: Grid, derivatives) -> list[np.ndarray]:
+    """The multiplier of d_a1 ... d_ak for each tuple (a1, ..., ak) of axes."""
+    orders = [tuple(axes.count(a) for a in range(grid.dim)) for axes in derivatives]
+    return [_derivative_multiplier(grid.dim, grid.L, grid.N, beta) for beta in orders]
+
+
 def spectral_derivative(f: GridScalar, multi_index) -> GridScalar:
     """Mixed partial derivative d^beta f via Fourier multiplier.
 
@@ -303,19 +331,12 @@ def spectral_derivative(f: GridScalar, multi_index) -> GridScalar:
     if sum(beta) == 0:
         return GridScalar(f.grid, f.values.copy())
     g = f.grid
-    mult = _derivative_multiplier(g.dim, g.L, g.N, beta)
-    out = np.fft.ifftn(mult * np.fft.fftn(f.values)).real
-    return GridScalar(g, out)
+    return GridScalar(g, _spectral(g, f.values, [_derivative_multiplier(g.dim, g.L, g.N, beta)])[0])
 
 
 def gradient(f: GridScalar) -> GridVector:
     g = f.grid
-    comps = []
-    for axis in range(g.dim):
-        beta = [0] * g.dim
-        beta[axis] = 1
-        comps.append(spectral_derivative(f, beta).values)
-    return GridVector(g, np.stack(comps, axis=0))
+    return GridVector(g, _spectral(g, f.values, _partials(g, [(a,) for a in range(g.dim)])))
 
 
 def divergence(v: GridVector) -> GridScalar:
@@ -325,18 +346,14 @@ def divergence(v: GridVector) -> GridScalar:
 def divergence_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Divergences of a stack of vector fields, (..., dim) + grid shape in.
 
-    Returns (...) + grid shape.  One FFT over the grid axes per field, and
-    the partials d_i v_i summed from 0.0 in the order of i, so the numbers
-    are spectral_derivative's bit for bit.
+    Returns (...) + grid shape: the partials d_i v_i summed from 0.0 in the
+    order of i, so the numbers are spectral_derivative's bit for bit.
     """
-    axes = tuple(range(-grid.dim, 0))
     cells = (slice(None),) * grid.dim
-    spectrum = np.fft.fftn(values, axes=axes)
     total = np.zeros(values.shape[: -grid.dim - 1] + grid.shape)
     for i in range(grid.dim):
-        beta = tuple(int(a == i) for a in range(grid.dim))
-        mult = _derivative_multiplier(grid.dim, grid.L, grid.N, beta)
-        total += np.fft.ifftn(mult * spectrum[(..., i) + cells], axes=axes).real
+        partial = _spectral(grid, values[(..., i) + cells], _partials(grid, [(i,)]))
+        total += partial.reshape(total.shape)
     return total
 
 
@@ -348,52 +365,33 @@ def jacobian(v: GridVector) -> np.ndarray:
 def jacobian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Jacobians of a stack of vector fields, (..., dim) + grid shape in.
 
-    Returns (..., dim, dim) + grid shape, entry [..., i, j] = d_j v_i.  One
-    FFT over the grid axes per field; the numbers are spectral_derivative's
-    bit for bit.
+    Returns (..., dim, dim) + grid shape, entry [..., i, j] = d_j v_i.
     """
-    axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    spectrum = np.fft.fftn(values, axes=axes)
-    out = np.empty(values.shape[: -grid.dim] + (grid.dim,) + grid.shape)
-    for j in range(grid.dim):
-        beta = tuple(int(a == j) for a in range(grid.dim))
-        mult = _derivative_multiplier(grid.dim, grid.L, grid.N, beta)
-        out[(..., j) + (slice(None),) * grid.dim] = np.fft.ifftn(mult * spectrum, axes=axes).real
-    return out
+    return _spectral(grid, values, _partials(grid, [(j,) for j in range(grid.dim)]))
 
 
 def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Second partials of a stack of scalar fields, (...) + grid shape in.
 
-    Returns (..., dim, dim) + grid shape, entry [..., j, k] = d_j d_k f.  One
-    FFT over the grid axes per field; the numbers are spectral_derivative's
-    bit for bit.
+    Returns (..., dim, dim) + grid shape, entry [..., j, k] = d_j d_k f; each
+    mixed partial is computed once, for j <= k.
     """
-    axes = tuple(range(-grid.dim, 0))
     cells = (slice(None),) * grid.dim
-    spectrum = np.fft.fftn(values, axes=axes)
+    pairs = [(j, k) for j in range(grid.dim) for k in range(j, grid.dim)]
+    seconds = _spectral(grid, values, _partials(grid, pairs))
     out = np.empty(values.shape[: values.ndim - grid.dim] + (grid.dim, grid.dim) + grid.shape)
-    for j in range(grid.dim):
-        for k in range(j, grid.dim):
-            beta = [0] * grid.dim
-            beta[j] += 1
-            beta[k] += 1
-            mult = _derivative_multiplier(grid.dim, grid.L, grid.N, tuple(beta))
-            second = np.fft.ifftn(mult * spectrum, axes=axes).real
-            out[(..., j, k) + cells] = second
-            out[(..., k, j) + cells] = second
+    for m, (j, k) in enumerate(pairs):
+        out[(..., j, k) + cells] = out[(..., k, j) + cells] = seconds[(..., m) + cells]
     return out
 
 
 def vector_laplacian(v: GridVector) -> np.ndarray:
     """Laplacian of each component: out[i] = sum_j d_j d_j v_i, each a grid array."""
     g = v.grid
+    seconds = _spectral(g, v.values, _partials(g, [(a, a) for a in range(g.dim)]))
     out = np.zeros_like(v.values)
-    for i in range(g.dim):
-        for axis in range(g.dim):
-            beta = [0] * g.dim
-            beta[axis] = 2
-            out[i] += spectral_derivative(GridScalar(g, v.values[i]), beta).values
+    for a in range(g.dim):
+        out += seconds[:, a]
     return out
 
 
@@ -447,7 +445,7 @@ def convolve(kernel: MollifierKernel, f: GridScalar) -> GridScalar:
     """Periodic convolution (eta_eps * f)(x) = h^n sum_y eta_eps(x-y) f(y)."""
     _require_same_grid(kernel.as_scalar(), f)
     g = f.grid
-    out = np.fft.ifftn(np.fft.fftn(kernel.values) * np.fft.fftn(f.values)).real
+    out = _spectral(g, f.values, [_spectral(g, kernel.values)])[0]
     return GridScalar(g, out * g.cell_volume)
 
 
@@ -516,7 +514,7 @@ def inner(f: GridScalar, g: GridScalar) -> float:
 def spectral_energy(f: GridScalar) -> float:
     """h^n-normalized spectral energy; equals ||f||_2^2 by Parseval."""
     g = f.grid
-    fhat = np.fft.fftn(f.values)
+    fhat = _spectral(g, f.values)
     return float((np.abs(fhat) ** 2).sum() * g.cell_volume / g.N**g.dim)
 
 

@@ -683,6 +683,11 @@ def ensemble_moment(ensembles, functional, power: float = 1.0) -> MomentEstimate
     if len(ensembles) < 2:
         raise FlowError(f"need at least 2 ensembles, got {len(ensembles)}")
     values = parallel.ordered_map(lambda e: float(functional(e)) ** power, ensembles)
+    return MomentEstimate(*_mean_stderr(values))
+
+
+def _mean_stderr(values) -> tuple[float, float]:
+    """Sample mean and its standard error, each summed from 0.0 in input order."""
     count = len(values)
     mean = 0.0
     for v in values:
@@ -691,8 +696,7 @@ def ensemble_moment(ensembles, functional, power: float = 1.0) -> MomentEstimate
     spread = 0.0
     for v in values:
         spread += (v - mean) ** 2
-    stderr = math.sqrt(spread / (count - 1) / count)
-    return MomentEstimate(mean, stderr)
+    return mean, math.sqrt(spread / (count - 1) / count)
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,11 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .field import FieldError, Grid, GridScalar, GridVector, jacobian
+from .field import FieldError, Grid
 
 __all__ = [
     "PeriodicInterpolant",
     "SplineStack",
-    "scalar_interpolant",
-    "vector_interpolant",
-    "jacobian_interpolant",
 ]
 
 _ORDER = 3
@@ -225,15 +222,3 @@ class _Stencil:
                 term *= weights[stencil[a]][a]
             out += term
 
-
-def scalar_interpolant(field: GridScalar) -> PeriodicInterpolant:
-    return PeriodicInterpolant(field.grid, field.values)
-
-
-def vector_interpolant(field: GridVector) -> PeriodicInterpolant:
-    return PeriodicInterpolant(field.grid, field.values)
-
-
-def jacobian_interpolant(field: GridVector) -> PeriodicInterpolant:
-    """Interpolant of the (spectrally computed) Jacobian, entry [i, j] = d_j v_i."""
-    return PeriodicInterpolant(field.grid, jacobian(field))

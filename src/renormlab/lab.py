@@ -105,8 +105,12 @@ EXPERIMENT_TAGS = (
     "acceptance_all",
 )
 
-# Stream-id offsets added to master_seed; one disjoint block per consumer so
-# no two checks ever share a Brownian draw.
+# Stream-id offsets added to master_seed by ``_stream``, one block per
+# consumer.  Two draws are shared between checks (ROADMAP item 2): the
+# pushforward-residual check and the smooth renorm ledgers run the same
+# drift_dominated pair on _STREAM_PUSHFORWARD, so it is computed twice per
+# suite, and conservation member 0 and the divfree renorm base draw the same
+# _STREAM_DIVFREE path at (64^2, T 0.25, dt 1e-3).
 _STREAM_PUSHFORWARD = 501
 _STREAM_DIVFREE = 601
 _STREAM_STABILITY = 800
@@ -435,9 +439,19 @@ def _config_problem(cfg: ExperimentConfig) -> Problem:
     return _problem(_config_source(cfg), cfg.grid.N, cfg.time.T, cfg.time.dt)
 
 
-def _member_flows(prob: Problem, T: float, seed0: int, members: int) -> list[FlowEnsemble]:
-    """Flows of ``prob`` on the paths drawn from streams seed0 .. seed0 + members - 1."""
-    paths = [sample_brownian(T, prob.dt, len(prob.sigmas), seed0 + m) for m in range(members)]
+def _stream(cfg: ExperimentConfig, consumer: int, member: int = 0) -> int:
+    """The stream id of one member's Brownian path for one ``_STREAM_*`` consumer."""
+    return cfg.scalars.master_seed + consumer + member
+
+
+def _member_flows(
+    cfg: ExperimentConfig, prob: Problem, T: float, consumer: int, members: int
+) -> list[FlowEnsemble]:
+    """Flows of ``prob`` on the paths of members 0 .. members - 1 of ``consumer``."""
+    paths = [
+        sample_brownian(T, prob.dt, len(prob.sigmas), _stream(cfg, consumer, m))
+        for m in range(members)
+    ]
     return simulate_flows(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), paths)
 
 
@@ -632,9 +646,9 @@ def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
     mass0 = float(np.sum(f0.values)) * grid.cell_volume
     norm0 = lp_norm(f0, cfg.scalars.p)
     sampled = range(0, steps + 1, max(1, steps // 10))
-    seed0 = cfg.scalars.master_seed + _STREAM_DIVFREE
     paths = [
-        sample_brownian(T, dt, len(sigmas), seed0 + m) for m in range(cfg.scalars.mc_members)
+        sample_brownian(T, dt, len(sigmas), _stream(cfg, _STREAM_DIVFREE, m))
+        for m in range(cfg.scalars.mc_members)
     ]
 
     def member_rows(ens: FlowEnsemble):
@@ -670,7 +684,7 @@ def _run_renorm_residual(cfg: ExperimentConfig, out: Path) -> list[Path]:
     fine_N = 2 * N if cfg.grid.dim == 1 and cfg.coefficients.drift_file is None else N
     runs = _pushforward_pair(
         _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt,
-        cfg.scalars.master_seed + _STREAM_PUSHFORWARD,
+        _stream(cfg, _STREAM_PUSHFORWARD),
     )
     ledgers = [
         residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path)
@@ -873,8 +887,7 @@ def _sup_gaps(prob: Problem, paths: list[BrownianPath]) -> list[float]:
 
 def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
     """Per-path sup gap at (dt, dt/4); bridge-coupled refinement."""
-    seed0 = cfg.scalars.master_seed + _STREAM_LOGDET
-    paths = [sample_brownian(T, dt, 1, seed0 + m) for m in range(members)]
+    paths = [sample_brownian(T, dt, 1, _stream(cfg, _STREAM_LOGDET, m)) for m in range(members)]
     coarse = _sup_gaps(_problem("trig_flow", 64, T, dt), paths)
     fine = _sup_gaps(
         _problem("trig_flow", 64, T, dt / 4.0), [refine_brownian(p, 4) for p in paths]
@@ -898,7 +911,7 @@ def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
 
 def _check_pushforward_residual(cfg: ExperimentConfig) -> list[CheckResult]:
     runs = _pushforward_pair(
-        "drift_dominated", 64, 128, 0.5, 1e-3, cfg.scalars.master_seed + _STREAM_PUSHFORWARD
+        "drift_dominated", 64, 128, 0.5, 1e-3, _stream(cfg, _STREAM_PUSHFORWARD)
     )
     base, fine = (
         residual_original(fpath, prob.b, prob.sigmas, prob.phi, path).residual
@@ -924,10 +937,9 @@ def _check_conservation(cfg: ExperimentConfig) -> list[CheckResult]:
     grid, b, sigmas, f0, steps = prob.grid, prob.b, prob.sigmas, prob.f0, prob.steps
     mass0 = float(np.sum(f0.values)) * grid.cell_volume
     norm0 = lp_norm(f0, 2.0)
-    seed0 = cfg.scalars.master_seed + _STREAM_DIVFREE
 
     def one_path(m: int):
-        path = sample_brownian(T, dt, 2, seed0 + m)
+        path = sample_brownian(T, dt, 2, _stream(cfg, _STREAM_DIVFREE, m))
         ens = simulate_flow(b, sigmas, SdeConfig(dt=dt), path)
         worst_mass, worst_norm = 0.0, 0.0
         for f_l in pushforward_path(f0, ens, range(0, steps + 1, 25)):
@@ -964,7 +976,7 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     growth = m * (div_b + 0.5 * twist) + 0.5 * m * m * div_s**2
     envelope = math.exp(growth * T) * lp_norm(f0, 2.0 * p) ** (2.0 * p)
 
-    ensembles = _member_flows(prob, T, cfg.scalars.master_seed + _STREAM_MOMENT, members)
+    ensembles = _member_flows(cfg, prob, T, _STREAM_MOMENT, members)
     est = ensemble_moment(
         ensembles, lambda e: lp_norm(pushforward_solution(f0, e, T), 2.0 * p), power=2.0 * p
     )
@@ -1049,7 +1061,6 @@ def _check_relaxation(cfg: ExperimentConfig) -> list[CheckResult]:
 def _renorm_ledgers(cfg: ExperimentConfig) -> dict[str, tuple[WeakFormLedger, ...]]:
     """Base and refined renormalized ledgers for both criterion presets."""
     renorm = make_renormalizer("tanh")
-    seed = cfg.scalars.master_seed
 
     def ledgers(*pair) -> tuple[WeakFormLedger, ...]:
         return tuple(
@@ -1058,8 +1069,8 @@ def _renorm_ledgers(cfg: ExperimentConfig) -> dict[str, tuple[WeakFormLedger, ..
         )
 
     return {
-        "divfree": ledgers("divfree_2d", 64, 64, 0.25, 1e-3, seed + _STREAM_DIVFREE),
-        "smooth": ledgers("drift_dominated", 64, 128, 0.5, 1e-3, seed + _STREAM_PUSHFORWARD),
+        "divfree": ledgers("divfree_2d", 64, 64, 0.25, 1e-3, _stream(cfg, _STREAM_DIVFREE)),
+        "smooth": ledgers("drift_dominated", 64, 128, 0.5, 1e-3, _stream(cfg, _STREAM_PUSHFORWARD)),
     }
 
 
@@ -1109,13 +1120,15 @@ def _zvonkin_member_residual(
 
 def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
     T, dt, lam = 0.25, 2.5e-3, 16.0
-    seed0 = cfg.scalars.master_seed + _STREAM_ZVONKIN
     straightenings = []
     for step in (dt, dt / 8):
         prob = _problem(_TRIG_UNIT_NOISE, 64, T, step)
         straightenings.append(transform_coeffs(mild_solve(prob.b, lam, prob.steps).u, lam))
     pairs = parallel.ordered_map(
-        lambda m: _zvonkin_member_residual(seed0 + m, T, dt, straightenings), range(8)
+        lambda m: _zvonkin_member_residual(
+            _stream(cfg, _STREAM_ZVONKIN, m), T, dt, straightenings
+        ),
+        range(8),
     )
     rms_c, rms_f = (
         math.sqrt(sum(pair[i] * pair[i] for pair in pairs) / len(pairs)) for i in range(2)
@@ -1144,21 +1157,21 @@ def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _stability_series(cfg, members: int, T: float, dt: float, seed_offset: int):
+def _stability_series(cfg, members: int, T: float, dt: float):
     prob = _problem("trig_flow", 64, T, dt)
-    ensembles = _member_flows(prob, T, cfg.scalars.master_seed + seed_offset, members)
+    ensembles = _member_flows(cfg, prob, T, _STREAM_STABILITY, members)
     return weighted_l1_stability(ensembles, prob.f0, prob.b, prob.sigmas, 2.0)
 
 
 def _check_stability(cfg: ExperimentConfig) -> list[CheckResult]:
-    series = _stability_series(cfg, members=8, T=0.5, dt=2.5e-3, seed_offset=_STREAM_STABILITY)
+    series = _stability_series(cfg, members=8, T=0.5, dt=2.5e-3)
     # The envelope is exactly tight at step 0 (no noise has acted yet), so
     # the gate carries a round-off allowance on top of the confidence band.
     exceed = float(np.max(series.mean - series.envelope - 1.645 * series.stderr))
 
     T2, dt2 = 0.25, 0.025
     prob2 = _problem("divfree_2d", 64, T2, dt2)
-    ens2 = _member_flows(prob2, T2, cfg.scalars.master_seed + _STREAM_CONSTANCY, 8)
+    ens2 = _member_flows(cfg, prob2, T2, _STREAM_CONSTANCY, 8)
     series2 = weighted_l1_stability(ens2, prob2.f0, prob2.b, prob2.sigmas, 0.0)
     z = np.abs(series2.mean[1:] - series2.mean[0]) / np.maximum(series2.stderr[1:], 1e-300)
     return [
@@ -1176,12 +1189,12 @@ def _determinism_payload(cfg: ExperimentConfig) -> tuple:
 
     T = 0.25
     prob = _problem("trig_flow", 64, T, 5e-3)
-    ensembles = _member_flows(prob, T, cfg.scalars.master_seed + _STREAM_MOMENT, 8)
+    ensembles = _member_flows(cfg, prob, T, _STREAM_MOMENT, 8)
     est = ensemble_moment(
         ensembles, lambda e: lp_norm(pushforward_solution(prob.f0, e, T), 4.0), power=4.0
     )
 
-    series = _stability_series(cfg, members=4, T=0.25, dt=5e-3, seed_offset=_STREAM_STABILITY)
+    series = _stability_series(cfg, members=4, T=0.25, dt=5e-3)
     return (
         tuple(coarse),
         tuple(fine),

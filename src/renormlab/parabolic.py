@@ -37,6 +37,8 @@ from .field import (
     GridScalar,
     GridVector,
     TimeGridVector,
+    _spectral,
+    _wavenumbers,
     divergence_stack,
     hessian_stack,
     jacobian,
@@ -65,36 +67,22 @@ class ParabolicError(ValueError):
 
 @functools.lru_cache(maxsize=256)
 def _heat_multiplier(dim: int, L: float, N: int, t: float) -> np.ndarray:
-    k1 = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
     k2 = np.zeros((N,) * dim)
-    for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = N
-        k2 = k2 + (k1.reshape(shape)) ** 2
+    for k in _wavenumbers(dim, L, N):
+        k2 = k2 + k**2
     return np.exp(-0.5 * k2 * t)
-
-
-def _heat_array(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:
-    mult = _heat_multiplier(grid.dim, grid.L, grid.N, float(t))
-    return np.fft.ifftn(mult * np.fft.fftn(values)).real
 
 
 def heat_apply(g, t: float):
     """Heat semigroup exp(t/2 * Laplace), spectral, for scalars or vectors."""
     if t < 0:
         raise ParabolicError(f"heat time must be >= 0, got {t}")
-    if isinstance(g, GridScalar):
-        if t == 0.0:
-            return GridScalar(g.grid, g.values.copy())
-        return GridScalar(g.grid, _heat_array(g.grid, g.values, t))
-    if isinstance(g, GridVector):
-        if t == 0.0:
-            return GridVector(g.grid, g.values.copy())
-        out = np.empty_like(g.values)
-        for i in range(g.grid.dim):
-            out[i] = _heat_array(g.grid, g.values[i], t)
-        return GridVector(g.grid, out)
-    raise ParabolicError(f"heat_apply expects a grid field, got {type(g).__name__}")
+    if not isinstance(g, (GridScalar, GridVector)):
+        raise ParabolicError(f"heat_apply expects a grid field, got {type(g).__name__}")
+    if t == 0.0:
+        return type(g)(g.grid, g.values.copy())
+    mult = _heat_multiplier(g.grid.dim, g.grid.L, g.grid.N, float(t))
+    return type(g)(g.grid, _spectral(g.grid, g.values, [mult]).reshape(g.values.shape))
 
 
 @dataclass

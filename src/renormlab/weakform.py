@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
-    FieldError,
     Grid,
     GridScalar,
     GridVector,
@@ -33,7 +32,7 @@ from .field import (
     hessian_stack,
     jacobian,
 )
-from .flow import BrownianPath
+from .flow import BrownianPath, _mean_stderr, pushforward_path
 
 __all__ = [
     "WeakFormError",
@@ -442,8 +441,6 @@ def weighted_l1_stability(
     sup|b|/(1 + |x|) + sum_k sup(|sigma^k|/(1 + |x|))^2 applied to the
     initial weighted mass.
     """
-    from .flow import pushforward_path  # deferred to keep import one-way
-
     ensembles = list(ensembles)
     if len(ensembles) < 2:
         raise WeakFormError(f"need at least 2 ensembles, got {len(ensembles)}")
@@ -469,19 +466,7 @@ def weighted_l1_stability(
         for l, f_l in enumerate(pushforward_path(f0, ens)):
             series[m, l] = float(np.sum(weight * np.abs(f_l.values))) * vol
 
-    mean = np.empty(steps + 1)
-    stderr = np.empty(steps + 1)
-    count = len(ensembles)
-    for l in range(steps + 1):
-        acc = 0.0
-        for m in range(count):
-            acc += series[m, l]
-        mu = acc / count
-        spread = 0.0
-        for m in range(count):
-            spread += (series[m, l] - mu) ** 2
-        mean[l] = mu
-        stderr[l] = math.sqrt(spread / (count - 1) / count)
+    mean, stderr = np.array([_mean_stderr(series[:, l]) for l in range(steps + 1)]).T
 
     one_plus = 1.0 + np.sqrt(np.sum((np.stack(grid.coordinates()) - grid.L / 2.0) ** 2, axis=0))
 

@@ -25,6 +25,8 @@ from renormlab.field import (
     GridScalar,
     GridVector,
     TimeGridVector,
+    _derivative_multiplier,
+    _spectral,
     build_grid,
     central_half,
     convolve,
@@ -138,6 +140,28 @@ class TestSpectralDerivative:
             spectral_derivative(f, (2, 0)).values + spectral_derivative(f, (0, 2)).values
         )
         assert np.max(np.abs(lap.values - direct)) < 1e-11
+
+    @pytest.mark.parametrize("shape", [(1, 64), (3, 64), (2, 64, 64), (4, 2, 64, 64)])
+    def test_kernel_is_fftn_bit_for_bit(self, shape):
+        # _spectral transforms one axis at a time; np.fft.fftn / ifftn over
+        # the grid axes of the whole stack is the oracle, to the bit
+        dim = 1 if len(shape) == 2 else 2
+        g = build_grid(dim, L, 64)
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(shape)
+        axes = tuple(range(len(shape) - dim, len(shape)))
+        spectrum = np.fft.fftn(values, axes=axes)
+        mults = [
+            _derivative_multiplier(dim, L, 64, (1,) + (0,) * (dim - 1)),
+            _derivative_multiplier(dim, L, 64, (1,) * dim),
+            np.fft.fftn(rng.standard_normal(g.shape)),  # a convolution kernel's spectrum
+        ]
+        out = _spectral(g, values, mults)
+        assert out.shape == shape[:-dim] + (3,) + g.shape
+        assert np.array_equal(_spectral(g, values), spectrum)
+        for m, mult in enumerate(mults):
+            want = np.fft.ifftn(mult * spectrum, axes=axes).real
+            assert np.array_equal(out[(..., m) + (slice(None),) * dim], want)
 
     @pytest.mark.parametrize("dim,N", [(1, 64), (2, 16)])
     def test_stacks_match_one_derivative_at_a_time(self, dim, N):

@@ -47,7 +47,7 @@ from renormlab.flow import (
     simulate_flow,
     variational_jacobian,
 )
-from renormlab.interp import PeriodicInterpolant, jacobian_interpolant, vector_interpolant
+from renormlab.interp import PeriodicInterpolant
 from renormlab.rng import stream
 
 L = 2.0 * math.pi
@@ -270,9 +270,9 @@ def reference_flow(b, sigmas, path):
     paths = [X]
     for l in range(path.steps):
         t = l * dt
-        move = vector_interpolant(b.slice_at(t))(X) * dt
+        move = PeriodicInterpolant(b.grid, b.slice_at(t).values)(X) * dt
         for k, s in enumerate(sigmas):
-            move += vector_interpolant(s.slice_at(t))(X) * dW[l, k]
+            move += PeriodicInterpolant(s.grid, s.slice_at(t).values)(X) * dW[l, k]
         X = X + move
         paths.append(X)
     return np.stack(paths)
@@ -291,9 +291,9 @@ def reference_kernels(b, sigmas, path):
     logdet = [np.zeros(grid.shape)]
     for l in range(path.steps):
         t, X = l * dt, paths[l]
-        growth = jacobian_interpolant(b.slice_at(t))(X) * dt
+        growth = PeriodicInterpolant(grid, jacobian(b.slice_at(t)))(X) * dt
         for k, s in enumerate(sigmas):
-            growth += jacobian_interpolant(s.slice_at(t))(X) * dW[l, k]
+            growth += PeriodicInterpolant(grid, jacobian(s.slice_at(t)))(X) * dW[l, k]
         J.append(J[l] + np.einsum("ik...,kj...->ij...", growth, J[l]))
         increment = PeriodicInterpolant(grid, divergence(b.slice_at(t)).values)(X) * dt
         for k, s in enumerate(sigmas):
@@ -549,7 +549,7 @@ def reference_inverse(ensemble, step, tol=1e-10):
     grid = ensemble.seeds_grid
     X0 = ensemble.paths[0].reshape(grid.dim, -1)
     disp = GridVector(grid, ensemble.paths[step] - ensemble.paths[0])
-    D, JD = vector_interpolant(disp), PeriodicInterpolant(grid, jacobian(disp))
+    D, JD = PeriodicInterpolant(disp.grid, disp.values), PeriodicInterpolant(grid, jacobian(disp))
 
     def matrices(Y):  # I + dD(y), one (dim, dim) matrix per point
         return np.eye(grid.dim) + np.moveaxis(JD(Y), -1, 0)
@@ -635,7 +635,7 @@ class TestInversion:
         ens = simulate_flow(b, sigmas, SdeConfig(dt=1e-3), path)
         inv = invert_flow(ens, T)
         X0 = ens.paths[0]
-        D = vector_interpolant(GridVector(grid1(), ens.paths[-1] - X0))
+        D = PeriodicInterpolant(grid1(), ens.paths[-1] - X0)
         psi = inv.psi.values
         assert np.abs(psi + D(psi) - X0).max() < 1e-10
         assert inv.newton_iterations > 30
@@ -743,7 +743,7 @@ def per_step_inverse(ensemble, step, tol=1e-10, max_newton=30):
     X0 = np.stack(grid.coordinates())
     disp = GridVector(grid, ensemble.paths[step] - X0)
     disp_jac = jacobian(disp)
-    D, JD = vector_interpolant(disp), PeriodicInterpolant(grid, disp_jac)
+    D, JD = PeriodicInterpolant(disp.grid, disp.values), PeriodicInterpolant(grid, disp_jac)
     Y = X0 - solve_pointwise(plus_identity(disp_jac), disp.values)
     for rounds in range(1, 2 * max_newton + 2):
         F = Y + D(Y) - X0
@@ -864,7 +864,7 @@ class TestFlowProperty:
         s_idx = 25
         tail = BrownianPath(T - s_idx * dt, dt, 1, path.increments[s_idx:], path.seed)
         leg = simulate_flow(b, [sg], SdeConfig(dt=dt), tail)
-        hop = vector_interpolant(GridVector(g, leg.paths[-1] - leg.paths[0]))
+        hop = PeriodicInterpolant(g, leg.paths[-1] - leg.paths[0])
         composed = full.paths[s_idx] + hop(full.paths[s_idx])
         assert np.abs(composed - full.paths[-1]).max() < 1e-5
 

@@ -11,14 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renormlab import interp
-from renormlab.field import FieldError, GridScalar, GridVector, build_grid
-from renormlab.interp import (
-    PeriodicInterpolant,
-    SplineStack,
-    jacobian_interpolant,
-    scalar_interpolant,
-    vector_interpolant,
-)
+from renormlab.field import FieldError, GridScalar, GridVector, build_grid, jacobian
+from renormlab.interp import PeriodicInterpolant, SplineStack
 from renormlab.rng import stream
 
 L = 2.0 * math.pi
@@ -29,7 +23,7 @@ class TestScalar:
         g = build_grid(1, L, 64)
         x = g.axis_coordinates()
         f = GridScalar(g, np.sin(x) + 0.3 * np.cos(3 * x))
-        itp = scalar_interpolant(f)
+        itp = PeriodicInterpolant(f.grid, f.values)
         assert np.abs(itp(x[None, :]) - f.values).max() < 1e-13
 
     def test_fourth_order_convergence(self):
@@ -38,7 +32,7 @@ class TestScalar:
         for n in (32, 64, 128):
             g = build_grid(1, L, n)
             f = GridScalar(g, np.sin(g.axis_coordinates()))
-            err = np.abs(scalar_interpolant(f)(q[None, :]) - np.sin(q)).max()
+            err = np.abs(PeriodicInterpolant(f.grid, f.values)(q[None, :]) - np.sin(q)).max()
             errors.append(err)
         assert errors[0] / errors[1] > 12.0
         assert errors[1] / errors[2] > 12.0
@@ -46,7 +40,7 @@ class TestScalar:
     def test_periodic_extension(self):
         g = build_grid(1, L, 32)
         f = GridScalar(g, np.cos(2 * g.axis_coordinates()))
-        itp = scalar_interpolant(f)
+        itp = PeriodicInterpolant(f.grid, f.values)
         q = stream(2, 0).uniform(0.0, L, 200)
         assert np.abs(itp(q[None, :]) - itp((q + 3 * L)[None, :])).max() < 1e-11
         assert np.abs(itp(q[None, :]) - itp((q - L)[None, :])).max() < 1e-11
@@ -58,15 +52,15 @@ class TestShapes:
         xx, yy = g.coordinates()
         v = GridVector(g, np.stack([np.sin(xx), np.cos(yy)]))
         pts = stream(3, 0).uniform(0.0, L, (2, 5, 7))
-        assert vector_interpolant(v)(pts).shape == (2, 5, 7)
-        assert jacobian_interpolant(v)(pts).shape == (2, 2, 5, 7)
+        assert PeriodicInterpolant(v.grid, v.values)(pts).shape == (2, 5, 7)
+        assert PeriodicInterpolant(v.grid, jacobian(v))(pts).shape == (2, 2, 5, 7)
 
     def test_jacobian_values(self):
         g = build_grid(2, L, 32)
         xx, yy = g.coordinates()
         v = GridVector(g, np.stack([np.sin(xx) * np.cos(yy), np.cos(2 * xx)]))
         pts = stream(4, 0).uniform(0.0, L, (2, 300))
-        J = jacobian_interpolant(v)(pts)
+        J = PeriodicInterpolant(v.grid, jacobian(v))(pts)
         truth01 = -np.sin(pts[0]) * np.sin(pts[1])
         assert np.abs(J[0, 1] - truth01).max() < 1e-4
 
@@ -92,7 +86,7 @@ class TestConstantComponents:
                 out = itp(pts)
                 for row, c in zip(out, (0.0, 1.0, -0.1, 1e308)):
                     assert np.array_equal(row, np.full(pts.shape[1:], c))
-                huge = scalar_interpolant(GridScalar.constant(g, 1e308))(pts)
+                huge = PeriodicInterpolant(g, np.full(g.shape, 1e308))(pts)
                 assert np.array_equal(huge, np.full(pts.shape[1:], 1e308))
 
     def test_mixed_stack_matches_single_components(self):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renormlab import cli, flow, lab, parallel, presets
-from renormlab.field import FieldError, Grid, GridVector, load_field, save_field
+from renormlab.field import FieldError, Grid, load_field, save_field
 from renormlab.flow import load_ensemble, sample_brownian
 from renormlab.lab import (
     CheckResult,

@@ -1,0 +1,90 @@
+"""Static checks on the source tree, read with ``ast``: nothing is imported or run.
+
+- Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
+- Only ``field._spectral`` calls an ``np.fft`` transform, and only
+  ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "renormlab"
+SCANNED = sorted(
+    path for part in ("src", "tests", "scripts") for path in (ROOT / part).rglob("*.py")
+)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported(tree: ast.Module):
+    """Each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The imported names the module never reads."""
+    tree = _parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in _imported(tree) if name not in used]
+
+
+def test_no_unused_imports():
+    found = [f"{p.relative_to(ROOT)}: {name}" for p in SCANNED for name in unused_imports(p)]
+    assert found == []
+
+
+def test_unused_import_scan_sees_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os, os.path as osp\nimport numpy.linalg\n"
+        "from math import pi, tau as t\n"
+        "def f(x: float = pi) -> None:\n    return numpy.linalg\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(probe) == ["os", "osp", "t"]
+
+
+def _fft_uses(path: Path) -> list[tuple[str, str]]:
+    """(enclosing function, attribute) for each ``<...>.fft.<attribute>`` in the module."""
+    uses = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "fft":
+                uses.append((function, node.attr))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            if any("fft" in name for name in names):
+                uses.append((function, "import"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(_parse(path), "<module>")
+    return uses
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_fft_path(path):
+    uses = _fft_uses(path)
+    if path.name != "field.py":
+        assert uses == []
+        return
+    assert sorted(set(uses)) == [
+        ("_spectral", "fft"), ("_spectral", "ifft"), ("_wavenumbers", "fftfreq"),
+    ]

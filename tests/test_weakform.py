@@ -39,7 +39,6 @@ from renormlab.flow import (
     BrownianPath,
     SdeConfig,
     pushforward_solution,
-    refine_brownian,
     sample_brownian,
     simulate_flow,
 )
@@ -48,7 +47,6 @@ from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import (
     ORIGINAL_TERMS,
     RENORMALIZED_TERMS,
-    Renormalizer,
     WeakFormError,
     WeakFormLedger,
     bump_test_function,

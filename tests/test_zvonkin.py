@@ -45,12 +45,11 @@ from renormlab.flow import (
     sample_brownian,
     simulate_flow,
 )
-from renormlab.interp import jacobian_interpolant, scalar_interpolant, vector_interpolant
+from renormlab.interp import PeriodicInterpolant
 from renormlab.parabolic import mild_solve
 from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import bump_test_function, residual_original
 from renormlab.zvonkin import (
-    Diffeo,
     LipTooLarge,
     ZvonkinError,
     build_diffeo,
@@ -163,7 +162,7 @@ class TestInversion:
         for _ in range(400):
             oracle = x - amp * np.sin(oracle)
         assert np.abs(y - oracle).max() < 1e-6
-        residual = np.abs(y + vector_interpolant(u.slices[0])(y) - x).max()
+        residual = np.abs(y + PeriodicInterpolant(g, u.slices[0].values)(y) - x).max()
         assert residual <= 1e-10
 
     def test_round_trip_inverse_both_ways(self):
@@ -174,7 +173,7 @@ class TestInversion:
         rng = np.random.default_rng(3)
         x = rng.uniform(0.0, L, size=(1, 25))
         y = invert_diffeo(d, 0.0, x, tol=tol)
-        interp = vector_interpolant(u.slices[0])
+        interp = PeriodicInterpolant(g, u.slices[0].values)
         assert np.abs(y + interp(y) - x).max() <= tol
         fx = x + interp(x)
         back = invert_diffeo(d, 0.0, fx, tol=tol)
@@ -269,7 +268,7 @@ class TestTransformedCoeffs:
             g, np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)) + np.eye(2))
         )
         y = invert_diffeo(d, 0.0, nodes_of(g), tol=1e-12)
-        det_pulled = scalar_interpolant(det_field)(y)
+        det_pulled = PeriodicInterpolant(g, det_field.values)(y)
         assert np.abs(det_cols - det_pulled).max() < 1e-4
         assert det_cols.min() >= d.det_lo - 1e-9
         assert det_cols.max() <= d.det_hi + 1e-9
@@ -329,8 +328,8 @@ class TestPushforward:
         psi = bump_test_function(g, center=[L / 2], radius=L / 6)
         lhs = (h.values * psi.values.values).sum() * g.cell_volume
         pts = nodes_of(g)
-        forward = pts + vector_interpolant(u.slices[0])(pts)
-        rhs = (f.values * scalar_interpolant(psi.values)(forward)).sum() * g.cell_volume
+        forward = pts + PeriodicInterpolant(g, u.slices[0].values)(pts)
+        rhs = (f.values * PeriodicInterpolant(g, psi.values.values)(forward)).sum() * g.cell_volume
         assert abs(lhs - rhs) <= 10.0 * g.h**2
 
     def test_grid_mismatch_rejected(self):
@@ -403,7 +402,7 @@ class TestStraightening:
         assert np.array_equal(y, reference_invert(u.slices[0], nodes_of(g), node_step(u.slices[0])))
         # invert_diffeo starts from y = x, not from the node step
         assert np.abs(y - invert_diffeo(straightening.diffeo, 0.1, nodes_of(g))).max() < 1e-11
-        jac_at = jacobian_interpolant(u.slices[0])(y)
+        jac_at = PeriodicInterpolant(g, jacobian(u.slices[0]))(y)
         mats = np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(2)
         assert np.array_equal(det, np.linalg.det(mats))
 
@@ -417,10 +416,10 @@ class TestStraightening:
         for j in (0, 5, steps - 1):
             t = float(u.times[j])
             y = reference_invert(u.slices[j], nodes_of(g), node_step(u.slices[j]))
-            jac_at = jacobian_interpolant(u.slices[j])(y)
+            jac_at = PeriodicInterpolant(g, jacobian(u.slices[j]))(y)
             det = np.linalg.det(np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(1))
             h = pushforward_under_diffeo(f, straightening, t)
-            assert np.array_equal(h.values, scalar_interpolant(f)(y) / det)
+            assert np.array_equal(h.values, PeriodicInterpolant(g, f.values)(y) / det)
         h_end = pushforward_under_diffeo(f, straightening, T)  # u(T) = 0
         assert np.array_equal(h_end.values, f.values)
         rec = relaxation_metrics(straightening, b, 4.0, 8.0, 4.0)
@@ -612,12 +611,12 @@ class TestRelaxationMetrics:
             u = mild_solve(b, lam, steps).u
             d = build_diffeo(u)
             y = invert_diffeo(d, 0.0, pts, tol=1e-12)
-            composed = scalar_interpolant(target)(y)
+            composed = PeriodicInterpolant(g, target.values)(y)
             fixed.append(lp_norm(GridScalar(g, np.abs(composed - target.values)), 2.0))
             shifted = GridScalar(g, target.values + d.lip * np.sin(3.0 * pts[0]))
             moving.append(
                 lp_norm(
-                    GridScalar(g, np.abs(scalar_interpolant(shifted)(y) - target.values)),
+                    GridScalar(g, np.abs(PeriodicInterpolant(g, shifted.values)(y) - target.values)),
                     2.0,
                 )
             )
@@ -660,7 +659,7 @@ def reference_invert(sl, pts, y, tol=1e-12, max_newton=30):
     one residual evaluation, and a row stops once max|y + u(y) - x| < tol.
     """
     dim = sl.grid.dim
-    u_t, grad_u = vector_interpolant(sl), jacobian_interpolant(sl)
+    u_t, grad_u = PeriodicInterpolant(sl.grid, sl.values), PeriodicInterpolant(sl.grid, jacobian(sl))
     eye = np.eye(dim).reshape((dim, dim) + (1,) * (pts.ndim - 1))
     for rounds in range(1, 2 * max_newton + 2):
         F = y + u_t(y) - pts
@@ -716,9 +715,9 @@ def reference_straightening(u, lam, tol=1e-12):
             per_slice.append((np.zeros_like(nodes), eye + np.zeros((dim, dim) + grid.shape), None))
             continue
         y = reference_invert(sl, nodes, node_step(sl), tol)
-        cols = eye + jacobian_interpolant(sl)(y)
+        cols = eye + PeriodicInterpolant(sl.grid, jacobian(sl))(y)
         det = np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))
-        per_slice.append((lam * vector_interpolant(sl)(y), cols, (y, det)))
+        per_slice.append((lam * PeriodicInterpolant(sl.grid, sl.values)(y), cols, (y, det)))
     return lip, det_min, det_max, per_slice
 
 
@@ -800,7 +799,7 @@ class TestBatchedStraightening:
         path = zvonkin.pushforward_path_under_diffeo(fields, straightening, times)
         for f, t, h in zip(fields, times, path):
             node = straightening.inverted[straightening.slice_of[u.slice_indices(t)]]
-            want = f.values if node is None else scalar_interpolant(f)(node[0]) / node[1]
+            want = f.values if node is None else PeriodicInterpolant(grid, f.values)(node[0]) / node[1]
             assert np.array_equal(h.values, want)
             assert h.values is not f.values
             assert np.array_equal(h.values, pushforward_under_diffeo(f, straightening, t).values)
@@ -851,7 +850,7 @@ class TestBatchedStraightening:
             assert np.array_equal(alone[:, 0], want)
             assert np.array_equal(straightening.b_hat.slices[n].values, 2.0 * at[:1, 0])
         y = straightening.inverted[1][0]
-        assert np.abs(y + vector_interpolant(slices[1])(y) - nodes_of(g)).max() < 1e-12
+        assert np.abs(y + PeriodicInterpolant(g, slices[1].values)(y) - nodes_of(g)).max() < 1e-12
 
 
 def flow_block(grid):
