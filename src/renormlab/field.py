@@ -236,12 +236,6 @@ class TimeGridVector:
             index.append(i)
         return unique, np.array(index, dtype=np.intp)
 
-    def index_of(self, t: float) -> int:
-        j = int(round(t / (self.times[1] - self.times[0])))
-        if j < 0 or j >= len(self.times) or abs(self.times[j] - t) > 1e-9 * max(self.T, 1.0):
-            raise FieldError(f"time {t} not on the sample grid")
-        return j
-
     @classmethod
     def from_function(cls, grid: Grid, times, fns_of_t) -> "TimeGridVector":
         """fns_of_t(t) must return a list of per-component callables."""
@@ -503,19 +497,6 @@ def lp_norm(f: GridScalar, p: float, region: BoxRegion | None = None) -> float:
     if math.isinf(p):
         return float(a.max()) if a.size else 0.0
     return float((a**p).sum() * f.grid.cell_volume) ** (1.0 / p)
-
-
-def inner(f: GridScalar, g: GridScalar) -> float:
-    """Duality pairing <f, g> = h^n sum f g."""
-    _require_same_grid(f, g)
-    return float((f.values * g.values).sum() * f.grid.cell_volume)
-
-
-def spectral_energy(f: GridScalar) -> float:
-    """h^n-normalized spectral energy; equals ||f||_2^2 by Parseval."""
-    g = f.grid
-    fhat = _spectral(g, f.values)
-    return float((np.abs(fhat) ** 2).sum() * g.cell_volume / g.N**g.dim)
 
 
 # ---------------------------------------------------------------------------

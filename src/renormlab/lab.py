@@ -23,7 +23,6 @@ import json
 import logging
 import math
 import platform
-import sys
 from dataclasses import (
     dataclass,
     field as dataclass_field,
@@ -44,6 +43,8 @@ from .field import (
     GridVector,
     TimeGridVector,
     central_half,
+    _is_int,
+    _is_number,
     divergence,
     jacobian,
     jacobian_stack,
@@ -66,7 +67,6 @@ from .flow import (
     refine_brownian,
     sample_brownian,
     save_ensemble,
-    simulate_flow,
     simulate_flows,
     variational_jacobian,
 )
@@ -86,7 +86,6 @@ from .weakform import (
     weighted_l1_stability,
 )
 from .zvonkin import (
-    Straightening,
     relaxation_metrics,
     transform_coeffs,
     transformed_residual,
@@ -139,7 +138,6 @@ class LabError(ValueError):
 @dataclass(frozen=True)
 class GridConfig:
     dim: int = 1
-    L: float = 2.0 * math.pi
     N: int = 64
 
 
@@ -262,17 +260,12 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     g, t, c, s = cfg.grid, cfg.time, cfg.coefficients, cfg.scalars
     if typed("grid.dim") and g.dim not in (1, 2):
         out.append(f"grid.dim must be 1 or 2, got {g.dim}")
-    if typed("grid.L") and not (g.L > 0 and math.isfinite(g.L)):
-        out.append(f"grid.L must be a positive float, got {g.L}")
-    elif typed("grid.L") and g.L != 2.0 * math.pi:
-        # the presets and the default datum are 2*pi-periodic profiles
-        out.append(f"grid.L must be 2*pi (6.283185307179586), got {g.L}")
     if typed("grid.N"):
         if not 8 <= g.N <= 512:
             out.append(f"grid.N must be an integer in [8, 512], got {g.N}")
         elif g.N % 2 != 0:
             out.append(f"grid.N must be even (odd N has no Nyquist mode), got {g.N}")
-    if typed("time.T") and not (t.T > 0 and math.isfinite(t.T)):
+    if typed("time.T") and not t.T > 0:
         out.append(f"time.T must be positive, got {t.T}")
     if typed("time.T", "time.dt"):
         if not (t.dt > 0 and t.dt <= t.T):
@@ -328,9 +321,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
 def _type_errors(cfg: ExperimentConfig) -> dict[str, str]:
     """Each field whose value lacks its annotated type, with a message naming it.
 
-    A section that is not its config class counts as one wrong field.  A bool
-    is refused where a number is meant, though Python counts it as an int,
-    and so is an int too large for a float.
+    A section that is not its config class counts as one wrong field.  A
+    number is what ``field._is_number`` takes, as in a .fld/.flo header: no
+    bool, though Python counts it as an int, no nan or infinity, and no int
+    too large for a float.
     """
     wrong: dict[str, str] = {}
     for name, hint in get_type_hints(ExperimentConfig).items():
@@ -354,12 +348,10 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", type(None)
 
 
 def _has_type(value, hint) -> bool:
-    if hint in (int, float):
-        kinds = (int,) if hint is int else (int, float)
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            return False
-        # an int is taken for a number only if a float can hold it
-        return hint is int or isinstance(value, float) or abs(value) <= sys.float_info.max
+    if hint is int:
+        return _is_int(value)
+    if hint is float:
+        return _is_number(value)
     if get_origin(hint) is tuple:  # a JSON list, or a tuple built in Python
         entry = get_args(hint)[0]
         return isinstance(value, (list, tuple)) and all(_has_type(v, entry) for v in value)
@@ -444,47 +436,48 @@ def _stream(cfg: ExperimentConfig, consumer: int, member: int = 0) -> int:
     return cfg.scalars.master_seed + consumer + member
 
 
-def _member_flows(
-    cfg: ExperimentConfig, prob: Problem, T: float, consumer: int, members: int
-) -> list[FlowEnsemble]:
-    """Flows of ``prob`` on the paths of members 0 .. members - 1 of ``consumer``."""
-    paths = [
-        sample_brownian(T, prob.dt, len(prob.sigmas), _stream(cfg, consumer, m))
-        for m in range(members)
-    ]
-    return simulate_flows(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), paths)
+def _paths(
+    cfg: ExperimentConfig, consumer: int, members: int, T: float, dt: float, k_count: int
+) -> list[BrownianPath]:
+    """The Brownian paths of members 0 .. members - 1 of one ``_STREAM_*`` consumer."""
+    return [sample_brownian(T, dt, k_count, _stream(cfg, consumer, m)) for m in range(members)]
 
 
-def _flow_chunks(prob: Problem, paths: list[BrownianPath]):
-    """Yield the flows of ``prob`` on ``paths``, one chunk of members at a time.
+def _per_member(prob: Problem, paths: list[BrownianPath], reduce) -> list:
+    """``reduce`` of the flow of ``prob`` on each path, in path order.
 
-    A caller that reduces each flow to a few numbers holds one chunk of
-    positions at a time (``flow.members_per_chunk`` bounds it).
+    The one Monte Carlo member loop of the lab.  Flows are integrated
+    ``flow.members_per_chunk`` members at a time and each chunk's members are
+    reduced on the worker pool, one item per member, so only one chunk of
+    positions is alive at a time unless ``reduce`` returns the ensemble.
     """
     per_chunk = members_per_chunk(prob.grid, prob.steps)
-    for start in range(0, len(paths), per_chunk):
-        yield simulate_flows(
-            prob.b, prob.sigmas, SdeConfig(dt=prob.dt), paths[start : start + per_chunk]
+    config = SdeConfig(dt=prob.dt)
+    return [
+        value
+        for start in range(0, len(paths), per_chunk)
+        for value in parallel.ordered_map(
+            reduce, simulate_flows(prob.b, prob.sigmas, config, paths[start : start + per_chunk])
         )
+    ]
 
 
 def _pushforward_pair(
-    source: str | presets.Preset, N: int, fine_N: int, T: float, dt: float, seed: int,
-    factor: int = 4,
+    source: str | presets.Preset, N: int, fine_N: int, T: float, dt: float, seed: int
 ) -> list[tuple[Problem, BrownianPath, list[GridScalar]]]:
     """f0 pushed forward at every step, base and refined, on one Brownian path.
 
     The base run is (N, dt) on the path drawn from stream ``seed``; the
-    refined run is (fine_N, dt / factor) on its bridge refinement.  Each entry
-    is (problem, path, pushforward at steps 0..steps).
+    refined run is (fine_N, dt / 4) on its bridge refinement.  Each entry is
+    (problem, path, pushforward at steps 0..steps).
     """
     base = _problem(source, N, T, dt)
     path = sample_brownian(T, dt, len(base.sigmas), seed)
-    fine = _problem(source, fine_N, T, dt / factor)
+    fine = _problem(source, fine_N, T, dt / 4)
     runs = []
-    for prob, p in ((base, path), (fine, refine_brownian(path, factor))):
-        ens = simulate_flow(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), p)
-        runs.append((prob, p, list(pushforward_path(prob.f0, ens))))
+    for prob, p in ((base, path), (fine, refine_brownian(path, 4))):
+        [fpath] = _per_member(prob, [p], lambda ens: list(pushforward_path(prob.f0, ens)))
+        runs.append((prob, p, fpath))
     return runs
 
 
@@ -548,7 +541,7 @@ def _environment_stamp(cfg: ExperimentConfig) -> dict[str, str]:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "grid": f"dim={cfg.grid.dim} L={cfg.grid.L:.12g} N={cfg.grid.N}",
+        "grid": f"dim={cfg.grid.dim} N={cfg.grid.N}",
         "master_seed": str(cfg.scalars.master_seed),
         "workers": str(parallel.worker_count()),
     }
@@ -639,39 +632,48 @@ def _run_parabolic_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return files
 
 
-def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    prob = _config_problem(cfg)
-    grid, sigmas, f0, steps = prob.grid, prob.sigmas, prob.f0, prob.steps
-    T, dt = cfg.time.T, cfg.time.dt
-    mass0 = float(np.sum(f0.values)) * grid.cell_volume
-    norm0 = lp_norm(f0, cfg.scalars.p)
-    sampled = range(0, steps + 1, max(1, steps // 10))
-    paths = [
-        sample_brownian(T, dt, len(sigmas), _stream(cfg, _STREAM_DIVFREE, m))
-        for m in range(cfg.scalars.mc_members)
-    ]
+def _conservation_rows(prob: Problem, p: float, sampled):
+    """The reduce of both conservation users: f0 pushed forward by a flow of ``prob``.
 
-    def member_rows(ens: FlowEnsemble):
-        rows = []
+    One (step, mass - mass0, ||f||_p / ||f0||_p) row per ``sampled`` step.
+    """
+    grid, f0 = prob.grid, prob.f0
+    mass0 = float(np.sum(f0.values)) * grid.cell_volume
+    norm0 = lp_norm(f0, p)
+
+    def rows(ens: FlowEnsemble) -> list[tuple[int, float, float]]:
+        out = []
         for l, f_l in zip(sampled, pushforward_path(f0, ens, sampled)):
             mass = float(np.sum(f_l.values)) * grid.cell_volume
-            rows.append((l, l * dt, mass - mass0, lp_norm(f_l, cfg.scalars.p) / norm0))
-        return rows
+            out.append((l, mass - mass0, lp_norm(f_l, p) / norm0))
+        return out
 
-    results = []
-    for chunk in _flow_chunks(prob, paths):
-        results += parallel.ordered_map(member_rows, chunk)
-    # only the last member is saved: its positions, without the rest of its chunk
-    last_ens = replace(chunk[-1], paths=chunk[-1].paths.copy())
-    del chunk
+    return rows
+
+
+def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
+    prob = _config_problem(cfg)
+    T, dt = cfg.time.T, cfg.time.dt
+    paths = _paths(cfg, _STREAM_DIVFREE, cfg.scalars.mc_members, T, dt, len(prob.sigmas))
+    sampled = range(0, prob.steps + 1, max(1, prob.steps // 10))
+    rows = _conservation_rows(prob, cfg.scalars.p, sampled)
+    saved = []
+
+    def reduce(ens: FlowEnsemble):
+        if ens.path is paths[-1]:  # the saved member: its positions, without its chunk
+            saved.append(replace(ens, paths=ens.paths.copy()))
+        return rows(ens)
+
+    results = _per_member(prob, paths, reduce)
     csv_path = _write_csv(
         out / "flow_conservation.csv", ["member", "step", "time", "mass_gap", "lp_ratio"],
-        [(m, *row) for m, rows in enumerate(results) for row in rows],
+        [(m, l, l * dt, gap, ratio)
+         for m, member in enumerate(results) for l, gap, ratio in member],
     )
     field_path = out / "flow_final.fld"
-    save_field(field_path, pushforward_solution(f0, last_ens, T))
+    save_field(field_path, pushforward_solution(prob.f0, saved[0], T))
     ens_path = out / "flow_paths.flo"
-    save_ensemble(ens_path, last_ens)
+    save_ensemble(ens_path, saved[0])
     return [csv_path, field_path, ens_path]
 
 
@@ -868,31 +870,25 @@ def _check_cancellation(cfg: ExperimentConfig) -> list[CheckResult]:
     return out
 
 
-def _sup_gaps(prob: Problem, paths: list[BrownianPath]) -> list[float]:
-    """logdet_gap of the flow on each path, one chunk of members at a time.
-
-    Each member's two recursions run on the worker pool, on a copy of its
-    ensemble, so that only the gaps outlive the chunk.
-    """
-    b, sigmas = prob.b, prob.sigmas
-
-    def gap(ens: FlowEnsemble) -> float:
-        ens = replace(ens)
-        variational_jacobian(ens, b, sigmas)
-        logdet_stochastic_exponential(ens, b, sigmas)
-        return logdet_gap(ens)
-
-    return [g for chunk in _flow_chunks(prob, paths) for g in parallel.ordered_map(gap, chunk)]
-
-
 def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
-    """Per-path sup gap at (dt, dt/4); bridge-coupled refinement."""
-    paths = [sample_brownian(T, dt, 1, _stream(cfg, _STREAM_LOGDET, m)) for m in range(members)]
-    coarse = _sup_gaps(_problem("trig_flow", 64, T, dt), paths)
-    fine = _sup_gaps(
-        _problem("trig_flow", 64, T, dt / 4.0), [refine_brownian(p, 4) for p in paths]
-    )
-    return coarse, fine
+    """Per-path sup gap at (dt, dt/4); bridge-coupled refinement.
+
+    Each member's two recursions run on a copy of its ensemble, so that only
+    the gaps outlive the chunk.
+    """
+    paths = _paths(cfg, _STREAM_LOGDET, members, T, dt, 1)
+    gaps = []
+    for factor, member_paths in ((1, paths), (4, [refine_brownian(p, 4) for p in paths])):
+        prob = _problem("trig_flow", 64, T, dt / factor)
+
+        def gap(ens: FlowEnsemble) -> float:
+            ens = replace(ens)
+            variational_jacobian(ens, prob.b, prob.sigmas)
+            logdet_stochastic_exponential(ens, prob.b, prob.sigmas)
+            return logdet_gap(ens)
+
+        gaps.append(_per_member(prob, member_paths, gap))
+    return gaps
 
 
 def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -934,28 +930,16 @@ def _check_pushforward_residual(cfg: ExperimentConfig) -> list[CheckResult]:
 def _check_conservation(cfg: ExperimentConfig) -> list[CheckResult]:
     T, dt = 0.25, 1e-3
     prob = _problem("divfree_2d", 64, T, dt)
-    grid, b, sigmas, f0, steps = prob.grid, prob.b, prob.sigmas, prob.f0, prob.steps
-    mass0 = float(np.sum(f0.values)) * grid.cell_volume
-    norm0 = lp_norm(f0, 2.0)
-
-    def one_path(m: int):
-        path = sample_brownian(T, dt, 2, _stream(cfg, _STREAM_DIVFREE, m))
-        ens = simulate_flow(b, sigmas, SdeConfig(dt=dt), path)
-        worst_mass, worst_norm = 0.0, 0.0
-        for f_l in pushforward_path(f0, ens, range(0, steps + 1, 25)):
-            mass = float(np.sum(f_l.values)) * grid.cell_volume
-            worst_mass = max(worst_mass, abs(mass - mass0))
-            worst_norm = max(worst_norm, abs(lp_norm(f_l, 2.0) / norm0 - 1.0))
-        return worst_mass, worst_norm
-
-    results = parallel.ordered_map(one_path, range(4))
-    h = grid.L / grid.N
+    reduce = _conservation_rows(prob, 2.0, range(0, prob.steps + 1, 25))
+    paths = _paths(cfg, _STREAM_DIVFREE, 4, T, dt, 2)
+    rows = [row for member in _per_member(prob, paths, reduce) for row in member]
+    h = prob.grid.L / prob.grid.N
     return [
         _result(
-            "conservation_mass", max(r[0] for r in results), 10.0 * h * h, "<=",
+            "conservation_mass", max(abs(gap) for _, gap, _ in rows), 10.0 * h * h, "<=",
             "4 paths, nodes every 25 steps",
         ),
-        _result("conservation_lp", max(r[1] for r in results), 2e-2, "<="),
+        _result("conservation_lp", max(abs(ratio - 1.0) for _, _, ratio in rows), 2e-2, "<="),
     ]
 
 
@@ -976,7 +960,8 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     growth = m * (div_b + 0.5 * twist) + 0.5 * m * m * div_s**2
     envelope = math.exp(growth * T) * lp_norm(f0, 2.0 * p) ** (2.0 * p)
 
-    ensembles = _member_flows(cfg, prob, T, _STREAM_MOMENT, members)
+    paths = _paths(cfg, _STREAM_MOMENT, members, T, dt, len(sigmas))
+    ensembles = _per_member(prob, paths, lambda ens: ens)
     est = ensemble_moment(
         ensembles, lambda e: lp_norm(pushforward_solution(f0, e, T), 2.0 * p), power=2.0 * p
     )
@@ -1102,36 +1087,31 @@ def _check_renorm_residual(cfg: ExperimentConfig) -> list[CheckResult]:
     return _renorm_rows(_renorm_ledgers(cfg))
 
 
-def _zvonkin_member_residual(
-    sid: int, T: float, dt: float, straightenings: list[Straightening]
-) -> tuple[float, float]:
-    """Transformed residual on one path at dt and on its 8-fold bridge refinement.
+def _transformed_residuals(prob: Problem, lam: float, paths: list[BrownianPath]) -> list[float]:
+    """Transformed residual of f0 pushed forward on each path.
 
-    ``straightenings`` holds the straightening at dt and at dt/8; every
-    member shares them, since the drift, lambda and steps do not depend on
-    the path.
+    Every member shares one straightening, since the drift, lambda and steps
+    do not depend on the path.
     """
-    runs = _pushforward_pair(_TRIG_UNIT_NOISE, 64, 64, T, dt, sid, factor=8)
-    return tuple(
-        transformed_residual(fpath, st, prob.b, prob.phi, path).residual
-        for (prob, path, fpath), st in zip(runs, straightenings)
-    )
+    st = transform_coeffs(mild_solve(prob.b, lam, prob.steps).u, lam)
+
+    def residual(ens: FlowEnsemble) -> float:
+        fpath = list(pushforward_path(prob.f0, ens))
+        return transformed_residual(fpath, st, prob.b, prob.phi, ens.path).residual
+
+    return _per_member(prob, paths, residual)
 
 
 def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
     T, dt, lam = 0.25, 2.5e-3, 16.0
-    straightenings = []
-    for step in (dt, dt / 8):
-        prob = _problem(_TRIG_UNIT_NOISE, 64, T, step)
-        straightenings.append(transform_coeffs(mild_solve(prob.b, lam, prob.steps).u, lam))
-    pairs = parallel.ordered_map(
-        lambda m: _zvonkin_member_residual(
-            _stream(cfg, _STREAM_ZVONKIN, m), T, dt, straightenings
-        ),
-        range(8),
-    )
+    base, fine = (_problem(_TRIG_UNIT_NOISE, 64, T, step) for step in (dt, dt / 8))
+    paths = _paths(cfg, _STREAM_ZVONKIN, 8, T, dt, len(base.sigmas))
     rms_c, rms_f = (
-        math.sqrt(sum(pair[i] * pair[i] for pair in pairs) / len(pairs)) for i in range(2)
+        math.sqrt(sum(r * r for r in residuals) / len(residuals))
+        for residuals in (
+            _transformed_residuals(base, lam, paths),
+            _transformed_residuals(fine, lam, [refine_brownian(p, 8) for p in paths]),
+        )
     )
 
     steps = 128
@@ -1157,22 +1137,23 @@ def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _stability_series(cfg, members: int, T: float, dt: float):
-    prob = _problem("trig_flow", 64, T, dt)
-    ensembles = _member_flows(cfg, prob, T, _STREAM_STABILITY, members)
-    return weighted_l1_stability(ensembles, prob.f0, prob.b, prob.sigmas, 2.0)
+def _stability_series(
+    cfg, source: str, consumer: int, members: int, T: float, dt: float, r_exponent: float
+):
+    """weighted_l1_stability of ``source`` on 64 nodes over the members of ``consumer``."""
+    prob = _problem(source, 64, T, dt)
+    paths = _paths(cfg, consumer, members, T, dt, len(prob.sigmas))
+    ensembles = _per_member(prob, paths, lambda ens: ens)
+    return weighted_l1_stability(ensembles, prob.f0, prob.b, prob.sigmas, r_exponent)
 
 
 def _check_stability(cfg: ExperimentConfig) -> list[CheckResult]:
-    series = _stability_series(cfg, members=8, T=0.5, dt=2.5e-3)
+    series = _stability_series(cfg, "trig_flow", _STREAM_STABILITY, 8, 0.5, 2.5e-3, 2.0)
     # The envelope is exactly tight at step 0 (no noise has acted yet), so
     # the gate carries a round-off allowance on top of the confidence band.
     exceed = float(np.max(series.mean - series.envelope - 1.645 * series.stderr))
 
-    T2, dt2 = 0.25, 0.025
-    prob2 = _problem("divfree_2d", 64, T2, dt2)
-    ens2 = _member_flows(cfg, prob2, T2, _STREAM_CONSTANCY, 8)
-    series2 = weighted_l1_stability(ens2, prob2.f0, prob2.b, prob2.sigmas, 0.0)
+    series2 = _stability_series(cfg, "divfree_2d", _STREAM_CONSTANCY, 8, 0.25, 0.025, 0.0)
     z = np.abs(series2.mean[1:] - series2.mean[0]) / np.maximum(series2.stderr[1:], 1e-300)
     return [
         _result("stability_envelope", exceed, 1e-12, "<=", "trig preset, 8 members, 95%"),
@@ -1189,12 +1170,13 @@ def _determinism_payload(cfg: ExperimentConfig) -> tuple:
 
     T = 0.25
     prob = _problem("trig_flow", 64, T, 5e-3)
-    ensembles = _member_flows(cfg, prob, T, _STREAM_MOMENT, 8)
+    paths = _paths(cfg, _STREAM_MOMENT, 8, T, prob.dt, len(prob.sigmas))
+    ensembles = _per_member(prob, paths, lambda ens: ens)
     est = ensemble_moment(
         ensembles, lambda e: lp_norm(pushforward_solution(prob.f0, e, T), 4.0), power=4.0
     )
 
-    series = _stability_series(cfg, members=4, T=0.25, dt=5e-3)
+    series = _stability_series(cfg, "trig_flow", _STREAM_STABILITY, 4, 0.25, 5e-3, 2.0)
     return (
         tuple(coarse),
         tuple(fine),

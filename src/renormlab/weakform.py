@@ -406,13 +406,6 @@ class StabilitySeries:
     envelope: np.ndarray
     r_exponent: float
 
-    def gronwall_ratio(self) -> np.ndarray:
-        """Estimate divided by the envelope; identically 0 for a zero datum."""
-        out = np.zeros_like(self.mean)
-        alive = self.envelope > 0.0
-        out[alive] = self.mean[alive] / self.envelope[alive]
-        return out
-
 
 def _stability_weight(grid: Grid, r_exponent: float) -> np.ndarray:
     if r_exponent == 0.0:

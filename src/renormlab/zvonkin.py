@@ -234,7 +234,7 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
         )
         y, at, _ = _newton_rows(grid, values, jac, nodes, first, _STRAIGHTEN_TOL)
         cols = eye[:, :, None] + at[dim:].reshape((dim, dim, len(block)) + grid.shape)
-        det = np.linalg.det(np.moveaxis(cols, (0, 1), (-2, -1)))
+        det = _det_stack(cols)
         for r, n in enumerate(block):
             y_r = y[:, r].reshape((dim,) + grid.shape)
             moved[n] = (at[:dim, r].reshape(y_r.shape), cols[:, :, r], (y_r, det[r]))

@@ -34,14 +34,12 @@ from renormlab.field import (
     divergence_stack,
     gradient,
     hessian_stack,
-    inner,
     kernel_moment,
     load_field,
     lp_norm,
     mollifier,
     save_field,
     spectral_derivative,
-    spectral_energy,
 )
 
 L = 2.0 * math.pi
@@ -128,8 +126,9 @@ class TestSpectralDerivative:
         x = g.axis_coordinates()
         f = GridScalar(g, sum(rng.normal() * np.sin(k * x + rng.normal()) for k in range(1, 9)))
         w = GridScalar(g, sum(rng.normal() * np.cos(k * x + rng.normal()) for k in range(1, 9)))
-        lhs = inner(spectral_derivative(f, (1,)), w)
-        rhs = -inner(f, spectral_derivative(w, (1,)))
+        # the duality pairing <f, w> = h sum f w
+        lhs = float(np.sum(spectral_derivative(f, (1,)).values * w.values)) * g.cell_volume
+        rhs = -float(np.sum(f.values * spectral_derivative(w, (1,)).values)) * g.cell_volume
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
     def test_gradient_divergence_consistency(self):
@@ -326,12 +325,6 @@ class TestNorms:
         narrow = BoxRegion(lo=(0.0,), hi=(g.h * 3,))
         assert narrow.mask(g).sum() == 3
 
-    def test_parseval(self):
-        rng = np.random.default_rng(11)
-        g = build_grid(1, L, 64)
-        f = GridScalar(g, rng.standard_normal(g.shape))
-        assert abs(spectral_energy(f) - lp_norm(f, 2) ** 2) < 1e-10
-
     def test_invalid_p(self):
         g = build_grid(1, L, 32)
         with pytest.raises(FieldError):
@@ -367,12 +360,6 @@ class TestTimeSlices:
         assert tgv.slice_at(0.3).values[0, 0] == 1.0
         assert tgv.slice_at(0.25).values[0, 0] == 1.0
         assert tgv.slice_at(1.0).values[0, 0] == 4.0
-
-    def test_index_of(self):
-        tgv = self._tgv()
-        assert tgv.index_of(0.75) == 3
-        with pytest.raises(FieldError):
-            tgv.index_of(0.3)
 
     def test_distinct_of_shared_slices(self):
         g = build_grid(1, L, 16)

@@ -46,7 +46,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def config_payload(**overrides) -> dict:
     payload = {
         "experiment": "commutator_study",
-        "grid": {"dim": 1, "L": TWO_PI, "N": 32},
+        "grid": {"dim": 1, "N": 32},
         "time": {"T": 0.25, "dt": 0.0125},
         "coefficients": {"preset": "trig_flow"},
         "scalars": {"r": 2.0, "master_seed": 0},
@@ -82,7 +82,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(
                 config_payload(
                     experiment="nope",
-                    grid={"dim": 7, "L": -1.0, "N": 4},
+                    grid={"dim": 7, "N": 4},
                     scalars={"mc_members": 1, "p": 0.5},
                 )
             )
@@ -98,7 +98,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(config_payload(grid={"dim": 1, "shape": 3}))
 
     def test_odd_grid_rejected(self):
-        payload = config_payload(grid={"dim": 1, "L": TWO_PI, "N": 63})
+        payload = config_payload(grid={"dim": 1, "N": 63})
         with pytest.raises(LabError, match="grid.N must be even"):
             ExperimentConfig.from_dict(payload)
 
@@ -109,11 +109,19 @@ class TestExperimentConfig:
                 scalars=ScalarConfig(lambdas=(16.0, 4.0)),
             )
 
-    def test_box_must_be_two_pi(self):
-        for L, message in ((6, "grid.L must be 2*pi"), (-1.0, "grid.L must be a positive")):
-            with pytest.raises(LabError) as info:
-                ExperimentConfig(experiment="commutator_study", grid=GridConfig(L=L))
-            assert str(info.value).count("\n  - ") == 1 and message in str(info.value)
+    def test_box_must_be_two_pi(self, tmp_path, capsys):
+        # every preset and the default datum is 2*pi-periodic, so the box is
+        # not a config field: an L key is refused as unknown, before any run
+        assert "L" not in {f.name for f in dataclass_fields(GridConfig)}
+        for L in (TWO_PI, 6, -1.0):
+            payload = config_payload(output_dir=str(tmp_path / "out"))
+            payload["grid"] = {**payload["grid"], "L": L}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(payload))
+            assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert "unknown key grid.'L'" in err and err.count("\n  - ") == 1
+            assert not (tmp_path / "out").exists()
 
     def test_horizon_must_be_step_multiple(self):
         with pytest.raises(LabError, match="integer multiple"):
@@ -559,14 +567,19 @@ class TestListFields:
 
 # (section or None for a top-level key, fields, the name the message gives)
 WRONG_TYPE_PROBES = [
-    ("grid", {"L": "abc"}, "grid.L must be a number"),
+    ("time", {"T": "abc"}, "time.T must be a number"),
     ("time", {"T": 1e308, "dt": 1e-300}, "time.T / time.dt must be a finite step count"),
     ("scalars", {"lambdas": [4, "x"]}, "scalars.lambdas must be a list of numbers"),
     ("grid", {"dim": True}, "grid.dim must be an integer"),
     (None, {"output_dir": 5}, "output_dir must be a string"),
     # an integer no float can hold
-    ("grid", {"L": 10**400}, "grid.L must be a number"),
+    ("time", {"T": 10**400}, "time.T must be a number"),
     ("scalars", {"lambdas": [4, 10**400]}, "scalars.lambdas must be a list of numbers"),
+    # json reads NaN and Infinity; a run on them failed without naming the key
+    ("scalars", {"lambdas": [4, math.nan, 64]}, "scalars.lambdas must be a list of numbers"),
+    ("scalars", {"lambdas": [4, 16, math.inf]}, "scalars.lambdas must be a list of numbers"),
+    ("scalars", {"epsilons": [1, math.nan, 0.2]}, "scalars.epsilons must be a list of numbers"),
+    ("scalars", {"p": math.inf}, "scalars.p must be a number"),
 ]
 
 
@@ -681,7 +694,7 @@ class TestCli:
 
     def test_odd_grid_exits_2(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
-        payload = config_payload(grid={"dim": 1, "L": TWO_PI, "N": 63})
+        payload = config_payload(grid={"dim": 1, "N": 63})
         path.write_text(json.dumps(payload))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
@@ -817,6 +830,21 @@ class TestCli:
         assert "--flip-sign" in run.stderr and "'g_div_bb'" in run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_artifact_hex_lists_every_run_artifact(self):
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "artifact_hex.py")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            check=False,
+        )
+        assert run.returncode == 0, run.stderr
+        lines = [line.split(" ") for line in run.stdout.splitlines()]
+        assert [(config, name) for config, name, _ in lines] == [
+            (f"{tag}.json", name) for tag in sorted(ARTIFACTS) for name in ARTIFACTS[tag]
+        ]
+        assert len(lines) == 10 and all(len(bytes.fromhex(digest)) == 32 for *_, digest in lines)
+
     def test_accept_exit_codes(self, tmp_path, capsys, monkeypatch):
         # The real suite runs for a minute; the exit-code mapping is what the
         # CLI owns, so substitute a canned report for each verdict.
@@ -838,6 +866,30 @@ class TestCli:
         assert cli.main(["accept", str(path)]) == cli.EXIT_CHECK_FAIL
         out = capsys.readouterr().out
         assert "FAIL only" in out
+
+
+class TestPerMember:
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_values_in_path_order_by_bounded_chunks(self, monkeypatch, workers):
+        prob = lab._problem("trig_flow", 64, 0.1, 0.01)
+        per_chunk = flow.members_per_chunk(prob.grid, prob.steps)
+        paths = [sample_brownian(0.1, 0.01, 1, 7 + m) for m in range(2 * per_chunk + 3)]
+        chunks, simulate_flows = [], lab.simulate_flows
+
+        def recording(b, sigmas, config, chunk):
+            chunks.append([p.seed for p in chunk])
+            return simulate_flows(b, sigmas, config, chunk)
+
+        monkeypatch.setattr(lab, "simulate_flows", recording)
+        monkeypatch.setenv(parallel.ENV_VAR, workers)
+        finals = lab._per_member(prob, paths, lambda ens: (ens.path.seed, ens.paths[-1].copy()))
+        assert [seed for seed, _ in finals] == [p.seed for p in paths]
+        assert [len(c) for c in chunks] == [per_chunk, per_chunk, 3]
+        assert sum(chunks, []) == [p.seed for p in paths]
+        # each member's flow is the one it has when integrated alone
+        for path, (_, final) in zip(paths[per_chunk - 1 : per_chunk + 1], finals[per_chunk - 1 :]):
+            alone = flow.simulate_flow(prob.b, prob.sigmas, flow.SdeConfig(dt=0.01), path)
+            assert np.array_equal(final, alone.paths[-1])
 
 
 class TestWorkerInvariant:
@@ -879,6 +931,11 @@ WRONG_TYPES = st.one_of(
 MUTATION = st.one_of(
     HUGE_AND_TINY, WRONG_TYPES, st.lists(st.one_of(HUGE_AND_TINY, WRONG_TYPES), max_size=3)
 )
+# nan and infinity on their own and as list entries, which a config must refuse
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+CONFIG_MUTATION = st.one_of(
+    MUTATION, NON_FINITE, st.lists(st.one_of(NON_FINITE, HUGE_AND_TINY), min_size=1, max_size=3)
+)
 
 
 @pytest.mark.parametrize(
@@ -900,15 +957,19 @@ def test_mutated_config_returns_or_raises_lab_error(config_file, data):
     payload = json.loads(config_file.read_text())
     targets = data.draw(st.lists(st.sampled_from(FIELD_PATHS), min_size=1, max_size=3))
     for target in targets:
-        value = data.draw(MUTATION)
+        value = data.draw(CONFIG_MUTATION)
         if len(target) == 1:
             payload[target[0]] = value
         elif isinstance(payload.get(target[0], {}), dict):
             payload.setdefault(target[0], {})[target[1]] = value
     try:
-        ExperimentConfig.from_dict(payload)
+        cfg = ExperimentConfig.from_dict(payload)
     except LabError:
-        pass
+        return
+    for section in SECTIONS:  # an accepted config holds only finite numbers
+        for value in vars(getattr(cfg, section)).values():
+            for v in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(v, float) or math.isfinite(v), (section, value)
 
 
 @pytest.mark.parametrize("suffix", [".fld", ".flo"])

@@ -3,6 +3,8 @@
 - Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
 - Only ``field._spectral`` calls an ``np.fft`` transform, and only
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
+- Only ``lab._per_member`` integrates flows, and only ``lab._paths`` and
+  ``lab._pushforward_pair`` draw Brownian paths: the lab has one member loop.
 """
 
 from __future__ import annotations
@@ -58,13 +60,19 @@ def test_unused_import_scan_sees_each_form(tmp_path):
     assert unused_imports(probe) == ["os", "osp", "t"]
 
 
+def _with_function(node: ast.AST, function: str = "<module>"):
+    """(innermost enclosing function, node) for ``node`` and every node below it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    yield function, node
+    for child in ast.iter_child_nodes(node):
+        yield from _with_function(child, function)
+
+
 def _fft_uses(path: Path) -> list[tuple[str, str]]:
     """(enclosing function, attribute) for each ``<...>.fft.<attribute>`` in the module."""
     uses = []
-
-    def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    for function, node in _with_function(_parse(path)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
             if node.value.attr == "fft":
                 uses.append((function, node.attr))
@@ -72,10 +80,6 @@ def _fft_uses(path: Path) -> list[tuple[str, str]]:
             names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
             if any("fft" in name for name in names):
                 uses.append((function, "import"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(_parse(path), "<module>")
     return uses
 
 
@@ -88,3 +92,18 @@ def test_one_fft_path(path):
     assert sorted(set(uses)) == [
         ("_spectral", "fft"), ("_spectral", "ifft"), ("_wavenumbers", "fftfreq"),
     ]
+
+
+def _readers(tree: ast.Module, name: str) -> list[str]:
+    """The functions that read the bare name ``name``, each once, sorted."""
+    return sorted({
+        function for function, node in _with_function(tree)
+        if isinstance(node, ast.Name) and node.id == name
+    })
+
+
+def test_one_member_loop():
+    tree = _parse(PACKAGE / "lab.py")
+    assert _readers(tree, "simulate_flows") == ["_per_member"]
+    assert "simulate_flow" not in set(_imported(tree))
+    assert _readers(tree, "sample_brownian") == ["_paths", "_pushforward_pair"]

@@ -545,7 +545,6 @@ class TestStability:
         # sup of |b|/(1 + |x - center|) is 0.4, attained at the center
         expected = series.envelope[0] * np.exp(0.4 * series.times)
         assert np.max(np.abs(series.envelope - expected)) < 1e-12
-        assert series.gronwall_ratio()[0] == 1.0
 
     def test_zero_datum_is_identically_zero(self):
         g, b, sig, _, ensembles = translation_ensembles()
@@ -553,7 +552,6 @@ class TestStability:
         series = weighted_l1_stability(ensembles, zero, b, [sig], r_exponent=0.0)
         assert np.array_equal(series.mean, np.zeros_like(series.mean))
         assert np.array_equal(series.envelope, np.zeros_like(series.envelope))
-        assert np.array_equal(series.gronwall_ratio(), np.zeros_like(series.mean))
 
     def test_decaying_weight_tightens_the_mass(self):
         g, b, sig, f0, ensembles = translation_ensembles()
