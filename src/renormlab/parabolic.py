@@ -19,7 +19,9 @@ every other integral in the package, but it is *exact* for drifts that are
 constant in space and time, which keeps the closed-form checks at round-off
 instead of at O(dt).  Because g_l = b_l + (b_l . grad) v_l reads only the
 left endpoint, one forward march computes v exactly: it *is* the fixed point
-of the discrete mild map, with no iteration.
+of the discrete mild map, with no iteration.  mild_solve and mild_defect take
+that step through one function on raw arrays (_mild_step), so the defect is 0
+by construction; spatial norms are taken a block of slices at a time.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from .field import (
     GridScalar,
     GridVector,
     TimeGridVector,
+    _partials,
     _spectral,
     _wavenumbers,
     divergence_stack,
     hessian_stack,
     jacobian,
     jacobian_stack,
-    lp_norm,
+    lp_norm_stack,
     vector_laplacian,
 )
 from .flow import _blocks
@@ -67,9 +70,7 @@ class ParabolicError(ValueError):
 
 @functools.lru_cache(maxsize=256)
 def _heat_multiplier(dim: int, L: float, N: int, t: float) -> np.ndarray:
-    k2 = np.zeros((N,) * dim)
-    for k in _wavenumbers(dim, L, N):
-        k2 = k2 + k**2
+    k2 = sum(k**2 for k in _wavenumbers(dim, L, N))
     return np.exp(-0.5 * k2 * t)
 
 
@@ -93,17 +94,30 @@ class ParabolicSolution:
     u: TimeGridVector
 
 
-def _advect_vector(b_slice: GridVector, u_slice: GridVector) -> np.ndarray:
-    """(b . grad) u, component-wise, gradients spectral."""
-    jac = jacobian(u_slice)  # jac[i, j] = d_j u_i
-    return np.einsum("j...,ij...->i...", b_slice.values, jac)
-
-
 def _check_uniform_times(times: np.ndarray) -> float:
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-10, atol=0.0):
         raise ParabolicError("drift must be sampled on a uniform time grid")
     return float(dts[0])
+
+
+def _mild_step(grid: Grid, lam: float, dt: float):
+    """The exponential-Euler step of mild_solve and mild_defect, on raw arrays.
+
+    step(b_l, u_l, v_l) = P_dt(e^{-lam dt} v_l + (1 - e^{-lam dt})/lam * g_l),
+    g_l = b_l + (b_l . grad) u_l, with the partials and heat multiplier fetched once.
+    """
+    partials = _partials(grid, [(j,) for j in range(grid.dim)])
+    heat = [_heat_multiplier(grid.dim, grid.L, grid.N, dt)]
+    decay = math.exp(-lam * dt)
+    weight = (1.0 - decay) / lam
+
+    def step(b_l: np.ndarray, u_l: np.ndarray, v_l: np.ndarray) -> np.ndarray:
+        jac = _spectral(grid, u_l, partials)  # jac[i, j] = d_j u_i
+        g_l = b_l + np.einsum("j...,ij...->i...", b_l, jac)
+        return _spectral(grid, decay * v_l + weight * g_l, heat).reshape(v_l.shape)
+
+    return step
 
 
 def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolution:
@@ -112,6 +126,8 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
     The drift must be sampled on the quadrature grid itself (quad_steps
     uniform sub-intervals of [0, T]).  Step l+1 needs only v_l, so the march
     reproduces mild_defect's re-application bit for bit: the defect is 0.
+    Overflow is ignored in the march, as in the flow's Euler loop; one check
+    afterwards names the first step that lost finiteness.
     """
     if lam <= 0:
         raise ParabolicError(f"damping lambda must be positive, got {lam}")
@@ -119,18 +135,15 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
         raise ParabolicError(
             f"drift has {len(b.times) - 1} steps, quadrature wants {quad_steps}"
         )
-    dt = _check_uniform_times(b.times)
-    grid = b.grid
-    steps = quad_steps
-    decay = math.exp(-lam * dt)
-    weight = (1.0 - decay) / lam
-
+    grid, steps = b.grid, quad_steps
+    step = _mild_step(grid, lam, _check_uniform_times(b.times))
     v = np.zeros((steps + 1, grid.dim) + grid.shape)
-    for l in range(steps):
-        b_l = b.slices[steps - l]  # forward twin: drift reversed in time
-        g_l = b_l.values + _advect_vector(b_l, GridVector(grid, v[l]))
-        pre = decay * v[l] + weight * g_l
-        v[l + 1] = heat_apply(GridVector(grid, pre), dt).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(steps):  # forward twin: drift reversed in time
+            v[l + 1] = step(b.slices[steps - l].values, v[l], v[l])
+    lost = np.flatnonzero(~np.isfinite(v.reshape(steps + 1, -1)).all(axis=1))
+    if len(lost):
+        raise ParabolicError(f"mild march at lambda = {lam} overflows at step {lost[0]} of {steps}")
 
     # report in backward-time variables: u(t_j) = v(T - t_j)
     slices = [GridVector(grid, v[steps - j]) for j in range(steps + 1)]
@@ -138,23 +151,17 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
 
 
 def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
-    """Re-apply the mild map once; sup-norm distance to the stored solution."""
+    """Re-apply the mild map once (mild_solve's step, sources read off the
+    stored slices); sup-norm distance to the stored solution."""
     if not np.array_equal(sol.u.times, b.times):
         raise ParabolicError("solution and drift live on different time grids")
     steps = len(b.times) - 1
-    dt = _check_uniform_times(b.times)
-    grid = b.grid
-    decay = math.exp(-sol.lam * dt)
-    weight = (1.0 - decay) / sol.lam
-    reversed_b = [b.slices[steps - l] for l in range(steps + 1)]
-    reversed_u = [sol.u.slices[steps - l] for l in range(steps + 1)]
+    step = _mild_step(b.grid, sol.lam, _check_uniform_times(b.times))
     worst = 0.0
-    prev = np.zeros((grid.dim,) + grid.shape)
+    prev = np.zeros((b.grid.dim,) + b.grid.shape)
     for l in range(steps):
-        g_l = reversed_b[l].values + _advect_vector(reversed_b[l], reversed_u[l])
-        pre = decay * prev + weight * g_l
-        prev = heat_apply(GridVector(grid, pre), dt).values
-        worst = max(worst, float(np.max(np.abs(prev - reversed_u[l + 1].values))))
+        prev = step(b.slices[steps - l].values, sol.u.slices[steps - l].values, prev)
+        worst = max(worst, float(np.max(np.abs(prev - sol.u.slices[steps - l - 1].values))))
     return worst
 
 
@@ -175,7 +182,7 @@ def _backward_defect(
 ) -> np.ndarray:
     """d_t u + (b.grad) u + (1/2)Lap u - lam u + b at one slice, d_t a forward difference."""
     d_t = (u_next.values - u_l.values) / dt
-    advect = _advect_vector(b_l, u_l)
+    advect = np.einsum("j...,ij...->i...", b_l.values, jacobian(u_l))  # (b . grad) u
     return d_t + advect + 0.5 * vector_laplacian(u_l) - lam * u_l.values + b_l.values
 
 
@@ -215,16 +222,12 @@ def _magnitudes(grid: Grid, values: np.ndarray, alpha: int) -> np.ndarray:
 def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
     """L^q in time (left endpoints) of the spatial L^r norm of |grad^alpha u|.
 
-    The magnitudes come from one FFT per block of distinct slices; each
-    slice's L^r norm and the time sum are taken one slice at a time.
+    The magnitudes and their L^r norms are taken a block of distinct slices
+    at a time; the time sum runs one slice at a time.
     """
     dt = _check_uniform_times(u.times)
     grid = u.grid
-
-    def norms(values):
-        return [lp_norm(GridScalar(grid, m), r) for m in _magnitudes(grid, values, alpha)]
-
-    per_step = _by_slice(u, norms)[:-1]
+    per_step = _by_slice(u, lambda v: lp_norm_stack(grid, _magnitudes(grid, v, alpha), r))[:-1]
     if math.isinf(q):
         return max(per_step)
     return float(sum(v**q for v in per_step) * dt) ** (1.0 / q)
@@ -278,8 +281,7 @@ def decay_study(
         raise ParabolicError(f"spatial exponent r = {r} incompatible with p = {p} at alpha = {alpha}")
 
     def solve_one(lam: float) -> float:
-        sol = mild_solve(b, lam, len(b.times) - 1)
-        return space_time_norm(sol.u, alpha, r, q)
+        return space_time_norm(mild_solve(b, lam, len(b.times) - 1).u, alpha, r, q)
 
     norms = parallel.ordered_map(solve_one, lams)
     slope, _ = np.polyfit(np.log(lams), np.log(norms), 1)
@@ -308,8 +310,8 @@ def relaxation_residuals(
 
     Returns ||lam u - b||_{L^1_t(L^p)} and ||Div(lam u - b)||_{L^1_t(L^1)},
     both with left-endpoint time quadrature.  The default p = inf makes the
-    constant-drift closed form free of box-volume factors.  The gaps and
-    their divergences are formed a block of time samples at a time.
+    constant-drift closed form free of box-volume factors.  The gaps, their
+    divergences and their norms are taken a block of time samples at a time.
     """
     if not np.array_equal(sol.u.times, b.times):
         raise ParabolicError("solution and drift live on different time grids")
@@ -320,8 +322,8 @@ def relaxation_residuals(
     for rows in _blocks(grid, len(b.times) - 1):
         u_rows = np.stack([sol.u.slices[j].values for j in rows])
         gap = sol.lam * u_rows - np.stack([b.slices[j].values for j in rows])
-        mags = np.sqrt(np.einsum("ri...,ri...->r...", gap, gap))
-        for mag, div_gap in zip(mags, divergence_stack(grid, gap)):
-            drift_total += lp_norm(GridScalar(grid, mag), p) * dt
-            div_total += lp_norm(GridScalar(grid, div_gap), 1) * dt
+        drifts = lp_norm_stack(grid, _magnitudes(grid, gap, 0), p)
+        for drift, div in zip(drifts, lp_norm_stack(grid, divergence_stack(grid, gap), 1)):
+            drift_total += drift * dt
+            div_total += div * dt
     return ParabolicRelaxation(drift_residual=drift_total, divergence_residual=div_total)

@@ -37,9 +37,9 @@ at the inverted nodes off the solver's last spline call, and takes the
 determinants in one batched call.  pushforward_under_diffeo and
 transformed_residual only read it, however many paths share it; the path
 form pushforward_path_under_diffeo splines a block of fields at once.
-build_diffeo and relaxation_metrics take their spectral derivatives a block
-of distinct slices at a time too, and every per-slice norm and time sum is
-formed as it would be one slice at a time, so no number changes.
+build_diffeo and relaxation_metrics take their spectral derivatives and
+norms a block of slices at a time too, and every norm and time sum equals
+its one-slice-at-a-time value bit for bit, so no number changes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .field import (
     TimeGridVector,
     divergence_stack,
     jacobian_stack,
-    lp_norm,
+    lp_norm_stack,
 )
 from .flow import (
     BrownianPath,
@@ -361,10 +361,9 @@ def transformed_residual(
     return residual_original(hpath, straightening.b_hat, straightening.sigma_hat, phi_test, path)
 
 
-def _time_lq(values: np.ndarray, dt: float, q: float) -> float:
+def _time_lq(values, dt: float, q: float) -> float:
     """Left-endpoint L^q norm in time of per-slice values (last node unused)."""
-    v = values[:-1]
-    return float((np.abs(v) ** q).sum() * dt) ** (1.0 / q)
+    return float((np.abs(values[:-1]) ** q).sum() * dt) ** (1.0 / q)
 
 
 def relaxation_metrics(
@@ -393,7 +392,6 @@ def relaxation_metrics(
         raise ZvonkinError("coefficients and drift use different time grids")
     dim = grid.dim
     dt = float(b.times[1] - b.times[0])
-    steps = len(b.times) - 1
 
     # per distinct slice of the straightening, a block at a time: Div b_hat,
     # |sigma_hat - I| in L^p and |grad sigma_hat| in L^r
@@ -409,21 +407,17 @@ def relaxation_metrics(
         dev = np.sqrt(((cols - eye) ** 2).sum(axis=(1, 2)))
         grads = jacobian_stack(grid, np.swapaxes(cols, 1, 2))  # [n, k, i, j] = d_j sigma_hat^k_i
         grad_mag = np.sqrt((grads**2).sum(axis=(1, 2, 3)))
-        for div, s_mag, g_mag in zip(divergence_stack(grid, b_hat), dev, grad_mag):
-            per_slice.append(
-                (div, lp_norm(GridScalar(grid, s_mag), p), lp_norm(GridScalar(grid, g_mag), r))
-            )
+        norms = lp_norm_stack(grid, dev, p), lp_norm_stack(grid, grad_mag, r)
+        per_slice += zip(divergence_stack(grid, b_hat), *norms)
     div_b = _by_slice(b, lambda values: divergence_stack(grid, values))
 
-    b_norms = np.empty(steps + 1)
-    s_norms = np.empty(steps + 1)
-    g_norms = np.empty(steps + 1)
-    d_norms = np.empty(steps + 1)
-    for l in range(steps + 1):
-        div_bh, s_norms[l], g_norms[l] = per_slice[coeffs.slice_of[l]]
-        diff = coeffs.b_hat.slices[l].values - b.slices[l].values
-        b_norms[l] = lp_norm(GridScalar(grid, np.sqrt((diff**2).sum(axis=0))), p)
-        d_norms[l] = lp_norm(GridScalar(grid, np.abs(div_bh - div_b[l])), 1.0)
+    # per time sample, a block at a time: |b_hat - b| in L^p, |Div b_hat - Div b| in L^1
+    div_bh, s_norms, g_norms = zip(*(per_slice[n] for n in coeffs.slice_of))
+    b_norms, d_norms = [], []
+    for rows in _blocks(grid, len(b.times)):
+        diff = np.stack([coeffs.b_hat.slices[l].values - b.slices[l].values for l in rows])
+        b_norms += lp_norm_stack(grid, np.sqrt((diff**2).sum(axis=1)), p)
+        d_norms += lp_norm_stack(grid, np.stack([div_bh[l] - div_b[l] for l in rows]), 1.0)
 
     return RelaxationRecord(
         bhat_err=_time_lq(b_norms, dt, q),

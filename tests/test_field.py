@@ -37,6 +37,7 @@ from renormlab.field import (
     kernel_moment,
     load_field,
     lp_norm,
+    lp_norm_stack,
     mollifier,
     save_field,
     spectral_derivative,
@@ -345,6 +346,56 @@ class TestNorms:
         assert abs(lp_norm(GridScalar(g, scale * a), p) - abs(scale) * na) < 1e-9 * (1 + na)
         lhs = lp_norm(GridScalar(g, a + b), p)
         assert lhs <= na + lp_norm(GridScalar(g, b), p) + 1e-12
+
+
+def reference_lp_norm(values, p, cell_volume):
+    """One field's norm as lp_norm took it before the block kernel."""
+    a = np.abs(values)
+    if math.isinf(p):
+        return float(a.max()) if a.size else 0.0
+    return float((a**p).sum() * cell_volume) ** (1.0 / p)
+
+
+NORM_GRIDS = [
+    build_grid(1, L, 64), build_grid(1, L, 128), build_grid(2, L, 16), build_grid(2, L, 64)
+]
+NORM_EXPONENTS = (1.0, 2.0, 3.5, 4.0, 8.0, math.inf)
+
+
+class TestNormStack:
+    """lp_norm_stack against one field at a time, bit for bit.  129 rows of
+    64 nodes span more than one block of the flow's block rule (32 rows)."""
+
+    @pytest.mark.parametrize("grid", NORM_GRIDS, ids=["64", "128", "16x16", "64x64"])
+    @pytest.mark.parametrize("rows", [1, 7, 33, 129])
+    def test_rows_equal_lp_norm(self, grid, rows):
+        rng = np.random.default_rng(rows * grid.N)
+        scales = rng.uniform(0.1, 10.0, (rows,) + (1,) * grid.dim)
+        values = scales * rng.standard_normal((rows,) + grid.shape)
+        for p in NORM_EXPONENTS:
+            got = [v.hex() for v in lp_norm_stack(grid, values, p)]
+            assert got == [reference_lp_norm(row, p, grid.cell_volume).hex() for row in values]
+            assert got == [lp_norm(GridScalar(grid, row), p).hex() for row in values]
+
+    def test_region_and_empty_region(self):
+        g = build_grid(2, L, 16)
+        f = GridScalar(g, np.random.default_rng(4).standard_normal(g.shape))
+        mask = central_half(g).mask(g)
+        for p in NORM_EXPONENTS:
+            want = reference_lp_norm(f.values[mask], p, g.cell_volume)
+            assert lp_norm(f, p, central_half(g)).hex() == want.hex()
+        empty = BoxRegion(lo=(1.0, 1.0), hi=(1.0, 1.0))
+        assert not empty.mask(g).any()
+        assert [lp_norm(f, p, empty) for p in (1.0, math.inf)] == [0.0, 0.0]
+
+    def test_refuses_non_finite_values_and_small_p(self):
+        g = build_grid(1, L, 16)
+        values = np.ones((3,) + g.shape)
+        values[1, 5] = np.inf
+        with pytest.raises(FieldError, match="non-finite"):
+            lp_norm_stack(g, values, 2.0)
+        with pytest.raises(FieldError, match="p must be >= 1"):
+            lp_norm_stack(g, np.ones((3,) + g.shape), 0.5)
 
 
 class TestTimeSlices:

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renormlab import cli, flow, lab, parallel, presets
-from renormlab.field import FieldError, Grid, load_field, save_field
+from renormlab.field import FieldError, Grid, GridVector, load_field, save_field
 from renormlab.flow import load_ensemble, sample_brownian
 from renormlab.lab import (
     CheckResult,
@@ -699,6 +700,26 @@ class TestCli:
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "grid.N must be even" in err and "63" in err
+
+    def test_overflowing_drift_exits_2_naming_the_step(self, tmp_path, capsys):
+        # a .fld drift near 1e300 overflows the mild march of parabolic_decay
+        grid = Grid(dim=1, L=TWO_PI, N=64)
+        huge = presets.trig_flow_drift(grid).values * 1e300
+        save_field(tmp_path / "b.fld", GridVector(grid, huge))
+        save_field(tmp_path / "s.fld", presets.trig_flow_noise(grid)[0])
+        payload = json.loads((ROOT / "configs" / "parabolic_decay.json").read_text())
+        payload["coefficients"] = {
+            "drift_file": str(tmp_path / "b.fld"), "noise_files": [str(tmp_path / "s.fld")]
+        }
+        payload["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "ParabolicError" in err and "overflows at step 2 of 256" in err
 
     def test_run_prints_artifacts(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

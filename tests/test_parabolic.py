@@ -11,13 +11,17 @@ Oracles:
   time-reversal indexing exactly;
 * for constant drift the relaxation residual is a finite geometric sum;
 * mild_defect re-applies the mild map on its own, and the direct march must
-  be its exact fixed point: the defect is 0.0, not merely small.
+  be its exact fixed point: the defect is 0.0, not merely small;
+* the march on raw arrays equals, bit for bit, the same march taken one
+  validated GridVector and one heat_apply call at a time
+  (reference_mild_solve).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +220,54 @@ class TestMildSolve:
             mild_defect(sol, other)
 
 
+def reference_mild_solve(b: TimeGridVector, lam: float) -> list:
+    """The march one step at a time: each step wraps its arrays in GridVectors
+    and takes (b . grad) v from jacobian and the heat step from heat_apply.
+    Returns the backward-time slices u(t_j) = v(T - t_j)."""
+    grid = b.grid
+    steps = len(b.times) - 1
+    dt = float(np.diff(b.times)[0])
+    decay = math.exp(-lam * dt)
+    weight = (1.0 - decay) / lam
+    v = [GridVector(grid, np.zeros((grid.dim,) + grid.shape))]
+    for l in range(steps):
+        b_l = b.slices[steps - l]
+        g_l = b_l.values + np.einsum("j...,ij...->i...", b_l.values, jacobian(v[l]))
+        v.append(heat_apply(GridVector(grid, decay * v[l].values + weight * g_l), dt))
+    return v[::-1]
+
+
+MARCH_CASES = [(build_grid(1, L, 64), 64), (build_grid(2, L, 16), 24)]
+
+
+class TestMarchReference:
+    @pytest.mark.parametrize("grid,steps", MARCH_CASES, ids=["1d", "2d"])
+    @pytest.mark.parametrize("lam", [0.5, 8.0, 256.0])
+    def test_every_slice_equals_the_wrapped_march(self, grid, steps, lam):
+        b = moving_field(grid, steps + 1, seed=9)  # time-varying, some slices repeated
+        sol = mild_solve(b, lam, steps)
+        want = reference_mild_solve(b, lam)
+        assert len(sol.u.slices) == len(want) == steps + 1
+        for got, ref in zip(sol.u.slices, want):
+            assert np.array_equal(got.values, ref.values)
+        assert mild_defect(sol, b) == 0.0
+
+    def test_defect_sees_a_wrong_slice(self):
+        grid, steps = MARCH_CASES[0]
+        b = moving_field(grid, steps + 1, seed=9)
+        sol = mild_solve(b, 8.0, steps)
+        sol.u.slices[10] = GridVector(grid, sol.u.slices[10].values + 1e-6)
+        assert 1e-7 < mild_defect(sol, b) < 1e-5
+
+    def test_overflow_names_the_step(self):
+        g = grid1(64)
+        huge = GridVector(g, 1e300 * np.sin(g.axis_coordinates())[None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParabolicError, match="overflows at step 2 of 64"):
+                mild_solve(constant_in_time(huge, 64), 4.0, 64)
+
+
 class TestPdeResidual:
     def test_zero_drift_zero_residual(self):
         g = grid1()
@@ -351,14 +403,15 @@ BLOCK_CASES = [(build_grid(1, L, 64), 75), (build_grid(2, L, 16), 21)]
 
 class TestBlockedNorms:
     """The blocked norms against one slice at a time, bit for bit, over
-    several blocks (32 slices on 64 nodes, 8 on 16^2)."""
+    several blocks (32 slices on 64 nodes, 8 on 16^2): each slice's spatial
+    norm is lp_norm of a GridScalar, as the per-slice reference takes it."""
 
     @pytest.mark.parametrize("grid,count", BLOCK_CASES, ids=["1d", "2d"])
     @pytest.mark.parametrize("alpha", [0, 1, 2])
     def test_space_time_norm(self, grid, count, alpha):
         u = moving_field(grid, count, seed=5)
         dt = float(u.times[1])
-        for r, q in ((2.0, 4.0), (8.0, 3.0), (math.inf, math.inf)):
+        for r, q in ((2.0, 4.0), (8.0, 3.0), (math.inf, math.inf), (1.0, 2.0), (3.5, 8.0)):
             per_step = [
                 lp_norm(GridScalar(grid, reference_magnitude(s, alpha)), r) for s in u.slices[:-1]
             ]
@@ -373,7 +426,7 @@ class TestBlockedNorms:
         b = moving_field(grid, count, seed=6)
         sol = ParabolicSolution(lam=3.0, u=moving_field(grid, count, seed=7))
         dt = float(b.times[1])
-        for p in (math.inf, 2.0):
+        for p in (math.inf, 2.0, 1.0, 3.5, 8.0):
             drift = div = 0.0
             for j in range(count - 1):
                 gap = sol.lam * sol.u.slices[j].values - b.slices[j].values

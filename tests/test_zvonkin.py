@@ -818,11 +818,12 @@ class TestBatchedStraightening:
             ]
         b = TimeGridVector.from_function(grid, u.times, fns)
         straightening = transform_coeffs(u, 3.0)
-        got = relaxation_metrics(straightening, b, 4.0, 8.0, 4.0)
-        want = reference_relaxation_metrics(straightening, b, 4.0, 8.0, 4.0)
         fields = ("bhat_err", "sigma_err", "grad_sigma_err", "div_err")
-        assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
-        assert all(getattr(got, f) > 0.0 for f in fields)
+        for q, p, r in ((4.0, 8.0, 4.0), (2.0, math.inf, 1.0), (3.0, 3.5, 2.0)):
+            got = relaxation_metrics(straightening, b, q, p, r)
+            want = reference_relaxation_metrics(straightening, b, q, p, r)
+            assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+            assert all(getattr(got, f) > 0.0 for f in fields)
 
     def test_a_halving_row_leaves_the_other_rows_alone(self):
         # 0.99 sin(x) has lip 0.99 < 1, so the straightening takes it, but
@@ -859,7 +860,8 @@ def flow_block(grid):
 
 
 def reference_relaxation_metrics(coeffs, b, q, p, r):
-    """relaxation_metrics one time sample at a time, with per-slice spectral calls."""
+    """relaxation_metrics one time sample at a time, with per-slice spectral
+    calls and each spatial norm taken by lp_norm on its own GridScalar."""
     grid = b.grid
     dim = grid.dim
     dt = float(b.times[1] - b.times[0])
