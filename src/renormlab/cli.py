@@ -97,7 +97,7 @@ def _cmd_inspect(artifact: str) -> int:
             print(f"  {key} = {value}")
         if kind == "time-indexed vector":
             print(f"  times = {len(obj.times)} slices on [0, {obj.times[-1]:g}]")
-        values = obj.values if hasattr(obj, "values") else obj.slices[0].values
+        values = obj.slice_at(0.0).values if kind == "time-indexed vector" else obj.values
         print(
             f"  values: min {np.min(values):.6g}  max {np.max(values):.6g}"
             f"  mean {np.mean(values):.6g}"

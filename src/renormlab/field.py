@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,11 +96,6 @@ class Grid:
         axes = [axis] * self.dim
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def points(self) -> np.ndarray:
-        """All nodes as an (N^dim, dim) array in C order."""
-        mesh = self.coordinates()
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 def build_grid(dim: int, L: float, N: int) -> Grid:
     """Grid with its fields coerced to int/float; Grid itself validates them."""
@@ -166,8 +161,11 @@ class GridVector:
 
 @dataclass
 class TimeGridVector:
-    """Time-sliced vector field: slices[j] sampled at times[j].
+    """Time-sliced vector field: sample j, at times[j], is row index[j] of values.
 
+    values holds the slices as rows, (rows, dim) + grid shape; samples that
+    share a slice share its row, so per-slice work runs once per row.  A field
+    constant in time (every coefficient the lab builds) is one row, index 0s.
     Times are strictly increasing with times[0] = 0; the last entry is the
     horizon T.  Left-slice lookup (`slice_at`) matches the left-endpoint/Ito
     convention used by every quadrature in the package.
@@ -175,7 +173,8 @@ class TimeGridVector:
 
     grid: Grid
     times: np.ndarray
-    slices: list = dataclass_field(default_factory=list)
+    values: np.ndarray
+    index: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -185,58 +184,46 @@ class TimeGridVector:
             raise FieldError(f"first time must be 0, got {self.times[0]}")
         if not np.all(np.diff(self.times) > 0):
             raise FieldError("times must be strictly increasing")
-        for s in self.slices:
-            if s.grid != self.grid:
-                raise FieldError("slice grid mismatch")
-        if len(self.slices) != len(self.times):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        expected = (self.grid.dim,) + self.grid.shape
+        if self.values.shape[1:] != expected or len(self.values) == 0:
             raise FieldError(
-                f"{len(self.slices)} slices vs {len(self.times)} times"
+                f"slice values shape {self.values.shape} != (rows,) + {expected}, rows >= 1"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise FieldError("time-sliced field contains non-finite values")
+        index = np.asarray(self.index)
+        if index.shape != self.times.shape or not np.issubdtype(index.dtype, np.integer):
+            raise FieldError(
+                f"index needs one integer row per time sample, got {index.dtype} {index.shape}"
+            )
+        lo, hi, rows = index.min(), index.max(), len(self.values)
+        if lo < 0 or hi >= rows:
+            raise FieldError(f"index out of range: rows are 0..{rows - 1}, got {lo}..{hi}")
+        self.index = index.astype(np.intp)
 
     @property
     def T(self) -> float:
         return float(self.times[-1])
 
+    @property
+    def slices(self) -> list[GridVector]:
+        """One GridVector per sample, built on each access; samples of one row share it."""
+        rows = [GridVector(self.grid, row) for row in self.values]
+        return [rows[i] for i in self.index]
+
     def slice_at(self, t: float) -> GridVector:
         """Slice at the largest sample time <= t (left-endpoint convention)."""
-        return self.slices[int(self.slice_indices(t))]
+        return GridVector(self.grid, self.values[self.index[int(self.slice_indices(t))]])
 
     def slice_indices(self, ts) -> np.ndarray:
-        """Index of the slice ``slice_at`` picks, for each time in ``ts``."""
+        """Index of the sample ``slice_at`` picks, for each time in ``ts``."""
         ts = np.asarray(ts, dtype=np.float64)
         j = np.searchsorted(self.times, ts + 1e-12 * max(self.T, 1.0), side="right") - 1
         outside = (j < 0) | (ts > self.T * (1 + 1e-12))
         if np.any(outside):
             raise FieldError(f"time {ts[outside][0]} outside [0, {self.T}]")
         return j
-
-    def distinct(self) -> tuple[list, np.ndarray]:
-        """The distinct slice objects, and the index of each sample's slice among them.
-
-        Slices are told apart by identity, not value.  This is the one place
-        that decides which samples share a slice, so per-slice work is done
-        once per distinct slice: a coefficient that holds one slice at every
-        time (every coefficient the lab builds) has one.
-        """
-        unique: list = []
-        index = []
-        # self.slices keeps every slice alive for the whole call, so no id is reused
-        position: dict[int, int] = {}
-        i = -1
-        for s in self.slices:
-            if i < 0 or unique[i] is not s:  # samples that share a slice usually sit together
-                i = position.setdefault(id(s), len(unique))
-                if i == len(unique):
-                    unique.append(s)
-            index.append(i)
-        return unique, np.array(index, dtype=np.intp)
-
-    @classmethod
-    def from_function(cls, grid: Grid, times, fns_of_t) -> "TimeGridVector":
-        """fns_of_t(t) must return a list of per-component callables."""
-        times = np.asarray(times, dtype=np.float64)
-        slices = [GridVector.from_functions(grid, fns_of_t(t)) for t in times]
-        return cls(grid, times, slices)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +361,11 @@ def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def vector_laplacian(v: GridVector) -> np.ndarray:
-    """Laplacian of each component: out[i] = sum_j d_j d_j v_i, each a grid array."""
-    g = v.grid
-    seconds = _spectral(g, v.values, _partials(g, [(a, a) for a in range(g.dim)]))
-    out = np.zeros_like(v.values)
-    for a in range(g.dim):
+def vector_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Laplacian of each component of a (dim,) + grid shape field: out[i] = sum_j d_j d_j v_i."""
+    seconds = _spectral(grid, values, _partials(grid, [(a, a) for a in range(grid.dim)]))
+    out = np.zeros_like(values)
+    for a in range(grid.dim):
         out += seconds[:, a]
     return out
 
@@ -562,18 +548,15 @@ def _field_payload(obj) -> tuple[dict, np.ndarray]:
     if isinstance(obj, GridScalar):
         header = {"components": 1, "times": []}
         data = obj.values[None, ...]
-        grid = obj.grid
     elif isinstance(obj, GridVector):
         header = {"components": obj.grid.dim, "times": []}
         data = obj.values
-        grid = obj.grid
     elif isinstance(obj, TimeGridVector):
         header = {"components": obj.grid.dim, "times": [float(t) for t in obj.times]}
-        data = np.stack([s.values for s in obj.slices], axis=0)
-        grid = obj.grid
+        data = obj.values[obj.index]  # one block per time sample
     else:
         raise FieldError(f"cannot serialize {type(obj).__name__} as a field")
-    header.update({"dim": grid.dim, "L": grid.L, "N": grid.N})
+    header.update({"dim": obj.grid.dim, "L": obj.grid.L, "N": obj.grid.N})
     return header, np.ascontiguousarray(data, dtype="<f8")
 
 
@@ -608,8 +591,7 @@ def load_field(path):
     try:
         if times:
             data = data.reshape((len(times), comps) + grid.shape)
-            slices = [GridVector(grid, data[j]) for j in range(len(times))]
-            return TimeGridVector(grid, np.asarray(times), slices)
+            return TimeGridVector(grid, times, data, np.arange(len(times)))
         if comps == 1:
             return GridScalar(grid, data.reshape(grid.shape))
         return GridVector(grid, data.reshape((comps,) + grid.shape))

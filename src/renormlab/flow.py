@@ -17,10 +17,10 @@ log-determinant recursion
 feeds the other.
 
 Coefficients are evaluated off the nodes by cubic splines.  The steps of a
-path are grouped by the slices of [b, sigma^1, ...] in force at l*dt (one
-group for a coefficient constant in time), and each group gets one stacked
-spline: the values for the flow, the Jacobians for the variational
-recursion, and (Div, twist) for the log-determinant.  The flow is
+path are grouped by the rows of [b, sigma^1, ...] in force at l*dt (one
+group for coefficients constant in time, which hold one row each), and each
+group gets one stacked spline: the values for the flow, the Jacobians for
+the variational recursion, and (Div, twist) for the log-determinant.  The flow is
 sequential in time and batched over Monte Carlo members: simulate_flows
 integrates a chunk of members together (members_per_chunk: about
 _BLOCK_POINTS points, at most _CHUNK_VALUES stored positions), one spline
@@ -77,8 +77,7 @@ from .field import (
     _GRID_HEADER,
     _check_header,
     _read_header,
-    divergence,
-    jacobian,
+    divergence_stack,
     jacobian_stack,
 )
 from .interp import PeriodicInterpolant, SplineStack
@@ -235,28 +234,26 @@ def _validate_coefficients(b: TimeGridVector, sigmas, path: BrownianPath) -> Gri
 
 
 def _slice_groups(b: TimeGridVector, sigmas, path: BrownianPath):
-    """Group the steps of ``path`` by the slices of [b, sigma^1..] in force at l*dt.
+    """Group the steps of ``path`` by the rows of [b, sigma^1..] in force at l*dt.
 
-    Returns the distinct slice tuples, in lexicographic order of their slice
-    indices, and the group of each step.  Slices are grouped through
-    ``TimeGridVector.distinct``, so a coefficient that holds one slice at
-    every time (every coefficient the lab builds) puts all steps in one group.
+    Returns each group's tuple of rows, in lexicographic order of their row
+    indices, and the group of each step.  A coefficient constant in time (one
+    row, as every coefficient the lab builds) puts all steps in one group.
     """
     times = np.arange(path.steps) * path.dt
-    uniques, columns = [], []
+    coefficients = (b, *sigmas)
+    columns = []
     group_of_step = np.zeros(path.steps, dtype=np.intp)
-    for c in (b, *sigmas):
-        unique, index = c.distinct()
-        uniques.append(unique)
-        columns.append(index[c.slice_indices(times)])
+    for c in coefficients:
+        columns.append(c.index[c.slice_indices(times)])
         # a mixed-radix code, earlier coefficients the more significant digits:
         # np.unique ranks it in lexicographic order of the index rows so far,
-        # and the rank keeps the next code below steps * len(unique)
+        # and the rank keeps the next code below steps * len(c.values)
         _, first, group_of_step = np.unique(
-            group_of_step * len(unique) + columns[-1], return_index=True, return_inverse=True
+            group_of_step * len(c.values) + columns[-1], return_index=True, return_inverse=True
         )
-    slice_sets = [tuple(u[column[l]] for u, column in zip(uniques, columns)) for l in first]
-    return slice_sets, group_of_step
+    rows = [tuple(c.values[col[l]] for c, col in zip(coefficients, columns)) for l in first]
+    return rows, group_of_step
 
 
 def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
@@ -328,10 +325,8 @@ def simulate_flows(
     if abs(config.dt - path.dt) > 1e-12 * max(path.dt, 1.0):
         raise FlowError(f"config dt {config.dt} does not match path dt {path.dt}")
     grid = _validate_coefficients(b, sigmas, path)
-    slice_sets, group_of_step = _slice_groups(b, sigmas, path)
-    interpolants = [
-        PeriodicInterpolant(grid, np.stack([s.values for s in slices])) for slices in slice_sets
-    ]
+    row_sets, group_of_step = _slice_groups(b, sigmas, path)
+    interpolants = [PeriodicInterpolant(grid, np.stack(rows)) for rows in row_sets]
     nodes = np.stack(grid.coordinates())[:, None]
 
     def integrate(chunk):
@@ -377,9 +372,9 @@ def variational_jacobian(
     """
     grid = _validate_coefficients(b, sigmas, ensemble.path)
     path = ensemble.path
-    slice_sets, group_of_step = _slice_groups(b, sigmas, path)
+    row_sets, group_of_step = _slice_groups(b, sigmas, path)
     interpolants = [
-        PeriodicInterpolant(grid, np.stack([jacobian(s) for s in slices])) for slices in slice_sets
+        PeriodicInterpolant(grid, jacobian_stack(grid, np.stack(rows))) for rows in row_sets
     ]
 
     J = np.zeros((path.steps + 1, grid.dim, grid.dim) + grid.shape)
@@ -414,13 +409,13 @@ def logdet_stochastic_exponential(
     """
     grid = _validate_coefficients(b, sigmas, ensemble.path)
     path = ensemble.path
-    slice_sets, group_of_step = _slice_groups(b, sigmas, path)
+    row_sets, group_of_step = _slice_groups(b, sigmas, path)
     interpolants = []
-    for drift, *noises in slice_sets:
-        scalars = [divergence(drift).values]
+    for drift, *noises in row_sets:
+        scalars = [divergence_stack(grid, drift)]
         for s in noises:
-            jac = jacobian(s)
-            scalars += [divergence(s).values, np.einsum("ij...,ji...->...", jac, jac)]
+            jac = jacobian_stack(grid, s)
+            scalars += [divergence_stack(grid, s), np.einsum("ij...,ji...->...", jac, jac)]
         interpolants.append(PeriodicInterpolant(grid, np.stack(scalars)))
 
     logdet = np.zeros((path.steps + 1,) + grid.shape)

@@ -125,6 +125,9 @@ _LAST_STREAM = max(
     _STREAM_PUSHFORWARD, _STREAM_DIVFREE, _STREAM_STABILITY, _STREAM_CONSTANCY,
     _STREAM_LOGDET, _STREAM_ZVONKIN, _STREAM_MOMENT,
 ) + 255
+# A run config's time steps times grid nodes (round(T/dt) * N**dim) may not
+# exceed this: about 4x the divfree check's fine run (1,000 steps on 64^2 nodes).
+_STEP_BUDGET = 2**24
 
 
 class LabError(ValueError):
@@ -274,6 +277,13 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"time.T / time.dt must be a finite step count, got {t.T / t.dt}")
         elif abs(t.T / t.dt - round(t.T / t.dt)) > 1e-9:
             out.append(f"time.T must be an integer multiple of dt, got T/dt = {t.T / t.dt}")
+        elif typed("grid.dim", "grid.N") and g.dim in (1, 2):
+            steps, nodes = round(t.T / t.dt), g.N**g.dim
+            if steps * nodes > _STEP_BUDGET:
+                out.append(
+                    f"time steps x grid nodes = {steps} x {nodes} = {steps * nodes} "
+                    f"exceeds the budget of {_STEP_BUDGET}"
+                )
     if typed("coefficients.preset", "coefficients.drift_file"):
         if c.preset is None and c.drift_file is None:
             out.append("coefficients need a preset or a drift_file")
@@ -400,8 +410,8 @@ def _config_source(cfg: ExperimentConfig) -> presets.Preset:
 class Problem:
     """Coefficients held constant on [0, T] at step dt, datum f0 and test function phi.
 
-    Each coefficient holds one slice object at every time, so the flow
-    kernels see one spline group per coefficient set.
+    Each coefficient is one row held at every time, so the flow kernels see
+    one spline group per coefficient set.
     """
 
     grid: Grid
@@ -605,7 +615,7 @@ def _epsilon_ladder(cfg: ExperimentConfig, grid: Grid) -> list[float]:
 def _run_commutator_study(cfg: ExperimentConfig, out: Path) -> list[Path]:
     prob = _config_problem(cfg)
     grid = prob.grid
-    sigma = prob.sigmas[0].slices[0]
+    sigma = prob.sigmas[0].slice_at(0.0)
     eps = _epsilon_ladder(cfg, grid)
     region = central_half(grid)
     files = []
@@ -947,7 +957,7 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     T, dt, members, p = 0.5, 2.5e-3, 64, 2.0
     prob = _problem("trig_flow", 64, T, dt)
     b, sigmas, f0 = prob.b, prob.sigmas, prob.f0
-    b0, s0 = b.slices[0], sigmas[0].slices[0]
+    b0, s0 = b.slice_at(0.0), sigmas[0].slice_at(0.0)
 
     # Growth constant from the stochastic-exponential form of the Jacobian:
     # the 2p-th moment of the pushforward obeys d/dt E||f||^{2p} <= C with
@@ -986,9 +996,9 @@ def _check_parabolic_closed_form(cfg: ExperimentConfig) -> list[CheckResult]:
     b_const = _problem(_CONSTANT_1D, 64, T, T / 512).b
     sol = mild_solve(b_const, lam, 512)
     gap = 0.0
-    for j, t in enumerate(sol.u.times):
+    for t, row in zip(sol.u.times, sol.u.index):
         exact = c / lam * (1.0 - math.exp(-lam * (T - t)))
-        gap = max(gap, float(np.max(np.abs(sol.u.slices[j].values[0] - exact))))
+        gap = max(gap, float(np.max(np.abs(sol.u.values[row, 0] - exact))))
 
     b_trig = _problem("trig_flow", 64, T, T / 128).b
     sups = [_grad_sup(mild_solve(b_trig, l, 128)) for l in (4.0, 16.0, 64.0)]

@@ -21,7 +21,8 @@ instead of at O(dt).  Because g_l = b_l + (b_l . grad) v_l reads only the
 left endpoint, one forward march computes v exactly: it *is* the fixed point
 of the discrete mild map, with no iteration.  mild_solve and mild_defect take
 that step through one function on raw arrays (_mild_step), so the defect is 0
-by construction; spatial norms are taken a block of slices at a time.
+by construction.  u keeps the march array as its rows, read backward through
+its index; spatial norms are taken a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .field import (
     _wavenumbers,
     divergence_stack,
     hessian_stack,
-    jacobian,
     jacobian_stack,
     lp_norm_stack,
     vector_laplacian,
@@ -140,14 +140,12 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
     v = np.zeros((steps + 1, grid.dim) + grid.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(steps):  # forward twin: drift reversed in time
-            v[l + 1] = step(b.slices[steps - l].values, v[l], v[l])
+            v[l + 1] = step(b.values[b.index[steps - l]], v[l], v[l])
     lost = np.flatnonzero(~np.isfinite(v.reshape(steps + 1, -1)).all(axis=1))
     if len(lost):
         raise ParabolicError(f"mild march at lambda = {lam} overflows at step {lost[0]} of {steps}")
-
-    # report in backward-time variables: u(t_j) = v(T - t_j)
-    slices = [GridVector(grid, v[steps - j]) for j in range(steps + 1)]
-    return ParabolicSolution(lam=float(lam), u=TimeGridVector(grid, b.times.copy(), slices))
+    u = TimeGridVector(grid, b.times.copy(), v, steps - np.arange(steps + 1))  # u(t_j) = v(T - t_j)
+    return ParabolicSolution(lam=float(lam), u=u)
 
 
 def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
@@ -157,11 +155,12 @@ def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
         raise ParabolicError("solution and drift live on different time grids")
     steps = len(b.times) - 1
     step = _mild_step(b.grid, sol.lam, _check_uniform_times(b.times))
+    b_rows, u_rows = b.values[b.index], sol.u.values[sol.u.index]
     worst = 0.0
     prev = np.zeros((b.grid.dim,) + b.grid.shape)
     for l in range(steps):
-        prev = step(b.slices[steps - l].values, sol.u.slices[steps - l].values, prev)
-        worst = max(worst, float(np.max(np.abs(prev - sol.u.slices[steps - l - 1].values))))
+        prev = step(b_rows[steps - l], u_rows[steps - l], prev)
+        worst = max(worst, float(np.max(np.abs(prev - u_rows[steps - l - 1]))))
     return worst
 
 
@@ -170,20 +169,21 @@ def pde_residual(sol: ParabolicSolution, b: TimeGridVector) -> float:
     if not np.array_equal(sol.u.times, b.times):
         raise ParabolicError("solution and drift live on different time grids")
     dt = _check_uniform_times(b.times)
+    b_rows, u_rows = b.values[b.index], sol.u.values[sol.u.index]
     total = 0.0
     for j in range(len(b.times) - 1):
-        resid = _backward_defect(sol.u.slices[j], sol.u.slices[j + 1], b.slices[j], sol.lam, dt)
+        resid = _backward_defect(b.grid, u_rows[j], u_rows[j + 1], b_rows[j], sol.lam, dt)
         total += float(np.sum(resid**2)) * b.grid.cell_volume * dt
     return math.sqrt(total)
 
 
 def _backward_defect(
-    u_l: GridVector, u_next: GridVector, b_l: GridVector, lam: float, dt: float
+    grid: Grid, u_l: np.ndarray, u_next: np.ndarray, b_l: np.ndarray, lam: float, dt: float
 ) -> np.ndarray:
     """d_t u + (b.grad) u + (1/2)Lap u - lam u + b at one slice, d_t a forward difference."""
-    d_t = (u_next.values - u_l.values) / dt
-    advect = np.einsum("j...,ij...->i...", b_l.values, jacobian(u_l))  # (b . grad) u
-    return d_t + advect + 0.5 * vector_laplacian(u_l) - lam * u_l.values + b_l.values
+    d_t = (u_next - u_l) / dt
+    advect = np.einsum("j...,ij...->i...", b_l, jacobian_stack(grid, u_l))  # (b . grad) u
+    return d_t + advect + 0.5 * vector_laplacian(grid, u_l) - lam * u_l + b_l
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +191,15 @@ def _backward_defect(
 # ---------------------------------------------------------------------------
 
 def _by_slice(c: TimeGridVector, compute) -> list:
-    """compute(values) per block of c's distinct slices, listed for each time sample.
+    """compute(values) per block of c's rows, listed for each time sample.
 
-    values stacks the slices of one block, (rows, dim) + grid shape, and
-    compute returns one entry per row.  Blocks follow the flow's block rule.
+    values is one block of rows, (rows, dim) + grid shape, and compute
+    returns one entry per row.  Blocks follow the flow's block rule.
     """
-    slices, index = c.distinct()
     done = []
-    for rows in _blocks(c.grid, len(slices)):
-        done.extend(compute(np.stack([slices[n].values for n in rows])))
-    return [done[i] for i in index]
+    for rows in _blocks(c.grid, len(c.values)):
+        done.extend(compute(c.values[rows.start : rows.stop]))
+    return [done[i] for i in c.index]
 
 
 def _magnitudes(grid: Grid, values: np.ndarray, alpha: int) -> np.ndarray:
@@ -222,8 +221,8 @@ def _magnitudes(grid: Grid, values: np.ndarray, alpha: int) -> np.ndarray:
 def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
     """L^q in time (left endpoints) of the spatial L^r norm of |grad^alpha u|.
 
-    The magnitudes and their L^r norms are taken a block of distinct slices
-    at a time; the time sum runs one slice at a time.
+    The magnitudes and their L^r norms are taken a block of rows at a time;
+    the time sum runs one slice at a time.
     """
     dt = _check_uniform_times(u.times)
     grid = u.grid
@@ -320,8 +319,7 @@ def relaxation_residuals(
     drift_total = 0.0
     div_total = 0.0
     for rows in _blocks(grid, len(b.times) - 1):
-        u_rows = np.stack([sol.u.slices[j].values for j in rows])
-        gap = sol.lam * u_rows - np.stack([b.slices[j].values for j in rows])
+        gap = sol.lam * sol.u.values[sol.u.index[rows]] - b.values[b.index[rows]]
         drifts = lp_norm_stack(grid, _magnitudes(grid, gap, 0), p)
         for drift, div in zip(drifts, lp_norm_stack(grid, divergence_stack(grid, gap), 1)):
             drift_total += drift * dt

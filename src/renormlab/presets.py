@@ -42,9 +42,9 @@ __all__ = [
 
 
 def sample_constant_in_time(gv: GridVector, T: float, steps: int) -> TimeGridVector:
-    """Hold one spatial slice on a uniform time grid of the given step count."""
+    """Hold one spatial slice on a uniform time grid of the given step count: one row."""
     times = np.linspace(0.0, float(T), steps + 1)
-    return TimeGridVector(gv.grid, times, [gv] * (steps + 1))
+    return TimeGridVector(gv.grid, times, gv.values[None], np.zeros(steps + 1, dtype=np.intp))
 
 
 def constant_drift(grid: Grid, c: float = 0.8) -> GridVector:

@@ -25,12 +25,11 @@ import numpy as np
 from .field import (
     Grid,
     GridScalar,
-    GridVector,
     TimeGridVector,
-    divergence,
+    divergence_stack,
     gradient,
     hessian_stack,
-    jacobian,
+    jacobian_stack,
 )
 from .flow import BrownianPath, _mean_stderr, pushforward_path
 
@@ -298,16 +297,15 @@ def _check_sampling(fpath, sigmas, grid: Grid, path: BrownianPath):
 
 
 def _at_times(c: TimeGridVector, times: np.ndarray, compute) -> list:
-    """compute(slice) once per distinct slice of c, listed for each time in times."""
-    slices, index = c.distinct()
-    done = [compute(sl) for sl in slices]
-    return [done[i] for i in index[c.slice_indices(times)]]
+    """compute(row) once per row of c, listed for each time in times."""
+    done = [compute(row) for row in c.values]
+    return [done[i] for i in c.index[c.slice_indices(times)]]
 
 
-def _sigma_terms(sl: GridVector) -> tuple:
+def _sigma_terms(grid: Grid, s: np.ndarray) -> tuple:
     """Values, divergence and Jacobian contraction of one noise slice."""
-    jac = jacobian(sl)
-    return sl.values, divergence(sl).values, np.einsum("ij...,ji...->...", jac, jac)
+    jac = jacobian_stack(grid, s)
+    return s, divergence_stack(grid, s), np.einsum("ij...,ji...->...", jac, jac)
 
 
 def residual_original(
@@ -323,17 +321,18 @@ def residual_original(
     grad_phi, hess_phi = _phi_calculus(phi)
     vol = grid.cell_volume
     dt = path.dt
-    # the slice in force at each step, looked up once per coefficient
+    # the row in force at each step, looked up once per coefficient
     times = np.arange(path.steps) * dt
-    b_at, sigmas_at = b.slice_indices(times), [sigma.slice_indices(times) for sigma in sigmas]
+    b_at = b.index[b.slice_indices(times)]
+    sigmas_at = [sigma.index[sigma.slice_indices(times)] for sigma in sigmas]
 
     drift = diffusion = ito = 0.0
     for l in range(path.steps):
         f = fpath[l].values
-        b_l = b.slices[b_at[l]].values
+        b_l = b.values[b_at[l]]
         drift += float(np.sum(f * np.einsum("i...,i...->...", b_l, grad_phi))) * vol * dt
         for k, sigma in enumerate(sigmas):
-            s_l = sigma.slices[sigmas_at[k][l]].values
+            s_l = sigma.values[sigmas_at[k][l]]
             pair = np.einsum("i...,j...,ij...->...", s_l, s_l, hess_phi)
             diffusion += 0.5 * float(np.sum(f * pair)) * vol * dt
             advect = np.einsum("i...,i...->...", s_l, grad_phi)
@@ -359,8 +358,8 @@ def residual_renormalized(
     vol = grid.cell_volume
     dt = path.dt
     times = np.arange(path.steps) * dt
-    drift = _at_times(b, times, lambda sl: (sl.values, divergence(sl).values))
-    noise = [_at_times(sigma, times, _sigma_terms) for sigma in sigmas]
+    drift = _at_times(b, times, lambda row: (row, divergence_stack(b.grid, row)))
+    noise = [_at_times(sigma, times, lambda row: _sigma_terms(sigma.grid, row)) for sigma in sigmas]
 
     sums = {name: 0.0 for name in RENORMALIZED_TERMS}
     for l in range(path.steps):
@@ -463,8 +462,8 @@ def weighted_l1_stability(
 
     one_plus = 1.0 + np.sqrt(np.sum((np.stack(grid.coordinates()) - grid.L / 2.0) ** 2, axis=0))
 
-    def reach(sl: GridVector) -> float:  # sup |v| / (1 + |x - center|)
-        return float(np.max(np.sqrt(np.einsum("i...,i...->...", sl.values, sl.values)) / one_plus))
+    def reach(v: np.ndarray) -> float:  # sup |v| / (1 + |x - center|)
+        return float(np.max(np.sqrt(np.einsum("i...,i...->...", v, v)) / one_plus))
 
     b_reach = _at_times(b, times[:-1], reach)
     s_reach = [_at_times(sigma, times[:-1], reach) for sigma in sigmas]

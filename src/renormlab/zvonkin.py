@@ -24,22 +24,22 @@ Div b_hat -> Div b in the space-time norms relaxation_metrics reports.
 Inversion is Newton on y + u(t, y) = x with flow._newton_rows, the solver
 that also inverts the stochastic flow; off-node values come from periodic
 cubic splines, so query points may sit anywhere in R^n.  It runs on a
-block of distinct slices at once (the flow's block rule: 32 slices on 64
-nodes, one on 64^2), with one SplineStack of the block's u and grad u:
-each slice iterates until its own residual max|y + u(y) - x| is below tol,
-so its iterates are those of a Newton on that slice alone.  invert_diffeo
-is its one-slice call and starts from y = x.
+block of rows of u at once (the flow's block rule: 32 rows on 64 nodes, one
+on 64^2), with one SplineStack of the block's u and grad u: each row
+iterates until its own residual max|y + u(y) - x| is below tol, so its
+iterates are those of a Newton on that row alone.  invert_diffeo is its
+one-slice call and starts from y = x.
 
 transform_coeffs builds one Straightening per (u, lam), inverting the nodes
-under each distinct slice of u once; per block it takes the Jacobians from
-one FFT, starts Newton from the node-exact step, reads lam u and I + grad u
-at the inverted nodes off the solver's last spline call, and takes the
-determinants in one batched call.  pushforward_under_diffeo and
-transformed_residual only read it, however many paths share it; the path
-form pushforward_path_under_diffeo splines a block of fields at once.
+under each row of u once; per block it takes the Jacobians from one FFT,
+starts Newton from the node-exact step, reads lam u and I + grad u at the
+inverted nodes off the solver's last spline call, and takes the determinants
+in one batched call; b_hat and sigma_hat share u's index.  Readers of it
+(pushforward_under_diffeo, transformed_residual) invert nothing, and
+pushforward_path_under_diffeo splines a block of fields at once.
 build_diffeo and relaxation_metrics take their spectral derivatives and
-norms a block of slices at a time too, and every norm and time sum equals
-its one-slice-at-a-time value bit for bit, so no number changes.
+norms a block of rows at a time too, and every norm and time sum equals its
+one-slice-at-a-time value bit for bit, so no number changes.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import numpy as np
 
 from .field import (
     GridScalar,
-    GridVector,
     TimeGridVector,
     divergence_stack,
     jacobian_stack,
@@ -112,8 +111,8 @@ class Diffeo:
     """Torus map x + u(t, x) with its measured steepness and det bracket.
 
     det_lo and det_hi are the bracket (1 -/+ lip)^n; det_min and det_max are
-    the smallest and largest det(I + grad u) over the nodes of every
-    distinct slice of u, which the bracket must hold.
+    the smallest and largest det(I + grad u) over the nodes of every row
+    of u, which the bracket must hold.
     """
 
     u: TimeGridVector
@@ -127,16 +126,15 @@ class Diffeo:
 @dataclass(frozen=True)
 class Straightening:
     """Straightened drift lam*u and noise columns of I + grad u, both at the
-    inverted nodes y and sampled on u's time grid.  inverted[i] is (y,
-    det(I + grad u)(y)) for the i-th distinct slice of u, None where u = 0;
-    slice_of maps each time sample of u to its distinct slice."""
+    inverted nodes y and sampled on u's time grid: row i of each is taken
+    at row i of u, and each shares u's index.  inverted[i] is (y,
+    det(I + grad u)(y)) for row i of u, None where that row is 0."""
 
     diffeo: Diffeo
     lam: float
     b_hat: TimeGridVector
     sigma_hat: list
     inverted: list
-    slice_of: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,15 +154,14 @@ def build_diffeo(u: TimeGridVector) -> Diffeo:
     the spectral Jacobian.  With that choice the eigenvalues of I + grad u
     sit in the disc of radius lip around one, so the determinant bracket
     (1 -/+ lip)^n holds pointwise and not just on average.  The Jacobians
-    come from one FFT per block of distinct slices.
+    come from one FFT per block of rows.
     """
     if not isinstance(u, TimeGridVector):
         raise ZvonkinError(f"displacement must be a TimeGridVector, got {type(u).__name__}")
     dim = u.grid.dim
     lip, det_min, det_max = 0.0, math.inf, -math.inf
-    slices = u.distinct()[0]
-    for rows in _blocks(u.grid, len(slices)):
-        jac = jacobian_stack(u.grid, np.stack([slices[n].values for n in rows]))
+    for rows in _blocks(u.grid, len(u.values)):
+        jac = jacobian_stack(u.grid, u.values[rows.start : rows.stop])
         if dim == 1:
             # a 1x1 matrix has 2-norm |a|; the SVD returns those bits too, short
             # of entries beyond about 1e+-146, which it rescales first
@@ -206,13 +203,14 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
 
 
 def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
-    """Straighten u at damping lam: invert the nodes under each distinct
-    slice once, and sample lam*u(y) and e_k + grad u(y) e_k there.
+    """Straighten u at damping lam: invert the nodes under each row of u
+    once, and sample lam*u(y) and e_k + grad u(y) e_k there.
 
-    The non-zero distinct slices go a block at a time: one FFT for their
-    Jacobians, one Newton on the block, from the node-exact first step,
-    whose last spline call gives u and grad u at the inverted nodes, and one
-    batched determinant.
+    The non-zero rows go a block at a time: one FFT for their Jacobians, one
+    Newton on the block, from the node-exact first step, whose last spline
+    call gives u and grad u at the inverted nodes, and one batched
+    determinant.  A zero row keeps x + u the identity: nothing to invert or
+    interpolate.
     """
     if lam <= 0.0:
         raise ZvonkinError(f"damping lambda must be positive, got {lam}")
@@ -222,40 +220,31 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     nodes = np.stack(grid.coordinates()).reshape(dim, 1, -1)
     eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
 
-    slices, slice_of = u.distinct()
-    live = [n for n, sl in enumerate(slices) if np.any(sl.values)]
-    moved = {}  # distinct slice -> (u(y), I + grad u(y), (y, det))
-    for rows in _blocks(grid, len(live)):
-        block = [live[n] for n in rows]
-        values = np.stack([slices[n].values for n in block])
+    u_at = np.zeros_like(u.values)
+    cols = np.broadcast_to(eye, (len(u.values), dim, dim) + grid.shape).copy()  # [n, i, k]
+    inverted = [None] * len(u.values)
+    live = np.flatnonzero(u.values.reshape(len(u.values), -1).any(axis=1))
+    for span in _blocks(grid, len(live)):
+        block = live[span.start : span.stop]
+        values = u.values[block]
         jac = jacobian_stack(grid, values)
         first = nodes - _solve_stack(
             _node_matrices(jac), np.moveaxis(values, 0, 1).reshape(dim, len(block), -1)
         )
         y, at, _ = _newton_rows(grid, values, jac, nodes, first, _STRAIGHTEN_TOL)
-        cols = eye[:, :, None] + at[dim:].reshape((dim, dim, len(block)) + grid.shape)
-        det = _det_stack(cols)
+        block_cols = eye[:, :, None] + at[dim:].reshape((dim, dim, len(block)) + grid.shape)
+        det = _det_stack(block_cols)
+        u_at[block] = np.moveaxis(at[:dim].reshape((dim, len(block)) + grid.shape), 1, 0)
+        cols[block] = np.moveaxis(block_cols, 2, 0)
         for r, n in enumerate(block):
-            y_r = y[:, r].reshape((dim,) + grid.shape)
-            moved[n] = (at[:dim, r].reshape(y_r.shape), cols[:, :, r], (y_r, det[r]))
+            inverted[n] = (y[:, r].reshape((dim,) + grid.shape), det[r])
 
-    b_distinct, cols_distinct, inverted = [], [], []
-    for n in range(len(slices)):
-        if n in moved:
-            u_at, cols, node = moved[n]
-        else:  # x + u is the identity: nothing to invert or interpolate
-            u_at, node = np.zeros((dim,) + grid.shape), None
-            cols = eye + np.zeros((dim, dim) + grid.shape)
-        inverted.append(node)
-        b_distinct.append(GridVector(grid, lam * u_at))
-        cols_distinct.append([GridVector(grid, cols[:, k]) for k in range(dim)])
-
-    b_hat = TimeGridVector(grid, u.times.copy(), [b_distinct[i] for i in slice_of])
+    b_hat = TimeGridVector(grid, u.times.copy(), lam * u_at, u.index)
     sigma_hat = [
-        TimeGridVector(grid, u.times.copy(), [cols_distinct[i][k] for i in slice_of])
+        TimeGridVector(grid, u.times.copy(), np.ascontiguousarray(cols[:, :, k]), u.index)
         for k in range(dim)
     ]
-    return Straightening(diffeo, lam, b_hat, sigma_hat, inverted, slice_of)
+    return Straightening(diffeo, lam, b_hat, sigma_hat, inverted)
 
 
 def pushforward_under_diffeo(f: GridScalar, straightening: Straightening, t: float) -> GridScalar:
@@ -285,7 +274,7 @@ def pushforward_path_under_diffeo(fields, straightening: Straightening, times) -
     times = np.asarray(times, dtype=np.float64)
     if times.shape != (len(fields),):
         raise ZvonkinError(f"{len(fields)} fields need as many times, got shape {times.shape}")
-    stored = [straightening.inverted[i] for i in straightening.slice_of[u.slice_indices(times)]]
+    stored = [straightening.inverted[i] for i in u.index[u.slice_indices(times)]]
     out, moved = [None] * len(fields), []
     for l, (f, at) in enumerate(zip(fields, stored)):
         if at is None:
@@ -312,10 +301,10 @@ def _warn_if_displacement_mismatches(
     dt = float(u.times[1] - u.times[0])
     worst = 0.0
     for l in {0, steps // 2} - {steps}:
-        u_l = u.slices[l]
-        b_l = b.slice_at(float(u.times[l]))
-        defect = _backward_defect(u_l, u.slices[l + 1], b_l, lam, dt)
-        scale = lam * float(np.abs(u_l.values).max()) + float(np.abs(b_l.values).max())
+        u_l = u.values[u.index[l]]
+        b_l = b.slice_at(float(u.times[l])).values
+        defect = _backward_defect(u.grid, u_l, u.values[u.index[l + 1]], b_l, lam, dt)
+        scale = lam * float(np.abs(u_l).max()) + float(np.abs(b_l).max())
         if scale > 0.0:
             worst = max(worst, float(np.abs(defect).max()) / scale)
     if worst > 0.5:
@@ -393,29 +382,26 @@ def relaxation_metrics(
     dim = grid.dim
     dt = float(b.times[1] - b.times[0])
 
-    # per distinct slice of the straightening, a block at a time: Div b_hat,
+    # per row of the straightening, a block at a time: Div b_hat,
     # |sigma_hat - I| in L^p and |grad sigma_hat| in L^r
     eye = np.eye(dim).reshape((dim, dim) + (1,) * dim)
-    first = np.unique(coeffs.slice_of, return_index=True)[1]
-    per_slice = []
-    for rows in _blocks(grid, len(first)):
-        samples = first[rows.start : rows.stop]
-        b_hat = np.stack([coeffs.b_hat.slices[l].values for l in samples])
-        cols = np.stack(  # [n, i, k] = sigma_hat^k_i
-            [np.stack([s.slices[l].values for s in coeffs.sigma_hat], axis=1) for l in samples]
-        )
+    b_hat = coeffs.b_hat
+    per_row = []
+    for rows in _blocks(grid, len(b_hat.values)):
+        # [n, i, k] = sigma_hat^k_i
+        cols = np.stack([s.values[rows] for s in coeffs.sigma_hat], axis=2)
         dev = np.sqrt(((cols - eye) ** 2).sum(axis=(1, 2)))
         grads = jacobian_stack(grid, np.swapaxes(cols, 1, 2))  # [n, k, i, j] = d_j sigma_hat^k_i
         grad_mag = np.sqrt((grads**2).sum(axis=(1, 2, 3)))
         norms = lp_norm_stack(grid, dev, p), lp_norm_stack(grid, grad_mag, r)
-        per_slice += zip(divergence_stack(grid, b_hat), *norms)
+        per_row += zip(divergence_stack(grid, b_hat.values[rows]), *norms)
     div_b = _by_slice(b, lambda values: divergence_stack(grid, values))
 
     # per time sample, a block at a time: |b_hat - b| in L^p, |Div b_hat - Div b| in L^1
-    div_bh, s_norms, g_norms = zip(*(per_slice[n] for n in coeffs.slice_of))
+    div_bh, s_norms, g_norms = zip(*(per_row[n] for n in b_hat.index))
     b_norms, d_norms = [], []
     for rows in _blocks(grid, len(b.times)):
-        diff = np.stack([coeffs.b_hat.slices[l].values - b.slices[l].values for l in rows])
+        diff = b_hat.values[b_hat.index[rows]] - b.values[b.index[rows]]
         b_norms += lp_norm_stack(grid, np.sqrt((diff**2).sum(axis=1)), p)
         d_norms += lp_norm_stack(grid, np.stack([div_bh[l] - div_b[l] for l in rows]), 1.0)
 

@@ -11,6 +11,7 @@ anywhere -- and compare against the spectral-derivative path.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renormlab import presets
 from renormlab.field import (
     BoxRegion,
     FieldError,
@@ -86,12 +88,6 @@ class TestGrid:
             assert x[i] == -x[g.N - i] or i == g.N // 2
         assert x[g.N // 2] == -g.L / 2.0
         assert x[0] == 0.0
-
-    def test_points_shape(self):
-        g = build_grid(2, L, 16)
-        pts = g.points()
-        assert pts.shape == (16 * 16, 2)
-        assert pts[0] @ pts[0] == 0.0
 
 
 class TestSpectralDerivative:
@@ -402,8 +398,8 @@ class TestTimeSlices:
     def _tgv(self):
         g = build_grid(1, L, 16)
         times = np.linspace(0.0, 1.0, 5)
-        slices = [GridVector.constant(g, [float(j)]) for j in range(5)]
-        return TimeGridVector(g, times, slices)
+        rows = np.stack([GridVector.constant(g, [float(j)]).values for j in range(5)])
+        return TimeGridVector(g, times, rows, np.arange(5))
 
     def test_left_endpoint_lookup(self):
         tgv = self._tgv()
@@ -412,40 +408,70 @@ class TestTimeSlices:
         assert tgv.slice_at(0.25).values[0, 0] == 1.0
         assert tgv.slice_at(1.0).values[0, 0] == 4.0
 
+    def test_distinct_of_a_mix(self):
+        # three distinct slices, two of equal value, read in and out of time order
+        g = build_grid(1, L, 16)
+        rows = np.stack([GridVector.constant(g, [v]).values for v in (1.0, 2.0, 3.0)])
+        tgv = TimeGridVector(g, np.linspace(0.0, 1.0, 7), rows, [0, 0, 1, 0, 2, 2, 1])
+        assert tgv.index.tolist() == [0, 0, 1, 0, 2, 2, 1]
+        assert tgv.slice_indices([0.0, 0.4, 1.0]).tolist() == [0, 2, 6]
+        got = [tgv.slice_at(t).values[0, 0] for t in tgv.times]
+        assert got == [1.0, 1.0, 2.0, 1.0, 3.0, 3.0, 2.0]
+
+    def test_slices_share_one_object_per_row(self):
+        g = build_grid(1, L, 16)
+        rows = np.stack([GridVector.constant(g, [v]).values for v in (1.0, 2.0, 1.0)])
+        tgv = TimeGridVector(g, np.linspace(0.0, 1.0, 6), rows, [0, 0, 1, 2, 2, 0])
+        slices = tgv.slices
+        assert len(slices) == 6
+        assert all(isinstance(s, GridVector) and s.grid == g for s in slices)
+        # equal values in separate rows stay apart: one object per row, not per value
+        assert len({id(s) for s in slices}) == 3
+        assert slices[0] is slices[1] is slices[5]
+        assert slices[3] is slices[4] and slices[3] is not slices[0]
+        for s, row in zip(slices, tgv.index):
+            assert np.shares_memory(s.values, tgv.values[row])
+
     def test_distinct_of_shared_slices(self):
+        # a field constant in time holds its one slice once
         g = build_grid(1, L, 16)
         one = GridVector.constant(g, [0.3])
-        tgv = TimeGridVector(g, np.linspace(0.0, 1.0, 5), [one] * 5)
-        unique, index = tgv.distinct()
-        assert len(unique) == 1 and unique[0] is one
-        assert index.tolist() == [0] * 5
-
-    def test_distinct_of_from_function(self):
-        g = build_grid(1, L, 16)
-        tgv = TimeGridVector.from_function(
-            g, np.linspace(0.0, 1.0, 5), lambda t: [lambda x: 0.0 * x + 1.0]
-        )
-        unique, index = tgv.distinct()
-        # equal values in separate objects stay apart: identity, not value
-        assert len(unique) == 5 and all(u is s for u, s in zip(unique, tgv.slices))
-        assert index.tolist() == list(range(5))
-
-    def test_distinct_of_a_mix(self):
-        g = build_grid(1, L, 16)
-        a, b, c = (GridVector.constant(g, [v]) for v in (1.0, 2.0, 1.0))
-        tgv = TimeGridVector(g, np.linspace(0.0, 1.0, 7), [a, a, b, a, c, c, b])
-        unique, index = tgv.distinct()
-        assert len(unique) == 3
-        assert unique[0] is a and unique[1] is b and unique[2] is c
-        assert index.tolist() == [0, 0, 1, 0, 2, 2, 1]
-        assert all(unique[i] is s for i, s in zip(index, tgv.slices))
+        tgv = presets.sample_constant_in_time(one, 1.0, 4)
+        assert tgv.values.shape == (1, 1, 16)
+        assert np.array_equal(tgv.values[0], one.values)
+        assert tgv.index.tolist() == [0] * 5
 
     def test_validation(self):
         g = build_grid(1, L, 16)
-        with pytest.raises(FieldError):
-            TimeGridVector(g, [0.5, 1.0], [GridVector.constant(g, [0.0])] * 2)
-        with pytest.raises(FieldError):
-            TimeGridVector(g, [0.0, 0.0], [GridVector.constant(g, [0.0])] * 2)
+        row = GridVector.constant(g, [0.0]).values[None]
+        with pytest.raises(FieldError, match="first time"):
+            TimeGridVector(g, [0.5, 1.0], row, [0, 0])
+        with pytest.raises(FieldError, match="strictly increasing"):
+            TimeGridVector(g, [0.0, 0.0], row, [0, 0])
+        with pytest.raises(FieldError, match=r"slice values shape \(1, 2, 16\)"):
+            TimeGridVector(g, [0.0, 1.0], np.zeros((1, 2, 16)), [0, 0])
+        with pytest.raises(FieldError, match="rows >= 1"):
+            TimeGridVector(g, [0.0, 1.0], np.zeros((0, 1, 16)), [0, 0])
+
+    @pytest.mark.parametrize("index", [[0], [0, 0, 0], [[0, 0]], [0.0, 0.0]])
+    def test_bad_index_length_or_type(self, index):
+        g = build_grid(1, L, 16)
+        with pytest.raises(FieldError, match="index needs one integer row per time sample"):
+            TimeGridVector(g, [0.0, 1.0], np.zeros((1, 1, 16)), index)
+
+    @pytest.mark.parametrize("index", [[0, 2], [-1, 0]])
+    def test_index_out_of_range(self, index):
+        g = build_grid(1, L, 16)
+        with pytest.raises(FieldError, match=r"index out of range: rows are 0\.\.1"):
+            TimeGridVector(g, [0.0, 1.0], np.zeros((2, 1, 16)), index)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, bad):
+        g = build_grid(1, L, 16)
+        rows = np.zeros((2, 1, 16))
+        rows[1, 0, 3] = bad
+        with pytest.raises(FieldError, match="time-sliced field contains non-finite values"):
+            TimeGridVector(g, [0.0, 1.0], rows, [0, 0])
 
 
 class TestFieldIO:
@@ -463,16 +489,32 @@ class TestFieldIO:
     def test_time_vector_roundtrip(self, tmp_path):
         g = build_grid(1, L, 16)
         rng = np.random.default_rng(6)
-        times = np.array([0.0, 0.5, 1.0])
-        slices = [GridVector(g, rng.standard_normal((1, 16))) for _ in times]
-        tgv = TimeGridVector(g, times, slices)
+        times = np.array([0.0, 0.5, 1.0, 1.5])
+        rows = rng.standard_normal((2, 1, 16))
+        tgv = TimeGridVector(g, times, rows, [1, 0, 0, 1])
         p = tmp_path / "b.fld"
         save_field(p, tgv)
         back = load_field(p)
         assert isinstance(back, TimeGridVector)
         assert np.array_equal(back.times, times)
-        for a, b in zip(back.slices, slices):
-            assert np.array_equal(a.values, b.values)
+        # the payload is one block per time sample, read back one row each
+        assert back.index.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(back.values, rows[[1, 0, 0, 1]])
+
+    def test_one_row_field_bytes(self, tmp_path):
+        g = build_grid(1, L, 16)
+        gv = GridVector.from_functions(g, [lambda x: np.sin(x) + 0.25])
+        p = tmp_path / "b.fld"
+        save_field(p, presets.sample_constant_in_time(gv, 0.5, 4))
+        raw = p.read_bytes()
+        header = (
+            b'{"L": 6.283185307179586, "N": 16, "components": 1, "dim": 1, '
+            b'"times": [0.0, 0.125, 0.25, 0.375, 0.5]}\n'
+        )
+        assert raw == header + np.tile(gv.values.astype("<f8"), 5).tobytes()
+        # the bytes that a list of five references to gv wrote before rows existed
+        want = "4da6f6e08548280f63b1fd48222a97e8b532e5b25e507a6b6bcddf90153857fe"
+        assert hashlib.sha256(raw).hexdigest() == want
 
     def test_header_is_one_json_line(self, tmp_path):
         import json

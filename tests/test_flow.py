@@ -94,9 +94,10 @@ def spiked_case(k_count, step):
     g = grid1(16)
     steps, dt = 3 * BLOCK, 1e4
     zero = GridVector.constant(g, [0.0])
-    slices = [zero] * (steps + 1)
-    slices[step - 1] = GridVector(g, (1e305 * np.sin(g.axis_coordinates()))[None, :])
-    spike = TimeGridVector(g, np.arange(steps + 1) * dt, slices)
+    rows = np.stack([zero.values, (1e305 * np.sin(g.axis_coordinates()))[None, :]])
+    index = np.zeros(steps + 1, dtype=int)
+    index[step - 1] = 1
+    spike = TimeGridVector(g, np.arange(steps + 1) * dt, rows, index)
     path = BrownianPath(steps * dt, dt, k_count, np.full((steps, k_count), 1e4), 0)
     if k_count == 0:
         return spike, [], path
@@ -324,31 +325,34 @@ def divfree_case():
     return b, sigmas, sample_brownian(horizon, horizon / steps, 2, 2025)
 
 
+def one_row_per_sample(grid, times, fn):
+    """A 1-d field with its own row at each time: row j is fn(x, times[j])."""
+    x = grid.axis_coordinates()
+    rows = np.stack([fn(x, t)[None, :] for t in times])
+    return TimeGridVector(grid, times, rows, np.arange(len(times)))
+
+
 def time_dependent_case():
     # a new drift slice at every step, a new noise slice every fourth step,
     # and a second noise held still: steps fall into many slice groups
     g = grid1()
     steps = 200
-    b = TimeGridVector.from_function(
-        g,
-        np.linspace(0.0, T, steps + 1),
-        lambda t: [lambda x: 0.6 * np.sin(x + 3.0 * t) + 0.2 * t],
+    b = one_row_per_sample(
+        g, np.linspace(0.0, T, steps + 1), lambda x, t: 0.6 * np.sin(x + 3.0 * t) + 0.2 * t
     )
-    s1 = TimeGridVector.from_function(
-        g,
-        np.linspace(0.0, T, steps // 4 + 1),
-        lambda t: [lambda x: 0.4 + 0.3 * np.cos(x - t)],
+    s1 = one_row_per_sample(
+        g, np.linspace(0.0, T, steps // 4 + 1), lambda x, t: 0.4 + 0.3 * np.cos(x - t)
     )
     s2 = still(GridVector(g, (0.2 * np.sin(2.0 * g.axis_coordinates()))[None, :]))
     return b, [s1, s2], sample_brownian(T, T / steps, 2, 2026)
 
 
 def copied_slices_case():
-    # the trig case with every coefficient held as N+1 separate copies of its
-    # one slice: one slice group per step instead of one for the whole path
+    # the trig case with every coefficient held as N+1 rows, copies of its one
+    # slice: one slice group per step instead of one for the whole path
     b, sigmas, path = trig_case()
     copied = [
-        TimeGridVector(c.grid, c.times, [GridVector(c.grid, sl.values.copy()) for sl in c.slices])
+        TimeGridVector(c.grid, c.times, c.values[c.index], np.arange(len(c.times)))
         for c in (b, *sigmas)
     ]
     return copied[0], copied[1:], path
@@ -394,18 +398,16 @@ class TestBatchedKernels:
 
 
 def reference_slice_groups(b, sigmas, path):
-    """Group steps by np.unique over the rows of their slice indices.
+    """Group steps by np.unique over the tuples of their coefficients' row indices.
 
-    Returns (slice_sets, group_of_step) as flow._slice_groups does.
+    Returns (row_sets, group_of_step) as flow._slice_groups does.
     """
     times = np.arange(path.steps) * path.dt
-    uniques, columns = [], []
-    for c in (b, *sigmas):
-        unique, index = c.distinct()
-        uniques.append(unique)
-        columns.append(index[c.slice_indices(times)])
+    coefficients = (b, *sigmas)
+    columns = [c.index[c.slice_indices(times)] for c in coefficients]
     keys, group_of_step = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
-    return [tuple(u[i] for u, i in zip(uniques, key)) for key in keys], group_of_step.reshape(-1)
+    row_sets = [tuple(c.values[i] for c, i in zip(coefficients, key)) for key in keys]
+    return row_sets, group_of_step.reshape(-1)
 
 
 def cycling_case():
@@ -418,9 +420,9 @@ def cycling_case():
     x = g.axis_coordinates()
 
     def cycling(pool_size, period):
-        pool = [GridVector(g, np.sin(x + j)[None, :]) for j in range(pool_size)]
-        slices = [pool[(l // period) % pool_size] for l in range(steps + 1)]
-        return TimeGridVector(g, np.arange(steps + 1) * dt, slices)
+        pool = np.stack([np.sin(x + j)[None, :] for j in range(pool_size)])
+        index = [(l // period) % pool_size for l in range(steps + 1)]
+        return TimeGridVector(g, np.arange(steps + 1) * dt, pool, index)
 
     return cycling(3, 1), [cycling(4, 2), cycling(2, 5)], sample_brownian(T, dt, 2, 7)
 
@@ -431,19 +433,20 @@ class TestSliceGroups:
     @pytest.mark.parametrize("case", [cycling_case, copied_slices_case, trig_case])
     def test_matches_row_grouping(self, case):
         b, sigmas, path = case()
-        slice_sets, group_of_step = flow._slice_groups(b, sigmas, path)
+        row_sets, group_of_step = flow._slice_groups(b, sigmas, path)
         want_sets, want_groups = reference_slice_groups(b, sigmas, path)
-        assert len(slice_sets) == len(want_sets)
-        for got, want in zip(slice_sets, want_sets):
+        assert len(row_sets) == len(want_sets)
+        for got, want in zip(row_sets, want_sets):
             assert len(got) == len(want) == 1 + len(sigmas)
-            assert all(s is w for s, w in zip(got, want))
+            # the very rows of the coefficients, not copies of their values
+            assert all(np.shares_memory(s, w) and np.array_equal(s, w) for s, w in zip(got, want))
         assert np.array_equal(group_of_step, want_groups)
 
     def test_cycling_case_varies_every_digit(self):
         b, sigmas, path = cycling_case()
-        slice_sets, _ = flow._slice_groups(b, sigmas, path)
+        row_sets, _ = flow._slice_groups(b, sigmas, path)
         for c, coefficient in enumerate((b, *sigmas)):
-            assert len({id(s[c]) for s in slice_sets}) == len(coefficient.distinct()[0])
+            assert len({s[c].tobytes() for s in row_sets}) == len(coefficient.values)
 
 
 def member_paths(path, count):

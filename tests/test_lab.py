@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renormlab import cli, flow, lab, parallel, presets
-from renormlab.field import FieldError, Grid, GridVector, load_field, save_field
+from renormlab.field import FieldError, Grid, GridVector, TimeGridVector, load_field, save_field
 from renormlab.flow import load_ensemble, sample_brownian
 from renormlab.lab import (
     CheckResult,
@@ -451,13 +451,13 @@ class TestPresetTable:
         source = replace(presets.PRESETS[tag], dim=presets.PRESETS[tag].dim or 1)
         prob = lab._problem(source, 16, 0.1, 0.025)
         for c in (prob.b, *prob.sigmas):
-            assert len(c.slices) == prob.steps + 1
-            unique, index = c.distinct()
-            assert len(unique) == 1 and unique[0] is c.slices[0]
-            assert index.tolist() == [0] * (prob.steps + 1)
+            slices = c.slices
+            assert len(c.values) == 1 and len(slices) == prob.steps + 1
+            assert c.index.tolist() == [0] * (prob.steps + 1)
+            assert all(s is slices[0] for s in slices)
         path = sample_brownian(0.1, 0.025, len(prob.sigmas), 7)
-        slice_sets, group_of_step = flow._slice_groups(prob.b, prob.sigmas, path)
-        assert len(slice_sets) == 1 and not group_of_step.any()
+        row_sets, group_of_step = flow._slice_groups(prob.b, prob.sigmas, path)
+        assert len(row_sets) == 1 and not group_of_step.any()
 
     @pytest.mark.parametrize(
         "tag", [t for t in presets.PRESET_TAGS if presets.PRESETS[t].dim is not None]
@@ -721,6 +721,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ParabolicError" in err and "overflows at step 2 of 256" in err
 
+    def test_step_budget_exits_2_before_any_flow(self, tmp_path, capsys, monkeypatch):
+        # 500 steps on 512^2 nodes would hold 2.1 GB of positions per member
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow started")
+
+        monkeypatch.setattr(lab, "simulate_flows", no_flow)
+        payload = json.loads((ROOT / "configs" / "flow_conservation.json").read_text())
+        payload["grid"]["N"] = 512
+        payload["time"] = {"T": 0.25, "dt": 0.0005}
+        payload["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        message = "time steps x grid nodes = 500 x 262144 = 131072000 exceeds the budget of"
+        assert "LabError" in err and f"{message} 16777216" in err
+        assert err.count("\n  - ") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_step_budget_admits_its_bound_and_every_shipped_config(self):
+        assert lab._STEP_BUDGET == 2**24
+        # exactly at the budget: 256 steps on 256^2 nodes
+        divfree = {"preset": "divfree_2d"}
+        at = config_payload(
+            grid={"dim": 2, "N": 256}, time={"T": 0.256, "dt": 0.001}, coefficients=divfree
+        )
+        ExperimentConfig.from_dict(at)
+        over = {**at, "time": {"T": 0.257, "dt": 0.001}}
+        with pytest.raises(LabError, match=r"257 x 65536 = 16842752 exceeds") as err:
+            ExperimentConfig.from_dict(over)
+        assert str(err.value).count("\n  - ") == 1
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            ExperimentConfig.from_json(path)
+
     def test_run_prints_artifacts(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         payload = config_payload(output_dir=str(tmp_path / "out"))
@@ -736,6 +770,16 @@ class TestCli:
         assert cli.main(["inspect", str(field_path)]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "field (scalar)" in out and "N = 16" in out
+
+    def test_inspect_time_indexed_field_prints_slice_0(self, tmp_path, capsys):
+        grid = Grid(dim=1, L=TWO_PI, N=16)
+        rows = np.stack([np.full((1, 16), -2.0), np.linspace(1.0, 3.0, 16)[None]])
+        field_path = tmp_path / "b.fld"
+        save_field(field_path, TimeGridVector(grid, [0.0, 0.5, 1.0], rows, [1, 0, 1]))
+        assert cli.main(["inspect", str(field_path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "field (time-indexed vector)" in out and "times = 3 slices on [0, 1]" in out
+        assert "values: min 1  max 3  mean 2" in out
 
     def test_inspect_rejects_other_files(self, tmp_path, capsys):
         stray = tmp_path / "notes.txt"

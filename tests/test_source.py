@@ -5,11 +5,15 @@
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
 - Only ``lab._per_member`` integrates flows, and only ``lab._paths`` and
   ``lab._pushforward_pair`` draw Brownian paths: the lab has one member loop.
+- No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
+  ``.slices``: time samples share a slice through ``TimeGridVector.index``,
+  not through object identity.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -107,3 +111,26 @@ def test_one_member_loop():
     assert _readers(tree, "simulate_flows") == ["_per_member"]
     assert "simulate_flow" not in set(_imported(tree))
     assert _readers(tree, "sample_brownian") == ["_paths", "_pushforward_pair"]
+
+
+# sharing told from object identity, or the list of per-sample slice objects
+_IDENTITY = re.compile(r"\bid\(|distinct\(|slice_of|\.slices\b")
+
+
+def _identity_uses(text: str) -> list[str]:
+    return [line.strip() for line in text.splitlines() if _IDENTITY.search(line)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_sharing_by_identity(path):
+    assert _identity_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_identity_scan_sees_each_form():
+    probe = (
+        "memo[id(sl)]\nunique, index = c.distinct()\nst.slice_of[j]\nfor s in c.slices:\n"
+        "valid(x)\nc.slices_at(t)\nc.slice_indices(t)\nc.values[c.index]\n"
+    )
+    assert _identity_uses(probe) == [
+        "memo[id(sl)]", "unique, index = c.distinct()", "st.slice_of[j]", "for s in c.slices:",
+    ]

@@ -267,16 +267,16 @@ class TestOriginalLedger:
 
     def test_cycling_slices_match_per_step_lookup(self):
         # coefficients sampled 3, 2 and 5 times per step, cycling through
-        # slice objects with periods 2, 3 and 2: the ledger equals a loop that
-        # looks each coefficient's slice up at every step
+        # rows with periods 2, 3 and 2: the ledger equals a loop that looks
+        # each coefficient's slice up at every step
         g, phi, path, fpath, _, _ = transport_setup()
         x = g.axis_coordinates()
-        b_cycle = [GridVector(g, (0.5 + 0.3 * np.sin(x + j))[None, :]) for j in range(2)]
-        s_cycle = [GridVector(g, (0.4 + 0.2 * np.cos(x - j))[None, :]) for j in range(3)]
+        b_cycle = np.stack([(0.5 + 0.3 * np.sin(x + j))[None, :] for j in range(2)])
+        s_cycle = np.stack([(0.4 + 0.2 * np.cos(x - j))[None, :] for j in range(3)])
 
         def cycling(per_step, cycle, period):
             times = np.linspace(0.0, path.T, per_step * path.steps + 1)
-            return TimeGridVector(g, times, [cycle[j % period] for j in range(len(times))])
+            return TimeGridVector(g, times, cycle, np.arange(len(times)) % period)
 
         b = cycling(3, b_cycle, 2)
         sigs = [cycling(2, s_cycle, 3), cycling(5, s_cycle[1:], 2)]
@@ -295,7 +295,7 @@ class TestOriginalLedger:
             t = l * dt
             f = fpath[l].values
             b_l = b.slice_at(t).values
-            seen.add(id(b.slice_at(t)))
+            seen.add(int(b.index[b.slice_indices(t)]))
             drift += float(np.sum(f * np.einsum("i...,i...->...", b_l, grad_phi))) * vol * dt
             for k, sigma in enumerate(sigs):
                 s_l = sigma.slice_at(t).values
@@ -420,8 +420,8 @@ class TestRenormalizedLedger:
             ledger.flipped("drift")
 
     def test_shared_and_copied_slices_agree_bitwise(self):
-        # slice sharing only saves work: N+1 copies of one slice give the
-        # ledger of N+1 references to it, bit for bit
+        # slice sharing only saves work: N+1 rows, copies of one slice, give
+        # the ledger of one row held at every time, bit for bit
         g, phi, path, fpath, _, _ = transport_setup()
         x = g.axis_coordinates()
         b_vec = GridVector(g, (0.5 + 0.3 * np.sin(x))[None, :])
@@ -432,8 +432,8 @@ class TestRenormalizedLedger:
             shared = sample_constant_in_time(vec, path.T, path.steps)
             if not copy:
                 return shared
-            copies = [GridVector(g, sl.values.copy()) for sl in shared.slices]
-            return TimeGridVector(g, shared.times, copies)
+            copies = shared.values[shared.index]
+            return TimeGridVector(g, shared.times, copies, np.arange(len(shared.times)))
 
         ledgers = [
             residual_renormalized(
@@ -453,10 +453,14 @@ class TestRenormalizedLedger:
         # divergence-driven terms against a loop that looks each slice up
         g, phi, path, fpath, _, _ = transport_setup()
         times = np.linspace(0.0, path.T, 4 * path.steps + 1)
-        b = TimeGridVector.from_function(
-            g, times, lambda t: [lambda x: 0.5 + 0.3 * np.sin(x + 5 * t)]
+        x = g.axis_coordinates()
+        own_rows = np.arange(len(times))
+        b = TimeGridVector(
+            g, times, np.stack([(0.5 + 0.3 * np.sin(x + 5 * t))[None, :] for t in times]), own_rows
         )
-        sig = TimeGridVector.from_function(g, times, lambda t: [lambda x: 0.4 * np.cos(x - 3 * t)])
+        sig = TimeGridVector(
+            g, times, np.stack([(0.4 * np.cos(x - 3 * t))[None, :] for t in times]), own_rows
+        )
         rn = make_renormalizer("tanh")
         ledger = residual_renormalized(fpath, b, [sig], phi, rn, path)
         vol, dt, psi = g.cell_volume, path.dt, phi.values.values

@@ -81,13 +81,11 @@ def nodes_of(grid):
 
 
 def sampled_drift(grid, fn, T, steps):
-    times = np.linspace(0.0, T, steps + 1)
-    return TimeGridVector(grid, times, [GridVector.from_functions(grid, [fn])] * (steps + 1))
+    return sample_constant_in_time(GridVector.from_functions(grid, [fn]), T, steps)
 
 
 def unit_noise(grid, T, steps):
-    times = np.linspace(0.0, T, steps + 1)
-    return TimeGridVector(grid, times, [GridVector.constant(grid, [1.0])] * (steps + 1))
+    return sample_constant_in_time(GridVector.constant(grid, [1.0]), T, steps)
 
 
 class TestDiffeo:
@@ -219,7 +217,7 @@ class TestTransformedCoeffs:
         g = grid1()
         c, lam, T, steps = 0.8, 6.0, 0.5, 64
         times = np.linspace(0.0, T, steps + 1)
-        b = TimeGridVector(g, times, [GridVector.constant(g, [c])] * (steps + 1))
+        b = sample_constant_in_time(GridVector.constant(g, [c]), T, steps)
         u = mild_solve(b, lam, steps).u
         coeffs = transform_coeffs(u, lam)
         worst = max(
@@ -340,9 +338,8 @@ class TestPushforward:
 
 
 def copied(c):
-    """The same samples as c, each in a slice object of its own."""
-    copies = [GridVector(c.grid, sl.values.copy()) for sl in c.slices]
-    return TimeGridVector(c.grid, c.times, copies)
+    """The same samples as c, each in a row of its own."""
+    return TimeGridVector(c.grid, c.times, c.values[c.index], np.arange(len(c.times)))
 
 
 class TestStraightening:
@@ -364,12 +361,15 @@ class TestStraightening:
         a = GridVector.from_functions(g, [lambda x: 0.3 * np.sin(x)])
         z = GridVector.constant(g, [0.0])
         c = GridVector.from_functions(g, [lambda x: 0.2 * np.cos(x)])
-        u = TimeGridVector(g, np.linspace(0.0, 0.5, 6), [a, a, z, c, c, a])
+        rows = np.stack([a.values, z.values, c.values])
+        u = TimeGridVector(g, np.linspace(0.0, 0.5, 6), rows, [0, 0, 1, 2, 2, 0])
         straightening = transform_coeffs(u, 4.0)
         assert len(inversions) == 2
         assert np.array_equal(inversions[0], a.values) and np.array_equal(inversions[1], c.values)
         assert straightening.inverted[1] is None
-        assert straightening.slice_of.tolist() == [0, 0, 1, 2, 2, 0]
+        for coefficient in (straightening.b_hat, *straightening.sigma_hat):
+            assert len(coefficient.values) == 3
+            assert coefficient.index.tolist() == [0, 0, 1, 2, 2, 0]
 
     def test_reading_a_straightening_inverts_nothing(self, inversions):
         g = grid1()
@@ -377,10 +377,10 @@ class TestStraightening:
         fpath, b, _, path = drifted_solution(g, wiggly_drift, T, dt, stream_id=9)
         u = mild_solve(b, lam, path.steps).u
         straightening = transform_coeffs(u, lam)
-        nonzero = [sl for sl in u.distinct()[0] if np.any(sl.values)]
+        nonzero = [row for row in u.values if np.any(row)]
         assert len(nonzero) == path.steps
         assert len(inversions) == len(nonzero)
-        assert all(np.array_equal(got, want.values) for got, want in zip(inversions, nonzero))
+        assert all(np.array_equal(got, want) for got, want in zip(inversions, nonzero))
         inversions.clear()
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
         transformed_residual(fpath, straightening, b, phi, path)
@@ -574,7 +574,7 @@ class TestRelaxationMetrics:
         c, lam, T, steps = 0.8, 6.0, 0.5, 64
         q, p = 4.0, 2.0
         times = np.linspace(0.0, T, steps + 1)
-        b = TimeGridVector(g, times, [GridVector.constant(g, [c])] * (steps + 1))
+        b = sample_constant_in_time(GridVector.constant(g, [c]), T, steps)
         u = mild_solve(b, lam, steps).u
         rec = relaxation_metrics(transform_coeffs(u, lam), b, q, p, 1.0)
         dt = T / steps
@@ -692,10 +692,10 @@ def reference_invert(sl, pts, y, tol=1e-12, max_newton=30):
 
 
 def reference_straightening(u, lam, tol=1e-12):
-    """lip, the node det range and, per distinct slice, (lam u(y), I + grad u(y), node),
+    """lip, the node det range and, per row of u, (lam u(y), I + grad u(y), node),
     one slice at a time with fresh interpolants."""
     grid, dim = u.grid, u.grid.dim
-    slices = u.distinct()[0]
+    slices = [GridVector(grid, row) for row in u.values]
     lip, dets = 0.0, []
     for sl in slices:
         jac = jacobian(sl)
@@ -724,13 +724,14 @@ def reference_straightening(u, lam, tol=1e-12):
 def ragged_displacement(grid, count, zero_every=5):
     """count samples of a moving sine displacement: amplitudes (so Newton
     round counts) differ, every zero_every-th sample is 0 and every 7th repeats
-    the slice object before it."""
-    slices = []
+    the row before it."""
+    slices, index = [], []
     for j in range(count):
         if j % zero_every == 2:
             slices.append(GridVector.constant(grid, [0.0] * grid.dim))
         elif j % 7 == 6:
-            slices.append(slices[-1])
+            index.append(index[-1])
+            continue
         else:
             amp = 0.05 + 0.35 * j / count
             if grid.dim == 1:
@@ -741,7 +742,9 @@ def ragged_displacement(grid, count, zero_every=5):
                     lambda x, y, a=amp, j=j: 0.5 * a * np.cos(2 * x) * np.sin(y - 0.2 * j),
                 ]
             slices.append(GridVector.from_functions(grid, fns))
-    return TimeGridVector(grid, np.linspace(0.0, 0.5, count), slices)
+        index.append(len(slices) - 1)
+    rows = np.stack([sl.values for sl in slices])
+    return TimeGridVector(grid, np.linspace(0.0, 0.5, count), rows, index)
 
 
 def ragged_cases():
@@ -760,12 +763,12 @@ class TestBatchedStraightening:
         assert (d.lip, d.det_min, d.det_max) == (lip, det_min, det_max)
         assert d.det_lo <= d.det_min < 1.0 < d.det_max <= d.det_hi
         assert len(straightening.inverted) == len(per_slice)
-        first = np.unique(straightening.slice_of, return_index=True)[1]
+        for coefficient in (straightening.b_hat, *straightening.sigma_hat):
+            assert np.array_equal(coefficient.index, u.index)
         for n, (b_hat, cols, node) in enumerate(per_slice):
-            l = first[n]
-            assert np.array_equal(straightening.b_hat.slices[l].values, b_hat)
+            assert np.array_equal(straightening.b_hat.values[n], b_hat)
             for k in range(grid.dim):
-                assert np.array_equal(straightening.sigma_hat[k].slices[l].values, cols[:, k])
+                assert np.array_equal(straightening.sigma_hat[k].values[n], cols[:, k])
             got = straightening.inverted[n]
             if node is None:
                 assert got is None
@@ -798,7 +801,7 @@ class TestBatchedStraightening:
         times = np.concatenate([u.times[:-1] + 0.25 * (u.times[1] - u.times[0]), [u.T]])
         path = zvonkin.pushforward_path_under_diffeo(fields, straightening, times)
         for f, t, h in zip(fields, times, path):
-            node = straightening.inverted[straightening.slice_of[u.slice_indices(t)]]
+            node = straightening.inverted[u.index[u.slice_indices(t)]]
             want = f.values if node is None else PeriodicInterpolant(grid, f.values)(node[0]) / node[1]
             assert np.array_equal(h.values, want)
             assert h.values is not f.values
@@ -816,7 +819,8 @@ class TestBatchedStraightening:
                 lambda x, y: np.sin(x + t) * np.cos(y),
                 lambda x, y: 0.4 * np.cos(x - y),
             ]
-        b = TimeGridVector.from_function(grid, u.times, fns)
+        rows = np.stack([GridVector.from_functions(grid, fns(t)).values for t in u.times])
+        b = TimeGridVector(grid, u.times, rows, np.arange(len(u.times)))
         straightening = transform_coeffs(u, 3.0)
         fields = ("bhat_err", "sigma_err", "grad_sigma_err", "div_err")
         for q, p, r in ((4.0, 8.0, 4.0), (2.0, math.inf, 1.0), (3.0, 3.5, 2.0)):
@@ -834,8 +838,8 @@ class TestBatchedStraightening:
         x = g.axis_coordinates()
         shapes = [(0.3, 0.4), (0.99, 0.0), (0.1, 0.8), (0.6, 1.2)]
         slices = [GridVector(g, (a * np.sin(x + phase))[None]) for a, phase in shapes]
-        u = TimeGridVector(g, np.linspace(0.0, 0.5, len(slices)), slices)
         values = np.stack([sl.values for sl in slices])
+        u = TimeGridVector(g, np.linspace(0.0, 0.5, len(slices)), values, np.arange(len(slices)))
         jac = jacobian_stack(g, values)
         nodes = nodes_of(g)[:, None]
         first = np.stack([node_step(sl) for sl in slices], axis=1)
