@@ -200,6 +200,10 @@ class TimeGridVector:
         lo, hi, rows = index.min(), index.max(), len(self.values)
         if lo < 0 or hi >= rows:
             raise FieldError(f"index out of range: rows are 0..{rows - 1}, got {lo}..{hi}")
+        # per-row passes (splines, the straightening) read every row
+        unused = np.flatnonzero(np.bincount(index, minlength=rows) == 0)
+        if len(unused):
+            raise FieldError(f"row {unused[0]} of {rows} is indexed by no time sample")
         self.index = index.astype(np.intp)
 
     @property

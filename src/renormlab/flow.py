@@ -27,11 +27,16 @@ _BLOCK_POINTS points, at most _CHUNK_VALUES stored positions), one spline
 call per step for the whole chunk, each member moved by its own Brownian
 increments; chunks run on the worker pool, and simulate_flow is the
 one-path case.  Every step is checked for finiteness before the next spline
-call.  The two recursions read positions the flow already stored, so they
+call.  A caller that reads only some steps asks simulate_flows to store only
+those: the ensemble records the step of each stored row, lookups go through
+it, and the readers of the whole trajectory refuse such an ensemble.  The
+two recursions read positions the flow already stored, so they
 evaluate their spline on blocks of many steps at once and only the cheap
 update runs step by step; the variational recursion checks finiteness once
-per block and reports the first step that lost it.  A spline evaluates
-every point on its own, so neither batching changes a bit of any result.
+per block and reports the first step that lost it.  logdet_gaps fuses the
+flow, both recursions and logdet_gap into one member-batched pass that
+stores nothing and keeps each member's running sup gap.  A spline evaluates
+every point on its own, so no batching changes a bit of any result.
 A component constant in space (the unit noise e_k) is no spline at all:
 the interpolant returns its exact value.
 
@@ -97,6 +102,7 @@ __all__ = [
     "variational_jacobian",
     "logdet_stochastic_exponential",
     "logdet_gap",
+    "logdet_gaps",
     "invert_flow",
     "pushforward_solution",
     "pushforward_path",
@@ -187,13 +193,39 @@ def refine_brownian(path: BrownianPath, factor: int) -> BrownianPath:
 
 @dataclass
 class FlowEnsemble:
-    """Flow map sampled at every grid node, driven by one shared path."""
+    """Flow map sampled at every grid node, driven by one shared path.
+
+    Row n of paths holds the positions at step stored[n], in increasing
+    order: every step 0..path.steps unless simulate_flows was asked to store
+    fewer.
+    """
 
     seeds_grid: Grid
     path: BrownianPath
-    paths: np.ndarray  # (steps+1, dim) + grid.shape
+    paths: np.ndarray  # (len(stored), dim) + grid.shape
     jac_variational: np.ndarray | None = None  # (steps+1, dim, dim) + grid.shape
     logdet_exponential: np.ndarray | None = None  # (steps+1,) + grid.shape
+    stored: np.ndarray | None = None  # the step of each row of paths; None: every step
+
+    def __post_init__(self):
+        if self.stored is None:
+            self.stored = np.arange(self.path.steps + 1)
+
+    def rows_of(self, steps) -> np.ndarray:
+        """The row of paths that holds each of ``steps``; FlowError names the first not held."""
+        steps = np.asarray(steps, dtype=np.intp).reshape(-1)
+        rows = np.searchsorted(self.stored, steps)
+        held = rows < len(self.stored)
+        held[held] = self.stored[rows[held]] == steps[held]
+        if not held.all():
+            raise FlowError(f"the ensemble holds no positions at step {steps[np.argmin(held)]}")
+        return rows
+
+
+def _require_every_step(ensemble: FlowEnsemble) -> None:
+    """Refuse, naming the first missing step, an ensemble that stores only some steps."""
+    if len(ensemble.stored) != ensemble.path.steps + 1:
+        ensemble.rows_of(np.arange(ensemble.path.steps + 1))
 
 
 # Points per batched spline call: a chunk of members in the flow, a block of
@@ -278,16 +310,80 @@ def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
         yield steps, values
 
 
-def members_per_chunk(grid: Grid, steps: int) -> int:
+def members_per_chunk(grid: Grid, steps: int, stored: int | None = None) -> int:
     """Members whose flows simulate_flows integrates together, on paths of ``steps`` steps.
 
     A chunk holds about _BLOCK_POINTS points, so that one spline call per
-    step serves many members, and at most _CHUNK_VALUES stored positions,
-    so that a chunk of long paths stays small.  At least one member.
+    step serves many members, and at most _CHUNK_VALUES stored positions
+    (``stored`` steps per member, every step by default), so that a chunk of
+    long paths stays small.  At least one member.
     """
+    rows = steps + 1 if stored is None else stored
     points = grid.N**grid.dim
-    by_memory = _CHUNK_VALUES // ((steps + 1) * grid.dim * points)
+    by_memory = _CHUNK_VALUES // max(1, rows * grid.dim * points)
     return max(1, min(_BLOCK_POINTS // points, by_memory))
+
+
+def _on_step_grid(path: BrownianPath, steps) -> list:
+    """``steps`` as a list, each checked to be a step 0..path.steps."""
+    steps = list(steps)
+    for step in steps:
+        if not (isinstance(step, (int, np.integer)) and 0 <= step <= path.steps):
+            raise FlowError(f"step {step!r} is not on the path step grid 0..{path.steps}")
+    return steps
+
+
+def _flow_setup(b: TimeGridVector, sigmas, config: SdeConfig, paths):
+    """Check paths, config and coefficients together; return (grid, path, rows, groups).
+
+    path is the first path, and rows and groups are _slice_groups of it.
+    """
+    paths = list(paths)
+    if not paths:
+        raise FlowError("need at least one Brownian path")
+    path = paths[0]
+    for p in paths[1:]:
+        if (p.T, p.dt, p.k_count) != (path.T, path.dt, path.k_count):
+            raise FlowError("Brownian paths differ in horizon, step or noise count")
+    if abs(config.dt - path.dt) > 1e-12 * max(path.dt, 1.0):
+        raise FlowError(f"config dt {config.dt} does not match path dt {path.dt}")
+    grid = _validate_coefficients(b, sigmas, path)
+    return (grid, path) + _slice_groups(b, sigmas, path)
+
+
+def _member_increments(chunk, grid: Grid) -> np.ndarray:
+    """(steps, k_count, members, 1, ...): each member's dW against its points."""
+    increments = np.stack([p.increments for p in chunk], axis=2)
+    return increments.reshape(increments.shape + (1,) * grid.dim)
+
+
+def _euler_sum(fields, dt: float, dW) -> np.ndarray:
+    """fields[0] dt + sum_k fields[1 + k] dW[k], summed in that order."""
+    total = fields[0] * dt
+    for k in range(len(dW)):
+        total += fields[1 + k] * dW[k]
+    return total
+
+
+def _logdet_increment(scalars, dt: float, dW) -> np.ndarray:
+    """Div b dt + sum_k (Div sigma^k dW[k] - (1/2) twist^k dt), from _logdet_fields values."""
+    total = scalars[0] * dt
+    for k in range(len(dW)):
+        total += scalars[1 + 2 * k] * dW[k] - 0.5 * scalars[2 + 2 * k] * dt
+    return total
+
+
+def _logdet_fields(grid: Grid, rows) -> np.ndarray:
+    """(Div b, Div sigma^1, twist^1, ...) of the rows [b, sigma^1, ...].
+
+    twist^k = d_i sigma^k_j d_j sigma^k_i, the log-determinant's Ito correction.
+    """
+    drift, *noises = rows
+    scalars = [divergence_stack(grid, drift)]
+    for s in noises:
+        jac = jacobian_stack(grid, s)
+        scalars += [divergence_stack(grid, s), np.einsum("ij...,ji...->...", jac, jac)]
+    return np.stack(scalars)
 
 
 def simulate_flow(
@@ -305,6 +401,7 @@ def simulate_flows(
     sigmas: list[TimeGridVector],
     config: SdeConfig,
     paths: list[BrownianPath],
+    store=None,
 ) -> list[FlowEnsemble]:
     """Euler-Maruyama flows from every grid node, one ensemble per Brownian path.
 
@@ -312,30 +409,28 @@ def simulate_flows(
     members_per_chunk at a time: one loop over points of shape
     (dim, members) + grid.shape, one spline call per step for the chunk, each
     member moved by its own increments.  Chunks run on the worker pool.  Each
-    ensemble's paths is a view into its chunk's array.  If a trajectory loses
-    finiteness, the error names the first step at which any member lost it.
+    ensemble's paths is a view into its chunk's array, which holds the steps
+    in ``store`` (every step by default).  If a trajectory loses finiteness,
+    the error names the first step at which any member lost it.
     """
     paths = list(paths)
-    if not paths:
-        raise FlowError("need at least one Brownian path")
-    path = paths[0]
-    for p in paths[1:]:
-        if (p.T, p.dt, p.k_count) != (path.T, path.dt, path.k_count):
-            raise FlowError("Brownian paths differ in horizon, step or noise count")
-    if abs(config.dt - path.dt) > 1e-12 * max(path.dt, 1.0):
-        raise FlowError(f"config dt {config.dt} does not match path dt {path.dt}")
-    grid = _validate_coefficients(b, sigmas, path)
-    row_sets, group_of_step = _slice_groups(b, sigmas, path)
+    grid, path, row_sets, group_of_step = _flow_setup(b, sigmas, config, paths)
+    if store is None:
+        stored = np.arange(path.steps + 1)
+    else:
+        stored = np.unique(np.asarray(_on_step_grid(path, store), dtype=np.intp))
     interpolants = [PeriodicInterpolant(grid, np.stack(rows)) for rows in row_sets]
     nodes = np.stack(grid.coordinates())[:, None]
 
     def integrate(chunk):
         """The chunk's ensembles, or the first step at which it lost finiteness."""
-        # (steps, k_count, members, 1, ...): each member's dW against its points
-        increments = np.stack([p.increments for p in chunk], axis=2)
-        increments = increments.reshape(increments.shape + (1,) * grid.dim)
-        positions = np.empty((path.steps + 1, grid.dim, len(chunk)) + grid.shape)
-        X = positions[0]
+        increments = _member_increments(chunk, grid)
+        positions = np.empty((len(stored), grid.dim, len(chunk)) + grid.shape)
+        work = np.empty((grid.dim, len(chunk)) + grid.shape)
+        targets = [work] * (path.steps + 1)  # where each step's X goes
+        for row, step in enumerate(stored.tolist()):
+            targets[step] = positions[row]
+        X = targets[0]
         X[...] = nodes
         with np.errstate(over="ignore", invalid="ignore"):
             for l in range(path.steps):
@@ -343,22 +438,28 @@ def simulate_flows(
                 move = coefficients[0] * path.dt
                 for k in range(len(sigmas)):
                     move += coefficients[1 + k] * increments[l, k]
-                X = np.add(X, move, out=positions[l + 1])
+                X = np.add(X, move, out=targets[l + 1])
                 # checked before the next spline call reads X
                 if not np.isfinite(X).all():
                     return l + 1
         return [
-            FlowEnsemble(seeds_grid=grid, path=p, paths=positions[:, :, m])
+            FlowEnsemble(seeds_grid=grid, path=p, paths=positions[:, :, m], stored=stored)
             for m, p in enumerate(chunk)
         ]
 
-    per_chunk = members_per_chunk(grid, path.steps)
+    per_chunk = members_per_chunk(grid, path.steps, len(stored))
     chunks = [paths[i : i + per_chunk] for i in range(0, len(paths), per_chunk)]
     done = parallel.ordered_map(integrate, chunks)
     lost = [step for step in done if isinstance(step, int)]
     if lost:
         raise FlowError(f"trajectory lost finiteness at step {min(lost)}")
     return [ensemble for chunk in done for ensemble in chunk]
+
+
+def _block_increments(path: BrownianPath, steps: range, dim: int) -> np.ndarray:
+    """(k_count, steps, 1, ...): the dW of a block of steps against the grid axes."""
+    dW = path.increments[steps.start : steps.stop].T
+    return dW.reshape(dW.shape + (1,) * dim)
 
 
 def variational_jacobian(
@@ -371,6 +472,7 @@ def variational_jacobian(
     is checked once per block; the error names the first step that lost it.
     """
     grid = _validate_coefficients(b, sigmas, ensemble.path)
+    _require_every_step(ensemble)
     path = ensemble.path
     row_sets, group_of_step = _slice_groups(b, sigmas, path)
     interpolants = [
@@ -382,10 +484,7 @@ def variational_jacobian(
         J[0, i, i] = 1.0
     for steps, jacobians in _along_paths(ensemble, interpolants, group_of_step):
         with np.errstate(over="ignore", invalid="ignore"):
-            growth = jacobians[0] * path.dt
-            for k in range(len(sigmas)):
-                dW = path.increments[steps.start : steps.stop, k]
-                growth += jacobians[1 + k] * dW.reshape((len(steps),) + (1,) * grid.dim)
+            growth = _euler_sum(jacobians, path.dt, _block_increments(path, steps, grid.dim))
             growth = np.moveaxis(growth, 2, 0)
             for n, l in enumerate(steps):
                 np.add(J[l], np.einsum("ik...,kj...->ij...", growth[n], J[l]), out=J[l + 1])
@@ -408,25 +507,15 @@ def logdet_stochastic_exponential(
     variational route: no matrix products, no determinants.
     """
     grid = _validate_coefficients(b, sigmas, ensemble.path)
+    _require_every_step(ensemble)
     path = ensemble.path
     row_sets, group_of_step = _slice_groups(b, sigmas, path)
-    interpolants = []
-    for drift, *noises in row_sets:
-        scalars = [divergence_stack(grid, drift)]
-        for s in noises:
-            jac = jacobian_stack(grid, s)
-            scalars += [divergence_stack(grid, s), np.einsum("ij...,ji...->...", jac, jac)]
-        interpolants.append(PeriodicInterpolant(grid, np.stack(scalars)))
+    interpolants = [PeriodicInterpolant(grid, _logdet_fields(grid, rows)) for rows in row_sets]
 
     logdet = np.zeros((path.steps + 1,) + grid.shape)
     for steps, scalars in _along_paths(ensemble, interpolants, group_of_step):
-        dW = path.increments[steps.start : steps.stop].reshape(
-            (len(steps), path.k_count) + (1,) * grid.dim
-        )
-        increment = scalars[0] * path.dt
-        for k in range(len(sigmas)):
-            increment += scalars[1 + 2 * k] * dW[:, k] - 0.5 * scalars[2 + 2 * k] * path.dt
-        logdet[steps.start + 1 : steps.stop + 1] = increment
+        dW = _block_increments(path, steps, grid.dim)
+        logdet[steps.start + 1 : steps.stop + 1] = _logdet_increment(scalars, path.dt, dW)
     # add.accumulate runs along time one step after the other: the same sums,
     # in the same order, as logdet[l + 1] = logdet[l] + increment[l]
     np.cumsum(logdet, axis=0, out=logdet)
@@ -436,6 +525,7 @@ def logdet_stochastic_exponential(
 
 def logdet_gap(ensemble: FlowEnsemble, step: int | None = None) -> float:
     """Sup over nodes of |logdet_exponential - log det jac_variational|."""
+    _require_every_step(ensemble)
     if ensemble.jac_variational is None or ensemble.logdet_exponential is None:
         raise FlowError("run variational_jacobian and logdet_stochastic_exponential first")
     dets = _det_stack(np.moveaxis(ensemble.jac_variational, 0, 2))
@@ -445,6 +535,85 @@ def logdet_gap(ensemble: FlowEnsemble, step: int | None = None) -> float:
     if step is not None:
         return float(np.max(gap[step]))
     return float(np.max(gap))
+
+
+def logdet_gaps(
+    b: TimeGridVector,
+    sigmas: list[TimeGridVector],
+    config: SdeConfig,
+    paths: list[BrownianPath],
+) -> list[float]:
+    """Each path's logdet_gap once both recursions have run, storing no positions.
+
+    The numbers of simulate_flows, variational_jacobian,
+    logdet_stochastic_exponential and logdet_gap on each path, bit for bit,
+    from one pass per chunk of members: X, J and log det advance together,
+    from one spline call per step of [b, sigma^k], their Jacobians and the
+    log-determinant fields, and only each member's running sup gap is kept.
+    Nothing grows with the path, so a chunk holds members_per_chunk's block
+    of points alone.  Chunks run on the worker pool; the first chunk, in path
+    order, that fails raises the first of: a trajectory that lost finiteness
+    (the first step any of its members lost it), then, member by member, a
+    variational recursion that lost finiteness (its first step) or a
+    determinant that lost positivity.
+    """
+    paths = list(paths)
+    grid, path, row_sets, group_of_step = _flow_setup(b, sigmas, config, paths)
+    dim, shape = grid.dim, grid.shape
+    splines = []
+    for rows in row_sets:
+        stack = np.stack(rows)
+        fields = [
+            f.reshape((-1,) + shape)
+            for f in (stack, jacobian_stack(grid, stack), _logdet_fields(grid, rows))
+        ]
+        splines.append(PeriodicInterpolant(grid, np.concatenate(fields)))
+    a, z = np.cumsum([len(f) for f in fields[:-1]])
+    nodes = np.stack(grid.coordinates())[:, None]
+
+    def gaps(chunk):
+        members = len(chunk)
+        increments = _member_increments(chunk, grid)
+        X = np.empty((dim, members) + shape)
+        X[...] = nodes
+        J = np.zeros((dim, dim, members) + shape)
+        for i in range(dim):
+            J[i, i] = 1.0
+        logdet = np.zeros((members,) + shape)
+        sup = np.zeros(members)  # step 0 has J = I and log det = 0: a gap of 0
+        lost_at = np.zeros(members, dtype=np.intp)  # first step of non-finite J, 0: none
+        det_min = np.full(members, np.inf)  # over the steps of a non-finite gap
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for l in range(path.steps):
+                values = splines[group_of_step[l]](X)
+                coefficients = values[:a].reshape((-1, dim, members) + shape)
+                jacobians = values[a:z].reshape((-1, dim, dim, members) + shape)
+                scalars = values[z:]
+                dW = increments[l]
+                X = X + _euler_sum(coefficients, path.dt, dW)
+                if not np.isfinite(X).all():
+                    raise FlowError(f"trajectory lost finiteness at step {l + 1}")
+                growth = _euler_sum(jacobians, path.dt, dW)
+                J = J + np.einsum("ik...,kj...->ij...", growth, J)
+                logdet = logdet + _logdet_increment(scalars, path.dt, dW)
+                det = _det_stack(J)
+                gap = np.abs(logdet - np.log(det)).reshape(members, -1).max(axis=1)
+                sup = np.maximum(sup, gap)
+                # J and det are finite and det > 0 wherever the gap is finite
+                if not np.isfinite(gap).all():
+                    finite = np.isfinite(J).reshape(dim * dim, members, -1).all(axis=(0, 2))
+                    lost_at[~finite & (lost_at == 0)] = l + 1
+                    det_min = np.minimum(det_min, det.reshape(members, -1).min(axis=1))
+        for m in range(members):
+            if lost_at[m]:
+                raise FlowError(f"variational recursion lost finiteness at step {lost_at[m]}")
+            if det_min[m] <= 0:
+                raise FlowError("variational determinant lost positivity")
+        return sup.tolist()
+
+    per_chunk = members_per_chunk(grid, path.steps, 0)
+    chunks = [paths[i : i + per_chunk] for i in range(0, len(paths), per_chunk)]
+    return [gap for chunk in parallel.ordered_map(gaps, chunks) for gap in chunk]
 
 
 def _step_of(path: BrownianPath, t: float) -> int:
@@ -471,16 +640,18 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps):
 
     Yields (steps, psi, det, iterations) with psi of shape (dim, steps, N^dim),
     det of shape (steps, N^dim) and one Newton round count per step, from
-    _newton_rows on the block's displacements.
+    _newton_rows on the block's displacements.  The positions of each step
+    are the ensemble's row for it (FlowEnsemble.rows_of).
     """
     grid = ensemble.seeds_grid
+    stored_rows = ensemble.rows_of(steps)
     path = ensemble.path
     dim = grid.dim
     nodes = np.stack(grid.coordinates())
     X0 = nodes.reshape(dim, 1, -1)
     for rows in _blocks(grid, len(steps)):
         block = [steps[n] for n in rows]
-        disp = ensemble.paths[block] - nodes
+        disp = ensemble.paths[stored_rows[rows.start : rows.stop]] - nodes
         if not np.all(np.isfinite(disp)):
             raise FieldError("vector field contains non-finite values")
         disp_jac = jacobian_stack(grid, disp)
@@ -636,10 +807,8 @@ def pushforward_path(f0: GridScalar, ensemble: FlowEnsemble, steps=None) -> Iter
     if f0.grid != grid:
         raise FlowError("initial datum lives on a different grid than the flow")
     last = ensemble.path.steps
-    steps = range(last + 1) if steps is None else list(steps)
-    for step in steps:
-        if not (isinstance(step, (int, np.integer)) and 0 <= step <= last):
-            raise FlowError(f"step {step!r} is not on the path step grid 0..{last}")
+    steps = range(last + 1) if steps is None else _on_step_grid(ensemble.path, steps)
+    ensemble.rows_of(steps)  # a step the ensemble does not store is refused here
     datum = SplineStack(grid, f0.values[None, None])
 
     def fields():
@@ -705,6 +874,7 @@ _FLO_HEADER = {
 
 
 def save_ensemble(path_name, ensemble: FlowEnsemble) -> None:
+    _require_every_step(ensemble)
     grid = ensemble.seeds_grid
     header = {
         "format": "flo",

@@ -60,7 +60,7 @@ from .flow import (
     SdeConfig,
     ensemble_moment,
     logdet_gap,
-    logdet_stochastic_exponential,
+    logdet_gaps,
     members_per_chunk,
     pushforward_path,
     pushforward_solution,
@@ -68,7 +68,6 @@ from .flow import (
     sample_brownian,
     save_ensemble,
     simulate_flows,
-    variational_jacobian,
 )
 from .parabolic import (
     _by_slice,
@@ -453,21 +452,28 @@ def _paths(
     return [sample_brownian(T, dt, k_count, _stream(cfg, consumer, m)) for m in range(members)]
 
 
-def _per_member(prob: Problem, paths: list[BrownianPath], reduce) -> list:
+def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) -> list:
     """``reduce`` of the flow of ``prob`` on each path, in path order.
 
     The one Monte Carlo member loop of the lab.  Flows are integrated
-    ``flow.members_per_chunk`` members at a time and each chunk's members are
-    reduced on the worker pool, one item per member, so only one chunk of
-    positions is alive at a time unless ``reduce`` returns the ensemble.
+    ``flow.members_per_chunk`` members at a time, storing positions only at
+    the steps in ``store`` (every step by default), and each chunk's members
+    are reduced on the worker pool, one item per member, so only one chunk
+    of positions is alive at a time unless ``reduce`` returns the ensemble.
+    ``reduce`` may be ``flow.logdet_gap`` itself, taken once both recursions
+    have run: ``flow.logdet_gaps`` gives those numbers from one pass per
+    chunk that stores nothing.
     """
-    per_chunk = members_per_chunk(prob.grid, prob.steps)
     config = SdeConfig(dt=prob.dt)
+    if reduce is logdet_gap:
+        return logdet_gaps(prob.b, prob.sigmas, config, paths)
+    per_chunk = members_per_chunk(prob.grid, prob.steps, None if store is None else len(store))
     return [
         value
         for start in range(0, len(paths), per_chunk)
         for value in parallel.ordered_map(
-            reduce, simulate_flows(prob.b, prob.sigmas, config, paths[start : start + per_chunk])
+            reduce,
+            simulate_flows(prob.b, prob.sigmas, config, paths[start : start + per_chunk], store),
         )
     ]
 
@@ -883,22 +889,17 @@ def _check_cancellation(cfg: ExperimentConfig) -> list[CheckResult]:
 def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
     """Per-path sup gap at (dt, dt/4); bridge-coupled refinement.
 
-    Each member's two recursions run on a copy of its ensemble, so that only
-    the gaps outlive the chunk.
+    The two levels are separate items on the worker pool, and each runs the
+    member loop's storage-free log-det pass.
     """
     paths = _paths(cfg, _STREAM_LOGDET, members, T, dt, 1)
-    gaps = []
-    for factor, member_paths in ((1, paths), (4, [refine_brownian(p, 4) for p in paths])):
+
+    def level(factor: int) -> list[float]:
         prob = _problem("trig_flow", 64, T, dt / factor)
+        member_paths = paths if factor == 1 else [refine_brownian(p, factor) for p in paths]
+        return _per_member(prob, member_paths, logdet_gap)
 
-        def gap(ens: FlowEnsemble) -> float:
-            ens = replace(ens)
-            variational_jacobian(ens, prob.b, prob.sigmas)
-            logdet_stochastic_exponential(ens, prob.b, prob.sigmas)
-            return logdet_gap(ens)
-
-        gaps.append(_per_member(prob, member_paths, gap))
-    return gaps
+    return parallel.ordered_map(level, (1, 4))
 
 
 def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -940,9 +941,10 @@ def _check_pushforward_residual(cfg: ExperimentConfig) -> list[CheckResult]:
 def _check_conservation(cfg: ExperimentConfig) -> list[CheckResult]:
     T, dt = 0.25, 1e-3
     prob = _problem("divfree_2d", 64, T, dt)
-    reduce = _conservation_rows(prob, 2.0, range(0, prob.steps + 1, 25))
+    sampled = range(0, prob.steps + 1, 25)
+    reduce = _conservation_rows(prob, 2.0, sampled)
     paths = _paths(cfg, _STREAM_DIVFREE, 4, T, dt, 2)
-    rows = [row for member in _per_member(prob, paths, reduce) for row in member]
+    rows = [row for member in _per_member(prob, paths, reduce, sampled) for row in member]
     h = prob.grid.L / prob.grid.N
     return [
         _result(
@@ -971,7 +973,7 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     envelope = math.exp(growth * T) * lp_norm(f0, 2.0 * p) ** (2.0 * p)
 
     paths = _paths(cfg, _STREAM_MOMENT, members, T, dt, len(sigmas))
-    ensembles = _per_member(prob, paths, lambda ens: ens)
+    ensembles = _per_member(prob, paths, lambda ens: ens, [prob.steps])
     est = ensemble_moment(
         ensembles, lambda e: lp_norm(pushforward_solution(f0, e, T), 2.0 * p), power=2.0 * p
     )
@@ -1181,7 +1183,7 @@ def _determinism_payload(cfg: ExperimentConfig) -> tuple:
     T = 0.25
     prob = _problem("trig_flow", 64, T, 5e-3)
     paths = _paths(cfg, _STREAM_MOMENT, 8, T, prob.dt, len(prob.sigmas))
-    ensembles = _per_member(prob, paths, lambda ens: ens)
+    ensembles = _per_member(prob, paths, lambda ens: ens, [prob.steps])
     est = ensemble_moment(
         ensembles, lambda e: lp_norm(pushforward_solution(prob.f0, e, T), 4.0), power=4.0
     )

@@ -465,6 +465,17 @@ class TestTimeSlices:
         with pytest.raises(FieldError, match=r"index out of range: rows are 0\.\.1"):
             TimeGridVector(g, [0.0, 1.0], np.zeros((2, 1, 16)), index)
 
+    def test_unused_row(self):
+        # a row no sample reads would still reach the per-row passes: here
+        # build_diffeo's lip, which the 2 sin x row alone pushes past 1
+        g = build_grid(1, L, 16)
+        x = g.coordinates()[0]
+        rows = np.stack([0.1 * np.sin(x), 2.0 * np.sin(x)])[:, None]
+        with pytest.raises(FieldError, match="row 1 of 2 is indexed by no time sample"):
+            TimeGridVector(g, [0.0, 1.0], rows, [0, 0])
+        with pytest.raises(FieldError, match="row 0 of 3 is indexed by no time sample"):
+            TimeGridVector(g, [0.0, 0.5, 1.0], np.zeros((3, 1, 16)), [1, 2, 2])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values(self, bad):
         g = build_grid(1, L, 16)

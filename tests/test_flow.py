@@ -542,6 +542,183 @@ class TestSimulateFlows:
         assert flow.members_per_chunk(grid1(), 2000) == 4
         assert flow.members_per_chunk(build_grid(2, L, 64), 10) == 1
         assert flow.members_per_chunk(build_grid(2, L, 16), 50) == 8
+        # a chunk that stores some steps, or none, is bounded by those alone
+        assert flow.members_per_chunk(grid1(), 2000, 11) == 32
+        assert flow.members_per_chunk(grid1(), 2000, 0) == 32
+        assert flow.members_per_chunk(build_grid(2, L, 64), 250, 11) == 1
+
+
+def stored_route_gaps(b, sigmas, paths):
+    """Each path's logdet_gap as the lab's member loop took it before the fused
+    pass: simulate_flows in chunks of members_per_chunk, then both recursions
+    and logdet_gap member by member."""
+    config = SdeConfig(dt=paths[0].dt)
+    per_chunk = flow.members_per_chunk(b.grid, paths[0].steps)
+    gaps = []
+    for start in range(0, len(paths), per_chunk):
+        for ens in flow.simulate_flows(b, sigmas, config, paths[start : start + per_chunk]):
+            variational_jacobian(ens, b, sigmas)
+            logdet_stochastic_exponential(ens, b, sigmas)
+            gaps.append(logdet_gap(ens))
+    return gaps
+
+
+def two_row_case():
+    # the trig drift for the first 60 steps, then a second row: two slice groups
+    b, sigmas, path = trig_case()
+    g = b.grid
+    rows = np.stack([b.values[0], 0.5 * b.values[0] + 0.3 * np.cos(g.axis_coordinates())])
+    index = (np.arange(path.steps + 1) >= 60).astype(int)
+    b2 = TimeGridVector(g, np.arange(path.steps + 1) * path.dt, rows, index)
+    return b2, sigmas, path
+
+
+class TestLogdetGaps:
+    """flow.logdet_gaps against the stored route, bit for bit and error for error."""
+
+    @pytest.mark.parametrize(
+        "case,members",
+        [
+            (trig_case, 1), (trig_case, 3), (trig_case, 37),
+            (divfree_case, 1), (divfree_case, 3), (divfree_case, 11),
+            (two_row_case, 5), (time_dependent_case, 3),
+        ],
+    )
+    def test_bitwise_equal_to_stored_route(self, case, members):
+        b, sigmas, path = case()
+        paths = member_paths(path, members)
+        gaps = flow.logdet_gaps(b, sigmas, SdeConfig(dt=path.dt), paths)
+        want = stored_route_gaps(b, sigmas, paths)
+        assert [g.hex() for g in gaps] == [w.hex() for w in want]
+
+    def test_two_row_case_has_two_groups(self):
+        b, sigmas, path = two_row_case()
+        row_sets, group_of_step = flow._slice_groups(b, sigmas, path)
+        assert len(row_sets) == 2 and group_of_step[59] == 0 and group_of_step[60] == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_chunks_by_the_block_rule_on_the_pool(self, monkeypatch, workers):
+        # 500 steps on 64 nodes: a stored chunk holds 16 members, a fused one 32
+        monkeypatch.setenv("RENORMLAB_THREADS", workers)
+        b, sigmas, path = trig_case()
+        chunks, ordered_map = [], flow.parallel.ordered_map
+
+        def recording(fn, items):
+            items = list(items)
+            chunks.append([len(chunk) for chunk in items])
+            return ordered_map(fn, items)
+
+        monkeypatch.setattr(flow.parallel, "ordered_map", recording)
+        assert flow.members_per_chunk(b.grid, path.steps) == 16
+        gaps = flow.logdet_gaps(b, sigmas, SdeConfig(dt=path.dt), member_paths(path, 37))
+        assert chunks == [[32, 5]] and len(gaps) == 37
+
+    @pytest.mark.parametrize("steps_of,step", [({3: 30, 35: 12, 36: 20}, 30), ({35: 12}, 12)])
+    def test_trajectory_blow_up_names_the_same_step(self, steps_of, step):
+        # 40 steps on 64 nodes: both routes take chunks of 32 members, and the
+        # first chunk that fails names its first step
+        b, sigmas, paths = blow_up_case(40, steps_of)
+        message = f"trajectory lost finiteness at step {step}$"
+        with pytest.raises(FlowError, match=message):
+            stored_route_gaps(b, sigmas, paths)
+        with pytest.raises(FlowError, match=message):
+            flow.logdet_gaps(b, sigmas, SdeConfig(dt=0.01), paths)
+
+    def test_variational_blow_up_names_the_same_step(self):
+        # noise sin(x) and dW of order 1e8: each step moves X by at most 1e8,
+        # so trajectories stay finite, while J grows by about 1e8 a step and
+        # overflows in some 40 steps, at a different step for each member
+        g = grid1(16)
+        steps, dt = 60, 0.01
+        b = still(GridVector.constant(g, [0.0]), horizon=steps * dt)
+        sigma = still(GridVector(g, np.sin(g.axis_coordinates())[None, :]), horizon=steps * dt)
+        paths = [
+            BrownianPath(steps * dt, dt, 1, np.full((steps, 1), 1e8 * (1.0 + 0.37 * m)), m)
+            for m in range(3)
+        ]
+        with pytest.raises(FlowError) as stored:
+            stored_route_gaps(b, [sigma], paths)
+        assert "variational recursion lost finiteness at step" in str(stored.value)
+        with pytest.raises(FlowError, match=f"^{stored.value}$"):
+            flow.logdet_gaps(b, [sigma], SdeConfig(dt=dt), paths)
+
+    def test_lost_positivity_names_the_same_error(self):
+        # 1 + dt db = 1 - 3 cos(x) < 0 near the fixed point at 0: J changes sign
+        g = grid1(16)
+        horizon = 0.1
+        b = still(GridVector(g, (-300.0 * np.sin(g.axis_coordinates()))[None, :]), horizon=horizon)
+        paths = [sample_brownian(horizon, 0.01, 0, m) for m in range(2)]
+        for gaps in (
+            lambda: stored_route_gaps(b, [], paths),
+            lambda: flow.logdet_gaps(b, [], SdeConfig(dt=0.01), paths),
+        ):
+            with pytest.raises(FlowError, match="variational determinant lost positivity$"):
+                gaps()
+
+
+class TestSampledSteps:
+    """Ensembles that store only the steps their reader asks for."""
+
+    @pytest.mark.parametrize("case", [trig_case, divfree_case])
+    def test_rows_are_the_full_rows(self, case):
+        b, sigmas, path = case()
+        paths = member_paths(path, 3)
+        store = [path.steps, 0, 7, 7, 20]
+        config = SdeConfig(dt=path.dt)
+        full = flow.simulate_flows(b, sigmas, config, paths)
+        sampled = flow.simulate_flows(b, sigmas, config, paths, store)
+        for f, s in zip(full, sampled):
+            assert list(s.stored) == [0, 7, 20, path.steps]
+            assert np.array_equal(s.paths, f.paths[s.stored])
+            assert np.array_equal(s.paths[s.rows_of([20, 0])], f.paths[[20, 0]])
+        # without step 0 the flow starts in a work array
+        sampled = flow.simulate_flows(b, sigmas, config, paths, [path.steps])
+        assert all(np.array_equal(s.paths[0], f.paths[-1]) for f, s in zip(full, sampled))
+
+    @pytest.mark.parametrize("case", [trig_case, divfree_case])
+    def test_pushforward_equals_full_storage(self, case):
+        b, sigmas, path = case()
+        config = SdeConfig(dt=path.dt)
+        full = simulate_flow(b, sigmas, config, path)
+        steps = list(range(0, path.steps + 1, 10))
+        [sampled] = flow.simulate_flows(b, sigmas, config, [path], steps)
+        f0 = presets.default_datum(b.grid)
+        want = flow.pushforward_path(f0, full, steps)
+        for f, s in zip(want, flow.pushforward_path(f0, sampled, steps), strict=True):
+            assert same_bits(s.values, f.values)
+        t = steps[-1] * path.dt
+        assert same_bits(invert_flow(sampled, t).psi.values, invert_flow(full, t).psi.values)
+
+    def test_missing_step_is_refused(self, tmp_path):
+        b, sigmas, path = trig_case()
+        [ens] = flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), [path], [0, 10, 500])
+        f0 = presets.default_datum(b.grid)
+        with pytest.raises(FlowError, match="holds no positions at step 11$"):
+            flow.pushforward_path(f0, ens, [10, 11, 500])
+        with pytest.raises(FlowError, match="holds no positions at step 20$"):
+            invert_flow(ens, 20 * path.dt)
+        with pytest.raises(FlowError, match="holds no positions at step 20$"):
+            pushforward_solution(f0, ens, 20 * path.dt)
+        # every whole-trajectory reader names the first step it lacks
+        for read in (
+            lambda: variational_jacobian(ens, b, sigmas),
+            lambda: logdet_stochastic_exponential(ens, b, sigmas),
+            lambda: logdet_gap(ens),
+            lambda: save_ensemble(tmp_path / "partial.flo", ens),
+            lambda: list(flow.pushforward_path(f0, ens)),
+        ):
+            with pytest.raises(FlowError, match="holds no positions at step 1$"):
+                read()
+        assert not (tmp_path / "partial.flo").exists()
+        [late] = flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), [path], [500])
+        with pytest.raises(FlowError, match="holds no positions at step 0$"):
+            logdet_gap(late)
+
+    @pytest.mark.parametrize("step", [-1, 501, 2.0])
+    def test_store_off_the_step_grid_refused(self, step):
+        b, sigmas, path = trig_case()
+        with pytest.raises(FlowError, match="step grid"):
+            flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), [path], [0, step])
 
 
 def reference_inverse(ensemble, step, tol=1e-10):

@@ -941,9 +941,10 @@ class TestPerMember:
         paths = [sample_brownian(0.1, 0.01, 1, 7 + m) for m in range(2 * per_chunk + 3)]
         chunks, simulate_flows = [], lab.simulate_flows
 
-        def recording(b, sigmas, config, chunk):
+        def recording(b, sigmas, config, chunk, store):
+            assert store is None
             chunks.append([p.seed for p in chunk])
-            return simulate_flows(b, sigmas, config, chunk)
+            return simulate_flows(b, sigmas, config, chunk, store)
 
         monkeypatch.setattr(lab, "simulate_flows", recording)
         monkeypatch.setenv(parallel.ENV_VAR, workers)
@@ -956,6 +957,38 @@ class TestPerMember:
             alone = flow.simulate_flow(prob.b, prob.sigmas, flow.SdeConfig(dt=0.01), path)
             assert np.array_equal(final, alone.paths[-1])
 
+    @pytest.mark.parametrize("source,N,dt", [("trig_flow", 64, 0.01), ("divfree_2d", 16, 0.005)])
+    def test_sampled_conservation_rows_equal_full_storage(self, source, N, dt):
+        prob = lab._problem(source, N, 0.1, dt)
+        sampled = range(0, prob.steps + 1, 5)
+        paths = [sample_brownian(0.1, dt, len(prob.sigmas), 31 + m) for m in range(3)]
+        reduce = lab._conservation_rows(prob, 2.0, sampled)
+        stored = []
+
+        def keep(ens):
+            stored.append(len(ens.paths))
+            return reduce(ens)
+
+        rows = lab._per_member(prob, paths, keep, sampled)
+        assert stored == [len(sampled)] * 3
+        want = lab._per_member(prob, paths, reduce)
+        assert [[(l, a.hex(), r.hex()) for l, a, r in m] for m in rows] == [
+            [(l, a.hex(), r.hex()) for l, a, r in m] for m in want
+        ]
+
+    def test_logdet_gap_takes_the_fused_pass(self, monkeypatch):
+        prob = lab._problem("trig_flow", 64, 0.1, 0.01)
+        paths = [sample_brownian(0.1, 0.01, 1, 5 + m) for m in range(3)]
+        monkeypatch.setattr(lab, "simulate_flows", None)  # no positions are stored
+        gaps = lab._per_member(prob, paths, flow.logdet_gap)
+        want = []
+        for p in paths:
+            ens = flow.simulate_flow(prob.b, prob.sigmas, flow.SdeConfig(dt=0.01), p)
+            flow.variational_jacobian(ens, prob.b, prob.sigmas)
+            flow.logdet_stochastic_exponential(ens, prob.b, prob.sigmas)
+            want.append(flow.logdet_gap(ens))
+        assert [g.hex() for g in gaps] == [w.hex() for w in want]
+
 
 class TestWorkerInvariant:
     def test_determinism_payload_hands_the_pool_several_items(self, monkeypatch):
@@ -966,14 +999,19 @@ class TestWorkerInvariant:
         class Recording(parallel.ThreadPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
                 items = list(iterables[0])
-                handed.append((self._max_workers, len(items)))
+                handed.append((self._max_workers, len(items), fn.__qualname__))
                 return super().map(fn, items, **kwargs)
 
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
         monkeypatch.setenv(parallel.ENV_VAR, "8")
         lab._determinism_payload(ExperimentConfig(experiment="acceptance_all"))
-        assert handed and all(workers == 8 for workers, _ in handed)
-        assert max(count for _, count in handed) > 1
+        assert handed and all(workers == 8 for workers, _, _ in handed)
+        assert max(count for _, count, _ in handed) > 1
+        # the log-det part on its own, which the moment and stability items
+        # would otherwise hide if it went serial
+        assert max(
+            count for _, count, name in handed if name.startswith("_logdet_sup_gaps.")
+        ) > 1
 
 
 CONFIG_FILES = sorted((ROOT / "configs").glob("*.json"))

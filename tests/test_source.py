@@ -3,7 +3,8 @@
 - Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
 - Only ``field._spectral`` calls an ``np.fft`` transform, and only
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
-- Only ``lab._per_member`` integrates flows, and only ``lab._paths`` and
+- Only ``lab._per_member`` integrates flows, by ``simulate_flows`` or by the
+  fused log-det pass ``logdet_gaps``, and only ``lab._paths`` and
   ``lab._pushforward_pair`` draw Brownian paths: the lab has one member loop.
 - No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
   ``.slices``: time samples share a slice through ``TimeGridVector.index``,
@@ -109,7 +110,9 @@ def _readers(tree: ast.Module, name: str) -> list[str]:
 def test_one_member_loop():
     tree = _parse(PACKAGE / "lab.py")
     assert _readers(tree, "simulate_flows") == ["_per_member"]
-    assert "simulate_flow" not in set(_imported(tree))
+    assert _readers(tree, "logdet_gaps") == ["_per_member"]
+    imported = set(_imported(tree))
+    assert not imported & {"simulate_flow", "variational_jacobian", "logdet_stochastic_exponential"}
     assert _readers(tree, "sample_brownian") == ["_paths", "_pushforward_pair"]
 
 
