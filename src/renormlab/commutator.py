@@ -142,23 +142,6 @@ class CommutatorStudy:
             raise FieldError("errors must be finite and nonnegative")
 
 
-def _holder_exponents(tag: str, r: float, q: float | None, p: float | None) -> tuple[float, float]:
-    """Pick or validate (q, p) against 1/r = m/q + 1/p, m = order of the bound."""
-    m = 2.0 if tag == TAG_S else 1.0
-    if q is None and p is None:
-        q = (m + 1.0) * r
-        p = (m + 1.0) * r
-    elif q is None or p is None:
-        raise FieldError("pass both q and p, or neither")
-    if min(q, p) < 1 or r < 1:
-        raise FieldError("exponents must be >= 1")
-    if abs(1.0 / r - (m / q + 1.0 / p)) > 1e-9:
-        raise FieldError(
-            f"exponent mismatch: 1/{r} != {m}/{q} + 1/{p} for operator {tag}"
-        )
-    return q, p
-
-
 def convergence_study(
     operator_tag: str,
     sigma: GridVector,
@@ -166,14 +149,12 @@ def convergence_study(
     epsilon_list,
     r: float,
     region: BoxRegion,
-    q: float | None = None,
-    p: float | None = None,
 ) -> CommutatorStudy:
     """Measure ||op_eps - limit||_{L^r(region)} over an epsilon ladder.
 
     Also forms the uniform-bound ratio ||op_eps||_{L^r} / (||grad sigma||_{L^q}^m
-    ||f||_{L^p}) with m = 1 for T and 2 for S; Hoelder consistency
-    1/r = m/q + 1/p is enforced.  Per-epsilon work runs through the ordered
+    ||f||_{L^p}) with m = 1 for T and 2 for S and q = p = (m + 1) r, the
+    Hoelder split 1/r = m/q + 1/p.  Per-epsilon work runs through the ordered
     thread map, so results are independent of the worker count.
     """
     if operator_tag not in _TAGS:
@@ -181,11 +162,13 @@ def convergence_study(
     epsilons = [float(e) for e in epsilon_list]
     if len(epsilons) < 3:
         raise FieldError(f"need at least 3 epsilons, got {len(epsilons)}")
-    q, p = _holder_exponents(operator_tag, float(r), q, p)
+    if r < 1:
+        raise FieldError(f"exponent r must be >= 1, got {r}")
     _check_inputs(sigma, f)
 
     grid = f.grid
     order = 2.0 if operator_tag == TAG_S else 1.0
+    q = p = (order + 1.0) * r  # the Hoelder split 1/r = order/q + 1/p
     apply_op = op_S if operator_tag == TAG_S else op_T
     limit_t, limit_s = commutator_limits(sigma, f)
     limit = limit_s if operator_tag == TAG_S else limit_t

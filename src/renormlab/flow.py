@@ -94,7 +94,6 @@ __all__ = [
     "BrownianPath",
     "FlowEnsemble",
     "InverseFlow",
-    "MomentEstimate",
     "sample_brownian",
     "simulate_flow",
     "simulate_flows",
@@ -106,7 +105,6 @@ __all__ = [
     "invert_flow",
     "pushforward_solution",
     "pushforward_path",
-    "ensemble_moment",
     "save_ensemble",
     "load_ensemble",
 ]
@@ -197,7 +195,9 @@ class FlowEnsemble:
 
     Row n of paths holds the positions at step stored[n], in increasing
     order: every step 0..path.steps unless simulate_flows was asked to store
-    fewer.
+    fewer.  The recursions, when present, hold every step.  Construction
+    checks these shapes, so a mismatched ensemble is refused before
+    save_ensemble could write it.
     """
 
     seeds_grid: Grid
@@ -208,8 +208,23 @@ class FlowEnsemble:
     stored: np.ndarray | None = None  # the step of each row of paths; None: every step
 
     def __post_init__(self):
+        # shapes only: simulate_flows makes one ensemble per member on views
+        steps, grid = self.path.steps, self.seeds_grid
         if self.stored is None:
-            self.stored = np.arange(self.path.steps + 1)
+            self.stored = np.arange(steps + 1)
+        stored = np.asarray(self.stored)
+        increasing = np.all(np.diff(stored) > 0)
+        if len(stored) and not (increasing and 0 <= stored[0] and stored[-1] <= steps):
+            raise FlowError(f"stored steps must increase strictly inside 0..{steps}")
+        rows = {
+            "paths": (len(stored), grid.dim),
+            "jac_variational": (steps + 1, grid.dim, grid.dim),
+            "logdet_exponential": (steps + 1,),
+        }
+        for name, lead in rows.items():
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != lead + grid.shape:
+                raise FlowError(f"{name} shape {np.shape(value)} != {lead + grid.shape}")
 
     def rows_of(self, steps) -> np.ndarray:
         """The row of paths that holds each of ``steps``; FlowError names the first not held."""
@@ -820,39 +835,15 @@ def pushforward_path(f0: GridScalar, ensemble: FlowEnsemble, steps=None) -> Iter
     return fields()
 
 
-class MomentEstimate(tuple):
-    """(mean, stderr) pair that unpacks like a tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, mean: float, stderr: float):
-        return super().__new__(cls, (float(mean), float(stderr)))
-
-    @property
-    def mean(self) -> float:
-        return self[0]
-
-    @property
-    def stderr(self) -> float:
-        return self[1]
-
-
-def ensemble_moment(ensembles, functional, power: float = 1.0) -> MomentEstimate:
-    """Monte Carlo mean of functional(ensemble)^power with standard error.
-
-    Evaluation may run on the worker pool, but the reduction always walks the
-    input order, so the estimate is bitwise independent of the worker count.
-    """
-    ensembles = list(ensembles)
-    if len(ensembles) < 2:
-        raise FlowError(f"need at least 2 ensembles, got {len(ensembles)}")
-    values = parallel.ordered_map(lambda e: float(functional(e)) ** power, ensembles)
-    return MomentEstimate(*_mean_stderr(values))
-
-
 def _mean_stderr(values) -> tuple[float, float]:
-    """Sample mean and its standard error, each summed from 0.0 in input order."""
+    """Sample mean and its standard error, each summed from 0.0 in input order.
+
+    The one Monte Carlo reduction of the package: it walks the values in the
+    order given, so an estimate does not depend on the worker count.
+    """
     count = len(values)
+    if count < 2:
+        raise FlowError(f"need at least 2 members, got {count}")
     mean = 0.0
     for v in values:
         mean += v

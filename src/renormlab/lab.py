@@ -3,7 +3,10 @@
 Everything user-facing funnels through here: JSON configs become
 ``ExperimentConfig``, ``run_experiment`` writes CSV/field artifacts under the
 configured output directory, and ``acceptance_suite`` replays the whole
-battery of desk-scale checks into a ``RunReport``.  The renorm rows keep their
+battery of desk-scale checks into a ``RunReport`` (``renormlab accept`` runs
+it and writes its report).  Every Monte Carlo estimate reduces each member's
+flow inside the one member loop ``_per_member`` and combines the members'
+numbers with ``flow._mean_stderr``.  The renorm rows keep their
 ledgers, so ``RunReport.flipped`` re-gates a finished report with one term's
 sign negated, without recomputing a flow.  All randomness is derived from
 ``master_seed`` plus fixed per-check offsets, so a report is a pure function
@@ -58,7 +61,7 @@ from .flow import (
     BrownianPath,
     FlowEnsemble,
     SdeConfig,
-    ensemble_moment,
+    _mean_stderr,
     logdet_gap,
     logdet_gaps,
     members_per_chunk,
@@ -82,6 +85,7 @@ from .weakform import (
     make_renormalizer,
     residual_original,
     residual_renormalized,
+    weighted_l1_masses,
     weighted_l1_stability,
 )
 from .zvonkin import (
@@ -459,10 +463,10 @@ def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) ->
     ``flow.members_per_chunk`` members at a time, storing positions only at
     the steps in ``store`` (every step by default), and each chunk's members
     are reduced on the worker pool, one item per member, so only one chunk
-    of positions is alive at a time unless ``reduce`` returns the ensemble.
-    ``reduce`` may be ``flow.logdet_gap`` itself, taken once both recursions
-    have run: ``flow.logdet_gaps`` gives those numbers from one pass per
-    chunk that stores nothing.
+    of positions is alive at a time: a reduce returns numbers, never the
+    ensemble.  ``reduce`` may be ``flow.logdet_gap`` itself, taken once
+    both recursions have run: ``flow.logdet_gaps`` gives those numbers from
+    one pass per chunk that stores nothing.
     """
     config = SdeConfig(dt=prob.dt)
     if reduce is logdet_gap:
@@ -597,6 +601,8 @@ def write_report_csv(report: RunReport, path_name) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute cfg and return the artifact paths written under output_dir."""
+    if cfg.experiment == "acceptance_all":  # cli._accept runs the suite and writes its report
+        raise LabError("acceptance_all is run by `renormlab accept <config>`")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = {
@@ -605,7 +611,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
         "flow_conservation": _run_flow_conservation,
         "renorm_residual": _run_renorm_residual,
         "zvonkin_relaxation": _run_zvonkin_relaxation,
-        "acceptance_all": _run_acceptance_all,
     }[cfg.experiment]
     files = runner(cfg, out)
     logger.info("experiment %s wrote %d artifacts to %s", cfg.experiment, len(files), out)
@@ -737,13 +742,6 @@ def _run_zvonkin_relaxation(cfg: ExperimentConfig, out: Path) -> list[Path]:
         out / "zvonkin_relaxation.csv",
         ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"], rows,
     )]
-
-
-def _run_acceptance_all(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    report = acceptance_suite(cfg)
-    path = out / "acceptance_report.csv"
-    write_report_csv(report, path)
-    return [path]
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +953,16 @@ def _check_conservation(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
+def _moment(cfg: ExperimentConfig, prob: Problem, members: int, power: float) -> tuple:
+    """(mean, stderr) of ||f_T||_power ** power over the members of _STREAM_MOMENT."""
+
+    def reduce(ens: FlowEnsemble) -> float:
+        return float(lp_norm(pushforward_solution(prob.f0, ens, ens.path.T), power)) ** power
+
+    paths = _paths(cfg, _STREAM_MOMENT, members, prob.b.T, prob.dt, len(prob.sigmas))
+    return _mean_stderr(_per_member(prob, paths, reduce, [prob.steps]))
+
+
 def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     T, dt, members, p = 0.5, 2.5e-3, 64, 2.0
     prob = _problem("trig_flow", 64, T, dt)
@@ -972,16 +980,12 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     growth = m * (div_b + 0.5 * twist) + 0.5 * m * m * div_s**2
     envelope = math.exp(growth * T) * lp_norm(f0, 2.0 * p) ** (2.0 * p)
 
-    paths = _paths(cfg, _STREAM_MOMENT, members, T, dt, len(sigmas))
-    ensembles = _per_member(prob, paths, lambda ens: ens, [prob.steps])
-    est = ensemble_moment(
-        ensembles, lambda e: lp_norm(pushforward_solution(f0, e, T), 2.0 * p), power=2.0 * p
-    )
-    upper = est.mean + 1.645 * est.stderr  # one-sided 95% confidence
+    mean, stderr = _moment(cfg, prob, members, 2.0 * p)
+    upper = mean + 1.645 * stderr  # one-sided 95% confidence
     return [
         _result(
             "moment_bound", upper / envelope, 1.0, "<=",
-            f"mean {est.mean:.3f} se {est.stderr:.3f} envelope {envelope:.2f}",
+            f"mean {mean:.3f} se {stderr:.3f} envelope {envelope:.2f}",
         )
     ]
 
@@ -1155,8 +1159,8 @@ def _stability_series(
     """weighted_l1_stability of ``source`` on 64 nodes over the members of ``consumer``."""
     prob = _problem(source, 64, T, dt)
     paths = _paths(cfg, consumer, members, T, dt, len(prob.sigmas))
-    ensembles = _per_member(prob, paths, lambda ens: ens)
-    return weighted_l1_stability(ensembles, prob.f0, prob.b, prob.sigmas, r_exponent)
+    masses = _per_member(prob, paths, lambda ens: weighted_l1_masses(prob.f0, ens, r_exponent))
+    return weighted_l1_stability(masses, prob.f0, prob.b, prob.sigmas, r_exponent, dt)
 
 
 def _check_stability(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -1180,19 +1184,12 @@ def _determinism_payload(cfg: ExperimentConfig) -> tuple:
     """Reduced-scale re-run of the three Monte Carlo checks, flattened."""
     coarse, fine = _logdet_sup_gaps(cfg, members=6, T=0.25, dt=2e-3)
 
-    T = 0.25
-    prob = _problem("trig_flow", 64, T, 5e-3)
-    paths = _paths(cfg, _STREAM_MOMENT, 8, T, prob.dt, len(prob.sigmas))
-    ensembles = _per_member(prob, paths, lambda ens: ens, [prob.steps])
-    est = ensemble_moment(
-        ensembles, lambda e: lp_norm(pushforward_solution(prob.f0, e, T), 4.0), power=4.0
-    )
-
+    moment = _moment(cfg, _problem("trig_flow", 64, 0.25, 5e-3), 8, 4.0)
     series = _stability_series(cfg, "trig_flow", _STREAM_STABILITY, 4, 0.25, 5e-3, 2.0)
     return (
         tuple(coarse),
         tuple(fine),
-        (est.mean, est.stderr),
+        moment,
         tuple(series.mean.tolist()),
         tuple(series.stderr.tolist()),
     )

@@ -302,13 +302,11 @@ class ParabolicRelaxation:
     divergence_residual: float
 
 
-def relaxation_residuals(
-    sol: ParabolicSolution, b: TimeGridVector, p: float = math.inf
-) -> ParabolicRelaxation:
+def relaxation_residuals(sol: ParabolicSolution, b: TimeGridVector) -> ParabolicRelaxation:
     """How far lambda * u_lambda is from b.
 
-    Returns ||lam u - b||_{L^1_t(L^p)} and ||Div(lam u - b)||_{L^1_t(L^1)},
-    both with left-endpoint time quadrature.  The default p = inf makes the
+    Returns ||lam u - b||_{L^1_t(L^inf)} and ||Div(lam u - b)||_{L^1_t(L^1)},
+    both with left-endpoint time quadrature.  The sup norm makes the
     constant-drift closed form free of box-volume factors.  The gaps, their
     divergences and their norms are taken a block of time samples at a time.
     """
@@ -320,7 +318,7 @@ def relaxation_residuals(
     div_total = 0.0
     for rows in _blocks(grid, len(b.times) - 1):
         gap = sol.lam * sol.u.values[sol.u.index[rows]] - b.values[b.index[rows]]
-        drifts = lp_norm_stack(grid, _magnitudes(grid, gap, 0), p)
+        drifts = lp_norm_stack(grid, _magnitudes(grid, gap, 0), math.inf)
         for drift, div in zip(drifts, lp_norm_stack(grid, divergence_stack(grid, gap), 1)):
             drift_total += drift * dt
             div_total += div * dt

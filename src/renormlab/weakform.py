@@ -31,7 +31,7 @@ from .field import (
     hessian_stack,
     jacobian_stack,
 )
-from .flow import BrownianPath, _mean_stderr, pushforward_path
+from .flow import BrownianPath, FlowEnsemble, _mean_stderr, pushforward_path
 
 __all__ = [
     "WeakFormError",
@@ -43,6 +43,7 @@ __all__ = [
     "bump_test_function",
     "residual_original",
     "residual_renormalized",
+    "weighted_l1_masses",
     "weighted_l1_stability",
     "ORIGINAL_TERMS",
     "RENORMALIZED_TERMS",
@@ -407,6 +408,10 @@ class StabilitySeries:
 
 
 def _stability_weight(grid: Grid, r_exponent: float) -> np.ndarray:
+    if r_exponent != 0.0 and r_exponent <= grid.dim:
+        raise WeakFormError(
+            f"weight exponent must be 0 (flat) or > dim = {grid.dim}, got {r_exponent}"
+        )
     if r_exponent == 0.0:
         return np.ones(grid.shape)
     mesh = grid.coordinates()
@@ -417,47 +422,44 @@ def _stability_weight(grid: Grid, r_exponent: float) -> np.ndarray:
     return (1.0 + sq) ** (-r_exponent / 2.0)
 
 
+def weighted_l1_masses(f0: GridScalar, ensemble: FlowEnsemble, r_exponent: float) -> list[float]:
+    """One member's weighted L1 mass of |f| at every step of its pushforward of f0.
+
+    The per-member reduce behind weighted_l1_stability, with its weight.
+    """
+    weight = _stability_weight(f0.grid, r_exponent)
+    vol = f0.grid.cell_volume
+    return [
+        float(np.sum(weight * np.abs(f_l.values))) * vol for f_l in pushforward_path(f0, ensemble)
+    ]
+
+
 def weighted_l1_stability(
-    ensembles,
+    masses,
     f0: GridScalar,
     b: TimeGridVector,
     sigmas,
     r_exponent: float,
+    dt: float,
 ) -> StabilitySeries:
     """Per-step Monte Carlo estimate of the weighted L1 mass of |f|.
 
-    The weight is (1 + |x - box center|^2)^(-r/2); r_exponent = 0 is the
-    flat-weight override (the natural choice on a torus, where integrability
-    at infinity is not in play).  Otherwise r_exponent must exceed the
-    dimension.  The envelope is the left-endpoint Gronwall product of
+    masses holds each member's weighted_l1_masses of f0 at r_exponent, at
+    the steps 0..steps of step dt.  The weight is
+    (1 + |x - box center|^2)^(-r/2); r_exponent = 0 is the flat-weight
+    override (the natural choice on a torus, where integrability at infinity
+    is not in play).  Otherwise r_exponent must exceed the dimension.  The
+    envelope is the left-endpoint Gronwall product of
     sup|b|/(1 + |x|) + sum_k sup(|sigma^k|/(1 + |x|))^2 applied to the
     initial weighted mass.
     """
-    ensembles = list(ensembles)
-    if len(ensembles) < 2:
-        raise WeakFormError(f"need at least 2 ensembles, got {len(ensembles)}")
     grid = f0.grid
-    if r_exponent != 0.0 and r_exponent <= grid.dim:
-        raise WeakFormError(
-            f"weight exponent must be 0 (flat) or > dim = {grid.dim}, got {r_exponent}"
-        )
-    path0 = ensembles[0].path
-    steps = path0.steps
-    for ens in ensembles:
-        if ens.seeds_grid != grid:
-            raise WeakFormError("ensemble grid does not match the initial datum")
-        if ens.path.steps != steps or abs(ens.path.dt - path0.dt) > 1e-12:
-            raise WeakFormError("ensembles use different time grids")
-
     weight = _stability_weight(grid, r_exponent)
-    vol = grid.cell_volume
-    times = np.arange(steps + 1) * path0.dt
-
-    series = np.empty((len(ensembles), steps + 1))
-    for m, ens in enumerate(ensembles):
-        for l, f_l in enumerate(pushforward_path(f0, ens)):
-            series[m, l] = float(np.sum(weight * np.abs(f_l.values))) * vol
-
+    series = np.array(masses, dtype=np.float64)  # numpy refuses rows of unequal length
+    if series.ndim != 2:
+        raise WeakFormError(f"masses must be one row per member, got shape {series.shape}")
+    steps = series.shape[1] - 1
+    times = np.arange(steps + 1) * dt
     mean, stderr = np.array([_mean_stderr(series[:, l]) for l in range(steps + 1)]).T
 
     one_plus = 1.0 + np.sqrt(np.sum((np.stack(grid.coordinates()) - grid.L / 2.0) ** 2, axis=0))
@@ -473,12 +475,12 @@ def weighted_l1_stability(
         for sigma_reach in s_reach:
             total += sigma_reach[l] ** 2
         rate[l] = total
-    base = float(np.sum(weight * np.abs(f0.values))) * vol
+    base = float(np.sum(weight * np.abs(f0.values))) * grid.cell_volume
     envelope = np.empty(steps + 1)
     envelope[0] = base
     acc = 0.0
     for l in range(steps):
-        acc += rate[l] * path0.dt
+        acc += rate[l] * dt
         envelope[l + 1] = base * math.exp(acc)
     return StabilitySeries(
         times=times, mean=mean, stderr=stderr, envelope=envelope, r_exponent=float(r_exponent)

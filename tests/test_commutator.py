@@ -405,8 +405,8 @@ class TestConvergence:
         f = GridScalar.from_function(g, np.cos)
         with pytest.raises(FieldError):
             convergence_study("T", sig, f, [L / 8, L / 16], 2.0, central_half(g))
-        with pytest.raises(FieldError):
-            convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 2.0, central_half(g), q=4.0, p=3.0)
+        with pytest.raises(FieldError, match="r must be >= 1"):
+            convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 0.5, central_half(g))
         with pytest.raises(FieldError):
             convergence_study("U", sig, f, [L / 8, L / 16, L / 32], 2.0, central_half(g))
         with pytest.raises(FieldError):

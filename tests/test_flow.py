@@ -35,7 +35,7 @@ from renormlab.flow import (
     FlowEnsemble,
     FlowError,
     SdeConfig,
-    ensemble_moment,
+    _mean_stderr,
     invert_flow,
     load_ensemble,
     logdet_gap,
@@ -1050,6 +1050,9 @@ class TestFlowProperty:
 
 
 class TestEnsembleMoment:
+    """The Monte Carlo moment of a functional of each member's flow: the
+    functional's power per member, reduced by _mean_stderr."""
+
     def test_constant_functional(self):
         g = grid1(16)
         b = still(GridVector.constant(g, [0.0]))
@@ -1057,9 +1060,9 @@ class TestEnsembleMoment:
             simulate_flow(b, [], SdeConfig(dt=0.05), sample_brownian(T, 0.05, 0, m))
             for m in range(3)
         ]
-        est = ensemble_moment(ens, lambda e: 1.0, power=2.0)
-        assert tuple(est) == (1.0, 0.0)
-        assert est.mean == 1.0 and est.stderr == 0.0
+        # each member stores every step, so the functional reads 1
+        values = [(len(e.paths) / (e.path.steps + 1)) ** 2.0 for e in ens]
+        assert _mean_stderr(values) == (1.0, 0.0)
 
     def test_stderr_shrinks_with_members(self):
         # functional depends only on the member's own stream: iid samples
@@ -1071,24 +1074,58 @@ class TestEnsembleMoment:
 
         def batch(count, offset):
             return [
-                simulate_flow(
+                noisy(simulate_flow(
                     b, [], SdeConfig(dt=0.25), sample_brownian(T, 0.25, 0, offset + m)
-                )
+                ))
                 for m in range(count)
             ]
 
-        small = ensemble_moment(batch(64, 0), noisy)
-        big = ensemble_moment(batch(256, 1000), noisy)
-        assert 1.3 < small.stderr / big.stderr < 3.1
+        _, small = _mean_stderr(batch(64, 0))
+        _, big = _mean_stderr(batch(256, 1000))
+        assert 1.3 < small / big < 3.1
 
     def test_requires_two(self):
-        with pytest.raises(FlowError):
-            ensemble_moment([], lambda e: 1.0)
+        with pytest.raises(FlowError, match="at least 2 members, got 0"):
+            _mean_stderr([])
+        with pytest.raises(FlowError, match="at least 2 members, got 1"):
+            _mean_stderr([1.0])
+
+
+class TestEnsembleShapes:
+    """FlowEnsemble refuses at construction what save_ensemble would write
+    and load_ensemble then refuse."""
+
+    def test_paths_one_row_per_stored_step(self):
         g = grid1(16)
-        b = still(GridVector.constant(g, [0.0]))
-        one = simulate_flow(b, [], SdeConfig(dt=0.25), sample_brownian(T, 0.25, 0, 0))
-        with pytest.raises(FlowError):
-            ensemble_moment([one], lambda e: 1.0)
+        path = sample_brownian(0.02, 0.01, 1, 3)  # 2 steps: 3 rows
+        with pytest.raises(FlowError, match=r"paths shape \(5, 1, 16\) != \(3, 1, 16\)"):
+            FlowEnsemble(g, path, np.zeros((5, 1, 16)))
+        with pytest.raises(FlowError, match=r"paths shape \(3, 2, 16\)"):
+            FlowEnsemble(g, path, np.zeros((3, 2, 16)))
+        with pytest.raises(FlowError, match=r"paths shape \(3, 1, 16\) != \(2, 1, 16\)"):
+            FlowEnsemble(g, path, np.zeros((3, 1, 16)), stored=np.array([0, 2]))
+        held = np.zeros((3, 1, 16))
+        assert FlowEnsemble(g, path, held).paths is held  # nothing is copied
+
+    @pytest.mark.parametrize("stored", [[0, 0, 1], [1, 0], [0, 3], [-1, 0]])
+    def test_stored_steps_increase_inside_the_path(self, stored):
+        path = sample_brownian(0.02, 0.01, 1, 3)
+        with pytest.raises(FlowError, match="increase strictly inside 0..2"):
+            FlowEnsemble(grid1(16), path, np.zeros((len(stored), 1, 16)), stored=np.array(stored))
+
+    def test_recursions_cover_every_step(self):
+        g = grid1(16)
+        path = sample_brownian(0.02, 0.01, 1, 3)
+        paths = np.zeros((3, 1, 16))
+        with pytest.raises(FlowError, match=r"jac_variational shape \(2, 1, 1, 16\)"):
+            FlowEnsemble(g, path, paths, jac_variational=np.zeros((2, 1, 1, 16)))
+        with pytest.raises(FlowError, match=r"logdet_exponential shape \(3, 1, 16\)"):
+            FlowEnsemble(g, path, paths, logdet_exponential=np.zeros((3, 1, 16)))
+        ens = FlowEnsemble(
+            g, path, paths, jac_variational=np.zeros((3, 1, 1, 16)),
+            logdet_exponential=np.zeros((3, 16)),
+        )
+        assert ens.stored.tolist() == [0, 1, 2]
 
 
 class TestFloFiles:

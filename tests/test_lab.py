@@ -25,8 +25,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renormlab import cli, flow, lab, parallel, presets
-from renormlab.field import FieldError, Grid, GridVector, TimeGridVector, load_field, save_field
+from renormlab import cli, flow, lab, parallel, presets, weakform
+from renormlab.field import (
+    FieldError,
+    Grid,
+    GridVector,
+    TimeGridVector,
+    load_field,
+    lp_norm,
+    save_field,
+)
 from renormlab.flow import load_ensemble, sample_brownian
 from renormlab.lab import (
     CheckResult,
@@ -430,6 +438,14 @@ class TestRunExperiment:
         )
         with pytest.raises(LabError, match="different grid"):
             lab.run_experiment(cfg)
+
+    def test_acceptance_all_is_refused_naming_accept(self, tmp_path, monkeypatch):
+        # the suite and its report belong to `renormlab accept`
+        monkeypatch.setattr(lab, "acceptance_suite", None)
+        cfg = small_config("acceptance_all", tmp_path)
+        with pytest.raises(LabError, match="renormlab accept"):
+            lab.run_experiment(cfg)
+        assert not (tmp_path / "acceptance_all").exists()
 
 
 class TestPresetTable:
@@ -932,6 +948,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL only" in out
 
+    def test_run_on_acceptance_all_takes_the_accept_path(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"experiment": "acceptance_all", "output_dir": str(tmp_path / "out")})
+        )
+        for passed, code in ((True, cli.EXIT_OK), (False, cli.EXIT_CHECK_FAIL)):
+            report = RunReport(
+                checks=[CheckResult("only", 0.0, 1.0, "<=", passed)],
+                environment={"renormlab": "test"},
+            )
+            monkeypatch.setattr(cli, "acceptance_suite", lambda cfg: report)
+            assert cli.main(["run", str(path)]) == code
+            assert ("PASS" if passed else "FAIL") + " only" in capsys.readouterr().out
+            # cli._accept is the one writer of the report
+            lab.write_report_csv(report, tmp_path / "want.csv")
+            written = tmp_path / "out" / "acceptance_report.csv"
+            assert written.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
 
 class TestPerMember:
     @pytest.mark.parametrize("workers", ["1", "3"])
@@ -974,6 +1008,38 @@ class TestPerMember:
         want = lab._per_member(prob, paths, reduce)
         assert [[(l, a.hex(), r.hex()) for l, a, r in m] for m in rows] == [
             [(l, a.hex(), r.hex()) for l, a, r in m] for m in want
+        ]
+
+    @pytest.mark.parametrize(
+        "source,T,dt,r", [("trig_flow", 0.1, 0.01, 2.0), ("divfree_2d", 0.05, 0.025, 0.0)]
+    )
+    def test_moment_and_stability_equal_whole_ensemble_reductions(self, source, T, dt, r):
+        # reference: every member's full ensemble kept, then reduced in a second loop
+        cfg = ExperimentConfig(experiment="acceptance_all")
+        prob = lab._problem(source, 64, T, dt)
+
+        def ensembles(consumer):
+            paths = lab._paths(cfg, consumer, 3, T, dt, len(prob.sigmas))
+            config = flow.SdeConfig(dt=dt)
+            return [flow.simulate_flow(prob.b, prob.sigmas, config, p) for p in paths]
+
+        values = [
+            float(lp_norm(flow.pushforward_solution(prob.f0, e, T), 4.0)) ** 4.0
+            for e in ensembles(lab._STREAM_MOMENT)
+        ]
+        got = lab._moment(cfg, prob, 3, 4.0)
+        assert [v.hex() for v in got] == [v.hex() for v in flow._mean_stderr(values)]
+
+        weight = weakform._stability_weight(prob.grid, r)
+        masses = np.array([
+            [float(np.sum(weight * np.abs(f.values))) * prob.grid.cell_volume
+             for f in flow.pushforward_path(prob.f0, e)]
+            for e in ensembles(lab._STREAM_STABILITY)
+        ])
+        want = [flow._mean_stderr(masses[:, l]) for l in range(prob.steps + 1)]
+        series = lab._stability_series(cfg, source, lab._STREAM_STABILITY, 3, T, dt, r)
+        assert [(m.hex(), s.hex()) for m, s in zip(series.mean, series.stderr)] == [
+            (m.hex(), s.hex()) for m, s in want
         ]
 
     def test_logdet_gap_takes_the_fused_pass(self, monkeypatch):

@@ -6,6 +6,8 @@
 - Only ``lab._per_member`` integrates flows, by ``simulate_flows`` or by the
   fused log-det pass ``logdet_gaps``, and only ``lab._paths`` and
   ``lab._pushforward_pair`` draw Brownian paths: the lab has one member loop.
+  No call of it passes a reduce that returns the ensemble it is given, so no
+  estimate loops over the members a second time.
 - No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
   ``.slices``: time samples share a slice through ``TimeGridVector.index``,
   not through object identity.
@@ -114,6 +116,55 @@ def test_one_member_loop():
     imported = set(_imported(tree))
     assert not imported & {"simulate_flow", "variational_jacobian", "logdet_stochastic_exponential"}
     assert _readers(tree, "sample_brownian") == ["_paths", "_pushforward_pair"]
+    reduces = _member_reduces(tree)
+    assert len(reduces) >= 7  # the scan sees the lab's calls
+    assert [ast.unparse(r) for r in reduces if _returns_its_argument(r, tree)] == []
+    flow_names = {
+        node.name for node in ast.walk(_parse(PACKAGE / "flow.py"))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not flow_names & {"ensemble_moment", "MomentEstimate"}
+
+
+def _member_reduces(tree: ast.Module) -> list[ast.expr]:
+    """The reduce argument of each ``_per_member(prob, paths, reduce, ...)`` call."""
+    return [
+        node.args[2] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_per_member" and len(node.args) > 2
+    ]
+
+
+def _returns_its_argument(reduce: ast.expr, tree: ast.Module) -> bool:
+    """A lambda or a function of the module that returns its first parameter as is."""
+    if isinstance(reduce, ast.Lambda):
+        bodies, params = [reduce.body], reduce.args.args[:1]
+    elif isinstance(reduce, ast.Name):
+        defs = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == reduce.id
+        ]
+        bodies = [r.value for d in defs for r in ast.walk(d) if isinstance(r, ast.Return)]
+        params = [a for d in defs for a in d.args.args[:1]]
+    else:
+        return False
+    names = {param.arg for param in params}
+    return any(isinstance(body, ast.Name) and body.id in names for body in bodies)
+
+
+def test_returned_ensemble_scan_sees_each_form():
+    tree = ast.parse(
+        "def keep(ens):\n    return ens\n"
+        "def mass(ens):\n    return ens.paths.sum()\n"
+        "_per_member(prob, paths, lambda ens: ens)\n"
+        "_per_member(prob, paths, keep, [3])\n"
+        "_per_member(prob, paths, lambda e: mass(e))\n"
+        "_per_member(prob, paths, mass)\n"
+        "_per_member(prob, paths, logdet_gap)\n"
+    )
+    assert [_returns_its_argument(r, tree) for r in _member_reduces(tree)] == [
+        True, True, False, False, False,
+    ]
 
 
 # sharing told from object identity, or the list of per-sample slice objects

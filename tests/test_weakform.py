@@ -37,6 +37,7 @@ from renormlab.field import (
 )
 from renormlab.flow import (
     BrownianPath,
+    FlowError,
     SdeConfig,
     pushforward_solution,
     sample_brownian,
@@ -53,6 +54,7 @@ from renormlab.weakform import (
     make_renormalizer,
     residual_original,
     residual_renormalized,
+    weighted_l1_masses,
     weighted_l1_stability,
 )
 
@@ -522,10 +524,16 @@ def translation_ensembles(T=0.1, dt=0.02, members=3, sigma=0.25):
     return g, b, sig, f0, ensembles
 
 
+def stability(ensembles, f0, b, sigmas, r_exponent, dt=0.02):
+    """weighted_l1_stability of each member's weighted_l1_masses."""
+    masses = [weighted_l1_masses(f0, ens, r_exponent) for ens in ensembles]
+    return weighted_l1_stability(masses, f0, b, sigmas, r_exponent, dt)
+
+
 class TestStability:
     def test_rigid_translation_is_constant(self):
         _, b, sig, f0, ensembles = translation_ensembles()
-        series = weighted_l1_stability(ensembles, f0, b, [sig], r_exponent=0.0)
+        series = stability(ensembles, f0, b, [sig], r_exponent=0.0)
         assert np.max(np.abs(series.mean - series.mean[0])) < 1e-12
         assert series.envelope[0] == series.mean[0]
         assert np.all(series.mean <= series.envelope + 1e-12)
@@ -545,7 +553,7 @@ class TestStability:
             )
             for i in range(2)
         ]
-        series = weighted_l1_stability(ensembles, f0, b, [], r_exponent=0.0)
+        series = stability(ensembles, f0, b, [], r_exponent=0.0, dt=dt)
         # sup of |b|/(1 + |x - center|) is 0.4, attained at the center
         expected = series.envelope[0] * np.exp(0.4 * series.times)
         assert np.max(np.abs(series.envelope - expected)) < 1e-12
@@ -553,34 +561,40 @@ class TestStability:
     def test_zero_datum_is_identically_zero(self):
         g, b, sig, _, ensembles = translation_ensembles()
         zero = GridScalar.constant(g, 0.0)
-        series = weighted_l1_stability(ensembles, zero, b, [sig], r_exponent=0.0)
+        series = stability(ensembles, zero, b, [sig], r_exponent=0.0)
         assert np.array_equal(series.mean, np.zeros_like(series.mean))
         assert np.array_equal(series.envelope, np.zeros_like(series.envelope))
 
     def test_decaying_weight_tightens_the_mass(self):
         g, b, sig, f0, ensembles = translation_ensembles()
-        flat = weighted_l1_stability(ensembles, f0, b, [sig], r_exponent=0.0)
-        decaying = weighted_l1_stability(ensembles, f0, b, [sig], r_exponent=2.0)
+        flat = stability(ensembles, f0, b, [sig], r_exponent=0.0)
+        decaying = stability(ensembles, f0, b, [sig], r_exponent=2.0)
         assert np.all(decaying.mean < flat.mean)
         assert decaying.r_exponent == 2.0
 
     def test_validation(self):
         g, b, sig, f0, ensembles = translation_ensembles()
-        with pytest.raises(WeakFormError, match="at least 2"):
-            weighted_l1_stability(ensembles[:1], f0, b, [sig], r_exponent=0.0)
+        masses = [weighted_l1_masses(f0, ens, 0.0) for ens in ensembles]
+        with pytest.raises(FlowError, match="at least 2"):
+            weighted_l1_stability(masses[:1], f0, b, [sig], 0.0, 0.02)
+        with pytest.raises(WeakFormError, match="one row per member"):
+            weighted_l1_stability(masses[0], f0, b, [sig], 0.0, 0.02)
         with pytest.raises(WeakFormError, match="exponent"):
-            weighted_l1_stability(ensembles, f0, b, [sig], r_exponent=0.5)
+            weighted_l1_stability(masses, f0, b, [sig], 0.5, 0.02)
+        with pytest.raises(WeakFormError, match="exponent"):
+            weighted_l1_masses(f0, ensembles[0], 0.5)
         other = GridScalar.constant(build_grid(1, L, 32), 1.0)
-        with pytest.raises(WeakFormError, match="grid"):
-            weighted_l1_stability(ensembles, other, b, [sig], r_exponent=0.0)
+        with pytest.raises(FlowError, match="grid"):
+            weighted_l1_masses(other, ensembles[0], 0.0)
 
     def test_mismatched_time_grids_rejected(self):
         g, b, sig, f0, ensembles = translation_ensembles()
         short = simulate_flow(
             b, [sig], SdeConfig(dt=0.05), sample_brownian(0.1, 0.05, 1, stream_id=99)
         )
-        with pytest.raises(WeakFormError, match="time grids"):
-            weighted_l1_stability([ensembles[0], short], f0, b, [sig], r_exponent=0.0)
+        masses = [weighted_l1_masses(f0, ens, 0.0) for ens in (ensembles[0], short)]
+        with pytest.raises(ValueError):  # numpy refuses rows of unequal length
+            weighted_l1_stability(masses, f0, b, [sig], 0.0, 0.02)
 
 
 @settings(max_examples=10, deadline=None)
@@ -588,7 +602,7 @@ class TestStability:
 def test_stability_scales_linearly_with_the_datum(scale):
     """E integral w |c f| = |c| E integral w |f| for every step."""
     g, b, sig, f0, ensembles = translation_ensembles(T=0.06, dt=0.03, members=2)
-    base = weighted_l1_stability(ensembles, f0, b, [sig], r_exponent=0.0)
+    base = stability(ensembles, f0, b, [sig], r_exponent=0.0, dt=0.03)
     scaled_datum = GridScalar(g, scale * f0.values)
-    scaled = weighted_l1_stability(ensembles, scaled_datum, b, [sig], r_exponent=0.0)
+    scaled = stability(ensembles, scaled_datum, b, [sig], r_exponent=0.0, dt=0.03)
     assert np.max(np.abs(scaled.mean - scale * base.mean)) < 1e-9 * max(1.0, scale)
