@@ -16,29 +16,20 @@ log-determinant recursion
 -- whose agreement is a genuine two-sided consistency check, since neither
 feeds the other.
 
-Coefficients are evaluated off the nodes by cubic splines.  The steps of a
-path are grouped by the rows of [b, sigma^1, ...] in force at l*dt (one
-group for coefficients constant in time, which hold one row each), and each
-group gets one stacked spline: the values for the flow, the Jacobians for
-the variational recursion, and (Div, twist) for the log-determinant.  The flow is
-sequential in time and batched over Monte Carlo members: simulate_flows
-integrates a chunk of members together (members_per_chunk: about
-_BLOCK_POINTS points, at most _CHUNK_VALUES stored positions), one spline
-call per step for the whole chunk, each member moved by its own Brownian
-increments; chunks run on the worker pool, and simulate_flow is the
-one-path case.  Every step is checked for finiteness before the next spline
-call.  A caller that reads only some steps asks simulate_flows to store only
-those: the ensemble records the step of each stored row, lookups go through
-it, and the readers of the whole trajectory refuse such an ensemble.  The
-two recursions read positions the flow already stored, so they
-evaluate their spline on blocks of many steps at once and only the cheap
-update runs step by step; the variational recursion checks finiteness once
-per block and reports the first step that lost it.  logdet_gaps fuses the
-flow, both recursions and logdet_gap into one member-batched pass that
-stores nothing and keeps each member's running sup gap.  A spline evaluates
-every point on its own, so no batching changes a bit of any result.
-A component constant in space (the unit noise e_k) is no spline at all:
-the interpolant returns its exact value.
+Coefficients are evaluated off the nodes by cubic splines, one stacked
+spline per group of steps that share their rows of [b, sigma^1, ...] (one
+group for coefficients constant in time).  All chunking lives here:
+_by_chunks integrates Monte Carlo members members_per_chunk at a time, in
+path order, and reduces each chunk on the worker pool before the next, and
+_march, the one Euler loop, moves a chunk with one spline call per step,
+checking each step for finiteness before the next call.  simulate_flows
+stores the steps its caller reads (FlowEnsemble.stored; every step by
+default), and logdet_gaps stores none: it fuses both recursions and
+logdet_gap into the march.  The recursions over stored positions evaluate
+their spline on blocks of many steps at once and only the cheap update runs
+step by step.  A spline evaluates every point on its own (a component
+constant in space, such as the unit noise e_k, exactly), so no chunk or
+block changes a bit of any result.
 
 Inverse maps come from _newton_rows, the package's one solver of
 y + D(y) = x (the straightening in zvonkin uses it too).  It runs Newton
@@ -326,12 +317,11 @@ def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
 
 
 def members_per_chunk(grid: Grid, steps: int, stored: int | None = None) -> int:
-    """Members whose flows simulate_flows integrates together, on paths of ``steps`` steps.
+    """Members that _by_chunks integrates together on paths of ``steps`` steps, at least one.
 
-    A chunk holds about _BLOCK_POINTS points, so that one spline call per
-    step serves many members, and at most _CHUNK_VALUES stored positions
-    (``stored`` steps per member, every step by default), so that a chunk of
-    long paths stays small.  At least one member.
+    About _BLOCK_POINTS points, so that one spline call per step serves many
+    members, and at most _CHUNK_VALUES positions at ``stored`` steps per
+    member (every step by default), so that a chunk of long paths stays small.
     """
     rows = steps + 1 if stored is None else stored
     points = grid.N**grid.dim
@@ -401,74 +391,104 @@ def _logdet_fields(grid: Grid, rows) -> np.ndarray:
     return np.stack(scalars)
 
 
+def _march(grid: Grid, splines, group_of_step, path: BrownianPath, chunk, targets, update=None):
+    """Move a chunk of members from the nodes along ``path``: the package's one Euler loop.
+
+    Each step makes one spline call at the chunk's points, whose leading
+    values are the components of [b, sigma^1, ...], writes the new positions
+    into targets[l + 1], checks them for finiteness before the next call and
+    hands update(l, values, dW) the step.  Returns the first step at which a
+    trajectory lost finiteness, 0 if none did.
+    """
+    increments = _member_increments(chunk, grid)
+    lead = (1 + path.k_count) * grid.dim
+    X = targets[0]
+    X[...] = np.stack(grid.coordinates())[:, None]
+    by_coefficient = (-1,) + X.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for l in range(path.steps):
+            values = splines[group_of_step[l]](X)
+            dW = increments[l]
+            move = _euler_sum(values[:lead].reshape(by_coefficient), path.dt, dW)
+            X = np.add(X, move, out=targets[l + 1])
+            if not np.isfinite(X).all():
+                return l + 1
+            if update is not None:
+                update(l, values, dW)
+    return 0
+
+
+def _by_chunks(paths, per_chunk: int, integrate, reduce=None) -> list:
+    """The package's one chunk loop: integrate ``paths`` per_chunk at a time, in order.
+
+    integrate(chunk) returns the chunk's members, or the first step at which
+    one of its trajectories lost finiteness.  Each chunk's members are
+    reduced on the worker pool, one item each, and let go before the next
+    chunk is integrated (with no reduce, all are returned).  Every chunk is
+    integrated even after a failure, so the error does not depend on the
+    chunking: the least lost step, else the first reduce error in path order.
+    """
+    values, lost, failed = [], [], None
+    for start in range(0, len(paths), per_chunk):
+        members = integrate(paths[start : start + per_chunk])
+        if isinstance(members, int):
+            lost.append(members)
+        elif reduce is None:
+            values += members
+        elif not (lost or failed):
+            try:
+                values += parallel.ordered_map(reduce, members)
+            except Exception as exc:
+                failed = exc
+        del members  # the chunk's positions go before the next chunk's are made
+    if lost:
+        raise FlowError(f"trajectory lost finiteness at step {min(lost)}")
+    if failed is not None:
+        raise failed
+    return values
+
+
 def simulate_flow(
-    b: TimeGridVector,
-    sigmas: list[TimeGridVector],
-    config: SdeConfig,
-    path: BrownianPath,
+    b: TimeGridVector, sigmas: list[TimeGridVector], config: SdeConfig, path: BrownianPath
 ) -> FlowEnsemble:
     """Euler-Maruyama flow from every grid node, one shared Brownian path."""
     return simulate_flows(b, sigmas, config, [path])[0]
 
 
 def simulate_flows(
-    b: TimeGridVector,
-    sigmas: list[TimeGridVector],
-    config: SdeConfig,
-    paths: list[BrownianPath],
-    store=None,
-) -> list[FlowEnsemble]:
+    b: TimeGridVector, sigmas: list[TimeGridVector], config: SdeConfig,
+    paths: list[BrownianPath], store=None, reduce=None,
+) -> list:
     """Euler-Maruyama flows from every grid node, one ensemble per Brownian path.
 
-    The paths share T, dt and k_count.  Their members are integrated together,
-    members_per_chunk at a time: one loop over points of shape
-    (dim, members) + grid.shape, one spline call per step for the chunk, each
-    member moved by its own increments.  Chunks run on the worker pool.  Each
-    ensemble's paths is a view into its chunk's array, which holds the steps
-    in ``store`` (every step by default).  If a trajectory loses finiteness,
-    the error names the first step at which any member lost it.
+    The paths share T, dt and k_count.  Each ensemble's paths is a view into
+    its chunk's array, which holds the steps in ``store`` (every step by
+    default).  Given a reduce, the result is reduce(ensemble) for each path
+    instead, and one chunk of positions is alive at a time.  A lost
+    trajectory names the least step over all members (_by_chunks).  reduce
+    may be logdet_gap itself, taken once both recursions have run:
+    logdet_gaps gives those numbers from a pass that stores nothing.
     """
+    if reduce is logdet_gap:
+        return logdet_gaps(b, sigmas, config, paths)
     paths = list(paths)
     grid, path, row_sets, group_of_step = _flow_setup(b, sigmas, config, paths)
-    if store is None:
-        stored = np.arange(path.steps + 1)
-    else:
-        stored = np.unique(np.asarray(_on_step_grid(path, store), dtype=np.intp))
-    interpolants = [PeriodicInterpolant(grid, np.stack(rows)) for rows in row_sets]
-    nodes = np.stack(grid.coordinates())[:, None]
+    steps = range(path.steps + 1) if store is None else _on_step_grid(path, store)
+    stored = np.unique(np.asarray(steps, dtype=np.intp))
+    splines = [PeriodicInterpolant(grid, np.concatenate(rows)) for rows in row_sets]
 
     def integrate(chunk):
-        """The chunk's ensembles, or the first step at which it lost finiteness."""
-        increments = _member_increments(chunk, grid)
         positions = np.empty((len(stored), grid.dim, len(chunk)) + grid.shape)
-        work = np.empty((grid.dim, len(chunk)) + grid.shape)
-        targets = [work] * (path.steps + 1)  # where each step's X goes
+        targets = [np.empty(positions.shape[1:])] * (path.steps + 1)  # where each step's X goes
         for row, step in enumerate(stored.tolist()):
             targets[step] = positions[row]
-        X = targets[0]
-        X[...] = nodes
-        with np.errstate(over="ignore", invalid="ignore"):
-            for l in range(path.steps):
-                coefficients = interpolants[group_of_step[l]](X)
-                move = coefficients[0] * path.dt
-                for k in range(len(sigmas)):
-                    move += coefficients[1 + k] * increments[l, k]
-                X = np.add(X, move, out=targets[l + 1])
-                # checked before the next spline call reads X
-                if not np.isfinite(X).all():
-                    return l + 1
-        return [
+        lost = _march(grid, splines, group_of_step, path, chunk, targets)
+        return lost or [
             FlowEnsemble(seeds_grid=grid, path=p, paths=positions[:, :, m], stored=stored)
             for m, p in enumerate(chunk)
         ]
 
-    per_chunk = members_per_chunk(grid, path.steps, len(stored))
-    chunks = [paths[i : i + per_chunk] for i in range(0, len(paths), per_chunk)]
-    done = parallel.ordered_map(integrate, chunks)
-    lost = [step for step in done if isinstance(step, int)]
-    if lost:
-        raise FlowError(f"trajectory lost finiteness at step {min(lost)}")
-    return [ensemble for chunk in done for ensemble in chunk]
+    return _by_chunks(paths, members_per_chunk(grid, path.steps, len(stored)), integrate, reduce)
 
 
 def _block_increments(path: BrownianPath, steps: range, dim: int) -> np.ndarray:
@@ -538,39 +558,29 @@ def logdet_stochastic_exponential(
     return ensemble
 
 
-def logdet_gap(ensemble: FlowEnsemble, step: int | None = None) -> float:
-    """Sup over nodes of |logdet_exponential - log det jac_variational|."""
+def logdet_gap(ensemble: FlowEnsemble) -> float:
+    """Sup over steps and nodes of |logdet_exponential - log det jac_variational|."""
     _require_every_step(ensemble)
     if ensemble.jac_variational is None or ensemble.logdet_exponential is None:
         raise FlowError("run variational_jacobian and logdet_stochastic_exponential first")
     dets = _det_stack(np.moveaxis(ensemble.jac_variational, 0, 2))
     if np.min(dets) <= 0:
         raise FlowError("variational determinant lost positivity")
-    gap = np.abs(ensemble.logdet_exponential - np.log(dets))
-    if step is not None:
-        return float(np.max(gap[step]))
-    return float(np.max(gap))
+    return float(np.max(np.abs(ensemble.logdet_exponential - np.log(dets))))
 
 
 def logdet_gaps(
-    b: TimeGridVector,
-    sigmas: list[TimeGridVector],
-    config: SdeConfig,
-    paths: list[BrownianPath],
+    b: TimeGridVector, sigmas: list[TimeGridVector], config: SdeConfig, paths: list[BrownianPath]
 ) -> list[float]:
     """Each path's logdet_gap once both recursions have run, storing no positions.
 
-    The numbers of simulate_flows, variational_jacobian,
-    logdet_stochastic_exponential and logdet_gap on each path, bit for bit,
-    from one pass per chunk of members: X, J and log det advance together,
-    from one spline call per step of [b, sigma^k], their Jacobians and the
-    log-determinant fields, and only each member's running sup gap is kept.
-    Nothing grows with the path, so a chunk holds members_per_chunk's block
-    of points alone.  Chunks run on the worker pool; the first chunk, in path
-    order, that fails raises the first of: a trajectory that lost finiteness
-    (the first step any of its members lost it), then, member by member, a
-    variational recursion that lost finiteness (its first step) or a
-    determinant that lost positivity.
+    The stored route's numbers, bit for bit: the march's spline call also
+    carries the Jacobians of [b, sigma^k] and the log-determinant fields, and
+    its update advances J and log det and keeps each member's running sup
+    gap, so a chunk holds members_per_chunk's block of points alone.  The
+    errors are the stored route's too: a lost trajectory, then, member by
+    member, a variational recursion that lost finiteness (its first step) or
+    a determinant that lost positivity.
     """
     paths = list(paths)
     grid, path, row_sets, group_of_step = _flow_setup(b, sigmas, config, paths)
@@ -584,51 +594,41 @@ def logdet_gaps(
         ]
         splines.append(PeriodicInterpolant(grid, np.concatenate(fields)))
     a, z = np.cumsum([len(f) for f in fields[:-1]])
-    nodes = np.stack(grid.coordinates())[:, None]
 
-    def gaps(chunk):
+    def integrate(chunk):
         members = len(chunk)
-        increments = _member_increments(chunk, grid)
-        X = np.empty((dim, members) + shape)
-        X[...] = nodes
         J = np.zeros((dim, dim, members) + shape)
-        for i in range(dim):
-            J[i, i] = 1.0
+        J[range(dim), range(dim)] = 1.0
         logdet = np.zeros((members,) + shape)
         sup = np.zeros(members)  # step 0 has J = I and log det = 0: a gap of 0
         lost_at = np.zeros(members, dtype=np.intp)  # first step of non-finite J, 0: none
         det_min = np.full(members, np.inf)  # over the steps of a non-finite gap
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for l in range(path.steps):
-                values = splines[group_of_step[l]](X)
-                coefficients = values[:a].reshape((-1, dim, members) + shape)
-                jacobians = values[a:z].reshape((-1, dim, dim, members) + shape)
-                scalars = values[z:]
-                dW = increments[l]
-                X = X + _euler_sum(coefficients, path.dt, dW)
-                if not np.isfinite(X).all():
-                    raise FlowError(f"trajectory lost finiteness at step {l + 1}")
-                growth = _euler_sum(jacobians, path.dt, dW)
-                J = J + np.einsum("ik...,kj...->ij...", growth, J)
-                logdet = logdet + _logdet_increment(scalars, path.dt, dW)
-                det = _det_stack(J)
-                gap = np.abs(logdet - np.log(det)).reshape(members, -1).max(axis=1)
-                sup = np.maximum(sup, gap)
-                # J and det are finite and det > 0 wherever the gap is finite
-                if not np.isfinite(gap).all():
-                    finite = np.isfinite(J).reshape(dim * dim, members, -1).all(axis=(0, 2))
-                    lost_at[~finite & (lost_at == 0)] = l + 1
-                    det_min = np.minimum(det_min, det.reshape(members, -1).min(axis=1))
-        for m in range(members):
-            if lost_at[m]:
-                raise FlowError(f"variational recursion lost finiteness at step {lost_at[m]}")
-            if det_min[m] <= 0:
-                raise FlowError("variational determinant lost positivity")
-        return sup.tolist()
 
-    per_chunk = members_per_chunk(grid, path.steps, 0)
-    chunks = [paths[i : i + per_chunk] for i in range(0, len(paths), per_chunk)]
-    return [gap for chunk in parallel.ordered_map(gaps, chunks) for gap in chunk]
+        def update(l, values, dW):
+            growth = _euler_sum(values[a:z].reshape((-1, dim, dim, members) + shape), path.dt, dW)
+            np.add(J, np.einsum("ik...,kj...->ij...", growth, J), out=J)
+            np.add(logdet, _logdet_increment(values[z:], path.dt, dW), out=logdet)
+            det = _det_stack(J)
+            gap = np.abs(logdet - np.log(det)).reshape(members, -1).max(axis=1)
+            np.maximum(sup, gap, out=sup)
+            # J and det are finite and det > 0 wherever the gap is finite
+            if not np.isfinite(gap).all():
+                finite = np.isfinite(J).reshape(dim * dim, members, -1).all(axis=(0, 2))
+                lost_at[~finite & (lost_at == 0)] = l + 1
+                np.minimum(det_min, det.reshape(members, -1).min(axis=1), out=det_min)
+
+        work = np.empty((dim, members) + shape)
+        lost = _march(grid, splines, group_of_step, path, chunk, [work] * (path.steps + 1), update)
+        return lost or list(zip(sup.tolist(), lost_at.tolist(), det_min.tolist()))
+
+    gaps, per_chunk = [], members_per_chunk(grid, path.steps, 0)
+    for sup, lost_at, det_min in _by_chunks(paths, per_chunk, integrate):
+        if lost_at:
+            raise FlowError(f"variational recursion lost finiteness at step {lost_at}")
+        if det_min <= 0:
+            raise FlowError("variational determinant lost positivity")
+        gaps.append(sup)
+    return gaps
 
 
 def _step_of(path: BrownianPath, t: float) -> int:

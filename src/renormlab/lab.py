@@ -63,8 +63,6 @@ from .flow import (
     SdeConfig,
     _mean_stderr,
     logdet_gap,
-    logdet_gaps,
-    members_per_chunk,
     pushforward_path,
     pushforward_solution,
     refine_brownian,
@@ -108,7 +106,7 @@ EXPERIMENT_TAGS = (
 )
 
 # Stream-id offsets added to master_seed by ``_stream``, one block per
-# consumer.  Two draws are shared between checks (ROADMAP item 2): the
+# consumer.  Two draws are shared between checks (ROADMAP item 3): the
 # pushforward-residual check and the smooth renorm ledgers run the same
 # drift_dominated pair on _STREAM_PUSHFORWARD, so it is computed twice per
 # suite, and conservation member 0 and the divfree renorm base draw the same
@@ -459,27 +457,13 @@ def _paths(
 def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) -> list:
     """``reduce`` of the flow of ``prob`` on each path, in path order.
 
-    The one Monte Carlo member loop of the lab.  Flows are integrated
-    ``flow.members_per_chunk`` members at a time, storing positions only at
-    the steps in ``store`` (every step by default), and each chunk's members
-    are reduced on the worker pool, one item per member, so only one chunk
-    of positions is alive at a time: a reduce returns numbers, never the
-    ensemble.  ``reduce`` may be ``flow.logdet_gap`` itself, taken once
-    both recursions have run: ``flow.logdet_gaps`` gives those numbers from
-    one pass per chunk that stores nothing.
+    The one Monte Carlo member loop of the lab: ``flow.simulate_flows``
+    chunks the members, stores positions only at the steps in ``store``
+    (every step by default) and reduces each chunk on the worker pool before
+    the next, so a reduce returns numbers, never the ensemble.  ``reduce``
+    may be ``flow.logdet_gap``, which takes the fused pass that stores nothing.
     """
-    config = SdeConfig(dt=prob.dt)
-    if reduce is logdet_gap:
-        return logdet_gaps(prob.b, prob.sigmas, config, paths)
-    per_chunk = members_per_chunk(prob.grid, prob.steps, None if store is None else len(store))
-    return [
-        value
-        for start in range(0, len(paths), per_chunk)
-        for value in parallel.ordered_map(
-            reduce,
-            simulate_flows(prob.b, prob.sigmas, config, paths[start : start + per_chunk], store),
-        )
-    ]
+    return simulate_flows(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), paths, store, reduce)
 
 
 def _pushforward_pair(
@@ -998,8 +982,9 @@ def _grad_sup(sol) -> float:
 
 
 def _check_parabolic_closed_form(cfg: ExperimentConfig) -> list[CheckResult]:
-    T, c, lam = 0.5, 0.8, 6.0  # c is the constant preset's drift
+    T, lam = 0.5, 6.0
     b_const = _problem(_CONSTANT_1D, 64, T, T / 512).b
+    c = float(b_const.values[0, 0, 0])  # the constant preset's drift
     sol = mild_solve(b_const, lam, 512)
     gap = 0.0
     for t, row in zip(sol.u.times, sol.u.index):
@@ -1047,8 +1032,9 @@ def _check_relaxation(cfg: ExperimentConfig) -> list[CheckResult]:
         _adjacent_ratio([r.divergence_residual for r in records]),
     )
 
-    c, lam, quad = 0.8, 6.0, 128  # c is the constant preset's drift
+    lam, quad = 6.0, 128
     b_const = _problem(_CONSTANT_1D, 64, T, T / quad).b
+    c = float(b_const.values[0, 0, 0])  # the constant preset's drift
     rec = relaxation_residuals(mild_solve(b_const, lam, quad), b_const)
     dtq = T / quad
     closed = abs(c) * sum(math.exp(-lam * (T - j * dtq)) for j in range(quad)) * dtq

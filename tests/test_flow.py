@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import flow, presets
+from renormlab import flow, lab, presets
 from renormlab.field import (
     GridScalar,
     GridVector,
@@ -226,7 +226,8 @@ class TestJacobians:
         assert np.abs(ens.jac_variational[-1][0, 0] - truth)[interior].max() < 1e-3
         assert np.abs(ens.logdet_exponential[-1] - np.log(truth))[interior].max() < 1e-3
         assert logdet_gap(ens) < 1e-3
-        assert logdet_gap(ens, step=0) == 0.0
+        # step 0: J = I and log det = 0 at every node, a gap of exactly 0
+        assert np.all(ens.jac_variational[0] == 1.0) and np.all(ens.logdet_exponential[0] == 0.0)
 
     def test_shear_is_exact(self):
         g = build_grid(2, L, 32)
@@ -548,19 +549,23 @@ class TestSimulateFlows:
         assert flow.members_per_chunk(build_grid(2, L, 64), 250, 11) == 1
 
 
+def stored_gap(b, sigmas):
+    """The reduce of the stored route: both recursions on a member's ensemble, then its gap."""
+
+    def gap(ens):
+        variational_jacobian(ens, b, sigmas)
+        logdet_stochastic_exponential(ens, b, sigmas)
+        return logdet_gap(ens)
+
+    return gap
+
+
 def stored_route_gaps(b, sigmas, paths):
     """Each path's logdet_gap as the lab's member loop took it before the fused
-    pass: simulate_flows in chunks of members_per_chunk, then both recursions
-    and logdet_gap member by member."""
-    config = SdeConfig(dt=paths[0].dt)
-    per_chunk = flow.members_per_chunk(b.grid, paths[0].steps)
-    gaps = []
-    for start in range(0, len(paths), per_chunk):
-        for ens in flow.simulate_flows(b, sigmas, config, paths[start : start + per_chunk]):
-            variational_jacobian(ens, b, sigmas)
-            logdet_stochastic_exponential(ens, b, sigmas)
-            gaps.append(logdet_gap(ens))
-    return gaps
+    pass: simulate_flows chunk by chunk, both recursions and logdet_gap on
+    each member."""
+    return flow.simulate_flows(b, sigmas, SdeConfig(dt=paths[0].dt), paths,
+                               reduce=stored_gap(b, sigmas))
 
 
 def two_row_case():
@@ -601,22 +606,30 @@ class TestLogdetGaps:
         # 500 steps on 64 nodes: a stored chunk holds 16 members, a fused one 32
         monkeypatch.setenv("RENORMLAB_THREADS", workers)
         b, sigmas, path = trig_case()
-        chunks, ordered_map = [], flow.parallel.ordered_map
+        marched, handed = [], []
+        march, ordered_map = flow._march, flow.parallel.ordered_map
+
+        def marching(grid, splines, groups, path, chunk, *rest):
+            marched.append(len(chunk))
+            return march(grid, splines, groups, path, chunk, *rest)
 
         def recording(fn, items):
             items = list(items)
-            chunks.append([len(chunk) for chunk in items])
+            handed.append(len(items))
             return ordered_map(fn, items)
 
+        monkeypatch.setattr(flow, "_march", marching)
         monkeypatch.setattr(flow.parallel, "ordered_map", recording)
         assert flow.members_per_chunk(b.grid, path.steps) == 16
         gaps = flow.logdet_gaps(b, sigmas, SdeConfig(dt=path.dt), member_paths(path, 37))
-        assert chunks == [[32, 5]] and len(gaps) == 37
+        # the chunks march in path order, and each member's gap is already
+        # reduced in the march: nothing is left to hand the pool
+        assert marched == [32, 5] and handed == [] and len(gaps) == 37
 
-    @pytest.mark.parametrize("steps_of,step", [({3: 30, 35: 12, 36: 20}, 30), ({35: 12}, 12)])
+    @pytest.mark.parametrize("steps_of,step", [({3: 30, 35: 12, 36: 20}, 12), ({35: 12}, 12)])
     def test_trajectory_blow_up_names_the_same_step(self, steps_of, step):
         # 40 steps on 64 nodes: both routes take chunks of 32 members, and the
-        # first chunk that fails names its first step
+        # chunks after a lost trajectory still march, so the least step is named
         b, sigmas, paths = blow_up_case(40, steps_of)
         message = f"trajectory lost finiteness at step {step}$"
         with pytest.raises(FlowError, match=message):
@@ -654,6 +667,48 @@ class TestLogdetGaps:
         ):
             with pytest.raises(FlowError, match="variational determinant lost positivity$"):
                 gaps()
+
+
+class TestChunking:
+    """What a member pass returns or raises does not depend on how its members are chunked."""
+
+    @pytest.mark.parametrize("per_chunk", [32, 8])
+    def test_every_route_names_the_least_lost_step(self, monkeypatch, per_chunk):
+        # member 3 overflows at step 30, member 35 at step 12, in a later chunk
+        # at either chunking (the default 32 members, or 8 forced through the
+        # block rule); the march, the fused pass and both lab routes agree
+        monkeypatch.setattr(flow, "_BLOCK_POINTS", 64 * per_chunk)
+        b, sigmas, paths = blow_up_case(40, {3: 30, 35: 12})
+        assert flow.members_per_chunk(b.grid, 40) == per_chunk
+        config = SdeConfig(dt=0.01)
+        prob = lab.Problem(b.grid, 0.01, 40, b, sigmas, None, None)
+        routes = [
+            lambda: flow.simulate_flows(b, sigmas, config, paths),
+            lambda: flow.logdet_gaps(b, sigmas, config, paths),
+            lambda: stored_route_gaps(b, sigmas, paths),
+            lambda: lab._per_member(prob, paths, lambda ens: float(ens.paths[-1].sum())),
+            lambda: lab._per_member(prob, paths, flow.logdet_gap),
+        ]
+        for route in routes:
+            with pytest.raises(FlowError, match="trajectory lost finiteness at step 12$"):
+                route()
+
+    def test_a_reduce_error_waits_for_every_chunk(self):
+        # chunks of 32: a reduce that raises in the first chunk gives way to a
+        # trajectory lost in the second; with none lost, the first error in
+        # path order is raised
+        def refusing(ens):
+            if ens.path.seed in (5, 33):
+                raise ValueError(f"refused member {ens.path.seed}")
+            return 0.0
+
+        b, sigmas, paths = blow_up_case(40, {35: 12})
+        config = SdeConfig(dt=0.01)
+        with pytest.raises(FlowError, match="trajectory lost finiteness at step 12$"):
+            flow.simulate_flows(b, sigmas, config, paths, reduce=refusing)
+        b, sigmas, paths = blow_up_case(40, {})
+        with pytest.raises(ValueError, match="refused member 5$"):
+            flow.simulate_flows(b, sigmas, config, paths, reduce=refusing)
 
 
 class TestSampledSteps:

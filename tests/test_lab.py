@@ -333,19 +333,18 @@ class TestRunExperiment:
     def test_flow_conservation_keeps_only_the_saved_ensemble(self, tmp_path, monkeypatch):
         # 40 members of 10 steps on 64 nodes: two chunks of flows (32 + 8)
         chunks, alive_at_save = [], []
-        simulate_flows, save_ensemble = lab.simulate_flows, lab.save_ensemble
+        march, save_ensemble = flow._march, lab.save_ensemble
 
-        def recording(*args):
-            ensembles = simulate_flows(*args)
-            chunks.append(weakref.ref(ensembles[0].paths.base))
-            return ensembles
+        def marching(grid, splines, groups, path, chunk, targets, *rest):
+            chunks.append((len(chunk), weakref.ref(targets[0].base)))
+            return march(grid, splines, groups, path, chunk, targets, *rest)
 
         def saving(path_name, ens):
             gc.collect()
-            alive_at_save.append(sum(ref() is not None for ref in chunks))
+            alive_at_save.append(sum(ref() is not None for _, ref in chunks))
             save_ensemble(path_name, ens)
 
-        monkeypatch.setattr(lab, "simulate_flows", recording)
+        monkeypatch.setattr(flow, "_march", marching)
         monkeypatch.setattr(lab, "save_ensemble", saving)
         cfg = small_config(
             "flow_conservation",
@@ -355,7 +354,7 @@ class TestRunExperiment:
             scalars=ScalarConfig(mc_members=40, p=2.0),
         )
         csv_path, _, ens_path = lab.run_experiment(cfg)
-        assert len(chunks) == 2 and alive_at_save == [0]
+        assert [members for members, _ in chunks] == [32, 8] and alive_at_save == [0]
         members = [int(row.split(",")[0]) for row in csv_path.read_text().splitlines()[2:]]
         assert members == [m for m in range(40) for _ in range(11)]
         prob = lab._config_problem(cfg)
@@ -973,19 +972,26 @@ class TestPerMember:
         prob = lab._problem("trig_flow", 64, 0.1, 0.01)
         per_chunk = flow.members_per_chunk(prob.grid, prob.steps)
         paths = [sample_brownian(0.1, 0.01, 1, 7 + m) for m in range(2 * per_chunk + 3)]
-        chunks, simulate_flows = [], lab.simulate_flows
+        chunks, positions, march = [], [], flow._march
 
-        def recording(b, sigmas, config, chunk, store):
-            assert store is None
+        def marching(grid, splines, groups, path, chunk, targets, *rest):
+            gc.collect()
+            # the chunks marched before were reduced and let go
+            assert all(ref() is None for ref in positions)
+            assert targets[0].base.shape[0] == prob.steps + 1  # every step stored
             chunks.append([p.seed for p in chunk])
-            return simulate_flows(b, sigmas, config, chunk, store)
+            positions.append(weakref.ref(targets[0].base))
+            return march(grid, splines, groups, path, chunk, targets, *rest)
 
-        monkeypatch.setattr(lab, "simulate_flows", recording)
+        monkeypatch.setattr(flow, "_march", marching)
         monkeypatch.setenv(parallel.ENV_VAR, workers)
         finals = lab._per_member(prob, paths, lambda ens: (ens.path.seed, ens.paths[-1].copy()))
+        monkeypatch.setattr(flow, "_march", march)
         assert [seed for seed, _ in finals] == [p.seed for p in paths]
         assert [len(c) for c in chunks] == [per_chunk, per_chunk, 3]
         assert sum(chunks, []) == [p.seed for p in paths]
+        gc.collect()
+        assert len(positions) == 3 and all(ref() is None for ref in positions)
         # each member's flow is the one it has when integrated alone
         for path, (_, final) in zip(paths[per_chunk - 1 : per_chunk + 1], finals[per_chunk - 1 :]):
             alone = flow.simulate_flow(prob.b, prob.sigmas, flow.SdeConfig(dt=0.01), path)
@@ -1045,8 +1051,16 @@ class TestPerMember:
     def test_logdet_gap_takes_the_fused_pass(self, monkeypatch):
         prob = lab._problem("trig_flow", 64, 0.1, 0.01)
         paths = [sample_brownian(0.1, 0.01, 1, 5 + m) for m in range(3)]
-        monkeypatch.setattr(lab, "simulate_flows", None)  # no positions are stored
+        stored, march = [], flow._march
+
+        def marching(grid, splines, groups, path, chunk, targets, *rest):
+            stored.append(len({t.ctypes.data for t in targets}))
+            return march(grid, splines, groups, path, chunk, targets, *rest)
+
+        monkeypatch.setattr(flow, "_march", marching)
         gaps = lab._per_member(prob, paths, flow.logdet_gap)
+        monkeypatch.setattr(flow, "_march", march)
+        assert stored == [1]  # one chunk, marched through one work array: no positions kept
         want = []
         for p in paths:
             ens = flow.simulate_flow(prob.b, prob.sigmas, flow.SdeConfig(dt=0.01), p)
@@ -1078,6 +1092,9 @@ class TestWorkerInvariant:
         assert max(
             count for _, count, name in handed if name.startswith("_logdet_sup_gaps.")
         ) > 1
+        # the moment and the stability members, which flow's chunk loop reduces
+        for estimate in ("_moment.", "_stability_series."):
+            assert max(count for _, count, name in handed if name.startswith(estimate)) > 1
 
 
 CONFIG_FILES = sorted((ROOT / "configs").glob("*.json"))

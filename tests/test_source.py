@@ -3,11 +3,14 @@
 - Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
 - Only ``field._spectral`` calls an ``np.fft`` transform, and only
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
-- Only ``lab._per_member`` integrates flows, by ``simulate_flows`` or by the
-  fused log-det pass ``logdet_gaps``, and only ``lab._paths`` and
-  ``lab._pushforward_pair`` draw Brownian paths: the lab has one member loop.
-  No call of it passes a reduce that returns the ensemble it is given, so no
-  estimate loops over the members a second time.
+- Only ``lab._per_member`` integrates flows, by one ``simulate_flows`` call,
+  and only ``lab._paths`` and ``lab._pushforward_pair`` draw Brownian paths:
+  the lab has one member loop.  No call of it passes a reduce that returns
+  the ensemble it is given, so no estimate loops over the members a second
+  time.  Chunking lives in ``flow`` alone: ``lab`` never names
+  ``members_per_chunk`` or ``logdet_gaps``, and in ``flow`` only the march
+  reads each member's increments and only ``simulate_flows`` takes the fused
+  log-det pass.
 - No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
   ``.slices``: time samples share a slice through ``TimeGridVector.index``,
   not through object identity.
@@ -109,18 +112,51 @@ def _readers(tree: ast.Module, name: str) -> list[str]:
     })
 
 
+def _uses(tree: ast.AST, name: str) -> list[str]:
+    """The functions that import ``name`` or read it bare or as an attribute, each once, sorted."""
+    return sorted({
+        function for function, node in _with_function(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.rpartition(".")[2] == name for alias in node.names)
+    })
+
+
+def test_uses_scan_sees_each_form():
+    tree = ast.parse(
+        "from .flow import members_per_chunk as per_chunk\n"
+        "import renormlab.flow.members_per_chunk\n"
+        "def a(grid):\n    return flow.members_per_chunk(grid, 3)\n"
+        "def b():\n    return members_per_chunk\n"
+        "def c(members_per_chunk=1):\n    return members_per_chunk_of(c)\n"
+        "def members_per_chunk():\n    return 'members_per_chunk'\n"
+    )
+    assert _uses(tree, "members_per_chunk") == ["<module>", "a", "b"]
+
+
 def test_one_member_loop():
     tree = _parse(PACKAGE / "lab.py")
     assert _readers(tree, "simulate_flows") == ["_per_member"]
-    assert _readers(tree, "logdet_gaps") == ["_per_member"]
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "simulate_flows"
+    ]
+    assert len(calls) == 1
+    for name in ("members_per_chunk", "logdet_gaps", "_member_increments", "_by_chunks"):
+        assert _uses(tree, name) == [], name
     imported = set(_imported(tree))
     assert not imported & {"simulate_flow", "variational_jacobian", "logdet_stochastic_exponential"}
+    flow_tree = _parse(PACKAGE / "flow.py")
+    assert _uses(flow_tree, "_member_increments") == ["_march"]
+    assert _uses(flow_tree, "logdet_gaps") == ["simulate_flows"]
     assert _readers(tree, "sample_brownian") == ["_paths", "_pushforward_pair"]
     reduces = _member_reduces(tree)
     assert len(reduces) >= 7  # the scan sees the lab's calls
     assert [ast.unparse(r) for r in reduces if _returns_its_argument(r, tree)] == []
     flow_names = {
-        node.name for node in ast.walk(_parse(PACKAGE / "flow.py"))
+        node.name for node in ast.walk(flow_tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert not flow_names & {"ensemble_moment", "MomentEstimate"}
