@@ -40,11 +40,10 @@ iterating.  A row leaves the block in the round its own residual falls
 below tol, so its iterates, determinant and round count are those of a
 Newton on that row alone; a row still iterating after _MAX_NEWTON rounds
 restarts from y = x and halves its step point by point where full steps
-overshoot, in the same loop.  The first step starts from y = x, where the
-splines of the displacement and of its Jacobian reproduce the node arrays,
-so it is taken on those arrays with no spline call.  invert_flow and
-pushforward_solution are one-step calls of this block Newton;
-pushforward_path runs it over a whole path with one spline of f0.
+overshoot, in the same loop.  Its first step, from y = x, is taken on the
+node arrays, which the splines reproduce there, with no spline call.
+invert_flow and pushforward_solution are one-step calls of this block
+Newton; pushforward_path runs it over a whole path with one spline of f0.
 Weak solutions are realized as
 
     f(t, x) = f0(Psi_t(x)) det(dPsi_t(x)),
@@ -77,7 +76,7 @@ from .field import (
     jacobian_stack,
 )
 from .interp import PeriodicInterpolant, SplineStack
-from .rng import stream
+from .rng import mix_indices, stream
 
 __all__ = [
     "FlowError",
@@ -159,10 +158,11 @@ def refine_brownian(path: BrownianPath, factor: int) -> BrownianPath:
     """Subdivide each increment into `factor` bridge-conditioned pieces.
 
     The result samples the *same* Brownian motion at dt/factor: fresh draws
-    xi_i ~ N(0, dt/factor) are shifted by -(sum_i xi_i - dW)/factor within
-    each coarse step, which is exactly the Brownian bridge conditional law.
-    Deterministic given (path.seed, factor); refining twice with the same
-    factor reproduces the same fine path.
+    xi_i ~ N(0, dt/factor) from stream(path.seed, factor) are shifted by
+    -(sum_i xi_i - dW)/factor within each coarse step, which is exactly the
+    Brownian bridge conditional law.  The fine path's seed is the fresh key
+    mix_indices(path.seed, factor), so refinements nest: refining it again,
+    also after a .flo round trip, draws normals no level above it used.
     """
     if factor < 2:
         raise FlowError(f"refinement factor must be >= 2, got {factor}")
@@ -176,7 +176,7 @@ def refine_brownian(path: BrownianPath, factor: int) -> BrownianPath:
         dt=fine_dt,
         k_count=path.k_count,
         increments=fine.reshape(path.steps * factor, path.k_count),
-        seed=path.seed,
+        seed=mix_indices(path.seed, factor),
     )
 
 
@@ -660,7 +660,6 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps):
     """
     grid = ensemble.seeds_grid
     stored_rows = ensemble.rows_of(steps)
-    path = ensemble.path
     dim = grid.dim
     nodes = np.stack(grid.coordinates())
     X0 = nodes.reshape(dim, 1, -1)
@@ -670,24 +669,20 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps):
         if not np.all(np.isfinite(disp)):
             raise FieldError("vector field contains non-finite values")
         disp_jac = jacobian_stack(grid, disp)
-        node_mat = _node_matrices(disp_jac)
-        node_det = _det_stack(node_mat).min(axis=1)
+        node_det = _det_stack(_node_matrices(disp_jac)).min(axis=1)
         if float(np.min(node_det)) <= 0.0:
             n = int(np.flatnonzero(node_det <= 0.0)[0])
             raise FlowError(
-                f"forward map is not injective at t={block[n] * path.dt}: min Jacobian "
+                f"forward map is not injective at t={block[n] * ensemble.path.dt}: min Jacobian "
                 f"determinant {float(node_det[n]):.3e}"
             )
-        # first Newton step from y = x: there the splines of D and dD reproduce
-        # disp and disp_jac, so the node arrays stand in for them
-        Y = X0 - _solve_stack(node_mat, np.moveaxis(disp, 0, 1).reshape(dim, len(block), -1))
-        Y, values, iterations = _newton_rows(grid, disp, disp_jac, X0, Y, _INVERSE_TOL)
+        Y, values, iterations = _newton_rows(grid, disp, disp_jac, X0, None, _INVERSE_TOL)
         det = 1.0 / _det_stack(_identity_plus(values[dim:].reshape((dim, dim) + Y.shape[1:])))
         yield block, Y, det, iterations
 
 
-# Newton rounds in each phase of _newton_rows: full steps from the caller's
-# first iterate, then halved steps from y = x.  A flow inversion stops a row
+# Newton rounds in each phase of _newton_rows: full steps from the first
+# iterate, then halved steps from y = x.  A flow inversion stops a row
 # once its max|y + D(y) - x| is below _INVERSE_TOL.
 _MAX_NEWTON = 30
 _INVERSE_TOL = 1e-10
@@ -705,18 +700,23 @@ def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
     The package's one inverse-map solver: flow inversion and the straightening
     both call it.  disp is (rows, dim) + grid shape and disp_jac its spectral
     Jacobians (rows, dim, dim) + grid shape; one SplineStack of [D, dD] serves
-    the block.  X holds the points x, (dim, rows or 1, P), and Y the caller's
-    first iterate, (dim, rows, P).  Each round makes one spline call at the
-    points of the rows still iterating.  A row leaves in the round its own
-    residual max|y + D(y) - x| falls below tol, so its iterates and round
-    count are those of a Newton on that row alone.  A row still iterating
-    after _MAX_NEWTON rounds restarts from y = x and then halves its step,
-    point by point, until the residual at that point drops (at most 30
-    halvings), for another _MAX_NEWTON + 1 rounds; this is for maps whose
-    full steps overshoot, a large displacement with a strong compression.
+    the block.  X holds the points x, (dim, rows or 1, P), and Y the first
+    iterate, (dim, rows, P); with Y None, X must be the nodes and the first
+    iterate is the node-exact Newton step from y = x.  Each round makes one
+    spline call at the points of the rows still iterating.  A row leaves in
+    the round its own residual max|y + D(y) - x| falls below tol, so its
+    iterates and round count are those of a Newton on that row alone.  A row
+    still iterating after _MAX_NEWTON rounds restarts from y = x and then
+    halves its step, point by point, until the residual at that point drops
+    (at most 30 halvings), for another _MAX_NEWTON + 1 rounds; this is for
+    maps whose full steps overshoot: a large displacement, strong compression.
     Returns (y, [D, dD] at y as (dim + dim^2, rows, P), rounds per row).
     """
-    dim, count = Y.shape[:2]
+    count, dim = disp.shape[:2]
+    if Y is None:
+        # held through the rounds: freed here, it fragmented the heap (+5 MB peak RSS)
+        node_mat = _node_matrices(disp_jac)
+        Y = X - _solve_stack(node_mat, np.moveaxis(disp, 0, 1).reshape(dim, count, -1))
     spline = SplineStack(
         grid, np.concatenate([disp, disp_jac.reshape((count, dim * dim) + grid.shape)], axis=1)
     )

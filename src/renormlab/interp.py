@@ -43,7 +43,8 @@ _ORDER = 3
 # Spline values per call (points times non-constant components) from which
 # a PeriodicInterpolant call evaluates with the stencil rather than with
 # map_coordinates: the measured crossover, about 1,500 points for 2
-# components and 3,000 for one (timings in ROADMAP item 3).
+# components and 3,000 for one (timings in the ``_Stencil.add`` FOUND line
+# of CHANGES.md).
 _STENCIL_VALUES = 3072
 
 

@@ -105,12 +105,13 @@ EXPERIMENT_TAGS = (
     "acceptance_all",
 )
 
-# Stream-id offsets added to master_seed by ``_stream``, one block per
-# consumer.  Two draws are shared between checks (ROADMAP item 3): the
-# pushforward-residual check and the smooth renorm ledgers run the same
-# drift_dominated pair on _STREAM_PUSHFORWARD, so it is computed twice per
-# suite, and conservation member 0 and the divfree renorm base draw the same
-# _STREAM_DIVFREE path at (64^2, T 0.25, dt 1e-3).
+# Stream-id offsets that ``_paths`` adds to master_seed, one block per
+# consumer; a refined level bridges its consumer's base paths.  Two draws are
+# shared between checks (ROADMAP item 3): the pushforward-residual check and
+# the smooth renorm ledgers run the same drift_dominated pair on
+# _STREAM_PUSHFORWARD, so it is computed twice per suite, and conservation
+# member 0 and the divfree renorm base draw the same _STREAM_DIVFREE path at
+# (64^2, T 0.25, dt 1e-3).
 _STREAM_PUSHFORWARD = 501
 _STREAM_DIVFREE = 601
 _STREAM_STABILITY = 800
@@ -442,16 +443,19 @@ def _config_problem(cfg: ExperimentConfig) -> Problem:
     return _problem(_config_source(cfg), cfg.grid.N, cfg.time.T, cfg.time.dt)
 
 
-def _stream(cfg: ExperimentConfig, consumer: int, member: int = 0) -> int:
-    """The stream id of one member's Brownian path for one ``_STREAM_*`` consumer."""
-    return cfg.scalars.master_seed + consumer + member
-
-
 def _paths(
-    cfg: ExperimentConfig, consumer: int, members: int, T: float, dt: float, k_count: int
+    cfg: ExperimentConfig, consumer: int, members: int, T: float, dt: float, k_count: int,
+    factor: int = 1,
 ) -> list[BrownianPath]:
-    """The Brownian paths of members 0 .. members - 1 of one ``_STREAM_*`` consumer."""
-    return [sample_brownian(T, dt, k_count, _stream(cfg, consumer, m)) for m in range(members)]
+    """The Brownian paths of members 0 .. members - 1 of one ``_STREAM_*`` consumer.
+
+    The lab's one path drawer: member m's base path, step dt, is drawn from
+    stream master_seed + consumer + m.  With factor > 1 each member gets the
+    bridge refinement of its base path at dt / factor instead.
+    """
+    seed = cfg.scalars.master_seed + consumer
+    paths = [sample_brownian(T, dt, k_count, seed + m) for m in range(members)]
+    return paths if factor == 1 else [refine_brownian(p, factor) for p in paths]
 
 
 def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) -> list:
@@ -467,21 +471,21 @@ def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) ->
 
 
 def _pushforward_pair(
-    source: str | presets.Preset, N: int, fine_N: int, T: float, dt: float, seed: int
+    cfg: ExperimentConfig, consumer: int,
+    source: str | presets.Preset, N: int, fine_N: int, T: float, dt: float,
 ) -> list[tuple[Problem, BrownianPath, list[GridScalar]]]:
-    """f0 pushed forward at every step, base and refined, on one Brownian path.
+    """f0 pushed forward at every step, base and refined, on member 0 of a consumer.
 
-    The base run is (N, dt) on the path drawn from stream ``seed``; the
-    refined run is (fine_N, dt / 4) on its bridge refinement.  Each entry is
-    (problem, path, pushforward at steps 0..steps).
+    The base run is (N, dt) on the member's path; the refined run is
+    (fine_N, dt / 4) on its bridge refinement.  Each entry is (problem, path,
+    pushforward at steps 0..steps).
     """
-    base = _problem(source, N, T, dt)
-    path = sample_brownian(T, dt, len(base.sigmas), seed)
-    fine = _problem(source, fine_N, T, dt / 4)
     runs = []
-    for prob, p in ((base, path), (fine, refine_brownian(path, 4))):
-        [fpath] = _per_member(prob, [p], lambda ens: list(pushforward_path(prob.f0, ens)))
-        runs.append((prob, p, fpath))
+    for n, factor in ((N, 1), (fine_N, 4)):
+        prob = _problem(source, n, T, dt / factor)
+        [path] = _paths(cfg, consumer, 1, T, dt, len(prob.sigmas), factor)
+        [fpath] = _per_member(prob, [path], lambda ens: list(pushforward_path(prob.f0, ens)))
+        runs.append((prob, path, fpath))
     return runs
 
 
@@ -690,8 +694,7 @@ def _run_renorm_residual(cfg: ExperimentConfig, out: Path) -> list[Path]:
     # files fix N.
     fine_N = 2 * N if cfg.grid.dim == 1 and cfg.coefficients.drift_file is None else N
     runs = _pushforward_pair(
-        _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt,
-        _stream(cfg, _STREAM_PUSHFORWARD),
+        cfg, _STREAM_PUSHFORWARD, _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt
     )
     ledgers = [
         residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path)
@@ -874,12 +877,11 @@ def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
     The two levels are separate items on the worker pool, and each runs the
     member loop's storage-free log-det pass.
     """
-    paths = _paths(cfg, _STREAM_LOGDET, members, T, dt, 1)
 
     def level(factor: int) -> list[float]:
         prob = _problem("trig_flow", 64, T, dt / factor)
-        member_paths = paths if factor == 1 else [refine_brownian(p, factor) for p in paths]
-        return _per_member(prob, member_paths, logdet_gap)
+        paths = _paths(cfg, _STREAM_LOGDET, members, T, dt, len(prob.sigmas), factor)
+        return _per_member(prob, paths, logdet_gap)
 
     return parallel.ordered_map(level, (1, 4))
 
@@ -899,9 +901,7 @@ def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
 
 
 def _check_pushforward_residual(cfg: ExperimentConfig) -> list[CheckResult]:
-    runs = _pushforward_pair(
-        "drift_dominated", 64, 128, 0.5, 1e-3, _stream(cfg, _STREAM_PUSHFORWARD)
-    )
+    runs = _pushforward_pair(cfg, _STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3)
     base, fine = (
         residual_original(fpath, prob.b, prob.sigmas, prob.phi, path).residual
         for prob, path, fpath in runs
@@ -1052,12 +1052,12 @@ def _renorm_ledgers(cfg: ExperimentConfig) -> dict[str, tuple[WeakFormLedger, ..
     def ledgers(*pair) -> tuple[WeakFormLedger, ...]:
         return tuple(
             residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path)
-            for prob, path, fpath in _pushforward_pair(*pair)
+            for prob, path, fpath in _pushforward_pair(cfg, *pair)
         )
 
     return {
-        "divfree": ledgers("divfree_2d", 64, 64, 0.25, 1e-3, _stream(cfg, _STREAM_DIVFREE)),
-        "smooth": ledgers("drift_dominated", 64, 128, 0.5, 1e-3, _stream(cfg, _STREAM_PUSHFORWARD)),
+        "divfree": ledgers(_STREAM_DIVFREE, "divfree_2d", 64, 64, 0.25, 1e-3),
+        "smooth": ledgers(_STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3),
     }
 
 
@@ -1106,15 +1106,14 @@ def _transformed_residuals(prob: Problem, lam: float, paths: list[BrownianPath])
 
 def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
     T, dt, lam = 0.25, 2.5e-3, 16.0
-    base, fine = (_problem(_TRIG_UNIT_NOISE, 64, T, step) for step in (dt, dt / 8))
-    paths = _paths(cfg, _STREAM_ZVONKIN, 8, T, dt, len(base.sigmas))
-    rms_c, rms_f = (
-        math.sqrt(sum(r * r for r in residuals) / len(residuals))
-        for residuals in (
-            _transformed_residuals(base, lam, paths),
-            _transformed_residuals(fine, lam, [refine_brownian(p, 8) for p in paths]),
-        )
-    )
+
+    def rms(factor: int) -> float:
+        prob = _problem(_TRIG_UNIT_NOISE, 64, T, dt / factor)
+        paths = _paths(cfg, _STREAM_ZVONKIN, 8, T, dt, len(prob.sigmas), factor)
+        residuals = _transformed_residuals(prob, lam, paths)
+        return math.sqrt(sum(r * r for r in residuals) / len(residuals))
+
+    rms_c, rms_f = rms(1), rms(8)
 
     steps = 128
     b = _problem("trig_flow", 64, T, T / steps).b

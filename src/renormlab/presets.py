@@ -2,11 +2,11 @@
 
 Each builder returns plain grid fields; experiment plumbing decides how to
 sample them in time.  The random profiles draw from fixed derivation
-streams, so a preset is a pure function of its grid and the master seed --
-re-running anywhere reproduces the same coefficients bitwise.  ``PRESETS``
-maps each tag to its dimension and its drift and noise builders:
+streams, so a preset is a pure function of its grid -- re-running anywhere
+reproduces the same coefficients bitwise.  ``PRESETS`` maps each tag to its
+dimension and its drift and noise builders:
 
-    constant         b = c e_1 (spatially and temporally constant), unit noise
+    constant         b = 0.8 e_1 (spatially and temporally constant), unit noise
     trig_flow        random low-mode 1-d drift, gentle compressible noise
     drift_dominated  strong 1-d drift with faint noise (refinement studies)
     divfree_2d       rotation field of the stream function 2 cos x cos y
@@ -47,16 +47,15 @@ def sample_constant_in_time(gv: GridVector, T: float, steps: int) -> TimeGridVec
     return TimeGridVector(gv.grid, times, gv.values[None], np.zeros(steps + 1, dtype=np.intp))
 
 
-def constant_drift(grid: Grid, c: float = 0.8) -> GridVector:
-    values = [float(c)] + [0.0] * (grid.dim - 1)
-    return GridVector.constant(grid, values)
+def constant_drift(grid: Grid) -> GridVector:
+    return GridVector.constant(grid, [0.8] + [0.0] * (grid.dim - 1))
 
 
-def trig_flow_drift(grid: Grid, master_seed: int = 3) -> GridVector:
-    """Random two-mode profile, amplitudes 0.6/k, drawn from stream (seed, 0)."""
+def trig_flow_drift(grid: Grid) -> GridVector:
+    """Random two-mode profile, amplitudes 0.6/k, drawn from stream (3, 0)."""
     if grid.dim != 1:
         raise ValueError("trig_flow preset is one-dimensional")
-    rng = stream(master_seed, 0)
+    rng = stream(3, 0)
     x = grid.axis_coordinates()
     prof = np.zeros(grid.shape)
     for k in (1, 2):
@@ -81,16 +80,13 @@ def drift_dominated_noise(grid: Grid) -> list[GridVector]:
     return [GridVector(grid, (0.05 * (1.0 + 0.5 * np.sin(x + 1.0)))[None, :])]
 
 
-def divfree_2d_drift(grid: Grid, amplitude: float = 2.0) -> GridVector:
-    """Rotation field of psi = amplitude cos x cos y; divergence-free."""
+def divfree_2d_drift(grid: Grid) -> GridVector:
+    """Rotation field of psi = 2 cos x cos y; divergence-free."""
     if grid.dim != 2:
         raise ValueError("divfree_2d preset is two-dimensional")
     xx, yy = grid.coordinates()
     return GridVector(
-        grid,
-        np.stack(
-            [-amplitude * np.cos(xx) * np.sin(yy), amplitude * np.sin(xx) * np.cos(yy)]
-        ),
+        grid, np.stack([-2.0 * np.cos(xx) * np.sin(yy), 2.0 * np.sin(xx) * np.cos(yy)])
     )
 
 
@@ -109,15 +105,14 @@ def divfree_2d_noise(grid: Grid) -> list[GridVector]:
     return unit_noise(grid)
 
 
-def decay_drift(grid: Grid, master_seed: int = 9, modes: int = 30) -> GridVector:
-    """Strong first mode plus a k^{-1/4} tail, phases from stream (seed, 0)."""
+def decay_drift(grid: Grid) -> GridVector:
+    """Strong first mode plus a k^{-1/4} tail over 30 modes, phases from stream (9, 0)."""
     if grid.dim != 1:
         raise ValueError("decay preset is one-dimensional")
-    rng = stream(master_seed, 0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
+    phases = stream(9, 0).uniform(0.0, 2.0 * np.pi, size=30)
     x = grid.axis_coordinates()
     prof = 5.0 * np.sin(x + phases[0])
-    for k in range(2, modes + 1):
+    for k in range(2, 31):
         prof += k**-0.25 * np.sin(k * x + phases[k - 1])
     return GridVector(grid, prof[None, :])
 

@@ -63,8 +63,6 @@ from .flow import (
     _det_stack,
     _identity_plus,
     _newton_rows,
-    _node_matrices,
-    _solve_stack,
 )
 from .interp import SplineStack
 from .parabolic import _backward_defect, _by_slice
@@ -227,11 +225,9 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     for span in _blocks(grid, len(live)):
         block = live[span.start : span.stop]
         values = u.values[block]
-        jac = jacobian_stack(grid, values)
-        first = nodes - _solve_stack(
-            _node_matrices(jac), np.moveaxis(values, 0, 1).reshape(dim, len(block), -1)
+        y, at, _ = _newton_rows(
+            grid, values, jacobian_stack(grid, values), nodes, None, _STRAIGHTEN_TOL
         )
-        y, at, _ = _newton_rows(grid, values, jac, nodes, first, _STRAIGHTEN_TOL)
         block_cols = eye[:, :, None] + at[dim:].reshape((dim, dim, len(block)) + grid.shape)
         det = _det_stack(block_cols)
         u_at[block] = np.moveaxis(at[:dim].reshape((dim, len(block)) + grid.shape), 1, 0)

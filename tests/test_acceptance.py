@@ -118,7 +118,7 @@ def test_flip_sign_debug_hook_turns_check_red(report):
 
 
 BELOW_RESIDUAL = pytest.mark.xfail(
-    strict=True, reason="below the discretization residual; ROADMAP item 3"
+    strict=True, reason="below the discretization residual; ROADMAP item 4"
 )
 
 

@@ -15,6 +15,7 @@ The closed forms doing the work:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from renormlab.flow import (
     variational_jacobian,
 )
 from renormlab.interp import PeriodicInterpolant
-from renormlab.rng import stream
+from renormlab.rng import mix_indices, stream
 
 L = 2.0 * math.pi
 T = 0.5
@@ -149,6 +150,33 @@ class TestBrownian:
         assert np.array_equal(f.increments, again.increments)
         with pytest.raises(FlowError):
             refine_brownian(p, 1)
+
+    def test_refinement_draws_from_the_base_key(self):
+        # one level bridges the normals of stream (seed, factor), bit for bit;
+        # only the fine path's key is new
+        p = sample_brownian(T, 0.05, 2, 7)
+        raw = stream(7, 4).normal(0.0, math.sqrt(0.05 / 4), size=(10, 4, 2))
+        want = raw - ((raw.sum(axis=1) - p.increments) / 4)[:, None, :]
+        f = refine_brownian(p, 4)
+        assert np.array_equal(f.increments, want.reshape(40, 2))
+        assert f.seed == mix_indices(7, 4)
+
+    def test_refinements_nest(self):
+        # over 2,000 base paths (T 1, dt 0.25) the first increment of a
+        # twice-refined path has variance dt/16 and no correlation with the
+        # second increment of the once-refined path, a disjoint interval; a
+        # second level that reused the first level's normals read 1.72 dt/16
+        # and -0.16
+        dt = 0.25
+        first, second = [], []
+        for seed in range(2000):
+            once = refine_brownian(sample_brownian(1.0, dt, 1, seed), 4)
+            twice = refine_brownian(once, 4).increments[:, 0]
+            assert np.abs(twice.reshape(16, 4).sum(axis=1) - once.increments[:, 0]).max() < 1e-14
+            first.append(twice[0])
+            second.append(once.increments[1, 0])
+        assert abs(np.var(first) / (dt / 16) - 1.0) < 0.15
+        assert abs(np.corrcoef(first, second)[0, 1]) < 0.1
 
 
 class TestSimulate:
@@ -1202,6 +1230,24 @@ class TestFloFiles:
         assert np.array_equal(back.logdet_exponential, ens.logdet_exponential)
         assert back.path.seed == 12
         assert back.seeds_grid == g
+
+    def test_refined_path_refines_again_after_a_round_trip(self, tmp_path):
+        # the fine path's key travels in the header's seed, so the loaded
+        # path refines to the in-memory path's refinement, not to one keyed
+        # by the base seed, which would reuse the first level's normals
+        g = grid1(16)
+        b = still(GridVector.constant(g, [0.0]))
+        base = sample_brownian(T, 0.05, 1, 12)
+        fine = refine_brownian(base, 4)
+        ens = simulate_flow(b, [still(GridVector.constant(g, [1.0]))], SdeConfig(dt=fine.dt), fine)
+        target = tmp_path / "refined.flo"
+        save_ensemble(target, ens)
+        back = load_ensemble(target).path
+        assert back.seed == fine.seed != base.seed
+        again = refine_brownian(back, 4).increments
+        assert np.array_equal(again, refine_brownian(fine, 4).increments)
+        reused = refine_brownian(replace(fine, seed=base.seed), 4).increments
+        assert not np.any(again == reused)
 
     def test_partial_round_trip(self, tmp_path):
         g = grid1(16)

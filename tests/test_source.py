@@ -4,13 +4,16 @@
 - Only ``field._spectral`` calls an ``np.fft`` transform, and only
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
 - Only ``lab._per_member`` integrates flows, by one ``simulate_flows`` call,
-  and only ``lab._paths`` and ``lab._pushforward_pair`` draw Brownian paths:
-  the lab has one member loop.  No call of it passes a reduce that returns
-  the ensemble it is given, so no estimate loops over the members a second
+  and only ``lab._paths`` draws or refines Brownian paths: the lab has one
+  member loop and one path drawer.  No call of the member loop passes a reduce
+  that returns the ensemble it is given, so no estimate loops over the members a second
   time.  Chunking lives in ``flow`` alone: ``lab`` never names
   ``members_per_chunk`` or ``logdet_gaps``, and in ``flow`` only the march
   reads each member's increments and only ``simulate_flows`` takes the fused
   log-det pass.
+- Only ``flow._newton_rows`` solves a Newton step: ``zvonkin`` imports
+  neither ``_node_matrices`` nor ``_solve_stack``, so the straightening's
+  node-exact first step is the flow inversion's.
 - No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
   ``.slices``: time samples share a slice through ``TimeGridVector.index``,
   not through object identity.
@@ -151,7 +154,8 @@ def test_one_member_loop():
     flow_tree = _parse(PACKAGE / "flow.py")
     assert _uses(flow_tree, "_member_increments") == ["_march"]
     assert _uses(flow_tree, "logdet_gaps") == ["simulate_flows"]
-    assert _readers(tree, "sample_brownian") == ["_paths", "_pushforward_pair"]
+    for drawer in ("sample_brownian", "refine_brownian"):
+        assert _readers(tree, drawer) == ["_paths"], drawer
     reduces = _member_reduces(tree)
     assert len(reduces) >= 7  # the scan sees the lab's calls
     assert [ast.unparse(r) for r in reduces if _returns_its_argument(r, tree)] == []
@@ -160,6 +164,12 @@ def test_one_member_loop():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert not flow_names & {"ensemble_moment", "MomentEstimate"}
+
+
+def test_one_newton_solver():
+    flow_tree = _parse(PACKAGE / "flow.py")
+    assert _uses(flow_tree, "_solve_stack") == ["_newton_rows"]
+    assert not set(_imported(_parse(PACKAGE / "zvonkin.py"))) & {"_node_matrices", "_solve_stack"}
 
 
 def _member_reduces(tree: ast.Module) -> list[ast.expr]:
