@@ -32,6 +32,7 @@ from .field import (
     GridVector,
     convolve,
     divergence,
+    divergence_and_twist,
     gradient,
     jacobian,
     lp_norm,
@@ -75,18 +76,16 @@ def op_T(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
     """First-order commutator sigma.grad(f_eps) - (Div(sigma f))_eps."""
     _check_inputs(sigma, f)
     g = f.grid
-    kernel = mollifier(g, epsilon)
-    f_eps = convolve(kernel, f)
-    div_sf = divergence(GridVector(g, sigma.values * f.values[None, ...]))
-    return GridScalar(g, _advect(sigma, f_eps) - convolve(kernel, div_sf).values)
+    _, f_eps, div_sf_eps = _mollified_pieces(sigma, f, epsilon)
+    return GridScalar(g, _advect(sigma, GridScalar(g, f_eps)) - div_sf_eps)
 
 
 def op_S(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
     """Second-order commutator L(f_eps) - sigma.grad(Div(sigma f))_eps + (L* f)_eps."""
     _check_inputs(sigma, f)
     g = f.grid
-    kernel = mollifier(g, epsilon)
-    f_eps = convolve(kernel, f)
+    kernel, f_eps, div_sf_eps = _mollified_pieces(sigma, f, epsilon)
+    smooth = GridScalar(g, f_eps)
 
     # L f_eps = (1/2) sigma_i sigma_j d_i d_j f_eps
     forward = np.zeros(g.shape)
@@ -95,11 +94,10 @@ def op_S(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
             beta = [0] * g.dim
             beta[i] += 1
             beta[j] += 1
-            forward += sigma.values[i] * sigma.values[j] * spectral_derivative(f_eps, beta).values
+            forward += sigma.values[i] * sigma.values[j] * spectral_derivative(smooth, beta).values
     forward *= 0.5
 
-    div_sf = divergence(GridVector(g, sigma.values * f.values[None, ...]))
-    middle = _advect(sigma, convolve(kernel, div_sf))
+    middle = _advect(sigma, GridScalar(g, div_sf_eps))
 
     # L* f = (1/2) d_i d_j (sigma_i sigma_j f), mollified afterwards
     adjoint = _adjoint_second_order(sigma, f.values)
@@ -111,9 +109,7 @@ def commutator_limits(sigma: GridVector, f: GridScalar) -> tuple[GridScalar, Gri
     """Smooth-case limits of (T_eps, S_eps) as eps -> 0."""
     _check_inputs(sigma, f)
     g = f.grid
-    div_sigma = divergence(sigma).values
-    jac = jacobian(sigma)  # jac[i, j] = d_j sigma_i
-    cross = np.einsum("ij...,ji...->...", jac, jac)
+    div_sigma, cross = divergence_and_twist(g, jacobian(sigma))
     limit_t = LIMIT_SIGN_T * div_sigma * f.values
     limit_s = 0.5 * (cross + div_sigma**2) * f.values
     return GridScalar(g, limit_t), GridScalar(g, limit_s)
@@ -129,7 +125,6 @@ class CommutatorStudy:
     fitted_rate: float
     bound_ratios: list[float] = dataclass_field(default_factory=list)
     degenerate: bool = False
-    r_exponent: float = 2.0
 
     def __post_init__(self):
         if self.operator_tag not in _TAGS:
@@ -203,7 +198,6 @@ def convergence_study(
         fitted_rate=rate,
         bound_ratios=ratios,
         degenerate=degenerate,
-        r_exponent=float(r),
     )
 
 
@@ -296,9 +290,8 @@ def r2_reconstruction(
     s_val = op_S(sigma, f, epsilon).values
     r1 = r1_remainder(sigma, f, epsilon, renorm)
     adv_r1 = _advect(sigma, r1)
-    div_sigma = divergence(sigma).values
-    jac = jacobian(sigma)
-    q_field = np.einsum("ij...,ji...->...", jac, jac) + div_sigma**2
+    div_sigma, twist = divergence_and_twist(g, jacobian(sigma))
+    q_field = twist + div_sigma**2
     out = (
         renorm.gamma_prime(f_eps) * s_val
         + 0.5 * renorm.gamma_second(f_eps) * t_val**2

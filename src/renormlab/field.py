@@ -46,6 +46,19 @@ class FieldError(ValueError):
     """Raised on grid/field contract violations."""
 
 
+# Points per batched call (a chunk of members, a block of steps or rows): past
+# a few thousand the per-call overhead no longer shows, and a bounded block
+# keeps the temporary arrays of each worker thread small.
+_BLOCK_POINTS = 2048
+
+
+def _blocks(grid: Grid, count: int) -> list[range]:
+    """Cut 0..count into consecutive ranges of about _BLOCK_POINTS points of grid:
+    the package's one block rule (steps of a path, rows or samples of a time field)."""
+    per_block = max(1, _BLOCK_POINTS // grid.N**grid.dim)
+    return [range(start, min(start + per_block, count)) for start in range(0, count, per_block)]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, L)^n with nodes {0, h, ..., L-h}^n."""
@@ -218,7 +231,22 @@ class TimeGridVector:
 
     def slice_at(self, t: float) -> GridVector:
         """Slice at the largest sample time <= t (left-endpoint convention)."""
-        return GridVector(self.grid, self.values[self.index[int(self.slice_indices(t))]])
+        return GridVector(self.grid, self.values[self.rows_at(t)])
+
+    def rows_at(self, times) -> np.ndarray:
+        """The row of values in force at each of ``times`` (the row ``slice_at`` reads)."""
+        return self.index[self.slice_indices(times)]
+
+    def per_sample(self, compute, times=None) -> list:
+        """compute(block) per block of rows (_blocks), listed per sample or per time in ``times``.
+
+        block is (rows, dim) + grid shape, and compute returns one entry per
+        row; a row's entry is listed wherever the row is in force (rows_at).
+        """
+        done = []
+        for rows in _blocks(self.grid, len(self.values)):
+            done.extend(compute(self.values[rows.start : rows.stop]))
+        return [done[i] for i in (self.index if times is None else self.rows_at(times))]
 
     def slice_indices(self, ts) -> np.ndarray:
         """Index of the sample ``slice_at`` picks, for each time in ``ts``."""
@@ -348,6 +376,20 @@ def jacobian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     Returns (..., dim, dim) + grid shape, entry [..., i, j] = d_j v_i.
     """
     return _spectral(grid, values, _partials(grid, [(j,) for j in range(grid.dim)]))
+
+
+def divergence_and_twist(grid: Grid, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Div v and the twist d_i v_j d_j v_i of a stack of jacobian_stack Jacobians.
+
+    jac is (..., dim, dim) + grid shape, entry [..., i, j] = d_j v_i.  Div
+    sums the diagonal from 0.0 in the order of i: divergence_stack's bits.
+    """
+    cells = (slice(None),) * grid.dim
+    div = np.zeros(jac.shape[: jac.ndim - grid.dim - 2] + grid.shape)
+    for i in range(grid.dim):
+        div += jac[(..., i, i) + cells]
+    pairs = np.moveaxis(jac, (-grid.dim - 2, -grid.dim - 1), (0, 1))
+    return div, np.einsum("ij...,ji...->...", pairs, pairs)
 
 
 def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:

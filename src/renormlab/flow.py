@@ -69,10 +69,13 @@ from .field import (
     GridScalar,
     GridVector,
     TimeGridVector,
+    _BLOCK_POINTS,
     _GRID_HEADER,
+    _blocks,
     _check_header,
+    _is_int,
     _read_header,
-    divergence_stack,
+    divergence_and_twist,
     jacobian_stack,
 )
 from .interp import PeriodicInterpolant, SplineStack
@@ -144,8 +147,10 @@ def sample_brownian(T: float, dt: float, k_count: int, stream_id: int) -> Browni
     """Draw one path from the counter-based stream with the given id."""
     if T <= 0 or dt <= 0:
         raise FlowError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
-    if k_count < 0:
-        raise FlowError(f"k_count must be >= 0, got {k_count}")
+    if not (_is_int(k_count) and k_count >= 0):
+        raise FlowError(f"k_count must be an integer >= 0, got {k_count!r}")
+    if not _is_int(stream_id):
+        raise FlowError(f"stream_id must be an integer, got {stream_id!r}")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
         raise FlowError(f"T/dt = {T / dt} is not an integer step count")
@@ -164,8 +169,8 @@ def refine_brownian(path: BrownianPath, factor: int) -> BrownianPath:
     mix_indices(path.seed, factor), so refinements nest: refining it again,
     also after a .flo round trip, draws normals no level above it used.
     """
-    if factor < 2:
-        raise FlowError(f"refinement factor must be >= 2, got {factor}")
+    if not (_is_int(factor) and factor >= 2):
+        raise FlowError(f"refinement factor must be an integer >= 2, got {factor!r}")
     fine_dt = path.dt / factor
     rng = stream(path.seed, factor)
     raw = rng.normal(0.0, math.sqrt(fine_dt), size=(path.steps, factor, path.k_count))
@@ -234,23 +239,6 @@ def _require_every_step(ensemble: FlowEnsemble) -> None:
         ensemble.rows_of(np.arange(ensemble.path.steps + 1))
 
 
-# Points per batched spline call: a chunk of members in the flow, a block of
-# steps in the two recursions over stored positions and in the flow
-# inversion.  Past a few thousand points the per-call overhead no longer
-# shows, and a bounded block keeps the temporary arrays of each worker
-# thread small.
-_BLOCK_POINTS = 2048
-
-def _blocks(grid: Grid, count: int) -> list[range]:
-    """Cut 0..count into consecutive ranges of about _BLOCK_POINTS points of grid.
-
-    The one block rule of the package: steps of a path here, distinct time
-    slices in the straightening and in the parabolic norms.
-    """
-    per_block = max(1, _BLOCK_POINTS // grid.N**grid.dim)
-    return [range(start, min(start + per_block, count)) for start in range(0, count, per_block)]
-
-
 # Stored positions per chunk of members in simulate_flows (4 MB): a chunk of
 # long paths, such as 2,000 steps on 64 nodes, holds fewer members.
 _CHUNK_VALUES = 2**19
@@ -283,7 +271,7 @@ def _slice_groups(b: TimeGridVector, sigmas, path: BrownianPath):
     columns = []
     group_of_step = np.zeros(path.steps, dtype=np.intp)
     for c in coefficients:
-        columns.append(c.index[c.slice_indices(times)])
+        columns.append(c.rows_at(times))
         # a mixed-radix code, earlier coefficients the more significant digits:
         # np.unique ranks it in lexicographic order of the index rows so far,
         # and the rank keeps the next code below steps * len(c.values)
@@ -378,16 +366,15 @@ def _logdet_increment(scalars, dt: float, dW) -> np.ndarray:
     return total
 
 
-def _logdet_fields(grid: Grid, rows) -> np.ndarray:
-    """(Div b, Div sigma^1, twist^1, ...) of the rows [b, sigma^1, ...].
+def _logdet_fields(grid: Grid, jac: np.ndarray) -> np.ndarray:
+    """(Div b, Div sigma^1, twist^1, ...) of the Jacobians of the rows [b, sigma^1, ...].
 
     twist^k = d_i sigma^k_j d_j sigma^k_i, the log-determinant's Ito correction.
     """
-    drift, *noises = rows
-    scalars = [divergence_stack(grid, drift)]
-    for s in noises:
-        jac = jacobian_stack(grid, s)
-        scalars += [divergence_stack(grid, s), np.einsum("ij...,ji...->...", jac, jac)]
+    div, twist = divergence_and_twist(grid, jac)
+    scalars = [div[0]]
+    for k in range(1, len(jac)):
+        scalars += [div[k], twist[k]]
     return np.stack(scalars)
 
 
@@ -545,7 +532,8 @@ def logdet_stochastic_exponential(
     _require_every_step(ensemble)
     path = ensemble.path
     row_sets, group_of_step = _slice_groups(b, sigmas, path)
-    interpolants = [PeriodicInterpolant(grid, _logdet_fields(grid, rows)) for rows in row_sets]
+    jacobians = [jacobian_stack(grid, np.stack(rows)) for rows in row_sets]
+    interpolants = [PeriodicInterpolant(grid, _logdet_fields(grid, jac)) for jac in jacobians]
 
     logdet = np.zeros((path.steps + 1,) + grid.shape)
     for steps, scalars in _along_paths(ensemble, interpolants, group_of_step):
@@ -588,10 +576,8 @@ def logdet_gaps(
     splines = []
     for rows in row_sets:
         stack = np.stack(rows)
-        fields = [
-            f.reshape((-1,) + shape)
-            for f in (stack, jacobian_stack(grid, stack), _logdet_fields(grid, rows))
-        ]
+        jac = jacobian_stack(grid, stack)
+        fields = [f.reshape((-1,) + shape) for f in (stack, jac, _logdet_fields(grid, jac))]
         splines.append(PeriodicInterpolant(grid, np.concatenate(fields)))
     a, z = np.cumsum([len(f) for f in fields[:-1]])
 

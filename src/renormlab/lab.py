@@ -49,6 +49,7 @@ from .field import (
     _is_int,
     _is_number,
     divergence,
+    divergence_and_twist,
     jacobian,
     jacobian_stack,
     kernel_moment,
@@ -71,7 +72,6 @@ from .flow import (
     simulate_flows,
 )
 from .parabolic import (
-    _by_slice,
     decay_study,
     mild_solve,
     relaxation_residuals,
@@ -957,9 +957,7 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     # the 2p-th moment of the pushforward obeys d/dt E||f||^{2p} <= C with
     # C = (2p-1)(sup|Div b| + sup|twist|/2) + (2p-1)^2 sup|Div sigma|^2 / 2.
     div_b = float(np.max(np.abs(divergence(b0).values)))
-    jac_s = jacobian(s0)
-    twist = float(np.max(np.abs(np.einsum("ij...,ji...->...", jac_s, jac_s))))
-    div_s = float(np.max(np.abs(divergence(s0).values)))
+    div_s, twist = (float(np.max(np.abs(v))) for v in divergence_and_twist(b.grid, jacobian(s0)))
     m = 2.0 * p - 1.0
     growth = m * (div_b + 0.5 * twist) + 0.5 * m * m * div_s**2
     envelope = math.exp(growth * T) * lp_norm(f0, 2.0 * p) ** (2.0 * p)
@@ -978,7 +976,7 @@ def _grad_sup(sol) -> float:
     def sups(values):
         return np.abs(jacobian_stack(sol.u.grid, values)).reshape(len(values), -1).max(axis=1)
 
-    return float(max(_by_slice(sol.u, sups)))
+    return float(max(sol.u.per_sample(sups)))
 
 
 def _check_parabolic_closed_form(cfg: ExperimentConfig) -> list[CheckResult]:

@@ -40,6 +40,7 @@ from .field import (
     GridScalar,
     GridVector,
     TimeGridVector,
+    _blocks,
     _partials,
     _spectral,
     _wavenumbers,
@@ -49,7 +50,6 @@ from .field import (
     lp_norm_stack,
     vector_laplacian,
 )
-from .flow import _blocks
 
 __all__ = [
     "ParabolicError",
@@ -59,6 +59,7 @@ __all__ = [
     "mild_solve",
     "mild_defect",
     "pde_residual",
+    "backward_defect",
     "decay_study",
     "relaxation_residuals",
     "space_time_norm",
@@ -172,12 +173,12 @@ def pde_residual(sol: ParabolicSolution, b: TimeGridVector) -> float:
     b_rows, u_rows = b.values[b.index], sol.u.values[sol.u.index]
     total = 0.0
     for j in range(len(b.times) - 1):
-        resid = _backward_defect(b.grid, u_rows[j], u_rows[j + 1], b_rows[j], sol.lam, dt)
+        resid = backward_defect(b.grid, u_rows[j], u_rows[j + 1], b_rows[j], sol.lam, dt)
         total += float(np.sum(resid**2)) * b.grid.cell_volume * dt
     return math.sqrt(total)
 
 
-def _backward_defect(
+def backward_defect(
     grid: Grid, u_l: np.ndarray, u_next: np.ndarray, b_l: np.ndarray, lam: float, dt: float
 ) -> np.ndarray:
     """d_t u + (b.grad) u + (1/2)Lap u - lam u + b at one slice, d_t a forward difference."""
@@ -189,18 +190,6 @@ def _backward_defect(
 # ---------------------------------------------------------------------------
 # Norms and lambda-asymptotics
 # ---------------------------------------------------------------------------
-
-def _by_slice(c: TimeGridVector, compute) -> list:
-    """compute(values) per block of c's rows, listed for each time sample.
-
-    values is one block of rows, (rows, dim) + grid shape, and compute
-    returns one entry per row.  Blocks follow the flow's block rule.
-    """
-    done = []
-    for rows in _blocks(c.grid, len(c.values)):
-        done.extend(compute(c.values[rows.start : rows.stop]))
-    return [done[i] for i in c.index]
-
 
 def _magnitudes(grid: Grid, values: np.ndarray, alpha: int) -> np.ndarray:
     """Pointwise |grad^alpha v| of a stack of vector fields, (rows, dim) + grid shape."""
@@ -226,7 +215,7 @@ def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
     """
     dt = _check_uniform_times(u.times)
     grid = u.grid
-    per_step = _by_slice(u, lambda v: lp_norm_stack(grid, _magnitudes(grid, v, alpha), r))[:-1]
+    per_step = u.per_sample(lambda v: lp_norm_stack(grid, _magnitudes(grid, v, alpha), r))[:-1]
     if math.isinf(q):
         return max(per_step)
     return float(sum(v**q for v in per_step) * dt) ** (1.0 / q)
@@ -242,7 +231,6 @@ class DecayStudy:
     norms: list
     fitted_slope: float
     theory_delta: float
-    slope_ok: bool
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=float)
@@ -264,9 +252,8 @@ def decay_study(
 
     theory_delta = 1 - alpha/2 + (n/2)(1/r - 1/p); the integrability pair
     (p, q) must satisfy the subcritical condition 2/q + n/p < 1, and r <= p
-    (strictly for alpha = 2).  slope_ok records the one-sided comparison
-    fitted_slope <= -theory_delta + 0.15.  The quadrature steps are the
-    drift's own, the only ones mild_solve accepts.
+    (strictly for alpha = 2).  The quadrature steps are the drift's own,
+    the only ones mild_solve accepts.
     """
     lams = [float(l) for l in lambda_list]
     if len(lams) < 3:
@@ -292,7 +279,6 @@ def decay_study(
         norms=[float(v) for v in norms],
         fitted_slope=float(slope),
         theory_delta=float(delta),
-        slope_ok=bool(slope <= -delta + 0.15),
     )
 
 

@@ -26,7 +26,7 @@ from .field import (
     Grid,
     GridScalar,
     TimeGridVector,
-    divergence_stack,
+    divergence_and_twist,
     gradient,
     hessian_stack,
     jacobian_stack,
@@ -66,7 +66,6 @@ class Renormalizer:
     h(z) = z^2 Gamma''(z) - z Gamma'(z) + Gamma(z).
     """
 
-    tag: str
     gamma: object
     gamma_prime: object
     gamma_second: object
@@ -136,7 +135,6 @@ def _abs_eps_family(epsilon: float) -> Renormalizer:
         return A2(z) * B + 2.0 * A1(z) * eps * B1 + A(z) * eps**2 * B2
 
     return Renormalizer(
-        tag="abs_eps",
         gamma=gamma,
         gamma_prime=gamma_prime,
         gamma_second=gamma_second,
@@ -155,7 +153,6 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
     """
     if tag == "tanh":
         return Renormalizer(
-            tag="tanh",
             gamma=np.tanh,
             gamma_prime=lambda z: 1.0 / np.cosh(np.asarray(z, dtype=np.float64)) ** 2,
             gamma_second=lambda z: -2.0
@@ -168,14 +165,12 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
         return _abs_eps_family(epsilon)
     if tag == "linear":
         return Renormalizer(
-            tag="linear",
             gamma=lambda z: np.asarray(z, dtype=np.float64),
             gamma_prime=lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
             gamma_second=lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)),
         )
     if tag == "constant":
         return Renormalizer(
-            tag="constant",
             gamma=lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
             gamma_prime=lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)),
             gamma_second=lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)),
@@ -191,8 +186,6 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
 class TestFunction:
     """Smooth bump supported strictly inside the central half of the box."""
 
-    center: tuple
-    radius: float
     values: GridScalar
 
 
@@ -219,7 +212,7 @@ def bump_test_function(grid: Grid, center, radius: float) -> TestFunction:
     values = np.zeros(grid.shape)
     inside = u < 1.0
     values[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside]))
-    return TestFunction(center=center, radius=float(radius), values=GridScalar(grid, values))
+    return TestFunction(GridScalar(grid, values))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +290,9 @@ def _check_sampling(fpath, sigmas, grid: Grid, path: BrownianPath):
         raise WeakFormError("noise field count does not match the path")
 
 
-def _at_times(c: TimeGridVector, times: np.ndarray, compute) -> list:
-    """compute(row) once per row of c, listed for each time in times."""
-    done = [compute(row) for row in c.values]
-    return [done[i] for i in c.index[c.slice_indices(times)]]
-
-
-def _sigma_terms(grid: Grid, s: np.ndarray) -> tuple:
-    """Values, divergence and Jacobian contraction of one noise slice."""
-    jac = jacobian_stack(grid, s)
-    return s, divergence_stack(grid, s), np.einsum("ij...,ji...->...", jac, jac)
+def _row_terms(grid: Grid, rows: np.ndarray):
+    """Values, divergence and twist of each of a block of coefficient rows."""
+    return zip(rows, *divergence_and_twist(grid, jacobian_stack(grid, rows)))
 
 
 def residual_original(
@@ -324,8 +310,8 @@ def residual_original(
     dt = path.dt
     # the row in force at each step, looked up once per coefficient
     times = np.arange(path.steps) * dt
-    b_at = b.index[b.slice_indices(times)]
-    sigmas_at = [sigma.index[sigma.slice_indices(times)] for sigma in sigmas]
+    b_at = b.rows_at(times)
+    sigmas_at = [sigma.rows_at(times) for sigma in sigmas]
 
     drift = diffusion = ito = 0.0
     for l in range(path.steps):
@@ -359,8 +345,9 @@ def residual_renormalized(
     vol = grid.cell_volume
     dt = path.dt
     times = np.arange(path.steps) * dt
-    drift = _at_times(b, times, lambda row: (row, divergence_stack(b.grid, row)))
-    noise = [_at_times(sigma, times, lambda row: _sigma_terms(sigma.grid, row)) for sigma in sigmas]
+    drift, *noise = (
+        c.per_sample(lambda rows: _row_terms(c.grid, rows), times) for c in (b, *sigmas)
+    )
 
     sums = {name: 0.0 for name in RENORMALIZED_TERMS}
     for l in range(path.steps):
@@ -368,7 +355,7 @@ def residual_renormalized(
         gamma_f = renorm.gamma(f)
         g_f = renorm.g(f)
         h_f = renorm.h(f)
-        b_vals, div_b = drift[l]
+        b_vals, div_b, _ = drift[l]
 
         adv_b = np.einsum("i...,i...->...", b_vals, grad_phi)
         sums["gamma_drift"] += float(np.sum(gamma_f * adv_b)) * vol * dt
@@ -404,7 +391,6 @@ class StabilitySeries:
     mean: np.ndarray
     stderr: np.ndarray
     envelope: np.ndarray
-    r_exponent: float
 
 
 def _stability_weight(grid: Grid, r_exponent: float) -> np.ndarray:
@@ -464,11 +450,11 @@ def weighted_l1_stability(
 
     one_plus = 1.0 + np.sqrt(np.sum((np.stack(grid.coordinates()) - grid.L / 2.0) ** 2, axis=0))
 
-    def reach(v: np.ndarray) -> float:  # sup |v| / (1 + |x - center|)
-        return float(np.max(np.sqrt(np.einsum("i...,i...->...", v, v)) / one_plus))
+    def reach(rows: np.ndarray) -> list:  # sup |v| / (1 + |x - center|) of each row v
+        return [float(np.max(np.sqrt(np.einsum("i...,i...->...", v, v)) / one_plus)) for v in rows]
 
-    b_reach = _at_times(b, times[:-1], reach)
-    s_reach = [_at_times(sigma, times[:-1], reach) for sigma in sigmas]
+    b_reach = b.per_sample(reach, times[:-1])
+    s_reach = [sigma.per_sample(reach, times[:-1]) for sigma in sigmas]
     rate = np.empty(steps)
     for l in range(steps):
         total = b_reach[l]
@@ -482,6 +468,4 @@ def weighted_l1_stability(
     for l in range(steps):
         acc += rate[l] * dt
         envelope[l + 1] = base * math.exp(acc)
-    return StabilitySeries(
-        times=times, mean=mean, stderr=stderr, envelope=envelope, r_exponent=float(r_exponent)
-    )
+    return StabilitySeries(times=times, mean=mean, stderr=stderr, envelope=envelope)

@@ -24,7 +24,7 @@ Div b_hat -> Div b in the space-time norms relaxation_metrics reports.
 Inversion is Newton on y + u(t, y) = x with flow._newton_rows, the solver
 that also inverts the stochastic flow; off-node values come from periodic
 cubic splines, so query points may sit anywhere in R^n.  It runs on a
-block of rows of u at once (the flow's block rule: 32 rows on 64 nodes, one
+block of rows of u at once (field's block rule: 32 rows on 64 nodes, one
 on 64^2), with one SplineStack of the block's u and grad u: each row
 iterates until its own residual max|y + u(y) - x| is below tol, so its
 iterates are those of a Newton on that row alone.  invert_diffeo is its
@@ -53,19 +53,19 @@ import numpy as np
 from .field import (
     GridScalar,
     TimeGridVector,
+    _blocks,
     divergence_stack,
     jacobian_stack,
     lp_norm_stack,
 )
 from .flow import (
     BrownianPath,
-    _blocks,
     _det_stack,
     _identity_plus,
     _newton_rows,
 )
 from .interp import SplineStack
-from .parabolic import _backward_defect, _by_slice
+from .parabolic import backward_defect
 from .weakform import TestFunction, WeakFormLedger, residual_original
 
 __all__ = [
@@ -270,7 +270,7 @@ def pushforward_path_under_diffeo(fields, straightening: Straightening, times) -
     times = np.asarray(times, dtype=np.float64)
     if times.shape != (len(fields),):
         raise ZvonkinError(f"{len(fields)} fields need as many times, got shape {times.shape}")
-    stored = [straightening.inverted[i] for i in u.index[u.slice_indices(times)]]
+    stored = [straightening.inverted[i] for i in u.rows_at(times)]
     out, moved = [None] * len(fields), []
     for l, (f, at) in enumerate(zip(fields, stored)):
         if at is None:
@@ -299,7 +299,7 @@ def _warn_if_displacement_mismatches(
     for l in {0, steps // 2} - {steps}:
         u_l = u.values[u.index[l]]
         b_l = b.slice_at(float(u.times[l])).values
-        defect = _backward_defect(u.grid, u_l, u.values[u.index[l + 1]], b_l, lam, dt)
+        defect = backward_defect(u.grid, u_l, u.values[u.index[l + 1]], b_l, lam, dt)
         scale = lam * float(np.abs(u_l).max()) + float(np.abs(b_l).max())
         if scale > 0.0:
             worst = max(worst, float(np.abs(defect).max()) / scale)
@@ -391,7 +391,7 @@ def relaxation_metrics(
         grad_mag = np.sqrt((grads**2).sum(axis=(1, 2, 3)))
         norms = lp_norm_stack(grid, dev, p), lp_norm_stack(grid, grad_mag, r)
         per_row += zip(divergence_stack(grid, b_hat.values[rows]), *norms)
-    div_b = _by_slice(b, lambda values: divergence_stack(grid, values))
+    div_b = b.per_sample(lambda values: divergence_stack(grid, values))
 
     # per time sample, a block at a time: |b_hat - b| in L^p, |Div b_hat - Div b| in L^1
     div_bh, s_norms, g_norms = zip(*(per_row[n] for n in b_hat.index))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import presets
+from renormlab import field, presets
 from renormlab.field import (
     BoxRegion,
     FieldError,
@@ -33,9 +33,12 @@ from renormlab.field import (
     central_half,
     convolve,
     divergence,
+    divergence_and_twist,
     divergence_stack,
     gradient,
     hessian_stack,
+    jacobian,
+    jacobian_stack,
     kernel_moment,
     load_field,
     lp_norm,
@@ -360,7 +363,7 @@ NORM_EXPONENTS = (1.0, 2.0, 3.5, 4.0, 8.0, math.inf)
 
 class TestNormStack:
     """lp_norm_stack against one field at a time, bit for bit.  129 rows of
-    64 nodes span more than one block of the flow's block rule (32 rows)."""
+    64 nodes span more than one block of the block rule (32 rows)."""
 
     @pytest.mark.parametrize("grid", NORM_GRIDS, ids=["64", "128", "16x16", "64x64"])
     @pytest.mark.parametrize("rows", [1, 7, 33, 129])
@@ -432,6 +435,33 @@ class TestTimeSlices:
         for s, row in zip(slices, tgv.index):
             assert np.shares_memory(s.values, tgv.values[row])
 
+    @pytest.mark.parametrize("block_points", [2048, 32])
+    def test_rows_at_and_per_sample_read_slice_at(self, monkeypatch, block_points):
+        # five rows, read out of order, at the samples and between them; 32
+        # points make blocks of two rows on 16 nodes
+        monkeypatch.setattr(field, "_BLOCK_POINTS", block_points)
+        g = build_grid(1, L, 16)
+        rows = np.random.default_rng(3).normal(size=(5, 1, 16))
+        tgv = TimeGridVector(g, np.linspace(0.0, 1.0, 9), rows, [0, 1, 1, 2, 3, 0, 4, 4, 2])
+        times = [0.0, 0.05, 0.125, 0.3, 0.51, 0.8, 0.99, 1.0]
+        want = [tgv.slice_at(t).values for t in times]
+        assert tgv.rows_at(times).tolist() == [0, 0, 1, 1, 3, 4, 4, 2]
+        for row, w in zip(tgv.rows_at(times), want):
+            assert np.array_equal(tgv.values[row], w)
+        blocks = []
+
+        def copies(block):
+            blocks.append(len(block))
+            return list(block.copy())
+
+        got = tgv.per_sample(copies, times)
+        assert len(got) == len(times)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert blocks == ([5] if block_points == 2048 else [2, 2, 1])
+        every = tgv.per_sample(copies)
+        assert len(every) == len(tgv.times)
+        assert all(np.array_equal(a, tgv.slice_at(t).values) for a, t in zip(every, tgv.times))
+
     def test_distinct_of_shared_slices(self):
         # a field constant in time holds its one slice once
         g = build_grid(1, L, 16)
@@ -483,6 +513,38 @@ class TestTimeSlices:
         rows[1, 0, 3] = bad
         with pytest.raises(FieldError, match="time-sliced field contains non-finite values"):
             TimeGridVector(g, [0.0, 1.0], rows, [0, 0])
+
+
+class TestDivergenceAndTwist:
+    @pytest.mark.parametrize("dim, lead", [(1, ()), (1, (3,)), (2, ()), (2, (2, 3))])
+    def test_bits_of_divergence_and_the_hand_contraction(self, dim, lead):
+        g = build_grid(dim, L, 16)
+        v = np.random.default_rng(dim).normal(size=lead + (dim,) + g.shape)
+        div, twist = divergence_and_twist(g, jacobian_stack(g, v))
+        assert div.shape == twist.shape == lead + g.shape
+        assert np.array_equal(div, divergence_stack(g, v))
+        for n in np.ndindex(*lead):
+            one = GridVector(g, v[n])
+            jac = jacobian(one)
+            assert np.array_equal(div[n], divergence(one).values)
+            assert np.array_equal(twist[n], np.einsum("ij...,ji...->...", jac, jac))
+        if dim == 1:
+            assert np.array_equal(twist, div**2)
+
+    def test_rotation_and_shear(self):
+        # v = (-y, x) twists by -2 and v = (y, 0) by 0, both divergence-free;
+        # v = (x, y) has Div 2 and twist 2 (trigonometric stand-ins on the torus)
+        g = build_grid(2, L, 32)
+        x, y = g.coordinates()
+        cases = [
+            ((-np.sin(y), np.sin(x)), 0.0, -2.0 * np.cos(x) * np.cos(y)),
+            ((np.sin(y), np.zeros_like(x)), 0.0, 0.0),
+            ((np.sin(x), np.sin(y)), np.cos(x) + np.cos(y), np.cos(x) ** 2 + np.cos(y) ** 2),
+        ]
+        for comps, want_div, want_twist in cases:
+            div, twist = divergence_and_twist(g, jacobian_stack(g, np.stack(comps)))
+            assert np.abs(div - want_div).max() < 1e-12
+            assert np.abs(twist - want_twist).max() < 1e-12
 
 
 class TestFieldIO:

@@ -15,6 +15,7 @@ The closed forms doing the work:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,25 @@ class TestBrownian:
             BrownianPath(T, 0.01, 1, np.zeros((7, 1)), 0)
         with pytest.raises(FlowError):
             BrownianPath(T, 0.01, 1, np.full((50, 1), np.nan), 0)
+
+    @pytest.mark.parametrize(
+        "draw, message",
+        [
+            # a float id used to draw stream 2 and record seed 2, aliasing that stream
+            (lambda: sample_brownian(0.1, 0.01, 1, 2.5), "stream_id must be an integer, got 2.5"),
+            (lambda: sample_brownian(0.1, 0.01, 1, True), "stream_id must be an integer"),
+            (lambda: sample_brownian(0.1, 0.01, 1.0, 2), "k_count must be an integer >= 0"),
+            (lambda: sample_brownian(0.1, 0.01, -1, 2), "k_count must be an integer >= 0"),
+            (
+                lambda: refine_brownian(sample_brownian(0.1, 0.01, 1, 2), 4.0),
+                "refinement factor must be an integer >= 2, got 4.0",
+            ),
+        ],
+        ids=["float_stream", "bool_stream", "float_k_count", "negative_k_count", "float_factor"],
+    )
+    def test_integer_arguments_are_checked(self, draw, message):
+        with pytest.raises(FlowError, match=re.escape(message)):
+            draw()
 
     def test_refine_is_the_same_motion(self):
         p = sample_brownian(T, 0.01, 2, 5)

@@ -449,12 +449,12 @@ class TestDecayStudy:
         st0 = decay_study(b, [8.0, 32.0, 128.0], 0, 8.0, 8.0, 4.0)
         assert st0.theory_delta == 1.0
         assert -1.05 < st0.fitted_slope < -0.80
-        assert st0.slope_ok
+        assert st0.fitted_slope <= -st0.theory_delta + 0.15
         assert st0.norms[0] > st0.norms[1] > st0.norms[2]
         st1 = decay_study(b, [8.0, 32.0, 128.0], 1, 8.0, 8.0, 4.0)
         assert st1.theory_delta == 0.5
         assert st1.fitted_slope <= -0.35
-        assert st1.slope_ok
+        assert st1.fitted_slope <= -st1.theory_delta + 0.15
 
     def test_validation(self):
         g = grid1()
@@ -472,6 +472,6 @@ class TestDecayStudy:
 
     def test_dataclass_invariants(self):
         with pytest.raises(ParabolicError):
-            DecayStudy(0, 8.0, [4.0, 2.0, 16.0], [1.0, 1.0, 1.0], -1.0, 1.0, True)
+            DecayStudy(0, 8.0, [4.0, 2.0, 16.0], [1.0, 1.0, 1.0], -1.0, 1.0)
         with pytest.raises(ParabolicError):
-            DecayStudy(0, 8.0, [4.0, 8.0, 16.0], [1.0, 0.0, 1.0], -1.0, 1.0, True)
+            DecayStudy(0, 8.0, [4.0, 8.0, 16.0], [1.0, 0.0, 1.0], -1.0, 1.0)

@@ -14,6 +14,12 @@
 - Only ``flow._newton_rows`` solves a Newton step: ``zvonkin`` imports
   neither ``_node_matrices`` nor ``_solve_stack``, so the straightening's
   node-exact first step is the flow inversion's.
+- ``field`` owns per-row coefficient work: ``parabolic`` imports nothing
+  from ``flow``, ``lab`` and ``zvonkin`` import no private name of
+  ``parabolic``, only ``field`` writes the twist contraction
+  ``"ij...,ji...->..."`` (once) or looks rows up by
+  ``index[...slice_indices(...)]``, and no module defines ``_by_slice`` or
+  ``_at_times``.
 - No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
   ``.slices``: time samples share a slice through ``TimeGridVector.index``,
   not through object identity.
@@ -170,6 +176,58 @@ def test_one_newton_solver():
     flow_tree = _parse(PACKAGE / "flow.py")
     assert _uses(flow_tree, "_solve_stack") == ["_newton_rows"]
     assert not set(_imported(_parse(PACKAGE / "zvonkin.py"))) & {"_node_matrices", "_solve_stack"}
+
+
+def _imports_from(tree: ast.Module, module: str) -> list[str]:
+    """The names imported from the sibling ``module``, by ``from .module import``
+    or ``from . import module``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names += [alias.name for alias in node.names if alias.name == module]
+    return names
+
+
+_TWIST = re.compile(r"""["']ij\.\.\.,ji\.\.\.->\.\.\.["']""")
+_ROW_LOOKUP = re.compile(r"index\[[^\]]*slice_indices\(")
+
+
+def test_field_owns_the_row_work():
+    trees = {path.name: _parse(path) for path in PACKAGE.glob("*.py")}
+    assert _imports_from(trees["parabolic.py"], "flow") == []
+    for name in ("lab.py", "zvonkin.py"):
+        private = [n for n in _imports_from(trees[name], "parabolic") if n.startswith("_")]
+        assert private == [], name
+    twists = {}
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        twists[path.name] = len(_TWIST.findall(text))
+        if path.name != "field.py":
+            assert _ROW_LOOKUP.findall(text) == [], path.name
+        defined = {
+            node.name for node in ast.walk(trees[path.name])
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & {"_by_slice", "_at_times"}, path.name
+    assert {name: n for name, n in twists.items() if n} == {"field.py": 1}
+
+
+def test_row_work_scans_see_each_form():
+    tree = ast.parse(
+        "from .flow import _blocks\nfrom . import flow, rng\nfrom .field import Grid\n"
+    )
+    assert _imports_from(tree, "flow") == ["_blocks", "flow"]
+    probe = (
+        'np.einsum("ij...,ji...->...", j, j)\n'
+        "np.einsum('ij...,ji...->...', j, j)\n"
+        'np.einsum("ij...,ij...->...", j, j)\n'
+        "c.index[c.slice_indices(times)]\nu.index[int(u.slice_indices(t))]\n"
+        "c.slice_indices(times)\nc.values[c.index[rows]]\n"
+    )
+    assert len(_TWIST.findall(probe)) == 2
+    assert len(_ROW_LOOKUP.findall(probe)) == 2
 
 
 def _member_reduces(tree: ast.Module) -> list[ast.expr]:

@@ -570,7 +570,10 @@ class TestStability:
         flat = stability(ensembles, f0, b, [sig], r_exponent=0.0)
         decaying = stability(ensembles, f0, b, [sig], r_exponent=2.0)
         assert np.all(decaying.mean < flat.mean)
-        assert decaying.r_exponent == 2.0
+        # the series starts from f0's mass under the r = 2 weight (1 + |x - c|^2)^-1
+        sq = sum((x - g.L / 2.0) ** 2 for x in g.coordinates())
+        mass = np.sum(np.abs(f0.values) / (1.0 + sq)) * g.cell_volume
+        assert decaying.envelope[0] == pytest.approx(mass, rel=1e-12)
 
     def test_validation(self):
         g, b, sig, f0, ensembles = translation_ensembles()

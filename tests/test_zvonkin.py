@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import flow, zvonkin
+from renormlab import field, flow, zvonkin
 from renormlab.field import (
     GridScalar,
     GridVector,
@@ -859,8 +859,8 @@ class TestBatchedStraightening:
 
 
 def flow_block(grid):
-    """Slices in one block of the straightening: the flow's block rule."""
-    return max(1, flow._BLOCK_POINTS // grid.N**grid.dim)
+    """Slices in one block of the straightening: field's block rule."""
+    return max(1, field._BLOCK_POINTS // grid.N**grid.dim)
 
 
 def reference_relaxation_metrics(coeffs, b, q, p, r):
