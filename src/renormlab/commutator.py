@@ -75,16 +75,26 @@ def _advect(sigma: GridVector, g: GridScalar) -> np.ndarray:
 def op_T(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
     """First-order commutator sigma.grad(f_eps) - (Div(sigma f))_eps."""
     _check_inputs(sigma, f)
-    g = f.grid
-    _, f_eps, div_sf_eps = _mollified_pieces(sigma, f, epsilon)
+    return _op_T(sigma, _mollified_pieces(sigma, f, epsilon))
+
+
+def _op_T(sigma: GridVector, pieces) -> GridScalar:
+    """op_T from the _mollified_pieces of its f and epsilon."""
+    g = sigma.grid
+    _, f_eps, div_sf_eps = pieces
     return GridScalar(g, _advect(sigma, GridScalar(g, f_eps)) - div_sf_eps)
 
 
 def op_S(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
     """Second-order commutator L(f_eps) - sigma.grad(Div(sigma f))_eps + (L* f)_eps."""
     _check_inputs(sigma, f)
+    return _op_S(sigma, f, _mollified_pieces(sigma, f, epsilon))
+
+
+def _op_S(sigma: GridVector, f: GridScalar, pieces) -> GridScalar:
+    """op_S from the _mollified_pieces of f and its epsilon."""
     g = f.grid
-    kernel, f_eps, div_sf_eps = _mollified_pieces(sigma, f, epsilon)
+    kernel, f_eps, div_sf_eps = pieces
     smooth = GridScalar(g, f_eps)
 
     # L f_eps = (1/2) sigma_i sigma_j d_i d_j f_eps
@@ -246,8 +256,13 @@ def _adjoint_second_order(sigma: GridVector, values: np.ndarray) -> np.ndarray:
 def r1_remainder(sigma: GridVector, f: GridScalar, epsilon: float, renorm) -> GridScalar:
     """First-order chain-rule defect, from its definition."""
     _check_inputs(sigma, f)
-    g = f.grid
-    _, f_eps, div_sf_eps = _mollified_pieces(sigma, f, epsilon)
+    return _r1_remainder(sigma, _mollified_pieces(sigma, f, epsilon), renorm)
+
+
+def _r1_remainder(sigma: GridVector, pieces, renorm) -> GridScalar:
+    """r1_remainder from the _mollified_pieces of its f and epsilon."""
+    g = sigma.grid
+    _, f_eps, div_sf_eps = pieces
     div_s_gamma = divergence(GridVector(g, sigma.values * renorm.gamma(f_eps)[None, ...]))
     return GridScalar(g, div_s_gamma.values - renorm.gamma_prime(f_eps) * div_sf_eps)
 
@@ -255,10 +270,14 @@ def r1_remainder(sigma: GridVector, f: GridScalar, epsilon: float, renorm) -> Gr
 def r1_reconstruction(
     sigma: GridVector, f: GridScalar, epsilon: float, renorm, sign: float = 1.0
 ) -> GridScalar:
-    """Rebuild R1 from T_eps; sign multiplies the (Div sigma) Gamma term."""
+    """Rebuild R1 from T_eps; sign multiplies the (Div sigma) Gamma term.
+
+    f is mollified once, and T_eps reads those pieces."""
+    _check_inputs(sigma, f)
     g = f.grid
-    _, f_eps, _ = _mollified_pieces(sigma, f, epsilon)
-    t_val = op_T(sigma, f, epsilon).values
+    pieces = _mollified_pieces(sigma, f, epsilon)
+    f_eps = pieces[1]
+    t_val = _op_T(sigma, pieces).values
     div_sigma = divergence(sigma).values
     out = renorm.gamma_prime(f_eps) * t_val + sign * div_sigma * renorm.gamma(f_eps)
     return GridScalar(g, out)
@@ -283,12 +302,16 @@ def r2_remainder(sigma: GridVector, f: GridScalar, epsilon: float, renorm) -> Gr
 def r2_reconstruction(
     sigma: GridVector, f: GridScalar, epsilon: float, renorm, sign: float = 1.0
 ) -> GridScalar:
-    """Rebuild R2 from T_eps, S_eps, R1; sign multiplies the Gamma(u) Q term."""
+    """Rebuild R2 from T_eps, S_eps, R1; sign multiplies the Gamma(u) Q term.
+
+    f is mollified once, and T_eps, S_eps and R1 read those pieces."""
+    _check_inputs(sigma, f)
     g = f.grid
-    _, f_eps, _ = _mollified_pieces(sigma, f, epsilon)
-    t_val = op_T(sigma, f, epsilon).values
-    s_val = op_S(sigma, f, epsilon).values
-    r1 = r1_remainder(sigma, f, epsilon, renorm)
+    pieces = _mollified_pieces(sigma, f, epsilon)
+    f_eps = pieces[1]
+    t_val = _op_T(sigma, pieces).values
+    s_val = _op_S(sigma, f, pieces).values
+    r1 = _r1_remainder(sigma, pieces, renorm)
     adv_r1 = _advect(sigma, r1)
     div_sigma, twist = divergence_and_twist(g, jacobian(sigma))
     q_field = twist + div_sigma**2

@@ -40,8 +40,11 @@ iterating.  A row leaves the block in the round its own residual falls
 below tol, so its iterates, determinant and round count are those of a
 Newton on that row alone; a row still iterating after _MAX_NEWTON rounds
 restarts from y = x and halves its step point by point where full steps
-overshoot, in the same loop.  Its first step, from y = x, is taken on the
-node arrays, which the splines reproduce there, with no spline call.
+overshoot, in the same loop.  When x are the nodes, as in every flow
+inversion and straightening, the first step is taken on the node arrays,
+which the splines reproduce there, with no spline call, from a node near
+each preimage (_start_nodes), so the spline rounds begin within about a
+cell of the inverse.
 invert_flow and pushforward_solution are one-step calls of this block
 Newton; pushforward_path runs it over a whole path with one spline of f0.
 Weak solutions are realized as
@@ -120,7 +123,12 @@ class SdeConfig:
 
 @dataclass
 class BrownianPath:
-    """Increments of k_count independent Wiener components on a uniform grid."""
+    """Increments of k_count independent Wiener components on a uniform grid.
+
+    Construction validates every path, drawn, refined, loaded or built by
+    hand, as sample_brownian's arguments: an integer seed, an integer
+    k_count >= 0 and a whole number of steps T/dt.
+    """
 
     T: float
     dt: float
@@ -129,8 +137,8 @@ class BrownianPath:
     seed: int
 
     def __post_init__(self):
+        steps = _step_count(self.T, self.dt, self.k_count, self.seed)
         self.increments = np.asarray(self.increments, dtype=np.float64)
-        steps = int(round(self.T / self.dt))
         if self.increments.shape != (steps, self.k_count):
             raise FlowError(
                 f"increments shape {self.increments.shape} != ({steps}, {self.k_count})"
@@ -143,20 +151,25 @@ class BrownianPath:
         return self.increments.shape[0]
 
 
-def sample_brownian(T: float, dt: float, k_count: int, stream_id: int) -> BrownianPath:
-    """Draw one path from the counter-based stream with the given id."""
-    if T <= 0 or dt <= 0:
+def _step_count(T: float, dt: float, k_count: int, seed: int) -> int:
+    """The step count T/dt of a path, once T, dt, k_count and seed are checked."""
+    if not T > 0 or not dt > 0:
         raise FlowError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
     if not (_is_int(k_count) and k_count >= 0):
         raise FlowError(f"k_count must be an integer >= 0, got {k_count!r}")
-    if not _is_int(stream_id):
-        raise FlowError(f"stream_id must be an integer, got {stream_id!r}")
+    if not _is_int(seed):
+        raise FlowError(f"seed must be an integer, got {seed!r}")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
         raise FlowError(f"T/dt = {T / dt} is not an integer step count")
-    rng = stream(stream_id)
-    increments = rng.normal(0.0, math.sqrt(dt), size=(steps, k_count))
-    return BrownianPath(T=float(T), dt=float(dt), k_count=k_count, increments=increments, seed=int(stream_id))
+    return steps
+
+
+def sample_brownian(T: float, dt: float, k_count: int, stream_id: int) -> BrownianPath:
+    """Draw one path from the counter-based stream with the given id, its seed."""
+    steps = _step_count(T, dt, k_count, stream_id)
+    increments = stream(stream_id).normal(0.0, math.sqrt(dt), size=(steps, k_count))
+    return BrownianPath(float(T), float(dt), k_count, increments, int(stream_id))
 
 
 def refine_brownian(path: BrownianPath, factor: int) -> BrownianPath:
@@ -655,7 +668,8 @@ def _inverse_blocks(ensemble: FlowEnsemble, steps):
         if not np.all(np.isfinite(disp)):
             raise FieldError("vector field contains non-finite values")
         disp_jac = jacobian_stack(grid, disp)
-        node_det = _det_stack(_node_matrices(disp_jac)).min(axis=1)
+        node_det = _det_stack(_identity_plus(np.moveaxis(disp_jac, 0, 2)))
+        node_det = node_det.reshape(len(rows), -1).min(axis=1)
         if float(np.min(node_det)) <= 0.0:
             n = int(np.flatnonzero(node_det <= 0.0)[0])
             raise FlowError(
@@ -674,10 +688,56 @@ _MAX_NEWTON = 30
 _INVERSE_TOL = 1e-10
 
 
-def _node_matrices(disp_jac: np.ndarray) -> np.ndarray:
-    """I + dD on the nodes, (dim, dim, rows, N^dim), from a (rows, dim, dim) + grid stack."""
-    rows, dim = disp_jac.shape[:2]
-    return _identity_plus(np.moveaxis(disp_jac, 0, 2).reshape(dim, dim, rows, -1))
+def _at_nodes(fields: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """(components, rows, P): fields, (rows, components) + grid shape, at the flat
+    indices at (rows, P) into the rows' nodes laid end to end (row r from r P on)."""
+    count, components = fields.shape[:2]
+    by_component = np.moveaxis(fields.reshape(count, components, -1), 1, 0)
+    return by_component.reshape(components, -1).take(at, axis=1)
+
+
+# Integer sweeps of _start_nodes by grid dimension.  A sweep reads D at dim
+# components a point; a spline round evaluates dim + dim^2 components on 4^dim
+# taps a point, 8 values in 1-d and 96 in 2-d.  On the 2-d divfree path three
+# sweeps cut the rounds from 3.80 to 2.91 a step.  A 1-d round is cheap enough
+# that three sweeps cost about the rounds they save on a 32-row block (4.16 to
+# 3.45 at 64 nodes, pushforward_path +4.5%), while one sweep saves most of
+# them at less cost (4.16 to 3.53, pushforward_path -0.3%).
+_START_SWEEPS = {1: 1, 2: 3}
+
+
+def _start_nodes(grid: Grid, disp: np.ndarray):
+    """A node z near each preimage of y + D(y) = x, x a node: (flat index, x - z).
+
+    The node residual of z = x - m h is D(z) - m h, read on the node array.
+    From m = 0 (z = x), each sweep sets m = rint(D(x - m h) / h), and each
+    point keeps the first candidate of least max-norm residual, in cells, so
+    a point whose displacement stays under half a cell keeps z = x.  Returns
+    the index of z for _at_nodes (rows, P) and the shifts m h (dim, rows, P).
+    """
+    sweeps = _START_SWEEPS[grid.dim]
+    count, dim = disp.shape[:2]
+    points = grid.N**dim
+    at_x = np.indices(grid.shape).reshape(dim, 1, points)
+    row_start = np.arange(0, count * points, points).reshape(count, 1)
+
+    def at(m):
+        return np.ravel_multi_index(tuple(at_x - m), grid.shape, mode="wrap") + row_start
+
+    cells = np.moveaxis(disp.reshape(count, dim, points), 1, 0) / grid.h  # D / h at x
+    nearest = np.rint(cells).astype(np.intp)  # each node's rint(D / h), for every sweep
+    best = np.zeros((dim, count, points), dtype=np.intp)
+    least = np.max(np.abs(cells), axis=0)
+    m = nearest
+    cells, nearest = cells.reshape(dim, -1), nearest.reshape(dim, -1)
+    for _ in range(sweeps):
+        index = at(m)
+        residual = cells.take(index, axis=1) - m
+        size = np.max(np.abs(residual, out=residual), axis=0)
+        np.copyto(best, m, where=size < least)
+        np.minimum(size, least, out=least)
+        m = nearest.take(index, axis=1)
+    return at(best), best * grid.h
 
 
 def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
@@ -688,21 +748,25 @@ def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
     Jacobians (rows, dim, dim) + grid shape; one SplineStack of [D, dD] serves
     the block.  X holds the points x, (dim, rows or 1, P), and Y the first
     iterate, (dim, rows, P); with Y None, X must be the nodes and the first
-    iterate is the node-exact Newton step from y = x.  Each round makes one
-    spline call at the points of the rows still iterating.  A row leaves in
-    the round its own residual max|y + D(y) - x| falls below tol, so its
-    iterates and round count are those of a Newton on that row alone.  A row
-    still iterating after _MAX_NEWTON rounds restarts from y = x and then
-    halves its step, point by point, until the residual at that point drops
-    (at most 30 halvings), for another _MAX_NEWTON + 1 rounds; this is for
-    maps whose full steps overshoot: a large displacement, strong compression.
+    iterate is the Newton step of the node data at the node z = x - m h of
+    _start_nodes, (x - m h) - (I + dD(z))^-1 (D(z) - m h), with no spline
+    call; m = 0, the step from y = x, wherever the displacement stays under
+    half a cell.  Each round makes one spline call at the
+    points of the rows still iterating.  A row leaves in the round its own
+    residual max|y + D(y) - x| falls below tol, so its iterates and round
+    count are those of a Newton on that row alone.  A row still iterating
+    after _MAX_NEWTON rounds restarts from y = x and then halves its step,
+    point by point, until the residual at that point drops (at most 30
+    halvings), for another _MAX_NEWTON + 1 rounds; this is for maps whose
+    full steps overshoot: a large displacement, strong compression.
     Returns (y, [D, dD] at y as (dim + dim^2, rows, P), rounds per row).
     """
     count, dim = disp.shape[:2]
     if Y is None:
-        # held through the rounds: freed here, it fragmented the heap (+5 MB peak RSS)
-        node_mat = _node_matrices(disp_jac)
-        Y = X - _solve_stack(node_mat, np.moveaxis(disp, 0, 1).reshape(dim, count, -1))
+        at, shift = _start_nodes(grid, disp)
+        jac_at = _at_nodes(disp_jac.reshape((count, dim * dim) + grid.shape), at)
+        mat = _identity_plus(jac_at.reshape((dim, dim) + jac_at.shape[1:]))
+        Y = X - shift - _solve_stack(mat, _at_nodes(disp, at) - shift)
     spline = SplineStack(
         grid, np.concatenate([disp, disp_jac.reshape((count, dim * dim) + grid.shape)], axis=1)
     )
@@ -750,8 +814,8 @@ class InverseFlow:
 
     newton_iterations counts the Newton rounds that evaluate the residual on
     the splines: the full-step rounds, then, past _MAX_NEWTON of them, the
-    restart from y = x and the step-halving rounds.  The first step, taken
-    from y = x on node data, does not count.
+    restart from y = x and the step-halving rounds.  The first step, taken on
+    node data from a node near each preimage (_start_nodes), does not count.
     """
 
     psi: GridVector

@@ -28,13 +28,15 @@ block of rows of u at once (field's block rule: 32 rows on 64 nodes, one
 on 64^2), with one SplineStack of the block's u and grad u: each row
 iterates until its own residual max|y + u(y) - x| is below tol, so its
 iterates are those of a Newton on that row alone.  invert_diffeo is its
-one-slice call and starts from y = x.
+one-slice call and starts from y = x: its query points need not be nodes,
+so it takes no node start.
 
 transform_coeffs builds one Straightening per (u, lam), inverting the nodes
 under each row of u once; per block it takes the Jacobians from one FFT,
-starts Newton from the node-exact step, reads lam u and I + grad u at the
-inverted nodes off the solver's last spline call, and takes the determinants
-in one batched call; b_hat and sigma_hat share u's index.  Readers of it
+starts Newton with the flow inversion's node-exact step (from a node near
+each preimage), reads lam u and I + grad u at the inverted nodes off
+the solver's last spline call, and takes the determinants in one batched
+call; b_hat and sigma_hat share u's index.  Readers of it
 (pushforward_under_diffeo, transformed_residual) invert nothing, and
 pushforward_path_under_diffeo splines a block of fields at once.
 build_diffeo and relaxation_metrics take their spectral derivatives and
@@ -182,9 +184,11 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
     """Solve y + u(t, y) = x; returns y with the shape of x.
 
     x carries physical coordinates on a leading axis of length dim (a bare
-    (dim,) point or any (dim, ...) batch).  Newton starts from y = x, and the
-    returned y satisfies max_i |y_i + u_i(t, y) - x_i| < tol over the
-    components and every query point.
+    (dim,) point or any (dim, ...) batch).  Newton starts from y = x itself,
+    not from a node near the preimage as transform_coeffs does, since x need
+    not be a node; the returned y satisfies
+    max_i |y_i + u_i(t, y) - x_i| < tol over the components and every query
+    point.
     """
     if tol <= 0.0:
         raise ZvonkinError(f"inversion tolerance must be positive, got {tol}")
@@ -205,10 +209,10 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     once, and sample lam*u(y) and e_k + grad u(y) e_k there.
 
     The non-zero rows go a block at a time: one FFT for their Jacobians, one
-    Newton on the block, from the node-exact first step, whose last spline
-    call gives u and grad u at the inverted nodes, and one batched
-    determinant.  A zero row keeps x + u the identity: nothing to invert or
-    interpolate.
+    Newton on the block, whose first step is taken on node data (from a node
+    near each preimage, flow._start_nodes) and whose last spline call gives
+    u and grad u at the inverted nodes, and one batched determinant.  A zero
+    row keeps x + u the identity: nothing to invert or interpolate.
     """
     if lam <= 0.0:
         raise ZvonkinError(f"damping lambda must be positive, got {lam}")

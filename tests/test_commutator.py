@@ -23,6 +23,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renormlab import commutator
 from renormlab.field import (
     FieldError,
     GridScalar,
@@ -31,6 +32,9 @@ from renormlab.field import (
     central_half,
     convolve,
     divergence,
+    divergence_and_twist,
+    gradient,
+    jacobian,
     mollifier,
     spectral_derivative,
 )
@@ -466,6 +470,47 @@ class TestRenormalizerIdentities:
         defect = r1_remainder(sig, f, eps, cubic).values
         rebuilt = r1_reconstruction(sig, f, eps, cubic).values
         assert np.max(np.abs(defect - rebuilt)) < 1e-12 * max(1.0, np.max(np.abs(defect)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reconstructions_mollify_once(self, monkeypatch, dim):
+        # each reconstruction mollifies f once and hands the pieces to T_eps,
+        # S_eps and R1: the values are those of the public operators, each of
+        # which mollifies on its own, bit for bit
+        if dim == 1:
+            _, sig, f = self._data_1d()
+        else:
+            g = build_grid(2, L, 32)
+            sig = GridVector.from_functions(
+                g, [lambda x, y: np.sin(x) * np.cos(y), lambda x, y: 0.4 * np.cos(x - y)]
+            )
+            f = GridScalar.from_function(g, lambda x, y: 1.0 + 0.5 * np.sin(x + 2 * y))
+        eps, sign = L / 8, -1.0
+        f_eps = convolve(mollifier(f.grid, eps), f).values
+        gamma, gamma_1 = TANH_RENORM.gamma(f_eps), TANH_RENORM.gamma_prime(f_eps)
+        gamma_2 = TANH_RENORM.gamma_second(f_eps)
+        t_val = op_T(sig, f, eps).values
+        r1_want = gamma_1 * t_val + sign * divergence(sig).values * gamma
+        r1 = r1_remainder(sig, f, eps, TANH_RENORM)
+        adv_r1 = np.einsum("i...,i...->...", sig.values, gradient(r1).values)
+        div_sigma, twist = divergence_and_twist(f.grid, jacobian(sig))
+        q_field = twist + div_sigma**2
+        r2_want = (
+            gamma_1 * op_S(sig, f, eps).values + 0.5 * gamma_2 * t_val**2
+            - adv_r1 - sign * 0.5 * gamma * q_field
+        )
+        calls = []
+        pieces = commutator._mollified_pieces
+
+        def counting(*args):
+            calls.append(args)
+            return pieces(*args)
+
+        monkeypatch.setattr(commutator, "_mollified_pieces", counting)
+        r1_got = r1_reconstruction(sig, f, eps, TANH_RENORM, sign=sign).values
+        assert len(calls) == 1
+        r2_got = r2_reconstruction(sig, f, eps, TANH_RENORM, sign=sign).values
+        assert len(calls) == 2
+        assert np.array_equal(r1_got, r1_want) and np.array_equal(r2_got, r2_want)
 
 
 @given(a=st.floats(-3, 3, allow_nan=False), b=st.floats(-3, 3, allow_nan=False))

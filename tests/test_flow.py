@@ -31,6 +31,7 @@ from renormlab.field import (
     build_grid,
     divergence,
     jacobian,
+    jacobian_stack,
 )
 from renormlab.flow import (
     BrownianPath,
@@ -145,8 +146,8 @@ class TestBrownian:
         "draw, message",
         [
             # a float id used to draw stream 2 and record seed 2, aliasing that stream
-            (lambda: sample_brownian(0.1, 0.01, 1, 2.5), "stream_id must be an integer, got 2.5"),
-            (lambda: sample_brownian(0.1, 0.01, 1, True), "stream_id must be an integer"),
+            (lambda: sample_brownian(0.1, 0.01, 1, 2.5), "seed must be an integer, got 2.5"),
+            (lambda: sample_brownian(0.1, 0.01, 1, True), "seed must be an integer"),
             (lambda: sample_brownian(0.1, 0.01, 1.0, 2), "k_count must be an integer >= 0"),
             (lambda: sample_brownian(0.1, 0.01, -1, 2), "k_count must be an integer >= 0"),
             (
@@ -159,6 +160,24 @@ class TestBrownian:
     def test_integer_arguments_are_checked(self, draw, message):
         with pytest.raises(FlowError, match=re.escape(message)):
             draw()
+
+    @pytest.mark.parametrize(
+        "T, dt, k_count, steps, seed, message",
+        [
+            # a float seed was taken, and its refinement was the seed-2 path's bit for bit
+            (0.1, 0.01, 1, 10, 2.5, "seed must be an integer, got 2.5"),
+            (0.1, 0.01, 1, 10, True, "seed must be an integer, got True"),
+            (0.1, 0.01, 1.0, 10, 2, "k_count must be an integer >= 0, got 1.0"),
+            (0.1, 0.03, 1, 3, 2, "is not an integer step count"),
+            (0.0, 0.01, 1, 0, 2, "need T > 0 and dt > 0"),
+        ],
+        ids=["float_seed", "bool_seed", "float_k_count", "fractional_steps", "zero_horizon"],
+    )
+    def test_direct_construction_is_checked_as_a_draw(self, T, dt, k_count, steps, seed, message):
+        with pytest.raises(FlowError, match=re.escape(message)):
+            BrownianPath(T, dt, k_count, np.zeros((steps, int(k_count))), seed)
+        with pytest.raises(FlowError, match=re.escape(message)):
+            sample_brownian(T, dt, k_count, seed)
 
     def test_refine_is_the_same_motion(self):
         p = sample_brownian(T, 0.01, 2, 5)
@@ -831,20 +850,23 @@ def reference_inverse(ensemble, step, tol=1e-10):
     """
     grid = ensemble.seeds_grid
     X0 = ensemble.paths[0].reshape(grid.dim, -1)
-    disp = GridVector(grid, ensemble.paths[step] - ensemble.paths[0])
-    D, JD = PeriodicInterpolant(disp.grid, disp.values), PeriodicInterpolant(grid, jacobian(disp))
-
-    def matrices(Y):  # I + dD(y), one (dim, dim) matrix per point
-        return np.eye(grid.dim) + np.moveaxis(JD(Y), -1, 0)
-
+    D = PeriodicInterpolant(grid, ensemble.paths[step] - ensemble.paths[0])
     Y = X0.copy()
     for rounds in range(1, 31):
         F = Y + D(Y) - X0
         if np.abs(F).max() < tol:
             break
-        Y = Y - np.linalg.solve(matrices(Y), F.T[..., None])[..., 0].T
-    det = 1.0 / np.linalg.det(matrices(Y))
+        Y = Y - np.linalg.solve(reference_matrices(ensemble, step, Y), F.T[..., None])[..., 0].T
+    det = 1.0 / np.linalg.det(reference_matrices(ensemble, step, Y))
     return Y.reshape(ensemble.paths[0].shape), det.reshape(grid.shape), rounds
+
+
+def reference_matrices(ensemble, step, psi):
+    """I + dD at psi, one (dim, dim) matrix per point, from the reference spline of dD."""
+    grid = ensemble.seeds_grid
+    disp = GridVector(grid, ensemble.paths[step] - ensemble.paths[0])
+    jac_at = PeriodicInterpolant(grid, jacobian(disp))(psi.reshape(grid.dim, -1))
+    return np.eye(grid.dim) + np.moveaxis(jac_at, -1, 0)
 
 
 class TestInversion:
@@ -859,16 +881,57 @@ class TestInversion:
 
     @pytest.mark.parametrize("case", [trig_case, divfree_case])
     def test_node_step_matches_newton_from_x(self, case):
-        # the first step is taken on node data; a reference that evaluates
-        # the splines in every round lands on the same inverse, one round later
+        # the first step is taken on node data from a node near the preimage;
+        # a reference that starts at y = x and evaluates the splines in every
+        # round lands on the same inverse, to within what two residuals under
+        # _INVERSE_TOL allow, in at least one round more
         b, sigmas, path = case()
         ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
         for step in (1, path.steps // 2, path.steps):
             inv = invert_flow(ens, step * path.dt)
             psi, det, rounds = reference_inverse(ens, step)
-            assert np.abs(inv.psi.values - psi).max() < 1e-13
-            assert np.abs(inv.det.values - det).max() < 1e-13
-            assert inv.newton_iterations == rounds - 1
+            # |y - y'| <= |(I + dD)^-1| |r - r'| < |(I + dD)^-1| 2 tol; a margin of 2
+            mats = reference_matrices(ens, step, psi)
+            bound = 4.0 * flow._INVERSE_TOL * np.abs(np.linalg.inv(mats)).sum(axis=2).max()
+            assert np.abs(inv.psi.values - psi).max() < bound
+            # the determinant is the one of I + dD at the inverse found
+            at_psi = np.linalg.det(reference_matrices(ens, step, inv.psi.values))
+            assert np.abs(inv.det.values.reshape(-1) - 1.0 / at_psi).max() < 1e-13
+            assert inv.newton_iterations <= rounds - 1
+
+    def test_node_start_cuts_divfree_rounds(self):
+        # the divfree preset on 64^2 at T 0.25, as the 2-d pushforward runs
+        # it: its displacement reaches 11.9 cells, and Newton from the node
+        # step at x took 5 rounds
+        g = build_grid(2, L, 64)
+        horizon, steps = 0.25, 250
+        b = presets.sample_constant_in_time(presets.divfree_2d_drift(g), horizon, steps)
+        sigmas = [
+            presets.sample_constant_in_time(s, horizon, steps) for s in presets.divfree_2d_noise(g)
+        ]
+        path = sample_brownian(horizon, horizon / steps, 2, 2025)
+        ens, = flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), [path], store=[steps])
+        assert np.abs(ens.paths[0] - np.stack(g.coordinates())).max() > 10 * g.h
+        assert invert_flow(ens, horizon).newton_iterations <= 3
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_small_displacement_keeps_the_step_from_x(self, dim):
+        # rows whose displacement stays under half a cell start at x itself:
+        # their iterates, values and rounds are those of the node step from x
+        g = build_grid(dim, L, 16)
+        x = g.coordinates()
+        shape = np.stack([np.sin(x[0] + x[-1]), np.cos(x[0] - 2 * x[-1])][:dim])
+        disp = np.stack([a * shape for a in (0.1 * g.h, 0.3 * g.h, 0.49 * g.h)])
+        assert np.abs(disp).max() < g.h / 2
+        jac = jacobian_stack(g, disp)
+        nodes = np.stack(x).reshape(dim, 1, -1)
+        mat = plus_identity(np.moveaxis(jac, 0, 2).reshape(dim, dim, 3, -1))
+        from_x = nodes - solve_pointwise(mat, np.moveaxis(disp, 0, 1).reshape(dim, 3, -1))
+        want = flow._newton_rows(g, disp, jac, nodes, from_x, 1e-12)
+        got = flow._newton_rows(g, disp, jac, nodes, None, 1e-12)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+        assert want[2].min() > 1
 
     def test_translation(self):
         g = grid1()
@@ -911,18 +974,26 @@ class TestInversion:
             invert_flow(ens, 0.033)
 
     def test_overshooting_newton_falls_back_to_step_halving(self):
-        # full Newton steps stagnate at residual 90 on this trig-preset flow,
-        # though det(I + dD) >= 0.258 on the nodes; halved steps converge
+        # from the node step at x, full Newton steps stagnate at residual 90
+        # on this trig-preset flow, though det(I + dD) >= 0.258 on the nodes;
+        # halved steps converge.  The node start lands within a cell of the
+        # preimage, and full steps from there converge in 6 rounds
         b, sigmas, _ = trig_case()
         path = sample_brownian(T, 1e-3, 1, 1677528212305881673)
         ens = simulate_flow(b, sigmas, SdeConfig(dt=1e-3), path)
         inv = invert_flow(ens, T)
-        X0 = ens.paths[0]
-        D = PeriodicInterpolant(grid1(), ens.paths[-1] - X0)
+        g, X0 = grid1(), ens.paths[0]
+        disp = (ens.paths[-1] - X0)[None]
+        D = PeriodicInterpolant(g, disp[0])
         psi = inv.psi.values
         assert np.abs(psi + D(psi) - X0).max() < 1e-10
-        assert inv.newton_iterations > 30
+        assert inv.newton_iterations == 6
         assert inv.det.values.min() > 0.0
+        jac = jacobian_stack(g, disp)
+        from_x = X0[:, None] - solve_pointwise(plus_identity(jac[0]), disp[0])[:, None]
+        halved, _, rounds = flow._newton_rows(g, disp, jac, X0[:, None], from_x, 1e-10)
+        assert rounds[0] > flow._MAX_NEWTON
+        assert np.abs(halved[:, 0] + D(halved[:, 0]) - X0).max() < 1e-10
 
     def test_non_injective_map_rejected(self):
         # hand-built displacement with derivative dipping below -1
@@ -1013,21 +1084,45 @@ def plus_identity(jac):
     return out
 
 
+def node_start(grid, disp, disp_jac):
+    """The first Newton iterate of a flow inversion, on node arrays alone.
+
+    It is taken from a node near each preimage: candidates z = x - m h,
+    m = 0 and then once in 1-d, three times in 2-d, m = rint(D(x - m h) / h),
+    of which each point keeps the first of least max|D(z) - m h| / h.
+    """
+    index = np.indices(grid.shape)
+
+    def at(values, m):  # values at the nodes x - m h, wrapped onto the torus
+        return values[(Ellipsis,) + tuple((index - m) % grid.N)]
+
+    m = best = np.zeros_like(index)
+    least = np.abs(disp / grid.h).max(axis=0)
+    for _ in range(3 if grid.dim == 2 else 1):
+        m = np.rint(at(disp / grid.h, m)).astype(int)
+        size = np.abs(at(disp / grid.h, m) - m).max(axis=0)
+        best = np.where(size < least, m, best)
+        least = np.minimum(size, least)
+    shift = best * grid.h
+    mat = plus_identity(at(disp_jac, best))
+    return np.stack(grid.coordinates()) - shift - solve_pointwise(mat, at(disp, best) - shift)
+
+
 def per_step_inverse(ensemble, step, tol=1e-10, max_newton=30):
     """Newton on one step alone, with PeriodicInterpolant (map_coordinates) splines.
 
-    The node-exact first step, then up to max_newton full-step rounds; a
-    step still iterating then restarts from y = x and, for up to
-    max_newton + 1 more rounds, halves its step at each point (at most 30
-    times) until the residual there drops.  A round is one residual
-    evaluation.  Returns (psi, det, rounds).
+    The node start, then up to max_newton full-step rounds; a step still
+    iterating then restarts from y = x and, for up to max_newton + 1 more
+    rounds, halves its step at each point (at most 30 times) until the
+    residual there drops.  A round is one residual evaluation.  Returns
+    (psi, det, rounds).
     """
     grid = ensemble.seeds_grid
     X0 = np.stack(grid.coordinates())
     disp = GridVector(grid, ensemble.paths[step] - X0)
     disp_jac = jacobian(disp)
     D, JD = PeriodicInterpolant(disp.grid, disp.values), PeriodicInterpolant(grid, disp_jac)
-    Y = X0 - solve_pointwise(plus_identity(disp_jac), disp.values)
+    Y = node_start(grid, disp.values, disp_jac)
     for rounds in range(1, 2 * max_newton + 2):
         F = Y + D(Y) - X0
         size = np.abs(F).max(axis=0)
@@ -1096,19 +1191,24 @@ class TestPushforwardPath:
             assert same_bits(f.values, pushforward_solution(f0, ens, l * path.dt).values)
 
     def test_fallback_step_in_a_converging_block(self):
-        # the path of test_overshooting_newton_falls_back_to_step_halving: at
-        # step 500 full Newton steps stagnate; at the other sampled steps
-        # plain Newton converges, so one row of the block falls back alone
-        b, sigmas, _ = trig_case()
-        path = sample_brownian(T, 1e-3, 1, 1677528212305881673)
-        ens = simulate_flow(b, sigmas, SdeConfig(dt=1e-3), path)
-        steps = range(0, path.steps + 1, 20)
+        # displacements k / 20 * 0.999 sin(x + 0.4): at k = 20 full Newton
+        # steps from the node start stagnate (the trig-preset flow that did
+        # so from x converges from the node start); at the smaller ones plain
+        # Newton converges, so one row of the block falls back alone
+        g = grid1()
+        X0 = np.stack(g.coordinates())
+        bend = 0.999 * np.sin(g.axis_coordinates() + 0.4)[None, :]
+        paths = np.stack([X0 + k / 20 * bend for k in range(21)])
+        ens = FlowEnsemble(
+            seeds_grid=g, path=BrownianPath(1.0, 0.05, 0, np.zeros((20, 0)), 0), paths=paths
+        )
+        steps = range(21)
         (_, _, _, iterations), = flow._inverse_blocks(ens, steps)
         assert iterations[-1] > 30 and iterations[:-1].max() <= 30
         self.check_blocks(ens, steps)
-        f0 = presets.default_datum(b.grid)
+        f0 = presets.default_datum(g)
         *_, last = flow.pushforward_path(f0, ens, steps)
-        assert same_bits(last.values, pushforward_solution(f0, ens, T).values)
+        assert same_bits(last.values, pushforward_solution(f0, ens, 1.0).values)
 
     def test_grid_mismatch_refused(self):
         b, sigmas, path = trig_case()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -909,6 +910,35 @@ class TestCli:
         assert run.returncode == 2
         assert "--flip-sign" in run.stderr and "'g_div_bb'" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_acceptance_hex_refuses_a_bad_before_file(self, tmp_path):
+        before = tmp_path / "before.txt"
+        before.write_text("mollifier_certification 0x1.8p+0\n")
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "acceptance_hex.py"),
+             str(ROOT / "configs" / "acceptance.json"), "--against", str(before)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            check=False,
+        )
+        assert run.returncode == 2
+        assert f"{before}:1: expected `name hex verdict`" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_acceptance_hex_prints_only_changed_rows(self):
+        spec = importlib.util.spec_from_file_location(
+            "acceptance_hex", ROOT / "scripts" / "acceptance_hex.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        before = {"same": (1.5).hex(), "moved": (2.0).hex(), "gone": (3.0).hex()}
+        after = {"same": (1.5).hex(), "moved": (2.0 + 2**-40).hex(), "new": (0.5).hex()}
+        assert script.changed_rows(before, after) == [
+            f"moved {(2.0).hex()} -> {(2.0 + 2**-40).hex()} +4.55e-13",
+            f"new absent -> {(0.5).hex()}",
+            f"gone {(3.0).hex()} -> absent",
+        ]
 
     def test_artifact_hex_lists_every_run_artifact(self):
         run = subprocess.run(

@@ -11,9 +11,10 @@
   ``members_per_chunk`` or ``logdet_gaps``, and in ``flow`` only the march
   reads each member's increments and only ``simulate_flows`` takes the fused
   log-det pass.
-- Only ``flow._newton_rows`` solves a Newton step: ``zvonkin`` imports
-  neither ``_node_matrices`` nor ``_solve_stack``, so the straightening's
-  node-exact first step is the flow inversion's.
+- Only ``flow._newton_rows`` solves a Newton step or takes the node start:
+  ``zvonkin`` imports none of ``_start_nodes``, ``_at_nodes`` and
+  ``_solve_stack``, so the straightening's node-exact first step is the
+  flow inversion's.
 - ``field`` owns per-row coefficient work: ``parabolic`` imports nothing
   from ``flow``, ``lab`` and ``zvonkin`` import no private name of
   ``parabolic``, only ``field`` writes the twist contraction
@@ -175,7 +176,9 @@ def test_one_member_loop():
 def test_one_newton_solver():
     flow_tree = _parse(PACKAGE / "flow.py")
     assert _uses(flow_tree, "_solve_stack") == ["_newton_rows"]
-    assert not set(_imported(_parse(PACKAGE / "zvonkin.py"))) & {"_node_matrices", "_solve_stack"}
+    assert _uses(flow_tree, "_start_nodes") == ["_newton_rows"]
+    private = {"_start_nodes", "_at_nodes", "_solve_stack"}
+    assert not set(_imported(_parse(PACKAGE / "zvonkin.py"))) & private
 
 
 def _imports_from(tree: ast.Module, module: str) -> list[str]:
