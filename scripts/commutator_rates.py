@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from renormlab import commutator
-from renormlab.field import FieldError, Grid, GridScalar, GridVector, central_half
+from renormlab.field import FieldError, Grid, GridScalar, GridVector
 
 
 def main() -> int:
@@ -31,10 +31,9 @@ def main() -> int:
     sigma = GridVector(grid, np.sin(x)[None])
     f = GridScalar(grid, np.cos(x))
     epsilons = [grid.L / 8.0 / 2**j for j in range(args.levels)]
-    region = central_half(grid)
 
     for tag in (commutator.TAG_T, commutator.TAG_S):
-        study = commutator.convergence_study(tag, sigma, f, epsilons, args.r, region)
+        study = commutator.convergence_study(tag, sigma, f, epsilons, args.r)
         print(f"operator {tag} (fitted rate {study.fitted_rate:.3f})")
         print("  epsilon      error        bound ratio")
         for eps, err, ratio in zip(study.epsilons, study.errors, study.bound_ratios):

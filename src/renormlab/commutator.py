@@ -20,16 +20,16 @@ this sign set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import parallel
 from .field import (
-    BoxRegion,
     FieldError,
     GridScalar,
     GridVector,
+    central_half,
     convolve,
     divergence,
     divergence_and_twist,
@@ -55,7 +55,6 @@ LIMIT_SIGN_T = -1.0
 
 TAG_T = "T"
 TAG_S = "S"
-_TAGS = (TAG_T, TAG_S)
 
 # Threshold below which a study is the constant-coefficient degenerate case.
 _DEGENERATE_TOL = 1e-12
@@ -129,16 +128,12 @@ def commutator_limits(sigma: GridVector, f: GridScalar) -> tuple[GridScalar, Gri
 class CommutatorStudy:
     """Convergence record for one operator over a decreasing epsilon ladder."""
 
-    operator_tag: str
     epsilons: list[float]
     errors: list[float]
     fitted_rate: float
-    bound_ratios: list[float] = dataclass_field(default_factory=list)
-    degenerate: bool = False
+    bound_ratios: list[float]
 
     def __post_init__(self):
-        if self.operator_tag not in _TAGS:
-            raise FieldError(f"unknown operator tag {self.operator_tag!r}")
         eps = np.asarray(self.epsilons, dtype=float)
         if not np.all(np.diff(eps) < 0):
             raise FieldError("epsilons must be strictly decreasing")
@@ -153,16 +148,16 @@ def convergence_study(
     f: GridScalar,
     epsilon_list,
     r: float,
-    region: BoxRegion,
 ) -> CommutatorStudy:
-    """Measure ||op_eps - limit||_{L^r(region)} over an epsilon ladder.
+    """Measure ||op_eps - limit||_{L^r(K)} over an epsilon ladder, K the central half.
 
     Also forms the uniform-bound ratio ||op_eps||_{L^r} / (||grad sigma||_{L^q}^m
     ||f||_{L^p}) with m = 1 for T and 2 for S and q = p = (m + 1) r, the
-    Hoelder split 1/r = m/q + 1/p.  Per-epsilon work runs through the ordered
-    thread map, so results are independent of the worker count.
+    Hoelder split 1/r = m/q + 1/p.  A degenerate study (grad sigma or all errors
+    negligible) fits rate 0.  Per-epsilon work runs through the ordered thread
+    map, so results are independent of the worker count.
     """
-    if operator_tag not in _TAGS:
+    if operator_tag not in (TAG_T, TAG_S):
         raise FieldError(f"unknown operator tag {operator_tag!r}")
     epsilons = [float(e) for e in epsilon_list]
     if len(epsilons) < 3:
@@ -172,6 +167,7 @@ def convergence_study(
     _check_inputs(sigma, f)
 
     grid = f.grid
+    region = central_half(grid)
     order = 2.0 if operator_tag == TAG_S else 1.0
     q = p = (order + 1.0) * r  # the Hoelder split 1/r = order/q + 1/p
     apply_op = op_S if operator_tag == TAG_S else op_T
@@ -202,12 +198,10 @@ def convergence_study(
         rate = float(slope)
 
     return CommutatorStudy(
-        operator_tag=operator_tag,
         epsilons=epsilons,
         errors=errors,
         fitted_rate=rate,
         bound_ratios=ratios,
-        degenerate=degenerate,
     )
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "GridVector",
     "TimeGridVector",
     "MollifierKernel",
-    "BoxRegion",
     "build_grid",
     "central_half",
     "mollifier",
@@ -439,7 +438,6 @@ class MollifierKernel:
     """Discrete eta_eps: nonnegative, unit discrete mass, support in |x| <= eps."""
 
     grid: Grid
-    epsilon: float
     values: np.ndarray
 
     def as_scalar(self) -> GridScalar:
@@ -459,7 +457,7 @@ def mollifier(grid: Grid, epsilon: float) -> MollifierKernel:
     vals = bump_values(r2 / (eps * eps))
     mass = vals.sum() * grid.cell_volume
     vals = vals / mass
-    return MollifierKernel(grid=grid, epsilon=eps, values=vals)
+    return MollifierKernel(grid=grid, values=vals)
 
 
 def convolve(kernel: MollifierKernel, f: GridScalar) -> GridScalar:
@@ -492,31 +490,22 @@ def kernel_moment(kernel: MollifierKernel, power_index, deriv_index) -> float:
 # Norms and regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxRegion:
-    """Axis-aligned sub-box [lo_i, hi_i) used as the compact set K."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def mask(self, grid: Grid) -> np.ndarray:
-        mesh = grid.coordinates()
-        m = np.ones(grid.shape, dtype=bool)
-        for x, lo, hi in zip(mesh, self.lo, self.hi):
-            m &= (x >= lo - 1e-12) & (x < hi - 1e-12)
-        return m
+def central_half(grid: Grid) -> np.ndarray:
+    """The compact set K of the commutator estimates: the mask of the nodes in [L/4, 3L/4)^n."""
+    m = np.ones(grid.shape, dtype=bool)
+    for x in grid.coordinates():
+        m &= (x >= grid.L / 4.0 - 1e-12) & (x < 3.0 * grid.L / 4.0 - 1e-12)
+    return m
 
 
-def central_half(grid: Grid) -> BoxRegion:
-    return BoxRegion(
-        lo=(grid.L / 4.0,) * grid.dim,
-        hi=(3.0 * grid.L / 4.0,) * grid.dim,
-    )
+def lp_norm(f: GridScalar, p: float, region: np.ndarray | None = None) -> float:
+    """L^p norm by h^n-weighted quadrature; sup norm for p = inf.
 
-
-def lp_norm(f: GridScalar, p: float, region: BoxRegion | None = None) -> float:
-    """L^p norm by h^n-weighted quadrature; sup norm for p = inf."""
-    vals = f.values if region is None else f.values[region.mask(f.grid)]
+    region, a boolean node mask such as central_half's, restricts the sum to its nodes.
+    """
+    if region is not None and (region.dtype != bool or region.shape != f.grid.shape):
+        raise FieldError(f"region must be a boolean mask of shape {f.grid.shape}")
+    vals = f.values if region is None else f.values[region]
     return lp_norm_stack(f.grid, vals[None], p)[0]
 
 

@@ -76,7 +76,6 @@ from .field import (
     _GRID_HEADER,
     _blocks,
     _check_header,
-    _is_int,
     _read_header,
     divergence_and_twist,
     jacobian_stack,
@@ -138,6 +137,7 @@ class BrownianPath:
 
     def __post_init__(self):
         steps = _step_count(self.T, self.dt, self.k_count, self.seed)
+        self.k_count, self.seed = int(self.k_count), int(self.seed)  # a .flo header is JSON
         self.increments = np.asarray(self.increments, dtype=np.float64)
         if self.increments.shape != (steps, self.k_count):
             raise FlowError(
@@ -151,13 +151,18 @@ class BrownianPath:
         return self.increments.shape[0]
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool: a seed, a count, a factor or a step."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _step_count(T: float, dt: float, k_count: int, seed: int) -> int:
     """The step count T/dt of a path, once T, dt, k_count and seed are checked."""
     if not T > 0 or not dt > 0:
         raise FlowError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
-    if not (_is_int(k_count) and k_count >= 0):
+    if not (_is_integer(k_count) and k_count >= 0):
         raise FlowError(f"k_count must be an integer >= 0, got {k_count!r}")
-    if not _is_int(seed):
+    if not _is_integer(seed):
         raise FlowError(f"seed must be an integer, got {seed!r}")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
@@ -182,7 +187,7 @@ def refine_brownian(path: BrownianPath, factor: int) -> BrownianPath:
     mix_indices(path.seed, factor), so refinements nest: refining it again,
     also after a .flo round trip, draws normals no level above it used.
     """
-    if not (_is_int(factor) and factor >= 2):
+    if not (_is_integer(factor) and factor >= 2):
         raise FlowError(f"refinement factor must be an integer >= 2, got {factor!r}")
     fine_dt = path.dt / factor
     rng = stream(path.seed, factor)
@@ -317,16 +322,15 @@ def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
         yield steps, values
 
 
-def members_per_chunk(grid: Grid, steps: int, stored: int | None = None) -> int:
-    """Members that _by_chunks integrates together on paths of ``steps`` steps, at least one.
+def members_per_chunk(grid: Grid, stored: int) -> int:
+    """Members that _by_chunks integrates together, each storing ``stored`` steps: at least one.
 
     About _BLOCK_POINTS points, so that one spline call per step serves many
-    members, and at most _CHUNK_VALUES positions at ``stored`` steps per
-    member (every step by default), so that a chunk of long paths stays small.
+    members, and at most _CHUNK_VALUES positions at the stored steps per
+    member, so that a chunk of long stored paths stays small.
     """
-    rows = steps + 1 if stored is None else stored
     points = grid.N**grid.dim
-    by_memory = _CHUNK_VALUES // max(1, rows * grid.dim * points)
+    by_memory = _CHUNK_VALUES // max(1, stored * grid.dim * points)
     return max(1, min(_BLOCK_POINTS // points, by_memory))
 
 
@@ -334,7 +338,7 @@ def _on_step_grid(path: BrownianPath, steps) -> list:
     """``steps`` as a list, each checked to be a step 0..path.steps."""
     steps = list(steps)
     for step in steps:
-        if not (isinstance(step, (int, np.integer)) and 0 <= step <= path.steps):
+        if not (_is_integer(step) and 0 <= step <= path.steps):
             raise FlowError(f"step {step!r} is not on the path step grid 0..{path.steps}")
     return steps
 
@@ -488,7 +492,7 @@ def simulate_flows(
             for m, p in enumerate(chunk)
         ]
 
-    return _by_chunks(paths, members_per_chunk(grid, path.steps, len(stored)), integrate, reduce)
+    return _by_chunks(paths, members_per_chunk(grid, len(stored)), integrate, reduce)
 
 
 def _block_increments(path: BrownianPath, steps: range, dim: int) -> np.ndarray:
@@ -620,7 +624,7 @@ def logdet_gaps(
         lost = _march(grid, splines, group_of_step, path, chunk, [work] * (path.steps + 1), update)
         return lost or list(zip(sup.tolist(), lost_at.tolist(), det_min.tolist()))
 
-    gaps, per_chunk = [], members_per_chunk(grid, path.steps, 0)
+    gaps, per_chunk = [], members_per_chunk(grid, 0)
     for sup, lost_at, det_min in _by_chunks(paths, per_chunk, integrate):
         if lost_at:
             raise FlowError(f"variational recursion lost finiteness at step {lost_at}")
@@ -856,8 +860,6 @@ def _solve_stack(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def pushforward_solution(f0: GridScalar, ensemble: FlowEnsemble, t: float) -> GridScalar:
     """Realize the weak solution f(t, x) = f0(Psi_t(x)) det(dPsi_t(x))."""
-    if f0.grid != ensemble.seeds_grid:
-        raise FlowError("initial datum lives on a different grid than the flow")
     return next(pushforward_path(f0, ensemble, [_step_of(ensemble.path, t)]))
 
 

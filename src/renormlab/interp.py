@@ -84,12 +84,9 @@ class PeriodicInterpolant:
         self._varying = [i for i, c in enumerate(constant) if not c]
         self._splines = []  # (component, its coefficients), for map_coordinates
         if self._varying:
-            varying = flat if len(self._varying) == len(flat) else flat[self._varying]
-            self._coeff = _prefilter(varying, grid.dim)
-            self._splines = list(zip(self._varying, self._coeff))
-        # made from the same coefficients by the first call large enough to
-        # use it, so that a build for small calls costs no more than scipy's
-        self._stencil = None
+            coeff = _prefilter(flat[self._varying], grid.dim)
+            self._splines = list(zip(self._varying, coeff))
+            self._stencil = _Stencil(grid, coeff[None])
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -109,9 +106,6 @@ class PeriodicInterpolant:
             if not math.isfinite(np.add.reduce(index_coords, axis=None)):
                 raise FieldError("points must be finite")
             if count * len(self._splines) >= _STENCIL_VALUES:
-                # threads that race here make equal stencils; either may stay
-                if self._stencil is None:
-                    self._stencil = _Stencil(self.grid, self._coeff[None])
                 sums = np.zeros((len(self._splines), 1, count))
                 self._stencil.add(np.zeros(1, dtype=np.intp), index_coords[:, None], sums)
                 out[self._varying] = sums[:, 0]

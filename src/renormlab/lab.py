@@ -616,10 +616,9 @@ def _run_commutator_study(cfg: ExperimentConfig, out: Path) -> list[Path]:
     grid = prob.grid
     sigma = prob.sigmas[0].slice_at(0.0)
     eps = _epsilon_ladder(cfg, grid)
-    region = central_half(grid)
     files = []
     for tag in (commutator.TAG_T, commutator.TAG_S):
-        study = commutator.convergence_study(tag, sigma, prob.f0, eps, cfg.scalars.r, region)
+        study = commutator.convergence_study(tag, sigma, prob.f0, eps, cfg.scalars.r)
         files.append(_write_csv(
             out / f"commutator_{tag}.csv", ["epsilon", "error_Lr", "bound_ratio"],
             zip(study.epsilons, study.errors, study.bound_ratios),
@@ -740,6 +739,10 @@ _CONSTANT_1D = replace(presets.PRESETS["constant"], dim=1)
 _TRIG_UNIT_NOISE = replace(presets.PRESETS["trig_flow"], noise=presets.unit_noise)
 
 
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values) / len(values))
+
+
 def _adjacent_ratio(values) -> float:
     """Largest successive ratio; < 1 means the sequence strictly decreases."""
     vals = [float(v) for v in values]
@@ -787,18 +790,19 @@ def _trig_commutator_data(N: int):
     return grid, sigma, f
 
 
-def _check_commutator_t(cfg: ExperimentConfig) -> list[CheckResult]:
+def _trig_study(tag: str):
+    """The 64-node sin/cos study of ``tag``, and its rate if its errors decrease, else 0."""
     grid, sigma, f = _trig_commutator_data(64)
     eps = [grid.L / 8.0, grid.L / 16.0, grid.L / 32.0]
-    study = commutator.convergence_study(
-        commutator.TAG_T, sigma, f, eps, 2.0, central_half(grid)
-    )
-    decreasing = _adjacent_ratio(study.errors) < 1.0
-    rate = study.fitted_rate if decreasing else 0.0
+    study = commutator.convergence_study(tag, sigma, f, eps, 2.0)
+    return study, (study.fitted_rate if _adjacent_ratio(study.errors) < 1.0 else 0.0)
+
+
+def _check_commutator_t(cfg: ExperimentConfig) -> list[CheckResult]:
+    study, rate = _trig_study(commutator.TAG_T)
+    grid, _, f = _trig_commutator_data(64)
     const = GridVector(grid, np.full((1, grid.N), 0.7))
-    degen = commutator.convergence_study(
-        commutator.TAG_T, const, f, eps, 2.0, central_half(grid)
-    )
+    degen = commutator.convergence_study(commutator.TAG_T, const, f, study.epsilons, 2.0)
     return [
         _result(
             "commutator_T_rate", rate, 0.9, ">=",
@@ -809,20 +813,13 @@ def _check_commutator_t(cfg: ExperimentConfig) -> list[CheckResult]:
 
 
 def _check_commutator_s(cfg: ExperimentConfig) -> list[CheckResult]:
-    grid, sigma, f = _trig_commutator_data(64)
-    eps = [grid.L / 8.0, grid.L / 16.0, grid.L / 32.0]
-    study = commutator.convergence_study(
-        commutator.TAG_S, sigma, f, eps, 2.0, central_half(grid)
-    )
-    decreasing = _adjacent_ratio(study.errors) < 1.0
-    rate = study.fitted_rate if decreasing else 0.0
+    _, rate = _trig_study(commutator.TAG_S)
     ratios = {}
     for N in (32, 64):
         g, s, ff = _trig_commutator_data(N)
         ladder = [g.L / 4.0, g.L / 8.0, g.L / 16.0]
-        region = central_half(g)
-        st_t = commutator.convergence_study(commutator.TAG_T, s, ff, ladder, 2.0, region)
-        st_s = commutator.convergence_study(commutator.TAG_S, s, ff, ladder, 2.0, region)
+        st_t = commutator.convergence_study(commutator.TAG_T, s, ff, ladder, 2.0)
+        st_s = commutator.convergence_study(commutator.TAG_S, s, ff, ladder, 2.0)
         ratios[N] = (max(st_t.bound_ratios), max(st_s.bound_ratios))
     finite = all(math.isfinite(v) for pair in ratios.values() for v in pair)
     drift = max(
@@ -888,8 +885,7 @@ def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
 
 def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
     coarse, fine = _logdet_sup_gaps(cfg, members=64, T=0.5, dt=1e-3)
-    rms_c = math.sqrt(sum(v * v for v in coarse) / len(coarse))
-    rms_f = math.sqrt(sum(v * v for v in fine) / len(fine))
+    rms_c, rms_f = _rms(coarse), _rms(fine)
     order = math.log(rms_c / rms_f) / math.log(4.0)
     return [
         _result("jacobian_logdet_gap", max(coarse), 0.05, "<=", "64 paths, trig preset"),
@@ -1108,8 +1104,7 @@ def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
     def rms(factor: int) -> float:
         prob = _problem(_TRIG_UNIT_NOISE, 64, T, dt / factor)
         paths = _paths(cfg, _STREAM_ZVONKIN, 8, T, dt, len(prob.sigmas), factor)
-        residuals = _transformed_residuals(prob, lam, paths)
-        return math.sqrt(sum(r * r for r in residuals) / len(residuals))
+        return _rms(_transformed_residuals(prob, lam, paths))
 
     rms_c, rms_f = rms(1), rms(8)
 

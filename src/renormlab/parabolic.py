@@ -225,8 +225,6 @@ def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
 class DecayStudy:
     """Norms of grad^alpha u_lambda along a damping ladder, with fitted slope."""
 
-    alpha: int
-    r: float
     lambdas: list
     norms: list
     fitted_slope: float
@@ -273,8 +271,6 @@ def decay_study(
     slope, _ = np.polyfit(np.log(lams), np.log(norms), 1)
     delta = 1.0 - alpha / 2.0 + (n / 2.0) * (1.0 / r - 1.0 / p)
     return DecayStudy(
-        alpha=alpha,
-        r=float(r),
         lambdas=lams,
         norms=[float(v) for v in norms],
         fitted_slope=float(slope),

@@ -387,7 +387,6 @@ def residual_renormalized(
 class StabilitySeries:
     """Monte Carlo series of the weighted L1 mass against its growth envelope."""
 
-    times: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
     envelope: np.ndarray
@@ -398,8 +397,6 @@ def _stability_weight(grid: Grid, r_exponent: float) -> np.ndarray:
         raise WeakFormError(
             f"weight exponent must be 0 (flat) or > dim = {grid.dim}, got {r_exponent}"
         )
-    if r_exponent == 0.0:
-        return np.ones(grid.shape)
     mesh = grid.coordinates()
     center = grid.L / 2.0
     sq = np.zeros(grid.shape)
@@ -468,4 +465,4 @@ def weighted_l1_stability(
     for l in range(steps):
         acc += rate[l] * dt
         envelope[l + 1] = base * math.exp(acc)
-    return StabilitySeries(times=times, mean=mean, stderr=stderr, envelope=envelope)
+    return StabilitySeries(mean=mean, stderr=stderr, envelope=envelope)

@@ -37,8 +37,8 @@ starts Newton with the flow inversion's node-exact step (from a node near
 each preimage), reads lam u and I + grad u at the inverted nodes off
 the solver's last spline call, and takes the determinants in one batched
 call; b_hat and sigma_hat share u's index.  Readers of it
-(pushforward_under_diffeo, transformed_residual) invert nothing, and
-pushforward_path_under_diffeo splines a block of fields at once.
+(pushforward_path_under_diffeo, transformed_residual) invert nothing, and
+the pushforward splines a block of fields at once.
 build_diffeo and relaxation_metrics take their spectral derivatives and
 norms a block of rows at a time too, and every norm and time sum equals its
 one-slice-at-a-time value bit for bit, so no number changes.
@@ -79,7 +79,6 @@ __all__ = [
     "build_diffeo",
     "invert_diffeo",
     "transform_coeffs",
-    "pushforward_under_diffeo",
     "pushforward_path_under_diffeo",
     "transformed_residual",
     "relaxation_metrics",
@@ -247,24 +246,16 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     return Straightening(diffeo, lam, b_hat, sigma_hat, inverted)
 
 
-def pushforward_under_diffeo(f: GridScalar, straightening: Straightening, t: float) -> GridScalar:
-    """Transfer f under x + u(t, x): h(x) = f(y) / det(I + grad u)(y).
+def pushforward_path_under_diffeo(fields, straightening: Straightening, times) -> list:
+    """Transfer each f = fields[l] under x + u(times[l], x): h(x) = f(y) / det(I + grad u)(y).
 
     The density is divided, not multiplied, because the Jacobian of the
     inverse map is the inverse matrix of I + grad u at the inverted point;
     mass is conserved up to interpolation and quadrature error.  y and the
-    determinant come from the straightening; only f is interpolated here.
-    This is the one-field call of pushforward_path_under_diffeo.
-    """
-    return pushforward_path_under_diffeo([f], straightening, [t])[0]
-
-
-def pushforward_path_under_diffeo(fields, straightening: Straightening, times) -> list:
-    """Transfer each fields[l] under x + u(times[l], x), as pushforward_under_diffeo.
-
-    The fields are splined a block at a time, one SplineStack per block,
-    each evaluated at the inverted nodes of the slice in force at its own
-    time; a field where that slice is 0 is copied.
+    determinant come from the straightening; only the fields are
+    interpolated here, a block at a time, one SplineStack per block, each
+    evaluated at the inverted nodes of the slice in force at its own time.
+    A field where that slice is 0 is copied.
     """
     u = straightening.diffeo.u
     grid = u.grid

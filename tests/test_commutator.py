@@ -35,6 +35,7 @@ from renormlab.field import (
     divergence_and_twist,
     gradient,
     jacobian,
+    lp_norm,
     mollifier,
     spectral_derivative,
 )
@@ -358,17 +359,19 @@ class TestConvergence:
         g = build_grid(1, L, 64)
         sig = GridVector.from_functions(g, [np.sin])
         f = GridScalar.from_function(g, np.cos)
-        study = convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 2.0, central_half(g))
+        study = convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 2.0)
         assert study.errors[0] > study.errors[1] > study.errors[2]
         assert study.fitted_rate >= 0.9
-        assert not study.degenerate
+        # K is the central half of the box
+        gap = op_T(sig, f, L / 8).values - commutator_limits(sig, f)[0].values
+        assert study.errors[0] == lp_norm(GridScalar(g, gap), 2.0, central_half(g))
         assert all(r <= 1.2 for r in study.bound_ratios)
 
     def test_s_study_1d(self):
         g = build_grid(1, L, 64)
         sig = GridVector.from_functions(g, [np.sin])
         f = GridScalar.from_function(g, np.cos)
-        study = convergence_study("S", sig, f, [L / 8, L / 16, L / 32], 2.0, central_half(g))
+        study = convergence_study("S", sig, f, [L / 8, L / 16, L / 32], 2.0)
         assert study.errors[0] > study.errors[1] > study.errors[2]
         assert study.fitted_rate >= 0.9
         assert all(r <= 1.2 for r in study.bound_ratios)
@@ -377,7 +380,7 @@ class TestConvergence:
         g = build_grid(2, L, 32)
         sig = GridVector.from_functions(g, [lambda x, y: np.sin(y), lambda x, y: np.sin(x)])
         f = GridScalar.from_function(g, lambda x, y: np.cos(x) * np.cos(y) + 2.0)
-        study = convergence_study("S", sig, f, [L / 4, L / 8, L / 16], 2.0, central_half(g))
+        study = convergence_study("S", sig, f, [L / 4, L / 8, L / 16], 2.0)
         assert study.errors[0] > study.errors[1] > study.errors[2]
         assert study.fitted_rate >= 0.9
 
@@ -388,7 +391,7 @@ class TestConvergence:
             g = build_grid(1, L, n_nodes)
             sig = GridVector.from_functions(g, [np.sin])
             f = GridScalar.from_function(g, np.cos)
-            study = convergence_study("T", sig, f, ladder, 2.0, central_half(g))
+            study = convergence_study("T", sig, f, ladder, 2.0)
             by_eps = dict(zip(study.epsilons, study.bound_ratios))
             ratios[n_nodes] = [by_eps[e] for e in shared]
         for r32, r64 in zip(ratios[32], ratios[64]):
@@ -398,8 +401,7 @@ class TestConvergence:
         g = build_grid(1, L, 64)
         sig = GridVector.constant(g, [2.0])
         f = GridScalar.from_function(g, np.cos)
-        study = convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 2.0, central_half(g))
-        assert study.degenerate
+        study = convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 2.0)
         assert max(study.errors) < 1e-9
         assert study.fitted_rate == 0.0
 
@@ -408,13 +410,13 @@ class TestConvergence:
         sig = GridVector.from_functions(g, [np.sin])
         f = GridScalar.from_function(g, np.cos)
         with pytest.raises(FieldError):
-            convergence_study("T", sig, f, [L / 8, L / 16], 2.0, central_half(g))
+            convergence_study("T", sig, f, [L / 8, L / 16], 2.0)
         with pytest.raises(FieldError, match="r must be >= 1"):
-            convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 0.5, central_half(g))
-        with pytest.raises(FieldError):
-            convergence_study("U", sig, f, [L / 8, L / 16, L / 32], 2.0, central_half(g))
-        with pytest.raises(FieldError):
-            CommutatorStudy("T", [0.1, 0.2], [1.0, 1.0], 0.0)
+            convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 0.5)
+        with pytest.raises(FieldError, match="unknown operator tag"):
+            convergence_study("U", sig, f, [L / 8, L / 16, L / 32], 2.0)
+        with pytest.raises(FieldError, match="strictly decreasing"):
+            CommutatorStudy([0.1, 0.2], [1.0, 1.0], 0.0, [1.0, 1.0])
 
 
 class TestRenormalizerIdentities:

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from renormlab import field, presets
 from renormlab.field import (
-    BoxRegion,
     FieldError,
     Grid,
     GridScalar,
@@ -320,10 +319,9 @@ class TestNorms:
         assert abs(lp_norm(f, 2, central_half(g)) - 3.0 * (L / 2)) < 1e-10
 
     def test_region_mask_size(self):
-        g = build_grid(1, L, 64)
-        assert central_half(g).mask(g).sum() == 32
-        narrow = BoxRegion(lo=(0.0,), hi=(g.h * 3,))
-        assert narrow.mask(g).sum() == 3
+        assert central_half(build_grid(1, L, 64)).sum() == 32
+        half = central_half(build_grid(2, L, 16))
+        assert half.sum() == 64 and half[4:12, 4:12].all()
 
     def test_invalid_p(self):
         g = build_grid(1, L, 32)
@@ -379,13 +377,15 @@ class TestNormStack:
     def test_region_and_empty_region(self):
         g = build_grid(2, L, 16)
         f = GridScalar(g, np.random.default_rng(4).standard_normal(g.shape))
-        mask = central_half(g).mask(g)
+        mask = central_half(g)
         for p in NORM_EXPONENTS:
             want = reference_lp_norm(f.values[mask], p, g.cell_volume)
-            assert lp_norm(f, p, central_half(g)).hex() == want.hex()
-        empty = BoxRegion(lo=(1.0, 1.0), hi=(1.0, 1.0))
-        assert not empty.mask(g).any()
+            assert lp_norm(f, p, mask).hex() == want.hex()
+        empty = np.zeros(g.shape, dtype=bool)
         assert [lp_norm(f, p, empty) for p in (1.0, math.inf)] == [0.0, 0.0]
+        for other in (central_half(build_grid(2, L, 32)), mask.astype(int)):
+            with pytest.raises(FieldError, match="boolean mask of shape"):
+                lp_norm(f, 2.0, other)
 
     def test_refuses_non_finite_values_and_small_p(self):
         g = build_grid(1, L, 16)

@@ -154,8 +154,18 @@ class TestBrownian:
                 lambda: refine_brownian(sample_brownian(0.1, 0.01, 1, 2), 4.0),
                 "refinement factor must be an integer >= 2, got 4.0",
             ),
+            # numpy integers are integers, but numpy's bool is not
+            (lambda: sample_brownian(0.1, 0.01, 1, np.True_), "seed must be an integer"),
+            (lambda: sample_brownian(0.1, 0.01, np.True_, 2), "k_count must be an integer >= 0"),
+            (
+                lambda: refine_brownian(sample_brownian(0.1, 0.01, 1, 2), np.True_),
+                "refinement factor must be an integer >= 2",
+            ),
         ],
-        ids=["float_stream", "bool_stream", "float_k_count", "negative_k_count", "float_factor"],
+        ids=[
+            "float_stream", "bool_stream", "float_k_count", "negative_k_count", "float_factor",
+            "numpy_bool_stream", "numpy_bool_k_count", "numpy_bool_factor",
+        ],
     )
     def test_integer_arguments_are_checked(self, draw, message):
         with pytest.raises(FlowError, match=re.escape(message)):
@@ -178,6 +188,22 @@ class TestBrownian:
             BrownianPath(T, dt, k_count, np.zeros((steps, int(k_count))), seed)
         with pytest.raises(FlowError, match=re.escape(message)):
             sample_brownian(T, dt, k_count, seed)
+
+    def test_numpy_integers_draw_as_ints(self, tmp_path):
+        # a stream id, count or factor computed with numpy
+        drawn = sample_brownian(0.1, 0.01, np.int64(2), np.int64(5))
+        want = sample_brownian(0.1, 0.01, 2, 5)
+        assert np.array_equal(drawn.increments, want.increments)
+        assert type(drawn.seed) is int and type(drawn.k_count) is int
+        fine, fine_want = refine_brownian(drawn, np.int64(4)), refine_brownian(want, 4)
+        assert np.array_equal(fine.increments, fine_want.increments)
+        assert fine.seed == fine_want.seed and fine.dt == fine_want.dt
+        grid = grid1(8)
+        ens = FlowEnsemble(grid, fine, np.zeros((fine.steps + 1, 1) + grid.shape))
+        save_ensemble(tmp_path / "numpy.flo", ens)
+        back = load_ensemble(tmp_path / "numpy.flo").path
+        assert np.array_equal(back.increments, fine_want.increments)
+        assert (back.seed, back.k_count, back.dt) == (fine_want.seed, 2, fine_want.dt)
 
     def test_refine_is_the_same_motion(self):
         p = sample_brownian(T, 0.01, 2, 5)
@@ -548,7 +574,7 @@ class TestSimulateFlows:
     )
     def test_every_member_bitwise_equal_to_reference(self, case, members):
         b, sigmas, path = case()
-        per_chunk = flow.members_per_chunk(b.grid, path.steps)
+        per_chunk = flow.members_per_chunk(b.grid, path.steps + 1)
         # several chunks, the last one partly filled
         assert per_chunk > 1 and members > per_chunk and members % per_chunk
         paths = member_paths(path, members)
@@ -565,7 +591,7 @@ class TestSimulateFlows:
         # 32 members per chunk: member 3 (first chunk) overflows at step 30,
         # member 35 (second chunk) at step 12, member 36 at step 20
         b, sigmas, paths = blow_up_case(40, {3: 30, 35: 12, 36: 20})
-        assert flow.members_per_chunk(b.grid, 40) == 32
+        assert flow.members_per_chunk(b.grid, 41) == 32
         with pytest.raises(FlowError, match="trajectory lost finiteness at step 12$"):
             flow.simulate_flows(b, sigmas, SdeConfig(dt=0.01), paths)
         b, sigmas, paths = blow_up_case(40, {3: 30, 5: 7})
@@ -605,15 +631,16 @@ class TestSimulateFlows:
                 flow.simulate_flows(b, sigmas, config, [path, odd])
 
     def test_chunk_sizes(self):
-        # about _BLOCK_POINTS points, at most _CHUNK_VALUES stored positions
-        assert flow.members_per_chunk(grid1(), 200) == 32
-        assert flow.members_per_chunk(grid1(), 2000) == 4
-        assert flow.members_per_chunk(build_grid(2, L, 64), 10) == 1
-        assert flow.members_per_chunk(build_grid(2, L, 16), 50) == 8
-        # a chunk that stores some steps, or none, is bounded by those alone
-        assert flow.members_per_chunk(grid1(), 2000, 11) == 32
-        assert flow.members_per_chunk(grid1(), 2000, 0) == 32
-        assert flow.members_per_chunk(build_grid(2, L, 64), 250, 11) == 1
+        # about _BLOCK_POINTS points, at most _CHUNK_VALUES stored positions:
+        # every step of paths of 200, 2000, 10 and 50 steps
+        assert flow.members_per_chunk(grid1(), 201) == 32
+        assert flow.members_per_chunk(grid1(), 2001) == 4
+        assert flow.members_per_chunk(build_grid(2, L, 64), 11) == 1
+        assert flow.members_per_chunk(build_grid(2, L, 16), 51) == 8
+        # a chunk of 2000-step paths that stores 11 steps, or none (the fused
+        # log-det pass), is bounded by the stored steps alone
+        assert flow.members_per_chunk(grid1(), 11) == 32
+        assert flow.members_per_chunk(grid1(), 0) == 32
 
 
 def stored_gap(b, sigmas):
@@ -687,7 +714,7 @@ class TestLogdetGaps:
 
         monkeypatch.setattr(flow, "_march", marching)
         monkeypatch.setattr(flow.parallel, "ordered_map", recording)
-        assert flow.members_per_chunk(b.grid, path.steps) == 16
+        assert flow.members_per_chunk(b.grid, path.steps + 1) == 16
         gaps = flow.logdet_gaps(b, sigmas, SdeConfig(dt=path.dt), member_paths(path, 37))
         # the chunks march in path order, and each member's gap is already
         # reduced in the march: nothing is left to hand the pool
@@ -746,7 +773,7 @@ class TestChunking:
         # block rule); the march, the fused pass and both lab routes agree
         monkeypatch.setattr(flow, "_BLOCK_POINTS", 64 * per_chunk)
         b, sigmas, paths = blow_up_case(40, {3: 30, 35: 12})
-        assert flow.members_per_chunk(b.grid, 40) == per_chunk
+        assert flow.members_per_chunk(b.grid, 41) == per_chunk
         config = SdeConfig(dt=0.01)
         prob = lab.Problem(b.grid, 0.01, 40, b, sigmas, None, None)
         routes = [

@@ -1000,7 +1000,7 @@ class TestPerMember:
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_values_in_path_order_by_bounded_chunks(self, monkeypatch, workers):
         prob = lab._problem("trig_flow", 64, 0.1, 0.01)
-        per_chunk = flow.members_per_chunk(prob.grid, prob.steps)
+        per_chunk = flow.members_per_chunk(prob.grid, prob.steps + 1)
         paths = [sample_brownian(0.1, 0.01, 1, 7 + m) for m in range(2 * per_chunk + 3)]
         chunks, positions, march = [], [], flow._march
 

@@ -472,6 +472,6 @@ class TestDecayStudy:
 
     def test_dataclass_invariants(self):
         with pytest.raises(ParabolicError):
-            DecayStudy(0, 8.0, [4.0, 2.0, 16.0], [1.0, 1.0, 1.0], -1.0, 1.0)
+            DecayStudy([4.0, 2.0, 16.0], [1.0, 1.0, 1.0], -1.0, 1.0)
         with pytest.raises(ParabolicError):
-            DecayStudy(0, 8.0, [4.0, 8.0, 16.0], [1.0, 0.0, 1.0], -1.0, 1.0)
+            DecayStudy([4.0, 8.0, 16.0], [1.0, 0.0, 1.0], -1.0, 1.0)

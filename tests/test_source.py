@@ -24,6 +24,10 @@
 - No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
   ``.slices``: time samples share a slice through ``TimeGridVector.index``,
   not through object identity.
+- Every field of a ``@dataclass`` in ``src/renormlab`` is read as
+  ``<...>.field`` somewhere in ``src/``, ``scripts/``, ``perfbench/`` or
+  ``tests/``, outside its own class's ``__post_init__``: a record carries no
+  field that nothing reads.
 """
 
 from __future__ import annotations
@@ -294,4 +298,70 @@ def test_identity_scan_sees_each_form():
     )
     assert _identity_uses(probe) == [
         "memo[id(sl)]", "unique, index = c.distinct()", "st.slice_of[j]", "for s in c.slices:",
+    ]
+
+
+READERS = sorted(
+    path for part in ("src", "scripts", "perfbench", "tests")
+    for path in (ROOT / part).rglob("*.py")
+)
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return ast.unparse(target).rpartition(".")[2] == "dataclass"
+
+
+def _attribute_reads(node: ast.AST, validating: str | None = None):
+    """(attribute, class) for each ``<...>.attribute`` read at or below ``node``;
+    class names the class whose ``__post_init__`` holds the read, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, validating
+    for child in ast.iter_child_nodes(node):
+        post_init = isinstance(node, ast.ClassDef) and getattr(child, "name", "") == "__post_init__"
+        yield from _attribute_reads(child, node.name if post_init else validating)
+
+
+def unread_fields(records: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``module.Class.field`` for each field of a ``@dataclass`` in ``records`` that
+    no reader reads as ``<...>.field`` outside the ``__post_init__`` of its class.
+
+    A read of any object's attribute of the same name counts: ``renorm.epsilon``
+    would keep any record's ``epsilon``, and a field's ``.times`` any record's
+    ``times``.  So it finds a lower bound of the unread fields, not all of them.
+    """
+    reads = {read for tree in readers for read in _attribute_reads(tree)}
+    read_by = {}
+    for attribute, validating in reads:
+        read_by.setdefault(attribute, set()).add(validating)
+    unread = []
+    for module, tree in records.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        name = stmt.target.id
+                        if not read_by.get(name, set()) - {node.name}:
+                            unread.append(f"{module}.{node.name}.{name}")
+    return unread
+
+
+def test_every_record_field_is_read():
+    records = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_fields(records, [_parse(path) for path in READERS]) == []
+
+
+def test_unread_field_scan_sees_each_form():
+    record = ast.parse(
+        "@dataclass\nclass A:\n    kept: int\n    checked: int\n    unread: int\n"
+        "    doubled: int = 0\n"
+        "    def __post_init__(self):\n        if self.checked < 0 or self.kept < 0:\n"
+        "            raise ValueError\n"
+        "    def twice(self):\n        return 2 * self.doubled\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    written: int\n"
+        "class C:\n    plain: int\n"
+    )
+    reader = ast.parse("a.kept\nb.written = 1\n")
+    assert unread_fields({"probe": record}, [record, reader]) == [
+        "probe.A.checked", "probe.A.unread", "probe.B.written",
     ]

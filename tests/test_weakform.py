@@ -555,7 +555,7 @@ class TestStability:
         ]
         series = stability(ensembles, f0, b, [], r_exponent=0.0, dt=dt)
         # sup of |b|/(1 + |x - center|) is 0.4, attained at the center
-        expected = series.envelope[0] * np.exp(0.4 * series.times)
+        expected = series.envelope[0] * np.exp(0.4 * np.arange(6) * dt)
         assert np.max(np.abs(series.envelope - expected)) < 1e-12
 
     def test_zero_datum_is_identically_zero(self):

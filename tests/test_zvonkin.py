@@ -54,7 +54,7 @@ from renormlab.zvonkin import (
     ZvonkinError,
     build_diffeo,
     invert_diffeo,
-    pushforward_under_diffeo,
+    pushforward_path_under_diffeo,
     relaxation_metrics,
     transform_coeffs,
     transformed_residual,
@@ -280,7 +280,8 @@ class TestPushforward:
     def test_identity_pushforward_copies_the_field(self):
         g = grid1()
         f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
-        h = pushforward_under_diffeo(f, transform_coeffs(zero_displacement(g), 1.0), 0.1)
+        identity = transform_coeffs(zero_displacement(g), 1.0)
+        h = pushforward_path_under_diffeo([f], identity, [0.1])[0]
         assert np.array_equal(h.values, f.values)
         assert h.values is not f.values
 
@@ -289,7 +290,7 @@ class TestPushforward:
         amp = 0.25
         u = still(g, [lambda x: amp * np.sin(x)])
         straightening = transform_coeffs(u, 1.0)
-        h = pushforward_under_diffeo(GridScalar.constant(g, 1.3), straightening, 0.0)
+        h = pushforward_path_under_diffeo([GridScalar.constant(g, 1.3)], straightening, [0.0])[0]
         y = invert_diffeo(straightening.diffeo, 0.0, nodes_of(g), tol=1e-12)
         analytic = 1.3 / (1.0 + amp * np.cos(y[0]))
         assert np.abs(h.values - analytic).max() < 1e-5
@@ -299,7 +300,7 @@ class TestPushforward:
         g = grid1()
         f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
         st1 = transform_coeffs(still(g, [lambda x: 0.25 * np.sin(x)]), 1.0)
-        h = pushforward_under_diffeo(f, st1, 0.0)
+        h = pushforward_path_under_diffeo([f], st1, [0.0])[0]
         assert abs((h.values - f.values).sum() * g.cell_volume) < 1e-7
 
         g2 = build_grid(2, L, 32)
@@ -315,14 +316,14 @@ class TestPushforward:
             ),
             1.0,
         )
-        h2 = pushforward_under_diffeo(f2, st2, 0.0)
+        h2 = pushforward_path_under_diffeo([f2], st2, [0.0])[0]
         assert abs((h2.values - f2.values).sum() * g2.cell_volume) < 1e-4
 
     def test_duality_against_forward_composition(self):
         g = grid1()
         f = GridScalar.from_function(g, lambda x: 1.0 + 0.5 * np.sin(x + 0.3))
         u = still(g, [lambda x: 0.25 * np.sin(x)])
-        h = pushforward_under_diffeo(f, transform_coeffs(u, 1.0), 0.0)
+        h = pushforward_path_under_diffeo([f], transform_coeffs(u, 1.0), [0.0])[0]
         psi = bump_test_function(g, center=[L / 2], radius=L / 6)
         lhs = (h.values * psi.values.values).sum() * g.cell_volume
         pts = nodes_of(g)
@@ -334,7 +335,7 @@ class TestPushforward:
         f = GridScalar.constant(build_grid(1, L, 32), 1.0)
         straightening = transform_coeffs(zero_displacement(grid1()), 1.0)
         with pytest.raises(ZvonkinError, match="grids"):
-            pushforward_under_diffeo(f, straightening, 0.0)
+            pushforward_path_under_diffeo([f], straightening, [0.0])
 
 
 def copied(c):
@@ -384,7 +385,7 @@ class TestStraightening:
         inversions.clear()
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
         transformed_residual(fpath, straightening, b, phi, path)
-        pushforward_under_diffeo(fpath[3], straightening, 3 * dt)
+        pushforward_path_under_diffeo([fpath[3]], straightening, [3 * dt])
         assert inversions == []
 
     def test_stored_nodes_are_the_inverse_and_its_determinant(self):
@@ -418,9 +419,9 @@ class TestStraightening:
             y = reference_invert(u.slices[j], nodes_of(g), node_step(u.slices[j]))
             jac_at = PeriodicInterpolant(g, jacobian(u.slices[j]))(y)
             det = np.linalg.det(np.moveaxis(jac_at, (0, 1), (-2, -1)) + np.eye(1))
-            h = pushforward_under_diffeo(f, straightening, t)
+            h = pushforward_path_under_diffeo([f], straightening, [t])[0]
             assert np.array_equal(h.values, PeriodicInterpolant(g, f.values)(y) / det)
-        h_end = pushforward_under_diffeo(f, straightening, T)  # u(T) = 0
+        h_end = pushforward_path_under_diffeo([f], straightening, [T])[0]  # u(T) = 0
         assert np.array_equal(h_end.values, f.values)
         rec = relaxation_metrics(straightening, b, 4.0, 8.0, 4.0)
         div_gap = [
@@ -817,15 +818,16 @@ class TestBatchedStraightening:
         ]
         fields[4] = GridScalar.constant(grid, 0.7)  # a constant field is exact
         times = np.concatenate([u.times[:-1] + 0.25 * (u.times[1] - u.times[0]), [u.T]])
-        path = zvonkin.pushforward_path_under_diffeo(fields, straightening, times)
+        path = pushforward_path_under_diffeo(fields, straightening, times)
         for f, t, h in zip(fields, times, path):
             node = straightening.inverted[u.index[u.slice_indices(t)]]
             want = f.values if node is None else PeriodicInterpolant(grid, f.values)(node[0]) / node[1]
             assert np.array_equal(h.values, want)
             assert h.values is not f.values
-            assert np.array_equal(h.values, pushforward_under_diffeo(f, straightening, t).values)
+            alone = pushforward_path_under_diffeo([f], straightening, [t])[0]
+            assert np.array_equal(h.values, alone.values)
         with pytest.raises(ZvonkinError, match="as many times"):
-            zvonkin.pushforward_path_under_diffeo(fields, straightening, times[:-1])
+            pushforward_path_under_diffeo(fields, straightening, times[:-1])
 
     @pytest.mark.parametrize("grid,count", ragged_cases(), ids=["1d", "2d"])
     def test_relaxation_metrics_match_per_time_reference(self, grid, count):
