@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Three subcommands: ``run`` executes an experiment config and writes its
-artifacts, ``accept`` replays the acceptance suite and prints one verdict
-line per check, ``inspect`` prints the header of a saved .fld/.flo artifact.
+artifacts, ``accept`` replays the acceptance suite, prints one verdict line
+per check and writes the report (``--flip-sign TERM`` re-gates it with one
+renormalized term negated), ``inspect`` prints the header of a saved
+.fld/.flo artifact.
 Exit codes: 0 ok, 1 at least one acceptance check failed, 2 bad config or
 unreadable artifact.  RENORMLAB_THREADS sizes the worker pool; any value
 produces bitwise-identical numbers.
@@ -27,6 +29,7 @@ from .lab import (
     run_experiment,
     write_report_csv,
 )
+from .weakform import RENORMALIZED_TERMS
 
 EXIT_OK = 0
 EXIT_CHECK_FAIL = 1
@@ -48,6 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="JSON experiment config")
     p_acc = sub.add_parser("accept", help="run the full acceptance suite")
     p_acc.add_argument("config", help="JSON config supplying seed and output_dir")
+    p_acc.add_argument(
+        "--flip-sign", metavar="TERM", choices=RENORMALIZED_TERMS,
+        help="negate this renormalized-ledger term and re-gate (expect failures)",
+    )
     p_ins = sub.add_parser("inspect", help="print the header of a .fld or .flo file")
     p_ins.add_argument("artifact", help="field or flow-ensemble artifact")
     return parser
@@ -62,8 +69,10 @@ def _cmd_run(config_path: str) -> int:
     return EXIT_OK
 
 
-def _accept(cfg: ExperimentConfig) -> int:
+def _accept(cfg: ExperimentConfig, flip: str | None = None) -> int:
     report = acceptance_suite(cfg)
+    if flip is not None:
+        report = report.flipped(flip)
     for line in report.summary_lines():
         print(line)
     out = Path(cfg.output_dir)
@@ -73,10 +82,6 @@ def _accept(cfg: ExperimentConfig) -> int:
     passed = sum(c.passed for c in report.checks)
     print(f"{passed}/{len(report.checks)} checks passed -> {report_path}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAIL
-
-
-def _cmd_accept(config_path: str) -> int:
-    return _accept(ExperimentConfig.from_json(config_path))
 
 
 def _cmd_inspect(artifact: str) -> int:
@@ -109,12 +114,9 @@ def _cmd_inspect(artifact: str) -> int:
         print(f"{path}: flow ensemble")
         for key, value in (
             ("dim", grid.dim), ("L", grid.L), ("N", grid.N), ("T", bm.T), ("dt", bm.dt),
-            ("k_count", bm.k_count), ("seed", bm.seed),
+            ("k_count", bm.k_count), ("seed", bm.seed), ("steps", bm.steps),
         ):
             print(f"  {key} = {value}")
-        print(f"  steps = {bm.steps}")
-        print(f"  jacobian cached = {ens.jac_variational is not None}")
-        print(f"  logdet cached = {ens.logdet_exponential is not None}")
         return EXIT_OK
     raise LabError(f"cannot inspect {artifact!r}: expected a .fld or .flo file")
 
@@ -133,7 +135,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args.config)
         if args.command == "accept":
-            return _cmd_accept(args.config)
+            return _accept(ExperimentConfig.from_json(args.config), args.flip_sign)
         return _cmd_inspect(args.artifact)
     except ValueError as exc:
         # LabError and every module error derive from ValueError; surface the

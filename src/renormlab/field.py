@@ -545,7 +545,6 @@ _HEADER_KINDS = {
     "count": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "positive": (lambda v: _is_number(v) and v > 0, "a finite positive number"),
     "times": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-    "flag": (lambda v: isinstance(v, bool), "true or false"),
 }
 # the grid keys of every .fld and .flo header
 _GRID_HEADER = {"dim": "int", "L": "positive", "N": "int"}

@@ -907,17 +907,22 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Persistence (.flo: one-line JSON header + flat little-endian float64 blocks)
+# Persistence (.flo: one-line JSON header, then the increments and the positions)
 # ---------------------------------------------------------------------------
 
 _FLO_HEADER = {
     **_GRID_HEADER, "T": "positive", "dt": "positive", "k_count": "count", "seed": "int",
-    "has_jacobian": "flag", "has_logdet": "flag",
 }
+# flags of older headers, when each recursion could follow the positions
+_RECURSION_FLAGS = {"has_jacobian": "jac_variational", "has_logdet": "logdet_exponential"}
 
 
 def save_ensemble(path_name, ensemble: FlowEnsemble) -> None:
+    """Write the path and the positions at every step; a stored recursion is refused."""
     _require_every_step(ensemble)
+    for name in _RECURSION_FLAGS.values():
+        if getattr(ensemble, name) is not None:
+            raise FlowError(f"a .flo file holds positions only; clear {name} before saving")
     grid = ensemble.seeds_grid
     header = {
         "format": "flo",
@@ -928,17 +933,10 @@ def save_ensemble(path_name, ensemble: FlowEnsemble) -> None:
         "dt": ensemble.path.dt,
         "k_count": ensemble.path.k_count,
         "seed": ensemble.path.seed,
-        "has_jacobian": ensemble.jac_variational is not None,
-        "has_logdet": ensemble.logdet_exponential is not None,
     }
-    blocks = [ensemble.path.increments, ensemble.paths]
-    if ensemble.jac_variational is not None:
-        blocks.append(ensemble.jac_variational)
-    if ensemble.logdet_exponential is not None:
-        blocks.append(ensemble.logdet_exponential)
     with open(path_name, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for block in blocks:
+        for block in (ensemble.path.increments, ensemble.paths):
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
@@ -949,6 +947,12 @@ def load_ensemble(path_name) -> FlowEnsemble:
     if not isinstance(header, dict) or header.get("format") != "flo":
         raise FlowError(f"not a flow ensemble file: {path_name}")
     grid = _check_header(path_name, header, _FLO_HEADER, FlowError)
+    for key in _RECURSION_FLAGS:
+        if header.get(key, False) is not False:
+            raise FlowError(
+                f"{path_name}: header {key} must be false or absent (.flo holds positions"
+                f" only), got {header[key]!r}"
+            )
     if len(raw) % 8:
         raise FlowError(f"{path_name}: payload of {len(raw)} bytes is not float64 values")
     raw = np.frombuffer(raw, dtype="<f8").astype(np.float64)
@@ -957,30 +961,15 @@ def load_ensemble(path_name) -> FlowEnsemble:
     if not steps <= raw.size:
         raise FlowError(f"{path_name}: header T/dt = {steps:.6g} exceeds the payload")
     steps = int(round(steps))
-    cursor = 0
-
-    def take(shape):
-        nonlocal cursor
-        size = math.prod(shape)
-        if cursor + size > raw.size:
-            raise FlowError(f"{path_name}: payload ends before the blocks the header implies")
-        block = raw[cursor : cursor + size].reshape(shape)
-        cursor += size
-        return block
-
-    increments = take((steps, k_count))
-    paths = take((steps + 1, grid.dim) + grid.shape)
-    jac = None
-    logdet = None
-    if header["has_jacobian"]:
-        jac = take((steps + 1, grid.dim, grid.dim) + grid.shape)
-    if header["has_logdet"]:
-        logdet = take((steps + 1,) + grid.shape)
-    if cursor != raw.size:
+    cut = steps * k_count
+    size = cut + (steps + 1) * grid.dim * math.prod(grid.shape)
+    if size > raw.size:
+        raise FlowError(f"{path_name}: payload ends before the blocks the header implies")
+    if size != raw.size:
         raise FlowError(f"trailing bytes in {path_name}")
     path = BrownianPath(
-        T=header["T"], dt=header["dt"], k_count=k_count, increments=increments, seed=header["seed"]
+        T=header["T"], dt=header["dt"], k_count=k_count,
+        increments=raw[:cut].reshape(steps, k_count), seed=header["seed"],
     )
-    return FlowEnsemble(
-        seeds_grid=grid, path=path, paths=paths, jac_variational=jac, logdet_exponential=logdet
-    )
+    paths = raw[cut:].reshape((steps + 1, grid.dim) + grid.shape)
+    return FlowEnsemble(seeds_grid=grid, path=path, paths=paths)

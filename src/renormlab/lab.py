@@ -16,7 +16,7 @@ and other seeds are run at the caller's own risk.
 Every CSV artifact is written by ``_write_csv`` alone: a leading
 ``# renormlab v1`` line (so downstream consumers can detect schema drift),
 optional ``# key=value`` comments, the header and the rows, with LF line
-endings and floats as ``.12g``.
+endings and each float as the shortest string that reads back to it.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ from .zvonkin import (
 logger = logging.getLogger(__name__)
 
 CSV_VERSION_LINE = "# renormlab v1"
-
-EXPERIMENT_TAGS = (
-    "commutator_study",
-    "parabolic_decay",
-    "flow_conservation",
-    "renorm_residual",
-    "zvonkin_relaxation",
-    "acceptance_all",
-)
 
 # Stream-id offsets that ``_paths`` adds to master_seed, one block per
 # consumer; a refined level bridges its consumer's base paths.  Two draws are
@@ -489,6 +480,15 @@ def _pushforward_pair(
     return runs
 
 
+def _tanh_ledgers(cfg: ExperimentConfig, *pair) -> list[tuple[Problem, WeakFormLedger]]:
+    """(problem, tanh-renormalized ledger) of each level of ``_pushforward_pair(cfg, *pair)``."""
+    renorm = make_renormalizer("tanh")
+    return [
+        (prob, residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path))
+        for prob, path, fpath in _pushforward_pair(cfg, *pair)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -532,6 +532,7 @@ class RunReport:
         """This report with ``term`` negated in the ledgers its renorm rows carry.
 
         ``_renorm_rows`` re-gates those rows in place; no flow is recomputed.
+        The environment gains ``flipped=<term>``, so a written report says so.
         At master_seed 0 every term turns some renorm row red but g_gradsigma
         and h_divsigma_sq, which sit below the discretization residual.
         """
@@ -540,7 +541,8 @@ class RunReport:
             raise LabError("report carries no renormalized ledgers to flip")
         flipped = {key: tuple(led.flipped(term) for led in leds) for key, leds in carried.items()}
         regated = {row.name: row for row in _renorm_rows(flipped)}
-        return replace(self, checks=[regated[c.name] if c.ledgers else c for c in self.checks])
+        checks = [regated[c.name] if c.ledgers else c for c in self.checks]
+        return replace(self, checks=checks, environment={**self.environment, "flipped": term})
 
 
 def _environment_stamp(cfg: ExperimentConfig) -> dict[str, str]:
@@ -558,7 +560,9 @@ def _environment_stamp(cfg: ExperimentConfig) -> dict[str, str]:
 def _write_csv(path, columns, rows, comments=()) -> Path:
     """Write one CSV artifact: the version line, ``# key=value`` comments, header, rows.
 
-    Lines end in LF, floats are written as ``.12g`` and other cells as given.
+    Lines end in LF, each float is written as ``repr``, the shortest string
+    that reads back to it bit for bit (after ``float()``: numpy 2 writes
+    ``np.float64(...)`` for its own), and other cells as given.
     """
     with open(path, "w", newline="") as handle:
         handle.write(CSV_VERSION_LINE + "\n")
@@ -567,7 +571,7 @@ def _write_csv(path, columns, rows, comments=()) -> Path:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     return Path(path)
 
 
@@ -593,14 +597,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
         raise LabError("acceptance_all is run by `renormlab accept <config>`")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "commutator_study": _run_commutator_study,
-        "parabolic_decay": _run_parabolic_decay,
-        "flow_conservation": _run_flow_conservation,
-        "renorm_residual": _run_renorm_residual,
-        "zvonkin_relaxation": _run_zvonkin_relaxation,
-    }[cfg.experiment]
-    files = runner(cfg, out)
+    files = _RUNNERS[cfg.experiment](cfg, out)
     logger.info("experiment %s wrote %d artifacts to %s", cfg.experiment, len(files), out)
     return files
 
@@ -686,30 +683,24 @@ def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_renorm_residual(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    renorm = make_renormalizer("tanh")
     N = cfg.grid.N
     # Joint space-time refinement for 1-d presets; dt-only in 2-d, where
     # doubling N is past the desk budget, and for .fld coefficients, whose
     # files fix N.
     fine_N = 2 * N if cfg.grid.dim == 1 and cfg.coefficients.drift_file is None else N
-    runs = _pushforward_pair(
+    levels = _tanh_ledgers(
         cfg, _STREAM_PUSHFORWARD, _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt
     )
-    ledgers = [
-        residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path)
-        for prob, path, fpath in runs
-    ]
-    base = ledgers[0]
+    base = levels[0][1]
     return [
         _write_csv(
             out / "renorm_ledger.csv", ["term_name", "value"],
             [("lhs_delta", base.lhs_delta), *base.terms.items(), ("residual", base.residual)],
         ),
-        # a renormalizer without a cutoff scale leaves the epsilon cell empty
+        # tanh has no cutoff scale, so the epsilon cell stays empty
         _write_csv(
             out / "renorm_refinement.csv", ["dt", "h", "epsilon", "residual"],
-            [(prob.dt, prob.grid.L / prob.grid.N, renorm.epsilon, led.residual)
-             for (prob, _, _), led in zip(runs, ledgers)],
+            [(prob.dt, prob.grid.L / prob.grid.N, None, led.residual) for prob, led in levels],
         ),
     ]
 
@@ -728,6 +719,16 @@ def _run_zvonkin_relaxation(cfg: ExperimentConfig, out: Path) -> list[Path]:
         out / "zvonkin_relaxation.csv",
         ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"], rows,
     )]
+
+
+_RUNNERS = {
+    "commutator_study": _run_commutator_study,
+    "parabolic_decay": _run_parabolic_decay,
+    "flow_conservation": _run_flow_conservation,
+    "renorm_residual": _run_renorm_residual,
+    "zvonkin_relaxation": _run_zvonkin_relaxation,
+}
+EXPERIMENT_TAGS = (*_RUNNERS, "acceptance_all")
 
 
 # ---------------------------------------------------------------------------
@@ -1041,17 +1042,12 @@ def _check_relaxation(cfg: ExperimentConfig) -> list[CheckResult]:
 
 def _renorm_ledgers(cfg: ExperimentConfig) -> dict[str, tuple[WeakFormLedger, ...]]:
     """Base and refined renormalized ledgers for both criterion presets."""
-    renorm = make_renormalizer("tanh")
-
-    def ledgers(*pair) -> tuple[WeakFormLedger, ...]:
-        return tuple(
-            residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path)
-            for prob, path, fpath in _pushforward_pair(cfg, *pair)
-        )
-
+    pairs = {
+        "divfree": (_STREAM_DIVFREE, "divfree_2d", 64, 64, 0.25, 1e-3),
+        "smooth": (_STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3),
+    }
     return {
-        "divfree": ledgers(_STREAM_DIVFREE, "divfree_2d", 64, 64, 0.25, 1e-3),
-        "smooth": ledgers(_STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3),
+        key: tuple(led for _, led in _tanh_ledgers(cfg, *pair)) for key, pair in pairs.items()
     }
 
 

@@ -69,7 +69,6 @@ class Renormalizer:
     gamma: object
     gamma_prime: object
     gamma_second: object
-    epsilon: float | None = None
 
     def g(self, z):
         z = np.asarray(z, dtype=np.float64)
@@ -134,12 +133,7 @@ def _abs_eps_family(epsilon: float) -> Renormalizer:
         B, B1, B2 = _plateau(eps * z)
         return A2(z) * B + 2.0 * A1(z) * eps * B1 + A(z) * eps**2 * B2
 
-    return Renormalizer(
-        gamma=gamma,
-        gamma_prime=gamma_prime,
-        gamma_second=gamma_second,
-        epsilon=eps,
-    )
+    return Renormalizer(gamma=gamma, gamma_prime=gamma_prime, gamma_second=gamma_second)
 
 
 def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
@@ -392,17 +386,20 @@ class StabilitySeries:
     envelope: np.ndarray
 
 
+def _center_distance_sq(grid: Grid) -> np.ndarray:
+    """|x - c|^2 at every node, c the box center."""
+    sq = np.zeros(grid.shape)
+    for axis in grid.coordinates():
+        sq = sq + (axis - grid.L / 2.0) ** 2
+    return sq
+
+
 def _stability_weight(grid: Grid, r_exponent: float) -> np.ndarray:
     if r_exponent != 0.0 and r_exponent <= grid.dim:
         raise WeakFormError(
             f"weight exponent must be 0 (flat) or > dim = {grid.dim}, got {r_exponent}"
         )
-    mesh = grid.coordinates()
-    center = grid.L / 2.0
-    sq = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        sq = sq + (mesh[axis] - center) ** 2
-    return (1.0 + sq) ** (-r_exponent / 2.0)
+    return (1.0 + _center_distance_sq(grid)) ** (-r_exponent / 2.0)
 
 
 def weighted_l1_masses(f0: GridScalar, ensemble: FlowEnsemble, r_exponent: float) -> list[float]:
@@ -445,7 +442,7 @@ def weighted_l1_stability(
     times = np.arange(steps + 1) * dt
     mean, stderr = np.array([_mean_stderr(series[:, l]) for l in range(steps + 1)]).T
 
-    one_plus = 1.0 + np.sqrt(np.sum((np.stack(grid.coordinates()) - grid.L / 2.0) ** 2, axis=0))
+    one_plus = 1.0 + np.sqrt(_center_distance_sq(grid))
 
     def reach(rows: np.ndarray) -> list:  # sup |v| / (1 + |x - center|) of each row v
         return [float(np.max(np.sqrt(np.einsum("i...,i...->...", v, v)) / one_plus)) for v in rows]

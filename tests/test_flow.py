@@ -14,6 +14,7 @@ The closed forms doing the work:
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -604,19 +605,13 @@ class TestSimulateFlows:
         b, sigmas, path = trig_case()
         paths = member_paths(path, 5)
         ens = flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), paths)[2]
-        variational_jacobian(ens, b, sigmas)
-        logdet_stochastic_exponential(ens, b, sigmas)
         alone = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), paths[2])
-        variational_jacobian(alone, b, sigmas)
-        logdet_stochastic_exponential(alone, b, sigmas)
         save_ensemble(tmp_path / "member.flo", ens)
         save_ensemble(tmp_path / "alone.flo", alone)
         assert (tmp_path / "member.flo").read_bytes() == (tmp_path / "alone.flo").read_bytes()
         back = load_ensemble(tmp_path / "member.flo")
         assert np.array_equal(back.paths, ens.paths)
         assert np.array_equal(back.path.increments, paths[2].increments)
-        assert np.array_equal(back.jac_variational, ens.jac_variational)
-        assert np.array_equal(back.logdet_exponential, ens.logdet_exponential)
         assert back.path.seed == paths[2].seed
 
     def test_paths_must_share_the_time_grid(self):
@@ -1366,17 +1361,46 @@ class TestFloFiles:
         sg = still(GridVector(g, (0.4 + 0.2 * np.cos(x))[None, :]))
         path = sample_brownian(T, 0.025, 1, 12)
         ens = simulate_flow(b, [sg], SdeConfig(dt=0.025), path)
-        variational_jacobian(ens, b, [sg])
-        logdet_stochastic_exponential(ens, b, [sg])
         target = tmp_path / "ensemble.flo"
         save_ensemble(target, ens)
         back = load_ensemble(target)
         assert np.array_equal(back.paths, ens.paths)
         assert np.array_equal(back.path.increments, path.increments)
-        assert np.array_equal(back.jac_variational, ens.jac_variational)
-        assert np.array_equal(back.logdet_exponential, ens.logdet_exponential)
         assert back.path.seed == 12
         assert back.seeds_grid == g
+
+    def test_save_refuses_a_stored_recursion(self, tmp_path):
+        g = grid1(16)
+        b, sg = sine_contraction(g), still(GridVector.constant(g, [0.5]))
+        ens = simulate_flow(b, [sg], SdeConfig(dt=0.05), sample_brownian(T, 0.05, 1, 4))
+        variational_jacobian(ens, b, [sg])
+        with pytest.raises(FlowError, match="holds positions only; clear jac_variational"):
+            save_ensemble(tmp_path / "jac.flo", ens)
+        ens = replace(ens, jac_variational=None)
+        logdet_stochastic_exponential(ens, b, [sg])
+        with pytest.raises(FlowError, match="holds positions only; clear logdet_exponential"):
+            save_ensemble(tmp_path / "logdet.flo", ens)
+        assert not list(tmp_path.iterdir())
+
+    def test_old_header_flags(self, tmp_path):
+        # headers written before .flo held positions only carry two flags:
+        # false still loads, true names its key
+        g = grid1(16)
+        b = still(GridVector.constant(g, [0.0]))
+        ens = simulate_flow(b, [], SdeConfig(dt=0.05), sample_brownian(T, 0.05, 0, 1))
+        target = tmp_path / "old.flo"
+        save_ensemble(target, ens)
+        head, payload = target.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        assert "has_jacobian" not in header and "has_logdet" not in header
+        for key in ("has_jacobian", "has_logdet"):
+            old = {**header, "has_jacobian": False, "has_logdet": False}
+            target.write_bytes(json.dumps(old).encode("ascii") + b"\n" + payload)
+            assert np.array_equal(load_ensemble(target).paths, ens.paths)
+            old[key] = True
+            target.write_bytes(json.dumps(old).encode("ascii") + b"\n" + payload)
+            with pytest.raises(FlowError, match=f"header {key} must be false or absent"):
+                load_ensemble(target)
 
     def test_refined_path_refines_again_after_a_round_trip(self, tmp_path):
         # the fine path's key travels in the header's seed, so the loaded

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import importlib.util
 import json
 import math
 import os
@@ -226,17 +225,23 @@ CANNED_REPORT = RunReport(
 
 
 @pytest.fixture(scope="module")
-def csv_artifacts(tmp_path_factory) -> dict[str, Path]:
-    """Every CSV artifact by name, from one small run of each experiment."""
+def csv_artifacts(tmp_path_factory) -> dict[str, tuple[Path, list[list]]]:
+    """Every CSV artifact by name, from one small run of each experiment, with
+    the rows that ``_write_csv`` was handed for it."""
     root = tmp_path_factory.mktemp("artifacts")
-    paths = {
-        path.name: path
-        for experiment in ARTIFACTS
-        for path in lab.run_experiment(small_config(experiment, root))
-    }
-    paths["acceptance_report.csv"] = root / "acceptance_report.csv"
-    lab.write_report_csv(CANNED_REPORT, paths["acceptance_report.csv"])
-    return {name: path for name, path in paths.items() if name.endswith(".csv")}
+    handed, write = {}, lab._write_csv
+
+    def recording(path, columns, rows, comments=()):
+        rows = [list(row) for row in rows]
+        handed[Path(path).name] = (Path(path), rows)
+        return write(path, columns, rows, comments)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "_write_csv", recording)
+        for experiment in ARTIFACTS:
+            lab.run_experiment(small_config(experiment, root))
+        lab.write_report_csv(CANNED_REPORT, root / "acceptance_report.csv")
+    return handed
 
 
 def csv_rows(path: Path) -> list[list[str]]:
@@ -252,30 +257,41 @@ def test_every_csv_artifact_is_listed(csv_artifacts):
 @pytest.mark.parametrize("name", sorted(CSV_ARTIFACTS))
 def test_csv_artifact_format(csv_artifacts, name):
     columns, count, first = CSV_ARTIFACTS[name]
-    raw = csv_artifacts[name].read_bytes()
+    path, handed = csv_artifacts[name]
+    raw = path.read_bytes()
     assert b"\r" not in raw and raw.endswith(b"\n")
     assert raw.decode().split("\n")[0] == lab.CSV_VERSION_LINE
-    header, *rows = csv_rows(csv_artifacts[name])
+    header, *rows = csv_rows(path)
     assert header == columns
-    assert len(rows) == count
+    assert len(rows) == count == len(handed)
     for cell, want in zip(rows[0], first):
         assert cell == want if isinstance(want, str) else float(cell) == pytest.approx(want)
     if name != "acceptance_report.csv":
         assert all(math.isfinite(float(cell)) for cell in rows[0][len(first):])
+    # every float cell reads back to the value it was written from, bit for bit
+    floats = [
+        (cell, value) for row, values in zip(rows, handed)
+        for cell, value in zip(row, values, strict=True) if isinstance(value, float)
+    ]
+    assert floats and [float(c).hex() for c, _ in floats] == [v.hex() for _, v in floats]
 
 
 def test_write_csv_cells(tmp_path):
-    rows = [(0.1 + 0.2, 3, None, 'x, "y"'), (1.0 / 3.0, -2.5e-17, "", math.inf)]
+    rows = [
+        (0.1 + 0.2, 3, None, 'x, "y"'), (1.0 / 3.0, -2.5e-17, "", math.inf),
+        (np.float64(0.1), np.int64(2), "", 1e22),
+    ]
     path = lab._write_csv(tmp_path / "cells.csv", ["a", "b", "c", "d"], rows, [("k", "v=1")])
     assert path == tmp_path / "cells.csv"
     assert path.read_bytes() == (
         b"# renormlab v1\n# k=v=1\na,b,c,d\n"
-        b'0.3,3,,"x, ""y"""\n0.333333333333,-2.5e-17,,inf\n'
+        b'0.30000000000000004,3,,"x, ""y"""\n0.3333333333333333,-2.5e-17,,inf\n'
+        b"0.1,2,,1e+22\n"
     )
 
 
 def test_renorm_ledger_rows_close(csv_artifacts):
-    _, *rows = csv_rows(csv_artifacts["renorm_ledger.csv"])
+    _, *rows = csv_rows(csv_artifacts["renorm_ledger.csv"][0])
     assert [name for name, _ in rows] == ["lhs_delta", *RENORMALIZED_TERMS, "residual"]
     values = [float(value) for _, value in rows]
     assert values[-1] == pytest.approx(values[0] - sum(values[1:-1]), rel=1e-9, abs=1e-12)
@@ -310,7 +326,7 @@ class TestRunExperiment:
         assert lines[1].split(",") == [
             "lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err",
         ]
-        assert [row.split(",")[0] for row in lines[2:]] == ["4", "16"]
+        assert [row.split(",")[0] for row in lines[2:]] == ["4.0", "16.0"]
 
     def test_flow_conservation_artifacts_load(self, tmp_path):
         cfg = small_config(
@@ -508,8 +524,7 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0] == lab.CSV_VERSION_LINE
         assert "# renormlab=0.1.0" in lines
-        assert lines[-1].startswith("beta,3,")
-        assert lines[-1].endswith("fail,of interest")
+        assert lines[-1] == "beta,3.0,<=,2.0,fail,of interest"
 
     def test_flip_refuses_an_unknown_term(self):
         terms = {name: 0.25 for name in RENORMALIZED_TERMS}
@@ -828,7 +843,7 @@ class TestCli:
         assert cli.main(["inspect", str(ensemble_path)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "FlowError" in err
-        assert "header lacks k_count, seed, has_jacobian, has_logdet" in err
+        assert "header lacks k_count, seed" in err
         ensemble_path.write_bytes(b"[1, 16]\n")
         assert cli.main(["inspect", str(ensemble_path)]) == cli.EXIT_CONFIG_ERROR
         assert "not a flow ensemble file" in capsys.readouterr().err
@@ -845,7 +860,7 @@ class TestCli:
             ("N", 8.0, "header N must be an integer, got 8.0"),
             ("dim", True, "header dim must be an integer, got True"),
             ("dim", 3, "header dim must be 1 or 2, got 3"),
-            ("has_jacobian", "no", "header has_jacobian must be true or false, got 'no'"),
+            ("has_jacobian", "no", "header has_jacobian must be false or absent (.flo holds"),
             ("dt", -1e-3, "header dt must be a finite positive number, got -0.001"),
             ("k_count", -1, "header k_count must be a non-negative integer, got -1"),
         ],
@@ -898,48 +913,6 @@ class TestCli:
         assert "--grid-points" in run.stderr and "got 63" in run.stderr
         assert "Traceback" not in run.stderr
 
-    def test_gate_rejects_unknown_flip_term(self):
-        run = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "acceptance_gate.py"),
-             "--flip-sign", "g_div_bb"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            check=False,
-        )
-        assert run.returncode == 2
-        assert "--flip-sign" in run.stderr and "'g_div_bb'" in run.stderr
-        assert "Traceback" not in run.stderr
-
-    def test_acceptance_hex_refuses_a_bad_before_file(self, tmp_path):
-        before = tmp_path / "before.txt"
-        before.write_text("mollifier_certification 0x1.8p+0\n")
-        run = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "acceptance_hex.py"),
-             str(ROOT / "configs" / "acceptance.json"), "--against", str(before)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            check=False,
-        )
-        assert run.returncode == 2
-        assert f"{before}:1: expected `name hex verdict`" in run.stderr
-        assert "Traceback" not in run.stderr
-
-    def test_acceptance_hex_prints_only_changed_rows(self):
-        spec = importlib.util.spec_from_file_location(
-            "acceptance_hex", ROOT / "scripts" / "acceptance_hex.py"
-        )
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        before = {"same": (1.5).hex(), "moved": (2.0).hex(), "gone": (3.0).hex()}
-        after = {"same": (1.5).hex(), "moved": (2.0 + 2**-40).hex(), "new": (0.5).hex()}
-        assert script.changed_rows(before, after) == [
-            f"moved {(2.0).hex()} -> {(2.0 + 2**-40).hex()} +4.55e-13",
-            f"new absent -> {(0.5).hex()}",
-            f"gone {(3.0).hex()} -> absent",
-        ]
-
     def test_artifact_hex_lists_every_run_artifact(self):
         run = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "artifact_hex.py")],
@@ -976,6 +949,48 @@ class TestCli:
         assert cli.main(["accept", str(path)]) == cli.EXIT_CHECK_FAIL
         out = capsys.readouterr().out
         assert "FAIL only" in out
+
+    def test_accept_flip_sign_writes_the_regated_report(self, tmp_path, capsys, monkeypatch):
+        # renorm rows that pass, on ledgers where g_div_b carries the balance
+        terms = {**{name: 0.0 for name in RENORMALIZED_TERMS}, "g_div_b": 0.25}
+        base, fine = (WeakFormLedger.from_terms("renormalized", terms, 0.25 + r)
+                      for r in (1e-3, 1e-4))
+        report = RunReport(
+            checks=[CheckResult("alpha", 0.5, 1.0, "<=", True),
+                    *lab._renorm_rows({"divfree": (base, fine), "smooth": (base, fine)})],
+            environment={"renormlab": "test"},
+        )
+        assert report.passed
+        monkeypatch.setattr(cli, "acceptance_suite", lambda cfg: report)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "acceptance_all", "output_dir": str(tmp_path)}))
+        written = tmp_path / "acceptance_report.csv"
+        assert cli.main(["accept", str(path)]) == cli.EXIT_OK
+        assert "flipped" not in written.read_text()
+
+        code = cli.main(["accept", str(path), "--flip-sign", "g_div_b"])
+        assert code == cli.EXIT_CHECK_FAIL
+        out = capsys.readouterr().out
+        assert "PASS alpha" in out and out.count("FAIL renorm_") == 5
+        lab.write_report_csv(report.flipped("g_div_b"), tmp_path / "want.csv")
+        assert written.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert "# flipped=g_div_b" in written.read_text().splitlines()
+
+    def test_accept_refuses_an_unknown_flip_term_before_any_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_suite(cfg):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "acceptance_suite", no_suite)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "acceptance_all", "output_dir": str(tmp_path)}))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["accept", str(path), "--flip-sign", "g_div_bb"])
+        assert exit_.value.code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "--flip-sign" in err and "'g_div_bb'" in err and "Traceback" not in err
+        assert not (tmp_path / "acceptance_report.csv").exists()
 
     def test_run_on_acceptance_all_takes_the_accept_path(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cfg.json"

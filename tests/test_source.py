@@ -3,6 +3,8 @@
 - Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
 - Only ``field._spectral`` calls an ``np.fft`` transform, and only
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
+- In ``src/`` and ``scripts/`` only ``cli._accept`` runs the acceptance suite:
+  ``renormlab accept`` is its one runner.
 - Only ``lab._per_member`` integrates flows, by one ``simulate_flows`` call,
   and only ``lab._paths`` draws or refines Brownian paths: the lab has one
   member loop and one path drawer.  No call of the member loop passes a reduce
@@ -119,11 +121,43 @@ def test_one_fft_path(path):
 
 
 def _readers(tree: ast.Module, name: str) -> list[str]:
-    """The functions that read the bare name ``name``, each once, sorted."""
+    """The functions that read ``name`` bare or as an attribute, each once, sorted.
+
+    A call reads its callee, and so does an alias taken for a later call; an
+    import, a definition, an assignment to the name or a string does not.
+    """
     return sorted({
         function for function, node in _with_function(tree)
-        if isinstance(node, ast.Name) and node.id == name
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == name
+        and isinstance(node.ctx, ast.Load)
     })
+
+
+def test_readers_scan_sees_each_form():
+    tree = ast.parse(
+        "from .lab import acceptance_suite\n"
+        "def a(cfg):\n    return acceptance_suite(cfg)\n"
+        "def b(cfg):\n    return lab.acceptance_suite(cfg).checks\n"
+        "def c():\n    run = renormlab.lab.acceptance_suite\n    return run\n"
+        "def d(cfg):\n    acceptance_suite = print\n    return 'acceptance_suite(cfg)'\n"
+        "def acceptance_suite(cfg):\n    return acceptance_suite_of(cfg)\n"
+        "cli.acceptance_suite = capture\n"
+        "report = lab.acceptance_suite(cfg)\n"
+    )
+    assert _readers(tree, "acceptance_suite") == ["<module>", "a", "b", "c"]
+
+
+def test_one_suite_runner():
+    # perfbench and the tests may run the suite too; the package and its
+    # scripts run it through `renormlab accept` alone
+    readers = {
+        str(path.relative_to(ROOT)): _readers(_parse(path), "acceptance_suite")
+        for part in ("src", "scripts") for path in sorted((ROOT / part).rglob("*.py"))
+    }
+    assert {path: fns for path, fns in readers.items() if fns} == {
+        "src/renormlab/cli.py": ["_accept"],
+    }
 
 
 def _uses(tree: ast.AST, name: str) -> list[str]:
@@ -326,8 +360,8 @@ def unread_fields(records: dict[str, ast.Module], readers: list[ast.Module]) -> 
     """``module.Class.field`` for each field of a ``@dataclass`` in ``records`` that
     no reader reads as ``<...>.field`` outside the ``__post_init__`` of its class.
 
-    A read of any object's attribute of the same name counts: ``renorm.epsilon``
-    would keep any record's ``epsilon``, and a field's ``.times`` any record's
+    A read of any object's attribute of the same name counts: ``scalars.r``
+    would keep any record's ``r``, and a field's ``.times`` any record's
     ``times``.  So it finds a lower bound of the unread fields, not all of them.
     """
     reads = {read for tree in readers for read in _attribute_reads(tree)}
