@@ -5,8 +5,9 @@ artifacts, ``accept`` replays the acceptance suite, prints one verdict line
 per check and writes the report (``--flip-sign TERM`` re-gates it with one
 renormalized term negated), ``inspect`` prints the header of a saved
 .fld/.flo artifact.
-Exit codes: 0 ok, 1 at least one acceptance check failed, 2 bad config or
-unreadable artifact.  RENORMLAB_THREADS sizes the worker pool; any value
+Exit codes: 0 ok, 1 at least one acceptance check failed, 2 bad option,
+bad config or unreadable artifact; main returns the code and never raises
+SystemExit.  RENORMLAB_THREADS sizes the worker pool; any value
 produces bitwise-identical numbers.
 """
 
@@ -123,7 +124,10 @@ def _cmd_inspect(artifact: str) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help (0) or usage and its error (2)
+        return exc.code
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -81,7 +81,6 @@ from .weakform import (
     WeakFormLedger,
     bump_test_function,
     make_renormalizer,
-    residual_original,
     residual_renormalized,
     weighted_l1_masses,
     weighted_l1_stability,
@@ -697,10 +696,9 @@ def _run_renorm_residual(cfg: ExperimentConfig, out: Path) -> list[Path]:
             out / "renorm_ledger.csv", ["term_name", "value"],
             [("lhs_delta", base.lhs_delta), *base.terms.items(), ("residual", base.residual)],
         ),
-        # tanh has no cutoff scale, so the epsilon cell stays empty
         _write_csv(
-            out / "renorm_refinement.csv", ["dt", "h", "epsilon", "residual"],
-            [(prob.dt, prob.grid.L / prob.grid.N, None, led.residual) for prob, led in levels],
+            out / "renorm_refinement.csv", ["dt", "h", "residual"],
+            [(prob.dt, prob.grid.L / prob.grid.N, led.residual) for prob, led in levels],
         ),
     ]
 
@@ -899,13 +897,14 @@ def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
 
 def _check_pushforward_residual(cfg: ExperimentConfig) -> list[CheckResult]:
     runs = _pushforward_pair(cfg, _STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3)
+    linear = make_renormalizer("linear")  # its ledger is the plain weak form's
     base, fine = (
-        residual_original(fpath, prob.b, prob.sigmas, prob.phi, path).residual
+        residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, linear, path).residual
         for prob, path, fpath in runs
     )
     prob, path, _ = runs[0]
-    frozen = residual_original(
-        [prob.f0] * (prob.steps + 1), prob.b, prob.sigmas, prob.phi, path
+    frozen = residual_renormalized(
+        [prob.f0] * (prob.steps + 1), prob.b, prob.sigmas, prob.phi, linear, path
     ).residual
     return [
         _result("pushforward_residual", abs(base), 1e-2, "<="),

@@ -13,6 +13,9 @@ Residual ledgers integrate deterministic terms by left-endpoint quadrature
 and stochastic terms by Ito sums against the driving path's own increments.
 A ledger's residual is (pairing at time t) - (pairing at 0) - (sum of all
 right-hand terms); for a true solution it vanishes as (dt, h) refine.
+residual_renormalized is the one ledger function: with the linear
+renormalizer Gamma(z) = z, g and h vanish and its ledger is the plain weak
+form's.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .field import (
     Grid,
     GridScalar,
     TimeGridVector,
+    _blocks,
     divergence_and_twist,
     gradient,
     hessian_stack,
@@ -41,11 +45,9 @@ __all__ = [
     "StabilitySeries",
     "make_renormalizer",
     "bump_test_function",
-    "residual_original",
     "residual_renormalized",
     "weighted_l1_masses",
     "weighted_l1_stability",
-    "ORIGINAL_TERMS",
     "RENORMALIZED_TERMS",
 ]
 
@@ -70,13 +72,17 @@ class Renormalizer:
     gamma_prime: object
     gamma_second: object
 
-    def g(self, z):
+    def derived(self, z) -> tuple:
+        """Gamma, g and h at z, each derivative of Gamma evaluated once."""
         z = np.asarray(z, dtype=np.float64)
-        return z * self.gamma_prime(z) - self.gamma(z)
+        gamma, z_first = self.gamma(z), z * self.gamma_prime(z)
+        return gamma, z_first - gamma, z**2 * self.gamma_second(z) - z_first + gamma
+
+    def g(self, z):
+        return self.derived(z)[1]
 
     def h(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        return z**2 * self.gamma_second(z) - z * self.gamma_prime(z) + self.gamma(z)
+        return self.derived(z)[2]
 
 
 def _quintic_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,7 +219,6 @@ def bump_test_function(grid: Grid, center, radius: float) -> TestFunction:
 # Residual ledgers
 # ---------------------------------------------------------------------------
 
-ORIGINAL_TERMS = ("drift", "diffusion", "ito")
 RENORMALIZED_TERMS = (
     "gamma_drift",
     "gamma_diffusion",
@@ -224,35 +229,33 @@ RENORMALIZED_TERMS = (
     "g_gradsigma",
     "h_divsigma_sq",
 )
+# at each step a term adds scale * (its integrand summed over the grid) * vol * weight,
+# the weight being the noise increment dW for the Ito terms and dt for the others
+_SCALES = dict(zip(RENORMALIZED_TERMS, (1.0, 0.5, 1.0, -1.0, -1.0, -1.0, 0.5, 0.5)))
+_ITO_TERMS = ("gamma_ito", "g_div_sigma_ito")
 
 
 @dataclass
 class WeakFormLedger:
     """Signed time-integral of every right-hand term, plus the residual."""
 
-    variant: str
     terms: dict
     lhs_delta: float
     residual: float
 
     def __post_init__(self):
-        expected = {"original": ORIGINAL_TERMS, "renormalized": RENORMALIZED_TERMS}.get(
-            self.variant
-        )
-        if expected is None:
-            raise WeakFormError(f"unknown ledger variant {self.variant!r}")
-        if tuple(self.terms.keys()) != expected:
+        if tuple(self.terms.keys()) != RENORMALIZED_TERMS:
             raise WeakFormError(
-                f"{self.variant} ledger must carry terms {expected}, got {tuple(self.terms)}"
+                f"a ledger must carry terms {RENORMALIZED_TERMS}, got {tuple(self.terms)}"
             )
         values = [self.lhs_delta, self.residual, *self.terms.values()]
         if not all(math.isfinite(v) for v in values):
             raise WeakFormError("non-finite ledger entry")
 
     @classmethod
-    def from_terms(cls, variant: str, terms: dict, lhs_delta: float) -> "WeakFormLedger":
+    def from_terms(cls, terms: dict, lhs_delta: float) -> "WeakFormLedger":
         """The ledger whose residual is lhs_delta minus the sum of the terms."""
-        return cls(variant, terms, lhs_delta, lhs_delta - sum(terms.values()))
+        return cls(terms, lhs_delta, lhs_delta - sum(terms.values()))
 
     def flipped(self, term: str) -> "WeakFormLedger":
         """This ledger with one right-hand term negated and the residual re-formed.
@@ -263,7 +266,7 @@ class WeakFormLedger:
         if term not in self.terms:
             raise WeakFormError(f"cannot flip unknown term {term!r}")
         terms = {name: -v if name == term else v for name, v in self.terms.items()}
-        return WeakFormLedger.from_terms(self.variant, terms, self.lhs_delta)
+        return WeakFormLedger.from_terms(terms, self.lhs_delta)
 
 
 def _phi_calculus(phi: TestFunction):
@@ -284,43 +287,12 @@ def _check_sampling(fpath, sigmas, grid: Grid, path: BrownianPath):
         raise WeakFormError("noise field count does not match the path")
 
 
-def _row_terms(grid: Grid, rows: np.ndarray):
-    """Values, divergence and twist of each of a block of coefficient rows."""
-    return zip(rows, *divergence_and_twist(grid, jacobian_stack(grid, rows)))
-
-
-def residual_original(
-    fpath,
-    b: TimeGridVector,
-    sigmas,
-    phi: TestFunction,
-    path: BrownianPath,
-) -> WeakFormLedger:
-    """Ledger of the plain weak form: drift, diffusion, and Ito terms."""
-    grid = phi.values.grid
-    _check_sampling(fpath, sigmas, grid, path)
-    grad_phi, hess_phi = _phi_calculus(phi)
-    vol = grid.cell_volume
-    dt = path.dt
-    # the row in force at each step, looked up once per coefficient
-    times = np.arange(path.steps) * dt
-    b_at = b.rows_at(times)
-    sigmas_at = [sigma.rows_at(times) for sigma in sigmas]
-
-    drift = diffusion = ito = 0.0
-    for l in range(path.steps):
-        f = fpath[l].values
-        b_l = b.values[b_at[l]]
-        drift += float(np.sum(f * np.einsum("i...,i...->...", b_l, grad_phi))) * vol * dt
-        for k, sigma in enumerate(sigmas):
-            s_l = sigma.values[sigmas_at[k][l]]
-            pair = np.einsum("i...,j...,ij...->...", s_l, s_l, hess_phi)
-            diffusion += 0.5 * float(np.sum(f * pair)) * vol * dt
-            advect = np.einsum("i...,i...->...", s_l, grad_phi)
-            ito += float(np.sum(f * advect)) * vol * path.increments[l, k]
-    lhs_delta = float(np.sum((fpath[-1].values - fpath[0].values) * phi.values.values)) * vol
-    terms = {"drift": drift, "diffusion": diffusion, "ito": ito}
-    return WeakFormLedger.from_terms("original", terms, lhs_delta)
+def _row_terms(grid: Grid, rows: np.ndarray, grad_phi: np.ndarray, hess_phi: np.ndarray):
+    """Per row v of a block: v . grad phi, v v : hess phi, div v and the twist."""
+    div, twist = divergence_and_twist(grid, jacobian_stack(grid, rows))
+    adv = np.einsum("ri...,i...->r...", rows, grad_phi)
+    pair = np.einsum("ri...,rj...,ij...->r...", rows, rows, hess_phi)
+    return zip(adv, pair, div, twist)
 
 
 def residual_renormalized(
@@ -331,46 +303,59 @@ def residual_renormalized(
     renorm: Renormalizer,
     path: BrownianPath,
 ) -> WeakFormLedger:
-    """Ledger of the renormalized weak form (all eight right-hand terms)."""
+    """Ledger of the renormalized weak form (all eight right-hand terms).
+
+    With make_renormalizer("linear") it is the plain weak form's: drift,
+    diffusion and Ito terms are gamma_drift, gamma_diffusion and gamma_ito,
+    and the other five read 0.  Each distinct coefficient row meets the test
+    function once; Gamma, g, h and the grid sums are taken a block of steps
+    at a time (field's block rule), and each term adds its parts one at a
+    time, step by step and, within a step, noise field by noise field.
+    """
     grid = phi.values.grid
     _check_sampling(fpath, sigmas, grid, path)
     grad_phi, hess_phi = _phi_calculus(phi)
     phi_vals = phi.values.values
-    vol = grid.cell_volume
-    dt = path.dt
+    vol, dt = grid.cell_volume, path.dt
     times = np.arange(path.steps) * dt
-    drift, *noise = (
-        c.per_sample(lambda rows: _row_terms(c.grid, rows), times) for c in (b, *sigmas)
-    )
+    in_force = [
+        c.per_sample(lambda rows: _row_terms(c.grid, rows, grad_phi, hess_phi), times)
+        for c in (b, *sigmas)
+    ]
+    cells = tuple(range(1, grid.dim + 1))
 
-    sums = {name: 0.0 for name in RENORMALIZED_TERMS}
-    for l in range(path.steps):
-        f = fpath[l].values
-        gamma_f = renorm.gamma(f)
-        g_f = renorm.g(f)
-        h_f = renorm.h(f)
-        b_vals, div_b, _ = drift[l]
+    sums = dict.fromkeys(RENORMALIZED_TERMS, 0.0)
+    for steps in _blocks(grid, path.steps):
+        f = np.array([fpath[l].values for l in steps])
+        gamma_f, g_f, h_f = renorm.derived(f)
+        (adv_b, _, div_b, _), *noise = (  # each row term, stacked a step per leading entry
+            [np.array(term) for term in zip(*per_step[steps.start : steps.stop])]
+            for per_step in in_force
+        )
+        grid_sums = {
+            "gamma_drift": [(gamma_f * adv_b).sum(axis=cells)],
+            "g_div_b": [(g_f * div_b * phi_vals).sum(axis=cells)],
+        }
+        for adv_s, pair, div_s, twist in noise:
+            g_div_s = g_f * div_s
+            for name, integrand in (
+                ("gamma_diffusion", gamma_f * pair),
+                ("gamma_ito", gamma_f * adv_s),
+                ("g_div_sigma_ito", g_div_s * phi_vals),
+                ("g_div_sigma_transport", g_div_s * adv_s),
+                ("g_gradsigma", g_f * twist * phi_vals),
+                ("h_divsigma_sq", h_f * div_s**2 * phi_vals),
+            ):
+                grid_sums.setdefault(name, []).append(integrand.sum(axis=cells))
+        dW = path.increments[steps.start : steps.stop]
+        for name in RENORMALIZED_TERMS:
+            weight = dW if name in _ITO_TERMS else dt
+            by_step = _SCALES[name] * np.array(grid_sums.get(name, [])).T * vol * weight
+            for value in by_step.ravel().tolist():  # a row per step, a column per noise field
+                sums[name] += value
 
-        adv_b = np.einsum("i...,i...->...", b_vals, grad_phi)
-        sums["gamma_drift"] += float(np.sum(gamma_f * adv_b)) * vol * dt
-        sums["g_div_b"] -= float(np.sum(g_f * div_b * phi_vals)) * vol * dt
-        for k, noise_k in enumerate(noise):
-            s_vals, div_s, twist = noise_k[l]
-            dW = path.increments[l, k]
-            pair = np.einsum("i...,j...,ij...->...", s_vals, s_vals, hess_phi)
-            sums["gamma_diffusion"] += 0.5 * float(np.sum(gamma_f * pair)) * vol * dt
-            adv_s = np.einsum("i...,i...->...", s_vals, grad_phi)
-            sums["gamma_ito"] += float(np.sum(gamma_f * adv_s)) * vol * dW
-            sums["g_div_sigma_ito"] -= float(np.sum(g_f * div_s * phi_vals)) * vol * dW
-            sums["g_div_sigma_transport"] -= float(np.sum(g_f * div_s * adv_s)) * vol * dt
-            sums["g_gradsigma"] += 0.5 * float(np.sum(g_f * twist * phi_vals)) * vol * dt
-            sums["h_divsigma_sq"] += 0.5 * float(np.sum(h_f * div_s**2 * phi_vals)) * vol * dt
-
-    lhs_delta = (
-        float(np.sum((renorm.gamma(fpath[-1].values) - renorm.gamma(fpath[0].values)) * phi_vals))
-        * vol
-    )
-    return WeakFormLedger.from_terms("renormalized", sums, lhs_delta)
+    gamma_0, gamma_T = renorm.gamma(fpath[0].values), renorm.gamma(fpath[-1].values)
+    return WeakFormLedger.from_terms(sums, float(np.sum((gamma_T - gamma_0) * phi_vals)) * vol)
 
 
 # ---------------------------------------------------------------------------

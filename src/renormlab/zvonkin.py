@@ -16,8 +16,8 @@ transformed coefficients
 
 i.e. lam u and the k-th column of I + grad u evaluated at the inverted
 point.  The pushed path then satisfies the plain weak form against
-(b_hat, sigma_hat^k) -- the very ledger residual_original assembles -- up
-to the usual discretization debts.  As lam grows the transform relaxes:
+(b_hat, sigma_hat^k) -- the ledger residual_renormalized assembles with the
+linear renormalizer -- up to the usual discretization debts.  As lam grows the transform relaxes:
 b_hat -> b, sigma_hat^k -> e_k, grad sigma_hat^k -> 0 and
 Div b_hat -> Div b in the space-time norms relaxation_metrics reports.
 
@@ -68,7 +68,7 @@ from .flow import (
 )
 from .interp import SplineStack
 from .parabolic import backward_defect
-from .weakform import TestFunction, WeakFormLedger, residual_original
+from .weakform import TestFunction, WeakFormLedger, make_renormalizer, residual_renormalized
 
 __all__ = [
     "ZvonkinError",
@@ -318,8 +318,9 @@ def transformed_residual(
 
     fpath must sample a solution of the original equation with drift b and
     one unit noise per coordinate.  Every slice is pushed forward under
-    x + u(t, x) and the plain ledger is assembled against the transformed
-    coefficients, reusing the path's own increments for the Ito sums.
+    x + u(t, x) and the plain ledger (the linear renormalizer's) is assembled
+    against the transformed coefficients, reusing the path's own increments
+    for the Ito sums.
     """
     u = straightening.diffeo.u
     grid = u.grid
@@ -338,7 +339,10 @@ def transformed_residual(
     _warn_if_displacement_mismatches(u, b, straightening.lam)
 
     hpath = pushforward_path_under_diffeo(fpath, straightening, u.times)
-    return residual_original(hpath, straightening.b_hat, straightening.sigma_hat, phi_test, path)
+    linear = make_renormalizer("linear")
+    return residual_renormalized(
+        hpath, straightening.b_hat, straightening.sigma_hat, phi_test, linear, path
+    )
 
 
 def _time_lq(values, dt: float, q: float) -> float:

@@ -204,9 +204,7 @@ CSV_ARTIFACTS = {
         ["member", "step", "time", "mass_gap", "lp_ratio"], 2 * 11, ["0", "0", 0.0],
     ),
     "renorm_ledger.csv": (["term_name", "value"], 2 + len(RENORMALIZED_TERMS), ["lhs_delta"]),
-    "renorm_refinement.csv": (
-        ["dt", "h", "epsilon", "residual"], 2, [0.0125, TWO_PI / 32, ""],
-    ),
+    "renorm_refinement.csv": (["dt", "h", "residual"], 2, [0.0125, TWO_PI / 32]),
     "zvonkin_relaxation.csv": (
         ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"], 3, [4.0],
     ),
@@ -392,11 +390,11 @@ class TestRunExperiment:
         ledger_path, refine_path = lab.run_experiment(cfg)
         assert ledger_path.read_text().splitlines()[0] == lab.CSV_VERSION_LINE
         lines = refine_path.read_text().splitlines()
-        assert lines[1] == "dt,h,epsilon,residual"
+        assert lines[1] == "dt,h,residual"
         base, fine = lines[2].split(","), lines[3].split(",")
         assert float(base[0]) == pytest.approx(4.0 * float(fine[0]))
         assert float(base[1]) == pytest.approx(2.0 * float(fine[1]))
-        assert base[2] == ""  # tanh renormalizer carries no cutoff scale
+        assert len(base) == len(fine) == 3 and math.isfinite(float(base[2]))
 
     def test_field_file_coefficients(self, tmp_path):
         grid = Grid(dim=1, L=TWO_PI, N=32)
@@ -528,7 +526,7 @@ class TestReports:
 
     def test_flip_refuses_an_unknown_term(self):
         terms = {name: 0.25 for name in RENORMALIZED_TERMS}
-        ledger = WeakFormLedger.from_terms("renormalized", terms, 3.0)
+        ledger = WeakFormLedger.from_terms(terms, 3.0)
         ledgers = {"divfree": (ledger, ledger), "smooth": (ledger, ledger)}
         report = RunReport(checks=lab._renorm_rows(ledgers), environment={})
         flipped = report.flipped("g_div_b").checks
@@ -953,7 +951,7 @@ class TestCli:
     def test_accept_flip_sign_writes_the_regated_report(self, tmp_path, capsys, monkeypatch):
         # renorm rows that pass, on ledgers where g_div_b carries the balance
         terms = {**{name: 0.0 for name in RENORMALIZED_TERMS}, "g_div_b": 0.25}
-        base, fine = (WeakFormLedger.from_terms("renormalized", terms, 0.25 + r)
+        base, fine = (WeakFormLedger.from_terms(terms, 0.25 + r)
                       for r in (1e-3, 1e-4))
         report = RunReport(
             checks=[CheckResult("alpha", 0.5, 1.0, "<=", True),
@@ -985,12 +983,16 @@ class TestCli:
         monkeypatch.setattr(cli, "acceptance_suite", no_suite)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "acceptance_all", "output_dir": str(tmp_path)}))
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["accept", str(path), "--flip-sign", "g_div_bb"])
-        assert exit_.value.code == cli.EXIT_CONFIG_ERROR
+        assert cli.main(["accept", str(path), "--flip-sign", "g_div_bb"]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "--flip-sign" in err and "'g_div_bb'" in err and "Traceback" not in err
         assert not (tmp_path / "acceptance_report.csv").exists()
+
+    def test_bad_options_return_two_and_help_returns_zero(self, capsys):
+        assert cli.main(["run"]) == cli.EXIT_CONFIG_ERROR
+        assert "the following arguments are required: config" in capsys.readouterr().err
+        assert cli.main(["accept", "--help"]) == cli.EXIT_OK
+        assert "--flip-sign" in capsys.readouterr().out
 
     def test_run_on_acceptance_all_takes_the_accept_path(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cfg.json"

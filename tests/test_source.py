@@ -26,6 +26,9 @@
 - No line of ``src/renormlab`` reads ``id(``, ``distinct(``, ``slice_of`` or
   ``.slices``: time samples share a slice through ``TimeGridVector.index``,
   not through object identity.
+- In ``src/`` and ``scripts/`` only ``weakform.residual_renormalized`` and
+  ``WeakFormLedger.flipped`` build a ``WeakFormLedger`` (by its constructor
+  or ``from_terms``): the package has one ledger function.
 - Every field of a ``@dataclass`` in ``src/renormlab`` is read as
   ``<...>.field`` somewhere in ``src/``, ``scripts/``, ``perfbench/`` or
   ``tests/``, outside its own class's ``__post_init__``: a record carries no
@@ -399,3 +402,40 @@ def test_unread_field_scan_sees_each_form():
     assert unread_fields({"probe": record}, [record, reader]) == [
         "probe.A.checked", "probe.A.unread", "probe.B.written",
     ]
+
+
+def _ledger_builders(tree: ast.Module) -> list[str]:
+    """The functions that call ``WeakFormLedger(...)`` or ``<...>.from_terms(...)``,
+    bare or as an attribute, each once, sorted."""
+    return sorted({
+        function for function, node in _with_function(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id in ("WeakFormLedger", "from_terms")
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("WeakFormLedger", "from_terms")
+        )
+    })
+
+
+def test_one_ledger():
+    # the plain weak form is the linear renormalizer's ledger, so one
+    # function assembles every ledger and flipping a term is the only edit
+    builders = {
+        str(path.relative_to(ROOT)): _ledger_builders(_parse(path))
+        for part in ("src", "scripts") for path in sorted((ROOT / part).rglob("*.py"))
+    }
+    assert {path: fns for path, fns in builders.items() if fns} == {
+        "src/renormlab/weakform.py": ["flipped", "residual_renormalized"],
+    }
+
+
+def test_ledger_builder_scan_sees_each_form():
+    tree = ast.parse(
+        "def a(t, d):\n    return WeakFormLedger(t, d, 0.0)\n"
+        "def b(t, d):\n    return weakform.WeakFormLedger(t, d, 0.0)\n"
+        "def c(t, d):\n    return WeakFormLedger.from_terms(t, d)\n"
+        "def d(t, d):\n    return from_terms(t, d)\n"
+        "def e(led):\n    return led.residual, WeakFormLedger, 'WeakFormLedger(t)'\n"
+        "def f(led):\n    return led.flipped('g_div_b'), led.from_terms\n"
+    )
+    assert _ledger_builders(tree) == ["a", "b", "c", "d"]

@@ -27,13 +27,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renormlab import field
 from renormlab.field import (
     GridScalar,
     GridVector,
     TimeGridVector,
     build_grid,
     divergence,
+    divergence_and_twist,
     gradient,
+    jacobian,
 )
 from renormlab.flow import (
     BrownianPath,
@@ -46,13 +49,11 @@ from renormlab.flow import (
 from renormlab import weakform
 from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import (
-    ORIGINAL_TERMS,
     RENORMALIZED_TERMS,
     WeakFormError,
     WeakFormLedger,
     bump_test_function,
     make_renormalizer,
-    residual_original,
     residual_renormalized,
     weighted_l1_masses,
     weighted_l1_stability,
@@ -223,6 +224,10 @@ class TestBumpTestFunction:
 # Scalar transport oracle
 # ---------------------------------------------------------------------------
 
+# the plain weak form's drift, diffusion and Ito terms, as the linear ledger names them
+PLAIN_TERMS = RENORMALIZED_TERMS[:3]
+
+
 def transport_oracle(phi, path, beta, s):
     """Ledger entries for f = sin(x - beta t - s W) by complex recursion."""
     g = phi.values.grid
@@ -240,7 +245,7 @@ def transport_oracle(phi, path, beta, s):
         diffusion += 0.5 * s * s * pair(theta[l], 2) * path.dt
         ito += s * pair(theta[l], 1) * path.increments[l, 0]
     lhs = pair(theta[-1], 0) - pair(theta[0], 0)
-    return {"drift": drift, "diffusion": diffusion, "ito": ito}, lhs
+    return dict(zip(PLAIN_TERMS, (drift, diffusion, ito))), lhs
 
 
 def transport_setup(beta=0.7, s=0.5, T=0.25, dt=1e-2, stream_id=42):
@@ -257,21 +262,61 @@ def transport_setup(beta=0.7, s=0.5, T=0.25, dt=1e-2, stream_id=42):
     return g, phi, path, fpath, b, sig
 
 
+def plain_ledger(fpath, b, sigmas, phi, path) -> WeakFormLedger:
+    """The plain weak form's ledger: the renormalized one with Gamma(z) = z."""
+    return residual_renormalized(fpath, b, sigmas, phi, make_renormalizer("linear"), path)
+
+
+def per_step_ledger(fpath, b, sigmas, phi, renorm, path) -> tuple[dict, float]:
+    """Reference terms and lhs_delta: every term formed and added one step at a
+    time, each coefficient's slice looked up at that step."""
+    g = phi.values.grid
+    grad_phi, hess_phi = weakform._phi_calculus(phi)
+    psi = phi.values.values
+    vol, dt = g.cell_volume, path.dt
+    sums = dict.fromkeys(RENORMALIZED_TERMS, 0.0)
+    for l in range(path.steps):
+        f = fpath[l].values
+        gamma_f, g_f, h_f = renorm.gamma(f), renorm.g(f), renorm.h(f)
+        b_l = b.slice_at(l * dt)
+        adv_b = np.einsum("i...,i...->...", b_l.values, grad_phi)
+        sums["gamma_drift"] += float(np.sum(gamma_f * adv_b)) * vol * dt
+        sums["g_div_b"] -= float(np.sum(g_f * divergence(b_l).values * psi)) * vol * dt
+        for k, sigma in enumerate(sigmas):
+            s_l = sigma.slice_at(l * dt)
+            div_s, twist = divergence_and_twist(g, jacobian(s_l))
+            dW = path.increments[l, k]
+            pair = np.einsum("i...,j...,ij...->...", s_l.values, s_l.values, hess_phi)
+            adv_s = np.einsum("i...,i...->...", s_l.values, grad_phi)
+            sums["gamma_diffusion"] += 0.5 * float(np.sum(gamma_f * pair)) * vol * dt
+            sums["gamma_ito"] += float(np.sum(gamma_f * adv_s)) * vol * dW
+            sums["g_div_sigma_ito"] -= float(np.sum(g_f * div_s * psi)) * vol * dW
+            sums["g_div_sigma_transport"] -= float(np.sum(g_f * div_s * adv_s)) * vol * dt
+            sums["g_gradsigma"] += 0.5 * float(np.sum(g_f * twist * psi)) * vol * dt
+            sums["h_divsigma_sq"] += 0.5 * float(np.sum(h_f * div_s**2 * psi)) * vol * dt
+    gamma_0, gamma_T = renorm.gamma(fpath[0].values), renorm.gamma(fpath[-1].values)
+    return sums, float(np.sum((gamma_T - gamma_0) * psi)) * vol
+
+
 class TestOriginalLedger:
+    """The plain weak form, through the linear renormalizer."""
+
     def test_terms_match_scalar_oracle(self):
         _, phi, path, fpath, b, sig = transport_setup()
-        ledger = residual_original(fpath, b, [sig], phi, path)
+        ledger = plain_ledger(fpath, b, [sig], phi, path)
         expected_terms, expected_lhs = transport_oracle(phi, path, 0.7, 0.5)
-        for name in ORIGINAL_TERMS:
+        for name in PLAIN_TERMS:
             assert abs(ledger.terms[name] - expected_terms[name]) < 1e-12
         assert abs(ledger.lhs_delta - expected_lhs) < 1e-12
         assert abs(ledger.residual) < 2e-3
 
-    def test_cycling_slices_match_per_step_lookup(self):
+    def test_cycling_slices_match_per_step_lookup(self, monkeypatch):
         # coefficients sampled 3, 2 and 5 times per step, cycling through
-        # rows with periods 2, 3 and 2: the ledger equals a loop that looks
-        # each coefficient's slice up at every step
-        g, phi, path, fpath, _, _ = transport_setup()
+        # rows with periods 2, 3 and 2, on a path of three blocks of steps
+        # (then of 27 blocks of 3 steps, then of one step each): every term
+        # of the linear and the tanh ledger, bit for bit, equals a loop that
+        # forms each step alone and looks each coefficient's slice up there
+        g, phi, path, fpath, _, _ = transport_setup(T=0.8)
         x = g.axis_coordinates()
         b_cycle = np.stack([(0.5 + 0.3 * np.sin(x + j))[None, :] for j in range(2)])
         s_cycle = np.stack([(0.4 + 0.2 * np.cos(x - j))[None, :] for j in range(3)])
@@ -287,27 +332,18 @@ class TestOriginalLedger:
             increments=np.stack([path.increments[:, 0], -0.5 * path.increments[:, 0]], axis=1),
             seed=0,
         )
-        ledger = residual_original(fpath, b, sigs, phi, wide)
-        grad_phi = gradient(phi.values).values
-        hess_phi = weakform._phi_calculus(phi)[1]
-        vol, dt = g.cell_volume, wide.dt
-        drift = diffusion = ito = 0.0
-        seen = set()
-        for l in range(wide.steps):
-            t = l * dt
-            f = fpath[l].values
-            b_l = b.slice_at(t).values
-            seen.add(int(b.index[b.slice_indices(t)]))
-            drift += float(np.sum(f * np.einsum("i...,i...->...", b_l, grad_phi))) * vol * dt
-            for k, sigma in enumerate(sigs):
-                s_l = sigma.slice_at(t).values
-                pair = np.einsum("i...,j...,ij...->...", s_l, s_l, hess_phi)
-                diffusion += 0.5 * float(np.sum(f * pair)) * vol * dt
-                advect = np.einsum("i...,i...->...", s_l, grad_phi)
-                ito += float(np.sum(f * advect)) * vol * wide.increments[l, k]
+        seen = {int(b.index[b.slice_indices(l * wide.dt)]) for l in range(wide.steps)}
         assert len(seen) == 2
-        got = [ledger.terms[name].hex() for name in ORIGINAL_TERMS]
-        assert got == [drift.hex(), diffusion.hex(), ito.hex()]
+        for block_points, blocks in ((field._BLOCK_POINTS, 3), (3 * g.N, 27), (g.N, 80)):
+            monkeypatch.setattr(field, "_BLOCK_POINTS", block_points)
+            assert len(field._blocks(g, wide.steps)) == blocks
+            for tag in ("linear", "tanh"):
+                rn = make_renormalizer(tag)
+                ledger = residual_renormalized(fpath, b, sigs, phi, rn, wide)
+                terms, lhs_delta = per_step_ledger(fpath, b, sigs, phi, rn, wide)
+                got = [v.hex() for v in (ledger.lhs_delta, *ledger.terms.values())]
+                assert got == [v.hex() for v in (lhs_delta, *terms.values())], (tag, blocks)
+                assert all(v != 0.0 for v in ledger.terms.values()) == (tag == "tanh")
 
     def test_constant_f_every_term_vanishes(self):
         g = grid1()
@@ -317,7 +353,7 @@ class TestOriginalLedger:
         fpath = [GridScalar.constant(g, 1.7)] * (path.steps + 1)
         b = still(GridVector.constant(g, (0.0,)), T)
         sig = still(GridVector.constant(g, (1.0,)), T)
-        ledger = residual_original(fpath, b, [sig], phi, path)
+        ledger = plain_ledger(fpath, b, [sig], phi, path)
         for value in ledger.terms.values():
             assert abs(value) < 1e-9
         assert abs(ledger.lhs_delta) < 1e-15
@@ -335,42 +371,38 @@ class TestOriginalLedger:
         )
         exact = [GridScalar(g, 1.0 + 0.5 * np.sin(x - l * dt)) for l in range(steps + 1)]
         frozen = [exact[0]] * (steps + 1)
-        r_exact = residual_original(exact, b, [], phi, path).residual
-        r_frozen = residual_original(frozen, b, [], phi, path).residual
+        r_exact = plain_ledger(exact, b, [], phi, path).residual
+        r_frozen = plain_ledger(frozen, b, [], phi, path).residual
         assert abs(r_frozen) >= 10 * abs(r_exact)
 
     def test_linearity_in_phi(self):
         g, phi, path, fpath, b, sig = transport_setup(T=0.05)
         scaled = bump_test_function(g, center=(L / 2,), radius=L / 8)
         scaled.values.values *= 2.5
-        one = residual_original(fpath, b, [sig], phi, path)
-        two = residual_original(fpath, b, [sig], scaled, path)
+        one = plain_ledger(fpath, b, [sig], phi, path)
+        two = plain_ledger(fpath, b, [sig], scaled, path)
         assert abs(two.residual - 2.5 * one.residual) < 1e-12 * max(1.0, abs(one.residual))
-        for name in ORIGINAL_TERMS:
+        for name in RENORMALIZED_TERMS:
             assert abs(two.terms[name] - 2.5 * one.terms[name]) < 1e-12
 
     def test_validation(self):
         g, phi, path, fpath, b, sig = transport_setup()
         with pytest.raises(WeakFormError, match="slices"):
-            residual_original(fpath[:-1], b, [sig], phi, path)
+            plain_ledger(fpath[:-1], b, [sig], phi, path)
         with pytest.raises(WeakFormError, match="noise"):
-            residual_original(fpath, b, [], phi, path)
+            plain_ledger(fpath, b, [], phi, path)
         other = build_grid(1, L, 32)
         foreign = [GridScalar.constant(other, 0.0)] * (path.steps + 1)
         with pytest.raises(WeakFormError, match="grid"):
-            residual_original(foreign, b, [sig], phi, path)
+            plain_ledger(foreign, b, [sig], phi, path)
 
     def test_ledger_invariants(self):
-        with pytest.raises(WeakFormError, match="variant"):
-            WeakFormLedger(variant="exotic", terms={}, lhs_delta=0.0, residual=0.0)
-        with pytest.raises(WeakFormError, match="must carry"):
-            WeakFormLedger(
-                variant="original", terms={"drift": 0.0}, lhs_delta=0.0, residual=0.0
-            )
+        for terms in ({}, {"gamma_drift": 0.0}, {"drift": 0.0, "diffusion": 0.0, "ito": 0.0}):
+            with pytest.raises(WeakFormError, match="must carry"):
+                WeakFormLedger(terms=terms, lhs_delta=0.0, residual=0.0)
         with pytest.raises(WeakFormError, match="finite"):
             WeakFormLedger(
-                variant="original",
-                terms={"drift": 0.0, "diffusion": math.nan, "ito": 0.0},
+                terms={**dict.fromkeys(RENORMALIZED_TERMS, 0.0), "gamma_diffusion": math.nan},
                 lhs_delta=0.0,
                 residual=0.0,
             )
@@ -382,13 +414,25 @@ class TestOriginalLedger:
 
 class TestRenormalizedLedger:
     def test_linear_gamma_reduces_to_original(self):
-        _, phi, path, fpath, b, sig = transport_setup()
-        plain = residual_original(fpath, b, [sig], phi, path)
+        # the plain weak form's terms, formed from f itself step by step,
+        # against the linear ledger, bit for bit; the other five terms are 0
+        g, phi, path, fpath, b, sig = transport_setup()
         lin = residual_renormalized(fpath, b, [sig], phi, make_renormalizer("linear"), path)
-        assert lin.terms["gamma_drift"] == plain.terms["drift"]
-        assert lin.terms["gamma_diffusion"] == plain.terms["diffusion"]
-        assert lin.terms["gamma_ito"] == plain.terms["ito"]
-        assert lin.lhs_delta == plain.lhs_delta
+        grad_phi, hess_phi = weakform._phi_calculus(phi)
+        vol, dt = g.cell_volume, path.dt
+        drift = diffusion = ito = 0.0
+        for l in range(path.steps):
+            f = fpath[l].values
+            b_l, s_l = b.slice_at(l * dt).values, sig.slice_at(l * dt).values
+            drift += float(np.sum(f * np.einsum("i...,i...->...", b_l, grad_phi))) * vol * dt
+            pair = np.einsum("i...,j...,ij...->...", s_l, s_l, hess_phi)
+            diffusion += 0.5 * float(np.sum(f * pair)) * vol * dt
+            advect = np.einsum("i...,i...->...", s_l, grad_phi)
+            ito += float(np.sum(f * advect)) * vol * path.increments[l, 0]
+        lhs_delta = float(np.sum((fpath[-1].values - fpath[0].values) * phi.values.values)) * vol
+        assert [lin.terms[name] for name in PLAIN_TERMS] == [drift, diffusion, ito]
+        assert lin.lhs_delta == lhs_delta
+        assert lin.residual == lhs_delta - (drift + diffusion + ito)
         for name in RENORMALIZED_TERMS[3:]:
             assert lin.terms[name] == 0.0
 
@@ -423,8 +467,9 @@ class TestRenormalizedLedger:
 
     def test_shared_and_copied_slices_agree_bitwise(self):
         # slice sharing only saves work: N+1 rows, copies of one slice, give
-        # the ledger of one row held at every time, bit for bit
-        g, phi, path, fpath, _, _ = transport_setup()
+        # the ledger of one row held at every time, bit for bit, over three
+        # blocks of steps
+        g, phi, path, fpath, _, _ = transport_setup(T=0.8)
         x = g.axis_coordinates()
         b_vec = GridVector(g, (0.5 + 0.3 * np.sin(x))[None, :])
         s_vec = GridVector(g, (0.4 + 0.2 * np.cos(x))[None, :])

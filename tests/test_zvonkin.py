@@ -48,7 +48,7 @@ from renormlab.flow import (
 from renormlab.interp import PeriodicInterpolant
 from renormlab.parabolic import mild_solve
 from renormlab.presets import sample_constant_in_time
-from renormlab.weakform import bump_test_function, residual_original
+from renormlab.weakform import bump_test_function, make_renormalizer, residual_renormalized
 from renormlab.zvonkin import (
     LipTooLarge,
     ZvonkinError,
@@ -476,7 +476,7 @@ class TestTransformedResidual:
         zero = zero_displacement(g, T=T, steps=path.steps)
         phi = bump_test_function(g, center=[L / 2], radius=L / 8)
         straightened = transformed_residual(fpath, transform_coeffs(zero, 4.0), zero, phi, path)
-        plain = residual_original(fpath, zero, [noise], phi, path)
+        plain = residual_renormalized(fpath, zero, [noise], phi, make_renormalizer("linear"), path)
         assert straightened.terms == plain.terms
         assert straightened.lhs_delta == plain.lhs_delta
         assert straightened.residual == plain.residual
