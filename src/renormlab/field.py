@@ -298,25 +298,30 @@ def _spectral(grid: Grid, values: np.ndarray, multipliers=None) -> np.ndarray:
     """Each Fourier multiplier applied to each field of a (...) + grid shape stack.
 
     Returns the real parts, (..., len(multipliers)) + grid shape, from one
-    forward transform per field; with no multipliers, the complex spectra
-    themselves.  This is the package's one FFT path.  It transforms axis by
-    axis, last axis first, exactly as np.fft.fftn does, so the bits are
-    fftn's without fftn's per-call cost.
+    forward transform per field and one _synthesize per multiplier; with no
+    multipliers, the complex spectra themselves (the forward half).  With
+    _synthesize, the inverse half, this is the package's one FFT path.  It
+    transforms axis by axis, last axis first, exactly as np.fft.fftn does, so
+    the bits are fftn's without fftn's per-call cost.
     """
-    axes = range(-1, -grid.dim - 1, -1)
     spectrum = values
-    for axis in axes:
+    for axis in range(-1, -grid.dim - 1, -1):
         spectrum = np.fft.fft(spectrum, axis=axis)
     if multipliers is None:
         return spectrum
     cells = (slice(None),) * grid.dim
     out = np.empty(values.shape[: values.ndim - grid.dim] + (len(multipliers),) + grid.shape)
     for m, mult in enumerate(multipliers):
-        image = mult * spectrum
-        for axis in axes:
-            image = np.fft.ifft(image, axis=axis)
-        out[(..., m) + cells] = image.real
+        out[(..., m) + cells] = _synthesize(grid, mult * spectrum)
     return out
+
+
+def _synthesize(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+    """The inverse half of _spectral: the real fields of a (...) + grid shape stack
+    of spectra, transformed back axis by axis as np.fft.ifftn does."""
+    for axis in range(-1, -grid.dim - 1, -1):
+        spectra = np.fft.ifft(spectra, axis=axis)
+    return spectra.real
 
 
 def _partials(grid: Grid, derivatives) -> list[np.ndarray]:

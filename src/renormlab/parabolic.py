@@ -18,11 +18,12 @@ g_l the left-endpoint source.  This rule is a left-endpoint quadrature like
 every other integral in the package, but it is *exact* for drifts that are
 constant in space and time, which keeps the closed-form checks at round-off
 instead of at O(dt).  Because g_l = b_l + (b_l . grad) v_l reads only the
-left endpoint, one forward march computes v exactly: it *is* the fixed point
-of the discrete mild map, with no iteration.  mild_solve and mild_defect take
-that step through one function on raw arrays (_mild_step), so the defect is 0
-by construction.  u keeps the march array as its rows, read backward through
-its index; spatial norms are taken a block of rows at a time.
+left endpoint, one forward march computes v: it *is* the fixed point of the
+discrete mild map, with no iteration.  mild_solve marches the spectrum of v,
+one inverse and one forward transform a step; mild_defect re-applies the step
+in physical space, an independent check that reads round-off.  u keeps the
+march array as its rows, read backward through its index; spatial norms are
+taken a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .field import (
     _blocks,
     _partials,
     _spectral,
+    _synthesize,
     _wavenumbers,
     divergence_stack,
     hessian_stack,
@@ -77,8 +79,8 @@ def _heat_multiplier(dim: int, L: float, N: int, t: float) -> np.ndarray:
 
 def heat_apply(g, t: float):
     """Heat semigroup exp(t/2 * Laplace), spectral, for scalars or vectors."""
-    if t < 0:
-        raise ParabolicError(f"heat time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ParabolicError(f"heat time must be finite and >= 0, got {t}")
     if not isinstance(g, (GridScalar, GridVector)):
         raise ParabolicError(f"heat_apply expects a grid field, got {type(g).__name__}")
     if t == 0.0:
@@ -102,46 +104,39 @@ def _check_uniform_times(times: np.ndarray) -> float:
     return float(dts[0])
 
 
-def _mild_step(grid: Grid, lam: float, dt: float):
-    """The exponential-Euler step of mild_solve and mild_defect, on raw arrays.
-
-    step(b_l, u_l, v_l) = P_dt(e^{-lam dt} v_l + (1 - e^{-lam dt})/lam * g_l),
-    g_l = b_l + (b_l . grad) u_l, with the partials and heat multiplier fetched once.
-    """
-    partials = _partials(grid, [(j,) for j in range(grid.dim)])
-    heat = [_heat_multiplier(grid.dim, grid.L, grid.N, dt)]
-    decay = math.exp(-lam * dt)
-    weight = (1.0 - decay) / lam
-
-    def step(b_l: np.ndarray, u_l: np.ndarray, v_l: np.ndarray) -> np.ndarray:
-        jac = _spectral(grid, u_l, partials)  # jac[i, j] = d_j u_i
-        g_l = b_l + np.einsum("j...,ij...->i...", b_l, jac)
-        return _spectral(grid, decay * v_l + weight * g_l, heat).reshape(v_l.shape)
-
-    return step
-
-
 def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolution:
-    """March the mild form forward once; return backward-time slices.
+    """March the mild form forward once on the spectrum of v; return backward-time slices.
 
     The drift must be sampled on the quadrature grid itself (quad_steps
-    uniform sub-intervals of [0, T]).  Step l+1 needs only v_l, so the march
-    reproduces mild_defect's re-application bit for bit: the defect is 0.
+    uniform sub-intervals of [0, T]).  Each step synthesizes grad v and
+    transforms the source; slices are synthesized a block of steps at a time.
     Overflow is ignored in the march, as in the flow's Euler loop; one check
     afterwards names the first step that lost finiteness.
     """
-    if lam <= 0:
-        raise ParabolicError(f"damping lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ParabolicError(f"damping lambda must be positive and finite, got {lam}")
     if len(b.times) != quad_steps + 1:
         raise ParabolicError(
             f"drift has {len(b.times) - 1} steps, quadrature wants {quad_steps}"
         )
-    grid, steps = b.grid, quad_steps
-    step = _mild_step(grid, lam, _check_uniform_times(b.times))
-    v = np.zeros((steps + 1, grid.dim) + grid.shape)
+    grid, steps, dt = b.grid, quad_steps, _check_uniform_times(b.times)
+    grads = np.stack(_partials(grid, [(j,) for j in range(grid.dim)]))
+    heat = _heat_multiplier(grid.dim, grid.L, grid.N, dt)
+    decay = math.exp(-lam * dt)
+    weight = (1.0 - decay) / lam
+    v = np.empty((steps + 1, grid.dim) + grid.shape)
+    spectrum = np.zeros((grid.dim,) + grid.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(steps):  # forward twin: drift reversed in time
-            v[l + 1] = step(b.values[b.index[steps - l]], v[l], v[l])
+        for rows in _blocks(grid, steps + 1):
+            spectra = np.empty((len(rows),) + spectrum.shape, dtype=complex)
+            for row, l in enumerate(rows):
+                spectra[row] = spectrum
+                if l < steps:  # forward twin: drift reversed in time
+                    b_l = b.values[b.index[steps - l]]
+                    jac = _synthesize(grid, spectrum[:, None] * grads)  # jac[i, j] = d_j v_i
+                    g_l = b_l + np.einsum("j...,ij...->i...", b_l, jac)
+                    spectrum = heat * (decay * spectrum + weight * _spectral(grid, g_l))
+            v[rows.start : rows.stop] = _synthesize(grid, spectra)
     lost = np.flatnonzero(~np.isfinite(v.reshape(steps + 1, -1)).all(axis=1))
     if len(lost):
         raise ParabolicError(f"mild march at lambda = {lam} overflows at step {lost[0]} of {steps}")
@@ -150,17 +145,23 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
 
 
 def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
-    """Re-apply the mild map once (mild_solve's step, sources read off the
-    stored slices); sup-norm distance to the stored solution."""
+    """Re-apply the mild map once in physical space, sources read off the stored
+    slices; sup-norm distance to the stored solution.  It transforms each slice
+    afresh, independent of mild_solve's spectral march, and reads round-off."""
     if not np.array_equal(sol.u.times, b.times):
         raise ParabolicError("solution and drift live on different time grids")
-    steps = len(b.times) - 1
-    step = _mild_step(b.grid, sol.lam, _check_uniform_times(b.times))
+    grid, steps, dt = b.grid, len(b.times) - 1, _check_uniform_times(b.times)
+    partials = _partials(grid, [(j,) for j in range(grid.dim)])
+    heat = [_heat_multiplier(grid.dim, grid.L, grid.N, dt)]
+    decay = math.exp(-sol.lam * dt)
+    weight = (1.0 - decay) / sol.lam
     b_rows, u_rows = b.values[b.index], sol.u.values[sol.u.index]
     worst = 0.0
-    prev = np.zeros((b.grid.dim,) + b.grid.shape)
+    prev = np.zeros((grid.dim,) + grid.shape)
     for l in range(steps):
-        prev = step(b_rows[steps - l], u_rows[steps - l], prev)
+        b_l, u_l = b_rows[steps - l], u_rows[steps - l]
+        g_l = b_l + np.einsum("j...,ij...->i...", b_l, _spectral(grid, u_l, partials))
+        prev = _spectral(grid, decay * prev + weight * g_l, heat).reshape(prev.shape)
         worst = max(worst, float(np.max(np.abs(prev - u_rows[steps - l - 1]))))
     return worst
 
@@ -256,6 +257,10 @@ def decay_study(
     lams = [float(l) for l in lambda_list]
     if len(lams) < 3:
         raise ParabolicError(f"need at least 3 lambdas, got {len(lams)}")
+    if not (0 < lams[0] and lams[-1] < math.inf and np.all(np.diff(lams) > 0)):
+        raise ParabolicError(f"lambdas must be positive, finite and strictly increasing: {lams}")
+    if not all(x > 0 for x in (r, p, q)):  # inf passes, NaN does not
+        raise ParabolicError(f"exponents must be positive, got (r, p, q) = ({r}, {p}, {q})")
     if alpha not in (0, 1, 2):
         raise ParabolicError(f"alpha must be 0, 1 or 2, got {alpha}")
     n = b.grid.dim

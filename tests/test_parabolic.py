@@ -10,11 +10,11 @@ Oracles:
   scalar recursion, reimplemented below with plain floats, which pins the
   time-reversal indexing exactly;
 * for constant drift the relaxation residual is a finite geometric sum;
-* mild_defect re-applies the mild map on its own, and the direct march must
-  be its exact fixed point: the defect is 0.0, not merely small;
-* the march on raw arrays equals, bit for bit, the same march taken one
-  validated GridVector and one heat_apply call at a time
-  (reference_mild_solve).
+* mild_defect re-applies the mild map in physical space on its own, and the
+  spectral march must be its fixed point to round-off (ROUND_OFF);
+* the spectral march equals, bit for bit, the loop written out here
+  (spectral_march), and to round-off the physical march taken one validated
+  GridVector and one heat_apply call at a time (reference_mild_solve).
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ from renormlab.field import (
     GridScalar,
     GridVector,
     TimeGridVector,
+    _blocks,
     build_grid,
     divergence,
     jacobian,
     lp_norm,
     spectral_derivative,
 )
+from renormlab import parabolic
 from renormlab.parabolic import (
     DecayStudy,
     ParabolicError,
@@ -55,6 +57,18 @@ from renormlab.rng import stream
 
 L = 2.0 * math.pi
 T = 0.5
+
+# A solve is at round-off when a defect or a distance is at most
+# ROUND_OFF * eps * sup|u|.  Measured: at most 15.1 on the suite's decay and
+# straightening ladders (trig_flow, lam 4, 128 steps) and 4.3 on every other
+# case here; 64 leaves a margin above 4.  The constant grows with the step
+# count over lam: it read 53 at lam 6 and 512 steps, and 226 at lam 0.5 and
+# 1,024 steps on the decay preset.
+ROUND_OFF = 64.0
+
+
+def at_round_off(distance: float, sol: ParabolicSolution) -> bool:
+    return distance <= ROUND_OFF * np.finfo(float).eps * float(np.max(np.abs(sol.u.values)))
 
 
 def grid1(n_pts=32):
@@ -109,6 +123,14 @@ class TestHeatSemigroup:
         g = grid1()
         with pytest.raises(ParabolicError):
             heat_apply(GridScalar(g, np.zeros(g.shape)), -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_time_rejected(self, t):
+        g = grid1()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParabolicError, match=f"heat time .* got {t}"):
+                heat_apply(GridScalar(g, np.zeros(g.shape)), t)
 
     def test_non_field_rejected(self):
         with pytest.raises(ParabolicError):
@@ -173,7 +195,7 @@ class TestMildSolve:
         prof = np.sin(g.axis_coordinates()) + 0.3 * np.cos(2 * g.axis_coordinates())
         b = constant_in_time(GridVector(g, prof[None, :]), 64)
         sol = mild_solve(b, 8.0, 64)
-        assert mild_defect(sol, b) == 0.0
+        assert at_round_off(mild_defect(sol, b), sol)
 
     @pytest.mark.parametrize(
         "preset, lam, steps",
@@ -182,11 +204,12 @@ class TestMildSolve:
     )
     def test_march_is_the_mild_fixed_point(self, preset, lam, steps):
         # the decay and straightening ladders of the acceptance suite: the
-        # march reproduces mild_defect's independent re-application exactly
+        # march reproduces mild_defect's independent re-application to round-off
         g = build_grid(1, L, 64)
         profile = {"decay": decay_drift, "trig_flow": trig_flow_drift}[preset](g)
         b = sample_constant_in_time(profile, T, steps)
-        assert mild_defect(mild_solve(b, lam, steps), b) == 0.0
+        sol = mild_solve(b, lam, steps)
+        assert at_round_off(mild_defect(sol, b), sol)
 
     def test_validation(self):
         g = grid1()
@@ -203,6 +226,15 @@ class TestMildSolve:
         with pytest.raises(ParabolicError):
             mild_solve(bent, 4.0, 16)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_damping_rejected(self, lam):
+        g = grid1()
+        b = constant_in_time(GridVector(g, np.ones((1,) + g.shape)), 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParabolicError, match=f"damping lambda .* got {lam}"):
+                mild_solve(b, lam, 16)
+
     def test_strong_drift_logs_nothing(self, caplog):
         g = grid1()
         prof = 4.0 * np.sin(g.axis_coordinates())
@@ -210,7 +242,7 @@ class TestMildSolve:
         with caplog.at_level(logging.DEBUG, logger="renormlab.parabolic"):
             sol = mild_solve(b, 2.0, 32)
         assert not caplog.records
-        assert mild_defect(sol, b) == 0.0
+        assert at_round_off(mild_defect(sol, b), sol)
 
     def test_defect_rejects_foreign_time_grid(self):
         g = grid1()
@@ -240,20 +272,81 @@ def reference_mild_solve(b: TimeGridVector, lam: float) -> list:
     return v[::-1]
 
 
+def spectral_march(b: TimeGridVector, lam: float) -> np.ndarray:
+    """mild_solve's march written out: the spectrum of v, one np.fft call per
+    axis and transform, every slice synthesized on its own.  Returns the
+    march array v, whose row l is v(t_l) = u(T - t_l)."""
+    grid = b.grid
+    steps = len(b.times) - 1
+    dt = float(np.diff(b.times)[0])
+    decay = math.exp(-lam * dt)
+    weight = (1.0 - decay) / lam
+    axes = range(-1, -grid.dim - 1, -1)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
+    odd = k.copy()
+    odd[grid.N // 2] = 0.0  # a first derivative drops the Nyquist mode
+    shapes = [[grid.N if a == j else 1 for a in range(grid.dim)] for j in range(grid.dim)]
+    heat = np.exp(-0.5 * sum(k.reshape(s) ** 2 for s in shapes) * dt)
+    grads = np.stack([np.ones(grid.shape, dtype=complex) * (1j * odd.reshape(s)) for s in shapes])
+
+    def inverse(spectra):
+        for axis in axes:
+            spectra = np.fft.ifft(spectra, axis=axis)
+        return spectra.real
+
+    spectrum = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+    v = [inverse(spectrum)]
+    for l in range(steps):
+        b_l = b.values[b.index[steps - l]]
+        g_l = b_l + np.einsum("j...,ij...->i...", b_l, inverse(spectrum[:, None] * grads))
+        for axis in axes:
+            g_l = np.fft.fft(g_l, axis=axis)
+        spectrum = heat * (decay * spectrum + weight * g_l)
+        v.append(inverse(spectrum))
+    return np.stack(v)
+
+
 MARCH_CASES = [(build_grid(1, L, 64), 64), (build_grid(2, L, 16), 24)]
 
 
 class TestMarchReference:
     @pytest.mark.parametrize("grid,steps", MARCH_CASES, ids=["1d", "2d"])
     @pytest.mark.parametrize("lam", [0.5, 8.0, 256.0])
+    def test_march_equals_the_written_out_loop(self, grid, steps, lam):
+        b = moving_field(grid, steps + 1, seed=9)  # time-varying, some slices repeated
+        sol = mild_solve(b, lam, steps)
+        assert np.array_equal(sol.u.index, steps - np.arange(steps + 1))
+        assert np.array_equal(sol.u.values, spectral_march(b, lam))
+
+    @pytest.mark.parametrize("grid,steps", MARCH_CASES, ids=["1d", "2d"])
+    @pytest.mark.parametrize("lam", [0.5, 8.0, 256.0])
     def test_every_slice_equals_the_wrapped_march(self, grid, steps, lam):
+        # the physical march is an independent oracle: equal to round-off
         b = moving_field(grid, steps + 1, seed=9)  # time-varying, some slices repeated
         sol = mild_solve(b, lam, steps)
         want = reference_mild_solve(b, lam)
         assert len(sol.u.slices) == len(want) == steps + 1
-        for got, ref in zip(sol.u.slices, want):
-            assert np.array_equal(got.values, ref.values)
-        assert mild_defect(sol, b) == 0.0
+        worst = max(float(np.max(np.abs(got.values - ref.values)))
+                    for got, ref in zip(sol.u.slices, want))
+        assert at_round_off(worst, sol)
+        assert at_round_off(mild_defect(sol, b), sol)
+
+    @pytest.mark.parametrize("grid", [grid for grid, _ in MARCH_CASES], ids=["1d", "2d"])
+    def test_two_transforms_a_step(self, grid, monkeypatch):
+        # one forward transform (of the source) and one inverse (of grad v)
+        # per step, plus one inverse per block of synthesized slices; a
+        # np.fft call per axis of the grid
+        b = moving_field(grid, 33, seed=9)
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        mild_solve(b, 8.0, 32)
+        blocks = len(_blocks(grid, 33))
+        assert calls == {"fft": 32 * grid.dim, "ifft": (32 + blocks) * grid.dim}
 
     def test_defect_sees_a_wrong_slice(self):
         grid, steps = MARCH_CASES[0]
@@ -469,6 +562,36 @@ class TestDecayStudy:
             decay_study(b, [4.0, 16.0, 64.0], 0, 16.0, 8.0, 4.0)
         with pytest.raises(ParabolicError, match="incompatible"):
             decay_study(b, [4.0, 16.0, 64.0], 2, 8.0, 8.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "lambdas, exponents, match",
+        [
+            ([16.0, 4.0, 64.0], (8.0, 8.0, 4.0), "strictly increasing"),
+            ([4.0, 4.0, 64.0], (8.0, 8.0, 4.0), "strictly increasing"),
+            ([4.0, math.nan, 64.0], (8.0, 8.0, 4.0), "strictly increasing"),
+            ([0.0, 4.0, 64.0], (8.0, 8.0, 4.0), "positive"),
+            ([4.0, 16.0, math.inf], (8.0, 8.0, 4.0), "finite"),
+            ([4.0, 16.0, 64.0], (math.nan, 8.0, 4.0), "exponents"),
+            ([4.0, 16.0, 64.0], (8.0, math.nan, 4.0), "exponents"),
+            ([4.0, 16.0, 64.0], (8.0, 8.0, math.nan), "exponents"),
+            ([4.0, 16.0, 64.0], (0.0, 8.0, 4.0), "exponents"),
+        ],
+    )
+    def test_refused_before_any_solve(self, lambdas, exponents, match, monkeypatch):
+        g = grid1()
+        b = constant_in_time(GridVector(g, np.sin(g.axis_coordinates())[None, :]), 32)
+        solves = []
+        monkeypatch.setattr(parabolic, "mild_solve", lambda *args: solves.append(args))
+        with pytest.raises(ParabolicError, match=match):
+            decay_study(b, lambdas, 0, *exponents)
+        assert solves == []
+
+    def test_infinite_exponents_accepted(self):
+        g = grid1()
+        b = constant_in_time(GridVector(g, np.sin(g.axis_coordinates())[None, :]), 32)
+        study = decay_study(b, [8.0, 32.0, 128.0], 0, math.inf, math.inf, math.inf)
+        assert study.theory_delta == 1.0
+        assert all(n > 0 for n in study.norms)
 
     def test_dataclass_invariants(self):
         with pytest.raises(ParabolicError):

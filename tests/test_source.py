@@ -1,7 +1,8 @@
 """Static checks on the source tree, read with ``ast``: nothing is imported or run.
 
 - Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
-- Only ``field._spectral`` calls an ``np.fft`` transform, and only
+- Only ``field._spectral`` (the forward half) and ``field._synthesize`` (the
+  inverse half) call an ``np.fft`` transform, and only
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
 - In ``src/`` and ``scripts/`` only ``cli._accept`` runs the acceptance suite:
   ``renormlab accept`` is its one runner.
@@ -119,7 +120,7 @@ def test_one_fft_path(path):
         assert uses == []
         return
     assert sorted(set(uses)) == [
-        ("_spectral", "fft"), ("_spectral", "ifft"), ("_wavenumbers", "fftfreq"),
+        ("_spectral", "fft"), ("_synthesize", "ifft"), ("_wavenumbers", "fftfreq"),
     ]
 
 
