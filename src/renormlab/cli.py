@@ -71,13 +71,13 @@ def _cmd_run(config_path: str) -> int:
 
 
 def _accept(cfg: ExperimentConfig, flip: str | None = None) -> int:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # before the suite, whose run it would waste
     report = acceptance_suite(cfg)
     if flip is not None:
         report = report.flipped(flip)
     for line in report.summary_lines():
         print(line)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "acceptance_report.csv"
     write_report_csv(report, report_path)
     passed = sum(c.passed for c in report.checks)

@@ -21,8 +21,9 @@ spline per group of steps that share their rows of [b, sigma^1, ...] (one
 group for coefficients constant in time).  All chunking lives here:
 _by_chunks integrates Monte Carlo members members_per_chunk at a time, in
 path order, and reduces each chunk on the worker pool before the next, and
-_march, the one Euler loop, moves a chunk with one spline call per step,
-checking each step for finiteness before the next call.  simulate_flows
+_march, the one Euler loop, moves a chunk with one spline evaluation per
+step into buffers allocated once, checking each step for finiteness before
+the next, which lets it skip the spline's refusals.  simulate_flows
 stores the steps its caller reads (FlowEnsemble.stored; every step by
 default), and logdet_gaps stores none: it fuses both recursions and
 logdet_gap into the march.  The recursions over stored positions evaluate
@@ -398,22 +399,29 @@ def _logdet_fields(grid: Grid, jac: np.ndarray) -> np.ndarray:
 def _march(grid: Grid, splines, group_of_step, path: BrownianPath, chunk, targets, update=None):
     """Move a chunk of members from the nodes along ``path``: the package's one Euler loop.
 
-    Each step makes one spline call at the chunk's points, whose leading
-    values are the components of [b, sigma^1, ...], writes the new positions
-    into targets[l + 1], checks them for finiteness before the next call and
-    hands update(l, values, dW) the step.  Returns the first step at which a
+    Each step evaluates the spline's core (_evaluate, without its refusals:
+    X_0 is the nodes, and each X_{l + 1} is found finite before it is
+    evaluated) at the chunk's points into one buffer, whose leading values
+    are the components of [b, sigma^1, ...], writes the new positions into
+    targets[l + 1] and hands update(l, values, dW) the step; values views that
+    buffer, which the next step overwrites.  Returns the first step at which a
     trajectory lost finiteness, 0 if none did.
     """
     increments = _member_increments(chunk, grid)
     lead = (1 + path.k_count) * grid.dim
     X = targets[0]
     X[...] = np.stack(grid.coordinates())[:, None]
-    by_coefficient = (-1,) + X.shape
+    index = np.empty(X.shape)  # X / h, the spline's index points
+    index_points = index.reshape(grid.dim, -1)
+    flat = np.empty((math.prod(splines[0].head_shape), X[0].size))
+    fields = flat[:lead].reshape((-1,) + X.shape)
+    values = flat.reshape(splines[0].head_shape + X.shape[1:])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for l in range(path.steps):
-            values = splines[group_of_step[l]](X)
+        for l, group in enumerate(group_of_step.tolist()):
+            np.divide(X, grid.h, out=index)
+            splines[group]._evaluate(index_points, flat)
             dW = increments[l]
-            move = _euler_sum(values[:lead].reshape(by_coefficient), path.dt, dW)
+            move = _euler_sum(fields, path.dt, dW)
             X = np.add(X, move, out=targets[l + 1])
             if not np.isfinite(X).all():
                 return l + 1

@@ -19,9 +19,10 @@ the two on small calls (the 64 nodes of one 1-d flow).  The numpy stencil
 components and sums the stencil in map_coordinates' order; it wins from
 about 3,000 spline values per call (a chunk of Monte Carlo members, a block
 of steps of the recursions, a 64^2 grid).  PeriodicInterpolant picks the
-evaluator by the size of each call.  SplineStack holds the splines of many
-rows of fields (the displacements of a block of flow steps) and evaluates
-each row at its own points, always with the stencil.
+evaluator by the size of each call, and checks its points before the core
+(_evaluate) that flow._march, which checks its own, calls directly.
+SplineStack holds the splines of many rows of fields (the displacements of a
+block of flow steps) and evaluates each row at its own points by the stencil.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class PeriodicInterpolant:
     Query points are physical coordinates with shape (dim, ...).  A call
     that asks for fewer than _STENCIL_VALUES spline values (points times
     components that are not constant) runs map_coordinates, a larger one
-    the stencil; the numbers do not depend on the evaluator.  A point that
-    is not finite is refused with a FieldError by either.
+    the stencil; the numbers do not depend on the evaluator.  A call refuses
+    points of the wrong shape and, where a spline reads them, points that are
+    not finite with a FieldError; _evaluate is the call without refusals.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -95,27 +97,32 @@ class PeriodicInterpolant:
                 f"points must have leading axis of length {self.grid.dim}, got shape {pts.shape}"
             )
         tail_shape = pts.shape[1:]
-        count = math.prod(tail_shape)
-        out = np.empty((self._components, count))
-        for i, value in self._constants:
-            out[i] = value
+        index_coords = None  # read only by a spline: constants take any point
         if self._splines:
             index_coords = pts.reshape(self.grid.dim, -1) / self.grid.h
             # the sum is finite exactly when every point is, short of points
             # some 1e300 periods away, which no spline can tell apart anyway
             if not math.isfinite(np.add.reduce(index_coords, axis=None)):
                 raise FieldError("points must be finite")
-            if count * len(self._splines) >= _STENCIL_VALUES:
-                sums = np.zeros((len(self._splines), 1, count))
-                self._stencil.add(np.zeros(1, dtype=np.intp), index_coords[:, None], sums)
-                out[self._varying] = sums[:, 0]
-            else:
-                for i, coeff in self._splines:
-                    ndimage.map_coordinates(
-                        coeff, index_coords, output=out[i], order=_ORDER, mode="grid-wrap",
-                        prefilter=False,
-                    )
+        out = np.empty((self._components, math.prod(tail_shape)))
+        self._evaluate(index_coords, out)
         return out.reshape(self.head_shape + tail_shape)
+
+    def _evaluate(self, index_coords, out: np.ndarray) -> None:
+        """__call__ without its refusals: the components at finite index points
+        (dim, count), written into out (components, count)."""
+        for i, value in self._constants:
+            out[i] = value
+        if out.shape[1] * len(self._splines) >= _STENCIL_VALUES:
+            sums = np.zeros((len(self._splines), 1, out.shape[1]))
+            self._stencil.add(np.zeros(1, dtype=np.intp), index_coords[:, None], sums)
+            out[self._varying] = sums[:, 0]
+        else:
+            for i, coeff in self._splines:
+                ndimage.map_coordinates(
+                    coeff, index_coords, output=out[i], order=_ORDER, mode="grid-wrap",
+                    prefilter=False,
+                )
 
 
 class SplineStack:
@@ -180,9 +187,10 @@ class _Stencil:
         self._width = grid.N + 4
         # one flat axis over rows and padded nodes, components first
         self._coeff = np.moveaxis(coeff, 1, 0).reshape(coeff.shape[1], -1)
-        self._offsets = np.zeros(1, dtype=np.intp)
-        for a in range(grid.dim):
-            self._offsets = (self._offsets[:, None] * self._width + np.arange(4)).ravel()
+        # the 4^dim taps in row-major order: (flat offset, weight index per axis)
+        self._taps = [(0, ())]
+        for _ in range(grid.dim):
+            self._taps = [(o * self._width + j, t + (j,)) for o, t in self._taps for j in range(4)]
 
     def add(self, rows, x, out):
         """Add to ``out`` (comps, rows, points) the spline sums at index points x.
@@ -209,11 +217,10 @@ class _Stencil:
         # the stencil in row-major order, summed from 0.0 as map_coordinates
         # sums it; every index lies in its row, so "clip" never clips
         index, term = np.empty_like(base), np.empty_like(out)
-        for k, offset in enumerate(self._offsets):
+        for offset, tap in self._taps:
             np.add(base, offset, out=index)
             np.take(self._coeff, index, axis=1, out=term, mode="clip")
-            stencil = np.unravel_index(k, (4,) * dim)
-            for a in range(dim):
-                term *= weights[stencil[a]][a]
+            for a, j in enumerate(tap):
+                term *= weights[j][a]
             out += term
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import flow, lab, presets
+from renormlab import flow, interp, lab, presets
 from renormlab.field import (
     GridScalar,
     GridVector,
@@ -798,6 +798,110 @@ class TestChunking:
         b, sigmas, paths = blow_up_case(40, {})
         with pytest.raises(ValueError, match="refused member 5$"):
             flow.simulate_flows(b, sigmas, config, paths, reduce=refusing)
+
+
+def spline_call_march(grid, splines, group_of_step, path, chunk, targets, update=None):
+    """flow._march as one __call__ of the step's spline per step, each call
+    checking and allocating anew: the lean march must give its bits."""
+    increments = flow._member_increments(chunk, grid)
+    lead = (1 + path.k_count) * grid.dim
+    X = targets[0]
+    X[...] = np.stack(grid.coordinates())[:, None]
+    by_coefficient = (-1,) + X.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for l in range(path.steps):
+            values = splines[group_of_step[l]](X)
+            dW = increments[l]
+            move = flow._euler_sum(values[:lead].reshape(by_coefficient), path.dt, dW)
+            X = np.add(X, move, out=targets[l + 1])
+            if not np.isfinite(X).all():
+                return l + 1
+            if update is not None:
+                update(l, values, dW)
+    return 0
+
+
+def short_trig_case():
+    # 40 steps: a chunk of stored paths holds 32 members, 2,048 points
+    b, sigmas, _ = trig_case()
+    return b, sigmas, sample_brownian(T, T / 40, 1, 2027)
+
+
+def divfree_64_case():
+    g = build_grid(2, L, 64)
+    horizon, steps = 0.02, 4
+    b = presets.sample_constant_in_time(presets.divfree_2d_drift(g), horizon, steps)
+    sigmas = [
+        presets.sample_constant_in_time(s, horizon, steps) for s in presets.divfree_2d_noise(g)
+    ]
+    return b, sigmas, sample_brownian(horizon, horizon / steps, 2, 2028)
+
+
+class TestLeanMarch:
+    """flow._march evaluates the spline's core into buffers it allocates once;
+    against a march of checked __call__s, bit for bit."""
+
+    @staticmethod
+    def evaluators(monkeypatch):
+        ran = set()
+        map_coordinates, add = interp.ndimage.map_coordinates, interp._Stencil.add
+
+        def counted_map(*args, **kwargs):
+            ran.add("map_coordinates")
+            return map_coordinates(*args, **kwargs)
+
+        def counted_add(*args, **kwargs):
+            ran.add("stencil")
+            return add(*args, **kwargs)
+
+        monkeypatch.setattr(interp.ndimage, "map_coordinates", counted_map)
+        monkeypatch.setattr(interp._Stencil, "add", counted_add)
+        return ran
+
+    @pytest.mark.parametrize(
+        "case,members,store,evaluator",
+        [
+            (trig_case, 1, None, "map_coordinates"),
+            (short_trig_case, 32, None, "stencil"),
+            (divfree_64_case, 1, None, "stencil"),
+            (time_dependent_case, 3, None, "map_coordinates"),
+            (trig_case, 5, [0, 7, 250, 500], "map_coordinates"),
+        ],
+    )
+    def test_bitwise_equal_to_a_march_of_calls(
+        self, monkeypatch, case, members, store, evaluator
+    ):
+        b, sigmas, path = case()
+        paths = member_paths(path, members)
+        config = SdeConfig(dt=path.dt)
+        if store is None:
+            assert flow.members_per_chunk(b.grid, path.steps + 1) >= members
+        ran = self.evaluators(monkeypatch)
+        lean = flow.simulate_flows(b, sigmas, config, paths, store=store)
+        assert ran == {evaluator}
+        lean_gaps = flow.logdet_gaps(b, sigmas, config, paths)
+        monkeypatch.setattr(flow, "_march", spline_call_march)
+        called = flow.simulate_flows(b, sigmas, config, paths, store=store)
+        gaps = flow.logdet_gaps(b, sigmas, config, paths)
+        for ens, want in zip(lean, called, strict=True):
+            assert np.array_equal(ens.paths, want.paths)
+        assert [g.hex() for g in lean_gaps] == [g.hex() for g in gaps]
+
+    def test_time_dependent_case_has_many_groups(self):
+        b, sigmas, path = time_dependent_case()
+        row_sets, _ = flow._slice_groups(b, sigmas, path)
+        assert len(row_sets) > 50
+
+    def test_the_march_never_calls_a_spline(self, monkeypatch):
+        def refused(self, points):
+            raise AssertionError("the march called PeriodicInterpolant.__call__")
+
+        b, sigmas, path = trig_case()
+        paths = member_paths(path, 2)
+        config = SdeConfig(dt=path.dt)
+        monkeypatch.setattr(PeriodicInterpolant, "__call__", refused)
+        assert len(flow.simulate_flows(b, sigmas, config, paths)) == 2
+        assert len(flow.logdet_gaps(b, sigmas, config, paths)) == 2
 
 
 class TestSampledSteps:

@@ -215,6 +215,15 @@ class TestEvaluatorBySize:
         assert len(calls) == 40 * comps  # one map_coordinates call per varying component
         assert same_bits(whole, parts)
         assert np.all(whole[1] == 0.75)
+        # the core that flow._march calls gives __call__'s bits on both evaluators
+        core = np.full((comps + 1, 4000), np.nan)
+        itp._evaluate(pts / g.h, core)
+        assert len(calls) == 40 * comps
+        assert same_bits(whole, core)
+        for i in range(0, 4000, 100):
+            itp._evaluate(pts[:, i : i + 100] / g.h, core[:, i : i + 100])
+        assert len(calls) == 80 * comps
+        assert same_bits(parts, core)
 
     def test_the_size_rule(self, monkeypatch):
         g = build_grid(1, L, 64)

@@ -988,6 +988,34 @@ class TestCli:
         assert "--flip-sign" in err and "'g_div_bb'" in err and "Traceback" not in err
         assert not (tmp_path / "acceptance_report.csv").exists()
 
+    def test_accept_refuses_an_unusable_output_dir_before_any_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ran = []
+
+        def counting(cfg):
+            ran.append(1)
+            return [CheckResult("only", 0.0, 1.0, "<=", True)]
+
+        monkeypatch.setattr(lab, "_SUITE", (counting,))
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"experiment": "acceptance_all", "output_dir": str(blocker / "out")})
+        )
+        assert cli.main(["accept", str(path)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert ran == []
+        assert captured.out == ""
+        assert "Not a directory" in captured.err and "Traceback" not in captured.err
+        # the same check runs once the directory can be made
+        path.write_text(
+            json.dumps({"experiment": "acceptance_all", "output_dir": str(tmp_path / "out")})
+        )
+        assert cli.main(["accept", str(path)]) == cli.EXIT_OK
+        assert ran == [1] and "PASS only" in capsys.readouterr().out
+
     def test_bad_options_return_two_and_help_returns_zero(self, capsys):
         assert cli.main(["run"]) == cli.EXIT_CONFIG_ERROR
         assert "the following arguments are required: config" in capsys.readouterr().err
