@@ -16,35 +16,36 @@ log-determinant recursion
 -- whose agreement is a genuine two-sided consistency check, since neither
 feeds the other.
 
-Coefficients are evaluated off the nodes by cubic splines, one stacked
-spline per group of steps that share their rows of [b, sigma^1, ...] (one
-group for coefficients constant in time).  All chunking lives here:
-_by_chunks integrates Monte Carlo members members_per_chunk at a time, in
-path order, and reduces each chunk on the worker pool before the next, and
-_march, the one Euler loop, moves a chunk with one spline evaluation per
-step into buffers allocated once, checking each step for finiteness before
-the next, which lets it skip the spline's refusals.  simulate_flows
-stores the steps its caller reads (FlowEnsemble.stored; every step by
-default), and logdet_gaps stores none: it fuses both recursions and
-logdet_gap into the march.  The recursions over stored positions evaluate
-their spline on blocks of many steps at once and only the cheap update runs
-step by step.  A spline evaluates every point on its own (a component
-constant in space, such as the unit noise e_k, exactly), so no chunk or
-block changes a bit of any result.
+Coefficients are evaluated off the nodes by one cubic spline whose rows are
+the groups of steps that share their rows of [b, sigma^1, ...] (one group
+for coefficients constant in time): each step reads its group's row.  All
+chunking lives here: _by_chunks integrates Monte Carlo members
+members_per_chunk at a time, in path order, and reduces each chunk on the
+worker pool before the next, and _march, the one Euler loop, moves a chunk
+with one spline evaluation per step into buffers allocated once, checking
+each step's index points for finiteness before the next, which lets it
+skip the spline's refusals.  simulate_flows stores the steps its caller
+reads (FlowEnsemble.stored; every step by default), and logdet_gaps stores
+none: it fuses both recursions and logdet_gap into the march.  The
+recursions over stored positions evaluate their spline on blocks of many
+steps at once, one row call per block, and only the cheap update runs step
+by step.  A spline evaluates every point on its own (a component constant
+in space, such as the unit noise e_k, exactly), so no chunk or block
+changes a bit of any result.
 
 Inverse maps come from _newton_rows, the package's one solver of
 y + D(y) = x (the straightening in zvonkin uses it too).  It runs Newton
 over a block of rows at once (here steps, about _BLOCK_POINTS points): one
-spectral Jacobian for the block, one SplineStack of D and dD, and in each
-round one call that evaluates both at the points of the rows still
-iterating.  A row leaves the block in the round its own residual falls
-below tol, so its iterates, determinant and round count are those of a
-Newton on that row alone; a row still iterating after _MAX_NEWTON rounds
-restarts from y = x and halves its step point by point where full steps
-overshoot, in the same loop.  When x are the nodes, as in every flow
-inversion and straightening, the first step is taken on the node arrays,
-which the splines reproduce there, with no spline call, from a node near
-each preimage (_start_nodes), so the spline rounds begin within about a
+spectral Jacobian for the block, one spline of D and dD with a row per row
+of the block, and in each round one row call that evaluates both at the
+points of the rows still iterating.  A row leaves the block in the round
+its own residual falls below tol, so its iterates, determinant and round
+count are those of a Newton on that row alone; a row still iterating after
+_MAX_NEWTON rounds restarts from y = x and halves its step point by point
+where full steps overshoot, in the same loop.  When x are the nodes, as in
+every flow inversion and straightening, the first step is taken on the node
+arrays, which the splines reproduce there, with no spline call, from a node
+near each preimage (_start_nodes), so the spline rounds begin within about a
 cell of the inverse.
 invert_flow and pushforward_solution are one-step calls of this block
 Newton; pushforward_path runs it over a whole path with one spline of f0.
@@ -81,7 +82,7 @@ from .field import (
     divergence_and_twist,
     jacobian_stack,
 )
-from .interp import PeriodicInterpolant, SplineStack
+from .interp import PeriodicInterpolant
 from .rng import mix_indices, stream
 
 __all__ = [
@@ -301,26 +302,16 @@ def _slice_groups(b: TimeGridVector, sigmas, path: BrownianPath):
     return rows, group_of_step
 
 
-def _along_paths(ensemble: FlowEnsemble, interpolants, group_of_step):
-    """Yield (steps, values): each step's interpolant at its stored positions.
+def _along_paths(ensemble: FlowEnsemble, spline: PeriodicInterpolant, group_of_step):
+    """Yield (steps, values): each step's row of ``spline`` at its stored positions.
 
-    Steps come in order, in blocks of about _BLOCK_POINTS points.  values
-    carries the interpolant head axes, then one axis over the block's steps,
-    then the grid axes.  Each run of steps in one group is one spline call.
+    Steps come in order, in blocks of about _BLOCK_POINTS points, one row
+    call each.  values carries the head axes after the rows, then one axis
+    over the block's steps, then the grid axes.
     """
-    head_shape = interpolants[0].head_shape
-    head = (slice(None),) * len(head_shape)
     for steps in _blocks(ensemble.seeds_grid, ensemble.path.steps):
         points = np.moveaxis(ensemble.paths[steps.start : steps.stop], 0, 1)
-        groups = group_of_step[steps.start : steps.stop]
-        edges = [0, *(np.flatnonzero(groups[1:] != groups[:-1]) + 1), len(steps)]
-        if len(edges) == 2:
-            yield steps, interpolants[groups[0]](points)
-            continue
-        values = np.empty(head_shape + points.shape[1:])
-        for a, z in zip(edges, edges[1:]):
-            values[head + (slice(a, z),)] = interpolants[groups[a]](points[:, a:z])
-        yield steps, values
+        yield steps, spline(points, group_of_step[steps.start : steps.stop])
 
 
 def members_per_chunk(grid: Grid, stored: int) -> int:
@@ -396,34 +387,35 @@ def _logdet_fields(grid: Grid, jac: np.ndarray) -> np.ndarray:
     return np.stack(scalars)
 
 
-def _march(grid: Grid, splines, group_of_step, path: BrownianPath, chunk, targets, update=None):
+def _march(grid: Grid, spline, group_of_step, path: BrownianPath, chunk, targets, update=None):
     """Move a chunk of members from the nodes along ``path``: the package's one Euler loop.
 
-    Each step evaluates the spline's core (_evaluate, without its refusals:
-    X_0 is the nodes, and each X_{l + 1} is found finite before it is
-    evaluated) at the chunk's points into one buffer, whose leading values
-    are the components of [b, sigma^1, ...], writes the new positions into
-    targets[l + 1] and hands update(l, values, dW) the step; values views that
-    buffer, which the next step overwrites.  Returns the first step at which a
-    trajectory lost finiteness, 0 if none did.
+    Each step evaluates the row of its slice group (group_of_step[l]) by the
+    spline's core (_evaluate, without its refusals: X_0 is the nodes, and
+    each X_{l + 1} / h is found finite before it is evaluated) at the
+    chunk's points into one buffer, whose leading values are the components
+    of [b, sigma^1, ...], writes the new positions into targets[l + 1] and
+    hands update(l, values, dW) the step; values views that buffer, which the
+    next step overwrites.  Returns the first step at which a trajectory lost
+    finiteness (an index point X / h that is not finite), 0 if none did.
     """
     increments = _member_increments(chunk, grid)
     lead = (1 + path.k_count) * grid.dim
     X = targets[0]
     X[...] = np.stack(grid.coordinates())[:, None]
-    index = np.empty(X.shape)  # X / h, the spline's index points
+    index = X / grid.h  # the spline's index points
     index_points = index.reshape(grid.dim, -1)
-    flat = np.empty((math.prod(splines[0].head_shape), X[0].size))
+    flat = np.empty((math.prod(spline.head_shape[1:]), X[0].size))  # one slice group's row
     fields = flat[:lead].reshape((-1,) + X.shape)
-    values = flat.reshape(splines[0].head_shape + X.shape[1:])
+    values = flat.reshape(spline.head_shape[1:] + X.shape[1:])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for l, group in enumerate(group_of_step.tolist()):
-            np.divide(X, grid.h, out=index)
-            splines[group]._evaluate(index_points, flat)
+            spline._evaluate(index_points, flat, group)
             dW = increments[l]
             move = _euler_sum(fields, path.dt, dW)
             X = np.add(X, move, out=targets[l + 1])
-            if not np.isfinite(X).all():
+            np.divide(X, grid.h, out=index)
+            if not np.isfinite(index).all():
                 return l + 1
             if update is not None:
                 update(l, values, dW)
@@ -487,14 +479,14 @@ def simulate_flows(
     grid, path, row_sets, group_of_step = _flow_setup(b, sigmas, config, paths)
     steps = range(path.steps + 1) if store is None else _on_step_grid(path, store)
     stored = np.unique(np.asarray(steps, dtype=np.intp))
-    splines = [PeriodicInterpolant(grid, np.concatenate(rows)) for rows in row_sets]
+    spline = PeriodicInterpolant(grid, np.stack([np.concatenate(rows) for rows in row_sets]))
 
     def integrate(chunk):
         positions = np.empty((len(stored), grid.dim, len(chunk)) + grid.shape)
         targets = [np.empty(positions.shape[1:])] * (path.steps + 1)  # where each step's X goes
         for row, step in enumerate(stored.tolist()):
             targets[step] = positions[row]
-        lost = _march(grid, splines, group_of_step, path, chunk, targets)
+        lost = _march(grid, spline, group_of_step, path, chunk, targets)
         return lost or [
             FlowEnsemble(seeds_grid=grid, path=p, paths=positions[:, :, m], stored=stored)
             for m, p in enumerate(chunk)
@@ -522,14 +514,14 @@ def variational_jacobian(
     _require_every_step(ensemble)
     path = ensemble.path
     row_sets, group_of_step = _slice_groups(b, sigmas, path)
-    interpolants = [
-        PeriodicInterpolant(grid, jacobian_stack(grid, np.stack(rows))) for rows in row_sets
-    ]
+    spline = PeriodicInterpolant(
+        grid, np.stack([jacobian_stack(grid, np.stack(rows)) for rows in row_sets])
+    )
 
     J = np.zeros((path.steps + 1, grid.dim, grid.dim) + grid.shape)
     for i in range(grid.dim):
         J[0, i, i] = 1.0
-    for steps, jacobians in _along_paths(ensemble, interpolants, group_of_step):
+    for steps, jacobians in _along_paths(ensemble, spline, group_of_step):
         with np.errstate(over="ignore", invalid="ignore"):
             growth = _euler_sum(jacobians, path.dt, _block_increments(path, steps, grid.dim))
             growth = np.moveaxis(growth, 2, 0)
@@ -557,11 +549,12 @@ def logdet_stochastic_exponential(
     _require_every_step(ensemble)
     path = ensemble.path
     row_sets, group_of_step = _slice_groups(b, sigmas, path)
-    jacobians = [jacobian_stack(grid, np.stack(rows)) for rows in row_sets]
-    interpolants = [PeriodicInterpolant(grid, _logdet_fields(grid, jac)) for jac in jacobians]
+    spline = PeriodicInterpolant(grid, np.stack([
+        _logdet_fields(grid, jacobian_stack(grid, np.stack(rows))) for rows in row_sets
+    ]))
 
     logdet = np.zeros((path.steps + 1,) + grid.shape)
-    for steps, scalars in _along_paths(ensemble, interpolants, group_of_step):
+    for steps, scalars in _along_paths(ensemble, spline, group_of_step):
         dW = _block_increments(path, steps, grid.dim)
         logdet[steps.start + 1 : steps.stop + 1] = _logdet_increment(scalars, path.dt, dW)
     # add.accumulate runs along time one step after the other: the same sums,
@@ -598,12 +591,13 @@ def logdet_gaps(
     paths = list(paths)
     grid, path, row_sets, group_of_step = _flow_setup(b, sigmas, config, paths)
     dim, shape = grid.dim, grid.shape
-    splines = []
+    groups = []
     for rows in row_sets:
         stack = np.stack(rows)
         jac = jacobian_stack(grid, stack)
         fields = [f.reshape((-1,) + shape) for f in (stack, jac, _logdet_fields(grid, jac))]
-        splines.append(PeriodicInterpolant(grid, np.concatenate(fields)))
+        groups.append(np.concatenate(fields))
+    spline = PeriodicInterpolant(grid, np.stack(groups))
     a, z = np.cumsum([len(f) for f in fields[:-1]])
 
     def integrate(chunk):
@@ -629,7 +623,7 @@ def logdet_gaps(
                 np.minimum(det_min, det.reshape(members, -1).min(axis=1), out=det_min)
 
         work = np.empty((dim, members) + shape)
-        lost = _march(grid, splines, group_of_step, path, chunk, [work] * (path.steps + 1), update)
+        lost = _march(grid, spline, group_of_step, path, chunk, [work] * (path.steps + 1), update)
         return lost or list(zip(sup.tolist(), lost_at.tolist(), det_min.tolist()))
 
     gaps, per_chunk = [], members_per_chunk(grid, 0)
@@ -757,14 +751,14 @@ def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
 
     The package's one inverse-map solver: flow inversion and the straightening
     both call it.  disp is (rows, dim) + grid shape and disp_jac its spectral
-    Jacobians (rows, dim, dim) + grid shape; one SplineStack of [D, dD] serves
-    the block.  X holds the points x, (dim, rows or 1, P), and Y the first
-    iterate, (dim, rows, P); with Y None, X must be the nodes and the first
-    iterate is the Newton step of the node data at the node z = x - m h of
-    _start_nodes, (x - m h) - (I + dD(z))^-1 (D(z) - m h), with no spline
-    call; m = 0, the step from y = x, wherever the displacement stays under
-    half a cell.  Each round makes one spline call at the
-    points of the rows still iterating.  A row leaves in the round its own
+    Jacobians (rows, dim, dim) + grid shape; one spline of [D, dD], with the
+    block's rows as its rows, serves the block.  X holds the points x, (dim,
+    rows or 1, P), and Y the first iterate, (dim, rows, P); with Y None, X
+    must be the nodes and the first iterate is the Newton step of the node
+    data at the node z = x - m h of _start_nodes, (x - m h) - (I +
+    dD(z))^-1 (D(z) - m h), with no spline call; m = 0, the step from y = x,
+    wherever the displacement stays under half a cell.  Each round makes one
+    row call at the points of the rows still iterating.  A row leaves in the round its own
     residual max|y + D(y) - x| falls below tol, so its iterates and round
     count are those of a Newton on that row alone.  A row still iterating
     after _MAX_NEWTON rounds restarts from y = x and then halves its step,
@@ -779,14 +773,14 @@ def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
         jac_at = _at_nodes(disp_jac.reshape((count, dim * dim) + grid.shape), at)
         mat = _identity_plus(jac_at.reshape((dim, dim) + jac_at.shape[1:]))
         Y = X - shift - _solve_stack(mat, _at_nodes(disp, at) - shift)
-    spline = SplineStack(
+    spline = PeriodicInterpolant(
         grid, np.concatenate([disp, disp_jac.reshape((count, dim * dim) + grid.shape)], axis=1)
     )
     X = np.broadcast_to(X, Y.shape)
     values = np.empty((dim + dim * dim,) + Y.shape[1:])
     rounds = np.zeros(count, dtype=np.intp)
     active = np.arange(count)
-    V = spline(active, Y)
+    V = spline(Y, active)
     for round_ in itertools.count(1):
         F = Y[:, active] + V[:dim] - X[:, active]
         size = np.max(np.abs(F), axis=0)
@@ -801,7 +795,7 @@ def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
             raise FlowError(f"inversion stagnated (residual {residual:.3e}, tol {tol:.1e})")
         if round_ == _MAX_NEWTON:
             trial = X[:, active]
-            V = spline(active, trial)
+            V = spline(trial, active)
         else:
             step = _solve_stack(_identity_plus(V[dim:].reshape((dim, dim) + F.shape[1:])), F)
             scale = np.ones_like(size)
@@ -809,7 +803,7 @@ def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
                 trial = Y[:, active] - scale * step
                 if not np.all(np.isfinite(trial)):
                     raise FlowError("Newton iteration lost finiteness")
-                V = spline(active, trial)
+                V = spline(trial, active)
                 if round_ < _MAX_NEWTON:
                     break
                 F_trial = trial + V[:dim] - X[:, active]
@@ -884,11 +878,11 @@ def pushforward_path(f0: GridScalar, ensemble: FlowEnsemble, steps=None) -> Iter
     last = ensemble.path.steps
     steps = range(last + 1) if steps is None else _on_step_grid(ensemble.path, steps)
     ensemble.rows_of(steps)  # a step the ensemble does not store is refused here
-    datum = SplineStack(grid, f0.values[None, None])
+    datum = PeriodicInterpolant(grid, f0.values)
 
     def fields():
         for block, psi, det, _ in _inverse_blocks(ensemble, steps):
-            values = datum(np.zeros(len(block), dtype=np.intp), psi)[0] * det
+            values = datum(psi) * det
             for v in values:
                 yield GridScalar(grid, v.reshape(grid.shape))
 

@@ -7,22 +7,23 @@ each query is a local 4^dim tensor-product stencil.  Node values are
 reproduced to round-off, off-node error is O(h^4), and the wrap mode makes
 the interpolant exactly L-periodic, so query points may lie anywhere in R^n.
 
-A component whose node values are all equal (the unit noise fields e_k, a
-zero displacement) gets no spline: it evaluates to that exact constant,
-where a spline would return it only to a few ulp, and costs no stencil.
+PeriodicInterpolant is the package's one spline class.  Its fields may
+come in rows (a flow's slice groups, a Newton block's displacements, a
+block of fields to push forward), and a call reads every row at shared
+points or each row at its own points.  A component whose node values are
+all equal in a row (the unit noise e_k, a zero displacement) evaluates there
+to that exact constant, where a spline would return it only to a few ulp;
+one constant in every row gets no spline and costs no stencil.
 
-There are two evaluators of the same splines, one per size range.  Both
-read the coefficients of the one prefilter and give the same bits.
-scipy's map_coordinates makes one call per component, and is the faster of
-the two on small calls (the 64 nodes of one 1-d flow).  The numpy stencil
-(_Stencil) computes the B-spline weights of a point once for all
-components and sums the stencil in map_coordinates' order; it wins from
-about 3,000 spline values per call (a chunk of Monte Carlo members, a block
-of steps of the recursions, a 64^2 grid).  PeriodicInterpolant picks the
-evaluator by the size of each call, and checks its points before the core
-(_evaluate) that flow._march, which checks its own, calls directly.
-SplineStack holds the splines of many rows of fields (the displacements of a
-block of flow steps) and evaluates each row at its own points by the stencil.
+Two evaluators read the coefficients of the one prefilter and give the
+same bits.  scipy's map_coordinates, one call per component of one row, is
+the faster on small calls (the 64 nodes of one 1-d flow).  The numpy
+stencil (_Stencil) computes a point's B-spline weights once for all
+components, reads any rows in one call and sums in map_coordinates' order;
+it wins from about 3,000 spline values per call (a chunk of Monte Carlo
+members, a block of steps, a 64^2 grid).  A call that reads one row picks
+by size, in the core (_evaluate) that flow._march, which checks its own
+points, calls directly; a call that reads several rows runs the stencil.
 """
 
 from __future__ import annotations
@@ -34,39 +35,35 @@ from scipy import ndimage
 
 from .field import FieldError, Grid
 
-__all__ = [
-    "PeriodicInterpolant",
-    "SplineStack",
-]
+__all__ = ["PeriodicInterpolant"]
 
 _ORDER = 3
 
 # Spline values per call (points times non-constant components) from which
-# a PeriodicInterpolant call evaluates with the stencil rather than with
+# a call that reads one row evaluates with the stencil rather than with
 # map_coordinates: the measured crossover, about 1,500 points for 2
 # components and 3,000 for one (timings in the ``_Stencil.add`` FOUND line
 # of CHANGES.md).
 _STENCIL_VALUES = 3072
 
 
-def _prefilter(values: np.ndarray, dim: int) -> np.ndarray:
-    """Cubic B-spline coefficients of the fields in the last ``dim`` axes."""
-    for axis in range(values.ndim - dim, values.ndim):
-        values = ndimage.spline_filter1d(values, order=_ORDER, axis=axis, mode="grid-wrap")
-    return values
-
-
 class PeriodicInterpolant:
     """Cubic-spline interpolant of a stack of scalar fields on one grid.
 
-    ``values`` may carry leading component axes (e.g. a vector or matrix
-    field); evaluation returns those axes followed by the query-point axes.
-    Query points are physical coordinates with shape (dim, ...).  A call
-    that asks for fewer than _STENCIL_VALUES spline values (points times
-    components that are not constant) runs map_coordinates, a larger one
-    the stencil; the numbers do not depend on the evaluator.  A call refuses
-    points of the wrong shape and, where a spline reads them, points that are
-    not finite with a FieldError; _evaluate is the call without refusals.
+    ``values`` is a head shape followed by the grid shape.  The head carries
+    the component axes (a vector or matrix field); a head of two or more
+    axes counts rows along its first.  Query points are physical
+    coordinates.  ``interp(points)`` reads every row at points of shape
+    (dim,) + tail and returns head + tail.  ``interp(points, rows)`` reads
+    row ``rows[n]`` at ``points[:, n]``, points of shape (dim, len(rows)) +
+    tail, and returns head[1:] + (len(rows),) + tail.  A call that reads one
+    row and asks for fewer than _STENCIL_VALUES spline values (points times
+    components that are not constant in the row) runs map_coordinates, any
+    other call the stencil; the numbers do not depend on the evaluator.  A
+    call refuses points of the wrong shape, a row call on a head without
+    rows or a row index outside them, and, where a spline reads them, points
+    that are not finite with a FieldError; _evaluate is the one-row call
+    without refusals.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -77,96 +74,95 @@ class PeriodicInterpolant:
             )
         self.grid = grid
         self.head_shape = values.shape[: values.ndim - grid.dim]
-        flat = values.reshape((-1,) + grid.shape)
-        nodes = flat.reshape(len(flat), -1)
+        rows = self.head_shape[0] if len(self.head_shape) > 1 else 1
+        nodes = values.reshape(rows, -1, math.prod(grid.shape))
         # NaN compares unequal to itself, so a NaN field is never constant
-        constant = (nodes == nodes[:, :1]).all(axis=1).tolist()
-        self._components = len(flat)
-        self._constants = [(i, nodes[i, 0]) for i, c in enumerate(constant) if c]
-        self._varying = [i for i, c in enumerate(constant) if not c]
-        self._splines = []  # (component, its coefficients), for map_coordinates
-        if self._varying:
-            coeff = _prefilter(flat[self._varying], grid.dim)
-            self._splines = list(zip(self._varying, coeff))
-            self._stencil = _Stencil(grid, coeff[None])
+        self._constant = (nodes == nodes[:, :, :1]).all(axis=2)  # (rows, components)
+        self._value = nodes[:, :, 0].copy()
+        self._row_indices = np.arange(rows)
+        self._varying = np.flatnonzero(~self._constant.all(axis=0))
+        # a slice, not a copy, when every component has a spline
+        varying = self._varying if len(self._varying) < nodes.shape[1] else slice(None)
+        if len(self._varying):
+            coeff = values.reshape((rows, -1) + grid.shape)[:, varying]
+            for axis in range(2, coeff.ndim):  # the prefilter: cubic B-spline coefficients
+                coeff = ndimage.spline_filter1d(coeff, order=_ORDER, axis=axis, mode="grid-wrap")
+            self._stencil = _Stencil(grid, coeff)
+        # per row: its constants (component, value), its splines (component, coefficients)
+        self._rows = [
+            ([(i, v) for i, v in enumerate(value) if constant[i]],
+             [(i, self._stencil.unpadded[j, r]) for j, i in enumerate(self._varying.tolist())
+              if not constant[i]])
+            for r, (constant, value) in enumerate(zip(self._constant.tolist(), self._value))
+        ]
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points: np.ndarray, rows=None) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 0 or pts.shape[0] != self.grid.dim:
-            raise FieldError(
-                f"points must have leading axis of length {self.grid.dim}, got shape {pts.shape}"
-            )
-        tail_shape = pts.shape[1:]
-        index_coords = None  # read only by a spline: constants take any point
-        if self._splines:
-            index_coords = pts.reshape(self.grid.dim, -1) / self.grid.h
+        dim, count = self.grid.dim, len(self._rows)
+        if rows is None:  # every row, at the same points
+            if pts.ndim == 0 or pts.shape[0] != dim:
+                raise FieldError(
+                    f"points must have leading axis of length {dim}, got shape {pts.shape}"
+                )
+            read, lo, hi, pts = self._row_indices, 0, count - 1, pts[:, None]
+        else:
+            if len(self.head_shape) < 2:
+                raise FieldError(f"values of head shape {self.head_shape} have no rows to read")
+            read = np.asarray(rows, dtype=np.intp)
+            if pts.shape[:2] != (dim, len(read)):
+                raise FieldError(
+                    f"points must have leading axes ({dim}, {len(read)}), got shape {pts.shape}"
+                )
+            lo, hi = int(read.min()), int(read.max())
+            if lo < 0 or hi >= count:
+                raise FieldError(f"row {lo if lo < 0 else hi} is not a row of 0..{count - 1}")
+        tail_shape = pts.shape[2:]
+        index_coords = pts.reshape(dim, pts.shape[1], -1)
+        # a spline reads the points unless every component read is constant
+        reads = bool(self._rows[lo][1]) if lo == hi else not self._constant[read].all()
+        if reads:  # constants take any point
+            index_coords = index_coords / self.grid.h
             # the sum is finite exactly when every point is, short of points
             # some 1e300 periods away, which no spline can tell apart anyway
             if not math.isfinite(np.add.reduce(index_coords, axis=None)):
                 raise FieldError("points must be finite")
-        out = np.empty((self._components, math.prod(tail_shape)))
-        self._evaluate(index_coords, out)
-        return out.reshape(self.head_shape + tail_shape)
-
-    def _evaluate(self, index_coords, out: np.ndarray) -> None:
-        """__call__ without its refusals: the components at finite index points
-        (dim, count), written into out (components, count)."""
-        for i, value in self._constants:
-            out[i] = value
-        if out.shape[1] * len(self._splines) >= _STENCIL_VALUES:
-            sums = np.zeros((len(self._splines), 1, out.shape[1]))
-            self._stencil.add(np.zeros(1, dtype=np.intp), index_coords[:, None], sums)
-            out[self._varying] = sums[:, 0]
+        out = np.empty((self._value.shape[1], len(read), index_coords.shape[2]))
+        if lo == hi:
+            self._evaluate(index_coords.reshape(dim, -1), out.reshape(len(out), -1), lo)
         else:
-            for i, coeff in self._splines:
+            if reads:
+                self._sum(read, index_coords, out)
+            constant = self._constant[read].T  # (components, rows)
+            out[constant] = self._value[read].T[constant][:, None]
+        if rows is None:
+            return out.swapaxes(0, 1).reshape(self.head_shape + tail_shape)
+        return out.reshape(self.head_shape[1:] + (len(read),) + tail_shape)
+
+    def _evaluate(self, index_coords, out: np.ndarray, row: int) -> None:
+        """A one-row call without its refusals: the components of ``row`` at
+        finite index points (dim, count), written into out (components, count)."""
+        constants, splines = self._rows[row]
+        if out.shape[1] * len(splines) >= _STENCIL_VALUES:
+            self._sum(self._row_indices[row : row + 1], index_coords[:, None], out[:, None])
+        else:
+            for i, coeff in splines:
                 ndimage.map_coordinates(
                     coeff, index_coords, output=out[i], order=_ORDER, mode="grid-wrap",
                     prefilter=False,
                 )
+        for i, value in constants:
+            out[i] = value
 
-
-class SplineStack:
-    """Cubic splines of a stack of rows, each row evaluated at its own points.
-
-    ``values`` has shape (rows, comps) + grid.shape.  ``stack(rows, points)``
-    takes row indices and points of shape (dim, len(rows)) + tail, and
-    returns (comps, len(rows)) + tail: the components of row ``rows[n]`` at
-    the points ``points[:, n]``.  It evaluates with the stencil, so the
-    numbers equal ``PeriodicInterpolant``'s bit for bit.  A component
-    constant in space returns its exact value.
-    """
-
-    def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 + grid.dim or values.shape[2:] != grid.shape:
-            raise FieldError(
-                f"stack shape {values.shape} is not (rows, comps) + grid shape {grid.shape}"
-            )
-        self.grid = grid
-        rows, comps = values.shape[:2]
-        flat = values.reshape(rows, comps, -1)
-        # NaN compares unequal to itself, so a NaN field is never constant
-        self._constant = np.all(flat == flat[:, :, :1], axis=2)
-        self._value = flat[:, :, 0].copy()
-        self._stencil = _Stencil(grid, _prefilter(values, grid.dim))
-
-    def __call__(self, rows, points: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        pts = np.asarray(points, dtype=np.float64)
-        dim = self.grid.dim
-        if pts.shape[:2] != (dim, len(rows)):
-            raise FieldError(
-                f"points must have leading axes ({dim}, {len(rows)}), got shape {pts.shape}"
-            )
-        tail_shape = pts.shape[2:]
-        x = pts.reshape(dim, len(rows), -1) / self.grid.h
-        constant = self._constant[rows].T  # (comps, rows)
-        out = np.zeros((len(constant),) + x.shape[1:])
-        if not constant.all():
-            self._stencil.add(rows, x, out)
-        if constant.any():
-            out[constant] = self._value[rows].T[constant][:, None]
-        return out.reshape(out.shape[:2] + tail_shape)
+    def _sum(self, rows, index_coords, out: np.ndarray) -> None:
+        """The stencil: row rows[n] at index points index_coords[:, n] (or at
+        shared points, (dim, 1, P)), written into out (components, len(rows),
+        P) for each component that has a spline in some row."""
+        varying = len(self._varying)
+        sums = out if varying == len(out) else np.empty((varying,) + out.shape[1:])
+        sums.fill(0.0)  # summed from 0.0, as map_coordinates sums
+        self._stencil.add(rows, index_coords, sums)
+        if sums is not out:
+            out[self._varying] = sums
 
 
 class _Stencil:
@@ -187,6 +183,9 @@ class _Stencil:
         self._width = grid.N + 4
         # one flat axis over rows and padded nodes, components first
         self._coeff = np.moveaxis(coeff, 1, 0).reshape(coeff.shape[1], -1)
+        # the same coefficients without the pad: (comps, rows) + grid.shape views
+        padded = self._coeff.reshape(coeff.shape[1::-1] + (self._width,) * grid.dim)
+        self.unpadded = padded[(slice(None), slice(None)) + (slice(1, grid.N + 1),) * grid.dim]
         # the 4^dim taps in row-major order: (flat offset, weight index per axis)
         self._taps = [(0, ())]
         for _ in range(grid.dim):

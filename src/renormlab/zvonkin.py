@@ -25,9 +25,9 @@ Inversion is Newton on y + u(t, y) = x with flow._newton_rows, the solver
 that also inverts the stochastic flow; off-node values come from periodic
 cubic splines, so query points may sit anywhere in R^n.  It runs on a
 block of rows of u at once (field's block rule: 32 rows on 64 nodes, one
-on 64^2), with one SplineStack of the block's u and grad u: each row
-iterates until its own residual max|y + u(y) - x| is below tol, so its
-iterates are those of a Newton on that row alone.  invert_diffeo is its
+on 64^2), with one spline of the block's u and grad u, a row per row of
+u: each row iterates until its own residual max|y + u(y) - x| is below
+tol, so its iterates are those of a Newton on that row alone.  invert_diffeo is its
 one-slice call and starts from y = x: its query points need not be nodes,
 so it takes no node start.
 
@@ -38,7 +38,7 @@ each preimage), reads lam u and I + grad u at the inverted nodes off
 the solver's last spline call, and takes the determinants in one batched
 call; b_hat and sigma_hat share u's index.  Readers of it
 (pushforward_path_under_diffeo, transformed_residual) invert nothing, and
-the pushforward splines a block of fields at once.
+the pushforward splines a block of fields at once, one row each.
 build_diffeo and relaxation_metrics take their spectral derivatives and
 norms a block of rows at a time too, and every norm and time sum equals its
 one-slice-at-a-time value bit for bit, so no number changes.
@@ -66,7 +66,7 @@ from .flow import (
     _identity_plus,
     _newton_rows,
 )
-from .interp import SplineStack
+from .interp import PeriodicInterpolant
 from .parabolic import backward_defect
 from .weakform import TestFunction, WeakFormLedger, make_renormalizer, residual_renormalized
 
@@ -253,9 +253,9 @@ def pushforward_path_under_diffeo(fields, straightening: Straightening, times) -
     inverse map is the inverse matrix of I + grad u at the inverted point;
     mass is conserved up to interpolation and quadrature error.  y and the
     determinant come from the straightening; only the fields are
-    interpolated here, a block at a time, one SplineStack per block, each
-    evaluated at the inverted nodes of the slice in force at its own time.
-    A field where that slice is 0 is copied.
+    interpolated here, a block at a time, one spline per block with a row
+    per field, each read at the inverted nodes of the slice in force at its
+    own time.  A field where that slice is 0 is copied.
     """
     u = straightening.diffeo.u
     grid = u.grid
@@ -274,9 +274,9 @@ def pushforward_path_under_diffeo(fields, straightening: Straightening, times) -
             moved.append(l)
     for rows in _blocks(grid, len(moved)):
         block = [moved[n] for n in rows]
-        spline = SplineStack(grid, np.stack([fields[l].values for l in block])[:, None])
+        spline = PeriodicInterpolant(grid, np.stack([fields[l].values for l in block])[:, None])
         y = np.stack([stored[l][0] for l in block], axis=1)
-        for l, f_at in zip(block, spline(np.arange(len(block)), y)[0]):
+        for l, f_at in zip(block, spline(y, np.arange(len(block)))[0]):
             out[l] = GridScalar(grid, f_at / stored[l][1])
     return out
 

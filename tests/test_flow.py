@@ -287,6 +287,19 @@ class TestSimulate:
         with pytest.raises(FlowError, match="step"):
             simulate_flow(b, [], SdeConfig(dt=0.125), path)
 
+    def test_an_index_point_beyond_the_floats_is_lost(self):
+        # X_1 is finite, down to about -2e307, but X_1 / h overflows to -inf
+        # on 64 nodes, where the spline reads no position: the march stops
+        # there (the drift's own FFTs stay finite)
+        g = grid1()
+        x = g.axis_coordinates()
+        b = still(GridVector(g, (-1e306 * (1.5 + 0.5 * np.sin(x)))[None, :]), horizon=40.0)
+        sigmas = [still(GridVector(g, (0.4 + 0.3 * np.sin(x))[None, :]), horizon=40.0)]
+        config, paths = SdeConfig(dt=10.0), [sample_brownian(40.0, 10.0, 1, 7)]
+        for route in (flow.simulate_flows, flow.logdet_gaps):
+            with pytest.raises(FlowError, match="trajectory lost finiteness at step 1$"):
+                route(b, sigmas, config, paths)
+
     @pytest.mark.parametrize("k_count", [0, 1])
     @pytest.mark.parametrize("step", SPIKE_STEPS)
     def test_blow_up_at_a_chosen_step(self, k_count, step):
@@ -453,8 +466,39 @@ def copied_slices_case():
     return copied[0], copied[1:], path
 
 
+class PerGroupSplines:
+    """The recursions' splines as one interpolant per slice group, each called
+    once per run of steps in its group: a test-local copy of that loop, to
+    stand in for flow's one interpolant whose rows are the groups."""
+
+    def __init__(self, grid, values):
+        self.head_shape = values.shape[1 : values.ndim - grid.dim]
+        self.groups = [PeriodicInterpolant(grid, v.reshape((-1,) + grid.shape)) for v in values]
+
+    def __call__(self, points, rows):
+        values = np.empty(self.head_shape + points.shape[1:])
+        head = (slice(None),) * len(self.head_shape)
+        edges = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1), len(rows)]
+        for a, z in zip(edges, edges[1:]):
+            run = self.groups[rows[a]](points[:, a:z])
+            values[head + (slice(a, z),)] = run.reshape(self.head_shape + run.shape[1:])
+        return values
+
+
 class TestBatchedKernels:
     """The batched kernels against the step-by-step reference, bit for bit."""
+
+    @pytest.mark.parametrize("case", [time_dependent_case, copied_slices_case])
+    def test_recursions_equal_per_group_interpolants(self, monkeypatch, case):
+        b, sigmas, path = case()
+        assert len(flow._slice_groups(b, sigmas, path)[0]) > 50
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        J = variational_jacobian(ens, b, sigmas).jac_variational
+        logdet = logdet_stochastic_exponential(ens, b, sigmas).logdet_exponential
+        monkeypatch.setattr(flow, "PeriodicInterpolant", PerGroupSplines)
+        assert np.array_equal(variational_jacobian(ens, b, sigmas).jac_variational, J)
+        again = logdet_stochastic_exponential(ens, b, sigmas).logdet_exponential
+        assert np.array_equal(again, logdet)
 
     @pytest.mark.parametrize(
         "case", [trig_case, divfree_case, time_dependent_case, copied_slices_case]
@@ -800,9 +844,9 @@ class TestChunking:
             flow.simulate_flows(b, sigmas, config, paths, reduce=refusing)
 
 
-def spline_call_march(grid, splines, group_of_step, path, chunk, targets, update=None):
-    """flow._march as one __call__ of the step's spline per step, each call
-    checking and allocating anew: the lean march must give its bits."""
+def spline_call_march(grid, spline, group_of_step, path, chunk, targets, update=None):
+    """flow._march as one row call of the step's slice group per step, each
+    call checking and allocating anew: the lean march must give its bits."""
     increments = flow._member_increments(chunk, grid)
     lead = (1 + path.k_count) * grid.dim
     X = targets[0]
@@ -810,7 +854,8 @@ def spline_call_march(grid, splines, group_of_step, path, chunk, targets, update
     by_coefficient = (-1,) + X.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for l in range(path.steps):
-            values = splines[group_of_step[l]](X)
+            values = spline(X[:, None], group_of_step[l : l + 1])
+            values = values.reshape(spline.head_shape[1:] + X.shape[1:])
             dW = increments[l]
             move = flow._euler_sum(values[:lead].reshape(by_coefficient), path.dt, dW)
             X = np.add(X, move, out=targets[l + 1])
@@ -1335,6 +1380,27 @@ class TestPushforwardPath:
         f0 = presets.default_datum(g)
         *_, last = flow.pushforward_path(f0, ens, steps)
         assert same_bits(last.values, pushforward_solution(f0, ens, 1.0).values)
+
+    @pytest.mark.parametrize(
+        "case,evaluator", [(trig_case, "map_coordinates"), (divfree_64_case, "stencil")]
+    )
+    def test_the_datum_evaluator(self, monkeypatch, case, evaluator):
+        # f0 has one row of one component: a block of 32 steps of 64 nodes
+        # asks for 2,048 spline values, one step on 64^2 for 4,096
+        b, sigmas, path = case()
+        ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+        ran, datum_ran = TestLeanMarch.evaluators(monkeypatch), set()
+        evaluate = PeriodicInterpolant._evaluate
+
+        def spied(self, index_coords, out, row):
+            ran.clear()
+            evaluate(self, index_coords, out, row)
+            if self.head_shape == ():
+                datum_ran.update(ran)
+
+        monkeypatch.setattr(PeriodicInterpolant, "_evaluate", spied)
+        assert len(list(flow.pushforward_path(presets.default_datum(b.grid), ens))) > 1
+        assert datum_ran == {evaluator}
 
     def test_grid_mismatch_refused(self):
         b, sigmas, path = trig_case()

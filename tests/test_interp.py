@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from renormlab import interp
 from renormlab.field import FieldError, GridScalar, GridVector, build_grid, jacobian
-from renormlab.interp import PeriodicInterpolant, SplineStack
+from renormlab.interp import PeriodicInterpolant
 from renormlab.rng import stream
 
 L = 2.0 * math.pi
@@ -126,26 +126,32 @@ def stack_points(g, rows, seed):
     return pts
 
 
-class TestSplineStack:
-    """SplineStack row by row against PeriodicInterpolant (map_coordinates)."""
+class TestRowCalls:
+    """Row calls, each row at its own points, against one-row interpolants
+    of the same fields (map_coordinates)."""
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (1, 48), (2, 16), (2, 24)])
     def test_rows_match_periodic_interpolant(self, dim, n):
         g = build_grid(dim, L, n)
         values = stream(11, dim).normal(size=(5, 3) + g.shape)
-        stack = SplineStack(g, values)
+        itp = PeriodicInterpolant(g, values)
         pts = stack_points(g, 5, 12)
-        out = stack(np.arange(5), pts)
+        out = itp(pts, np.arange(5))
         assert out.shape == (3, 5, 400)
         for r in range(5):
             assert same_bits(out[:, r], PeriodicInterpolant(g, values[r])(pts[:, r]))
+        # a call without rows reads every row at the same points
+        shared = itp(pts[:, 0])
+        assert shared.shape == (5, 3, 400)
+        for r in range(5):
+            assert same_bits(shared[r], PeriodicInterpolant(g, values[r])(pts[:, 0]))
 
     def test_rows_in_any_order_and_repeated(self):
         g = build_grid(2, L, 16)
         values = stream(13, 0).normal(size=(4, 2) + g.shape)
         rows = np.array([3, 0, 3, 1])
         pts = stream(14, 0).uniform(-L, 2 * L, (2, 4, 6, 7))
-        out = SplineStack(g, values)(rows, pts)
+        out = PeriodicInterpolant(g, values)(pts, rows)
         assert out.shape == (2, 4, 6, 7)
         for n, r in enumerate(rows):
             assert same_bits(out[:, n], PeriodicInterpolant(g, values[r])(pts[:, n]))
@@ -157,33 +163,48 @@ class TestSplineStack:
         values[0, 1] = 0.25  # one constant component in a varying row
         values[1] = -1.5  # an all-constant row
         values[2, 2] = 0.0
-        stack = SplineStack(g, values)
+        itp = PeriodicInterpolant(g, values)
         pts = stack_points(g, 3, 16)
-        out = stack(np.arange(3), pts)
+        out = itp(pts, np.arange(3))
         for r in range(3):
             assert same_bits(out[:, r], PeriodicInterpolant(g, values[r])(pts[:, r]))
         assert np.all(out[1, 0] == 0.25) and np.all(out[:, 1] == -1.5)
         # only constant components asked for: exact values, even far away
         far = np.full((dim, 1, 3), 1e300)
-        assert np.array_equal(stack([1], far), np.full((3, 1, 3), -1.5))
+        assert np.array_equal(itp(far, [1]), np.full((3, 1, 3), -1.5))
 
     def test_nan_field_is_not_constant(self):
         g = build_grid(1, L, 16)
         values = np.ones((2, 2) + g.shape)
         values[0, 1, 5] = np.nan
-        out = SplineStack(g, values)(np.arange(2), stream(17, 0).uniform(0.0, L, (1, 2, 30)))
+        out = PeriodicInterpolant(g, values)(stream(17, 0).uniform(0.0, L, (1, 2, 30)), [0, 1])
         assert np.all(np.isnan(out[1, 0]))
         assert np.array_equal(out[0], np.ones((2, 30))) and np.array_equal(out[1, 1], np.ones(30))
 
     def test_validation(self):
         g = build_grid(2, L, 16)
+        itp = PeriodicInterpolant(g, stream(18, 0).normal(size=(2, 1) + g.shape))
         with pytest.raises(FieldError):
-            SplineStack(g, np.zeros((2,) + g.shape))
-        stack = SplineStack(g, stream(18, 0).normal(size=(2, 1) + g.shape))
-        with pytest.raises(FieldError):
-            stack([0, 1], np.zeros((2, 3, 5)))
+            itp(np.zeros((2, 3, 5)), [0, 1])
         with pytest.raises(FieldError, match="finite"):
-            stack([0], np.full((2, 1, 4), np.nan))
+            itp(np.full((2, 1, 4), np.nan), [0])
+
+    @pytest.mark.parametrize("head", [(), (2,)])
+    def test_a_head_without_rows_has_no_row_call(self, head):
+        g = build_grid(2, L, 16)
+        itp = PeriodicInterpolant(g, stream(19, 0).normal(size=head + g.shape))
+        with pytest.raises(FieldError, match=r"^values of head shape .* have no rows to read$"):
+            itp(np.zeros((2, 2, 5)), [0, 1])
+
+    @pytest.mark.parametrize(
+        "rows,named", [([-1], -1), ([3], 3), ([0, 2, -2, 1], -2), ([1, 5], 5)]
+    )
+    def test_a_row_outside_the_rows_is_refused_by_name(self, rows, named):
+        g = build_grid(1, L, 16)
+        itp = PeriodicInterpolant(g, stream(20, 0).normal(size=(3, 1) + g.shape))
+        pts = stream(21, 0).uniform(0.0, L, (1, len(rows), 5))
+        with pytest.raises(FieldError, match=rf"^row {named} is not a row of 0\.\.2$"):
+            itp(pts, rows)
 
 
 class TestEvaluatorBySize:
@@ -217,11 +238,11 @@ class TestEvaluatorBySize:
         assert np.all(whole[1] == 0.75)
         # the core that flow._march calls gives __call__'s bits on both evaluators
         core = np.full((comps + 1, 4000), np.nan)
-        itp._evaluate(pts / g.h, core)
+        itp._evaluate(pts / g.h, core, 0)
         assert len(calls) == 40 * comps
         assert same_bits(whole, core)
         for i in range(0, 4000, 100):
-            itp._evaluate(pts[:, i : i + 100] / g.h, core[:, i : i + 100])
+            itp._evaluate(pts[:, i : i + 100] / g.h, core[:, i : i + 100], 0)
         assert len(calls) == 80 * comps
         assert same_bits(parts, core)
 

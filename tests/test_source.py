@@ -30,6 +30,8 @@
 - In ``src/`` and ``scripts/`` only ``weakform.residual_renormalized`` and
   ``WeakFormLedger.flipped`` build a ``WeakFormLedger`` (by its constructor
   or ``from_terms``): the package has one ledger function.
+- Only ``interp`` imports ``scipy.ndimage``, and it exports one name,
+  ``PeriodicInterpolant``: the package has one spline class.
 - Every field of a ``@dataclass`` in ``src/renormlab`` is read as
   ``<...>.field`` somewhere in ``src/``, ``scripts/``, ``perfbench/`` or
   ``tests/``, outside its own class's ``__post_init__``: a record carries no
@@ -440,3 +442,38 @@ def test_ledger_builder_scan_sees_each_form():
         "def f(led):\n    return led.flipped('g_div_b'), led.from_terms\n"
     )
     assert _ledger_builders(tree) == ["a", "b", "c", "d"]
+
+
+def _ndimage_imports(tree: ast.Module) -> list[str]:
+    """Each dotted name under ``scipy.ndimage`` that the module imports or reads
+    as ``scipy.ndimage``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.append(f"{node.value.id}.{node.attr}")
+    return sorted(name for name in names if (name + ".").startswith("scipy.ndimage."))
+
+
+def test_one_spline_class():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if _ndimage_imports(_parse(p))]
+    assert importers == ["interp.py"]
+    tree = _parse(PACKAGE / "interp.py")
+    exports = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]
+    ]
+    assert exports == [["PeriodicInterpolant"]]
+
+
+def test_ndimage_scan_sees_each_form():
+    tree = ast.parse(
+        "import scipy\nimport scipy.ndimage\nimport scipy.ndimage as ndi\n"
+        "from scipy import ndimage, linalg\nfrom scipy import ndimage as nd\n"
+        "from scipy.ndimage import map_coordinates\nfrom . import ndimage\n"
+        "def f(x):\n    return scipy.ndimage.spline_filter1d(x), scipy.linalg, 'scipy.ndimage'\n"
+    )
+    assert _ndimage_imports(tree) == ["scipy.ndimage"] * 5 + ["scipy.ndimage.map_coordinates"]
