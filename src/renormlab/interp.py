@@ -18,12 +18,17 @@ one constant in every row gets no spline and costs no stencil.
 Two evaluators read the coefficients of the one prefilter and give the
 same bits.  scipy's map_coordinates, one call per component of one row, is
 the faster on small calls (the 64 nodes of one 1-d flow).  The numpy
-stencil (_Stencil) computes a point's B-spline weights once for all
-components, reads any rows in one call and sums in map_coordinates' order;
-it wins from about 3,000 spline values per call (a chunk of Monte Carlo
-members, a block of steps, a 64^2 grid).  A call that reads one row picks
-by size, in the core (_evaluate) that flow._march, which checks its own
-points, calls directly; a call that reads several rows runs the stencil.
+stencil (_Stencil) wins from about 3,000 spline values per call (a chunk of
+Monte Carlo members, a block of steps, a 64^2 grid).  It works in two
+halves: a plan, a point set's cells and B-spline weights, computed once for
+all components, and a read, which gathers each component's coefficients at
+the 4^dim taps and sums them in map_coordinates' order.  A call that reads
+one row picks by size, in the core (_evaluate) that flow._march, which
+checks its own points, calls directly; a call that reads several rows runs
+the stencil.  _Rounds reads one spline round after round at points that
+move little, as a Newton solver does: it keeps what it gathered, gathers
+again only where a point's cell moved, and hands out its last plan, at
+which a spline of another field on the same grid reads the same points.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ _ORDER = 3
 
 # Spline values per call (points times non-constant components) from which
 # a call that reads one row evaluates with the stencil rather than with
-# map_coordinates: the measured crossover, about 1,500 points for 2
-# components and 3,000 for one (timings in the ``_Stencil.add`` FOUND line
-# of CHANGES.md).
+# map_coordinates: the measured crossover lies between about 1,000 values
+# (1-d, 2 components) and 3,000 (2-d, one component); the plan/read split
+# left the stencil's fixed cost where it was (timings in the
+# ``_Stencil.add`` line of CHANGES.md).
 _STENCIL_VALUES = 3072
 
 
@@ -113,11 +119,12 @@ class PeriodicInterpolant:
                 raise FieldError(
                     f"points must have leading axes ({dim}, {len(read)}), got shape {pts.shape}"
                 )
-            lo, hi = int(read.min()), int(read.max())
+            # no rows: the one-row call on no points
+            lo, hi = (int(read.min()), int(read.max())) if len(read) else (0, 0)
             if lo < 0 or hi >= count:
                 raise FieldError(f"row {lo if lo < 0 else hi} is not a row of 0..{count - 1}")
         tail_shape = pts.shape[2:]
-        index_coords = pts.reshape(dim, pts.shape[1], -1)
+        index_coords = pts.reshape(dim, pts.shape[1], math.prod(tail_shape))
         # a spline reads the points unless every component read is constant
         reads = bool(self._rows[lo][1]) if lo == hi else not self._constant[read].all()
         if reads:  # constants take any point
@@ -131,19 +138,23 @@ class PeriodicInterpolant:
             self._evaluate(index_coords.reshape(dim, -1), out.reshape(len(out), -1), lo)
         else:
             if reads:
-                self._sum(read, index_coords, out)
-            constant = self._constant[read].T  # (components, rows)
-            out[constant] = self._value[read].T[constant][:, None]
+                self._sum(read, self._stencil.plan(index_coords), out)
+            self._fill_constants(read, out)
         if rows is None:
             return out.swapaxes(0, 1).reshape(self.head_shape + tail_shape)
         return out.reshape(self.head_shape[1:] + (len(read),) + tail_shape)
 
-    def _evaluate(self, index_coords, out: np.ndarray, row: int) -> None:
+    def _evaluate(self, index_coords, out: np.ndarray, row: int, plan=None) -> None:
         """A one-row call without its refusals: the components of ``row`` at
-        finite index points (dim, count), written into out (components, count)."""
+        finite index points (dim, count), written into out (components, count).
+        plan, the stencil plan of these points if the caller holds one (from a
+        spline on the same grid), spares the stencil its own."""
         constants, splines = self._rows[row]
         if out.shape[1] * len(splines) >= _STENCIL_VALUES:
-            self._sum(self._row_indices[row : row + 1], index_coords[:, None], out[:, None])
+            base, weights = self._stencil.plan(index_coords) if plan is None else plan
+            # the one row's points on one axis
+            plan = base.reshape(1, -1), weights.reshape(weights.shape[:2] + (1, -1))
+            self._sum(self._row_indices[row : row + 1], plan, out[:, None])
         else:
             for i, coeff in splines:
                 ndimage.map_coordinates(
@@ -153,24 +164,80 @@ class PeriodicInterpolant:
         for i, value in constants:
             out[i] = value
 
-    def _sum(self, rows, index_coords, out: np.ndarray) -> None:
-        """The stencil: row rows[n] at index points index_coords[:, n] (or at
-        shared points, (dim, 1, P)), written into out (components, len(rows),
-        P) for each component that has a spline in some row."""
+    def _sum(self, rows, plan, out: np.ndarray, gathered=None) -> None:
+        """The stencil: row rows[n] at the plan's points n (or every row at
+        shared points, a plan of one point set), written into out (components,
+        len(rows), P) for each component that has a spline in some row;
+        gathered, if given, holds the coefficients at the points' taps."""
         varying = len(self._varying)
         sums = out if varying == len(out) else np.empty((varying,) + out.shape[1:])
         sums.fill(0.0)  # summed from 0.0, as map_coordinates sums
-        self._stencil.add(rows, index_coords, sums)
+        self._stencil.add(rows, plan, sums, gathered)
         if sums is not out:
             out[self._varying] = sums
+
+    def _fill_constants(self, rows, out: np.ndarray) -> None:
+        """Write each row's constant components into out (components, len(rows), P)."""
+        constant = self._constant[rows].T  # (components, rows)
+        out[constant] = self._value[rows].T[constant][:, None]
+
+
+class _Rounds:
+    """Row calls of one spline, round after round, at points that move little.
+
+    ``rounds(index_coords)`` reads row rows[n] at the finite index points
+    index_coords[:, n], (dim, len(rows), P), as a row call would, and
+    returns (components, len(rows), P).  A stencil round keeps the
+    coefficients it gathered at each point's taps, and the next round
+    gathers again only at the points whose stencil cell moved; keep(kept)
+    drops the rows that leave.  plan is the last round's stencil plan, None
+    after a round that map_coordinates read.  Newton rounds of flow
+    inversion move about 5 of 4,096 points to another cell from the first
+    round to the second, and none after.
+    """
+
+    def __init__(self, spline: PeriodicInterpolant, rows: np.ndarray):
+        self._spline, self._rows = spline, rows
+        self._base = self._gathered = self.plan = None
+
+    def __call__(self, index_coords: np.ndarray) -> np.ndarray:
+        spline, rows = self._spline, self._rows
+        dim, count = index_coords.shape[0], index_coords[0].size
+        out = np.empty((spline._value.shape[1],) + index_coords.shape[1:])
+        self.plan = None
+        if len(rows) == 1 and count * len(spline._rows[rows[0]][1]) < _STENCIL_VALUES:
+            spline._evaluate(index_coords.reshape(dim, -1), out.reshape(len(out), -1), rows[0])
+            return out
+        if not spline._constant[rows].all():
+            stencil = spline._stencil
+            self.plan = stencil.plan(index_coords)
+            base = self.plan[0]
+            if self._gathered is None:
+                shape = (len(stencil.offsets), len(spline._varying)) + base.shape
+                self._gathered = np.empty(shape)
+                stencil.gather(rows, base, self._gathered)
+            else:
+                stencil.gather(rows, base, self._gathered, base != self._base)
+            self._base = base
+            spline._sum(rows, self.plan, out, self._gathered)
+        spline._fill_constants(rows, out)
+        return out
+
+    def keep(self, kept: np.ndarray) -> None:
+        """Keep the rows where ``kept`` holds, for the rounds to come."""
+        self._rows = self._rows[kept]
+        if self._gathered is not None:
+            self._base, self._gathered = self._base[kept], self._gathered[:, :, kept]
 
 
 class _Stencil:
     """Spline sums of rows of prefiltered coefficients, in map_coordinates' bits.
 
-    ``coeff`` has shape (rows, comps) + grid.shape.  The B-spline weights of
-    a point are computed once and shared by all components, with
-    map_coordinates' periodic wrap, weight formulas and stencil order.
+    ``coeff`` has shape (rows, comps) + grid.shape.  A plan holds the
+    B-spline weights and the flat cell of each point, computed once and
+    shared by all components and rows, with map_coordinates' periodic wrap,
+    weight formulas and stencil order; a read sums the coefficients at the
+    4^dim taps of each point's cell in its row.
     """
 
     def __init__(self, grid: Grid, coeff: np.ndarray):
@@ -181,6 +248,7 @@ class _Stencil:
         for a in range(grid.dim):
             coeff = coeff.take(wrap, axis=2 + a)
         self._width = grid.N + 4
+        self._row_size = self._width**grid.dim
         # one flat axis over rows and padded nodes, components first
         self._coeff = np.moveaxis(coeff, 1, 0).reshape(coeff.shape[1], -1)
         # the same coefficients without the pad: (comps, rows) + grid.shape views
@@ -190,36 +258,80 @@ class _Stencil:
         self._taps = [(0, ())]
         for _ in range(grid.dim):
             self._taps = [(o * self._width + j, t + (j,)) for o, t in self._taps for j in range(4)]
+        self.offsets = np.array([offset for offset, _ in self._taps])
 
-    def add(self, rows, x, out):
-        """Add to ``out`` (comps, rows, points) the spline sums at index points x.
-
-        x has shape (dim, rows, points): point x[:, n, p] is read in row rows[n].
-        """
-        dim, N = self.grid.dim, self.grid.N
-        # map_coordinates' grid-wrap: into [0, N - 1] by whole periods, kept
-        # as is in (N - 1, N)
-        x = x + N * ((x < 0) - np.trunc(x / N))
+    def plan(self, x):
+        """The plan of index points x (dim,) + shape: each point's flat cell in
+        its row (shape) and its weights (4, dim) + shape."""
+        N = self.grid.N
+        # map_coordinates' grid-wrap, x + N ((x < 0) - trunc(x / N)): into
+        # [0, N - 1] by whole periods, kept as is in (N - 1, N)
+        wrapped = np.trunc(x / N)
+        np.subtract(x < 0, wrapped, out=wrapped)
+        wrapped *= N
+        x = np.add(wrapped, x, out=wrapped)
         cell = np.floor(x)
         # a point beyond 2^53 periods, or not finite, has no cell in the stack
-        if not (cell.min() >= 0.0 and cell.max() <= N):
+        if not (cell.min(initial=0.0) >= 0.0 and cell.max(initial=0.0) <= N):
             raise FieldError("points must be finite and within 2^53 periods of the box")
-        y = x - cell
-        z = 1.0 - y
-        w0 = z * z * z / 6.0
-        w1 = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
-        w2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
-        weights = [w0, w1, w2, 1.0 - w0 - w1 - w2]  # each (dim, rows, points)
-        base = rows[:, None]
-        for a in range(dim):  # padded index of each point's stencil start
-            base = base * self._width + cell[a].astype(np.intp)
-        # the stencil in row-major order, summed from 0.0 as map_coordinates
-        # sums it; every index lies in its row, so "clip" never clips
-        index, term = np.empty_like(base), np.empty_like(out)
-        for offset, tap in self._taps:
-            np.add(base, offset, out=index)
-            np.take(self._coeff, index, axis=1, out=term, mode="clip")
-            for a, j in enumerate(tap):
-                term *= weights[j][a]
-            out += term
+        yz = np.empty((2,) + x.shape)
+        y, z = yz
+        np.subtract(x, cell, out=y)
+        np.subtract(1.0, y, out=z)
+        weights = np.empty((4,) + x.shape)
+        w0, w1, w2, w3 = weights
+        np.multiply(z, z, out=w0)
+        w0 *= z
+        w0 /= 6.0
+        # w1 of y and w2 of z: one formula, so one pass over both
+        middle = weights[1:3]
+        np.multiply(yz, yz, out=middle)
+        middle *= yz - 2.0
+        middle *= 3.0
+        middle += 4.0
+        middle /= 6.0
+        np.subtract(1.0, w0, out=w3)
+        w3 -= w1
+        w3 -= w2
+        base = cell[0].astype(np.intp)
+        for a in range(1, len(x)):  # padded index of each point's stencil start
+            base *= self._width
+            base += cell[a].astype(np.intp)
+        return base, weights
 
+    def gather(self, rows, base, gathered, moved=None) -> None:
+        """Write the coefficients at each point's taps into gathered (taps,
+        comps, rows, P), point base[n, p] in row rows[n]: at every point or,
+        given moved (a mask of the points), there alone."""
+        at = base + (rows * self._row_size)[:, None]
+        if moved is None:
+            index = np.empty_like(at)
+            for tap, offset in zip(gathered, self.offsets.tolist()):
+                np.add(at, offset, out=index)
+                # every index lies in its row, so "clip" never clips
+                np.take(self._coeff, index, axis=1, out=tap, mode="clip")
+        elif moved.any():
+            index = self.offsets[:, None] + at[moved]
+            gathered[:, :, moved] = np.moveaxis(self._coeff[:, index], 1, 0)
+
+    def add(self, rows, plan, out, gathered=None):
+        """Add to ``out`` (comps, rows, points) the spline sums at the plan's
+        points, point n, p in row rows[n], from the coefficients at their taps:
+        gathered here, or as gather left them in ``gathered``."""
+        base, weights = plan
+        # the stencil in row-major order, summed from 0.0 as map_coordinates
+        # sums it
+        term = np.empty_like(out)
+        if gathered is None:
+            at = base + (rows * self._row_size)[:, None]
+            index = np.empty_like(at)
+        for t, (offset, tap) in enumerate(self._taps):
+            if gathered is None:
+                np.add(at, offset, out=index)
+                coeff = np.take(self._coeff, index, axis=1, out=term, mode="clip")
+            else:
+                coeff = gathered[t]
+            np.multiply(coeff, weights[tap[0], 0], out=term)
+            for a in range(1, len(tap)):
+                term *= weights[tap[a], a]
+            out += term

@@ -182,10 +182,10 @@ def build_diffeo(u: TimeGridVector) -> Diffeo:
 def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Solve y + u(t, y) = x; returns y with the shape of x.
 
-    x carries physical coordinates on a leading axis of length dim (a bare
-    (dim,) point or any (dim, ...) batch).  Newton starts from y = x itself,
-    not from a node near the preimage as transform_coeffs does, since x need
-    not be a node; the returned y satisfies
+    x carries finite physical coordinates on a leading axis of length dim
+    (a bare (dim,) point or any (dim, ...) batch).  Newton starts from y = x
+    itself, not from a node near the preimage as transform_coeffs does, since
+    x need not be a node; the returned y satisfies
     max_i |y_i + u_i(t, y) - x_i| < tol over the components and every query
     point.
     """
@@ -197,9 +197,11 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
         raise ZvonkinError(
             f"query points need a leading axis of length {sl.grid.dim}, got shape {pts.shape}"
         )
+    if not np.isfinite(pts).all():
+        raise ZvonkinError("query points must be finite")
     values = sl.values[None]
     X = pts.reshape(len(pts), 1, -1)
-    y, _, _ = _newton_rows(sl.grid, values, jacobian_stack(sl.grid, values), X, X.copy(), tol)
+    y, *_ = _newton_rows(sl.grid, values, jacobian_stack(sl.grid, values), X, X.copy(), tol)
     return y[:, 0].reshape(pts.shape)
 
 
@@ -228,7 +230,7 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     for span in _blocks(grid, len(live)):
         block = live[span.start : span.stop]
         values = u.values[block]
-        y, at, _ = _newton_rows(
+        y, at, *_ = _newton_rows(
             grid, values, jacobian_stack(grid, values), nodes, None, _STRAIGHTEN_TOL
         )
         block_cols = eye[:, :, None] + at[dim:].reshape((dim, dim, len(block)) + grid.shape)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import flow, interp, lab, presets
+from renormlab import flow, interp, lab, presets, zvonkin
 from renormlab.field import (
     GridScalar,
     GridVector,
@@ -1100,7 +1100,7 @@ class TestInversion:
         from_x = nodes - solve_pointwise(mat, np.moveaxis(disp, 0, 1).reshape(dim, 3, -1))
         want = flow._newton_rows(g, disp, jac, nodes, from_x, 1e-12)
         got = flow._newton_rows(g, disp, jac, nodes, None, 1e-12)
-        for a, b in zip(got, want):
+        for a, b in zip(got[:3], want[:3]):
             assert same_bits(a, b)
         assert want[2].min() > 1
 
@@ -1162,9 +1162,18 @@ class TestInversion:
         assert inv.det.values.min() > 0.0
         jac = jacobian_stack(g, disp)
         from_x = X0[:, None] - solve_pointwise(plus_identity(jac[0]), disp[0])[:, None]
-        halved, _, rounds = flow._newton_rows(g, disp, jac, X0[:, None], from_x, 1e-10)
+        halved, _, rounds, _ = flow._newton_rows(g, disp, jac, X0[:, None], from_x, 1e-10)
         assert rounds[0] > flow._MAX_NEWTON
         assert np.abs(halved[:, 0] + D(halved[:, 0]) - X0).max() < 1e-10
+
+    def test_an_iterate_beyond_the_floats_is_lost(self):
+        # y = 1e308 is finite, but y / h overflows to inf on 64 nodes: Newton
+        # refuses its own iterate, before any spline reads it
+        g = grid1()
+        disp = (0.3 * np.sin(g.axis_coordinates()))[None, None]
+        X = np.full((1, 1, 5), 1e308)
+        with pytest.raises(FlowError, match="^Newton iteration lost finiteness$"):
+            flow._newton_rows(g, disp, jacobian_stack(g, disp), X, X.copy(), 1e-10)
 
     def test_non_injective_map_rejected(self):
         # hand-built displacement with derivative dipping below -1
@@ -1327,7 +1336,7 @@ class TestPushforwardPath:
     def check_blocks(self, ens, steps):
         grid = ens.seeds_grid
         seen = []
-        for block, psi, det, iterations in flow._inverse_blocks(ens, steps):
+        for block, psi, det, iterations, _ in flow._inverse_blocks(ens, steps):
             for n, step in enumerate(block):
                 want_psi, want_det, rounds = per_step_inverse(ens, step)
                 assert same_bits(psi[:, n].reshape(want_psi.shape), want_psi)
@@ -1374,7 +1383,7 @@ class TestPushforwardPath:
             seeds_grid=g, path=BrownianPath(1.0, 0.05, 0, np.zeros((20, 0)), 0), paths=paths
         )
         steps = range(21)
-        (_, _, _, iterations), = flow._inverse_blocks(ens, steps)
+        (_, _, _, iterations, _), = flow._inverse_blocks(ens, steps)
         assert iterations[-1] > 30 and iterations[:-1].max() <= 30
         self.check_blocks(ens, steps)
         f0 = presets.default_datum(g)
@@ -1392,9 +1401,9 @@ class TestPushforwardPath:
         ran, datum_ran = TestLeanMarch.evaluators(monkeypatch), set()
         evaluate = PeriodicInterpolant._evaluate
 
-        def spied(self, index_coords, out, row):
+        def spied(self, index_coords, out, row, plan=None):
             ran.clear()
-            evaluate(self, index_coords, out, row)
+            evaluate(self, index_coords, out, row, plan)
             if self.head_shape == ():
                 datum_ran.update(ran)
 
@@ -1425,6 +1434,166 @@ class TestPushforwardPath:
         )
         with pytest.raises(FlowError, match="not injective at t=0.1:"):
             list(flow.pushforward_path(GridScalar.constant(g, 1.0), ens))
+
+
+def call_newton_rows(grid, disp, disp_jac, X, Y, tol):
+    """flow._newton_rows as a loop of checked row calls that gather every tap
+    in every round: the solver that keeps its gathers must give its bits."""
+    count, dim = disp.shape[:2]
+    if Y is None:
+        at, shift = flow._start_nodes(grid, disp)
+        jac_at = flow._at_nodes(disp_jac.reshape((count, dim * dim) + grid.shape), at)
+        mat = flow._identity_plus(jac_at.reshape((dim, dim) + jac_at.shape[1:]))
+        Y = X - shift - flow._solve_stack(mat, flow._at_nodes(disp, at) - shift)
+    spline = PeriodicInterpolant(
+        grid, np.concatenate([disp, disp_jac.reshape((count, dim * dim) + grid.shape)], axis=1)
+    )
+    X = np.broadcast_to(X, Y.shape)
+    values = np.empty((dim + dim * dim,) + Y.shape[1:])
+    rounds = np.zeros(count, dtype=np.intp)
+    active = np.arange(count)
+    V = spline(Y, active)
+    for round_ in range(1, 2 * flow._MAX_NEWTON + 2):
+        F = Y[:, active] + V[:dim] - X[:, active]
+        size = np.max(np.abs(F), axis=0)
+        done = np.max(size, axis=1) < tol
+        rounds[active[done]] = round_
+        values[:, active[done]] = V[:, done]
+        active, F, V, size = active[~done], F[:, ~done], V[:, ~done], size[~done]
+        if not len(active):
+            return Y, values, rounds
+        if round_ == flow._MAX_NEWTON:
+            trial = X[:, active]
+            V = spline(trial, active)
+        else:
+            step = flow._solve_stack(
+                flow._identity_plus(V[dim:].reshape((dim, dim) + F.shape[1:])), F
+            )
+            scale = np.ones_like(size)
+            for _ in range(31):
+                trial = Y[:, active] - scale * step
+                V = spline(trial, active)
+                if round_ < flow._MAX_NEWTON:
+                    break
+                F_trial = trial + V[:dim] - X[:, active]
+                worse = (np.max(np.abs(F_trial), axis=0) >= size) & (size >= tol)
+                if not np.any(worse):
+                    break
+                scale[worse] *= 0.5
+        Y[:, active] = trial
+    raise AssertionError("reference Newton did not converge")
+
+
+def divfree_path_case(store):
+    """The divfree preset on 64^2 at T 0.25, as perfbench's pushforward runs
+    it, storing the given steps."""
+    g = build_grid(2, L, 64)
+    horizon, steps = 0.25, 250
+    b = presets.sample_constant_in_time(presets.divfree_2d_drift(g), horizon, steps)
+    sigmas = [
+        presets.sample_constant_in_time(s, horizon, steps) for s in presets.divfree_2d_noise(g)
+    ]
+    path = sample_brownian(horizon, horizon / steps, 2, 2025)
+    ens, = flow.simulate_flows(b, sigmas, SdeConfig(dt=path.dt), [path], store=store)
+    return ens
+
+
+def fallback_ensemble():
+    """A 1-d block of 21 steps whose last row restarts and halves its steps."""
+    g = grid1()
+    X0 = np.stack(g.coordinates())
+    bend = 0.999 * np.sin(g.axis_coordinates() + 0.4)[None, :]
+    paths = np.stack([X0 + k / 20 * bend for k in range(21)])
+    return FlowEnsemble(
+        seeds_grid=g, path=BrownianPath(1.0, 0.05, 0, np.zeros((20, 0)), 0), paths=paths
+    )
+
+
+def block_inputs(ens, steps):
+    grid = ens.seeds_grid
+    nodes = np.stack(grid.coordinates())
+    disp = ens.paths[ens.rows_of(steps)] - nodes
+    return grid, disp, jacobian_stack(grid, disp), nodes.reshape(grid.dim, 1, -1)
+
+
+class TestKeptGathers:
+    """Newton rounds that keep their gathered taps, against call_newton_rows."""
+
+    @pytest.mark.parametrize("case", ["2d_one_row", "1d_block", "1d_halving"])
+    def test_bitwise_equal_to_a_loop_of_calls(self, case):
+        if case == "2d_one_row":
+            ens, steps = divfree_path_case([0, 250]), [250]
+        elif case == "1d_block":
+            b, sigmas, path = trig_case()
+            # step 0 leaves in the first round, the other 31 together in the
+            # third, read by the stencil: the plan of 31 rows is not the block's
+            ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
+            steps = [0, *range(100, 131)]
+        else:
+            ens, steps = fallback_ensemble(), range(21)
+        grid, disp, jac, nodes = block_inputs(ens, steps)
+        y, values, rounds, plan = flow._newton_rows(grid, disp, jac, nodes, None, 1e-10)
+        want = call_newton_rows(grid, disp, jac, nodes, None, 1e-10)
+        for got, expected in zip((y, values, rounds), want, strict=True):
+            assert np.array_equal(got, expected)
+        if case == "2d_one_row":  # one row: the last round read it, and f0 reads at its plan
+            datum = PeriodicInterpolant(grid, presets.default_datum(grid).values)
+            at_plan = np.empty((1, grid.N**2))
+            datum._evaluate(y.reshape(grid.dim, -1) / grid.h, at_plan, 0, plan)
+            assert plan[0].shape == (1, grid.N**2) and np.array_equal(at_plan, datum(y))
+        else:  # rows that leave in different rounds hand out no plan
+            assert len(set(rounds.tolist())) > 1 and plan is None
+        if case == "1d_halving":
+            assert rounds.max() > flow._MAX_NEWTON >= rounds[:-1].max()
+
+    def test_straightening_bitwise_equal_to_a_loop_of_calls(self, monkeypatch):
+        g = grid1()
+        x = g.axis_coordinates()
+        shapes = [(0.3, 0.4), (0.999, 0.4), (0.1, 0.8), (0.6, 1.2)]
+        values = np.stack([(a * np.sin(x + phase))[None] for a, phase in shapes])
+        u = TimeGridVector(g, np.linspace(0.0, 0.5, len(shapes)), values, np.arange(len(shapes)))
+        kept = zvonkin.transform_coeffs(u, 2.0)
+
+        def reference(*args):
+            return *call_newton_rows(*args), None
+
+        monkeypatch.setattr(zvonkin, "_newton_rows", reference)
+        called = zvonkin.transform_coeffs(u, 2.0)
+        assert np.array_equal(kept.b_hat.values, called.b_hat.values)
+        for got, want in zip(kept.sigma_hat, called.sigma_hat, strict=True):
+            assert np.array_equal(got.values, want.values)
+        for got, want in zip(kept.inverted, called.inverted, strict=True):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_later_rounds_gather_only_the_points_that_moved_cell(self, monkeypatch):
+        # from the first round to the second a few of the 4,096 points move
+        # to another stencil cell, and none after: a round gathers at those
+        # points alone, and the first round at every point
+        stored = [0, 100, 190, 250]
+        ens = divfree_path_case(stored)
+        gathers, bases = [], []
+        gather, plan = interp._Stencil.gather, interp._Stencil.plan
+
+        def counted_gather(self, rows, base, gathered, moved=None):
+            gathers.append(base.size if moved is None else int(moved.sum()))
+            return gather(self, rows, base, gathered, moved)
+
+        def recorded_plan(self, x):
+            planned = plan(self, x)
+            bases.append(planned[0])
+            return planned
+
+        monkeypatch.setattr(interp._Stencil, "gather", counted_gather)
+        monkeypatch.setattr(interp._Stencil, "plan", recorded_plan)
+        moved = 0
+        for step in stored[1:]:
+            gathers.clear(), bases.clear()
+            rounds = invert_flow(ens, step * ens.path.dt).newton_iterations
+            assert len(bases) == len(gathers) == rounds == 3
+            changed = [int((a != b).sum()) for a, b in zip(bases, bases[1:])]
+            assert gathers == [64 * 64] + changed
+            moved += sum(changed)
+        assert moved > 0
 
 
 class TestFlowProperty:

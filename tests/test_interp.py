@@ -189,6 +189,16 @@ class TestRowCalls:
         with pytest.raises(FieldError, match="finite"):
             itp(np.full((2, 1, 4), np.nan), [0])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("points,rows", [((0, 5), []), ((3, 0), [0, 1, 2]), ((1, 0), [1])])
+    def test_a_call_on_no_points_is_empty(self, dim, points, rows):
+        # no rows, or one row on no points, read as map_coordinates reads;
+        # three rows on no points, as the stencil reads: each is empty
+        g = build_grid(dim, L, 16)
+        itp = PeriodicInterpolant(g, stream(22, dim).normal(size=(3, 2) + g.shape))
+        out = itp(np.zeros((dim,) + points), rows)
+        assert out.shape == (2,) + points
+
     @pytest.mark.parametrize("head", [(), (2,)])
     def test_a_head_without_rows_has_no_row_call(self, head):
         g = build_grid(2, L, 16)

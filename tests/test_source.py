@@ -32,6 +32,11 @@
   or ``from_terms``): the package has one ledger function.
 - Only ``interp`` imports ``scipy.ndimage``, and it exports one name,
   ``PeriodicInterpolant``: the package has one spline class.
+- In ``src/`` and ``scripts/`` only ``interp._Stencil.plan`` takes a point's
+  cell (``floor``, and ``trunc`` for the periodic wrap), whence the B-spline
+  weights, and only ``_Stencil`` reads the padded spline coefficients
+  (``_coeff``): every stencil read, Newton rounds included, is one plan and
+  its gathers.
 - Every field of a ``@dataclass`` in ``src/renormlab`` is read as
   ``<...>.field`` somewhere in ``src/``, ``scripts/``, ``perfbench/`` or
   ``tests/``, outside its own class's ``__post_init__``: a record carries no
@@ -477,3 +482,56 @@ def test_ndimage_scan_sees_each_form():
         "def f(x):\n    return scipy.ndimage.spline_filter1d(x), scipy.linalg, 'scipy.ndimage'\n"
     )
     assert _ndimage_imports(tree) == ["scipy.ndimage"] * 5 + ["scipy.ndimage.map_coordinates"]
+
+
+_STENCIL_WORK = ("floor", "trunc", "_coeff")
+
+
+def _stencil_work(tree: ast.Module) -> list[str]:
+    """``Class.function: name`` (or ``function: name``) for each read of a
+    point's cell (``floor``, ``trunc``) or of the padded spline coefficients
+    (``_coeff``), bare or as an attribute, each once, sorted.  An import, an
+    assignment to the name or a string does not read it."""
+    found = set()
+
+    def visit(node, cls, function):
+        if isinstance(node, ast.ClassDef):
+            cls, function = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in _STENCIL_WORK and isinstance(getattr(node, "ctx", None), ast.Load):
+            where = ".".join(part for part in (cls, function) if part) or "<module>"
+            found.add(f"{where}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, function)
+
+    visit(tree, None, None)
+    return sorted(found)
+
+
+def test_one_stencil_plan():
+    work = {
+        str(path.relative_to(ROOT)): _stencil_work(_parse(path))
+        for part in ("src", "scripts") for path in sorted((ROOT / part).rglob("*.py"))
+    }
+    assert {path: found for path, found in work.items() if found} == {
+        "src/renormlab/interp.py": [
+            "_Stencil.__init__: _coeff", "_Stencil.add: _coeff", "_Stencil.gather: _coeff",
+            "_Stencil.plan: floor", "_Stencil.plan: trunc",
+        ],
+    }
+
+
+def test_stencil_work_scan_sees_each_form():
+    tree = ast.parse(
+        "import numpy as np\nfrom math import floor\n"
+        "class S:\n    def plan(self, x):\n        return np.floor(x), math.trunc(x)\n"
+        "    def read(self, i):\n        return self._coeff.take(i), self._coeff[:, i]\n"
+        "def cells(x):\n    return floor(x), 'np.floor(x)'\n"
+        "def store(s):\n    s._coeff = s.trunc_of(1)\n"
+        "rounded = np.trunc(2.5)\n"
+    )
+    assert _stencil_work(tree) == [
+        "<module>: trunc", "S.plan: floor", "S.plan: trunc", "S.read: _coeff", "cells: floor",
+    ]

@@ -202,6 +202,8 @@ class TestInversion:
             invert_diffeo(d, 0.0, nodes_of(g), tol=0.0)
         with pytest.raises(ZvonkinError, match="leading axis"):
             invert_diffeo(build_diffeo(zero_displacement(build_grid(2, L, 16))), 0.0, np.zeros((3, 5)))
+        with pytest.raises(ZvonkinError, match="^query points must be finite$"):
+            invert_diffeo(d, 0.0, np.array([[0.5, np.nan, 1.0]]))
 
 
 class TestTransformedCoeffs:
@@ -864,13 +866,13 @@ class TestBatchedStraightening:
         jac = jacobian_stack(g, values)
         nodes = nodes_of(g)[:, None]
         first = np.stack([node_step(sl) for sl in slices], axis=1)
-        _, _, rounds = flow._newton_rows(g, values, jac, nodes, first.copy(), 1e-12)
+        _, _, rounds, _ = flow._newton_rows(g, values, jac, nodes, first.copy(), 1e-12)
         assert rounds[1] > flow._MAX_NEWTON >= max(rounds[[0, 2, 3]])
         straightening = transform_coeffs(u, 2.0)
         for n, sl in enumerate(slices):
             want = reference_invert(sl, nodes_of(g), node_step(sl))
             assert np.array_equal(straightening.inverted[n][0], want)
-            alone, at, _ = flow._newton_rows(
+            alone, at, *_ = flow._newton_rows(
                 g, values[[n]], jac[[n]], nodes, first[:, [n]].copy(), 1e-12
             )
             assert np.array_equal(alone[:, 0], want)
