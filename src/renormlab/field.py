@@ -550,6 +550,7 @@ _HEADER_KINDS = {
     "count": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "positive": (lambda v: _is_number(v) and v > 0, "a finite positive number"),
     "times": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "flo": (lambda v: v == "flo", "'flo'"),
 }
 # the grid keys of every .fld and .flo header
 _GRID_HEADER = {"dim": "int", "L": "positive", "N": "int"}
@@ -567,12 +568,16 @@ def _read_header(fh, path, error: type[ValueError]):
 def _check_header(path, header: dict, kinds: dict, error: type[ValueError]) -> Grid:
     """Check each key's type before any arithmetic, then return the header's grid.
 
-    ``kinds`` maps each required key to a kind of ``_HEADER_KINDS``.  Every
-    failure raises ``error`` naming the file and the key.
+    ``kinds`` maps each key of the format to a kind of ``_HEADER_KINDS``: each
+    is required, and any other key is refused.  Every failure raises ``error``
+    naming the file and the key.
     """
     missing = [k for k in kinds if k not in header]
     if missing:
         raise error(f"{path}: header lacks {', '.join(missing)}")
+    unknown = sorted(set(header) - set(kinds))
+    if unknown:
+        raise error(f"{path}: header has unknown key {', '.join(unknown)}")
     for key, kind in kinds.items():
         test, want = _HEADER_KINDS[kind]
         if not test(header[key]):

@@ -942,16 +942,15 @@ def _mean_stderr(values) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 _FLO_HEADER = {
-    **_GRID_HEADER, "T": "positive", "dt": "positive", "k_count": "count", "seed": "int",
+    **_GRID_HEADER, "format": "flo", "T": "positive", "dt": "positive", "k_count": "count",
+    "seed": "int",
 }
-# flags of older headers, when each recursion could follow the positions
-_RECURSION_FLAGS = {"has_jacobian": "jac_variational", "has_logdet": "logdet_exponential"}
 
 
 def save_ensemble(path_name, ensemble: FlowEnsemble) -> None:
     """Write the path and the positions at every step; a stored recursion is refused."""
     _require_every_step(ensemble)
-    for name in _RECURSION_FLAGS.values():
+    for name in ("jac_variational", "logdet_exponential"):
         if getattr(ensemble, name) is not None:
             raise FlowError(f"a .flo file holds positions only; clear {name} before saving")
     grid = ensemble.seeds_grid
@@ -978,12 +977,6 @@ def load_ensemble(path_name) -> FlowEnsemble:
     if not isinstance(header, dict) or header.get("format") != "flo":
         raise FlowError(f"not a flow ensemble file: {path_name}")
     grid = _check_header(path_name, header, _FLO_HEADER, FlowError)
-    for key in _RECURSION_FLAGS:
-        if header.get(key, False) is not False:
-            raise FlowError(
-                f"{path_name}: header {key} must be false or absent (.flo holds positions"
-                f" only), got {header[key]!r}"
-            )
     if len(raw) % 8:
         raise FlowError(f"{path_name}: payload of {len(raw)} bytes is not float64 values")
     raw = np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -305,6 +305,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"scalars.epsilons must be positive, got {s.epsilons}")
         elif any(b >= a for a, b in zip(s.epsilons, s.epsilons[1:])):
             out.append(f"scalars.epsilons must be strictly decreasing, got {s.epsilons}")
+        elif 0 < len(s.epsilons) < 3:  # a rate fit needs three; none means the default ladder
+            out.append(f"scalars.epsilons needs at least 3 values, got {s.epsilons}")
     for label in ("p", "q", "r"):
         if typed(f"scalars.{label}") and not getattr(s, label) >= 1:
             out.append(f"scalars.{label} must be >= 1, got {getattr(s, label)}")
@@ -618,6 +620,7 @@ def _run_commutator_study(cfg: ExperimentConfig, out: Path) -> list[Path]:
         files.append(_write_csv(
             out / f"commutator_{tag}.csv", ["epsilon", "error_Lr", "bound_ratio"],
             zip(study.epsilons, study.errors, study.bound_ratios),
+            [("fitted_rate", repr(study.fitted_rate))],
         ))
     return files
 
@@ -710,12 +713,16 @@ def _run_zvonkin_relaxation(cfg: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
     for lam in s.lambdas:
         sol = mild_solve(b, lam, steps)
-        coeffs = transform_coeffs(sol.u, lam)
-        rec = relaxation_metrics(coeffs, b, q=s.q, p=s.p, r=s.r)
-        rows.append((float(lam), rec.bhat_err, rec.sigma_err, rec.grad_sigma_err, rec.div_err))
+        rel = relaxation_residuals(sol, b)
+        rec = relaxation_metrics(transform_coeffs(sol.u, lam), b, q=s.q, p=s.p, r=s.r)
+        rows.append((
+            float(lam), rec.bhat_err, rec.sigma_err, rec.grad_sigma_err, rec.div_err,
+            rel.drift_residual, rel.divergence_residual,
+        ))
     return [_write_csv(
         out / "zvonkin_relaxation.csv",
-        ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"], rows,
+        ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err",
+         "drift_residual", "divergence_residual"], rows,
     )]
 
 
@@ -1193,7 +1200,7 @@ def _check_determinism(cfg: ExperimentConfig) -> list[CheckResult]:
 
 # perfbench's accept workload leaves out _check_jacobian, _check_renorm_residual
 # and _check_zvonkin by function name, so renaming one of these puts its work
-# (about 100 s together) silently back into that workload.
+# (about 13 s together) silently back into that workload.
 _SUITE = (
     _check_mollifier,
     _check_commutator_t,

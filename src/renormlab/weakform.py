@@ -147,9 +147,8 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
 
     tanh: bounded with bounded z Gamma' and z^2 Gamma''.  abs_eps: parabolic
     regularization of |z| (value eps/2 at 0) times a plateau cutoff; tends to
-    |z| pointwise with g, h tending to 0.  linear and constant are the
-    degenerate members used to collapse the renormalized ledger onto the
-    plain one.
+    |z| pointwise with g, h tending to 0.  linear is the degenerate member
+    that collapses the renormalized ledger onto the plain one.
     """
     if tag == "tanh":
         return Renormalizer(
@@ -167,12 +166,6 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
         return Renormalizer(
             gamma=lambda z: np.asarray(z, dtype=np.float64),
             gamma_prime=lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
-            gamma_second=lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)),
-        )
-    if tag == "constant":
-        return Renormalizer(
-            gamma=lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
-            gamma_prime=lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)),
             gamma_second=lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)),
         )
     raise WeakFormError(f"unknown renormalizer tag {tag!r}")

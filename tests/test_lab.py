@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renormlab import cli, flow, lab, parallel, presets, weakform
+from renormlab import cli, commutator, flow, lab, parallel, presets, weakform
 from renormlab.field import (
     FieldError,
     Grid,
@@ -46,6 +46,7 @@ from renormlab.lab import (
     ScalarConfig,
     TimeConfig,
 )
+from renormlab.parabolic import mild_solve, relaxation_residuals
 from renormlab.weakform import RENORMALIZED_TERMS, WeakFormError, WeakFormLedger
 
 TWO_PI = 2.0 * math.pi
@@ -117,6 +118,33 @@ class TestExperimentConfig:
                 experiment="zvonkin_relaxation",
                 scalars=ScalarConfig(lambdas=(16.0, 4.0)),
             )
+
+    @pytest.mark.parametrize(
+        "experiment,section,fields,message",
+        [
+            ("commutator_study", "grid", {"N": 63}, "grid.N must be even"),
+            ("commutator_study", "scalars", {"epsilons": [0.8, 0.4]},
+             "scalars.epsilons needs at least 3 values, got (0.8, 0.4)"),
+            ("commutator_study", "scalars", {"r": 0.5}, "scalars.r must be >= 1"),
+            ("zvonkin_relaxation", "time", {"dt": 0}, "time.dt must lie in (0, T]"),
+            ("zvonkin_relaxation", "time", {"T": 0}, "time.T must be positive"),
+            ("zvonkin_relaxation", "scalars", {"lambdas": [16.0, 4.0]},
+             "scalars.lambdas must be strictly increasing"),
+        ],
+        ids=["N", "epsilons", "r", "dt", "T", "lambdas"],
+    )
+    def test_study_field_exits_2_by_name(
+        self, tmp_path, capsys, experiment, section, fields, message
+    ):
+        # each study's ladder, grid and horizon is a config field of `renormlab run`
+        payload = config_payload(experiment=experiment, output_dir=str(tmp_path / "out"))
+        payload[section] = {**payload[section], **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "LabError" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_box_must_be_two_pi(self, tmp_path, capsys):
         # every preset and the default datum is 2*pi-periodic, so the box is
@@ -206,7 +234,8 @@ CSV_ARTIFACTS = {
     "renorm_ledger.csv": (["term_name", "value"], 2 + len(RENORMALIZED_TERMS), ["lhs_delta"]),
     "renorm_refinement.csv": (["dt", "h", "residual"], 2, [0.0125, TWO_PI / 32]),
     "zvonkin_relaxation.csv": (
-        ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err"], 3, [4.0],
+        ["lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err",
+         "drift_residual", "divergence_residual"], 3, [4.0],
     ),
     "acceptance_report.csv": (
         ["name", "value", "relation", "threshold", "passed", "detail"], 2,
@@ -288,6 +317,35 @@ def test_write_csv_cells(tmp_path):
     )
 
 
+def test_commutator_csv_records_the_fitted_rate(csv_artifacts):
+    # each study's fitted rate is the comment line above its table, bit for bit
+    grid = Grid(dim=1, L=TWO_PI, N=32)
+    sigma = presets.trig_flow_noise(grid)[0]
+    for tag in (commutator.TAG_T, commutator.TAG_S):
+        path = csv_artifacts[f"commutator_{tag}.csv"][0]
+        lines = path.read_text().splitlines()
+        _, *rows = csv_rows(path)
+        epsilons = [float(row[0]) for row in rows]
+        study = commutator.convergence_study(
+            tag, sigma, presets.default_datum(grid), epsilons, 2.0
+        )
+        assert lines[1] == f"# fitted_rate={study.fitted_rate!r}"
+        assert float(lines[1].partition("=")[2]).hex() == study.fitted_rate.hex()
+
+
+def test_zvonkin_csv_records_both_relaxation_residuals(csv_artifacts):
+    # the last two columns are relaxation_residuals of each lambda's solve, bit for bit
+    grid = Grid(dim=1, L=TWO_PI, N=32)
+    steps = 10  # small_config: T 0.125, dt 0.0125
+    b = presets.sample_constant_in_time(presets.trig_flow_drift(grid), 0.125, steps)
+    _, *rows = csv_rows(csv_artifacts["zvonkin_relaxation.csv"][0])
+    for row in rows:
+        rel = relaxation_residuals(mild_solve(b, float(row[0]), steps), b)
+        assert [float(cell).hex() for cell in row[-2:]] == [
+            rel.drift_residual.hex(), rel.divergence_residual.hex(),
+        ]
+
+
 def test_renorm_ledger_rows_close(csv_artifacts):
     _, *rows = csv_rows(csv_artifacts["renorm_ledger.csv"][0])
     assert [name for name, _ in rows] == ["lhs_delta", *RENORMALIZED_TERMS, "residual"]
@@ -303,8 +361,9 @@ class TestRunExperiment:
         for path in files:
             lines = path.read_text().splitlines()
             assert lines[0] == lab.CSV_VERSION_LINE
-            assert lines[1].startswith("epsilon,")
-            assert len(lines) == 2 + 3  # version, header, one row per epsilon
+            assert lines[1].startswith("# fitted_rate=")
+            assert lines[2].startswith("epsilon,")
+            assert len(lines) == 3 + 3  # version, rate, header, one row per epsilon
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = small_config("commutator_study", tmp_path, output_dir=str(tmp_path / "a"))
@@ -323,6 +382,7 @@ class TestRunExperiment:
         assert lines[0] == lab.CSV_VERSION_LINE
         assert lines[1].split(",") == [
             "lambda", "bhat_err", "sigma_err", "grad_sigma_err", "div_err",
+            "drift_residual", "divergence_residual",
         ]
         assert [row.split(",")[0] for row in lines[2:]] == ["4.0", "16.0"]
 
@@ -858,7 +918,6 @@ class TestCli:
             ("N", 8.0, "header N must be an integer, got 8.0"),
             ("dim", True, "header dim must be an integer, got True"),
             ("dim", 3, "header dim must be 1 or 2, got 3"),
-            ("has_jacobian", "no", "header has_jacobian must be false or absent (.flo holds"),
             ("dt", -1e-3, "header dt must be a finite positive number, got -0.001"),
             ("k_count", -1, "header k_count must be a non-negative integer, got -1"),
         ],
@@ -880,6 +939,25 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and f"FieldError: {field_path}: {message}" in err
 
+    @pytest.mark.parametrize(
+        "suffix,key,value",
+        [
+            (".fld", "colour", "red"),
+            (".fld", "format", "fld"),
+            (".flo", "sede", 3),
+            (".flo", "has_jacobian", False),
+            (".flo", "has_logdet", True),
+        ],
+    )
+    def test_inspect_refuses_an_unknown_header_key(self, tmp_path, capsys, suffix, key, value):
+        # a typo or a legacy flag is refused by name, whatever its value
+        target, header, payload = saved_artifact(tmp_path, suffix)
+        target.write_bytes(json.dumps({**header, key: value}).encode("ascii") + b"\n" + payload)
+        assert cli.main(["inspect", str(target)]) == cli.EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        error = "FieldError" if suffix == ".fld" else "FlowError"
+        assert out == "" and f"{error}: {target}: header has unknown key {key}\n" in err
+
     @pytest.mark.parametrize("suffix", [".fld", ".flo"])
     @pytest.mark.parametrize("head", [b'{"dim": 1, "N"', b"\xff\xfe\x00\x01"])
     def test_inspect_refuses_a_header_that_is_not_json(self, tmp_path, capsys, suffix, head):
@@ -897,19 +975,6 @@ class TestCli:
         assert cli.main(["inspect", str(target)]) == cli.EXIT_CONFIG_ERROR
         out, err = capsys.readouterr()
         assert out == "" and f"FlowError: {target}: payload" in err
-
-    @pytest.mark.parametrize("script", ["damping_ladder.py", "commutator_rates.py"])
-    def test_script_rejects_odd_grid(self, script):
-        run = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / script), "--grid-points", "63"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            check=False,
-        )
-        assert run.returncode == 2
-        assert "--grid-points" in run.stderr and "got 63" in run.stderr
-        assert "Traceback" not in run.stderr
 
     def test_artifact_hex_lists_every_run_artifact(self):
         run = subprocess.run(

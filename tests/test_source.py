@@ -6,6 +6,11 @@
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
 - In ``src/`` and ``scripts/`` only ``cli._accept`` runs the acceptance suite:
   ``renormlab accept`` is its one runner.
+- No module in ``scripts/`` builds a ``Grid`` or calls or imports a study
+  function (``convergence_study``, ``mild_solve``, ``decay_study``,
+  ``transform_coeffs``, ``relaxation_residuals``, ``relaxation_metrics``):
+  ``renormlab run`` is the studies' one front end.  A script may still run
+  the CLI, or patch a function and run checks through ``lab``.
 - Only ``lab._per_member`` integrates flows, by one ``simulate_flows`` call,
   and only ``lab._paths`` draws or refines Brownian paths: the lab has one
   member loop and one path drawer.  No call of the member loop passes a reduce
@@ -169,6 +174,57 @@ def test_one_suite_runner():
     assert {path: fns for path, fns in readers.items() if fns} == {
         "src/renormlab/cli.py": ["_accept"],
     }
+
+
+_STUDIES = (
+    "Grid", "convergence_study", "mild_solve", "decay_study", "transform_coeffs",
+    "relaxation_residuals", "relaxation_metrics",
+)
+
+
+def _study_calls(tree: ast.Module) -> list[str]:
+    """``function: name`` for each call of a ``_STUDIES`` name, bare or as an
+    attribute, and each import of one, each once, sorted.  Reading or
+    assigning the name without a call, as a patch does, is not counted."""
+    found = set()
+    for function, node in _with_function(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _STUDIES:
+                found.add(f"{function}: {name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.rpartition(".")[2] in _STUDIES:
+                    found.add(f"{function}: {alias.name.rpartition('.')[2]}")
+    return sorted(found)
+
+
+def test_scripts_run_no_study_of_their_own():
+    calls = {
+        path.name: _study_calls(_parse(path)) for path in sorted((ROOT / "scripts").rglob("*.py"))
+    }
+    assert calls and {name: found for name, found in calls.items() if found} == {}
+
+
+def test_study_call_scan_sees_each_form():
+    tree = ast.parse(
+        "from renormlab.field import Grid\nfrom renormlab import parabolic, lab\n"
+        "from renormlab.zvonkin import relaxation_metrics as metrics\n"
+        "grid = Grid(dim=1, L=6.28, N=64)\n"
+        "def a(b):\n    return parabolic.mild_solve(b, 4.0, 128)\n"
+        "def b(sigma, f):\n    return renormlab.commutator.convergence_study('T', sigma, f)\n"
+        "def c(monkeypatch, broken):\n"
+        "    original = parabolic.decay_study\n"
+        "    monkeypatch.setattr(zvonkin, 'transform_coeffs', broken)\n"
+        "    parabolic.relaxation_residuals = broken\n"
+        "    return original, lab.run_experiment(cfg), 'mild_solve(b)'\n"
+        "def d(cfg):\n    return subprocess.run(['renormlab', 'run', cfg])\n"
+    )
+    assert _study_calls(tree) == [
+        "<module>: Grid", "<module>: relaxation_metrics", "a: mild_solve",
+        "b: convergence_study",
+    ]
 
 
 def _uses(tree: ast.AST, name: str) -> list[str]:

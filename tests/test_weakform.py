@@ -108,13 +108,6 @@ class TestRenormalizers:
         assert np.array_equal(rn.g(z), np.zeros_like(z))
         assert np.array_equal(rn.h(z), np.zeros_like(z))
 
-    def test_constant_degenerate(self):
-        rn = make_renormalizer("constant")
-        z = self.sample
-        assert np.array_equal(rn.gamma(z), np.ones_like(z))
-        assert np.array_equal(rn.g(z), -np.ones_like(z))
-        assert np.array_equal(rn.h(z), np.ones_like(z))
-
     def test_abs_eps_value_at_zero(self):
         for eps in (0.5, 0.03):
             rn = make_renormalizer("abs_eps", eps)
