@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .field import GridScalar, GridVector, load_field
 from .flow import load_ensemble
 from .lab import (
@@ -136,6 +137,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.command != "inspect":  # a bad worker count exits before any output is made
+            parallel.worker_count()
         if args.command == "run":
             return _cmd_run(args.config)
         if args.command == "accept":

@@ -251,7 +251,7 @@ class TimeGridVector:
         """Index of the sample ``slice_at`` picks, for each time in ``ts``."""
         ts = np.asarray(ts, dtype=np.float64)
         j = np.searchsorted(self.times, ts + 1e-12 * max(self.T, 1.0), side="right") - 1
-        outside = (j < 0) | (ts > self.T * (1 + 1e-12))
+        outside = (j < 0) | ~(ts <= self.T * (1 + 1e-12))  # nan is outside too
         if np.any(outside):
             raise FieldError(f"time {ts[outside][0]} outside [0, {self.T}]")
         return j
@@ -451,6 +451,8 @@ class MollifierKernel:
 
 def mollifier(grid: Grid, epsilon: float) -> MollifierKernel:
     eps = float(epsilon)
+    if not math.isfinite(eps):
+        raise FieldError(f"epsilon must be finite, got {eps}")
     if eps < 2.0 * grid.h:
         raise FieldError(f"epsilon {eps} below resolution 2h = {2 * grid.h}")
     if eps > grid.L / 4.0:

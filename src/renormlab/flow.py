@@ -125,8 +125,8 @@ class SdeConfig:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise FlowError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise FlowError(f"dt must be a finite positive number, got {self.dt}")
 
 
 @dataclass
@@ -354,7 +354,7 @@ def _flow_setup(b: TimeGridVector, sigmas, config: SdeConfig, paths):
     for p in paths[1:]:
         if (p.T, p.dt, p.k_count) != (path.T, path.dt, path.k_count):
             raise FlowError("Brownian paths differ in horizon, step or noise count")
-    if abs(config.dt - path.dt) > 1e-12 * max(path.dt, 1.0):
+    if not abs(config.dt - path.dt) <= 1e-12 * max(path.dt, 1.0):
         raise FlowError(f"config dt {config.dt} does not match path dt {path.dt}")
     grid = _validate_coefficients(b, sigmas, path)
     return (grid, path) + _slice_groups(b, sigmas, path)
@@ -644,7 +644,7 @@ def logdet_gaps(
 
 
 def _step_of(path: BrownianPath, t: float) -> int:
-    step = int(round(t / path.dt))
+    step = int(round(t / path.dt)) if math.isfinite(t / path.dt) else -1
     if step < 0 or step > path.steps or abs(step * path.dt - t) > 1e-9 * max(path.T, 1.0):
         raise FlowError(f"time {t} is not on the path step grid")
     return step

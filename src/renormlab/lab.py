@@ -4,11 +4,13 @@ Everything user-facing funnels through here: JSON configs become
 ``ExperimentConfig``, ``run_experiment`` writes CSV/field artifacts under the
 configured output directory, and ``acceptance_suite`` replays the whole
 battery of desk-scale checks into a ``RunReport`` (``renormlab accept`` runs
-it and writes its report).  Every Monte Carlo estimate reduces each member's
-flow inside the one member loop ``_per_member`` and combines the members'
-numbers with ``flow._mean_stderr``.  The renorm rows keep their
-ledgers, so ``RunReport.flipped`` re-gates a finished report with one term's
-sign negated, without recomputing a flow.  All randomness is derived from
+it and writes its report) through one ``Run``, which draws every path and
+holds, computed once, the inputs two checks share.  Every Monte Carlo
+estimate reduces each member's flow inside the one member loop
+``_per_member`` and combines the members' numbers with
+``flow._mean_stderr``.  The renorm rows keep their ledgers, so
+``RunReport.flipped`` re-gates a finished report with one term's sign
+negated, without recomputing a flow.  All randomness is derived from
 ``master_seed`` plus fixed per-check offsets, so a report is a pure function
 of its config; the certified pass margins were frozen at ``master_seed = 0``
 and other seeds are run at the caller's own risk.
@@ -33,6 +35,7 @@ from dataclasses import (
     is_dataclass,
     replace,
 )
+from functools import cached_property
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -95,11 +98,11 @@ logger = logging.getLogger(__name__)
 
 CSV_VERSION_LINE = "# renormlab v1"
 
-# Stream-id offsets that ``_paths`` adds to master_seed, one block per
+# Stream-id offsets that ``Run.paths`` adds to master_seed, one block per
 # consumer; a refined level bridges its consumer's base paths.  Two draws are
 # shared between checks (ROADMAP item 3): the pushforward-residual check and
-# the smooth renorm ledgers run the same drift_dominated pair on
-# _STREAM_PUSHFORWARD, so it is computed twice per suite, and conservation
+# the smooth renorm ledgers read the same drift_dominated pair on
+# _STREAM_PUSHFORWARD, which their run computes once, and conservation
 # member 0 and the divfree renorm base draw the same _STREAM_DIVFREE path at
 # (64^2, T 0.25, dt 1e-3).
 _STREAM_PUSHFORWARD = 501
@@ -435,19 +438,37 @@ def _config_problem(cfg: ExperimentConfig) -> Problem:
     return _problem(_config_source(cfg), cfg.grid.N, cfg.time.T, cfg.time.dt)
 
 
-def _paths(
-    cfg: ExperimentConfig, consumer: int, members: int, T: float, dt: float, k_count: int,
-    factor: int = 1,
-) -> list[BrownianPath]:
-    """The Brownian paths of members 0 .. members - 1 of one ``_STREAM_*`` consumer.
+@dataclass(frozen=True)
+class Run:
+    """One run of a config: the lab's one path drawer, and the inputs two checks share.
 
-    The lab's one path drawer: member m's base path, step dt, is drawn from
-    stream master_seed + consumer + m.  With factor > 1 each member gets the
-    bridge refinement of its base path at dt / factor instead.
+    A shared input is computed on its first read and held as long as the run.
     """
-    seed = cfg.scalars.master_seed + consumer
-    paths = [sample_brownian(T, dt, k_count, seed + m) for m in range(members)]
-    return paths if factor == 1 else [refine_brownian(p, factor) for p in paths]
+
+    cfg: ExperimentConfig
+
+    def paths(
+        self, consumer: int, members: int, T: float, dt: float, k_count: int, factor: int = 1,
+    ) -> list[BrownianPath]:
+        """The Brownian paths of members 0 .. members - 1 of one ``_STREAM_*`` consumer.
+
+        Member m's base path, step dt, is drawn from stream master_seed +
+        consumer + m; with factor > 1 it is bridge-refined to dt / factor.
+        """
+        seed = self.cfg.scalars.master_seed + consumer
+        paths = [sample_brownian(T, dt, k_count, seed + m) for m in range(members)]
+        return paths if factor == 1 else [refine_brownian(p, factor) for p in paths]
+
+    @cached_property
+    def drift_dominated_pair(self) -> list:
+        """The pushforward check's pair, whose tanh ledgers are the smooth renorm rows'."""
+        return _pushforward_pair(self, _STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3)
+
+    @cached_property
+    def trig_ladder(self) -> tuple:
+        """(b, solves): the trig mild solves at lambda 4, 16, 64 (T 0.5, 128 steps)."""
+        b = _problem("trig_flow", 64, 0.5, 0.5 / 128).b
+        return b, [mild_solve(b, lam, 128) for lam in (4.0, 16.0, 64.0)]
 
 
 def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) -> list:
@@ -463,7 +484,7 @@ def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) ->
 
 
 def _pushforward_pair(
-    cfg: ExperimentConfig, consumer: int,
+    run: Run, consumer: int,
     source: str | presets.Preset, N: int, fine_N: int, T: float, dt: float,
 ) -> list[tuple[Problem, BrownianPath, list[GridScalar]]]:
     """f0 pushed forward at every step, base and refined, on member 0 of a consumer.
@@ -472,21 +493,21 @@ def _pushforward_pair(
     (fine_N, dt / 4) on its bridge refinement.  Each entry is (problem, path,
     pushforward at steps 0..steps).
     """
-    runs = []
+    levels = []
     for n, factor in ((N, 1), (fine_N, 4)):
         prob = _problem(source, n, T, dt / factor)
-        [path] = _paths(cfg, consumer, 1, T, dt, len(prob.sigmas), factor)
+        [path] = run.paths(consumer, 1, T, dt, len(prob.sigmas), factor)
         [fpath] = _per_member(prob, [path], lambda ens: list(pushforward_path(prob.f0, ens)))
-        runs.append((prob, path, fpath))
-    return runs
+        levels.append((prob, path, fpath))
+    return levels
 
 
-def _tanh_ledgers(cfg: ExperimentConfig, *pair) -> list[tuple[Problem, WeakFormLedger]]:
-    """(problem, tanh-renormalized ledger) of each level of ``_pushforward_pair(cfg, *pair)``."""
+def _tanh_ledgers(levels) -> list[tuple[Problem, WeakFormLedger]]:
+    """(problem, tanh-renormalized ledger) of each level of a ``_pushforward_pair``."""
     renorm = make_renormalizer("tanh")
     return [
         (prob, residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, renorm, path))
-        for prob, path, fpath in _pushforward_pair(cfg, *pair)
+        for prob, path, fpath in levels
     ]
 
 
@@ -661,7 +682,7 @@ def _conservation_rows(prob: Problem, p: float, sampled):
 def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
     prob = _config_problem(cfg)
     T, dt = cfg.time.T, cfg.time.dt
-    paths = _paths(cfg, _STREAM_DIVFREE, cfg.scalars.mc_members, T, dt, len(prob.sigmas))
+    paths = Run(cfg).paths(_STREAM_DIVFREE, cfg.scalars.mc_members, T, dt, len(prob.sigmas))
     sampled = range(0, prob.steps + 1, max(1, prob.steps // 10))
     rows = _conservation_rows(prob, cfg.scalars.p, sampled)
     saved = []
@@ -690,9 +711,9 @@ def _run_renorm_residual(cfg: ExperimentConfig, out: Path) -> list[Path]:
     # doubling N is past the desk budget, and for .fld coefficients, whose
     # files fix N.
     fine_N = 2 * N if cfg.grid.dim == 1 and cfg.coefficients.drift_file is None else N
-    levels = _tanh_ledgers(
-        cfg, _STREAM_PUSHFORWARD, _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt
-    )
+    levels = _tanh_ledgers(_pushforward_pair(
+        Run(cfg), _STREAM_PUSHFORWARD, _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt
+    ))
     base = levels[0][1]
     return [
         _write_csv(
@@ -766,7 +787,7 @@ def _result(name, value, threshold, relation, detail="") -> CheckResult:
     return CheckResult(name, value, threshold, relation, passed, detail)
 
 
-def _check_mollifier(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_mollifier(run: Run) -> list[CheckResult]:
     grid = Grid(dim=1, L=2.0 * math.pi, N=64)
     eps = grid.L / 8.0
     kernel = mollifier(grid, eps)
@@ -804,7 +825,7 @@ def _trig_study(tag: str):
     return study, (study.fitted_rate if _adjacent_ratio(study.errors) < 1.0 else 0.0)
 
 
-def _check_commutator_t(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_commutator_t(run: Run) -> list[CheckResult]:
     study, rate = _trig_study(commutator.TAG_T)
     grid, _, f = _trig_commutator_data(64)
     const = GridVector(grid, np.full((1, grid.N), 0.7))
@@ -818,7 +839,7 @@ def _check_commutator_t(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _check_commutator_s(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_commutator_s(run: Run) -> list[CheckResult]:
     _, rate = _trig_study(commutator.TAG_S)
     ratios = {}
     for N in (32, 64):
@@ -840,7 +861,7 @@ def _check_commutator_s(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _check_cancellation(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_cancellation(run: Run) -> list[CheckResult]:
     grid, sigma, f = _trig_commutator_data(64)
     renorm = make_renormalizer("tanh")
     eps = grid.L / 8.0
@@ -874,7 +895,7 @@ def _check_cancellation(cfg: ExperimentConfig) -> list[CheckResult]:
     return out
 
 
-def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
+def _logdet_sup_gaps(run: Run, members: int, T: float, dt: float):
     """Per-path sup gap at (dt, dt/4); bridge-coupled refinement.
 
     The two levels are separate items on the worker pool, and each runs the
@@ -883,14 +904,14 @@ def _logdet_sup_gaps(cfg: ExperimentConfig, members: int, T: float, dt: float):
 
     def level(factor: int) -> list[float]:
         prob = _problem("trig_flow", 64, T, dt / factor)
-        paths = _paths(cfg, _STREAM_LOGDET, members, T, dt, len(prob.sigmas), factor)
+        paths = run.paths(_STREAM_LOGDET, members, T, dt, len(prob.sigmas), factor)
         return _per_member(prob, paths, logdet_gap)
 
     return parallel.ordered_map(level, (1, 4))
 
 
-def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
-    coarse, fine = _logdet_sup_gaps(cfg, members=64, T=0.5, dt=1e-3)
+def _check_jacobian(run: Run) -> list[CheckResult]:
+    coarse, fine = _logdet_sup_gaps(run, members=64, T=0.5, dt=1e-3)
     rms_c, rms_f = _rms(coarse), _rms(fine)
     order = math.log(rms_c / rms_f) / math.log(4.0)
     return [
@@ -902,14 +923,13 @@ def _check_jacobian(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _check_pushforward_residual(cfg: ExperimentConfig) -> list[CheckResult]:
-    runs = _pushforward_pair(cfg, _STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3)
+def _check_pushforward_residual(run: Run) -> list[CheckResult]:
     linear = make_renormalizer("linear")  # its ledger is the plain weak form's
     base, fine = (
         residual_renormalized(fpath, prob.b, prob.sigmas, prob.phi, linear, path).residual
-        for prob, path, fpath in runs
+        for prob, path, fpath in run.drift_dominated_pair
     )
-    prob, path, _ = runs[0]
+    prob, path, _ = run.drift_dominated_pair[0]
     frozen = residual_renormalized(
         [prob.f0] * (prob.steps + 1), prob.b, prob.sigmas, prob.phi, linear, path
     ).residual
@@ -923,12 +943,12 @@ def _check_pushforward_residual(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _check_conservation(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_conservation(run: Run) -> list[CheckResult]:
     T, dt = 0.25, 1e-3
     prob = _problem("divfree_2d", 64, T, dt)
     sampled = range(0, prob.steps + 1, 25)
     reduce = _conservation_rows(prob, 2.0, sampled)
-    paths = _paths(cfg, _STREAM_DIVFREE, 4, T, dt, 2)
+    paths = run.paths(_STREAM_DIVFREE, 4, T, dt, 2)
     rows = [row for member in _per_member(prob, paths, reduce, sampled) for row in member]
     h = prob.grid.L / prob.grid.N
     return [
@@ -940,17 +960,17 @@ def _check_conservation(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _moment(cfg: ExperimentConfig, prob: Problem, members: int, power: float) -> tuple:
+def _moment(run: Run, prob: Problem, members: int, power: float) -> tuple:
     """(mean, stderr) of ||f_T||_power ** power over the members of _STREAM_MOMENT."""
 
     def reduce(ens: FlowEnsemble) -> float:
         return float(lp_norm(pushforward_solution(prob.f0, ens, ens.path.T), power)) ** power
 
-    paths = _paths(cfg, _STREAM_MOMENT, members, prob.b.T, prob.dt, len(prob.sigmas))
+    paths = run.paths(_STREAM_MOMENT, members, prob.b.T, prob.dt, len(prob.sigmas))
     return _mean_stderr(_per_member(prob, paths, reduce, [prob.steps]))
 
 
-def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_moment_bound(run: Run) -> list[CheckResult]:
     T, dt, members, p = 0.5, 2.5e-3, 64, 2.0
     prob = _problem("trig_flow", 64, T, dt)
     b, sigmas, f0 = prob.b, prob.sigmas, prob.f0
@@ -965,7 +985,7 @@ def _check_moment_bound(cfg: ExperimentConfig) -> list[CheckResult]:
     growth = m * (div_b + 0.5 * twist) + 0.5 * m * m * div_s**2
     envelope = math.exp(growth * T) * lp_norm(f0, 2.0 * p) ** (2.0 * p)
 
-    mean, stderr = _moment(cfg, prob, members, 2.0 * p)
+    mean, stderr = _moment(run, prob, members, 2.0 * p)
     upper = mean + 1.645 * stderr  # one-sided 95% confidence
     return [
         _result(
@@ -982,7 +1002,7 @@ def _grad_sup(sol) -> float:
     return float(max(sol.u.per_sample(sups)))
 
 
-def _check_parabolic_closed_form(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_parabolic_closed_form(run: Run) -> list[CheckResult]:
     T, lam = 0.5, 6.0
     b_const = _problem(_CONSTANT_1D, 64, T, T / 512).b
     c = float(b_const.values[0, 0, 0])  # the constant preset's drift
@@ -992,8 +1012,7 @@ def _check_parabolic_closed_form(cfg: ExperimentConfig) -> list[CheckResult]:
         exact = c / lam * (1.0 - math.exp(-lam * (T - t)))
         gap = max(gap, float(np.max(np.abs(sol.u.values[row, 0] - exact))))
 
-    b_trig = _problem("trig_flow", 64, T, T / 128).b
-    sups = [_grad_sup(mild_solve(b_trig, l, 128)) for l in (4.0, 16.0, 64.0)]
+    sups = [_grad_sup(sol) for sol in run.trig_ladder[1]]
     return [
         _result("parabolic_closed_form", gap, 1e-4, "<=", "constant drift, quad_steps 512"),
         _result(
@@ -1003,7 +1022,7 @@ def _check_parabolic_closed_form(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _check_decay_exponents(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_decay_exponents(run: Run) -> list[CheckResult]:
     b = _problem("decay", 64, 0.5, 0.5 / 256).b
     lambdas = [32.0, 64.0, 128.0, 256.0]
     out = []
@@ -1021,13 +1040,10 @@ def _check_decay_exponents(cfg: ExperimentConfig) -> list[CheckResult]:
     return out
 
 
-def _check_relaxation(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_relaxation(run: Run) -> list[CheckResult]:
     T = 0.5
-    b_trig = _problem("trig_flow", 64, T, T / 128).b
-    records = [
-        relaxation_residuals(mild_solve(b_trig, lam, 128), b_trig)
-        for lam in (4.0, 16.0, 64.0)
-    ]
+    b_trig, sols = run.trig_ladder
+    records = [relaxation_residuals(sol, b_trig) for sol in sols]
     ladder = max(
         _adjacent_ratio([r.drift_residual for r in records]),
         _adjacent_ratio([r.divergence_residual for r in records]),
@@ -1046,15 +1062,13 @@ def _check_relaxation(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _renorm_ledgers(cfg: ExperimentConfig) -> dict[str, tuple[WeakFormLedger, ...]]:
+def _renorm_ledgers(run: Run) -> dict[str, tuple[WeakFormLedger, ...]]:
     """Base and refined renormalized ledgers for both criterion presets."""
     pairs = {
-        "divfree": (_STREAM_DIVFREE, "divfree_2d", 64, 64, 0.25, 1e-3),
-        "smooth": (_STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3),
+        "divfree": _pushforward_pair(run, _STREAM_DIVFREE, "divfree_2d", 64, 64, 0.25, 1e-3),
+        "smooth": run.drift_dominated_pair,
     }
-    return {
-        key: tuple(led for _, led in _tanh_ledgers(cfg, *pair)) for key, pair in pairs.items()
-    }
+    return {key: tuple(led for _, led in _tanh_ledgers(pair)) for key, pair in pairs.items()}
 
 
 def _renorm_rows(ledgers: dict[str, tuple[WeakFormLedger, ...]]) -> list[CheckResult]:
@@ -1081,8 +1095,8 @@ def _renorm_rows(ledgers: dict[str, tuple[WeakFormLedger, ...]]) -> list[CheckRe
     return [replace(row, ledgers=ledgers) for row in rows]
 
 
-def _check_renorm_residual(cfg: ExperimentConfig) -> list[CheckResult]:
-    return _renorm_rows(_renorm_ledgers(cfg))
+def _check_renorm_residual(run: Run) -> list[CheckResult]:
+    return _renorm_rows(_renorm_ledgers(run))
 
 
 def _transformed_residuals(prob: Problem, lam: float, paths: list[BrownianPath]) -> list[float]:
@@ -1100,12 +1114,12 @@ def _transformed_residuals(prob: Problem, lam: float, paths: list[BrownianPath])
     return _per_member(prob, paths, residual)
 
 
-def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
+def _check_zvonkin(run: Run) -> list[CheckResult]:
     T, dt, lam = 0.25, 2.5e-3, 16.0
 
     def rms(factor: int) -> float:
         prob = _problem(_TRIG_UNIT_NOISE, 64, T, dt / factor)
-        paths = _paths(cfg, _STREAM_ZVONKIN, 8, T, dt, len(prob.sigmas), factor)
+        paths = run.paths(_STREAM_ZVONKIN, 8, T, dt, len(prob.sigmas), factor)
         return _rms(_transformed_residuals(prob, lam, paths))
 
     rms_c, rms_f = rms(1), rms(8)
@@ -1134,22 +1148,22 @@ def _check_zvonkin(cfg: ExperimentConfig) -> list[CheckResult]:
 
 
 def _stability_series(
-    cfg, source: str, consumer: int, members: int, T: float, dt: float, r_exponent: float
+    run: Run, source: str, consumer: int, members: int, T: float, dt: float, r_exponent: float
 ):
     """weighted_l1_stability of ``source`` on 64 nodes over the members of ``consumer``."""
     prob = _problem(source, 64, T, dt)
-    paths = _paths(cfg, consumer, members, T, dt, len(prob.sigmas))
+    paths = run.paths(consumer, members, T, dt, len(prob.sigmas))
     masses = _per_member(prob, paths, lambda ens: weighted_l1_masses(prob.f0, ens, r_exponent))
     return weighted_l1_stability(masses, prob.f0, prob.b, prob.sigmas, r_exponent, dt)
 
 
-def _check_stability(cfg: ExperimentConfig) -> list[CheckResult]:
-    series = _stability_series(cfg, "trig_flow", _STREAM_STABILITY, 8, 0.5, 2.5e-3, 2.0)
+def _check_stability(run: Run) -> list[CheckResult]:
+    series = _stability_series(run, "trig_flow", _STREAM_STABILITY, 8, 0.5, 2.5e-3, 2.0)
     # The envelope is exactly tight at step 0 (no noise has acted yet), so
     # the gate carries a round-off allowance on top of the confidence band.
     exceed = float(np.max(series.mean - series.envelope - 1.645 * series.stderr))
 
-    series2 = _stability_series(cfg, "divfree_2d", _STREAM_CONSTANCY, 8, 0.25, 0.025, 0.0)
+    series2 = _stability_series(run, "divfree_2d", _STREAM_CONSTANCY, 8, 0.25, 0.025, 0.0)
     z = np.abs(series2.mean[1:] - series2.mean[0]) / np.maximum(series2.stderr[1:], 1e-300)
     return [
         _result("stability_envelope", exceed, 1e-12, "<=", "trig preset, 8 members, 95%"),
@@ -1160,12 +1174,12 @@ def _check_stability(cfg: ExperimentConfig) -> list[CheckResult]:
     ]
 
 
-def _determinism_payload(cfg: ExperimentConfig) -> tuple:
+def _determinism_payload(run: Run) -> tuple:
     """Reduced-scale re-run of the three Monte Carlo checks, flattened."""
-    coarse, fine = _logdet_sup_gaps(cfg, members=6, T=0.25, dt=2e-3)
+    coarse, fine = _logdet_sup_gaps(run, members=6, T=0.25, dt=2e-3)
 
-    moment = _moment(cfg, _problem("trig_flow", 64, 0.25, 5e-3), 8, 4.0)
-    series = _stability_series(cfg, "trig_flow", _STREAM_STABILITY, 4, 0.25, 5e-3, 2.0)
+    moment = _moment(run, _problem("trig_flow", 64, 0.25, 5e-3), 8, 4.0)
+    series = _stability_series(run, "trig_flow", _STREAM_STABILITY, 4, 0.25, 5e-3, 2.0)
     return (
         tuple(coarse),
         tuple(fine),
@@ -1175,21 +1189,11 @@ def _determinism_payload(cfg: ExperimentConfig) -> tuple:
     )
 
 
-def _check_determinism(cfg: ExperimentConfig) -> list[CheckResult]:
-    import os
-
-    previous = os.environ.get(parallel.ENV_VAR)
-    payloads = []
-    try:
-        for workers in ("1", "8"):
-            os.environ[parallel.ENV_VAR] = workers
-            payloads.append(_determinism_payload(cfg))
-    finally:
-        if previous is None:
-            os.environ.pop(parallel.ENV_VAR, None)
-        else:
-            os.environ[parallel.ENV_VAR] = previous
-    identical = payloads[0] == payloads[1]
+def _check_determinism(run: Run) -> list[CheckResult]:
+    with parallel.workers(1):
+        serial = _determinism_payload(run)
+    with parallel.workers(8):
+        identical = _determinism_payload(run) == serial
     return [
         _result(
             "determinism_workers", 0.0 if identical else 1.0, 0.0, "<=",
@@ -1221,10 +1225,11 @@ _SUITE = (
 
 
 def acceptance_suite(cfg: ExperimentConfig) -> RunReport:
-    """Run every acceptance check at desk scale and collect the report."""
+    """Run every acceptance check at desk scale on one run of cfg and collect the report."""
     checks: list[CheckResult] = []
+    run = Run(cfg)
     for fn in _SUITE:
-        rows = fn(cfg)
+        rows = fn(run)
         checks.extend(rows)
         for row in rows:
             logger.info("%s", row.line())

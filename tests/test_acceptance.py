@@ -9,17 +9,44 @@ the individual thresholds.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from renormlab import lab
 from renormlab.weakform import RENORMALIZED_TERMS
 
 CFG = lab.ExperimentConfig(experiment="acceptance_all")
+DRIFT_DOMINATED = (lab._STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-3)
 
 
 @pytest.fixture(scope="module")
-def report() -> lab.RunReport:
-    return lab.acceptance_suite(CFG)
+def suite() -> tuple[lab.RunReport, dict]:
+    """The report, and the drift_dominated pairs and trig-ladder solves its run computed."""
+    trig = lab._problem("trig_flow", 64, 0.5, 0.5 / 128).b
+    computed = {"pairs": [], "ladder": []}
+    pair, solve = lab._pushforward_pair, lab.mild_solve
+
+    def counting_pair(run, *args):
+        if args == DRIFT_DOMINATED:
+            computed["pairs"].append(args)
+        return pair(run, *args)
+
+    def counting_solve(b, lam, steps):
+        if b.T == trig.T and np.array_equal(b.times, trig.times) and np.array_equal(
+            b.values, trig.values
+        ):
+            computed["ladder"].append((lam, steps))
+        return solve(b, lam, steps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "_pushforward_pair", counting_pair)
+        patch.setattr(lab, "mild_solve", counting_solve)
+        return lab.acceptance_suite(CFG), computed
+
+
+@pytest.fixture(scope="module")
+def report(suite) -> lab.RunReport:
+    return suite[0]
 
 
 def criterion(report: lab.RunReport, *prefixes: str) -> list[lab.CheckResult]:
@@ -103,6 +130,14 @@ def test_15_worker_count_determinism(report):
     criterion(report, "determinism_")
 
 
+def test_suite_computes_its_shared_inputs_once(suite):
+    # the pushforward check and the smooth renorm ledgers read one pair, and
+    # the closed-form and relaxation checks one ladder
+    _, computed = suite
+    assert computed["pairs"] == [DRIFT_DOMINATED]
+    assert computed["ladder"] == [(4.0, 128), (16.0, 128), (64.0, 128)]
+
+
 def test_report_carries_at_least_twelve_checks(report):
     assert len(report.checks) >= 12
     names = [c.name for c in report.checks]
@@ -152,8 +187,9 @@ def test_flip_regates_without_recomputing_a_flow(report, monkeypatch):
 def test_light_checks_rerun_bitwise():
     def snapshot():
         rows = []
+        run = lab.Run(CFG)
         for fn in (lab._check_mollifier, lab._check_commutator_t, lab._check_stability):
-            rows.extend(fn(CFG))
+            rows.extend(fn(run))
         return [(row.name, row.value) for row in rows]
 
     assert snapshot() == snapshot()

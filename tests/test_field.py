@@ -218,6 +218,12 @@ class TestMollifier:
         with pytest.raises(FieldError):
             mollifier(g, L / 2)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_refused_by_name(self, eps):
+        # nan passes both range tests, and would give an all-nan kernel
+        with pytest.raises(FieldError, match=f"epsilon must be finite, got {eps}"):
+            mollifier(build_grid(1, L, 32), eps)
+
     def test_convolution_is_averaging(self):
         g = build_grid(1, L, 64)
         k = mollifier(g, L / 8)
@@ -410,6 +416,14 @@ class TestTimeSlices:
         assert tgv.slice_at(0.3).values[0, 0] == 1.0
         assert tgv.slice_at(0.25).values[0, 0] == 1.0
         assert tgv.slice_at(1.0).values[0, 0] == 4.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused_by_name(self, t):
+        # nan sorts past every sample, so the lookup alone would read the last slice
+        tgv = self._tgv()
+        for read in (tgv.slice_at, tgv.rows_at, lambda t: tgv.rows_at([0.5, t])):
+            with pytest.raises(FieldError, match=rf"time {t} outside \[0, 1.0\]"):
+                read(t)
 
     def test_distinct_of_a_mix(self):
         # three distinct slices, two of equal value, read in and out of time order

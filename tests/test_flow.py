@@ -113,6 +113,18 @@ class TestSdeConfig:
         with pytest.raises(FlowError):
             SdeConfig(dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_refused_by_name(self, dt):
+        with pytest.raises(FlowError, match=f"dt must be a finite positive number, got {dt}"):
+            SdeConfig(dt=dt)
+
+    def test_nan_dt_matches_no_path(self):
+        config = SdeConfig(dt=0.05)
+        object.__setattr__(config, "dt", math.nan)  # a record changed after its check
+        b = still(GridVector.constant(grid1(), [0.0]))
+        with pytest.raises(FlowError, match="config dt nan does not match path dt 0.05"):
+            simulate_flow(b, [], config, sample_brownian(T, 0.05, 0, 1))
+
 
 class TestBrownian:
     def test_deterministic(self):
@@ -1143,6 +1155,18 @@ class TestInversion:
         ens = simulate_flow(b, [], SdeConfig(dt=0.05), sample_brownian(T, 0.05, 0, 1))
         with pytest.raises(FlowError, match="step grid"):
             invert_flow(ens, 0.033)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_time_refused_by_name(self, t):
+        # a FlowError naming the time, not round()'s ValueError (nan) or OverflowError (inf)
+        g = grid1()
+        b = still(GridVector.constant(g, [0.0]))
+        ens = simulate_flow(b, [], SdeConfig(dt=0.05), sample_brownian(T, 0.05, 0, 1))
+        f0 = GridScalar.constant(g, 1.0)
+        message = re.escape(f"time {t} is not on the path step grid")
+        for solve in (lambda: invert_flow(ens, t), lambda: pushforward_solution(f0, ens, t)):
+            with pytest.raises(FlowError, match=message):
+                solve()
 
     def test_overshooting_newton_falls_back_to_step_halving(self):
         # from the node step at x, full Newton steps stagnate at residual 90

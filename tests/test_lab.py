@@ -1058,7 +1058,7 @@ class TestCli:
     ):
         ran = []
 
-        def counting(cfg):
+        def counting(run):
             ran.append(1)
             return [CheckResult("only", 0.0, 1.0, "<=", True)]
 
@@ -1086,6 +1086,28 @@ class TestCli:
         assert "the following arguments are required: config" in capsys.readouterr().err
         assert cli.main(["accept", "--help"]) == cli.EXIT_OK
         assert "--flip-sign" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,config,value", [
+        ("run", "zvonkin_relaxation.json", "abc"),  # its runner never reaches the pool
+        ("run", "acceptance.json", "-2"),
+        ("accept", "acceptance.json", "0"),
+        ("accept", "acceptance.json", "1.5"),
+    ])
+    def test_bad_worker_count_exits_two_before_any_output(
+        self, tmp_path, capsys, monkeypatch, command, config, value
+    ):
+        ran = []
+        monkeypatch.setattr(lab, "_SUITE", (lambda run: ran.append(1) or [],))
+        out = tmp_path / "out"
+        payload = json.loads((ROOT / "configs" / config).read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**payload, "output_dir": str(out)}))
+        monkeypatch.setenv(parallel.ENV_VAR, value)
+        assert cli.main([command, str(path)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert parallel.ENV_VAR in captured.err and value in captured.err
+        assert ran == [] and not out.exists()
 
     def test_run_on_acceptance_all_takes_the_accept_path(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cfg.json"
@@ -1161,11 +1183,11 @@ class TestPerMember:
     )
     def test_moment_and_stability_equal_whole_ensemble_reductions(self, source, T, dt, r):
         # reference: every member's full ensemble kept, then reduced in a second loop
-        cfg = ExperimentConfig(experiment="acceptance_all")
+        run = lab.Run(ExperimentConfig(experiment="acceptance_all"))
         prob = lab._problem(source, 64, T, dt)
 
         def ensembles(consumer):
-            paths = lab._paths(cfg, consumer, 3, T, dt, len(prob.sigmas))
+            paths = run.paths(consumer, 3, T, dt, len(prob.sigmas))
             config = flow.SdeConfig(dt=dt)
             return [flow.simulate_flow(prob.b, prob.sigmas, config, p) for p in paths]
 
@@ -1173,7 +1195,7 @@ class TestPerMember:
             float(lp_norm(flow.pushforward_solution(prob.f0, e, T), 4.0)) ** 4.0
             for e in ensembles(lab._STREAM_MOMENT)
         ]
-        got = lab._moment(cfg, prob, 3, 4.0)
+        got = lab._moment(run, prob, 3, 4.0)
         assert [v.hex() for v in got] == [v.hex() for v in flow._mean_stderr(values)]
 
         weight = weakform._stability_weight(prob.grid, r)
@@ -1183,7 +1205,7 @@ class TestPerMember:
             for e in ensembles(lab._STREAM_STABILITY)
         ])
         want = [flow._mean_stderr(masses[:, l]) for l in range(prob.steps + 1)]
-        series = lab._stability_series(cfg, source, lab._STREAM_STABILITY, 3, T, dt, r)
+        series = lab._stability_series(run, source, lab._STREAM_STABILITY, 3, T, dt, r)
         assert [(m.hex(), s.hex()) for m, s in zip(series.mean, series.stderr)] == [
             (m.hex(), s.hex()) for m, s in want
         ]
@@ -1223,8 +1245,9 @@ class TestWorkerInvariant:
                 return super().map(fn, items, **kwargs)
 
         monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
-        monkeypatch.setenv(parallel.ENV_VAR, "8")
-        lab._determinism_payload(ExperimentConfig(experiment="acceptance_all"))
+        monkeypatch.delenv(parallel.ENV_VAR, raising=False)  # the scope alone asks for 8
+        with parallel.workers(8):
+            lab._determinism_payload(lab.Run(ExperimentConfig(experiment="acceptance_all")))
         assert handed and all(workers == 8 for workers, _, _ in handed)
         assert max(count for _, count, _ in handed) > 1
         # the log-det part on its own, which the moment and stability items
@@ -1235,6 +1258,38 @@ class TestWorkerInvariant:
         # the moment and the stability members, which flow's chunk loop reduces
         for estimate in ("_moment.", "_stability_series."):
             assert max(count for _, count, name in handed if name.startswith(estimate)) > 1
+
+    def test_scope_sets_the_count_inside_and_the_environment_after(self, monkeypatch):
+        monkeypatch.setenv(parallel.ENV_VAR, "3")
+        with parallel.workers(8):
+            assert parallel.worker_count() == 8
+            with parallel.workers(1):
+                assert parallel.worker_count() == 1
+            assert parallel.worker_count() == 8
+        assert parallel.worker_count() == 3
+        with pytest.raises(ZeroDivisionError):
+            with parallel.workers(8):
+                assert parallel.worker_count() == 8
+                1 / 0
+        assert parallel.worker_count() == 3
+        monkeypatch.setenv(parallel.ENV_VAR, "0")  # a bad environment is read after the scope
+        with parallel.workers(2):
+            assert parallel.worker_count() == 2
+        with pytest.raises(ValueError, match=parallel.ENV_VAR):
+            parallel.worker_count()
+
+    def test_determinism_check_scopes_its_counts_and_leaves_the_environment(self, monkeypatch):
+        monkeypatch.setenv(parallel.ENV_VAR, "3")
+        seen = []
+
+        def payload(run):
+            seen.append((parallel.worker_count(), os.environ[parallel.ENV_VAR]))
+            return (0.0,)
+
+        monkeypatch.setattr(lab, "_determinism_payload", payload)
+        [row] = lab._check_determinism(lab.Run(ExperimentConfig(experiment="acceptance_all")))
+        assert row.passed and seen == [(1, "3"), (8, "3")]
+        assert os.environ[parallel.ENV_VAR] == "3" and parallel.worker_count() == 3
 
 
 CONFIG_FILES = sorted((ROOT / "configs").glob("*.json"))

@@ -12,7 +12,7 @@
   ``renormlab run`` is the studies' one front end.  A script may still run
   the CLI, or patch a function and run checks through ``lab``.
 - Only ``lab._per_member`` integrates flows, by one ``simulate_flows`` call,
-  and only ``lab._paths`` draws or refines Brownian paths: the lab has one
+  and only ``lab.Run.paths`` draws or refines Brownian paths: the lab has one
   member loop and one path drawer.  No call of the member loop passes a reduce
   that returns the ensemble it is given, so no estimate loops over the members a second
   time.  Chunking lives in ``flow`` alone: ``lab`` never names
@@ -42,6 +42,9 @@
   weights, and only ``_Stencil`` reads the padded spline coefficients
   (``_coeff``): every stencil read, Newton rounds included, is one plan and
   its gathers.
+- No module of ``src/renormlab`` but ``parallel`` names ``environ``,
+  ``getenv`` or ``ENV_VAR``: the worker count is the one setting read from
+  the environment, and a check scopes its own count through ``parallel``.
 - Every field of a ``@dataclass`` in ``src/renormlab`` is read as
   ``<...>.field`` somewhere in ``src/``, ``scripts/``, ``perfbench/`` or
   ``tests/``, outside its own class's ``__post_init__``: a record carries no
@@ -267,7 +270,14 @@ def test_one_member_loop():
     assert _uses(flow_tree, "_member_increments") == ["_march"]
     assert _uses(flow_tree, "logdet_gaps") == ["simulate_flows"]
     for drawer in ("sample_brownian", "refine_brownian"):
-        assert _readers(tree, drawer) == ["_paths"], drawer
+        assert _readers(tree, drawer) == ["paths"], drawer
+    # ... and the one function of that name is the run's method
+    methods = [
+        f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+    ]
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "Run.paths" in methods and defined.count("paths") == 1
     reduces = _member_reduces(tree)
     assert len(reduces) >= 7  # the scan sees the lab's calls
     assert [ast.unparse(r) for r in reduces if _returns_its_argument(r, tree)] == []
@@ -377,6 +387,37 @@ def test_returned_ensemble_scan_sees_each_form():
     assert [_returns_its_argument(r, tree) for r in _member_reduces(tree)] == [
         True, True, False, False, False,
     ]
+
+
+_ENVIRONMENT = ("environ", "getenv", "ENV_VAR")
+
+
+def _environment_names(tree: ast.Module) -> list[str]:
+    """Each ``_ENVIRONMENT`` name the module imports, defines or reads, bare or
+    as an attribute; a string does not name it."""
+    return [name for name in _ENVIRONMENT if _uses(tree, name)]
+
+
+def test_only_parallel_reads_the_environment():
+    found = {path.name: _environment_names(_parse(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {
+        "parallel.py": ["environ", "ENV_VAR"],
+    }
+
+
+def test_environment_scan_sees_each_form():
+    forms = {
+        "os.environ['RENORMLAB_THREADS'] = '8'": ["environ"],
+        "workers = os.environ.get(name, '1')": ["environ"],
+        "del os.environ[parallel.ENV_VAR]": ["environ", "ENV_VAR"],
+        "from os import environ as env": ["environ"],
+        "def f():\n    return os.getenv('RENORMLAB_THREADS')": ["getenv"],
+        "from os import getenv": ["getenv"],
+        "monkeypatch.setenv(ENV_VAR, '8')": ["ENV_VAR"],
+        "from .parallel import ENV_VAR as name": ["ENV_VAR"],
+        "'os.environ, os.getenv and ENV_VAR'\nenvironment = os.environb": [],
+    }
+    assert {text: _environment_names(ast.parse(text)) for text in forms} == forms
 
 
 # sharing told from object identity, or the list of per-sample slice objects
