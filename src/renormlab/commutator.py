@@ -12,6 +12,10 @@ data, to
     T_eps(f) -> -(Div sigma) f
     S_eps(f) -> (1/2) (d_i sigma_j d_j sigma_i + (Div sigma)^2) f.
 
+``mollify(sigma, f, epsilon)`` checks the grids and returns the one
+``Mollified`` record that the commutators and chain-rule defects below read:
+rebuilding R2 from T_eps, S_eps and R1 builds one mollifier.
+
 The sign of the T-limit and the index pairing in the S-limit are fixed by the
 smooth-case expansion oracle in the test suite (moments of x tensor grad eta),
 not taken on faith; the renormalized-residual checks downstream only close for
@@ -43,6 +47,8 @@ from .field import (
 __all__ = [
     "LIMIT_SIGN_T",
     "CommutatorStudy",
+    "Mollified",
+    "mollify",
     "op_T",
     "op_S",
     "commutator_limits",
@@ -60,9 +66,25 @@ TAG_S = "S"
 _DEGENERATE_TOL = 1e-12
 
 
-def _check_inputs(sigma: GridVector, f: GridScalar) -> None:
-    if sigma.grid != f.grid:
-        raise FieldError(f"grid mismatch: {sigma.grid} vs {f.grid}")
+@dataclass(frozen=True)
+class Mollified:
+    """sigma and f on one grid, the kernel eta_eps, f_eps and (Div(sigma f))_eps."""
+
+    sigma: GridVector
+    f: GridScalar
+    kernel: GridScalar
+    f_eps: GridScalar
+    div_sf_eps: GridScalar
+
+
+def mollify(sigma: GridVector, f: GridScalar, epsilon: float) -> Mollified:
+    """Mollify f and Div(sigma f) at epsilon, once for every operator that reads them."""
+    g = f.grid
+    if sigma.grid != g:
+        raise FieldError(f"grid mismatch: {sigma.grid} vs {g}")
+    kernel = mollifier(g, epsilon)
+    div_sf = divergence(GridVector(g, sigma.values * f.values[None, ...]))
+    return Mollified(sigma, f, kernel, convolve(kernel, f), convolve(kernel, div_sf))
 
 
 def _advect(sigma: GridVector, g: GridScalar) -> np.ndarray:
@@ -71,30 +93,14 @@ def _advect(sigma: GridVector, g: GridScalar) -> np.ndarray:
     return np.einsum("i...,i...->...", sigma.values, grad.values)
 
 
-def op_T(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
+def op_T(m: Mollified) -> GridScalar:
     """First-order commutator sigma.grad(f_eps) - (Div(sigma f))_eps."""
-    _check_inputs(sigma, f)
-    return _op_T(sigma, _mollified_pieces(sigma, f, epsilon))
+    return GridScalar(m.f.grid, _advect(m.sigma, m.f_eps) - m.div_sf_eps.values)
 
 
-def _op_T(sigma: GridVector, pieces) -> GridScalar:
-    """op_T from the _mollified_pieces of its f and epsilon."""
-    g = sigma.grid
-    _, f_eps, div_sf_eps = pieces
-    return GridScalar(g, _advect(sigma, GridScalar(g, f_eps)) - div_sf_eps)
-
-
-def op_S(sigma: GridVector, f: GridScalar, epsilon: float) -> GridScalar:
+def op_S(m: Mollified) -> GridScalar:
     """Second-order commutator L(f_eps) - sigma.grad(Div(sigma f))_eps + (L* f)_eps."""
-    _check_inputs(sigma, f)
-    return _op_S(sigma, f, _mollified_pieces(sigma, f, epsilon))
-
-
-def _op_S(sigma: GridVector, f: GridScalar, pieces) -> GridScalar:
-    """op_S from the _mollified_pieces of f and its epsilon."""
-    g = f.grid
-    kernel, f_eps, div_sf_eps = pieces
-    smooth = GridScalar(g, f_eps)
+    g, sigma = m.f.grid, m.sigma
 
     # L f_eps = (1/2) sigma_i sigma_j d_i d_j f_eps
     forward = np.zeros(g.shape)
@@ -103,21 +109,22 @@ def _op_S(sigma: GridVector, f: GridScalar, pieces) -> GridScalar:
             beta = [0] * g.dim
             beta[i] += 1
             beta[j] += 1
-            forward += sigma.values[i] * sigma.values[j] * spectral_derivative(smooth, beta).values
+            forward += sigma.values[i] * sigma.values[j] * spectral_derivative(m.f_eps, beta).values
     forward *= 0.5
 
-    middle = _advect(sigma, GridScalar(g, div_sf_eps))
+    middle = _advect(sigma, m.div_sf_eps)
 
     # L* f = (1/2) d_i d_j (sigma_i sigma_j f), mollified afterwards
-    adjoint = _adjoint_second_order(sigma, f.values)
+    adjoint = _adjoint_second_order(sigma, m.f.values)
 
-    return GridScalar(g, forward - middle + convolve(kernel, GridScalar(g, adjoint)).values)
+    return GridScalar(g, forward - middle + convolve(m.kernel, GridScalar(g, adjoint)).values)
 
 
 def commutator_limits(sigma: GridVector, f: GridScalar) -> tuple[GridScalar, GridScalar]:
     """Smooth-case limits of (T_eps, S_eps) as eps -> 0."""
-    _check_inputs(sigma, f)
     g = f.grid
+    if sigma.grid != g:
+        raise FieldError(f"grid mismatch: {sigma.grid} vs {g}")
     div_sigma, cross = divergence_and_twist(g, jacobian(sigma))
     limit_t = LIMIT_SIGN_T * div_sigma * f.values
     limit_s = 0.5 * (cross + div_sigma**2) * f.values
@@ -164,14 +171,13 @@ def convergence_study(
         raise FieldError(f"need at least 3 epsilons, got {len(epsilons)}")
     if r < 1:
         raise FieldError(f"exponent r must be >= 1, got {r}")
-    _check_inputs(sigma, f)
+    limit_t, limit_s = commutator_limits(sigma, f)
 
     grid = f.grid
     region = central_half(grid)
     order = 2.0 if operator_tag == TAG_S else 1.0
     q = p = (order + 1.0) * r  # the Hoelder split 1/r = order/q + 1/p
     apply_op = op_S if operator_tag == TAG_S else op_T
-    limit_t, limit_s = commutator_limits(sigma, f)
     limit = limit_s if operator_tag == TAG_S else limit_t
 
     jac = jacobian(sigma)
@@ -179,7 +185,7 @@ def convergence_study(
     denom = lp_norm(grad_sigma_frob, q, region) ** order * lp_norm(f, p, region)
 
     def one_epsilon(eps: float) -> tuple[float, float]:
-        value = apply_op(sigma, f, eps)
+        value = apply_op(mollify(sigma, f, eps))
         err = lp_norm(GridScalar(grid, value.values - limit.values), r, region)
         norm = lp_norm(value, r, region)
         ratio = norm / denom if denom > _DEGENERATE_TOL else 0.0
@@ -224,15 +230,6 @@ def convergence_study(
 # ---------------------------------------------------------------------------
 
 
-def _mollified_pieces(sigma: GridVector, f: GridScalar, epsilon: float):
-    g = f.grid
-    kernel = mollifier(g, epsilon)
-    f_eps = convolve(kernel, f).values
-    div_sf = divergence(GridVector(g, sigma.values * f.values[None, ...]))
-    div_sf_eps = convolve(kernel, div_sf).values
-    return kernel, f_eps, div_sf_eps
-
-
 def _adjoint_second_order(sigma: GridVector, values: np.ndarray) -> np.ndarray:
     """(1/2) d_i d_j (sigma_i sigma_j values), derivatives spectral."""
     g = sigma.grid
@@ -247,72 +244,43 @@ def _adjoint_second_order(sigma: GridVector, values: np.ndarray) -> np.ndarray:
     return 0.5 * out
 
 
-def r1_remainder(sigma: GridVector, f: GridScalar, epsilon: float, renorm) -> GridScalar:
+def r1_remainder(m: Mollified, renorm) -> GridScalar:
     """First-order chain-rule defect, from its definition."""
-    _check_inputs(sigma, f)
-    return _r1_remainder(sigma, _mollified_pieces(sigma, f, epsilon), renorm)
+    g, u = m.f.grid, m.f_eps.values
+    div_s_gamma = divergence(GridVector(g, m.sigma.values * renorm.gamma(u)[None, ...]))
+    return GridScalar(g, div_s_gamma.values - renorm.gamma_prime(u) * m.div_sf_eps.values)
 
 
-def _r1_remainder(sigma: GridVector, pieces, renorm) -> GridScalar:
-    """r1_remainder from the _mollified_pieces of its f and epsilon."""
-    g = sigma.grid
-    _, f_eps, div_sf_eps = pieces
-    div_s_gamma = divergence(GridVector(g, sigma.values * renorm.gamma(f_eps)[None, ...]))
-    return GridScalar(g, div_s_gamma.values - renorm.gamma_prime(f_eps) * div_sf_eps)
+def r1_reconstruction(m: Mollified, renorm, sign: float = 1.0) -> GridScalar:
+    """Rebuild R1 from T_eps; sign multiplies the (Div sigma) Gamma term."""
+    u = m.f_eps.values
+    div_sigma = divergence(m.sigma).values
+    out = renorm.gamma_prime(u) * op_T(m).values + sign * div_sigma * renorm.gamma(u)
+    return GridScalar(m.f.grid, out)
 
 
-def r1_reconstruction(
-    sigma: GridVector, f: GridScalar, epsilon: float, renorm, sign: float = 1.0
-) -> GridScalar:
-    """Rebuild R1 from T_eps; sign multiplies the (Div sigma) Gamma term.
-
-    f is mollified once, and T_eps reads those pieces."""
-    _check_inputs(sigma, f)
-    g = f.grid
-    pieces = _mollified_pieces(sigma, f, epsilon)
-    f_eps = pieces[1]
-    t_val = _op_T(sigma, pieces).values
-    div_sigma = divergence(sigma).values
-    out = renorm.gamma_prime(f_eps) * t_val + sign * div_sigma * renorm.gamma(f_eps)
-    return GridScalar(g, out)
-
-
-def r2_remainder(sigma: GridVector, f: GridScalar, epsilon: float, renorm) -> GridScalar:
+def r2_remainder(m: Mollified, renorm) -> GridScalar:
     """Second-order chain-rule defect, from its definition."""
-    _check_inputs(sigma, f)
-    g = f.grid
-    kernel, f_eps, div_sf_eps = _mollified_pieces(sigma, f, epsilon)
-    adjoint_f = _adjoint_second_order(sigma, f.values)
-    adjoint_f_eps = convolve(kernel, GridScalar(g, adjoint_f)).values
-    adjoint_gamma = _adjoint_second_order(sigma, renorm.gamma(f_eps))
+    g, u = m.f.grid, m.f_eps.values
+    adjoint_f = _adjoint_second_order(m.sigma, m.f.values)
+    adjoint_f_eps = convolve(m.kernel, GridScalar(g, adjoint_f)).values
+    adjoint_gamma = _adjoint_second_order(m.sigma, renorm.gamma(u))
     out = (
-        renorm.gamma_prime(f_eps) * adjoint_f_eps
+        renorm.gamma_prime(u) * adjoint_f_eps
         - adjoint_gamma
-        + 0.5 * renorm.gamma_second(f_eps) * div_sf_eps**2
+        + 0.5 * renorm.gamma_second(u) * m.div_sf_eps.values**2
     )
     return GridScalar(g, out)
 
 
-def r2_reconstruction(
-    sigma: GridVector, f: GridScalar, epsilon: float, renorm, sign: float = 1.0
-) -> GridScalar:
-    """Rebuild R2 from T_eps, S_eps, R1; sign multiplies the Gamma(u) Q term.
-
-    f is mollified once, and T_eps, S_eps and R1 read those pieces."""
-    _check_inputs(sigma, f)
-    g = f.grid
-    pieces = _mollified_pieces(sigma, f, epsilon)
-    f_eps = pieces[1]
-    t_val = _op_T(sigma, pieces).values
-    s_val = _op_S(sigma, f, pieces).values
-    r1 = _r1_remainder(sigma, pieces, renorm)
-    adv_r1 = _advect(sigma, r1)
-    div_sigma, twist = divergence_and_twist(g, jacobian(sigma))
-    q_field = twist + div_sigma**2
+def r2_reconstruction(m: Mollified, renorm, sign: float = 1.0) -> GridScalar:
+    """Rebuild R2 from T_eps, S_eps, R1; sign multiplies the Gamma(u) Q term."""
+    g, u = m.f.grid, m.f_eps.values
+    div_sigma, twist = divergence_and_twist(g, jacobian(m.sigma))
     out = (
-        renorm.gamma_prime(f_eps) * s_val
-        + 0.5 * renorm.gamma_second(f_eps) * t_val**2
-        - adv_r1
-        - sign * 0.5 * renorm.gamma(f_eps) * q_field
+        renorm.gamma_prime(u) * op_S(m).values
+        + 0.5 * renorm.gamma_second(u) * op_T(m).values ** 2
+        - _advect(m.sigma, r1_remainder(m, renorm))
+        - sign * 0.5 * renorm.gamma(u) * (twist + div_sigma**2)
     )
     return GridScalar(g, out)

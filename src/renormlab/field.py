@@ -29,7 +29,6 @@ __all__ = [
     "GridScalar",
     "GridVector",
     "TimeGridVector",
-    "MollifierKernel",
     "build_grid",
     "central_half",
     "mollifier",
@@ -438,18 +437,8 @@ def bump_values(r2_over_rad2: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class MollifierKernel:
+def mollifier(grid: Grid, epsilon: float) -> GridScalar:
     """Discrete eta_eps: nonnegative, unit discrete mass, support in |x| <= eps."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def as_scalar(self) -> GridScalar:
-        return GridScalar(self.grid, self.values)
-
-
-def mollifier(grid: Grid, epsilon: float) -> MollifierKernel:
     eps = float(epsilon)
     if not math.isfinite(eps):
         raise FieldError(f"epsilon must be finite, got {eps}")
@@ -464,10 +453,10 @@ def mollifier(grid: Grid, epsilon: float) -> MollifierKernel:
     vals = bump_values(r2 / (eps * eps))
     mass = vals.sum() * grid.cell_volume
     vals = vals / mass
-    return MollifierKernel(grid=grid, values=vals)
+    return GridScalar(grid, vals)
 
 
-def convolve(kernel: MollifierKernel, f: GridScalar) -> GridScalar:
+def convolve(kernel: GridScalar, f: GridScalar) -> GridScalar:
     """Periodic convolution (eta_eps * f)(x) = h^n sum_y eta_eps(x-y) f(y)."""
     if kernel.grid != f.grid:
         raise FieldError(f"grid mismatch: {kernel.grid} vs {f.grid}")
@@ -476,7 +465,7 @@ def convolve(kernel: MollifierKernel, f: GridScalar) -> GridScalar:
     return GridScalar(g, out * g.cell_volume)
 
 
-def kernel_moment(kernel: MollifierKernel, power_index, deriv_index) -> float:
+def kernel_moment(kernel: GridScalar, power_index, deriv_index) -> float:
     """Discrete moment  h^n sum_x  x^alpha (d^beta eta_eps)(x), x wrapped to [-L/2, L/2)."""
     alpha = tuple(int(a) for a in power_index)
     beta = tuple(int(b) for b in deriv_index)
@@ -485,7 +474,7 @@ def kernel_moment(kernel: MollifierKernel, power_index, deriv_index) -> float:
         raise FieldError("moment index length mismatch")
     if sum(alpha) > 2 or sum(beta) > 2 or min(alpha) < 0 or min(beta) < 0:
         raise FieldError("moment indices limited to total order <= 2")
-    deriv = spectral_derivative(kernel.as_scalar(), beta).values
+    deriv = spectral_derivative(kernel, beta).values
     weight = np.ones(g.shape)
     for x, a in zip(g.wrapped_coordinates(), alpha):
         if a:

@@ -44,6 +44,7 @@ import scipy
 
 from . import __version__, commutator, parallel, presets
 from .field import (
+    FieldError,
     Grid,
     GridScalar,
     GridVector,
@@ -80,7 +81,6 @@ from .parabolic import (
     relaxation_residuals,
 )
 from .weakform import (
-    TestFunction,
     WeakFormLedger,
     bump_test_function,
     make_renormalizer,
@@ -256,6 +256,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             f"unknown experiment {cfg.experiment!r}; valid tags: {', '.join(EXPERIMENT_TAGS)}"
         )
     g, t, c, s = cfg.grid, cfg.time, cfg.coefficients, cfg.scalars
+    named = len(out)
     if typed("grid.dim") and g.dim not in (1, 2):
         out.append(f"grid.dim must be 1 or 2, got {g.dim}")
     if typed("grid.N"):
@@ -263,6 +264,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"grid.N must be an integer in [8, 512], got {g.N}")
         elif g.N % 2 != 0:
             out.append(f"grid.N must be even (odd N has no Nyquist mode), got {g.N}")
+    grid_ok = typed("grid.dim", "grid.N") and len(out) == named
     if typed("time.T") and not t.T > 0:
         out.append(f"time.T must be positive, got {t.T}")
     if typed("time.T", "time.dt"):
@@ -303,6 +305,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"scalars.lambdas must be positive, got {s.lambdas}")
         elif any(b <= a for a, b in zip(s.lambdas, s.lambdas[1:])):
             out.append(f"scalars.lambdas must be strictly increasing, got {s.lambdas}")
+        elif cfg.experiment == "parabolic_decay" and len(s.lambdas) < 3:
+            out.append(f"scalars.lambdas needs at least 3 values for a decay fit, got {s.lambdas}")
     if typed("scalars.epsilons"):
         if any(e <= 0 for e in s.epsilons):
             out.append(f"scalars.epsilons must be positive, got {s.epsilons}")
@@ -310,9 +314,25 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"scalars.epsilons must be strictly decreasing, got {s.epsilons}")
         elif 0 < len(s.epsilons) < 3:  # a rate fit needs three; none means the default ladder
             out.append(f"scalars.epsilons needs at least 3 values, got {s.epsilons}")
+        elif cfg.experiment == "commutator_study" and grid_ok:  # field's mollifier bounds
+            grid = Grid(dim=g.dim, L=2.0 * math.pi, N=g.N)
+            name = "scalars.epsilons" if s.epsilons else f"grid.N = {g.N} (default ladder)"
+            for eps in _epsilon_ladder(cfg, grid):
+                try:
+                    mollifier(grid, eps)
+                except FieldError as exc:
+                    out.append(f"{name}: {exc}")
     for label in ("p", "q", "r"):
         if typed(f"scalars.{label}") and not getattr(s, label) >= 1:
             out.append(f"scalars.{label} must be >= 1, got {getattr(s, label)}")
+    exponents = typed("scalars.p", "scalars.q", "scalars.r") and min(s.p, s.q, s.r) >= 1
+    if cfg.experiment == "parabolic_decay" and exponents:  # decay_study's, at alpha 0 and 1
+        if typed("grid.dim") and not 2.0 / s.q + g.dim / s.p < 1.0:
+            out.append(f"scalars.q, scalars.p = {s.q}, {s.p} violate 2/q + n/p < 1 in dim {g.dim}")
+        if not s.r <= s.p:
+            out.append(f"scalars.r must not exceed scalars.p, got r = {s.r}, p = {s.p}")
+    if cfg.experiment == "zvonkin_relaxation" and exponents and not s.r < s.p:  # grad sigma's norm
+        out.append(f"scalars.r must be below scalars.p, got r = {s.r}, p = {s.p}")
     if typed("scalars.mc_members") and not 2 <= s.mc_members <= 256:
         out.append(f"scalars.mc_members must be an integer in [2, 256], got {s.mc_members}")
     if typed("scalars.master_seed") and not 0 <= s.master_seed < 2**64 - _LAST_STREAM:
@@ -417,7 +437,7 @@ class Problem:
     b: TimeGridVector
     sigmas: list[TimeGridVector]
     f0: GridScalar
-    phi: TestFunction
+    phi: GridScalar
 
 
 def _problem(source: str | presets.Preset, N: int, T: float, dt: float) -> Problem:
@@ -864,18 +884,18 @@ def _check_commutator_s(run: Run) -> list[CheckResult]:
 def _check_cancellation(run: Run) -> list[CheckResult]:
     grid, sigma, f = _trig_commutator_data(64)
     renorm = make_renormalizer("tanh")
-    eps = grid.L / 8.0
+    mollified = commutator.mollify(sigma, f, grid.L / 8.0)
     region = central_half(grid)
     out = []
     for label, rem_fn, rec_fn in (
         ("R1", commutator.r1_remainder, commutator.r1_reconstruction),
         ("R2", commutator.r2_remainder, commutator.r2_reconstruction),
     ):
-        remainder = rem_fn(sigma, f, eps, renorm)
+        remainder = rem_fn(mollified, renorm)
         scale = lp_norm(remainder, 2.0, region)
         errs = {}
         for sign in (1.0, -1.0):
-            recon = rec_fn(sigma, f, eps, renorm, sign=sign)
+            recon = rec_fn(mollified, renorm, sign=sign)
             gap = lp_norm(GridScalar(grid, remainder.values - recon.values), 2.0, region)
             errs[sign] = gap / scale
         good = [s for s, e in errs.items() if e <= 1e-6]

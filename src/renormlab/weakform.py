@@ -40,7 +40,6 @@ from .flow import BrownianPath, FlowEnsemble, _mean_stderr, pushforward_path
 __all__ = [
     "WeakFormError",
     "Renormalizer",
-    "TestFunction",
     "WeakFormLedger",
     "StabilitySeries",
     "make_renormalizer",
@@ -64,8 +63,8 @@ class WeakFormError(ValueError):
 class Renormalizer:
     """Gamma with closed-form first and second derivatives.
 
-    g and h are the derived combinations; h uses G'(z) = z Gamma''(z), so
-    h(z) = z^2 Gamma''(z) - z Gamma'(z) + Gamma(z).
+    derived gives g and h, the derived combinations; h uses
+    G'(z) = z Gamma''(z), so h(z) = z^2 Gamma''(z) - z Gamma'(z) + Gamma(z).
     """
 
     gamma: object
@@ -77,12 +76,6 @@ class Renormalizer:
         z = np.asarray(z, dtype=np.float64)
         gamma, z_first = self.gamma(z), z * self.gamma_prime(z)
         return gamma, z_first - gamma, z**2 * self.gamma_second(z) - z_first + gamma
-
-    def g(self, z):
-        return self.derived(z)[1]
-
-    def h(self, z):
-        return self.derived(z)[2]
 
 
 def _quintic_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,15 +168,8 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
 # Test functions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TestFunction:
-    """Smooth bump supported strictly inside the central half of the box."""
-
-    values: GridScalar
-
-
-def bump_test_function(grid: Grid, center, radius: float) -> TestFunction:
-    """Reference bump exp(1 - 1/(1 - |x-c|^2/r^2)), normalized to peak 1."""
+def bump_test_function(grid: Grid, center, radius: float) -> GridScalar:
+    """Test function exp(1 - 1/(1 - |x-c|^2/r^2)): peak 1, support inside the central half."""
     center = tuple(float(c) for c in np.atleast_1d(np.asarray(center, dtype=np.float64)))
     if len(center) != grid.dim:
         raise WeakFormError(f"center {center} has wrong dimension for grid dim {grid.dim}")
@@ -205,7 +191,7 @@ def bump_test_function(grid: Grid, center, radius: float) -> TestFunction:
     values = np.zeros(grid.shape)
     inside = u < 1.0
     values[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside]))
-    return TestFunction(GridScalar(grid, values))
+    return GridScalar(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +248,11 @@ class WeakFormLedger:
         return WeakFormLedger.from_terms(terms, self.lhs_delta)
 
 
-def _phi_calculus(phi: TestFunction):
-    """Gradient and Hessian of the test function, spectral."""
-    grid = phi.values.grid
-    return gradient(phi.values).values, hessian_stack(grid, phi.values.values)
+def _check_coefficients(grid: Grid, b: TimeGridVector, sigmas, against: str) -> None:
+    """Refuse a drift or noise field that does not live on ``grid``, by name."""
+    for name, c in (("drift", b), *((f"noise field {k}", s) for k, s in enumerate(sigmas))):
+        if c.grid != grid:
+            raise WeakFormError(f"{name} lives on a different grid than the {against}")
 
 
 def _check_sampling(fpath, sigmas, grid: Grid, path: BrownianPath):
@@ -292,7 +279,7 @@ def residual_renormalized(
     fpath,
     b: TimeGridVector,
     sigmas,
-    phi: TestFunction,
+    phi: GridScalar,
     renorm: Renormalizer,
     path: BrownianPath,
 ) -> WeakFormLedger:
@@ -305,10 +292,11 @@ def residual_renormalized(
     at a time (field's block rule), and each term adds its parts one at a
     time, step by step and, within a step, noise field by noise field.
     """
-    grid = phi.values.grid
+    grid = phi.grid
     _check_sampling(fpath, sigmas, grid, path)
-    grad_phi, hess_phi = _phi_calculus(phi)
-    phi_vals = phi.values.values
+    _check_coefficients(grid, b, sigmas, "test function")
+    grad_phi, hess_phi = gradient(phi).values, hessian_stack(grid, phi.values)
+    phi_vals = phi.values
     vol, dt = grid.cell_volume, path.dt
     times = np.arange(path.steps) * dt
     in_force = [
@@ -412,6 +400,7 @@ def weighted_l1_stability(
     initial weighted mass.
     """
     grid = f0.grid
+    _check_coefficients(grid, b, sigmas, "datum")
     weight = _stability_weight(grid, r_exponent)
     series = np.array(masses, dtype=np.float64)  # numpy refuses rows of unequal length
     if series.ndim != 2:

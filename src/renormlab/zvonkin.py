@@ -68,7 +68,7 @@ from .flow import (
 )
 from .interp import PeriodicInterpolant
 from .parabolic import backward_defect
-from .weakform import TestFunction, WeakFormLedger, make_renormalizer, residual_renormalized
+from .weakform import WeakFormLedger, make_renormalizer, residual_renormalized
 
 __all__ = [
     "ZvonkinError",
@@ -313,7 +313,7 @@ def transformed_residual(
     fpath,
     straightening: Straightening,
     b: TimeGridVector,
-    phi_test: TestFunction,
+    phi_test: GridScalar,
     path: BrownianPath,
 ) -> WeakFormLedger:
     """Ledger of the straightened weak form along one driving path.

@@ -44,6 +44,7 @@ from renormlab.commutator import (
     CommutatorStudy,
     commutator_limits,
     convergence_study,
+    mollify,
     op_S,
     op_T,
     r1_reconstruction,
@@ -213,26 +214,26 @@ class TestExamples:
         g = build_grid(1, L, 64)
         sig = GridVector.constant(g, [0.7])
         f = GridScalar.from_function(g, lambda x: np.cos(x) + 0.3 * np.sin(2 * x))
-        assert np.max(np.abs(op_T(sig, f, L / 8).values)) < 1e-10
+        assert np.max(np.abs(op_T(mollify(sig, f, L / 8)).values)) < 1e-10
 
     def test_constant_sigma_annihilates_s(self):
         g = build_grid(1, L, 64)
         sig = GridVector.constant(g, [-1.3])
         f = GridScalar.from_function(g, lambda x: np.cos(x))
-        assert np.max(np.abs(op_S(sig, f, L / 8).values)) < 1e-9
+        assert np.max(np.abs(op_S(mollify(sig, f, L / 8)).values)) < 1e-9
 
     def test_zero_sigma_is_exactly_zero(self):
         g = build_grid(1, L, 32)
         sig = GridVector.constant(g, [0.0])
         f = GridScalar.from_function(g, np.cos)
-        assert np.all(op_S(sig, f, L / 8).values == 0.0)
+        assert np.all(op_S(mollify(sig, f, L / 8)).values == 0.0)
 
     def test_unit_f_reduces_to_mollified_divergence(self):
         g = build_grid(1, L, 64)
         sig = GridVector.from_functions(g, [lambda x: np.sin(x) + 0.2 * np.cos(3 * x)])
         one = GridScalar.constant(g, 1.0)
         eps = L / 8
-        got = op_T(sig, one, eps)
+        got = op_T(mollify(sig, one, eps))
         want = -convolve(mollifier(g, eps), divergence(sig)).values
         assert np.max(np.abs(got.values - want)) < 1e-12
 
@@ -258,8 +259,11 @@ class TestExamples:
     def test_grid_mismatch_raises(self):
         g1 = build_grid(1, L, 32)
         g2 = build_grid(1, L, 64)
-        with pytest.raises(FieldError):
-            op_T(GridVector.constant(g1, [1.0]), GridScalar.constant(g2, 1.0), L / 8)
+        sig, one = GridVector.constant(g1, [1.0]), GridScalar.constant(g2, 1.0)
+        with pytest.raises(FieldError, match="grid mismatch"):
+            mollify(sig, one, L / 8)
+        with pytest.raises(FieldError, match="grid mismatch"):
+            commutator_limits(sig, one)
 
 
 def _circulant_1d(samples: np.ndarray) -> np.ndarray:
@@ -288,11 +292,11 @@ class TestKernelFormEquivalence:
         f = GridScalar.from_function(g, lambda x: np.cos(x) + 0.5 * np.sin(3 * x))
         eps = L / 8
         kernel = mollifier(g, eps)
-        dk = spectral_derivative(kernel.as_scalar(), (1,)).values
+        dk = spectral_derivative(kernel, (1,)).values
         big_k = _circulant_1d(dk)
         s, fv = sig.values[0], f.values
         direct = g.h * (s * (big_k @ fv) - big_k @ (s * fv))
-        impl = op_T(sig, f, eps).values
+        impl = op_T(mollify(sig, f, eps)).values
         assert np.max(np.abs(impl - direct)) < 1e-7 * np.max(np.abs(impl))
 
     def test_t_double_sum_2d(self):
@@ -308,12 +312,12 @@ class TestKernelFormEquivalence:
         for i in range(2):
             beta = [0, 0]
             beta[i] = 1
-            dk = spectral_derivative(kernel.as_scalar(), beta).values
+            dk = spectral_derivative(kernel, beta).values
             big_k = _circulant_2d(dk)
             s_i = sig.values[i].ravel()
             direct += s_i * (big_k @ fv) - big_k @ (s_i * fv)
         direct *= g.cell_volume
-        impl = op_T(sig, f, eps).values.ravel()
+        impl = op_T(mollify(sig, f, eps)).values.ravel()
         assert np.max(np.abs(impl - direct)) < 1e-7 * np.max(np.abs(impl))
 
     def test_s_single_kernel_form_1d(self):
@@ -323,12 +327,12 @@ class TestKernelFormEquivalence:
         f = GridScalar.from_function(g, lambda x: np.cos(x) + 0.5 * np.sin(3 * x))
         eps = L / 8
         kernel = mollifier(g, eps)
-        d2k = spectral_derivative(kernel.as_scalar(), (2,)).values
+        d2k = spectral_derivative(kernel, (2,)).values
         big_k = _circulant_1d(d2k)
         s, fv = sig.values[0], f.values
         diff = s[:, None] - s[None, :]
         direct = 0.5 * g.h * np.sum(big_k * diff**2 * fv[None, :], axis=1)
-        impl = op_S(sig, f, eps).values
+        impl = op_S(mollify(sig, f, eps)).values
         assert np.max(np.abs(impl - direct)) < 1e-7 * np.max(np.abs(impl))
 
     def test_t_analytic_kernel_gradient_diagnostic(self):
@@ -350,7 +354,7 @@ class TestKernelFormEquivalence:
         big_k = _circulant_1d(danalytic)
         s, fv = sig.values[0], f.values
         direct = g.h * (s * (big_k @ fv) - big_k @ (s * fv))
-        impl = op_T(sig, f, eps).values
+        impl = op_T(mollify(sig, f, eps)).values
         assert np.max(np.abs(impl - direct)) < 1e-3 * np.max(np.abs(impl))
 
 
@@ -363,7 +367,7 @@ class TestConvergence:
         assert study.errors[0] > study.errors[1] > study.errors[2]
         assert study.fitted_rate >= 0.9
         # K is the central half of the box
-        gap = op_T(sig, f, L / 8).values - commutator_limits(sig, f)[0].values
+        gap = op_T(mollify(sig, f, L / 8)).values - commutator_limits(sig, f)[0].values
         assert study.errors[0] == lp_norm(GridScalar(g, gap), 2.0, central_half(g))
         assert all(r <= 1.2 for r in study.bound_ratios)
 
@@ -430,21 +434,21 @@ class TestRenormalizerIdentities:
 
     def test_r1_sign_certification(self):
         _, sig, f = self._data_1d()
-        eps = L / 8
-        defect = r1_remainder(sig, f, eps, TANH_RENORM).values
+        m = mollify(sig, f, L / 8)
+        defect = r1_remainder(m, TANH_RENORM).values
         scale = np.max(np.abs(defect))
-        good = r1_reconstruction(sig, f, eps, TANH_RENORM, sign=+1.0).values
-        bad = r1_reconstruction(sig, f, eps, TANH_RENORM, sign=-1.0).values
+        good = r1_reconstruction(m, TANH_RENORM, sign=+1.0).values
+        bad = r1_reconstruction(m, TANH_RENORM, sign=-1.0).values
         assert np.max(np.abs(defect - good)) < 1e-6 * scale
         assert np.max(np.abs(defect - bad)) > 0.1 * scale
 
     def test_r2_sign_certification_1d(self):
         _, sig, f = self._data_1d()
-        eps = L / 8
-        defect = r2_remainder(sig, f, eps, TANH_RENORM).values
+        m = mollify(sig, f, L / 8)
+        defect = r2_remainder(m, TANH_RENORM).values
         scale = np.max(np.abs(defect))
-        good = r2_reconstruction(sig, f, eps, TANH_RENORM, sign=+1.0).values
-        bad = r2_reconstruction(sig, f, eps, TANH_RENORM, sign=-1.0).values
+        good = r2_reconstruction(m, TANH_RENORM, sign=+1.0).values
+        bad = r2_reconstruction(m, TANH_RENORM, sign=-1.0).values
         assert np.max(np.abs(defect - good)) < 1e-6 * scale
         assert np.max(np.abs(defect - bad)) > 0.1 * scale
 
@@ -454,9 +458,9 @@ class TestRenormalizerIdentities:
             g, [lambda x, y: np.sin(x) * np.cos(y), lambda x, y: np.cos(2 * x) + 0.2 * np.sin(y)]
         )
         f = GridScalar.from_function(g, lambda x, y: np.cos(x) + 0.4 * np.sin(y + 1.0))
-        eps = L / 8
-        defect = r2_remainder(sig, f, eps, TANH_RENORM).values
-        rebuilt = r2_reconstruction(sig, f, eps, TANH_RENORM).values
+        m = mollify(sig, f, L / 8)
+        defect = r2_remainder(m, TANH_RENORM).values
+        rebuilt = r2_reconstruction(m, TANH_RENORM).values
         scale = np.max(np.abs(defect))
         assert np.max(np.abs(defect - rebuilt)) < 1e-6 * scale
 
@@ -468,16 +472,16 @@ class TestRenormalizerIdentities:
             gamma_prime=lambda z: 3.0 * z**2,
             gamma_second=lambda z: 6.0 * z,
         )
-        eps = L / 8
-        defect = r1_remainder(sig, f, eps, cubic).values
-        rebuilt = r1_reconstruction(sig, f, eps, cubic).values
+        m = mollify(sig, f, L / 8)
+        defect = r1_remainder(m, cubic).values
+        rebuilt = r1_reconstruction(m, cubic).values
         assert np.max(np.abs(defect - rebuilt)) < 1e-12 * max(1.0, np.max(np.abs(defect)))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_reconstructions_mollify_once(self, monkeypatch, dim):
-        # each reconstruction mollifies f once and hands the pieces to T_eps,
-        # S_eps and R1: the values are those of the public operators, each of
-        # which mollifies on its own, bit for bit
+        # a reconstruction given a record builds no mollifier and hands the
+        # record to T_eps, S_eps and R1: the values are those of the public
+        # operators, each given a mollification of its own, bit for bit
         if dim == 1:
             _, sig, f = self._data_1d()
         else:
@@ -490,29 +494,31 @@ class TestRenormalizerIdentities:
         f_eps = convolve(mollifier(f.grid, eps), f).values
         gamma, gamma_1 = TANH_RENORM.gamma(f_eps), TANH_RENORM.gamma_prime(f_eps)
         gamma_2 = TANH_RENORM.gamma_second(f_eps)
-        t_val = op_T(sig, f, eps).values
+        t_val = op_T(mollify(sig, f, eps)).values
         r1_want = gamma_1 * t_val + sign * divergence(sig).values * gamma
-        r1 = r1_remainder(sig, f, eps, TANH_RENORM)
+        r1 = r1_remainder(mollify(sig, f, eps), TANH_RENORM)
         adv_r1 = np.einsum("i...,i...->...", sig.values, gradient(r1).values)
         div_sigma, twist = divergence_and_twist(f.grid, jacobian(sig))
         q_field = twist + div_sigma**2
         r2_want = (
-            gamma_1 * op_S(sig, f, eps).values + 0.5 * gamma_2 * t_val**2
+            gamma_1 * op_S(mollify(sig, f, eps)).values + 0.5 * gamma_2 * t_val**2
             - adv_r1 - sign * 0.5 * gamma * q_field
         )
+        m = mollify(sig, f, eps)
         calls = []
-        pieces = commutator._mollified_pieces
+        kernel = commutator.mollifier
 
         def counting(*args):
             calls.append(args)
-            return pieces(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(commutator, "_mollified_pieces", counting)
-        r1_got = r1_reconstruction(sig, f, eps, TANH_RENORM, sign=sign).values
-        assert len(calls) == 1
-        r2_got = r2_reconstruction(sig, f, eps, TANH_RENORM, sign=sign).values
-        assert len(calls) == 2
+        monkeypatch.setattr(commutator, "mollifier", counting)
+        r1_got = r1_reconstruction(m, TANH_RENORM, sign=sign).values
+        r2_got = r2_reconstruction(m, TANH_RENORM, sign=sign).values
+        assert calls == []
         assert np.array_equal(r1_got, r1_want) and np.array_equal(r2_got, r2_want)
+        mollify(sig, f, eps)
+        assert len(calls) == 1  # the patch sees the one mollifier that mollify builds
 
 
 @given(a=st.floats(-3, 3, allow_nan=False), b=st.floats(-3, 3, allow_nan=False))
@@ -524,6 +530,6 @@ def test_op_t_linear_in_f(a, b):
     f2 = GridScalar.from_function(g, lambda x: np.sin(2 * x))
     combo = GridScalar(g, a * f1.values + b * f2.values)
     eps = 1.0
-    lhs = op_T(sig, combo, eps).values
-    rhs = a * op_T(sig, f1, eps).values + b * op_T(sig, f2, eps).values
+    lhs = op_T(mollify(sig, combo, eps)).values
+    rhs = a * op_T(mollify(sig, f1, eps)).values + b * op_T(mollify(sig, f2, eps)).values
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * (1.0 + abs(a) + abs(b))

@@ -130,13 +130,31 @@ class TestExperimentConfig:
             ("zvonkin_relaxation", "time", {"T": 0}, "time.T must be positive"),
             ("zvonkin_relaxation", "scalars", {"lambdas": [16.0, 4.0]},
              "scalars.lambdas must be strictly increasing"),
+            ("parabolic_decay", "scalars", {"lambdas": [4.0, 16.0]},
+             "scalars.lambdas needs at least 3 values for a decay fit, got (4.0, 16.0)"),
+            ("parabolic_decay", "scalars", {"q": 2.0},
+             "scalars.q, scalars.p = 2.0, 8.0 violate 2/q + n/p < 1 in dim 1"),
+            ("parabolic_decay", "scalars", {"r": 9.0},
+             "scalars.r must not exceed scalars.p, got r = 9.0, p = 8.0"),
+            ("zvonkin_relaxation", "scalars", {"r": 8.0, "p": 8.0},
+             "scalars.r must be below scalars.p, got r = 8.0, p = 8.0"),
+            ("commutator_study", "grid", {"N": 16},
+             f"grid.N = 16 (default ladder): epsilon {TWO_PI / 16} below resolution 2h"),
+            ("commutator_study", "scalars", {"epsilons": [3.0, 1.0, 0.5]},
+             f"scalars.epsilons: epsilon 3.0 above box quarter-width {TWO_PI / 4}"),
+            ("commutator_study", "scalars", {"epsilons": [1.0, 0.5, 0.01]},
+             "scalars.epsilons: epsilon 0.01 below resolution 2h"),
         ],
-        ids=["N", "epsilons", "r", "dt", "T", "lambdas"],
+        ids=[
+            "N", "epsilons", "r", "dt", "T", "lambdas", "decay_lambdas", "decay_pq",
+            "decay_r", "zvonkin_r", "ladder_N", "epsilon_above", "epsilon_below",
+        ],
     )
     def test_study_field_exits_2_by_name(
         self, tmp_path, capsys, experiment, section, fields, message
     ):
-        # each study's ladder, grid and horizon is a config field of `renormlab run`
+        # each study's ladder, grid, horizon and exponents is a config field of
+        # `renormlab run`, refused by name before the output directory is made
         payload = config_payload(experiment=experiment, output_dir=str(tmp_path / "out"))
         payload[section] = {**payload[section], **fields}
         path = tmp_path / "cfg.json"
@@ -145,6 +163,23 @@ class TestExperimentConfig:
         err = capsys.readouterr().err
         assert "LabError" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment,section,fields",
+        [
+            ("commutator_study", "scalars", {"lambdas": [4.0, 16.0], "q": 2.0, "r": 9.0}),
+            ("parabolic_decay", "grid", {"N": 16}),
+            ("parabolic_decay", "scalars", {"epsilons": [3.0, 1.0, 0.01]}),
+            ("zvonkin_relaxation", "scalars", {"lambdas": [4.0], "q": 2.0}),
+            ("acceptance_all", "scalars", {"lambdas": [4.0], "r": 8.0, "p": 8.0}),
+        ],
+        ids=["commutator", "decay_N", "decay_epsilons", "zvonkin", "acceptance"],
+    )
+    def test_study_rules_bind_their_experiment_only(self, experiment, section, fields):
+        payload = config_payload(experiment=experiment)
+        payload[section] = {**payload[section], **fields}
+        # a study's own rule does not bind another experiment's config
+        assert ExperimentConfig.from_dict(payload).experiment == experiment
 
     def test_box_must_be_two_pi(self, tmp_path, capsys):
         # every preset and the default datum is 2*pi-periodic, so the box is
@@ -534,7 +569,7 @@ class TestPresetTable:
             assert prob.b.grid == prob.grid and prob.b.slices[0].values.shape[0] == dim
             assert len(prob.sigmas) >= 1
             assert all(s.grid == prob.grid for s in prob.sigmas)
-            assert prob.f0.grid == prob.grid and prob.phi.values.grid == prob.grid
+            assert prob.f0.grid == prob.grid and prob.phi.grid == prob.grid
 
     @pytest.mark.parametrize("tag", presets.PRESET_TAGS)
     def test_coefficients_hold_one_slice_object(self, tag):
@@ -560,6 +595,23 @@ class TestPresetTable:
                 grid=GridConfig(dim=3 - want),
                 coefficients=CoefficientConfig(preset=tag),
             )
+
+
+def test_cancellation_check_mollifies_once(monkeypatch):
+    # R1 and R2, each from its definition and rebuilt at both signs, read one
+    # mollification; the rows are those of the suite
+    calls = []
+    kernel = commutator.mollifier
+
+    def counting(grid, epsilon):
+        calls.append(epsilon)
+        return kernel(grid, epsilon)
+
+    monkeypatch.setattr(commutator, "mollifier", counting)
+    monkeypatch.setattr(lab, "mollifier", counting)
+    rows = lab._check_cancellation(lab.Run(ExperimentConfig(experiment="acceptance_all")))
+    assert [row.name for row in rows if row.passed] == ["cancellation_R1", "cancellation_R2"]
+    assert calls == [TWO_PI / 8.0]
 
 
 class TestReports:

@@ -6,6 +6,8 @@
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
 - In ``src/`` and ``scripts/`` only ``cli._accept`` runs the acceptance suite:
   ``renormlab accept`` is its one runner.
+- Within ``commutator`` only ``mollify`` reads ``mollifier``: every
+  commutator and chain-rule defect reads one ``Mollified`` record.
 - No module in ``scripts/`` builds a ``Grid`` or calls or imports a study
   function (``convergence_study``, ``mild_solve``, ``decay_study``,
   ``transform_coeffs``, ``relaxation_residuals``, ``relaxation_metrics``):
@@ -177,6 +179,20 @@ def test_one_suite_runner():
     assert {path: fns for path, fns in readers.items() if fns} == {
         "src/renormlab/cli.py": ["_accept"],
     }
+
+
+def test_only_mollify_builds_a_mollifier():
+    assert _readers(_parse(PACKAGE / "commutator.py"), "mollifier") == ["mollify"]
+
+
+def test_mollifier_scan_sees_each_form():
+    tree = ast.parse(
+        "from .field import mollifier\n"
+        "def mollify(sigma, f, eps):\n    return mollifier(f.grid, eps)\n"
+        "def op_T(m):\n    return field.mollifier(m.f.grid, 0.5)\n"
+        "def op_S(m):\n    return 'mollifier(grid, eps)', m.kernel\n"
+    )
+    assert _readers(tree, "mollifier") == ["mollify", "op_T"]
 
 
 _STUDIES = (

@@ -46,7 +46,6 @@ from renormlab.flow import (
     sample_brownian,
     simulate_flow,
 )
-from renormlab import weakform
 from renormlab.presets import sample_constant_in_time
 from renormlab.weakform import (
     RENORMALIZED_TERMS,
@@ -90,23 +89,25 @@ class TestRenormalizers:
     def test_defining_identities(self):
         for rn in (make_renormalizer("tanh"), make_renormalizer("abs_eps", 0.25)):
             z = self.sample
-            g = rn.g(z)
+            _, g, h = rn.derived(z)
             assert np.max(np.abs(g - (z * rn.gamma_prime(z) - rn.gamma(z)))) < 1e-12
             g_prime = z * rn.gamma_second(z)
-            assert np.max(np.abs(rn.h(z) - (z * g_prime - g))) < 1e-12
+            assert np.max(np.abs(h - (z * g_prime - g))) < 1e-12
 
     def test_tanh_bounded_family(self):
         rn = make_renormalizer("tanh")
         z = np.linspace(-50.0, 50.0, 20001)
+        _, g, h = rn.derived(z)
         assert np.max(np.abs(rn.gamma(z))) <= 1.0
-        assert np.max(np.abs(rn.g(z))) <= 1.0 + 1e-12
-        assert np.max(np.abs(rn.h(z))) <= 1.0 + 1e-12
+        assert np.max(np.abs(g)) <= 1.0 + 1e-12
+        assert np.max(np.abs(h)) <= 1.0 + 1e-12
 
     def test_linear_degenerate(self):
         rn = make_renormalizer("linear")
         z = self.sample
-        assert np.array_equal(rn.g(z), np.zeros_like(z))
-        assert np.array_equal(rn.h(z), np.zeros_like(z))
+        _, g, h = rn.derived(z)
+        assert np.array_equal(g, np.zeros_like(z))
+        assert np.array_equal(h, np.zeros_like(z))
 
     def test_abs_eps_value_at_zero(self):
         for eps in (0.5, 0.03):
@@ -122,8 +123,9 @@ class TestRenormalizers:
         assert gaps[0] > gaps[1] > gaps[2]
         tail = make_renormalizer("abs_eps", 0.005)
         assert np.array_equal(tail.gamma(z), np.abs(z))
-        assert np.array_equal(tail.g(z), np.zeros_like(z))
-        assert np.array_equal(tail.h(z), np.zeros_like(z))
+        _, g, h = tail.derived(z)
+        assert np.array_equal(g, np.zeros_like(z))
+        assert np.array_equal(h, np.zeros_like(z))
 
     def test_abs_eps_linear_growth_bound(self):
         z = np.linspace(-50.0, 50.0, 20001)
@@ -163,11 +165,12 @@ class TestRenormalizers:
 def test_abs_eps_symmetry_and_sign(eps, z):
     """Gamma_eps is even and below |z| + eps/2; its G is never positive."""
     rn = make_renormalizer("abs_eps", eps)
+    (gamma, g, h), mirrored = rn.derived(z), rn.derived(-z)
     assert float(rn.gamma(z)) == float(rn.gamma(-z))
-    assert float(rn.g(z)) == float(rn.g(-z))
-    assert float(rn.h(z)) == float(rn.h(-z))
-    assert 0.0 <= float(rn.gamma(z)) <= abs(z) + eps / 2 + 1e-12
-    assert float(rn.g(z)) <= 1e-12
+    assert float(g) == float(mirrored[1])
+    assert float(h) == float(mirrored[2])
+    assert 0.0 <= float(gamma) <= abs(z) + eps / 2 + 1e-12
+    assert float(g) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,7 @@ class TestBumpTestFunction:
         g = grid1()
         phi = bump_test_function(g, center=(L / 2,), radius=L / 8)
         x = g.axis_coordinates()
-        values = phi.values.values
+        values = phi.values
         assert values[g.N // 2] == 1.0
         outside = np.abs(x - L / 2) >= L / 8
         assert np.array_equal(values[outside], np.zeros(outside.sum()))
@@ -189,14 +192,14 @@ class TestBumpTestFunction:
     def test_gradient_integrates_to_zero(self):
         g = grid1()
         phi = bump_test_function(g, center=(L / 2,), radius=L / 8)
-        total = np.sum(gradient(phi.values).values) * g.cell_volume
+        total = np.sum(gradient(phi).values) * g.cell_volume
         assert abs(total) < 1e-10
 
     def test_two_dimensional_bump(self):
         g = build_grid(2, L, 32)
         phi = bump_test_function(g, center=(L / 2, L / 2), radius=L / 8)
-        assert phi.values.values[16, 16] == 1.0
-        assert np.all(phi.values.values >= 0.0)
+        assert phi.values[16, 16] == 1.0
+        assert np.all(phi.values >= 0.0)
 
     def test_support_violations(self):
         g = grid1()
@@ -223,9 +226,9 @@ PLAIN_TERMS = RENORMALIZED_TERMS[:3]
 
 def transport_oracle(phi, path, beta, s):
     """Ledger entries for f = sin(x - beta t - s W) by complex recursion."""
-    g = phi.values.grid
+    g = phi.grid
     x = g.axis_coordinates()
-    m = complex(np.sum(np.exp(1j * x) * phi.values.values) * g.h)
+    m = complex(np.sum(np.exp(1j * x) * phi.values) * g.h)
 
     def pair(theta, order):
         return float(np.imag(np.exp(-1j * theta) * (-1j) ** order * m))
@@ -260,17 +263,22 @@ def plain_ledger(fpath, b, sigmas, phi, path) -> WeakFormLedger:
     return residual_renormalized(fpath, b, sigmas, phi, make_renormalizer("linear"), path)
 
 
+def phi_calculus(phi):
+    """Gradient and Hessian of the test function, spectral."""
+    return gradient(phi).values, field.hessian_stack(phi.grid, phi.values)
+
+
 def per_step_ledger(fpath, b, sigmas, phi, renorm, path) -> tuple[dict, float]:
     """Reference terms and lhs_delta: every term formed and added one step at a
     time, each coefficient's slice looked up at that step."""
-    g = phi.values.grid
-    grad_phi, hess_phi = weakform._phi_calculus(phi)
-    psi = phi.values.values
+    g = phi.grid
+    grad_phi, hess_phi = phi_calculus(phi)
+    psi = phi.values
     vol, dt = g.cell_volume, path.dt
     sums = dict.fromkeys(RENORMALIZED_TERMS, 0.0)
     for l in range(path.steps):
         f = fpath[l].values
-        gamma_f, g_f, h_f = renorm.gamma(f), renorm.g(f), renorm.h(f)
+        gamma_f, g_f, h_f = renorm.derived(f)
         b_l = b.slice_at(l * dt)
         adv_b = np.einsum("i...,i...->...", b_l.values, grad_phi)
         sums["gamma_drift"] += float(np.sum(gamma_f * adv_b)) * vol * dt
@@ -371,7 +379,7 @@ class TestOriginalLedger:
     def test_linearity_in_phi(self):
         g, phi, path, fpath, b, sig = transport_setup(T=0.05)
         scaled = bump_test_function(g, center=(L / 2,), radius=L / 8)
-        scaled.values.values *= 2.5
+        scaled.values *= 2.5
         one = plain_ledger(fpath, b, [sig], phi, path)
         two = plain_ledger(fpath, b, [sig], scaled, path)
         assert abs(two.residual - 2.5 * one.residual) < 1e-12 * max(1.0, abs(one.residual))
@@ -388,6 +396,17 @@ class TestOriginalLedger:
         foreign = [GridScalar.constant(other, 0.0)] * (path.steps + 1)
         with pytest.raises(WeakFormError, match="grid"):
             plain_ledger(foreign, b, [sig], phi, path)
+
+    @pytest.mark.parametrize("foreign", ["drift", "noise field 0"])
+    def test_coefficient_on_another_grid_refused_by_name(self, foreign):
+        # a 32-node coefficient against the 64-node test function and solution
+        g, phi, path, fpath, b, sig = transport_setup()
+        coarse = still(GridVector.constant(grid1(32), (0.3,)), 0.25)
+        b, sig = (coarse, sig) if foreign == "drift" else (b, coarse)
+        with pytest.raises(
+            WeakFormError, match=f"^{foreign} lives on a different grid than the test function$"
+        ):
+            residual_renormalized(fpath, b, [sig], phi, make_renormalizer("tanh"), path)
 
     def test_ledger_invariants(self):
         for terms in ({}, {"gamma_drift": 0.0}, {"drift": 0.0, "diffusion": 0.0, "ito": 0.0}):
@@ -411,7 +430,7 @@ class TestRenormalizedLedger:
         # against the linear ledger, bit for bit; the other five terms are 0
         g, phi, path, fpath, b, sig = transport_setup()
         lin = residual_renormalized(fpath, b, [sig], phi, make_renormalizer("linear"), path)
-        grad_phi, hess_phi = weakform._phi_calculus(phi)
+        grad_phi, hess_phi = phi_calculus(phi)
         vol, dt = g.cell_volume, path.dt
         drift = diffusion = ito = 0.0
         for l in range(path.steps):
@@ -422,7 +441,7 @@ class TestRenormalizedLedger:
             diffusion += 0.5 * float(np.sum(f * pair)) * vol * dt
             advect = np.einsum("i...,i...->...", s_l, grad_phi)
             ito += float(np.sum(f * advect)) * vol * path.increments[l, 0]
-        lhs_delta = float(np.sum((fpath[-1].values - fpath[0].values) * phi.values.values)) * vol
+        lhs_delta = float(np.sum((fpath[-1].values - fpath[0].values) * phi.values)) * vol
         assert [lin.terms[name] for name in PLAIN_TERMS] == [drift, diffusion, ito]
         assert lin.lhs_delta == lhs_delta
         assert lin.residual == lhs_delta - (drift + diffusion + ito)
@@ -503,14 +522,15 @@ class TestRenormalizedLedger:
         )
         rn = make_renormalizer("tanh")
         ledger = residual_renormalized(fpath, b, [sig], phi, rn, path)
-        vol, dt, psi = g.cell_volume, path.dt, phi.values.values
+        vol, dt, psi = g.cell_volume, path.dt, phi.values
         g_div_b = h_divsigma_sq = 0.0
         for l in range(path.steps):
             f = fpath[l].values
             div_b = divergence(b.slice_at(l * dt)).values
-            g_div_b -= float(np.sum(rn.g(f) * div_b * psi)) * vol * dt
+            _, g_f, h_f = rn.derived(f)
+            g_div_b -= float(np.sum(g_f * div_b * psi)) * vol * dt
             div_s = divergence(sig.slice_at(l * dt)).values
-            h_divsigma_sq += 0.5 * float(np.sum(rn.h(f) * div_s**2 * psi)) * vol * dt
+            h_divsigma_sq += 0.5 * float(np.sum(h_f * div_s**2 * psi)) * vol * dt
         assert ledger.terms["g_div_b"] == g_div_b
         assert ledger.terms["h_divsigma_sq"] == h_divsigma_sq
 
@@ -627,6 +647,18 @@ class TestStability:
         other = GridScalar.constant(build_grid(1, L, 32), 1.0)
         with pytest.raises(FlowError, match="grid"):
             weighted_l1_masses(other, ensembles[0], 0.0)
+
+    @pytest.mark.parametrize("foreign", ["drift", "noise field 0"])
+    def test_coefficient_on_another_grid_refused_by_name(self, foreign):
+        # a 32-node coefficient against the 64-node datum
+        g, b, sig, f0, ensembles = translation_ensembles()
+        masses = [weighted_l1_masses(f0, ens, 0.0) for ens in ensembles]
+        coarse = still(GridVector.constant(grid1(32), (0.3,)), 0.1)
+        b, sig = (coarse, sig) if foreign == "drift" else (b, coarse)
+        with pytest.raises(
+            WeakFormError, match=f"^{foreign} lives on a different grid than the datum$"
+        ):
+            weighted_l1_stability(masses, f0, b, [sig], 0.0, 0.02)
 
     def test_mismatched_time_grids_rejected(self):
         g, b, sig, f0, ensembles = translation_ensembles()

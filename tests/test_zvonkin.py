@@ -327,10 +327,10 @@ class TestPushforward:
         u = still(g, [lambda x: 0.25 * np.sin(x)])
         h = pushforward_path_under_diffeo([f], transform_coeffs(u, 1.0), [0.0])[0]
         psi = bump_test_function(g, center=[L / 2], radius=L / 6)
-        lhs = (h.values * psi.values.values).sum() * g.cell_volume
+        lhs = (h.values * psi.values).sum() * g.cell_volume
         pts = nodes_of(g)
         forward = pts + PeriodicInterpolant(g, u.slices[0].values)(pts)
-        rhs = (f.values * PeriodicInterpolant(g, psi.values.values)(forward)).sum() * g.cell_volume
+        rhs = (f.values * PeriodicInterpolant(g, psi.values)(forward)).sum() * g.cell_volume
         assert abs(lhs - rhs) <= 10.0 * g.h**2
 
     def test_grid_mismatch_rejected(self):
