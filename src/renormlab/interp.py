@@ -15,20 +15,21 @@ all equal in a row (the unit noise e_k, a zero displacement) evaluates there
 to that exact constant, where a spline would return it only to a few ulp;
 one constant in every row gets no spline and costs no stencil.
 
-Two evaluators read the coefficients of the one prefilter and give the
-same bits.  scipy's map_coordinates, one call per component of one row, is
-the faster on small calls (the 64 nodes of one 1-d flow).  The numpy
-stencil (_Stencil) wins from about 3,000 spline values per call (a chunk of
-Monte Carlo members, a block of steps, a 64^2 grid).  It works in two
-halves: a plan, a point set's cells and B-spline weights, computed once for
-all components, and a read, which gathers each component's coefficients at
-the 4^dim taps and sums them in map_coordinates' order.  A call that reads
-one row picks by size, in the core (_evaluate) that flow._march, which
-checks its own points, calls directly; a call that reads several rows runs
-the stencil.  _Rounds reads one spline round after round at points that
-move little, as a Newton solver does: it keeps what it gathered, gathers
-again only where a point's cell moved, and hands out its last plan, at
-which a spline of another field on the same grid reads the same points.
+Two evaluators read the coefficients of the one prefilter and give the same
+bits.  scipy's map_coordinates, one call per component of one row, is the
+faster on small calls (the 64 nodes of one 1-d flow).  The numpy stencil
+(_Stencil) wins from about 1,000 to 3,000 spline values per call, by
+component count (a chunk of Monte Carlo members, a block of steps, a 64^2
+grid).  It works in two halves: a plan, a point set's cells and B-spline
+weights, computed once for all components, and a read, which gathers each
+component's coefficients at the 4^dim taps into one tap-major buffer and
+sums them with one einsum, in map_coordinates' products and order.  A call
+that reads one row picks by size, in the core (_evaluate) that flow._march,
+which checks its own points, calls directly; a call that reads several rows
+runs the stencil.  _Rounds reads one spline round after round at points
+that move little, as a Newton solver does: it keeps what it gathered,
+gathers again only where a point's cell moved, and hands out its last plan,
+at which a spline of another field on the same grid reads the same points.
 """
 
 from __future__ import annotations
@@ -46,10 +47,13 @@ _ORDER = 3
 
 # Spline values per call (points times non-constant components) from which
 # a call that reads one row evaluates with the stencil rather than with
-# map_coordinates: the measured crossover lies between about 1,000 values
-# (1-d, 2 components) and 3,000 (2-d, one component); the plan/read split
-# left the stencil's fixed cost where it was (timings in the
-# ``_Stencil.add`` line of CHANGES.md).
+# map_coordinates.  With the einsum sum the measured crossover lies between
+# about 1,000 values (1-d, 7 components) and 3,000 (1-d, one component); 2-d
+# with one or two components crosses near 1,500-2,000.  The calls nearest
+# it split both ways (1-d on 64 nodes: 7 components at 384 points, 89 us by
+# map_coordinates against 53 us; one at 2,048 points, 57 against 71 us), and
+# 2,560 in place of 3,072 won no workload clearly (the einsum stencil entry
+# of CHANGES.md).
 _STENCIL_VALUES = 3072
 
 
@@ -164,17 +168,23 @@ class PeriodicInterpolant:
         for i, value in constants:
             out[i] = value
 
-    def _sum(self, rows, plan, out: np.ndarray, gathered=None) -> None:
+    def _sum(self, rows, plan, out: np.ndarray, gathered=None) -> np.ndarray:
         """The stencil: row rows[n] at the plan's points n (or every row at
         shared points, a plan of one point set), written into out (components,
-        len(rows), P) for each component that has a spline in some row;
-        gathered, if given, holds the coefficients at the points' taps."""
+        len(rows), P) for each component that has a spline in some row.
+        gathered, if given, holds the coefficients at the points' taps as
+        gather left them; else they are gathered here.  Returns the gathered
+        coefficients."""
+        base, weights = plan
         varying = len(self._varying)
+        if gathered is None:
+            gathered = np.empty((len(self._stencil.offsets), varying, len(rows), base.shape[1]))
+            self._stencil.gather(rows, base, gathered)
         sums = out if varying == len(out) else np.empty((varying,) + out.shape[1:])
-        sums.fill(0.0)  # summed from 0.0, as map_coordinates sums
-        self._stencil.add(rows, plan, sums, gathered)
+        self._stencil.add(weights, gathered, sums)
         if sums is not out:
             out[self._varying] = sums
+        return gathered
 
     def _fill_constants(self, rows, out: np.ndarray) -> None:
         """Write each row's constant components into out (components, len(rows), P)."""
@@ -209,17 +219,12 @@ class _Rounds:
             spline._evaluate(index_coords.reshape(dim, -1), out.reshape(len(out), -1), rows[0])
             return out
         if not spline._constant[rows].all():
-            stencil = spline._stencil
-            self.plan = stencil.plan(index_coords)
+            self.plan = spline._stencil.plan(index_coords)
             base = self.plan[0]
-            if self._gathered is None:
-                shape = (len(stencil.offsets), len(spline._varying)) + base.shape
-                self._gathered = np.empty(shape)
-                stencil.gather(rows, base, self._gathered)
-            else:
-                stencil.gather(rows, base, self._gathered, base != self._base)
+            if self._gathered is not None:
+                spline._stencil.gather(rows, base, self._gathered, base != self._base)
+            self._gathered = spline._sum(rows, self.plan, out, self._gathered)
             self._base = base
-            spline._sum(rows, self.plan, out, self._gathered)
         spline._fill_constants(rows, out)
         return out
 
@@ -236,8 +241,9 @@ class _Stencil:
     ``coeff`` has shape (rows, comps) + grid.shape.  A plan holds the
     B-spline weights and the flat cell of each point, computed once and
     shared by all components and rows, with map_coordinates' periodic wrap,
-    weight formulas and stencil order; a read sums the coefficients at the
-    4^dim taps of each point's cell in its row.
+    weight formulas and stencil order; a read gathers the coefficients at the
+    4^dim taps of each point's cell in its row (gather) and sums them with
+    the weights (add).
     """
 
     def __init__(self, grid: Grid, coeff: np.ndarray):
@@ -254,11 +260,13 @@ class _Stencil:
         # the same coefficients without the pad: (comps, rows) + grid.shape views
         padded = self._coeff.reshape(coeff.shape[1::-1] + (self._width,) * grid.dim)
         self.unpadded = padded[(slice(None), slice(None)) + (slice(1, grid.N + 1),) * grid.dim]
-        # the 4^dim taps in row-major order: (flat offset, weight index per axis)
-        self._taps = [(0, ())]
+        # the flat offsets of the 4^dim taps, in row-major order
+        self.offsets = np.zeros(1, dtype=np.intp)
         for _ in range(grid.dim):
-            self._taps = [(o * self._width + j, t + (j,)) for o, t in self._taps for j in range(4)]
-        self.offsets = np.array([offset for offset, _ in self._taps])
+            self.offsets = (self.offsets[:, None] * self._width + np.arange(4)).ravel()
+        # taps (one axis of 4 per grid axis), comps, rows, points, and one
+        # weight operand per grid axis
+        self._subscripts = {1: "akrp,arp->krp", 2: "abkrp,arp,brp->krp"}[grid.dim]
 
     def plan(self, x):
         """The plan of index points x (dim,) + shape: each point's flat cell in
@@ -314,24 +322,14 @@ class _Stencil:
             index = self.offsets[:, None] + at[moved]
             gathered[:, :, moved] = np.moveaxis(self._coeff[:, index], 1, 0)
 
-    def add(self, rows, plan, out, gathered=None):
-        """Add to ``out`` (comps, rows, points) the spline sums at the plan's
-        points, point n, p in row rows[n], from the coefficients at their taps:
-        gathered here, or as gather left them in ``gathered``."""
-        base, weights = plan
-        # the stencil in row-major order, summed from 0.0 as map_coordinates
-        # sums it
-        term = np.empty_like(out)
-        if gathered is None:
-            at = base + (rows * self._row_size)[:, None]
-            index = np.empty_like(at)
-        for t, (offset, tap) in enumerate(self._taps):
-            if gathered is None:
-                np.add(at, offset, out=index)
-                coeff = np.take(self._coeff, index, axis=1, out=term, mode="clip")
-            else:
-                coeff = gathered[t]
-            np.multiply(coeff, weights[tap[0], 0], out=term)
-            for a in range(1, len(tap)):
-                term *= weights[tap[a], a]
-            out += term
+    def add(self, weights, gathered, out) -> None:
+        """Write into ``out`` (comps, rows, P) the spline sums at points of
+        these weights (4, dim, rows, P), from the coefficients at their taps
+        as gather left them in ``gathered`` (taps, comps, rows, P)."""
+        # one einsum over the taps, each weight axis its own operand: the
+        # products (c w_x) w_y summed from 0.0 in row-major tap order, as
+        # map_coordinates sums them.  einsum's optimize=False keeps that order,
+        # where its tensordot path would reorder the sum, and its iterator
+        # loops in stride order, so gathered stays C-contiguous and tap-major
+        taps = gathered.reshape((4,) * self.grid.dim + gathered.shape[1:])
+        np.einsum(self._subscripts, taps, *weights.swapaxes(0, 1), out=out)

@@ -16,9 +16,11 @@ of its config; the certified pass margins were frozen at ``master_seed = 0``
 and other seeds are run at the caller's own risk.
 
 Every CSV artifact is written by ``_write_csv`` alone: a leading
-``# renormlab v1`` line (so downstream consumers can detect schema drift),
-optional ``# key=value`` comments, the header and the rows, with LF line
-endings and each float as the shortest string that reads back to it.
+``# renormlab v1`` line (so downstream consumers can detect schema drift;
+``# renormlab v2`` for the acceptance report, whose rows carry each check's
+headroom and seconds), optional ``# key=value`` comments, the header and the
+rows, with LF line endings and each float as the shortest string that reads
+back to it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import logging
 import math
 import platform
+import time
 from dataclasses import (
     dataclass,
     field as dataclass_field,
@@ -97,6 +100,8 @@ from .zvonkin import (
 logger = logging.getLogger(__name__)
 
 CSV_VERSION_LINE = "# renormlab v1"
+# acceptance_report.csv alone: v2 added the headroom and seconds columns
+REPORT_VERSION_LINE = "# renormlab v2"
 
 # Stream-id offsets that ``Run.paths`` adds to master_seed, one block per
 # consumer; a refined level bridges its consumer's base paths.  Two draws are
@@ -300,6 +305,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         for nf in c.noise_files:
             if not Path(nf).is_file():
                 out.append(f"noise file {nf!r} does not exist")
+        if typed("coefficients.drift_file") and c.drift_file is not None and not c.noise_files:
+            out.append("coefficients.noise_files must name at least one file with a drift_file")
     if typed("scalars.lambdas"):
         if len(s.lambdas) < 1 or any(l <= 0 for l in s.lambdas):
             out.append(f"scalars.lambdas must be positive, got {s.lambdas}")
@@ -414,8 +421,6 @@ def _config_source(cfg: ExperimentConfig) -> presets.Preset:
     c = cfg.coefficients
     if c.drift_file is None:
         return replace(presets.PRESETS[c.preset], dim=cfg.grid.dim)
-    if not c.noise_files:
-        raise LabError("field-file coefficients need at least one noise file")
     return presets.Preset(
         cfg.grid.dim,
         lambda grid: _load_vector(c.drift_file, grid),
@@ -547,6 +552,16 @@ class CheckResult:
     detail: str = ""
     # the renorm rows' ledgers, {"divfree": (base, fine), "smooth": (base, fine)}
     ledgers: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
+    # wall time of the check group that made the row (acceptance_suite)
+    seconds: float = dataclass_field(default=0.0, compare=False)
+
+    @property
+    def headroom(self) -> float:
+        """Signed distance from the value to the gate, in the gate's units:
+        positive on the passing side."""
+        if self.relation == ">=":
+            return self.value - self.threshold
+        return self.threshold - self.value
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -583,7 +598,9 @@ class RunReport:
             raise LabError("report carries no renormalized ledgers to flip")
         flipped = {key: tuple(led.flipped(term) for led in leds) for key, leds in carried.items()}
         regated = {row.name: row for row in _renorm_rows(flipped)}
-        checks = [regated[c.name] if c.ledgers else c for c in self.checks]
+        checks = [
+            replace(regated[c.name], seconds=c.seconds) if c.ledgers else c for c in self.checks
+        ]
         return replace(self, checks=checks, environment={**self.environment, "flipped": term})
 
 
@@ -599,7 +616,7 @@ def _environment_stamp(cfg: ExperimentConfig) -> dict[str, str]:
     }
 
 
-def _write_csv(path, columns, rows, comments=()) -> Path:
+def _write_csv(path, columns, rows, comments=(), version=CSV_VERSION_LINE) -> Path:
     """Write one CSV artifact: the version line, ``# key=value`` comments, header, rows.
 
     Lines end in LF, each float is written as ``repr``, the shortest string
@@ -607,7 +624,7 @@ def _write_csv(path, columns, rows, comments=()) -> Path:
     ``np.float64(...)`` for its own), and other cells as given.
     """
     with open(path, "w", newline="") as handle:
-        handle.write(CSV_VERSION_LINE + "\n")
+        handle.write(version + "\n")
         for key, value in comments:
             handle.write(f"# {key}={value}\n")
         writer = csv.writer(handle, lineterminator="\n")
@@ -620,12 +637,14 @@ def _write_csv(path, columns, rows, comments=()) -> Path:
 def write_report_csv(report: RunReport, path_name) -> None:
     _write_csv(
         path_name,
-        ["name", "value", "relation", "threshold", "passed", "detail"],
+        ["name", "value", "relation", "threshold", "passed", "headroom", "seconds", "detail"],
         [
-            [c.name, c.value, c.relation, c.threshold, "pass" if c.passed else "fail", c.detail]
+            [c.name, c.value, c.relation, c.threshold, "pass" if c.passed else "fail",
+             c.headroom, c.seconds, c.detail]
             for c in report.checks
         ],
         report.environment.items(),
+        REPORT_VERSION_LINE,
     )
 
 
@@ -1245,11 +1264,15 @@ _SUITE = (
 
 
 def acceptance_suite(cfg: ExperimentConfig) -> RunReport:
-    """Run every acceptance check at desk scale on one run of cfg and collect the report."""
+    """Run every acceptance check at desk scale on one run of cfg and collect
+    the report; each row carries its check group's wall time in ``seconds``."""
     checks: list[CheckResult] = []
     run = Run(cfg)
     for fn in _SUITE:
+        start = time.perf_counter()
         rows = fn(run)
+        seconds = time.perf_counter() - start
+        rows = [replace(row, seconds=seconds) for row in rows]
         checks.extend(rows)
         for row in rows:
             logger.info("%s", row.line())

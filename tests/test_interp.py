@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from renormlab import interp
 from renormlab.field import FieldError, GridScalar, GridVector, build_grid, jacobian
@@ -291,3 +292,37 @@ def test_linearity_in_the_field(a, b, seed):
     mixed = PeriodicInterpolant(g, a * f + b * h)(q)
     parts = a * PeriodicInterpolant(g, f)(q) + b * PeriodicInterpolant(g, h)(q)
     assert np.abs(mixed - parts).max() < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]), n=st.sampled_from([8, 16]), comps=st.integers(1, 6),
+    rows=st.integers(1, 3), shared=st.booleans(), seed=st.integers(0, 2**31), data=st.data(),
+)
+def test_stencil_sums_map_coordinates_bits(dim, n, comps, rows, shared, seed, data):
+    # the stencil's plan, gather and weighted sum on raw coefficients against
+    # map_coordinates on the same coefficients, bit for bit and sign of zero
+    g = build_grid(dim, L, n)
+    rng = stream(seed, 28)
+    coeff = rng.normal(size=(rows, comps) + g.shape)
+    coeff[..., :4] = -0.0  # a point whose last index lies in [1, 2) sums -0.0 products
+    read = (np.arange(rows) if shared else
+            np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3))))
+    x = rng.uniform(-3 * n, 4 * n, (dim, 1 if shared else len(read), 64))
+    x[..., :16] = np.round(x[..., :16])  # nodes, inside the box and out
+    x[-1, :, 16:24] = rng.uniform(1.0, 2.0, 8)
+    x[-1, :, 24:28] = [1.0, -0.0, -1e-300, n * (1 - 2**-52)]
+    stencil = interp._Stencil(g, coeff)
+    base, weights = stencil.plan(x)
+    gathered = np.empty((4**dim, comps, len(read), x.shape[2]))
+    stencil.gather(read, base, gathered)
+    out = np.full((comps, len(read), x.shape[2]), np.nan)
+    stencil.add(weights, gathered, out)
+    assert np.signbit(coeff[read[0], 0][(0,) * dim]) and not np.signbit(out[:, :, 16:24]).any()
+    for m, r in enumerate(read):
+        at = x[:, 0 if shared else m]
+        for k in range(comps):
+            want = ndimage.map_coordinates(
+                coeff[r, k], at, order=3, mode="grid-wrap", prefilter=False
+            )
+            assert same_bits(out[k, m], want)

@@ -224,6 +224,20 @@ class TestExperimentConfig:
         with pytest.raises(LabError, match="cannot read"):
             ExperimentConfig.from_json(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("experiment", sorted(lab._RUNNERS))
+    def test_drift_file_without_noise_files_exits_2_by_name(self, tmp_path, capsys, experiment):
+        drift_path = tmp_path / "b.fld"
+        save_field(drift_path, presets.trig_flow_drift(Grid(dim=1, L=TWO_PI, N=32)))
+        payload = config_payload(experiment=experiment, output_dir=str(tmp_path / "out"))
+        payload["coefficients"] = {"preset": None, "drift_file": str(drift_path)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "coefficients.noise_files" in err and "Traceback" not in err
+        assert err.count("\n  - ") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_coefficient_files_reported(self, tmp_path):
         with pytest.raises(LabError, match="does not exist"):
             ExperimentConfig(
@@ -273,8 +287,8 @@ CSV_ARTIFACTS = {
          "drift_residual", "divergence_residual"], 3, [4.0],
     ),
     "acceptance_report.csv": (
-        ["name", "value", "relation", "threshold", "passed", "detail"], 2,
-        ["alpha", 0.5, "<=", 1.0, "pass", ""],
+        ["name", "value", "relation", "threshold", "passed", "headroom", "seconds", "detail"], 2,
+        ["alpha", 0.5, "<=", 1.0, "pass", 0.5, 0.0, ""],
     ),
 }
 CANNED_REPORT = RunReport(
@@ -293,10 +307,10 @@ def csv_artifacts(tmp_path_factory) -> dict[str, tuple[Path, list[list]]]:
     root = tmp_path_factory.mktemp("artifacts")
     handed, write = {}, lab._write_csv
 
-    def recording(path, columns, rows, comments=()):
+    def recording(path, columns, rows, *comments_and_version):
         rows = [list(row) for row in rows]
         handed[Path(path).name] = (Path(path), rows)
-        return write(path, columns, rows, comments)
+        return write(path, columns, rows, *comments_and_version)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lab, "_write_csv", recording)
@@ -322,7 +336,8 @@ def test_csv_artifact_format(csv_artifacts, name):
     path, handed = csv_artifacts[name]
     raw = path.read_bytes()
     assert b"\r" not in raw and raw.endswith(b"\n")
-    assert raw.decode().split("\n")[0] == lab.CSV_VERSION_LINE
+    version = lab.REPORT_VERSION_LINE if name == "acceptance_report.csv" else lab.CSV_VERSION_LINE
+    assert raw.decode().split("\n")[0] == version
     header, *rows = csv_rows(path)
     assert header == columns
     assert len(rows) == count == len(handed)
@@ -627,14 +642,49 @@ class TestReports:
         assert not lab._result("x", 2.0, 2.0, "<").passed
         assert lab._result("x", 2.0, 2.0, ">=").passed
 
+    @pytest.mark.parametrize("relation,value,headroom", [
+        ("<=", 0.5, 1.5), ("<=", 3.0, -1.0), ("<", 2.0, 0.0), ("<", 1.75, 0.25),
+        (">=", 2.5, 0.5), (">=", 0.5, -1.5),
+    ])
+    def test_headroom_is_the_signed_distance_to_the_gate(self, relation, value, headroom):
+        # positive on the passing side, in the gate's units
+        row = lab._result("x", value, 2.0, relation)
+        assert row.headroom == headroom
+        assert (row.headroom > 0) <= row.passed
+
+    def test_seconds_take_no_part_in_row_equality(self):
+        row = lab._result("x", 1.0, 2.0, "<=")
+        assert row.seconds == 0.0
+        assert replace(row, seconds=4.5) == row and replace(row, value=1.5) != row
+
+    def test_suite_times_each_check_group(self, monkeypatch):
+        clock = [10.0]  # each stand-in check advances the clock by its own time
+
+        def check(seconds, *rows):
+            def run_check(run):
+                clock[0] += seconds
+                return [lab._result(*row) for row in rows]
+            return run_check
+
+        monkeypatch.setattr(lab.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(lab, "_SUITE", (
+            check(1.5, ("a", 0.5, 1.0, "<="), ("b", 3.0, 1.0, ">=")),
+            check(2.5, ("c", 2.0, 1.0, "<=")),
+        ))
+        report = lab.acceptance_suite(ExperimentConfig(experiment="acceptance_all"))
+        assert [(c.name, c.seconds) for c in report.checks] == [
+            ("a", 1.5), ("b", 1.5), ("c", 2.5)
+        ]
+        assert [c.headroom for c in report.checks] == [0.5, 2.0, -1.0]
+
     def test_report_csv_round_trip(self, tmp_path):
         assert not CANNED_REPORT.passed
         path = tmp_path / "report.csv"
         lab.write_report_csv(CANNED_REPORT, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == lab.CSV_VERSION_LINE
+        assert lines[0] == lab.REPORT_VERSION_LINE == "# renormlab v2"
         assert "# renormlab=0.1.0" in lines
-        assert lines[-1] == "beta,3.0,<=,2.0,fail,of interest"
+        assert lines[-1] == "beta,3.0,<=,2.0,fail,-1.0,0.0,of interest"
 
     def test_flip_refuses_an_unknown_term(self):
         terms = {name: 0.25 for name in RENORMALIZED_TERMS}
@@ -645,6 +695,21 @@ class TestReports:
         assert flipped[0].value == abs(ledger.flipped("g_div_b").residual) == 1.5
         with pytest.raises(WeakFormError, match="cannot flip unknown term 'g_div_bb'"):
             report.flipped("g_div_bb")
+
+    def test_flip_keeps_seconds_and_regates_headroom(self):
+        terms = {name: 0.25 for name in RENORMALIZED_TERMS}
+        ledger = WeakFormLedger.from_terms(terms, 3.0)
+        ledgers = {"divfree": (ledger, ledger), "smooth": (ledger, ledger)}
+        rows = [lab._result("alpha", 0.5, 1.0, "<=")] + lab._renorm_rows(ledgers)
+        report = RunReport(
+            checks=[replace(row, seconds=7.0 + i) for i, row in enumerate(rows)], environment={}
+        )
+        flipped = report.flipped("g_div_b").checks
+        assert [c.seconds for c in flipped] == [7.0 + i for i in range(len(rows))]
+        negated = {key: (ledger.flipped("g_div_b"),) * 2 for key in ledgers}
+        regated = [row.headroom for row in lab._renorm_rows(negated)]
+        assert [c.headroom for c in flipped] == [0.5] + regated
+        assert flipped[1].headroom == 2e-2 - 1.5 != report.checks[1].headroom
 
     def test_flip_needs_ledgers(self):
         report = RunReport(checks=[CheckResult("alpha", 0.5, 1.0, "<=", True)], environment={})
