@@ -514,8 +514,9 @@ def variational_jacobian(
     """Integrate the matrix recursion for dPhi along every stored trajectory.
 
     The growth matrices db dt + dsigma^k dW^k of a block of steps are formed
-    at once, and J[l + 1] = J[l] + growth J[l] runs step by step.  Finiteness
-    is checked once per block; the error names the first step that lost it.
+    at once, and J[l + 1] = J[l] + growth J[l] runs step by step, the
+    product by _product_stack (in 1-d one multiply).  Finiteness is checked
+    once per block; the error names the first step that lost it.
     """
     grid = _validate_coefficients(b, sigmas, ensemble.path)
     _require_every_step(ensemble)
@@ -533,7 +534,7 @@ def variational_jacobian(
             growth = _euler_sum(jacobians, path.dt, _block_increments(path, steps, grid.dim))
             growth = np.moveaxis(growth, 2, 0)
             for n, l in enumerate(steps):
-                np.add(J[l], np.einsum("ik...,kj...->ij...", growth[n], J[l]), out=J[l + 1])
+                np.add(J[l], _product_stack(growth[n], J[l]), out=J[l + 1])
         block = J[steps.start + 1 : steps.stop + 1].reshape(len(steps), -1)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
@@ -589,11 +590,12 @@ def logdet_gaps(
 
     The stored route's numbers, bit for bit: the march's spline call also
     carries the Jacobians of [b, sigma^k] and the log-determinant fields, and
-    its update advances J and log det and keeps each member's running sup
-    gap, so a chunk holds members_per_chunk's block of points alone.  The
-    errors are the stored route's too: a lost trajectory, then, member by
-    member, a variational recursion that lost finiteness (its first step) or
-    a determinant that lost positivity.
+    its update advances J (by _product_stack, as variational_jacobian does)
+    and log det and keeps each member's running sup gap, so a chunk holds
+    members_per_chunk's block of points alone.  The errors are the stored
+    route's too: a lost trajectory, then, member by member, a variational
+    recursion that lost finiteness (its first step) or a determinant that
+    lost positivity.
     """
     paths = list(paths)
     grid, path, row_sets, group_of_step = _flow_setup(b, sigmas, config, paths)
@@ -618,7 +620,7 @@ def logdet_gaps(
 
         def update(l, values, dW):
             growth = _euler_sum(values[a:z].reshape((-1, dim, dim, members) + shape), path.dt, dW)
-            np.add(J, np.einsum("ik...,kj...->ij...", growth, J), out=J)
+            np.add(J, _product_stack(growth, J), out=J)
             np.add(logdet, _logdet_increment(values[z:], path.dt, dW), out=logdet)
             det = _det_stack(J)
             gap = np.abs(logdet - np.log(det)).reshape(members, -1).max(axis=1)
@@ -869,6 +871,20 @@ def _det_stack(mat: np.ndarray) -> np.ndarray:
     if dim == 2:
         return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     raise FlowError(f"unsupported dimension {dim}")
+
+
+def _product_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a @ b pointwise for (dim, dim, ...) stacks, dim in {1, 2}.
+
+    In 1-d one multiply: einsum's sum of its one term from +0.0 differs
+    from the bare product only where that is -0.0, and then only after it is
+    added to a -0.0, which no variational J holds (J starts at 1, and a sum
+    is -0.0 only when both addends are).  In 2-d the einsum, which beat an
+    explicit 2 x 2 product on 64^2.
+    """
+    if a.shape[0] == 1:
+        return a * b
+    return np.einsum("ik...,kj...->ij...", a, b)
 
 
 def _solve_stack(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -16,18 +16,21 @@ to that exact constant, where a spline would return it only to a few ulp;
 one constant in every row gets no spline and costs no stencil.
 
 Two evaluators read the coefficients of the one prefilter and give the same
-bits.  scipy's map_coordinates, one call per component of one row, is the
-faster on small calls (the 64 nodes of one 1-d flow).  The numpy stencil
-(_Stencil) wins from about 1,000 to 3,000 spline values per call, by
+bits.  scipy's compiled spline routine, the one map_coordinates itself ends
+in, called directly once per component of one row, is the faster on small
+calls (the 64 nodes of one 1-d flow): there the public wrapper's checks and
+output set-up cost more than its arithmetic, and _evaluate's contract
+already holds what they check.  The numpy stencil (_Stencil) wins from
+about 1,000 to 3,000 spline values per call, by
 component count (a chunk of Monte Carlo members, a block of steps, a 64^2
 grid).  It works in two halves: a plan, a point set's cells and B-spline
 weights, computed once for all components, and a read, which gathers each
 component's coefficients at the 4^dim taps into one tap-major buffer and
 sums them with one einsum, in map_coordinates' products and order.  A call
-that reads one row picks by size, in the core (_evaluate) that flow._march,
-which checks its own points, calls directly; a call that reads several rows
-runs the stencil.  _Rounds reads one spline round after round at points
-that move little, as a Newton solver does: it keeps what it gathered,
+that reads one row picks by size (_by_stencil), in the core (_evaluate) that
+flow._march, which checks its own points, calls directly; a call that reads
+several rows runs the stencil.  _Rounds reads one spline round after round
+at points that move little, as a Newton solver does: it keeps what it gathered,
 gathers again only where a point's cell moved, and hands out its last plan,
 at which a spline of another field on the same grid reads the same points.
 """
@@ -38,22 +41,27 @@ import math
 
 import numpy as np
 from scipy import ndimage
+from scipy.ndimage import _nd_image, _ni_support
 
 from .field import FieldError, Grid
 
 __all__ = ["PeriodicInterpolant"]
 
 _ORDER = 3
+# map_coordinates' code for mode="grid-wrap", passed to its compiled routine
+_GRID_WRAP = _ni_support._extend_mode_to_code("grid-wrap")
 
 # Spline values per call (points times non-constant components) from which
 # a call that reads one row evaluates with the stencil rather than with
-# map_coordinates.  With the einsum sum the measured crossover lies between
-# about 1,000 values (1-d, 7 components) and 3,000 (1-d, one component); 2-d
-# with one or two components crosses near 1,500-2,000.  The calls nearest
-# it split both ways (1-d on 64 nodes: 7 components at 384 points, 89 us by
-# map_coordinates against 53 us; one at 2,048 points, 57 against 71 us), and
-# 2,560 in place of 3,072 won no workload clearly (the einsum stencil entry
-# of CHANGES.md).
+# map_coordinates' compiled routine.  Called directly, the routine costs
+# about 2 us less per component than map_coordinates, which moves the
+# crossover little: in 1-d on 64 nodes, 7 components at 384 points read
+# 78 us against the stencil's 52, one component at 2,048 points 56 against
+# 69 and at 3,072 points 80 against 87; in 2-d one component at 3,072
+# points 236 against 214.  The crossover still falls with the component
+# count (about 1,000 values for 7 components, 3,000 for one), and 2,560 in
+# place of 3,072 won no workload clearly (the einsum stencil entry of
+# CHANGES.md).
 _STENCIL_VALUES = 3072
 
 
@@ -68,8 +76,8 @@ class PeriodicInterpolant:
     row ``rows[n]`` at ``points[:, n]``, points of shape (dim, len(rows)) +
     tail, and returns head[1:] + (len(rows),) + tail.  A call that reads one
     row and asks for fewer than _STENCIL_VALUES spline values (points times
-    components that are not constant in the row) runs map_coordinates, any
-    other call the stencil; the numbers do not depend on the evaluator.  A
+    components that are not constant in the row) runs map_coordinates'
+    compiled routine, any other call the stencil; the numbers do not depend on the evaluator.  A
     call refuses points of the wrong shape, a row call on a head without
     rows or a row index outside them, and, where a spline reads them, points
     that are not finite with a FieldError; _evaluate is the one-row call
@@ -148,22 +156,31 @@ class PeriodicInterpolant:
             return out.swapaxes(0, 1).reshape(self.head_shape + tail_shape)
         return out.reshape(self.head_shape[1:] + (len(read),) + tail_shape)
 
+    def _by_stencil(self, row: int, count: int) -> bool:
+        """The size rule of a one-row call: whether ``count`` points of ``row``
+        ask for _STENCIL_VALUES spline values or more."""
+        return count * len(self._rows[row][1]) >= _STENCIL_VALUES
+
     def _evaluate(self, index_coords, out: np.ndarray, row: int, plan=None) -> None:
         """A one-row call without its refusals: the components of ``row`` at
-        finite index points (dim, count), written into out (components, count).
-        plan, the stencil plan of these points if the caller holds one (from a
-        spline on the same grid), spares the stencil its own."""
+        finite float64 index points (dim, count), written into out, a float64
+        array (components, count).  plan, the stencil plan of these points if
+        the caller holds one (from a spline on the same grid), spares the
+        stencil its own.  A small call runs map_coordinates' compiled routine
+        on each component, with map_coordinates' own arguments for order 3,
+        grid-wrap, cval 0 and no prefilter: the wrapper's checks of rank,
+        shape and dtype hold by this contract."""
         constants, splines = self._rows[row]
-        if out.shape[1] * len(splines) >= _STENCIL_VALUES:
+        if self._by_stencil(row, out.shape[1]):
             base, weights = self._stencil.plan(index_coords) if plan is None else plan
             # the one row's points on one axis
             plan = base.reshape(1, -1), weights.reshape(weights.shape[:2] + (1, -1))
             self._sum(self._row_indices[row : row + 1], plan, out[:, None])
         else:
             for i, coeff in splines:
-                ndimage.map_coordinates(
-                    coeff, index_coords, output=out[i], order=_ORDER, mode="grid-wrap",
-                    prefilter=False,
+                _nd_image.geometric_transform(
+                    coeff, None, index_coords, None, None, out[i], _ORDER, _GRID_WRAP, 0.0, 0,
+                    None, None,
                 )
         for i, value in constants:
             out[i] = value
@@ -201,7 +218,7 @@ class _Rounds:
     coefficients it gathered at each point's taps, and the next round
     gathers again only at the points whose stencil cell moved; keep(kept)
     drops the rows that leave.  plan is the last round's stencil plan, None
-    after a round that map_coordinates read.  Newton rounds of flow
+    after a round that map_coordinates' routine read.  Newton rounds of flow
     inversion move about 5 of 4,096 points to another cell from the first
     round to the second, and none after.
     """
@@ -215,7 +232,7 @@ class _Rounds:
         dim, count = index_coords.shape[0], index_coords[0].size
         out = np.empty((spline._value.shape[1],) + index_coords.shape[1:])
         self.plan = None
-        if len(rows) == 1 and count * len(spline._rows[rows[0]][1]) < _STENCIL_VALUES:
+        if len(rows) == 1 and not spline._by_stencil(rows[0], count):
             spline._evaluate(index_coords.reshape(dim, -1), out.reshape(len(out), -1), rows[0])
             return out
         if not spline._constant[rows].all():

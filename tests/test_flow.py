@@ -18,6 +18,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -856,6 +857,98 @@ class TestChunking:
             flow.simulate_flows(b, sigmas, config, paths, reduce=refusing)
 
 
+def einsum_product(a, b):
+    """The Jacobian step's product as one einsum, the form _product_stack keeps in 2-d."""
+    return np.einsum("ik...,kj...->ij...", a, b)
+
+
+def constant_slices_case():
+    # drift and noise each switch between a varying and a spatially constant
+    # row: in the steps where both rows are constant every Jacobian is zero
+    g = grid1()
+    steps = 200
+    x = g.axis_coordinates()
+    times = np.arange(steps + 1) * (T / steps)
+
+    def switching(varying, constant, period):
+        rows = np.stack([varying[None, :], np.full((1, g.N), constant)])
+        return TimeGridVector(g, times, rows, (np.arange(steps + 1) // period) % 2)
+
+    b = switching(0.6 * np.sin(x), 0.2, 10)
+    sigma = switching(0.4 + 0.3 * np.cos(x), 0.4, 15)
+    return b, [sigma], sample_brownian(T, T / steps, 1, 2027)
+
+
+class TestProductStack:
+    """The 1-d Jacobian step multiplies where the 2-d one keeps the einsum:
+    against the einsum, bit for bit, with growth entries of -0.0."""
+
+    @staticmethod
+    def negative_zero_jacobians(monkeypatch):
+        # every exact zero of a coefficient's Jacobian reads -0.0, so a step
+        # whose rows are all constant grows J by -0.0 (dt > 0, dW > 0)
+        jacobian_stack = flow.jacobian_stack
+
+        def signed(grid, values):
+            jac = jacobian_stack(grid, values)
+            jac[jac == 0.0] = -0.0
+            return jac
+
+        monkeypatch.setattr(flow, "jacobian_stack", signed)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_equal_to_the_einsum(self, monkeypatch, members):
+        self.negative_zero_jacobians(monkeypatch)
+        b, sigmas, path = constant_slices_case()
+        paths = member_paths(path, members)
+        config = SdeConfig(dt=path.dt)
+        product, negative_zeros = flow._product_stack, []
+
+        def spied(a, b_):
+            negative_zeros.append(int(np.count_nonzero((a == 0.0) & np.signbit(a))))
+            return product(a, b_)
+
+        monkeypatch.setattr(flow, "_product_stack", spied)
+        ensembles = flow.simulate_flows(b, sigmas, config, paths)
+        jac = [variational_jacobian(ens, b, sigmas).jac_variational.copy() for ens in ensembles]
+        gaps = flow.logdet_gaps(b, sigmas, config, paths)
+        assert sum(n > 0 for n in negative_zeros) > 20
+        monkeypatch.setattr(flow, "_product_stack", einsum_product)
+        for ens, want in zip(ensembles, jac, strict=True):
+            assert same_bits(variational_jacobian(ens, b, sigmas).jac_variational, want)
+        assert [g.hex() for g in flow.logdet_gaps(b, sigmas, config, paths)] == [
+            g.hex() for g in gaps
+        ]
+
+    def test_a_blow_up_names_the_same_step(self, monkeypatch):
+        # the variational blow-up of TestLogdetGaps: J overflows at its own
+        # step for each member, and either product names that step
+        g = grid1(16)
+        steps, dt = 60, 0.01
+        b = still(GridVector.constant(g, [0.0]), horizon=steps * dt)
+        sigma = still(GridVector(g, np.sin(g.axis_coordinates())[None, :]), horizon=steps * dt)
+        paths = [
+            BrownianPath(steps * dt, dt, 1, np.full((steps, 1), 1e8 * (1.0 + 0.37 * m)), m)
+            for m in range(3)
+        ]
+        ens = simulate_flow(b, [sigma], SdeConfig(dt=dt), paths[1])
+
+        def messages():
+            found = []
+            for run in (
+                lambda: variational_jacobian(ens, b, [sigma]),
+                lambda: flow.logdet_gaps(b, [sigma], SdeConfig(dt=dt), paths),
+            ):
+                with pytest.raises(FlowError, match="lost finiteness at step") as error:
+                    run()
+                found.append(str(error.value))
+            return found
+
+        multiplied = messages()
+        monkeypatch.setattr(flow, "_product_stack", einsum_product)
+        assert messages() == multiplied
+
+
 def spline_call_march(grid, spline, group_of_step, path, chunk, targets, update=None):
     """flow._march as one row call of the step's slice group per step, each
     call checking and allocating anew: the lean march must give its bits."""
@@ -900,18 +993,19 @@ class TestLeanMarch:
 
     @staticmethod
     def evaluators(monkeypatch):
+        # map_coordinates: its compiled routine, which interp calls directly
         ran = set()
-        map_coordinates, add = interp.ndimage.map_coordinates, interp._Stencil.add
+        transform, add = interp._nd_image.geometric_transform, interp._Stencil.add
 
-        def counted_map(*args, **kwargs):
+        def counted_map(*args):
             ran.add("map_coordinates")
-            return map_coordinates(*args, **kwargs)
+            return transform(*args)
 
         def counted_add(*args, **kwargs):
             ran.add("stencil")
             return add(*args, **kwargs)
 
-        monkeypatch.setattr(interp.ndimage, "map_coordinates", counted_map)
+        monkeypatch.setattr(interp, "_nd_image", SimpleNamespace(geometric_transform=counted_map))
         monkeypatch.setattr(interp._Stencil, "add", counted_add)
         return ran
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,14 +224,16 @@ class TestEvaluatorBySize:
 
     @staticmethod
     def count_map_coordinates(monkeypatch):
+        """Count the small-call evaluator's calls: map_coordinates' compiled
+        routine, as interp calls it, one call per component."""
         calls = []
-        original = interp.ndimage.map_coordinates
+        original = interp._nd_image.geometric_transform
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return original(*args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(interp.ndimage, "map_coordinates", counted)
+        monkeypatch.setattr(interp, "_nd_image", SimpleNamespace(geometric_transform=counted))
         return calls
 
     @pytest.mark.parametrize("dim,n,comps", [(1, 64, 2), (1, 48, 1), (2, 16, 3), (2, 24, 2)])
@@ -326,3 +329,40 @@ def test_stencil_sums_map_coordinates_bits(dim, n, comps, rows, shared, seed, da
                 coeff[r, k], at, order=3, mode="grid-wrap", prefilter=False
             )
             assert same_bits(out[k, m], want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]), n=st.sampled_from([8, 16, 64]), comps=st.integers(1, 7),
+    rows=st.integers(1, 2), seed=st.integers(0, 2**31), data=st.data(),
+)
+def test_small_calls_equal_public_map_coordinates(dim, n, comps, rows, seed, data):
+    # _evaluate's small-call path runs map_coordinates' compiled routine;
+    # against the public map_coordinates on the same coefficients, bit for
+    # bit and sign of zero, with constant components written as their value
+    g = build_grid(dim, L, n)
+    rng = stream(seed, 29)
+    values = rng.normal(size=(rows, comps) + g.shape)
+    constant = data.draw(st.lists(st.booleans(), min_size=comps, max_size=comps))
+    values[:, constant] = rng.normal(size=(rows, sum(constant)) + (1,) * dim)
+    row = data.draw(st.integers(0, rows - 1))
+    itp = PeriodicInterpolant(g, values if rows > 1 else values[0])
+    splines = itp._rows[row][1]
+    if splines:  # -0.0 coefficients: a point in [1, 2) on the last axis sums -0.0 products
+        itp._stencil.unpadded[..., :4] = -0.0
+    count = 64
+    x = rng.uniform(-3 * n, 4 * n, (dim, count))
+    x[:, :16] = np.round(x[:, :16])  # nodes, inside the box and out
+    x[-1, 16:24] = rng.uniform(1.0, 2.0, 8)
+    x[-1, 24:32] = [1.0, -0.0, -1e-300, n * (1 - 2**-52), n, 1e12, -1e12, 3e15 + 0.5]
+    x[:, 32:40] = rng.uniform(-1e9, 1e9, (dim, 8))  # far outside the box
+    assert not itp._by_stencil(row, count)
+    out = np.full((comps, count), np.nan)
+    itp._evaluate(x, out, row)
+    for i, coeff in splines:
+        want = ndimage.map_coordinates(coeff, x, order=3, mode="grid-wrap", prefilter=False)
+        assert same_bits(out[i], want)
+        assert np.all(out[i, 16:24] == 0.0)
+    for i, value in itp._rows[row][0]:
+        assert same_bits(out[i], np.full(count, value))
+    assert len(splines) + len(itp._rows[row][0]) == comps

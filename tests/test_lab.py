@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -1107,6 +1108,55 @@ class TestCli:
             (f"{tag}.json", name) for tag in sorted(ARTIFACTS) for name in ARTIFACTS[tag]
         ]
         assert len(lines) == 10 and all(len(bytes.fromhex(digest)) == 32 for *_, digest in lines)
+
+    @staticmethod
+    def _seed_sweep():
+        spec = importlib.util.spec_from_file_location(
+            "seed_sweep", ROOT / "scripts" / "seed_sweep.py"
+        )
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        return sweep
+
+    def test_seed_sweep_tabulates_each_row(self, tmp_path):
+        sweep = self._seed_sweep()
+        header = (
+            "# renormlab v2\n# numpy=2.4.6\n"
+            "name,value,relation,threshold,passed,headroom,seconds,detail\n"
+        )
+        reports = []
+        for n, rows in enumerate([
+            "alpha,0.5,<=,1.0,pass,0.5,0.1,one\nbeta,3.0,>=,2.0,pass,1.0,0.2,\n",
+            "alpha,1.25,<=,1.0,fail,-0.25,0.1,one\nbeta,2.5,>=,2.0,pass,0.5,0.3,\n",
+        ]):
+            path = tmp_path / f"report_{n}.csv"
+            path.write_text(header + rows)
+            reports.append(sweep.read_report(path))
+        assert [row["name"] for row in reports[0]] == ["alpha", "beta"]
+        assert sweep.sweep_table(reports) == [
+            ["alpha", "<=", 1.0, 1, 2, 0.5, 0.875, 1.25, -0.25],
+            ["beta", ">=", 2.0, 2, 2, 2.5, 2.75, 3.0, 0.5],
+        ]
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_seed_sweep_reads_no_stale_report(self, tmp_path, monkeypatch, code):
+        # a report an earlier sweep left is gone before the run, and a run
+        # without a verdict (exit 2) counts as no report even if one is there
+        sweep = self._seed_sweep()
+        report = tmp_path / "acceptance_report.csv"
+        report.write_text("stale")
+
+        def run(args, **kwargs):
+            assert not report.exists()
+            report.write_text("fresh")
+            return subprocess.CompletedProcess(args, code)
+
+        monkeypatch.setattr(sweep.subprocess, "run", run)
+        assert sweep.run_seed(2256, tmp_path) == (report if code in (0, 1) else None)
+        monkeypatch.setattr(
+            sweep.subprocess, "run", lambda args, **kw: subprocess.CompletedProcess(args, 0)
+        )
+        assert sweep.run_seed(2256, tmp_path) is None
 
     def test_accept_exit_codes(self, tmp_path, capsys, monkeypatch):
         # The real suite runs for a minute; the exit-code mapping is what the

@@ -38,7 +38,10 @@
   ``WeakFormLedger.flipped`` build a ``WeakFormLedger`` (by its constructor
   or ``from_terms``): the package has one ledger function.
 - Only ``interp`` imports ``scipy.ndimage``, and it exports one name,
-  ``PeriodicInterpolant``: the package has one spline class.
+  ``PeriodicInterpolant``: the package has one spline class.  Only
+  ``interp`` names scipy's private ``_nd_image``, and it calls it at one
+  site, in ``PeriodicInterpolant._evaluate``; no module in ``src/`` calls
+  ``map_coordinates``: every small spline call is that one call.
 - In ``src/`` and ``scripts/`` only ``interp._Stencil.plan`` takes a point's
   cell (``floor``, and ``trunc`` for the periodic wrap), whence the B-spline
   weights, and only ``_Stencil`` reads the padded spline coefficients
@@ -585,6 +588,76 @@ def test_one_spline_class():
         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]
     ]
     assert exports == [["PeriodicInterpolant"]]
+
+
+def _private_ndimage(tree: ast.Module):
+    """(uses, calls): the functions that name ``_nd_image`` (in an import,
+    bare or as an attribute), each once, sorted; and ``function: routine``
+    for each call of a routine of it, one entry per call site, sorted."""
+    uses, calls = set(), []
+    for function, node in _with_function(tree):
+        if isinstance(node, ast.Import) and any(
+            alias.name.rpartition(".")[2] == "_nd_image" for alias in node.names
+        ) or isinstance(node, ast.ImportFrom) and (
+            (node.module or "").rpartition(".")[2] == "_nd_image"
+            or any(alias.name == "_nd_image" for alias in node.names)
+        ) or isinstance(node, ast.Name) and node.id == "_nd_image" or (
+            isinstance(node, ast.Attribute) and node.attr == "_nd_image"
+        ):
+            uses.add(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if getattr(owner, "id", None) == "_nd_image" or getattr(owner, "attr", None) == (
+                "_nd_image"
+            ):
+                calls.append(f"{function}: {node.func.attr}")
+    return sorted(uses), sorted(calls)
+
+
+def _map_coordinates_calls(tree: ast.Module) -> list[str]:
+    """The function of each call of ``map_coordinates``, bare or as an
+    attribute, one entry per call site, sorted."""
+    return sorted(
+        function for function, node in _with_function(tree)
+        if isinstance(node, ast.Call) and "map_coordinates" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    )
+
+
+def test_one_small_call_site():
+    found = {
+        str(path.relative_to(ROOT)): _private_ndimage(_parse(path))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert {path: uses for path, uses in found.items() if uses != ([], [])} == {
+        "src/renormlab/interp.py": (["<module>", "_evaluate"], ["_evaluate: geometric_transform"]),
+    }
+    calls = {
+        str(path.relative_to(ROOT)): _map_coordinates_calls(_parse(path))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert {path: sites for path, sites in calls.items() if sites} == {}
+
+
+def test_small_call_scan_sees_each_form():
+    tree = ast.parse(
+        "from scipy.ndimage import _nd_image, _ni_support\n"
+        "import scipy.ndimage._nd_image as raw\nfrom scipy.ndimage._nd_image import zoom_shift\n"
+        "from scipy import ndimage\nfrom scipy.ndimage import map_coordinates\n"
+        "def a(c, x, o):\n"
+        "    _nd_image.geometric_transform(c, None, x)\n"
+        "    _nd_image.geometric_transform(c, None, o)\n"
+        "    return scipy.ndimage._nd_image.zoom_shift(c), _ni_support._get_output(o, c)\n"
+        "def b(c, x):\n    return ndimage.map_coordinates(c, x), map_coordinates(c, x)\n"
+        "def d(c, x):\n"
+        "    return 'ndimage._nd_image.geometric_transform', ndimage.map_coordinates, raw.zoom(c)\n"
+    )
+    assert _private_ndimage(tree) == (
+        ["<module>", "a"],
+        ["a: geometric_transform", "a: geometric_transform", "a: zoom_shift"],
+    )
+    assert _map_coordinates_calls(tree) == ["b", "b"]
 
 
 def test_ndimage_scan_sees_each_form():
