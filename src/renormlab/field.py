@@ -293,33 +293,36 @@ def _derivative_multiplier(dim: int, L: float, N: int, multi_index: tuple[int, .
     return mult
 
 
-def _spectral(grid: Grid, values: np.ndarray, multipliers=None) -> np.ndarray:
+def _spectral(grid: Grid, values: np.ndarray, multipliers=None, out=None) -> np.ndarray:
     """Each Fourier multiplier applied to each field of a (...) + grid shape stack.
 
     Returns the real parts, (..., len(multipliers)) + grid shape, from one
     forward transform per field and one _synthesize per multiplier; with no
-    multipliers, the complex spectra themselves (the forward half).  With
+    multipliers, the complex spectra themselves (the forward half), written
+    into out when a complex array of values' shape is given.  With
     _synthesize, the inverse half, this is the package's one FFT path.  It
     transforms axis by axis, last axis first, exactly as np.fft.fftn does, so
     the bits are fftn's without fftn's per-call cost.
     """
     spectrum = values
     for axis in range(-1, -grid.dim - 1, -1):
-        spectrum = np.fft.fft(spectrum, axis=axis)
+        spectrum = np.fft.fft(spectrum, axis=axis, out=out)
     if multipliers is None:
         return spectrum
     cells = (slice(None),) * grid.dim
-    out = np.empty(values.shape[: values.ndim - grid.dim] + (len(multipliers),) + grid.shape)
+    fields = np.empty(values.shape[: values.ndim - grid.dim] + (len(multipliers),) + grid.shape)
     for m, mult in enumerate(multipliers):
-        out[(..., m) + cells] = _synthesize(grid, mult * spectrum)
-    return out
+        fields[(..., m) + cells] = _synthesize(grid, mult * spectrum)
+    return fields
 
 
-def _synthesize(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+def _synthesize(grid: Grid, spectra: np.ndarray, out=None) -> np.ndarray:
     """The inverse half of _spectral: the real fields of a (...) + grid shape stack
-    of spectra, transformed back axis by axis as np.fft.ifftn does."""
+    of spectra, transformed back axis by axis as np.fft.ifftn does.  Given a
+    complex array of spectra's shape as out, the transforms write into it and
+    the result is a view of its real part."""
     for axis in range(-1, -grid.dim - 1, -1):
-        spectra = np.fft.ifft(spectra, axis=axis)
+        spectra = np.fft.ifft(spectra, axis=axis, out=out)
     return spectra.real
 
 
@@ -533,6 +536,11 @@ def _is_number(value) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool: a seed, a count, a factor or a step."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # each kind of header key: its test and what a failing value is told it must be

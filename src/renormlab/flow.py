@@ -85,6 +85,7 @@ from .field import (
     _GRID_HEADER,
     _blocks,
     _check_header,
+    _is_integer,
     _read_header,
     divergence_and_twist,
     jacobian_stack,
@@ -158,11 +159,6 @@ class BrownianPath:
     @property
     def steps(self) -> int:
         return self.increments.shape[0]
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, not a bool: a seed, a count, a factor or a step."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _step_count(T: float, dt: float, k_count: int, seed: int) -> int:

@@ -20,10 +20,11 @@ constant in space and time, which keeps the closed-form checks at round-off
 instead of at O(dt).  Because g_l = b_l + (b_l . grad) v_l reads only the
 left endpoint, one forward march computes v: it *is* the fixed point of the
 discrete mild map, with no iteration.  mild_solve marches the spectrum of v,
-one inverse and one forward transform a step; mild_defect re-applies the step
-in physical space, an independent check that reads round-off.  u keeps the
-march array as its rows, read backward through its index; spatial norms are
-taken a block of rows at a time.
+one inverse and one forward transform a step, each written into a buffer
+allocated once per solve; mild_defect re-applies the step in physical space,
+an independent check that reads round-off.  u keeps the march array as its
+rows, read backward through its index; spatial norms are taken a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .field import (
     GridVector,
     TimeGridVector,
     _blocks,
+    _is_integer,
     _partials,
     _spectral,
     _synthesize,
@@ -69,6 +71,11 @@ __all__ = [
 
 class ParabolicError(ValueError):
     pass
+
+
+def _is_real(value) -> bool:
+    """An int, a float or a numpy real, not a bool: a damping lambda."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @functools.lru_cache(maxsize=256)
@@ -108,11 +115,23 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
     """March the mild form forward once on the spectrum of v; return backward-time slices.
 
     The drift must be sampled on the quadrature grid itself (quad_steps
-    uniform sub-intervals of [0, T]).  Each step synthesizes grad v and
-    transforms the source; slices are synthesized a block of steps at a time.
-    Overflow is ignored in the march, as in the flow's Euler loop; one check
-    afterwards names the first step that lost finiteness.
+    uniform sub-intervals of [0, T]); quad_steps is an integer and lam a
+    positive finite number.  Each step synthesizes grad v and transforms the
+    source g_l into buffers allocated once per solve, reads the drift row in
+    force through b's index, and updates the spectrum in place.  (b . grad) v
+    is the einsum in 2-d and one multiply in 1-d, as in flow._product_stack:
+    einsum's sum from +0.0 differs from it only in the sign of a zero of g_l,
+    which reaches no bit of v: every zero part of the spectrum is +0.0, and
+    adding a zero of either sign to +0.0 or to a nonzero part changes
+    nothing.  Slices are synthesized a block of steps at a time.  Overflow is
+    ignored in the march, as in the flow's Euler loop; one check afterwards
+    names the first step that lost finiteness.
     """
+    if not _is_integer(quad_steps):
+        raise ParabolicError(f"quad_steps must be an integer, got {quad_steps!r}")
+    if not _is_real(lam):
+        raise ParabolicError(f"damping lambda must be a number, got {lam!r}")
+    lam = float(lam)  # a float32 lambda would round the weight to float32
     if not 0 < lam < math.inf:
         raise ParabolicError(f"damping lambda must be positive and finite, got {lam}")
     if len(b.times) != quad_steps + 1:
@@ -120,28 +139,46 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
             f"drift has {len(b.times) - 1} steps, quadrature wants {quad_steps}"
         )
     grid, steps, dt = b.grid, quad_steps, _check_uniform_times(b.times)
-    grads = np.stack(_partials(grid, [(j,) for j in range(grid.dim)]))
-    heat = _heat_multiplier(grid.dim, grid.L, grid.N, dt)
+    dim, cells = grid.dim, grid.shape
+    grads = np.stack(_partials(grid, [(j,) for j in range(dim)]))
+    heat = _heat_multiplier(dim, grid.L, grid.N, dt)
     decay = math.exp(-lam * dt)
     weight = (1.0 - decay) / lam
-    v = np.empty((steps + 1, grid.dim) + grid.shape)
-    spectrum = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+    v = np.empty((steps + 1, dim) + cells)
+    blocks = _blocks(grid, steps + 1)
+    spectra = np.empty((len(blocks[0]), dim) + cells, dtype=complex)
+    spectrum = np.zeros((dim,) + cells, dtype=complex)
+    spectrum_i = spectrum[:, None]  # a view: v_i's spectrum against each d_j
+    jac_spectra = np.empty((dim, dim) + cells, dtype=complex)
+    jac = np.empty_like(jac_spectra)
+    grad_v = jac.real  # grad_v[i, j] = d_j v_i, synthesized into jac each step
+    source = np.empty((dim,) + cells)
+    source_spectrum = np.empty_like(spectrum)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _blocks(grid, steps + 1):
-            spectra = np.empty((len(rows),) + spectrum.shape, dtype=complex)
+        for rows in blocks:
             for row, l in enumerate(rows):
                 spectra[row] = spectrum
                 if l < steps:  # forward twin: drift reversed in time
                     b_l = b.values[b.index[steps - l]]
-                    jac = _synthesize(grid, spectrum[:, None] * grads)  # jac[i, j] = d_j v_i
-                    g_l = b_l + np.einsum("j...,ij...->i...", b_l, jac)
-                    spectrum = heat * (decay * spectrum + weight * _spectral(grid, g_l))
-            v[rows.start : rows.stop] = _synthesize(grid, spectra)
+                    np.multiply(spectrum_i, grads, out=jac_spectra)
+                    _synthesize(grid, jac_spectra, out=jac)
+                    if dim == 1:
+                        np.multiply(b_l, grad_v[0], out=source)
+                    else:
+                        np.einsum("j...,ij...->i...", b_l, grad_v, out=source)
+                    source += b_l  # g_l
+                    g_hat = _spectral(grid, source, out=source_spectrum)
+                    np.multiply(decay, spectrum, out=spectrum)
+                    np.multiply(weight, g_hat, out=g_hat)
+                    np.add(spectrum, g_hat, out=spectrum)
+                    np.multiply(heat, spectrum, out=spectrum)
+            block = spectra[: len(rows)]
+            v[rows.start : rows.stop] = _synthesize(grid, block, out=block)
     lost = np.flatnonzero(~np.isfinite(v.reshape(steps + 1, -1)).all(axis=1))
     if len(lost):
         raise ParabolicError(f"mild march at lambda = {lam} overflows at step {lost[0]} of {steps}")
     u = TimeGridVector(grid, b.times.copy(), v, steps - np.arange(steps + 1))  # u(t_j) = v(T - t_j)
-    return ParabolicSolution(lam=float(lam), u=u)
+    return ParabolicSolution(lam=lam, u=u)
 
 
 def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
@@ -192,20 +229,24 @@ def backward_defect(
 # Norms and lambda-asymptotics
 # ---------------------------------------------------------------------------
 
+def _check_order(alpha) -> None:
+    if not (_is_integer(alpha) and alpha in (0, 1, 2)):
+        raise ParabolicError(f"alpha must be 0, 1 or 2, got {alpha!r}")
+
+
 def _magnitudes(grid: Grid, values: np.ndarray, alpha: int) -> np.ndarray:
-    """Pointwise |grad^alpha v| of a stack of vector fields, (rows, dim) + grid shape."""
+    """Pointwise |grad^alpha v| of a stack of vector fields, (rows, dim) + grid shape;
+    alpha is 0, 1 or 2 (_check_order)."""
     if alpha == 0:
         return np.sqrt(np.einsum("ri...,ri...->r...", values, values))
     if alpha == 1:
         jac = jacobian_stack(grid, values)
         return np.sqrt(np.einsum("rij...,rij...->r...", jac, jac))
-    if alpha == 2:
-        hess = hessian_stack(grid, values)  # [r, i, j, k] = d_j d_k v_i
-        acc = np.zeros((len(values),) + grid.shape)
-        for i, j, k in itertools.product(range(grid.dim), repeat=3):
-            acc += hess[:, i, j, k] ** 2
-        return np.sqrt(acc)
-    raise ParabolicError(f"alpha must be 0, 1 or 2, got {alpha}")
+    hess = hessian_stack(grid, values)  # [r, i, j, k] = d_j d_k v_i
+    acc = np.zeros((len(values),) + grid.shape)
+    for i, j, k in itertools.product(range(grid.dim), repeat=3):
+        acc += hess[:, i, j, k] ** 2
+    return np.sqrt(acc)
 
 
 def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
@@ -214,6 +255,7 @@ def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
     The magnitudes and their L^r norms are taken a block of rows at a time;
     the time sum runs one slice at a time.
     """
+    _check_order(alpha)
     dt = _check_uniform_times(u.times)
     grid = u.grid
     per_step = u.per_sample(lambda v: lp_norm_stack(grid, _magnitudes(grid, v, alpha), r))[:-1]
@@ -254,15 +296,17 @@ def decay_study(
     (strictly for alpha = 2).  The quadrature steps are the drift's own,
     the only ones mild_solve accepts.
     """
-    lams = [float(l) for l in lambda_list]
+    _check_order(alpha)
+    lams = list(lambda_list)
+    if not all(map(_is_real, lams)):
+        raise ParabolicError(f"lambdas must be numbers, got {lams!r}")
+    lams = [float(l) for l in lams]
     if len(lams) < 3:
         raise ParabolicError(f"need at least 3 lambdas, got {len(lams)}")
     if not (0 < lams[0] and lams[-1] < math.inf and np.all(np.diff(lams) > 0)):
         raise ParabolicError(f"lambdas must be positive, finite and strictly increasing: {lams}")
     if not all(x > 0 for x in (r, p, q)):  # inf passes, NaN does not
         raise ParabolicError(f"exponents must be positive, got (r, p, q) = ({r}, {p}, {q})")
-    if alpha not in (0, 1, 2):
-        raise ParabolicError(f"alpha must be 0, 1 or 2, got {alpha}")
     n = b.grid.dim
     if 2.0 / q + n / p >= 1.0:
         raise ParabolicError(f"(p, q) = ({p}, {q}) violates 2/q + n/p < 1 in dim {n}")

@@ -255,6 +255,47 @@ class TestMildSolve:
             mild_defect(sol, other)
 
 
+# Each bad argument of the parabolic layer and the argument its refusal names:
+# a bool is no count, no damping and no order, and a float is no step count.
+REFUSALS = {
+    "steps_float": (lambda b: mild_solve(b, 8.0, 16.0), "quad_steps .* got 16.0"),
+    "steps_numpy_float": (lambda b: mild_solve(b, 8.0, np.float64(16)), "quad_steps"),
+    "steps_bool": (lambda b: mild_solve(b, 8.0, True), "quad_steps .* got True"),
+    "steps_str": (lambda b: mild_solve(b, 8.0, "16"), "quad_steps .* got '16'"),
+    "lam_bool": (lambda b: mild_solve(b, True, 16), "damping lambda .* got True"),
+    "lam_str": (lambda b: mild_solve(b, "8", 16), "damping lambda .* got '8'"),
+    "lam_none": (lambda b: mild_solve(b, None, 16), "damping lambda .* got None"),
+    "alpha_bool": (lambda b: decay_study(b, [8.0, 32.0, 128.0], True, 8.0, 8.0, 4.0),
+                   "alpha .* got True"),
+    "alpha_float": (lambda b: decay_study(b, [8.0, 32.0, 128.0], 1.0, 8.0, 8.0, 4.0),
+                    "alpha .* got 1.0"),
+    "lambdas_bool": (lambda b: decay_study(b, [8.0, True, 128.0], 0, 8.0, 8.0, 4.0),
+                     "lambdas must be numbers"),
+    "norm_alpha_bool": (lambda b: space_time_norm(b, True, 2.0, 2.0), "alpha .* got True"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_bad_argument_is_named_before_any_array(name, monkeypatch):
+    call, match = REFUSALS[name]
+    b = constant_in_time(GridVector(grid1(), np.ones((1, 32))), 16)
+
+    class NoArrays:  # the type tests read these two; any other use of np fails
+        integer, floating = np.integer, np.floating
+
+    monkeypatch.setattr(parabolic, "np", NoArrays())
+    with pytest.raises(ParabolicError, match=match):
+        call(b)
+
+
+def test_numpy_scalars_solve_as_their_values():
+    b = moving_field(grid1(), 17, seed=9)
+    want = mild_solve(b, 8.0, 16).u.values
+    assert same_bits(mild_solve(b, np.float64(8.0), np.int64(16)).u.values, want)
+    assert same_bits(mild_solve(b, np.int32(8), np.int32(16)).u.values, want)
+    assert same_bits(mild_solve(b, np.float32(8.0), 16).u.values, want)  # weight in float64
+
+
 def reference_mild_solve(b: TimeGridVector, lam: float) -> list:
     """The march one step at a time: each step wraps its arrays in GridVectors
     and takes (b . grad) v from jacobian and the heat step from heat_apply.
@@ -309,14 +350,31 @@ def spectral_march(b: TimeGridVector, lam: float) -> np.ndarray:
 MARCH_CASES = [(build_grid(1, L, 64), 64), (build_grid(2, L, 16), 24)]
 
 
+def signed_zero_field(grid, count, seed):
+    """moving_field with about a third of its values -0.0 and a sixth +0.0, and
+    its last row, the first the march reads, all -0.0: where b_j is -0.0 and
+    d_j v_i > 0, b_j d_j v_i is -0.0, which einsum sums from +0.0."""
+    b = moving_field(grid, count, seed)
+    draw = stream(seed, 1).random(b.values.shape)
+    values = np.where(draw < 1 / 3, -0.0, np.where(draw < 1 / 2, 0.0, b.values))
+    values[b.index[-1]] = -0.0
+    return TimeGridVector(grid, b.times, values, b.index)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal signs: np.array_equal alone reads -0.0 as 0.0."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestMarchReference:
     @pytest.mark.parametrize("grid,steps", MARCH_CASES, ids=["1d", "2d"])
     @pytest.mark.parametrize("lam", [0.5, 8.0, 256.0])
     def test_march_equals_the_written_out_loop(self, grid, steps, lam):
-        b = moving_field(grid, steps + 1, seed=9)  # time-varying, some slices repeated
-        sol = mild_solve(b, lam, steps)
-        assert np.array_equal(sol.u.index, steps - np.arange(steps + 1))
-        assert np.array_equal(sol.u.values, spectral_march(b, lam))
+        # time-varying, some slices repeated; then the same with signed zeros
+        for b in (moving_field(grid, steps + 1, seed=9), signed_zero_field(grid, steps + 1, 9)):
+            sol = mild_solve(b, lam, steps)
+            assert np.array_equal(sol.u.index, steps - np.arange(steps + 1))
+            assert same_bits(sol.u.values, spectral_march(b, lam))
 
     @pytest.mark.parametrize("grid,steps", MARCH_CASES, ids=["1d", "2d"])
     @pytest.mark.parametrize("lam", [0.5, 8.0, 256.0])
