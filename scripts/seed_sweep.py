@@ -54,9 +54,9 @@ def sweep_table(reports: list[list[dict]]) -> list[list]:
     return table
 
 
-def run_seed(seed: int, out: Path) -> Path | None:
-    """Run `renormlab accept` at ``seed`` into ``out``; return its report,
-    None if the run ended without a verdict."""
+def run_seed(seed: int, out: Path, *options: str) -> Path | None:
+    """Run `renormlab accept` at ``seed`` into ``out``, with ``options`` after
+    the config; return its report, None if the run ended without a verdict."""
     out.mkdir(parents=True, exist_ok=True)
     config = out / "config.json"
     config.write_text(json.dumps({
@@ -65,7 +65,7 @@ def run_seed(seed: int, out: Path) -> Path | None:
     }))
     report = out / "acceptance_report.csv"
     report.unlink(missing_ok=True)  # a report left by an earlier sweep is not this run's
-    run = subprocess.run([sys.executable, "-m", "renormlab.cli", "accept", str(config)],
+    run = subprocess.run([sys.executable, "-m", "renormlab.cli", "accept", str(config), *options],
                          stdout=subprocess.DEVNULL, check=False)
     return report if run.returncode in VERDICT_CODES and report.exists() else None
 

@@ -4,14 +4,19 @@ The suite runs once per session through ``acceptance_suite`` and each
 criterion owns one test that picks its rows out of the shared report, prints
 the measured-vs-threshold lines, and fails if any row failed.  Margins were
 frozen at master_seed 0; see the per-module test files for the oracles behind
-the individual thresholds.
+the individual thresholds.  The same run, with the shipped configs'
+artifacts, is compared bit for bit with tests/reference_record.json, which
+scripts/reference_record.py writes.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+import reference_record
 from renormlab import lab
 from renormlab.weakform import RENORMALIZED_TERMS
 
@@ -21,10 +26,11 @@ DRIFT_DOMINATED = (lab._STREAM_PUSHFORWARD, "drift_dominated", 64, 128, 0.5, 1e-
 
 @pytest.fixture(scope="module")
 def suite() -> tuple[lab.RunReport, dict]:
-    """The report, and the drift_dominated pairs and trig-ladder solves its run computed."""
+    """The report, and the drift_dominated pairs, trig-ladder solves and
+    determinism payloads (the first at one worker) its run computed."""
     trig = lab._problem("trig_flow", 64, 0.5, 0.5 / 128).b
-    computed = {"pairs": [], "ladder": []}
-    pair, solve = lab._pushforward_pair, lab.mild_solve
+    computed = {"pairs": [], "ladder": [], "payloads": []}
+    pair, solve, payload = lab._pushforward_pair, lab.mild_solve, lab._determinism_payload
 
     def counting_pair(run, *args):
         if args == DRIFT_DOMINATED:
@@ -38,9 +44,14 @@ def suite() -> tuple[lab.RunReport, dict]:
             computed["ladder"].append((lam, steps))
         return solve(b, lam, steps)
 
+    def kept_payload(run):
+        computed["payloads"].append(payload(run))
+        return computed["payloads"][-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lab, "_pushforward_pair", counting_pair)
         patch.setattr(lab, "mild_solve", counting_solve)
+        patch.setattr(lab, "_determinism_payload", kept_payload)
         return lab.acceptance_suite(CFG), computed
 
 
@@ -193,3 +204,44 @@ def test_light_checks_rerun_bitwise():
         return [(row.name, row.value) for row in rows]
 
     assert snapshot() == snapshot()
+
+
+def _record_rows(report: lab.RunReport) -> list[dict]:
+    return [
+        reference_record.row(c.name, c.value, c.relation, c.threshold, c.passed)
+        for c in report.checks
+    ]
+
+
+def _without_bits(record: dict) -> dict:
+    """What a record pins on any environment: each row's name, relation,
+    threshold and verdict, and each artifact's config and name."""
+    return {
+        "rows": [
+            [{k: v for k, v in row.items() if k != "value"} for row in record[key]]
+            for key in ("report", f"report_flipped_{reference_record.FLIPPED}")
+        ],
+        "artifacts": [entry[:2] for entry in record["artifacts"]],
+    }
+
+
+def test_every_number_is_the_reference_records(suite):
+    # Made on other Python, numpy or scipy versions than the record's, the
+    # run may move a value by round-off: there the names, gates and verdicts
+    # are compared and the test skips, naming both sets of versions.
+    report, computed = suite
+    want = json.loads(reference_record.RECORD.read_text())
+    got = reference_record.record(
+        _record_rows(report),
+        _record_rows(report.flipped(reference_record.FLIPPED)),
+        reference_record.artifact_digests(),
+        reference_record.hexes(computed["payloads"][0]),
+    )
+    assert _without_bits(got) == _without_bits(want)
+    if got["versions"] != want["versions"]:
+        pytest.skip(
+            f"reference record made on {want['versions']}, this is {got['versions']}: "
+            "row values, artifact digests and the determinism payload not compared"
+        )
+    for key in want:  # one section at a time, so a failure names its section
+        assert got[key] == want[key], key

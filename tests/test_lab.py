@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import csv
 import gc
-import importlib.util
 import json
 import math
 import os
 import subprocess
-import sys
 import warnings
 import weakref
 from dataclasses import fields as dataclass_fields, replace
@@ -26,6 +24,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_record
+import seed_sweep
 from renormlab import cli, commutator, flow, lab, parallel, presets, weakform
 from renormlab.field import (
     FieldError,
@@ -1094,32 +1094,14 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and f"FlowError: {target}: payload" in err
 
-    def test_artifact_hex_lists_every_run_artifact(self):
-        run = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "artifact_hex.py")],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            check=False,
-        )
-        assert run.returncode == 0, run.stderr
-        lines = [line.split(" ") for line in run.stdout.splitlines()]
-        assert [(config, name) for config, name, _ in lines] == [
+    def test_record_writer_lists_every_run_artifact(self):
+        found = reference_record.artifact_digests()
+        assert [(config, name) for config, name, _ in found] == [
             (f"{tag}.json", name) for tag in sorted(ARTIFACTS) for name in ARTIFACTS[tag]
         ]
-        assert len(lines) == 10 and all(len(bytes.fromhex(digest)) == 32 for *_, digest in lines)
-
-    @staticmethod
-    def _seed_sweep():
-        spec = importlib.util.spec_from_file_location(
-            "seed_sweep", ROOT / "scripts" / "seed_sweep.py"
-        )
-        sweep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sweep)
-        return sweep
+        assert len(found) == 10 and all(len(bytes.fromhex(digest)) == 32 for *_, digest in found)
 
     def test_seed_sweep_tabulates_each_row(self, tmp_path):
-        sweep = self._seed_sweep()
         header = (
             "# renormlab v2\n# numpy=2.4.6\n"
             "name,value,relation,threshold,passed,headroom,seconds,detail\n"
@@ -1131,9 +1113,9 @@ class TestCli:
         ]):
             path = tmp_path / f"report_{n}.csv"
             path.write_text(header + rows)
-            reports.append(sweep.read_report(path))
+            reports.append(seed_sweep.read_report(path))
         assert [row["name"] for row in reports[0]] == ["alpha", "beta"]
-        assert sweep.sweep_table(reports) == [
+        assert seed_sweep.sweep_table(reports) == [
             ["alpha", "<=", 1.0, 1, 2, 0.5, 0.875, 1.25, -0.25],
             ["beta", ">=", 2.0, 2, 2, 2.5, 2.75, 3.0, 0.5],
         ]
@@ -1142,7 +1124,6 @@ class TestCli:
     def test_seed_sweep_reads_no_stale_report(self, tmp_path, monkeypatch, code):
         # a report an earlier sweep left is gone before the run, and a run
         # without a verdict (exit 2) counts as no report even if one is there
-        sweep = self._seed_sweep()
         report = tmp_path / "acceptance_report.csv"
         report.write_text("stale")
 
@@ -1151,12 +1132,12 @@ class TestCli:
             report.write_text("fresh")
             return subprocess.CompletedProcess(args, code)
 
-        monkeypatch.setattr(sweep.subprocess, "run", run)
-        assert sweep.run_seed(2256, tmp_path) == (report if code in (0, 1) else None)
+        monkeypatch.setattr(seed_sweep.subprocess, "run", run)
+        assert seed_sweep.run_seed(2256, tmp_path) == (report if code in (0, 1) else None)
         monkeypatch.setattr(
-            sweep.subprocess, "run", lambda args, **kw: subprocess.CompletedProcess(args, 0)
+            seed_sweep.subprocess, "run", lambda args, **kw: subprocess.CompletedProcess(args, 0)
         )
-        assert sweep.run_seed(2256, tmp_path) is None
+        assert seed_sweep.run_seed(2256, tmp_path) is None
 
     def test_accept_exit_codes(self, tmp_path, capsys, monkeypatch):
         # The real suite runs for a minute; the exit-code mapping is what the
