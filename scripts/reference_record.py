@@ -77,7 +77,8 @@ def artifact_digests(configs: Path = CONFIGS) -> list[list[str]]:
             payload = json.loads(config.read_text())
             payload["output_dir"] = str(Path(tmp) / config.stem)
             for path in sorted(lab.run_experiment(lab.ExperimentConfig.from_dict(payload))):
-                found.append([config.name, path.name, hashlib.sha256(path.read_bytes()).hexdigest()])
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                found.append([config.name, path.name, digest])
     return found
 
 

@@ -24,6 +24,7 @@ this sign set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,17 @@ from .field import (
     FieldError,
     GridScalar,
     GridVector,
+    _partials,
+    _spectral,
     central_half,
     convolve,
     divergence,
     divergence_and_twist,
     gradient,
+    hessian_stack,
     jacobian,
     lp_norm,
     mollifier,
-    spectral_derivative,
 )
 
 __all__ = [
@@ -103,14 +106,9 @@ def op_S(m: Mollified) -> GridScalar:
     g, sigma = m.f.grid, m.sigma
 
     # L f_eps = (1/2) sigma_i sigma_j d_i d_j f_eps
-    forward = np.zeros(g.shape)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            beta = [0] * g.dim
-            beta[i] += 1
-            beta[j] += 1
-            forward += sigma.values[i] * sigma.values[j] * spectral_derivative(m.f_eps, beta).values
-    forward *= 0.5
+    hess = hessian_stack(g, m.f_eps.values)
+    pairs = itertools.product(range(g.dim), repeat=2)  # (i, j) in the order they are added
+    forward = 0.5 * sum(sigma.values[i] * sigma.values[j] * hess[i, j] for i, j in pairs)
 
     middle = _advect(sigma, m.div_sf_eps)
 
@@ -233,15 +231,10 @@ def convergence_study(
 def _adjoint_second_order(sigma: GridVector, values: np.ndarray) -> np.ndarray:
     """(1/2) d_i d_j (sigma_i sigma_j values), derivatives spectral."""
     g = sigma.grid
-    out = np.zeros(g.shape)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            beta = [0] * g.dim
-            beta[i] += 1
-            beta[j] += 1
-            prod = GridScalar(g, sigma.values[i] * sigma.values[j] * values)
-            out += spectral_derivative(prod, beta).values
-    return 0.5 * out
+    return 0.5 * sum(
+        _spectral(g, sigma.values[i] * sigma.values[j] * values, _partials(g, [(i, j)]))[0]
+        for i, j in itertools.product(range(g.dim), repeat=2)
+    )
 
 
 def r1_remainder(m: Mollified, renorm) -> GridScalar:

@@ -391,9 +391,7 @@ def divergence_and_twist(grid: Grid, jac: np.ndarray) -> tuple[np.ndarray, np.nd
     sums the diagonal from 0.0 in the order of i: divergence_stack's bits.
     """
     cells = (slice(None),) * grid.dim
-    div = np.zeros(jac.shape[: jac.ndim - grid.dim - 2] + grid.shape)
-    for i in range(grid.dim):
-        div += jac[(..., i, i) + cells]
+    div = sum(jac[(..., i, i) + cells] for i in range(grid.dim))
     pairs = np.moveaxis(jac, (-grid.dim - 2, -grid.dim - 1), (0, 1))
     return div, np.einsum("ij...,ji...->...", pairs, pairs)
 
@@ -410,15 +408,6 @@ def hessian_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     out = np.empty(values.shape[: values.ndim - grid.dim] + (grid.dim, grid.dim) + grid.shape)
     for m, (j, k) in enumerate(pairs):
         out[(..., j, k) + cells] = out[(..., k, j) + cells] = seconds[(..., m) + cells]
-    return out
-
-
-def vector_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Laplacian of each component of a (dim,) + grid shape field: out[i] = sum_j d_j d_j v_i."""
-    seconds = _spectral(grid, values, _partials(grid, [(a, a) for a in range(grid.dim)]))
-    out = np.zeros_like(values)
-    for a in range(grid.dim):
-        out += seconds[:, a]
     return out
 
 

@@ -31,13 +31,7 @@ import logging
 import math
 import platform
 import time
-from dataclasses import (
-    dataclass,
-    field as dataclass_field,
-    fields as dataclass_fields,
-    is_dataclass,
-    replace,
-)
+from dataclasses import dataclass, field as dataclass_field, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -188,37 +182,20 @@ class ExperimentConfig:
     def __post_init__(self):
         problems = _validate(self)
         if problems:
-            raise LabError(
-                "invalid experiment config:\n" + "\n".join(f"  - {p}" for p in problems)
-            )
+            raise _invalid(*problems)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise LabError(f"config must be a JSON object, got {type(payload).__name__}")
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise LabError(
-                "invalid experiment config:\n"
-                + "\n".join(f"  - unknown key {k!r}" for k in unknown)
-            )
-        kwargs: dict = {}
-        if "experiment" in payload:
-            kwargs["experiment"] = payload["experiment"]
-        else:
-            raise LabError("invalid experiment config:\n  - missing required key 'experiment'")
-        for name, sub_cls in (
-            ("grid", GridConfig),
-            ("time", TimeConfig),
-            ("coefficients", CoefficientConfig),
-            ("scalars", ScalarConfig),
-        ):
-            if name in payload:
-                kwargs[name] = _sub_config(name, sub_cls, payload[name])
-        if "output_dir" in payload:
-            kwargs["output_dir"] = payload["output_dir"]
-        return cls(**kwargs)
+        hints = get_type_hints(cls)
+        _refuse_unknown_keys(payload, hints)
+        if "experiment" not in payload:
+            raise _invalid("missing required key 'experiment'")
+        return cls(**{  # each section through its config class, in field order
+            name: _sub_config(name, hint, payload[name]) if is_dataclass(hint) else payload[name]
+            for name, hint in hints.items() if name in payload
+        })
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -232,21 +209,26 @@ class ExperimentConfig:
         return cls.from_dict(payload)
 
 
+def _invalid(*problems: str) -> LabError:
+    """The one itemized error of a config that does not hold."""
+    return LabError("invalid experiment config:\n" + "\n".join(f"  - {p}" for p in problems))
+
+
+def _refuse_unknown_keys(payload: dict, hints: dict, prefix: str = "") -> None:
+    unknown = sorted(set(payload) - set(hints))
+    if unknown:
+        raise _invalid(*(f"unknown key {prefix}{k!r}" for k in unknown))
+
+
 def _sub_config(name: str, sub_cls, payload):
     if not isinstance(payload, dict):
-        raise LabError(f"invalid experiment config:\n  - {name} must be an object")
-    known = {f.name for f in dataclass_fields(sub_cls)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise LabError(
-            "invalid experiment config:\n"
-            + "\n".join(f"  - unknown key {name}.{k!r}" for k in unknown)
-        )
-    coerced = dict(payload)
-    for key in ("lambdas", "epsilons", "noise_files"):
-        if isinstance(coerced.get(key), list):
-            coerced[key] = tuple(coerced[key])
-    return sub_cls(**coerced)
+        raise _invalid(f"{name} must be an object")
+    hints = get_type_hints(sub_cls)
+    _refuse_unknown_keys(payload, hints, f"{name}.")
+    return sub_cls(**{  # a JSON list is a tuple where the field's annotation is tuple[...]
+        key: tuple(value) if get_origin(hints[key]) is tuple and isinstance(value, list) else value
+        for key, value in payload.items()
+    })
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
@@ -334,7 +316,7 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             out.append(f"scalars.{label} must be >= 1, got {getattr(s, label)}")
     exponents = typed("scalars.p", "scalars.q", "scalars.r") and min(s.p, s.q, s.r) >= 1
     if cfg.experiment == "parabolic_decay" and exponents:  # decay_study's, at alpha 0 and 1
-        if typed("grid.dim") and not 2.0 / s.q + g.dim / s.p < 1.0:
+        if typed("grid.dim") and g.dim in (1, 2) and not 2.0 / s.q + g.dim / s.p < 1.0:
             out.append(f"scalars.q, scalars.p = {s.q}, {s.p} violate 2/q + n/p < 1 in dim {g.dim}")
         if not s.r <= s.p:
             out.append(f"scalars.r must not exceed scalars.p, got r = {s.r}, p = {s.p}")

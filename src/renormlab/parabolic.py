@@ -52,7 +52,6 @@ from .field import (
     hessian_stack,
     jacobian_stack,
     lp_norm_stack,
-    vector_laplacian,
 )
 
 __all__ = [
@@ -74,8 +73,26 @@ class ParabolicError(ValueError):
 
 
 def _is_real(value) -> bool:
-    """An int, a float or a numpy real, not a bool: a damping lambda."""
+    """An int, a float or a numpy real, not a bool: a damping lambda or an exponent."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _float(value, name: str) -> float:
+    """A real (_is_real) as a float64, refused by name if it is an int beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParabolicError(f"{name} must be finite, got an integer beyond float range") from None
+
+
+def _check_exponents(names: str, *values) -> None:
+    """Refuse exponents (r first) that are no number or a bool, not positive, or r < 1."""
+    if not all(map(_is_real, values)):
+        raise ParabolicError(f"exponents must be numbers, got ({names}) = {values}")
+    if not all(x > 0 for x in values):
+        raise ParabolicError(f"exponents must be positive, got ({names}) = {values}")
+    if not values[0] >= 1:
+        raise ParabolicError(f"exponent r must be >= 1, got {values[0]}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -131,7 +148,7 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
         raise ParabolicError(f"quad_steps must be an integer, got {quad_steps!r}")
     if not _is_real(lam):
         raise ParabolicError(f"damping lambda must be a number, got {lam!r}")
-    lam = float(lam)  # a float32 lambda would round the weight to float32
+    lam = _float(lam, "damping lambda")  # a float32 lambda would round the weight to float32
     if not 0 < lam < math.inf:
         raise ParabolicError(f"damping lambda must be positive and finite, got {lam}")
     if len(b.times) != quad_steps + 1:
@@ -222,7 +239,9 @@ def backward_defect(
     """d_t u + (b.grad) u + (1/2)Lap u - lam u + b at one slice, d_t a forward difference."""
     d_t = (u_next - u_l) / dt
     advect = np.einsum("j...,ij...->i...", b_l, jacobian_stack(grid, u_l))  # (b . grad) u
-    return d_t + advect + 0.5 * vector_laplacian(grid, u_l) - lam * u_l + b_l
+    hess = hessian_stack(grid, u_l)  # [i, j, k] = d_j d_k u_i
+    laplacian = sum(hess[:, a, a] for a in range(grid.dim))  # from 0, in axis order
+    return d_t + advect + 0.5 * laplacian - lam * u_l + b_l
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +262,8 @@ def _magnitudes(grid: Grid, values: np.ndarray, alpha: int) -> np.ndarray:
         jac = jacobian_stack(grid, values)
         return np.sqrt(np.einsum("rij...,rij...->r...", jac, jac))
     hess = hessian_stack(grid, values)  # [r, i, j, k] = d_j d_k v_i
-    acc = np.zeros((len(values),) + grid.shape)
-    for i, j, k in itertools.product(range(grid.dim), repeat=3):
-        acc += hess[:, i, j, k] ** 2
-    return np.sqrt(acc)
+    triples = itertools.product(range(grid.dim), repeat=3)
+    return np.sqrt(sum(hess[:, i, j, k] ** 2 for i, j, k in triples))
 
 
 def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
@@ -256,6 +273,7 @@ def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
     the time sum runs one slice at a time.
     """
     _check_order(alpha)
+    _check_exponents("r, q", r, q)
     dt = _check_uniform_times(u.times)
     grid = u.grid
     per_step = u.per_sample(lambda v: lp_norm_stack(grid, _magnitudes(grid, v, alpha), r))[:-1]
@@ -300,13 +318,12 @@ def decay_study(
     lams = list(lambda_list)
     if not all(map(_is_real, lams)):
         raise ParabolicError(f"lambdas must be numbers, got {lams!r}")
-    lams = [float(l) for l in lams]
+    lams = [_float(l, "lambdas") for l in lams]
     if len(lams) < 3:
         raise ParabolicError(f"need at least 3 lambdas, got {len(lams)}")
     if not (0 < lams[0] and lams[-1] < math.inf and np.all(np.diff(lams) > 0)):
         raise ParabolicError(f"lambdas must be positive, finite and strictly increasing: {lams}")
-    if not all(x > 0 for x in (r, p, q)):  # inf passes, NaN does not
-        raise ParabolicError(f"exponents must be positive, got (r, p, q) = ({r}, {p}, {q})")
+    _check_exponents("r, p, q", r, p, q)
     n = b.grid.dim
     if 2.0 / q + n / p >= 1.0:
         raise ParabolicError(f"(p, q) = ({p}, {q}) violates 2/q + n/p < 1 in dim {n}")

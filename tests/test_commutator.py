@@ -521,6 +521,73 @@ class TestRenormalizerIdentities:
         assert len(calls) == 1  # the patch sees the one mollifier that mollify builds
 
 
+def _pair_derivative(f: GridScalar, i: int, j: int) -> np.ndarray:
+    """d_i d_j f by spectral_derivative, its multi-index built by hand."""
+    beta = [0] * f.grid.dim
+    beta[i] += 1
+    beta[j] += 1
+    return spectral_derivative(f, beta).values
+
+
+def pairwise_op_s(m: commutator.Mollified) -> GridScalar:
+    """S_eps with L f_eps and L* f summed one spectral_derivative call per
+    (i, j): the reference for op_S's Hessian stack."""
+    g, sigma = m.f.grid, m.sigma
+    forward = np.zeros(g.shape)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            forward += sigma.values[i] * sigma.values[j] * _pair_derivative(m.f_eps, i, j)
+    forward *= 0.5
+    middle = commutator._advect(sigma, m.div_sf_eps)
+    adjoint = pairwise_adjoint(sigma, m.f.values)
+    return GridScalar(g, forward - middle + convolve(m.kernel, GridScalar(g, adjoint)).values)
+
+
+def pairwise_adjoint(sigma: GridVector, values: np.ndarray) -> np.ndarray:
+    """(1/2) d_i d_j (sigma_i sigma_j values), each product a GridScalar."""
+    g = sigma.grid
+    out = np.zeros(g.shape)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            out += _pair_derivative(GridScalar(g, sigma.values[i] * sigma.values[j] * values), i, j)
+    return 0.5 * out
+
+
+# (sigma, f) on 64 nodes in 1-d and 32^2 in 2-d: a 1-d profile, the swap
+# preset (divergence-free) and the shear of the 2-d space-dependent noise
+SECOND_ORDER_CASES = {
+    "1d": ([lambda x: np.sin(x) + 0.3 * np.cos(2 * x)], lambda x: np.cos(x) + 0.5 * np.sin(3 * x)),
+    "swap": ([lambda x, y: np.sin(y), lambda x, y: np.sin(x)],
+             lambda x, y: np.cos(x) * np.cos(y) + 2.0),
+    "shear": ([lambda x, y: np.sin(y) + 0.3 * np.sin(x), lambda x, y: np.sin(x)],
+              lambda x, y: 1.5 + np.cos(x) * np.sin(y)),
+}
+
+
+@pytest.mark.parametrize("case", list(SECOND_ORDER_CASES))
+def test_second_order_terms_equal_the_pairwise_loops(case, monkeypatch):
+    # op_S reads one Hessian stack of f_eps and L* one _spectral call per
+    # product; S_eps, R2 and both R2 reconstructions are the per-(i, j)
+    # spectral_derivative loops' bit for bit
+    sigmas, fn = SECOND_ORDER_CASES[case]
+    g = build_grid(len(sigmas), L, 64 if len(sigmas) == 1 else 32)
+    m = mollify(GridVector.from_functions(g, sigmas), GridScalar.from_function(g, fn), L / 8)
+
+    def terms():
+        return [
+            commutator.op_S(m).values,
+            commutator.r2_remainder(m, TANH_RENORM).values,
+            commutator.r2_reconstruction(m, TANH_RENORM, sign=+1.0).values,
+            commutator.r2_reconstruction(m, TANH_RENORM, sign=-1.0).values,
+        ]
+
+    got = terms()
+    monkeypatch.setattr(commutator, "op_S", pairwise_op_s)
+    monkeypatch.setattr(commutator, "_adjoint_second_order", pairwise_adjoint)
+    want = terms()
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 @given(a=st.floats(-3, 3, allow_nan=False), b=st.floats(-3, 3, allow_nan=False))
 @settings(max_examples=25, deadline=None)
 def test_op_t_linear_in_f(a, b):

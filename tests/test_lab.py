@@ -754,6 +754,31 @@ class TestListFields:
             ExperimentConfig(experiment="commutator_study", **{section: sub_cls(**{key: value})})
         assert "does not exist" not in str(err.value)
 
+    def test_from_dict_makes_tuples_of_exactly_the_tuple_fields(self):
+        # every field of every section given a JSON list: the fields annotated
+        # tuple[...] hold a tuple, every other keeps the list for the type check
+        sections = {"grid": GridConfig, "time": TimeConfig,
+                    "coefficients": CoefficientConfig, "scalars": ScalarConfig}
+        tuples = set()
+        for section, sub_cls in sections.items():
+            names = [f.name for f in dataclass_fields(sub_cls)]
+            built = lab._sub_config(section, sub_cls, {name: [1.0] for name in names})
+            for name in names:
+                value = getattr(built, name)
+                assert value in ([1.0], (1.0,)) and type(value) in (list, tuple)
+                if isinstance(value, tuple):
+                    tuples.add(f"{section}.{name}")
+        assert tuples == {"coefficients.noise_files", "scalars.lambdas", "scalars.epsilons"}
+        cfg = ExperimentConfig.from_dict(config_payload(
+            coefficients={"preset": "trig_flow", "noise_files": []},
+            scalars={"lambdas": [4, 16, 64], "epsilons": [1.5, 1.0, 0.5]},
+        ))
+        assert (cfg.coefficients.noise_files, cfg.scalars.lambdas, cfg.scalars.epsilons) == (
+            (), (4, 16, 64), (1.5, 1.0, 0.5)  # a list equals no tuple
+        )
+        with pytest.raises(LabError, match=r"scalars\.p must be a number, got \[8\.0\]"):
+            ExperimentConfig.from_dict(config_payload(scalars={"p": [8.0]}))
+
     def test_direct_construction_takes_lists_and_tuples(self):
         for lambdas in ([4.0, 16.0], (4.0, 16.0)):
             cfg = ExperimentConfig(
@@ -1477,6 +1502,15 @@ def test_shipped_config_writes_its_artifacts(config_file, tmp_path):
     files = lab.run_experiment(ExperimentConfig.from_dict(payload))
     assert sorted(f.name for f in files) == ARTIFACTS[payload["experiment"]]
     assert all(f.parent == tmp_path and f.is_file() for f in files)
+
+
+def test_a_dimension_beyond_float_range_is_refused_by_name():
+    # parabolic_decay's 2/q + n/p check reads grid.dim only when it is 1 or 2,
+    # so an int no float can hold is refused by name, not by an OverflowError
+    payload = json.loads((ROOT / "configs" / "parabolic_decay.json").read_text())
+    payload["grid"] = {**payload.get("grid", {}), "dim": 10**400}
+    with pytest.raises(LabError, match=r"grid\.dim must be 1 or 2"):
+        ExperimentConfig.from_dict(payload)
 
 
 @pytest.mark.parametrize("config_file", CONFIG_FILES, ids=lambda p: p.name)

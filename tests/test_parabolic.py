@@ -33,6 +33,8 @@ from renormlab.field import (
     GridVector,
     TimeGridVector,
     _blocks,
+    _partials,
+    _spectral,
     build_grid,
     divergence,
     jacobian,
@@ -256,7 +258,8 @@ class TestMildSolve:
 
 
 # Each bad argument of the parabolic layer and the argument its refusal names:
-# a bool is no count, no damping and no order, and a float is no step count.
+# a bool is no count, no damping, no order and no exponent, a float is no step
+# count, and an integer beyond float range is no damping.
 REFUSALS = {
     "steps_float": (lambda b: mild_solve(b, 8.0, 16.0), "quad_steps .* got 16.0"),
     "steps_numpy_float": (lambda b: mild_solve(b, 8.0, np.float64(16)), "quad_steps"),
@@ -265,6 +268,10 @@ REFUSALS = {
     "lam_bool": (lambda b: mild_solve(b, True, 16), "damping lambda .* got True"),
     "lam_str": (lambda b: mild_solve(b, "8", 16), "damping lambda .* got '8'"),
     "lam_none": (lambda b: mild_solve(b, None, 16), "damping lambda .* got None"),
+    "lam_beyond_float": (lambda b: mild_solve(b, 10**400, 16),
+                         "damping lambda must be finite, got an integer beyond float range"),
+    "lambdas_beyond_float": (lambda b: decay_study(b, [8.0, 10**400, 10**401], 0, 8.0, 8.0, 4.0),
+                             "lambdas must be finite, got an integer beyond float range"),
     "alpha_bool": (lambda b: decay_study(b, [8.0, 32.0, 128.0], True, 8.0, 8.0, 4.0),
                    "alpha .* got True"),
     "alpha_float": (lambda b: decay_study(b, [8.0, 32.0, 128.0], 1.0, 8.0, 8.0, 4.0),
@@ -272,6 +279,10 @@ REFUSALS = {
     "lambdas_bool": (lambda b: decay_study(b, [8.0, True, 128.0], 0, 8.0, 8.0, 4.0),
                      "lambdas must be numbers"),
     "norm_alpha_bool": (lambda b: space_time_norm(b, True, 2.0, 2.0), "alpha .* got True"),
+    "norm_exponents_bool": (lambda b: space_time_norm(b, 0, True, True),
+                            r"exponents must be numbers, got \(r, q\) = \(True, True\)"),
+    "norm_r_below_one": (lambda b: space_time_norm(b, 0, 0.5, 2.0),
+                         "exponent r must be >= 1, got 0.5"),
 }
 
 
@@ -444,6 +455,27 @@ class TestPdeResidual:
             residuals.append(pde_residual(sol, b))
         assert residuals[0] / residuals[1] > 1.85
         assert residuals[1] / residuals[2] > 1.85
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_backward_defect_equals_the_laplacian_loop(self, dim):
+        # the Laplace term is the diagonal of hessian_stack summed in axis
+        # order: the pure second partials' sum it replaced, bit for bit; in
+        # 2-d the drift is the shear of the 2-d space-dependent noise
+        g = build_grid(dim, L, 64 if dim == 1 else 32)
+        xs = g.coordinates()
+        if dim == 1:
+            b_l = np.stack([np.sin(xs[0]) + 0.3 * np.cos(2 * xs[0])])
+        else:
+            b_l = np.stack([np.sin(xs[1]) + 0.3 * np.sin(xs[0]), np.sin(xs[0])])
+        field = moving_field(g, 2, seed=5)
+        u_l, u_next = field.values[field.index[:2]]
+        seconds = _spectral(g, u_l, _partials(g, [(a, a) for a in range(dim)]))
+        laplacian = np.zeros_like(u_l)
+        for a in range(dim):
+            laplacian += seconds[:, a]
+        advect = np.einsum("j...,ij...->i...", b_l, jacobian(GridVector(g, u_l)))
+        want = (u_next - u_l) / 0.01 + advect + 0.5 * laplacian - 4.0 * u_l + b_l
+        assert same_bits(parabolic.backward_defect(g, u_l, u_next, b_l, 4.0, 0.01), want)
 
 
 class TestSpaceTimeNorm:
@@ -633,6 +665,11 @@ class TestDecayStudy:
             ([4.0, 16.0, 64.0], (8.0, math.nan, 4.0), "exponents"),
             ([4.0, 16.0, 64.0], (8.0, 8.0, math.nan), "exponents"),
             ([4.0, 16.0, 64.0], (0.0, 8.0, 4.0), "exponents"),
+            ([4.0, 16.0, 64.0], (True, 8.0, 4.0), "exponents must be numbers"),
+            ([4.0, 16.0, 64.0], (8.0, True, 4.0), "exponents must be numbers"),
+            ([4.0, 16.0, 64.0], (8.0, 8.0, True), "exponents must be numbers"),
+            ([4.0, 16.0, 64.0], (0.5, 8.0, 4.0), "exponent r must be >= 1, got 0.5"),
+            ([8.0, 10**400, 10**401], (8.0, 8.0, 4.0), "lambdas must be finite"),
         ],
     )
     def test_refused_before_any_solve(self, lambdas, exponents, match, monkeypatch):

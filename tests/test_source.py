@@ -47,6 +47,10 @@
   weights, and only ``_Stencil`` reads the padded spline coefficients
   (``_coeff``): every stencil read, Newton rounds included, is one plan and
   its gathers.
+- No module of ``src/renormlab`` but ``field`` names ``spectral_derivative``
+  or ``_derivative_multiplier``: every other module takes a derivative
+  through ``field``'s stacks (``gradient``, ``jacobian_stack``,
+  ``hessian_stack``, ...) or ``_partials``, never by a multi-index of its own.
 - No module of ``src/renormlab`` but ``parallel`` names ``environ``,
   ``getenv`` or ``ENV_VAR``: the worker count is the one setting read from
   the environment, and a check scopes its own count through ``parallel``.
@@ -437,6 +441,34 @@ def test_environment_scan_sees_each_form():
         "'os.environ, os.getenv and ENV_VAR'\nenvironment = os.environb": [],
     }
     assert {text: _environment_names(ast.parse(text)) for text in forms} == forms
+
+
+_MULTI_INDEX = ("spectral_derivative", "_derivative_multiplier")
+
+
+def _multi_index_names(tree: ast.Module) -> list[str]:
+    """Each ``_MULTI_INDEX`` name the module imports or reads, bare or as an
+    attribute; a string does not name it."""
+    return [name for name in _MULTI_INDEX if _uses(tree, name)]
+
+
+def test_only_field_takes_a_derivative_by_multi_index():
+    found = {path.name: _multi_index_names(_parse(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {
+        "field.py": ["spectral_derivative", "_derivative_multiplier"],
+    }
+
+
+def test_multi_index_scan_sees_each_form():
+    forms = {
+        "from .field import spectral_derivative": ["spectral_derivative"],
+        "from .field import _derivative_multiplier as mult": ["_derivative_multiplier"],
+        "def f(u):\n    return field.spectral_derivative(u, (1, 1))": ["spectral_derivative"],
+        "d = _derivative_multiplier(g.dim, g.L, g.N, (2,))": ["_derivative_multiplier"],
+        "def g(u, d=spectral_derivative):\n    return d(u, (2,))": ["spectral_derivative"],
+        "'spectral_derivative'\nspectral_derivatives = _derivative_multipliers": [],
+    }
+    assert {text: _multi_index_names(ast.parse(text)) for text in forms} == forms
 
 
 # sharing told from object identity, or the list of per-sample slice objects
