@@ -33,23 +33,63 @@ several rows runs the stencil.  _Rounds reads one spline round after round
 at points that move little, as a Newton solver does: it keeps what it gathered,
 gathers again only where a point's cell moved, and hands out its last plan,
 at which a spline of another field on the same grid reads the same points.
+
+interp loads scipy's compiled spline module, the extension _nd_image next to
+scipy/ndimage/__init__.py, from its file (_load_nd_image), and never imports
+the scipy.ndimage package: that package's __init__ pulls in scipy's array-API
+layer and scipy.special, more than half of a fresh ``import renormlab.cli``.
+The prefilter calls the module's spline_filter1d and a small call its
+geometric_transform, each with the arguments its public wrapper
+(spline_filter1d, map_coordinates) passes, so both give the public bits.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 
 import numpy as np
-from scipy import ndimage
-from scipy.ndimage import _nd_image, _ni_support
 
 from .field import FieldError, Grid
 
 __all__ = ["PeriodicInterpolant"]
 
+
+def _load_nd_image(scipy_dirs=None):
+    """scipy's compiled spline module, loaded from the ndimage directory of
+    the scipy package at ``scipy_dirs`` (its search locations; the installed
+    scipy's by default) without importing scipy.ndimage.  A scipy without
+    the module is refused with an ImportError that names its version and
+    the pin."""
+    if scipy_dirs is None:
+        scipy = importlib.util.find_spec("scipy")
+        scipy_dirs = scipy.submodule_search_locations if scipy else []
+    dirs = [os.path.join(d, "ndimage") for d in scipy_dirs]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.ndimage._nd_image", dirs)
+    if spec is None:
+        from importlib import metadata  # slow to import, so only here
+
+        try:
+            version = metadata.version("scipy")
+        except metadata.PackageNotFoundError:
+            version = "(not installed)"
+        raise ImportError(
+            f"scipy {version} has no compiled module ndimage._nd_image in {dirs}; "
+            "renormlab's pyproject.toml pins scipy>=1.10,<1.18"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_nd_image = _load_nd_image()
+
 _ORDER = 3
-# map_coordinates' code for mode="grid-wrap", passed to its compiled routine
-_GRID_WRAP = _ni_support._extend_mode_to_code("grid-wrap")
+# scipy.ndimage's code for mode="grid-wrap" (_ni_support._extend_mode_to_code),
+# which spline_filter1d and map_coordinates pass to their compiled routines
+_GRID_WRAP = 5
 
 # Spline values per call (points times non-constant components) from which
 # a call that reads one row evaluates with the stencil rather than with
@@ -102,9 +142,14 @@ class PeriodicInterpolant:
         # a slice, not a copy, when every component has a spline
         varying = self._varying if len(self._varying) < nodes.shape[1] else slice(None)
         if len(self._varying):
-            coeff = values.reshape((rows, -1) + grid.shape)[:, varying]
-            for axis in range(2, coeff.ndim):  # the prefilter: cubic B-spline coefficients
-                coeff = ndimage.spline_filter1d(coeff, order=_ORDER, axis=axis, mode="grid-wrap")
+            source = values.reshape((rows, -1) + grid.shape)[:, varying]
+            # the prefilter, cubic B-spline coefficients: spline_filter1d's
+            # compiled routine on each grid axis, the first from the node
+            # values and the others in place, as scipy's spline_filter runs it
+            coeff = np.empty(source.shape)
+            for axis in range(2, coeff.ndim):
+                _nd_image.spline_filter1d(source, _ORDER, axis, coeff, _GRID_WRAP)
+                source = coeff
             self._stencil = _Stencil(grid, coeff)
         # per row: its constants (component, value), its splines (component, coefficients)
         self._rows = [

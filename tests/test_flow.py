@@ -993,7 +993,8 @@ class TestLeanMarch:
 
     @staticmethod
     def evaluators(monkeypatch):
-        # map_coordinates: its compiled routine, which interp calls directly
+        # map_coordinates: its compiled routine, which interp calls directly;
+        # the prefilter's routine, spline_filter1d, runs uncounted
         ran = set()
         transform, add = interp._nd_image.geometric_transform, interp._Stencil.add
 
@@ -1005,7 +1006,9 @@ class TestLeanMarch:
             ran.add("stencil")
             return add(*args, **kwargs)
 
-        monkeypatch.setattr(interp, "_nd_image", SimpleNamespace(geometric_transform=counted_map))
+        monkeypatch.setattr(interp, "_nd_image", SimpleNamespace(
+            geometric_transform=counted_map, spline_filter1d=interp._nd_image.spline_filter1d,
+        ))
         monkeypatch.setattr(interp._Stencil, "add", counted_add)
         return ran
 

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy
 from scipy import ndimage
+from scipy.ndimage import _ni_support
 
 from renormlab import interp
 from renormlab.field import FieldError, GridScalar, GridVector, build_grid, jacobian
@@ -225,7 +233,8 @@ class TestEvaluatorBySize:
     @staticmethod
     def count_map_coordinates(monkeypatch):
         """Count the small-call evaluator's calls: map_coordinates' compiled
-        routine, as interp calls it, one call per component."""
+        routine, as interp calls it, one call per component.  The prefilter's
+        routine runs uncounted."""
         calls = []
         original = interp._nd_image.geometric_transform
 
@@ -233,7 +242,9 @@ class TestEvaluatorBySize:
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(interp, "_nd_image", SimpleNamespace(geometric_transform=counted))
+        monkeypatch.setattr(interp, "_nd_image", SimpleNamespace(
+            geometric_transform=counted, spline_filter1d=interp._nd_image.spline_filter1d,
+        ))
         return calls
 
     @pytest.mark.parametrize("dim,n,comps", [(1, 64, 2), (1, 48, 1), (2, 16, 3), (2, 24, 2)])
@@ -366,3 +377,109 @@ def test_small_calls_equal_public_map_coordinates(dim, n, comps, rows, seed, dat
     for i, value in itp._rows[row][0]:
         assert same_bits(out[i], np.full(count, value))
     assert len(splines) + len(itp._rows[row][0]) == comps
+
+
+# One fresh interpreter: the imports in the order given, then every row of a
+# 1-d and a 2-d interpolant read on a small call (map_coordinates' routine)
+# and on a large one (the stencil) against the public map_coordinates on the
+# public spline_filter1d's coefficients.  Prints how many values differ in
+# their bits, and whether scipy.ndimage was loaded when renormlab was.
+_BOTH_ORDERS = """
+import sys
+import numpy as np
+{imports}
+from renormlab.field import build_grid
+from renormlab.rng import stream
+L = 2.0 * np.pi
+differ = 0
+for dim, n in [(1, 64), (2, 16)]:
+    g = build_grid(dim, L, n)
+    values = stream(41, dim).normal(size=(3, 2) + g.shape)
+    itp = interp.PeriodicInterpolant(g, values)
+    for count in (40, 4000):
+        pts = stream(42, dim).uniform(-3 * L, 4 * L, (dim, count))
+        got = itp(pts)
+        for r in range(3):
+            for k in range(2):
+                coeff = values[r, k]
+                for axis in range(dim):
+                    coeff = ndimage.spline_filter1d(coeff, order=3, axis=axis, mode="grid-wrap")
+                want = ndimage.map_coordinates(
+                    coeff, pts / g.h, order=3, mode="grid-wrap", prefilter=False
+                )
+                differ += int((got[r, k].view(np.uint64) != want.view(np.uint64)).sum())
+print(differ, loaded_first)
+"""
+
+_RENORMLAB = "from renormlab import interp\nloaded_first = 'scipy.ndimage' in sys.modules"
+_SCIPY = "from scipy import ndimage"
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` in a fresh interpreter that imports
+    renormlab from the tree these tests import it from."""
+    src = str(Path(interp.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestCompiledSplineModule:
+    """interp loads scipy's compiled spline module by itself, without the
+    scipy.ndimage package, and its two routines give the public functions' bits."""
+
+    def test_a_fresh_import_loads_the_module_alone(self):
+        names = ["scipy.ndimage._nd_image", "scipy.ndimage", "scipy.special",
+                 "scipy._lib._array_api", "numpy.f2py"]
+        loaded = json.loads(run_fresh(
+            "import json, sys\nimport renormlab.cli\n"
+            f"print(json.dumps({{m: m in sys.modules for m in {names!r}}}))\n"
+        ))
+        assert loaded == dict.fromkeys(names, False) | {"scipy.ndimage._nd_image": True}
+        # the extension file next to scipy/ndimage/__init__.py
+        origin = Path(interp._nd_image.__spec__.origin)
+        assert origin.parent == Path(ndimage.__file__).parent
+        assert origin.name.startswith("_nd_image.")
+
+    @pytest.mark.parametrize("first", ["renormlab", "scipy.ndimage"])
+    def test_either_import_order_gives_the_public_bits(self, first):
+        imports = [_RENORMLAB, _SCIPY] if first == "renormlab" else [_SCIPY, _RENORMLAB]
+        out = run_fresh(_BOTH_ORDERS.format(imports="\n".join(imports)))
+        assert out.split() == ["0", str(first == "scipy.ndimage")]
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 10), (2, 16), (2, 12)])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("every_component", [True, False])
+    def test_prefilter_equals_public_spline_filter1d(self, dim, n, rows, every_component):
+        g = build_grid(dim, L, n)
+        values = stream(43, dim).normal(size=(rows, 4) + g.shape)
+        if not every_component:  # a constant of every row: a fancy-indexed copy is filtered
+            values[:, 2] = 0.5
+        if rows > 1:  # a constant of one row is filtered with the other rows
+            values[-1, 1] = -1.25
+        itp = PeriodicInterpolant(g, values if rows > 1 else values[0])
+        # the full-slice view is filtered when every component has a spline
+        assert itp._varying.tolist() == ([0, 1, 2, 3] if every_component else [0, 1, 3])
+        for j, i in enumerate(itp._varying.tolist()):
+            for r in range(rows):
+                want = values[r, i]
+                for axis in range(dim):
+                    want = ndimage.spline_filter1d(want, order=3, axis=axis, mode="grid-wrap")
+                assert same_bits(itp._stencil.unpadded[j, r], want)
+
+    def test_grid_wrap_is_scipys_code(self):
+        assert interp._GRID_WRAP == _ni_support._extend_mode_to_code("grid-wrap")
+
+    def test_a_scipy_without_the_module_is_named(self, tmp_path):
+        (tmp_path / "ndimage").mkdir()
+        (tmp_path / "ndimage" / "__init__.py").write_text("")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pin = re.search(r'"(scipy[^"]*)"', pyproject.read_text()).group(1)
+        with pytest.raises(ImportError, match="_nd_image") as refused:
+            interp._load_nd_image([str(tmp_path)])
+        assert f"scipy {scipy.__version__} " in str(refused.value)
+        assert f"pyproject.toml pins {pin}" in str(refused.value)

@@ -37,10 +37,13 @@
 - In ``src/`` and ``scripts/`` only ``weakform.residual_renormalized`` and
   ``WeakFormLedger.flipped`` build a ``WeakFormLedger`` (by its constructor
   or ``from_terms``): the package has one ledger function.
-- Only ``interp`` imports ``scipy.ndimage``, and it exports one name,
+- No module in ``src/`` imports ``scipy.ndimage`` (by an import statement,
+  ``import_module`` or ``__import__``), and ``interp`` exports one name,
   ``PeriodicInterpolant``: the package has one spline class.  Only
-  ``interp`` names scipy's private ``_nd_image``, and it calls it at one
-  site, in ``PeriodicInterpolant._evaluate``; no module in ``src/`` calls
+  ``interp`` names scipy's private ``_nd_image`` (its module-level load of
+  the compiled file included), and it calls it at two sites, the prefilter
+  in ``PeriodicInterpolant.__init__`` and the small call in
+  ``PeriodicInterpolant._evaluate``; no module in ``src/`` calls
   ``map_coordinates``: every small spline call is that one call.
 - In ``src/`` and ``scripts/`` only ``interp._Stencil.plan`` takes a point's
   cell (``floor``, and ``trunc`` for the periodic wrap), whence the B-spline
@@ -598,8 +601,9 @@ def test_ledger_builder_scan_sees_each_form():
 
 
 def _ndimage_imports(tree: ast.Module) -> list[str]:
-    """Each dotted name under ``scipy.ndimage`` that the module imports or reads
-    as ``scipy.ndimage``."""
+    """Each dotted name under ``scipy.ndimage`` that the module imports (by an
+    import statement, ``import_module`` or ``__import__``) or reads as
+    ``scipy.ndimage``."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -608,12 +612,16 @@ def _ndimage_imports(tree: ast.Module) -> list[str]:
             names += [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             names.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Call) and node.args and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        ) in ("import_module", "__import__") and isinstance(node.args[0], ast.Constant):
+            names.append(str(node.args[0].value))
     return sorted(name for name in names if (name + ".").startswith("scipy.ndimage."))
 
 
 def test_one_spline_class():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if _ndimage_imports(_parse(p))]
-    assert importers == ["interp.py"]
+    assert importers == []
     tree = _parse(PACKAGE / "interp.py")
     exports = [
         ast.literal_eval(node.value) for node in tree.body
@@ -624,8 +632,9 @@ def test_one_spline_class():
 
 def _private_ndimage(tree: ast.Module):
     """(uses, calls): the functions that name ``_nd_image`` (in an import,
-    bare or as an attribute), each once, sorted; and ``function: routine``
-    for each call of a routine of it, one entry per call site, sorted."""
+    bare, as an attribute, or as the last dotted part of a string, as a load
+    from its file names it), each once, sorted; and ``function: routine`` for
+    each call of a routine of it, one entry per call site, sorted."""
     uses, calls = set(), []
     for function, node in _with_function(tree):
         if isinstance(node, ast.Import) and any(
@@ -635,6 +644,8 @@ def _private_ndimage(tree: ast.Module):
             or any(alias.name == "_nd_image" for alias in node.names)
         ) or isinstance(node, ast.Name) and node.id == "_nd_image" or (
             isinstance(node, ast.Attribute) and node.attr == "_nd_image"
+        ) or isinstance(node, ast.Constant) and (
+            str(node.value).rpartition(".")[2] == "_nd_image"
         ):
             uses.add(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -663,7 +674,10 @@ def test_one_small_call_site():
         for path in sorted((ROOT / "src").rglob("*.py"))
     }
     assert {path: uses for path, uses in found.items() if uses != ([], [])} == {
-        "src/renormlab/interp.py": (["<module>", "_evaluate"], ["_evaluate: geometric_transform"]),
+        "src/renormlab/interp.py": (
+            ["<module>", "__init__", "_evaluate", "_load_nd_image"],
+            ["__init__: spline_filter1d", "_evaluate: geometric_transform"],
+        ),
     }
     calls = {
         str(path.relative_to(ROOT)): _map_coordinates_calls(_parse(path))
@@ -684,9 +698,14 @@ def test_small_call_scan_sees_each_form():
         "def b(c, x):\n    return ndimage.map_coordinates(c, x), map_coordinates(c, x)\n"
         "def d(c, x):\n"
         "    return 'ndimage._nd_image.geometric_transform', ndimage.map_coordinates, raw.zoom(c)\n"
+        "def load(dirs):\n"
+        "    spec = importlib.machinery.PathFinder.find_spec('scipy.ndimage._nd_image', dirs)\n"
+        "    return importlib.util.module_from_spec(spec)\n"
+        "compiled = load(['scipy/ndimage'])\n"
+        "def e(c):\n    return spec_from_file_location('_nd_image', 'x.so'), c\n"
     )
     assert _private_ndimage(tree) == (
-        ["<module>", "a"],
+        ["<module>", "a", "e", "load"],
         ["a: geometric_transform", "a: geometric_transform", "a: zoom_shift"],
     )
     assert _map_coordinates_calls(tree) == ["b", "b"]
@@ -698,8 +717,14 @@ def test_ndimage_scan_sees_each_form():
         "from scipy import ndimage, linalg\nfrom scipy import ndimage as nd\n"
         "from scipy.ndimage import map_coordinates\nfrom . import ndimage\n"
         "def f(x):\n    return scipy.ndimage.spline_filter1d(x), scipy.linalg, 'scipy.ndimage'\n"
+        "def g():\n"
+        "    return importlib.import_module('scipy.ndimage'), __import__('scipy.ndimage.x')\n"
+        "def h(dirs):\n"
+        "    return importlib.machinery.PathFinder.find_spec('scipy.ndimage._nd_image', dirs)\n"
     )
-    assert _ndimage_imports(tree) == ["scipy.ndimage"] * 5 + ["scipy.ndimage.map_coordinates"]
+    assert _ndimage_imports(tree) == (
+        ["scipy.ndimage"] * 6 + ["scipy.ndimage.map_coordinates", "scipy.ndimage.x"]
+    )
 
 
 _STENCIL_WORK = ("floor", "trunc", "_coeff")
