@@ -12,6 +12,13 @@ the quadrature weight h^n, and the mollifier is the classic bump
 rescaled to eta_eps(x) = eps^{-n} eta(x/eps) and renormalized so the *discrete*
 integral is exactly 1 (this removes a spurious O(h^2) offset from every
 commutator limit measured on top of it).
+
+Every transform of the package runs through _spectral (forward) and
+_synthesize (inverse).  They call numpy's pocketfft gufuncs, the routines
+np.fft.fft and np.fft.ifft end in, directly, axis by axis as np.fft.fftn and
+ifftn do: np.fft's bits without its per-call wrapper, which costs more than
+the transform of a 64-point field.  The gufuncs are bound on the first
+transform (_pocketfft), so importing the package loads no numpy.fft.
 """
 
 from __future__ import annotations
@@ -66,10 +73,21 @@ class Grid:
     N: int
 
     def __post_init__(self):
+        # the one grid validation (build_grid, a .fld/.flo header, Grid itself),
+        # in the header's words; numpy integers and floats are stored as int/float
+        for key in ("dim", "N"):
+            if not _is_integer(getattr(self, key)):
+                raise FieldError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        try:
+            box = float(self.L) if _is_real(self.L) else math.nan
+        except OverflowError:  # an int beyond float range
+            box = math.inf
+        if not 0 < box < math.inf:
+            raise FieldError(f"L must be a finite positive number, got {self.L!r}")
+        for key, value in (("dim", int(self.dim)), ("L", box), ("N", int(self.N))):
+            object.__setattr__(self, key, value)
         if self.dim not in (1, 2):
             raise FieldError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.L > 0:
-            raise FieldError(f"box size must be positive, got {self.L}")
         if self.N < 8 or self.N % 2 != 0:
             raise FieldError(f"N must be even and >= 8 (aliasing hazard), got {self.N}")
 
@@ -109,8 +127,8 @@ class Grid:
 
 
 def build_grid(dim: int, L: float, N: int) -> Grid:
-    """Grid with its fields coerced to int/float; Grid itself validates them."""
-    return Grid(dim=int(dim), L=float(L), N=int(N))
+    """Grid(dim, L, N), which validates its fields and stores them as int/float."""
+    return Grid(dim=dim, L=L, N=N)
 
 
 @dataclass
@@ -293,6 +311,26 @@ def _derivative_multiplier(dim: int, L: float, N: int, multi_index: tuple[int, .
     return mult
 
 
+@functools.cache
+def _pocketfft():
+    """numpy's pocketfft gufuncs (fft, ifft), the transforms np.fft.fft and
+    np.fft.ifft end in, bound on the first transform: a fresh
+    ``import renormlab.cli`` loads no numpy.fft.  Each has the signature
+    (n),()->(m) and is called as np.fft calls it, with the lanes of one axis
+    (axes=[(axis,), (), (axis,)]), the factor fct each output is scaled by
+    (1 forward, 1/n inverse) and an output array of the input's layout.  A
+    numpy without them is refused with an ImportError naming its version and
+    the pin."""
+    try:
+        from numpy.fft._pocketfft_umath import fft, ifft
+    except ImportError:
+        raise ImportError(
+            f"numpy {np.__version__} has no pocketfft gufuncs fft and ifft in "
+            "numpy.fft._pocketfft_umath; renormlab's pyproject.toml pins numpy>=2.0,<2.5"
+        ) from None
+    return fft, ifft
+
+
 def _spectral(grid: Grid, values: np.ndarray, multipliers=None, out=None) -> np.ndarray:
     """Each Fourier multiplier applied to each field of a (...) + grid shape stack.
 
@@ -301,12 +339,17 @@ def _spectral(grid: Grid, values: np.ndarray, multipliers=None, out=None) -> np.
     multipliers, the complex spectra themselves (the forward half), written
     into out when a complex array of values' shape is given.  With
     _synthesize, the inverse half, this is the package's one FFT path.  It
-    transforms axis by axis, last axis first, exactly as np.fft.fftn does, so
-    the bits are fftn's without fftn's per-call cost.
+    calls pocketfft's forward gufunc (_pocketfft) axis by axis, last axis
+    first, exactly as np.fft.fftn does, so the bits are fftn's without the
+    cost of np.fft's per-call wrapper; each axis after the first is
+    transformed in place.
     """
+    fft = _pocketfft()[0]
+    if out is None:
+        out = np.empty_like(values, dtype=complex)
     spectrum = values
     for axis in range(-1, -grid.dim - 1, -1):
-        spectrum = np.fft.fft(spectrum, axis=axis, out=out)
+        spectrum = fft(spectrum, 1.0, axes=[(axis,), (), (axis,)], out=out)
     if multipliers is None:
         return spectrum
     cells = (slice(None),) * grid.dim
@@ -318,11 +361,15 @@ def _spectral(grid: Grid, values: np.ndarray, multipliers=None, out=None) -> np.
 
 def _synthesize(grid: Grid, spectra: np.ndarray, out=None) -> np.ndarray:
     """The inverse half of _spectral: the real fields of a (...) + grid shape stack
-    of spectra, transformed back axis by axis as np.fft.ifftn does.  Given a
-    complex array of spectra's shape as out, the transforms write into it and
+    of spectra, transformed back axis by axis by pocketfft's inverse gufunc,
+    scaled by 1/N per axis, as np.fft.ifftn does.  The transforms write into
+    out, a complex array of spectra's shape (a new one if none is given), and
     the result is a view of its real part."""
+    ifft = _pocketfft()[1]
+    if out is None:
+        out = np.empty_like(spectra, dtype=complex)
     for axis in range(-1, -grid.dim - 1, -1):
-        spectra = np.fft.ifft(spectra, axis=axis, out=out)
+        spectra = ifft(spectra, 1.0 / grid.N, axes=[(axis,), (), (axis,)], out=out)
     return spectra.real
 
 
@@ -332,12 +379,23 @@ def _partials(grid: Grid, derivatives) -> list[np.ndarray]:
     return [_derivative_multiplier(grid.dim, grid.L, grid.N, beta) for beta in orders]
 
 
+def _orders(multi_index, what: str) -> tuple[int, ...]:
+    """The per-axis orders of a multi-index as ints; a bool or a non-integer
+    entry (0.5, 1.9, True, "1") is refused, not truncated."""
+    index = tuple(multi_index)
+    bad = [b for b in index if not _is_integer(b)]
+    if bad:
+        raise FieldError(f"{what} {index!r} has a non-integer entry {bad[0]!r}")
+    return tuple(int(b) for b in index)
+
+
 def spectral_derivative(f: GridScalar, multi_index) -> GridScalar:
     """Mixed partial derivative d^beta f via Fourier multiplier.
 
-    multi_index is a length-dim tuple of per-axis orders with total order <= 2.
+    multi_index is a length-dim tuple of per-axis integer orders with total
+    order <= 2; a bool or a non-integer order is refused by name.
     """
-    beta = tuple(int(b) for b in multi_index)
+    beta = _orders(multi_index, "derivative order")
     if len(beta) != f.grid.dim:
         raise FieldError(f"multi_index length {len(beta)} != dim {f.grid.dim}")
     if any(b < 0 for b in beta) or sum(beta) > 2:
@@ -459,8 +517,8 @@ def convolve(kernel: GridScalar, f: GridScalar) -> GridScalar:
 
 def kernel_moment(kernel: GridScalar, power_index, deriv_index) -> float:
     """Discrete moment  h^n sum_x  x^alpha (d^beta eta_eps)(x), x wrapped to [-L/2, L/2)."""
-    alpha = tuple(int(a) for a in power_index)
-    beta = tuple(int(b) for b in deriv_index)
+    alpha = _orders(power_index, "moment power")
+    beta = _orders(deriv_index, "moment derivative")
     g = kernel.grid
     if len(alpha) != g.dim or len(beta) != g.dim:
         raise FieldError("moment index length mismatch")
@@ -532,6 +590,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """An int, a float or a numpy real, not a bool: a box size, a damping lambda or an exponent."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 # each kind of header key: its test and what a failing value is told it must be
 _HEADER_KINDS = {
     "int": (_is_int, "an integer"),
@@ -571,7 +634,7 @@ def _check_header(path, header: dict, kinds: dict, error: type[ValueError]) -> G
         if not test(header[key]):
             raise error(f"{path}: header {key} must be {want}, got {header[key]!r}")
     try:
-        return Grid(dim=header["dim"], L=float(header["L"]), N=header["N"])
+        return Grid(dim=header["dim"], L=header["L"], N=header["N"])
     except FieldError as exc:  # dim not 1 or 2, or N odd or below 8; the message names it
         raise error(f"{path}: header {exc}") from None
 

@@ -44,6 +44,7 @@ from .field import (
     TimeGridVector,
     _blocks,
     _is_integer,
+    _is_real,
     _partials,
     _spectral,
     _synthesize,
@@ -70,11 +71,6 @@ __all__ = [
 
 class ParabolicError(ValueError):
     pass
-
-
-def _is_real(value) -> bool:
-    """An int, a float or a numpy real, not a bool: a damping lambda or an exponent."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _float(value, name: str) -> float:

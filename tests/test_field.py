@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from renormlab.field import (
     TimeGridVector,
     _derivative_multiplier,
     _spectral,
+    _synthesize,
     build_grid,
     central_half,
     convolve,
@@ -80,8 +85,31 @@ class TestGrid:
             Grid(dim=1, L=L, N=63)
         with pytest.raises(FieldError, match="dim"):
             Grid(dim=3, L=L, N=32)
-        with pytest.raises(FieldError, match="box size"):
+        with pytest.raises(FieldError, match="L must be a finite positive number, got 0.0"):
             Grid(dim=1, L=0.0, N=32)
+
+    @pytest.mark.parametrize("dim,box,N,message", [
+        (1, math.inf, 16, "L must be a finite positive number, got inf"),
+        (1, math.nan, 16, "L must be a finite positive number, got nan"),
+        (1, 10**400, 16, "L must be a finite positive number, got 1000"),
+        (1, "6.28", 16, "L must be a finite positive number, got '6.28'"),
+        (1, L, 16.5, "N must be an integer, got 16.5"),
+        (1, L, 16.0, "N must be an integer, got 16.0"),
+        (1, L, "16", "N must be an integer, got '16'"),
+        (True, L, 16, "dim must be an integer, got True"),
+        (1.0, L, 16, "dim must be an integer, got 1.0"),
+    ])
+    def test_direct_construction_refuses_what_a_header_refuses(self, dim, box, N, message):
+        # the header's words, before any coercion: no int() truncation, no h = inf
+        for make in (build_grid, Grid):
+            with pytest.raises(FieldError, match=re.escape(message)):
+                make(dim, box, N)
+
+    def test_numpy_numbers_are_stored_as_int_and_float(self):
+        g = build_grid(np.int64(2), np.float32(4.0), np.int32(16))
+        assert g == Grid(2, 4.0, 16) and hash(g) == hash(Grid(2, 4.0, 16))
+        assert [type(v) for v in (g.dim, g.L, g.N)] == [int, float, int]
+        assert type(Grid(1, np.float64(L), np.uint8(32)).N) is int
 
     def test_wrapped_coordinates_exact_negation(self):
         g = build_grid(1, L, 64)
@@ -112,6 +140,28 @@ class TestSpectralDerivative:
         g = build_grid(1, L, 32)
         f = GridScalar.from_function(g, lambda x: np.cos(x) + 0.5)
         assert np.array_equal(spectral_derivative(f, (0,)).values, f.values)
+
+    @pytest.mark.parametrize("order", [(0.5,), (1.9,), (True,), ("1",)])
+    def test_a_non_integer_order_is_refused_before_any_transform(self, order, monkeypatch):
+        # int() truncation read (0.5,) as 0 (f itself), (1.9,) as 1, True and "1" as 1
+        def no_transform():
+            raise AssertionError("transformed before the order was checked")
+
+        monkeypatch.setattr(field, "_pocketfft", no_transform)
+        f = GridScalar.from_function(build_grid(1, L, 16), np.sin)
+        message = f"derivative order {order!r} has a non-integer entry {order[0]!r}"
+        with pytest.raises(FieldError, match=re.escape(message)):
+            spectral_derivative(f, order)
+        with pytest.raises(FieldError, match="moment derivative"):
+            kernel_moment(f, (0,), order)
+        with pytest.raises(FieldError, match="moment power"):
+            kernel_moment(f, order, (0,))
+
+    def test_numpy_integer_orders_are_taken(self):
+        f = GridScalar.from_function(build_grid(1, L, 16), np.sin)
+        want = spectral_derivative(f, (1,)).values
+        assert np.array_equal(spectral_derivative(f, (np.int64(1),)).values, want)
+        assert np.array_equal(spectral_derivative(f, np.array([1])).values, want)
 
     def test_rejects_high_order(self):
         g = build_grid(2, L, 16)
@@ -184,6 +234,104 @@ class TestSpectralDerivative:
                         assert np.array_equal(hess[r, i, j, k], want)
             assert np.array_equal(div[r], total)
             assert np.array_equal(divergence(GridVector(g, values[r])).values, total)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: every sign of zero and every nan payload too."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestPocketfftPath:
+    """_spectral and _synthesize call numpy's private pocketfft gufuncs; np.fft's
+    public functions are the oracle, bit for bit, on every numpy this runs on."""
+
+    CASES = [(1, 64, ()), (1, 64, (3,)), (2, 32, ()), (2, 32, (2, 3)), (2, 64, ()), (2, 64, (2,))]
+
+    @staticmethod
+    def stack(g, heads, complex_input, seed=17):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(heads + g.shape)
+        if complex_input:
+            values = values + 1j * rng.standard_normal(values.shape)
+        return values, tuple(range(-g.dim, 0))
+
+    @pytest.mark.parametrize("dim,N,heads", CASES)
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_halves_equal_fftn_and_ifftn(self, dim, N, heads, complex_input):
+        g = build_grid(dim, L, N)
+        values, axes = self.stack(g, heads, complex_input)
+        spectrum = np.fft.fftn(values, axes=axes)
+        assert same_bits(_spectral(g, values), spectrum)
+        want = np.fft.ifftn(spectrum, axes=axes)
+        assert same_bits(_synthesize(g, spectrum), want.real)
+        assert same_bits(spectrum, np.fft.fftn(values, axes=axes))  # the input is kept
+
+    @pytest.mark.parametrize("dim,N,heads", CASES)
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_each_multiplier_equals_its_np_fft_synthesis(self, dim, N, heads, complex_input):
+        g = build_grid(dim, L, N)
+        values, axes = self.stack(g, heads, complex_input)
+        mults = field._partials(g, [(0,), (dim - 1, dim - 1), ()])
+        spectrum = np.fft.fftn(values, axes=axes)
+        got = _spectral(g, values, mults)
+        cells = (slice(None),) * dim
+        for m, mult in enumerate(mults):
+            assert same_bits(got[(..., m) + cells], np.fft.ifftn(mult * spectrum, axes=axes).real)
+
+    @pytest.mark.parametrize("dim,N,heads", CASES)
+    def test_into_out_and_in_place(self, dim, N, heads):
+        # the march's calls: a forward transform into a buffer of a real
+        # source, and inverse transforms into a second buffer and in place
+        g = build_grid(dim, L, N)
+        values, axes = self.stack(g, heads, False)
+        buffer = np.empty(values.shape, dtype=complex)
+        spectrum = _spectral(g, values, out=buffer)
+        assert spectrum is buffer and same_bits(buffer, np.fft.fftn(values, axes=axes))
+        want = np.fft.ifftn(buffer, axes=axes)
+        into = np.empty_like(buffer)
+        assert same_bits(_synthesize(g, buffer, out=into), want.real)
+        assert same_bits(into, want)
+        real = _synthesize(g, buffer, out=buffer)
+        assert np.shares_memory(real, buffer) and same_bits(buffer, want)
+
+    @pytest.mark.parametrize("dim,N", [(1, 64), (2, 32), (2, 64)])
+    def test_non_contiguous_component_views(self, dim, N):
+        # divergence_stack transforms values[..., i, :, ...]: a strided view
+        # (in 1-d, of a stack itself cut from a wider one)
+        g = build_grid(dim, L, N)
+        values = np.random.default_rng(5).standard_normal((3, 2) + g.shape)[:, :dim]
+        axes = tuple(range(-dim, 0))
+        cells = (slice(None),) * dim
+        for i in range(dim):
+            view = values[(..., i) + cells]
+            assert not view.flags.c_contiguous
+            spectrum, want = _spectral(g, view), np.fft.fftn(view, axes=axes)
+            assert same_bits(spectrum, want) and spectrum.strides == want.strides
+            mult = field._partials(g, [(i,)])[0]
+            got = _spectral(g, view, [mult])[:, 0]
+            assert same_bits(got, np.fft.ifftn(mult * want, axes=axes).real)
+        want = sum(
+            np.fft.ifftn(field._partials(g, [(i,)])[0] * np.fft.fftn(values[:, i], axes=axes),
+                         axes=axes).real
+            for i in range(dim)
+        )
+        assert same_bits(divergence_stack(g, values), 0.0 + want)
+
+    def test_the_gufuncs_bound_are_np_ffts(self):
+        from numpy.fft import _pocketfft_umath
+
+        assert field._pocketfft() == (_pocketfft_umath.fft, _pocketfft_umath.ifft)
+
+    @pytest.mark.parametrize("stub", [None, types.ModuleType("numpy.fft._pocketfft_umath")])
+    def test_a_numpy_without_the_gufuncs_is_named(self, stub, monkeypatch):
+        # None: the module is missing; an empty module: fft and ifft are
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pin = re.search(r'"(numpy[^"]*)"', pyproject.read_text()).group(1)
+        monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", stub)
+        with pytest.raises(ImportError, match="pocketfft gufuncs fft and ifft") as refused:
+            field._pocketfft.__wrapped__()
+        assert f"numpy {np.__version__} " in str(refused.value)
+        assert f"pyproject.toml pins {pin}" in str(refused.value)
 
 
 class TestMollifier:

@@ -430,7 +430,8 @@ def run_fresh(code: str) -> str:
 
 class TestCompiledSplineModule:
     """interp loads scipy's compiled spline module by itself, without the
-    scipy.ndimage package, and its two routines give the public functions' bits."""
+    scipy.ndimage package, and its two routines give the public functions' bits.
+    A fresh import loads neither scipy.ndimage nor numpy.fft."""
 
     def test_a_fresh_import_loads_the_module_alone(self):
         names = ["scipy.ndimage._nd_image", "scipy.ndimage", "scipy.special",
@@ -444,6 +445,17 @@ class TestCompiledSplineModule:
         origin = Path(interp._nd_image.__spec__.origin)
         assert origin.parent == Path(ndimage.__file__).parent
         assert origin.name.startswith("_nd_image.")
+
+    def test_a_fresh_import_loads_no_numpy_fft(self):
+        # field binds pocketfft's gufuncs on the first transform, not on import
+        out = run_fresh(
+            "import sys\nimport renormlab.cli\nprint('numpy.fft' in sys.modules)\n"
+            "from renormlab import field\n"
+            "g = field.build_grid(1, 6.0, 16)\n"
+            "field.gradient(field.GridScalar(g, g.axis_coordinates()))\n"
+            "print('numpy.fft._pocketfft_umath' in sys.modules)\n"
+        )
+        assert out.split() == ["False", "True"]
 
     @pytest.mark.parametrize("first", ["renormlab", "scipy.ndimage"])
     def test_either_import_order_gives_the_public_bits(self, first):

@@ -2,8 +2,11 @@
 
 - Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
 - Only ``field._spectral`` (the forward half) and ``field._synthesize`` (the
-  inverse half) call an ``np.fft`` transform, and only
+  inverse half) call a transform, pocketfft's gufunc ``fft`` and ``ifft``,
+  which only ``field._pocketfft`` imports and hands out, and only
   ``field._wavenumbers`` calls ``fftfreq``: the package has one FFT path.
+  The scan sees each form: ``np.fft.<name>``, a gufunc read bare or off any
+  module, an alias, and an import (``test_fft_scan_sees_each_form``).
 - In ``src/`` and ``scripts/`` only ``cli._accept`` runs the acceptance suite:
   ``renormlab accept`` is its one runner.
 - Within ``commutator`` only ``mollify`` reads ``mollifier``: every
@@ -126,13 +129,28 @@ def _with_function(node: ast.AST, function: str = "<module>"):
         yield from _with_function(child, function)
 
 
+# numpy.fft's transforms and frequency helpers, and pocketfft's gufuncs
+_FFT_NAMES = {
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2", "irfft2",
+    "rfftn", "irfftn", "hfft", "ihfft", "fftfreq", "rfftfreq",
+}
+
+
 def _fft_uses(path: Path) -> list[tuple[str, str]]:
-    """(enclosing function, attribute) for each ``<...>.fft.<attribute>`` in the module."""
-    uses = []
+    """(enclosing function, name) for each read of the module's transforms.
+
+    That is each ``<...>.fft.<name>``, each other read of a name in
+    _FFT_NAMES, bare or as an attribute (a call, or an alias taken for one),
+    and (function, "import") for each import that names fft.
+    """
+    uses, modules = [], set()
     for function, node in _with_function(_parse(path)):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
-            if node.value.attr == "fft":
-                uses.append((function, node.attr))
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "fft":
+            uses.append((function, node.attr))
+            modules.add(node.value)  # np.fft read as a module, not as a transform
+        elif name in _FFT_NAMES and isinstance(node.ctx, ast.Load) and node not in modules:
+            uses.append((function, name))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
             if any("fft" in name for name in names):
@@ -147,7 +165,27 @@ def test_one_fft_path(path):
         assert uses == []
         return
     assert sorted(set(uses)) == [
+        ("_pocketfft", "fft"), ("_pocketfft", "ifft"), ("_pocketfft", "import"),
         ("_spectral", "fft"), ("_synthesize", "ifft"), ("_wavenumbers", "fftfreq"),
+    ]
+
+
+def test_fft_scan_sees_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\nfrom numpy.fft import _pocketfft_umath\n"
+        "def a(x):\n    return np.fft.fftn(x)\n"
+        "def b():\n    return np.fft\n"
+        "def c(x, out):\n    fft = _pocketfft()[0]\n    return fft(x, 1.0, out=out)\n"
+        "def d(gufuncs, x):\n    return gufuncs.ifft(x, 0.5, out=x)\n"
+        "def e(x):\n    return np.fft._pocketfft_umath.rfft_n_even(x, 1.0)\n"
+        "def f():\n    import scipy.fft\n"
+        "def g(fft):\n    ifft = 'np.fft.ifft(x)'\n    return ifft\n",
+        encoding="utf-8",
+    )
+    assert sorted(_fft_uses(probe)) == [
+        ("<module>", "import"), ("a", "fftn"), ("b", "fft"), ("c", "fft"), ("d", "ifft"),
+        ("e", "_pocketfft_umath"), ("f", "import"), ("g", "ifft"),
     ]
 
 
