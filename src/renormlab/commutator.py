@@ -34,6 +34,8 @@ from .field import (
     FieldError,
     GridScalar,
     GridVector,
+    _check_exponents,
+    _finite_float,
     _partials,
     _spectral,
     central_half,
@@ -164,11 +166,10 @@ def convergence_study(
     """
     if operator_tag not in (TAG_T, TAG_S):
         raise FieldError(f"unknown operator tag {operator_tag!r}")
-    epsilons = [float(e) for e in epsilon_list]
+    epsilons = [_finite_float(FieldError, "epsilons", e) for e in epsilon_list]
     if len(epsilons) < 3:
         raise FieldError(f"need at least 3 epsilons, got {len(epsilons)}")
-    if r < 1:
-        raise FieldError(f"exponent r must be >= 1, got {r}")
+    _check_exponents(FieldError, "r", r)
     limit_t, limit_s = commutator_limits(sigma, f)
 
     grid = f.grid
@@ -239,41 +240,37 @@ def _adjoint_second_order(sigma: GridVector, values: np.ndarray) -> np.ndarray:
 
 def r1_remainder(m: Mollified, renorm) -> GridScalar:
     """First-order chain-rule defect, from its definition."""
-    g, u = m.f.grid, m.f_eps.values
-    div_s_gamma = divergence(GridVector(g, m.sigma.values * renorm.gamma(u)[None, ...]))
-    return GridScalar(g, div_s_gamma.values - renorm.gamma_prime(u) * m.div_sf_eps.values)
+    g, (gamma, first, _) = m.f.grid, renorm.derivatives(m.f_eps.values)
+    div_s_gamma = divergence(GridVector(g, m.sigma.values * gamma[None, ...]))
+    return GridScalar(g, div_s_gamma.values - first * m.div_sf_eps.values)
 
 
 def r1_reconstruction(m: Mollified, renorm, sign: float = 1.0) -> GridScalar:
     """Rebuild R1 from T_eps; sign multiplies the (Div sigma) Gamma term."""
-    u = m.f_eps.values
+    gamma, first, _ = renorm.derivatives(m.f_eps.values)
     div_sigma = divergence(m.sigma).values
-    out = renorm.gamma_prime(u) * op_T(m).values + sign * div_sigma * renorm.gamma(u)
+    out = first * op_T(m).values + sign * div_sigma * gamma
     return GridScalar(m.f.grid, out)
 
 
 def r2_remainder(m: Mollified, renorm) -> GridScalar:
     """Second-order chain-rule defect, from its definition."""
-    g, u = m.f.grid, m.f_eps.values
+    g, (gamma, first, second) = m.f.grid, renorm.derivatives(m.f_eps.values)
     adjoint_f = _adjoint_second_order(m.sigma, m.f.values)
     adjoint_f_eps = convolve(m.kernel, GridScalar(g, adjoint_f)).values
-    adjoint_gamma = _adjoint_second_order(m.sigma, renorm.gamma(u))
-    out = (
-        renorm.gamma_prime(u) * adjoint_f_eps
-        - adjoint_gamma
-        + 0.5 * renorm.gamma_second(u) * m.div_sf_eps.values**2
-    )
+    adjoint_gamma = _adjoint_second_order(m.sigma, gamma)
+    out = first * adjoint_f_eps - adjoint_gamma + 0.5 * second * m.div_sf_eps.values**2
     return GridScalar(g, out)
 
 
 def r2_reconstruction(m: Mollified, renorm, sign: float = 1.0) -> GridScalar:
     """Rebuild R2 from T_eps, S_eps, R1; sign multiplies the Gamma(u) Q term."""
-    g, u = m.f.grid, m.f_eps.values
+    g, (gamma, first, second) = m.f.grid, renorm.derivatives(m.f_eps.values)
     div_sigma, twist = divergence_and_twist(g, jacobian(m.sigma))
     out = (
-        renorm.gamma_prime(u) * op_S(m).values
-        + 0.5 * renorm.gamma_second(u) * op_T(m).values ** 2
+        first * op_S(m).values
+        + 0.5 * second * op_T(m).values ** 2
         - _advect(m.sigma, r1_remainder(m, renorm))
-        - sign * 0.5 * renorm.gamma(u) * (twist + div_sigma**2)
+        - sign * 0.5 * gamma * (twist + div_sigma**2)
     )
     return GridScalar(g, out)

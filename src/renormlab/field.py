@@ -489,9 +489,7 @@ def bump_values(r2_over_rad2: np.ndarray) -> np.ndarray:
 
 def mollifier(grid: Grid, epsilon: float) -> GridScalar:
     """Discrete eta_eps: nonnegative, unit discrete mass, support in |x| <= eps."""
-    eps = float(epsilon)
-    if not math.isfinite(eps):
-        raise FieldError(f"epsilon must be finite, got {eps}")
+    eps = _finite_float(FieldError, "epsilon", epsilon)
     if eps < 2.0 * grid.h:
         raise FieldError(f"epsilon {eps} below resolution 2h = {2 * grid.h}")
     if eps > grid.L / 4.0:
@@ -559,8 +557,7 @@ def lp_norm_stack(grid: Grid, values: np.ndarray, p: float) -> list[float]:
     """lp_norm of each row of a block of fields, (rows, ...) in: finiteness
     checked once, abs, power and one flat sum per row on the whole block, and
     each row's 1/p-th power in Python, so each entry is lp_norm's bit for bit."""
-    if p < 1:
-        raise FieldError(f"p must be >= 1, got {p}")
+    _check_exponents(FieldError, "p", p)
     if not np.isfinite(values).all():
         raise FieldError("norm of a field with non-finite values")
     a = np.abs(values.reshape(len(values), -1))
@@ -593,6 +590,29 @@ def _is_integer(value) -> bool:
 def _is_real(value) -> bool:
     """An int, a float or a numpy real, not a bool: a box size, a damping lambda or an exponent."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _finite_float(error, name: str, value) -> float:
+    """value as a float; refused with ``error``, by name, if it is no real
+    (_is_real) or not finite as a float: nan, an infinity, an int beyond
+    float range."""
+    if not _is_real(value):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise error(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _check_exponents(error, names: str, *values) -> None:
+    """Refuse with ``error`` exponents (r first) that are no real (_is_real),
+    not positive (nan included) or r < 1; an infinity is the sup norm."""
+    shown = f"({names}) = ({', '.join(map(repr, values))})"
+    if not all(map(_is_real, values)):
+        raise error(f"exponents must be numbers, got {shown}")
+    if not all(x > 0 for x in values):
+        raise error(f"exponents must be positive, got {shown}")
+    if not values[0] >= 1:
+        raise error(f"exponent {names.partition(',')[0]} must be >= 1, got {values[0]}")
 
 
 # each kind of header key: its test and what a failing value is told it must be

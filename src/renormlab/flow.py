@@ -22,9 +22,9 @@ for coefficients constant in time): each step reads its group's row.  All
 chunking lives here: _by_chunks integrates Monte Carlo members
 members_per_chunk at a time, in path order, and reduces each chunk on the
 worker pool before the next, and _march, the one Euler loop, moves a chunk
-with one spline evaluation per step into buffers allocated once, checking
-each step's index points for finiteness before the next, which lets it
-skip the spline's refusals.  simulate_flows stores the steps its caller
+with one spline read per step (interp's _read, without the refusals of a
+call) into buffers allocated once, checking each step's index points for
+finiteness before the next.  simulate_flows stores the steps its caller
 reads (FlowEnsemble.stored; every step by default), and logdet_gaps stores
 none: it fuses both recursions and logdet_gap into the march.  The
 recursions over stored positions evaluate their spline on blocks of many
@@ -38,7 +38,7 @@ y + D(y) = x (the straightening in zvonkin uses it too).  It runs Newton
 over a block of rows at once (here steps, about _BLOCK_POINTS points): one
 spectral Jacobian for the block, one spline of D and dD with a row per row
 of the block, and in each round one read of both at the points of the rows
-still iterating, through the spline's core (interp._Rounds), after the
+still iterating, by the spline's _read (through interp._Rounds), after the
 solver has found those points' index points finite.  A round keeps the
 spline coefficients it gathered at each point's stencil taps, and the next
 round gathers again only where a point moved to another cell: on the 64^2
@@ -393,10 +393,10 @@ def _logdet_fields(grid: Grid, jac: np.ndarray) -> np.ndarray:
 def _march(grid: Grid, spline, group_of_step, path: BrownianPath, chunk, targets, update=None):
     """Move a chunk of members from the nodes along ``path``: the package's one Euler loop.
 
-    Each step evaluates the row of its slice group (group_of_step[l]) by the
-    spline's core (_evaluate, without its refusals: X_0 is the nodes, and
-    each X_{l + 1} / h is found finite before it is evaluated) at the
-    chunk's points into one buffer, whose leading values are the components
+    Each step reads the row of its slice group (group_of_step[l]) by the
+    spline's _read (without a call's refusals: X_0 is the nodes, and each
+    X_{l + 1} / h is found finite before it is read) at the chunk's points,
+    as one row, into one buffer, whose leading values are the components
     of [b, sigma^1, ...], writes the new positions into targets[l + 1] and
     hands update(l, values, dW) the step; values views that buffer, which the
     next step overwrites.  Returns the first step at which a trajectory lost
@@ -407,13 +407,14 @@ def _march(grid: Grid, spline, group_of_step, path: BrownianPath, chunk, targets
     X = targets[0]
     X[...] = np.stack(grid.coordinates())[:, None]
     index = X / grid.h  # the spline's index points
-    index_points = index.reshape(grid.dim, -1)
-    flat = np.empty((math.prod(spline.head_shape[1:]), X[0].size))  # one slice group's row
+    index_points = index.reshape(grid.dim, 1, -1)
+    flat = np.empty((math.prod(spline.head_shape[1:]), 1, X[0].size))  # one slice group's row
     fields = flat[:lead].reshape((-1,) + X.shape)
     values = flat.reshape(spline.head_shape[1:] + X.shape[1:])
+    rows = [[group] for group in range(spline.head_shape[0])]  # each group's one row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for l, group in enumerate(group_of_step.tolist()):
-            spline._evaluate(index_points, flat, group)
+            spline._read(rows[group], index_points, flat)
             dW = increments[l]
             move = _euler_sum(fields, path.dt, dW)
             X = np.add(X, move, out=targets[l + 1])
@@ -763,8 +764,8 @@ def _newton_rows(grid: Grid, disp, disp_jac, X, Y, tol: float):
     data at the node z = x - m h of _start_nodes, (x - m h) - (I +
     dD(z))^-1 (D(z) - m h), with no spline call; m = 0, the step from y = x,
     wherever the displacement stays under half a cell.  Each round reads the
-    spline at the points of the rows still iterating (interp._Rounds: it
-    gathers coefficients again only where a point's stencil cell moved),
+    spline at the points of the rows still iterating (by _read through
+    interp._Rounds: it gathers again only where a point's stencil cell moved),
     after refusing any point whose index point y / h is not finite ("Newton
     iteration lost finiteness").  A row leaves in the round its own
     residual max|y + D(y) - x| falls below tol, so its iterates and round
@@ -907,9 +908,9 @@ def pushforward_path(f0: GridScalar, ensemble: FlowEnsemble, steps=None) -> Iter
 
     One spline of f0 serves the whole path.  The inverse maps are made block
     by block, so only one block's fields are held at a time; f0 reads a
-    block at the Newton solve's last stencil plan where there is one (every
-    row of the block left in the last round) and the size rule picks the
-    stencil.  The arguments are checked before the first field is made.
+    block's points as one row (_read), with the Newton solve's last stencil
+    plan where there is one (every row of the block left in the last round).
+    The arguments are checked before the first field is made.
     """
     grid = ensemble.seeds_grid
     if f0.grid != grid:
@@ -922,8 +923,8 @@ def pushforward_path(f0: GridScalar, ensemble: FlowEnsemble, steps=None) -> Iter
     def fields():
         for _, psi, det, _, plan in _inverse_blocks(ensemble, steps):
             # psi / h is finite, as Newton read its splines there
-            values = np.empty((1, det.size))
-            datum._evaluate(psi.reshape(grid.dim, -1) / grid.h, values, 0, plan)
+            values = np.empty((1, 1, det.size))
+            datum._read([0], psi.reshape(grid.dim, 1, -1) / grid.h, values, plan)
             for v in values.reshape(det.shape) * det:
                 yield GridScalar(grid, v.reshape(grid.shape))
 

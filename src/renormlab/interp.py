@@ -15,24 +15,24 @@ all equal in a row (the unit noise e_k, a zero displacement) evaluates there
 to that exact constant, where a spline would return it only to a few ulp;
 one constant in every row gets no spline and costs no stencil.
 
-Two evaluators read the coefficients of the one prefilter and give the same
-bits.  scipy's compiled spline routine, the one map_coordinates itself ends
-in, called directly once per component of one row, is the faster on small
-calls (the 64 nodes of one 1-d flow): there the public wrapper's checks and
-output set-up cost more than its arithmetic, and _evaluate's contract
-already holds what they check.  The numpy stencil (_Stencil) wins from
-about 1,000 to 3,000 spline values per call, by
-component count (a chunk of Monte Carlo members, a block of steps, a 64^2
-grid).  It works in two halves: a plan, a point set's cells and B-spline
-weights, computed once for all components, and a read, which gathers each
-component's coefficients at the 4^dim taps into one tap-major buffer and
-sums them with one einsum, in map_coordinates' products and order.  A call
-that reads one row picks by size (_by_stencil), in the core (_evaluate) that
-flow._march, which checks its own points, calls directly; a call that reads
-several rows runs the stencil.  _Rounds reads one spline round after round
-at points that move little, as a Newton solver does: it keeps what it gathered,
-gathers again only where a point's cell moved, and hands out its last plan,
-at which a spline of another field on the same grid reads the same points.
+Every read, a call, a step of flow._march, a Newton round, goes through
+one method, _read, and one of two evaluators, which read the coefficients
+of the one prefilter and give the same bits.  scipy's compiled spline
+routine, the one map_coordinates itself ends in, called directly once per
+component, is the faster on a small read of one row (the 64 nodes of one
+1-d flow): there the public wrapper's checks and output set-up cost more
+than its arithmetic, and _read's contract already holds what they check.
+The numpy stencil (_Stencil) wins from about 1,000 to 3,000 spline values
+per call, by component count (a chunk of Monte Carlo members, a block of
+steps, a 64^2 grid), and reads every read of several rows.  It works in two
+halves: a plan, a point set's cells and B-spline weights, computed once for
+all components, and a read, which gathers each component's coefficients at
+the 4^dim taps into one tap-major buffer and sums them with one einsum, in
+map_coordinates' products and order.  Newton rounds read one spline round
+after round at points that move little (_Rounds): _read keeps what it
+gathered, gathers again only where a point's cell moved, and hands out its
+plan, at which a spline of another field on the same grid reads the same
+points.
 
 interp loads scipy's compiled spline module, the extension _nd_image next to
 scipy/ndimage/__init__.py, from its file (_load_nd_image), and never imports
@@ -91,9 +91,9 @@ _ORDER = 3
 # which spline_filter1d and map_coordinates pass to their compiled routines
 _GRID_WRAP = 5
 
-# Spline values per call (points times non-constant components) from which
-# a call that reads one row evaluates with the stencil rather than with
-# map_coordinates' compiled routine.  Called directly, the routine costs
+# Spline values per read (points times non-constant components) from which
+# a read of one row runs the stencil rather than map_coordinates' compiled
+# routine.  Called directly, the routine costs
 # about 2 us less per component than map_coordinates, which moves the
 # crossover little: in 1-d on 64 nodes, 7 components at 384 points read
 # 78 us against the stencil's 52, one component at 2,048 points 56 against
@@ -114,14 +114,12 @@ class PeriodicInterpolant:
     coordinates.  ``interp(points)`` reads every row at points of shape
     (dim,) + tail and returns head + tail.  ``interp(points, rows)`` reads
     row ``rows[n]`` at ``points[:, n]``, points of shape (dim, len(rows)) +
-    tail, and returns head[1:] + (len(rows),) + tail.  A call that reads one
-    row and asks for fewer than _STENCIL_VALUES spline values (points times
-    components that are not constant in the row) runs map_coordinates'
-    compiled routine, any other call the stencil; the numbers do not depend on the evaluator.  A
-    call refuses points of the wrong shape, a row call on a head without
-    rows or a row index outside them, and, where a spline reads them, points
-    that are not finite with a FieldError; _evaluate is the one-row call
-    without refusals.
+    tail, and returns head[1:] + (len(rows),) + tail.  A call whose rows
+    are all one row reads that row at all its points as one row; _read
+    picks the evaluator, and the numbers do not depend on it.  A call
+    refuses points of the wrong shape, a row call on a head without rows or
+    a row index outside them, and, where a spline reads them, points that
+    are not finite with a FieldError; _read is the read without refusals.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -191,110 +189,95 @@ class PeriodicInterpolant:
             if not math.isfinite(np.add.reduce(index_coords, axis=None)):
                 raise FieldError("points must be finite")
         out = np.empty((self._value.shape[1], len(read), index_coords.shape[2]))
-        if lo == hi:
-            self._evaluate(index_coords.reshape(dim, -1), out.reshape(len(out), -1), lo)
-        else:
-            if reads:
-                self._sum(read, self._stencil.plan(index_coords), out)
-            self._fill_constants(read, out)
+        if lo == hi:  # one row, read at all its points
+            read, index_coords = self._row_indices[lo : lo + 1], index_coords.reshape(dim, 1, -1)
+        self._read(read, index_coords, out.reshape(len(out), len(read), -1))
         if rows is None:
             return out.swapaxes(0, 1).reshape(self.head_shape + tail_shape)
-        return out.reshape(self.head_shape[1:] + (len(read),) + tail_shape)
+        return out.reshape(self.head_shape[1:] + (out.shape[1],) + tail_shape)
 
-    def _by_stencil(self, row: int, count: int) -> bool:
-        """The size rule of a one-row call: whether ``count`` points of ``row``
-        ask for _STENCIL_VALUES spline values or more."""
-        return count * len(self._rows[row][1]) >= _STENCIL_VALUES
-
-    def _evaluate(self, index_coords, out: np.ndarray, row: int, plan=None) -> None:
-        """A one-row call without its refusals: the components of ``row`` at
-        finite float64 index points (dim, count), written into out, a float64
-        array (components, count).  plan, the stencil plan of these points if
-        the caller holds one (from a spline on the same grid), spares the
-        stencil its own.  A small call runs map_coordinates' compiled routine
-        on each component, with map_coordinates' own arguments for order 3,
-        grid-wrap, cval 0 and no prefilter: the wrapper's checks of rank,
-        shape and dtype hold by this contract."""
-        constants, splines = self._rows[row]
-        if self._by_stencil(row, out.shape[1]):
-            base, weights = self._stencil.plan(index_coords) if plan is None else plan
-            # the one row's points on one axis
-            plan = base.reshape(1, -1), weights.reshape(weights.shape[:2] + (1, -1))
-            self._sum(self._row_indices[row : row + 1], plan, out[:, None])
+    def _read(self, rows, x, out: np.ndarray, plan=None, kept=None):
+        """The one read: row rows[n] (a list or intp array) at the finite float64
+        index points x[:, n], (dim, len(rows), P), or every row at shared
+        points x, (dim, 1, P), into out (components, len(rows), P), each
+        row's constants exactly.  A one-row read of fewer than
+        _STENCIL_VALUES spline values runs map_coordinates' compiled routine
+        per component with map_coordinates' own arguments (order 3,
+        grid-wrap, cval 0, no prefilter; this contract holds the wrapper's
+        checks), any other read the stencil.  plan, the stencil plan of
+        these points in any row layout (from a spline on the same grid),
+        spares the stencil its own; kept, a list of the last read's (cells,
+        gathers) of these rows or empty, spares it the gathers at points
+        whose cell did not move, and receives this read's.  Returns the
+        stencil plan, None if the stencil did not run."""
+        one = len(rows) == 1
+        if one:
+            constants, splines = self._rows[rows[0]]
+            if x.shape[2] * len(splines) < _STENCIL_VALUES:
+                for i, coeff in splines:
+                    _nd_image.geometric_transform(
+                        coeff, None, x, None, None, out[i], _ORDER, _GRID_WRAP, 0.0, 0, None, None
+                    )
+                for i, value in constants:
+                    out[i] = value
+                return None
+        else:  # constants take any point: no stencil if nothing else is read
+            constant = self._constant[rows].T  # (components, rows)
+        if one or not constant.all():
+            base, weights = self._stencil.plan(x) if plan is None else plan
+            # a plan handed in may lay the same points out in other rows
+            plan = base, weights = (
+                base.reshape(x.shape[1:]), weights.reshape(weights.shape[:2] + x.shape[1:])
+            )
+            varying = len(self._varying)
+            if kept:
+                last, gathered = kept
+                self._stencil.gather(rows, base, gathered, base != last)
+            else:
+                gathered = np.empty((len(self._stencil.offsets), varying, len(rows), x.shape[2]))
+                self._stencil.gather(rows, base, gathered)
+            if kept is not None:
+                kept[:] = base, gathered
+            sums = out if varying == len(out) else np.empty((varying,) + out.shape[1:])
+            self._stencil.add(weights, gathered, sums)
+            if sums is not out:
+                out[self._varying] = sums
         else:
-            for i, coeff in splines:
-                _nd_image.geometric_transform(
-                    coeff, None, index_coords, None, None, out[i], _ORDER, _GRID_WRAP, 0.0, 0,
-                    None, None,
-                )
-        for i, value in constants:
-            out[i] = value
-
-    def _sum(self, rows, plan, out: np.ndarray, gathered=None) -> np.ndarray:
-        """The stencil: row rows[n] at the plan's points n (or every row at
-        shared points, a plan of one point set), written into out (components,
-        len(rows), P) for each component that has a spline in some row.
-        gathered, if given, holds the coefficients at the points' taps as
-        gather left them; else they are gathered here.  Returns the gathered
-        coefficients."""
-        base, weights = plan
-        varying = len(self._varying)
-        if gathered is None:
-            gathered = np.empty((len(self._stencil.offsets), varying, len(rows), base.shape[1]))
-            self._stencil.gather(rows, base, gathered)
-        sums = out if varying == len(out) else np.empty((varying,) + out.shape[1:])
-        self._stencil.add(weights, gathered, sums)
-        if sums is not out:
-            out[self._varying] = sums
-        return gathered
-
-    def _fill_constants(self, rows, out: np.ndarray) -> None:
-        """Write each row's constant components into out (components, len(rows), P)."""
-        constant = self._constant[rows].T  # (components, rows)
-        out[constant] = self._value[rows].T[constant][:, None]
+            plan = None
+        if one:
+            for i, value in constants:
+                out[i] = value
+        else:
+            out[constant] = self._value[rows].T[constant][:, None]
+        return plan
 
 
 class _Rounds:
     """Row calls of one spline, round after round, at points that move little.
 
     ``rounds(index_coords)`` reads row rows[n] at the finite index points
-    index_coords[:, n], (dim, len(rows), P), as a row call would, and
-    returns (components, len(rows), P).  A stencil round keeps the
-    coefficients it gathered at each point's taps, and the next round
-    gathers again only at the points whose stencil cell moved; keep(kept)
-    drops the rows that leave.  plan is the last round's stencil plan, None
-    after a round that map_coordinates' routine read.  Newton rounds of flow
-    inversion move about 5 of 4,096 points to another cell from the first
-    round to the second, and none after.
+    index_coords[:, n], (dim, len(rows), P), and returns (components,
+    len(rows), P), by _read with the gathers it kept from the last round:
+    a stencil round gathers again only at the points whose stencil cell
+    moved.  keep(kept) drops the rows that leave.  plan is the last round's
+    stencil plan, None after a round that map_coordinates' routine read.
+    Newton rounds of flow inversion move about 5 of 4,096 points to another
+    cell from the first round to the second, and none after.
     """
 
     def __init__(self, spline: PeriodicInterpolant, rows: np.ndarray):
-        self._spline, self._rows = spline, rows
-        self._base = self._gathered = self.plan = None
+        self._spline, self._rows, self._kept, self.plan = spline, rows, [], None
 
     def __call__(self, index_coords: np.ndarray) -> np.ndarray:
-        spline, rows = self._spline, self._rows
-        dim, count = index_coords.shape[0], index_coords[0].size
-        out = np.empty((spline._value.shape[1],) + index_coords.shape[1:])
-        self.plan = None
-        if len(rows) == 1 and not spline._by_stencil(rows[0], count):
-            spline._evaluate(index_coords.reshape(dim, -1), out.reshape(len(out), -1), rows[0])
-            return out
-        if not spline._constant[rows].all():
-            self.plan = spline._stencil.plan(index_coords)
-            base = self.plan[0]
-            if self._gathered is not None:
-                spline._stencil.gather(rows, base, self._gathered, base != self._base)
-            self._gathered = spline._sum(rows, self.plan, out, self._gathered)
-            self._base = base
-        spline._fill_constants(rows, out)
+        out = np.empty((self._spline._value.shape[1],) + index_coords.shape[1:])
+        self.plan = self._spline._read(self._rows, index_coords, out, kept=self._kept)
         return out
 
     def keep(self, kept: np.ndarray) -> None:
         """Keep the rows where ``kept`` holds, for the rounds to come."""
         self._rows = self._rows[kept]
-        if self._gathered is not None:
-            self._base, self._gathered = self._base[kept], self._gathered[:, :, kept]
+        # the kept cells (rows, P) and gathers (taps, comps, rows, P)
+        self._kept[:] = [last[..., kept, :] for last in self._kept]
 
 
 class _Stencil:
@@ -373,7 +356,7 @@ class _Stencil:
         """Write the coefficients at each point's taps into gathered (taps,
         comps, rows, P), point base[n, p] in row rows[n]: at every point or,
         given moved (a mask of the points), there alone."""
-        at = base + (rows * self._row_size)[:, None]
+        at = base + np.multiply(rows, self._row_size)[:, None]
         if moved is None:
             index = np.empty_like(at)
             for tap, offset in zip(gathered, self.offsets.tolist()):

@@ -43,6 +43,7 @@ from .field import (
     GridVector,
     TimeGridVector,
     _blocks,
+    _check_exponents,
     _is_integer,
     _is_real,
     _partials,
@@ -79,16 +80,6 @@ def _float(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise ParabolicError(f"{name} must be finite, got an integer beyond float range") from None
-
-
-def _check_exponents(names: str, *values) -> None:
-    """Refuse exponents (r first) that are no number or a bool, not positive, or r < 1."""
-    if not all(map(_is_real, values)):
-        raise ParabolicError(f"exponents must be numbers, got ({names}) = {values}")
-    if not all(x > 0 for x in values):
-        raise ParabolicError(f"exponents must be positive, got ({names}) = {values}")
-    if not values[0] >= 1:
-        raise ParabolicError(f"exponent r must be >= 1, got {values[0]}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -269,7 +260,7 @@ def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
     the time sum runs one slice at a time.
     """
     _check_order(alpha)
-    _check_exponents("r, q", r, q)
+    _check_exponents(ParabolicError, "r, q", r, q)
     dt = _check_uniform_times(u.times)
     grid = u.grid
     per_step = u.per_sample(lambda v: lp_norm_stack(grid, _magnitudes(grid, v, alpha), r))[:-1]
@@ -319,7 +310,7 @@ def decay_study(
         raise ParabolicError(f"need at least 3 lambdas, got {len(lams)}")
     if not (0 < lams[0] and lams[-1] < math.inf and np.all(np.diff(lams) > 0)):
         raise ParabolicError(f"lambdas must be positive, finite and strictly increasing: {lams}")
-    _check_exponents("r, p, q", r, p, q)
+    _check_exponents(ParabolicError, "r, p, q", r, p, q)
     n = b.grid.dim
     if 2.0 / q + n / p >= 1.0:
         raise ParabolicError(f"(p, q) = ({p}, {q}) violates 2/q + n/p < 1 in dim {n}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .field import _is_integer
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -22,15 +24,23 @@ def _splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def _word(value, name: str) -> int:
+    """An int or numpy integer (_is_integer) as its low 64 bits; anything
+    else, a bool, a float or a string among them, is a ValueError naming it."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value) & _MASK64
+
+
 def mix_indices(*indices: int) -> int:
     """Collapse an index tuple to one well-mixed 64-bit word."""
     acc = 0x5851F42D4C957F2D
     for idx in indices:
-        acc = _splitmix64(acc ^ (int(idx) & _MASK64))
+        acc = _splitmix64(acc ^ _word(idx, "stream index"))
     return acc
 
 
 def stream(master_seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for the given (seed, index...) coordinates."""
-    key = np.array([int(master_seed) & _MASK64, mix_indices(*indices)], dtype=np.uint64)
+    key = np.array([_word(master_seed, "seed"), mix_indices(*indices)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -30,6 +30,7 @@ from .field import (
     GridScalar,
     TimeGridVector,
     _blocks,
+    _finite_float,
     divergence_and_twist,
     gradient,
     hessian_stack,
@@ -63,19 +64,19 @@ class WeakFormError(ValueError):
 class Renormalizer:
     """Gamma with closed-form first and second derivatives.
 
+    derivatives(z) returns (Gamma, Gamma', Gamma'') at z from one pass.
     derived gives g and h, the derived combinations; h uses
     G'(z) = z Gamma''(z), so h(z) = z^2 Gamma''(z) - z Gamma'(z) + Gamma(z).
     """
 
-    gamma: object
-    gamma_prime: object
-    gamma_second: object
+    derivatives: object
 
     def derived(self, z) -> tuple:
-        """Gamma, g and h at z, each derivative of Gamma evaluated once."""
+        """Gamma, g and h at z, from one call of derivatives."""
         z = np.asarray(z, dtype=np.float64)
-        gamma, z_first = self.gamma(z), z * self.gamma_prime(z)
-        return gamma, z_first - gamma, z**2 * self.gamma_second(z) - z_first + gamma
+        gamma, first, second = self.derivatives(z)
+        z_first = z * first
+        return gamma, z_first - gamma, z**2 * second - z_first + gamma
 
 
 def _quintic_step(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,34 +106,26 @@ def _plateau(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return value, first, second
 
 
-def _abs_eps_family(epsilon: float) -> Renormalizer:
-    eps = float(epsilon)
-
-    def A(z):
-        return np.where(np.abs(z) < eps, z**2 / (2 * eps) + eps / 2, np.abs(z))
-
-    def A1(z):
-        return np.where(np.abs(z) < eps, z / eps, np.sign(z))
-
-    def A2(z):
-        return np.where(np.abs(z) < eps, 1.0 / eps, 0.0)
-
-    def gamma(z):
+def _abs_eps_family(eps: float) -> Renormalizer:
+    def derivatives(z):
         z = np.asarray(z, dtype=np.float64)
-        B, _, _ = _plateau(eps * z)
-        return A(z) * B
-
-    def gamma_prime(z):
-        z = np.asarray(z, dtype=np.float64)
-        B, B1, _ = _plateau(eps * z)
-        return A1(z) * B + A(z) * eps * B1
-
-    def gamma_second(z):
-        z = np.asarray(z, dtype=np.float64)
+        inner = np.abs(z) < eps
+        A = np.where(inner, z**2 / (2 * eps) + eps / 2, np.abs(z))
+        A1, A2 = np.where(inner, z / eps, np.sign(z)), np.where(inner, 1.0 / eps, 0.0)
         B, B1, B2 = _plateau(eps * z)
-        return A2(z) * B + 2.0 * A1(z) * eps * B1 + A(z) * eps**2 * B2
+        return A * B, A1 * B + A * eps * B1, A2 * B + 2.0 * A1 * eps * B1 + A * eps**2 * B2
 
-    return Renormalizer(gamma=gamma, gamma_prime=gamma_prime, gamma_second=gamma_second)
+    return Renormalizer(derivatives)
+
+
+def _tanh(z):
+    t, c2 = np.tanh(z), np.cosh(np.asarray(z, dtype=np.float64)) ** 2
+    return t, 1.0 / c2, -2.0 * t / c2
+
+
+def _linear(z):
+    z = np.asarray(z, dtype=np.float64)
+    return z, np.ones_like(z), np.zeros_like(z)
 
 
 def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
@@ -141,26 +134,18 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
     tanh: bounded with bounded z Gamma' and z^2 Gamma''.  abs_eps: parabolic
     regularization of |z| (value eps/2 at 0) times a plateau cutoff; tends to
     |z| pointwise with g, h tending to 0.  linear is the degenerate member
-    that collapses the renormalized ledger onto the plain one.
+    that collapses the renormalized ledger onto the plain one.  abs_eps's
+    epsilon must be a finite positive number.
     """
     if tag == "tanh":
-        return Renormalizer(
-            gamma=np.tanh,
-            gamma_prime=lambda z: 1.0 / np.cosh(np.asarray(z, dtype=np.float64)) ** 2,
-            gamma_second=lambda z: -2.0
-            * np.tanh(z)
-            / np.cosh(np.asarray(z, dtype=np.float64)) ** 2,
-        )
+        return Renormalizer(_tanh)
     if tag == "abs_eps":
-        if epsilon is None or epsilon <= 0:
+        eps = _finite_float(WeakFormError, "abs_eps's epsilon", epsilon)
+        if eps <= 0:
             raise WeakFormError(f"abs_eps needs a positive epsilon, got {epsilon}")
-        return _abs_eps_family(epsilon)
+        return _abs_eps_family(eps)
     if tag == "linear":
-        return Renormalizer(
-            gamma=lambda z: np.asarray(z, dtype=np.float64),
-            gamma_prime=lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
-            gamma_second=lambda z: np.zeros_like(np.asarray(z, dtype=np.float64)),
-        )
+        return Renormalizer(_linear)
     raise WeakFormError(f"unknown renormalizer tag {tag!r}")
 
 
@@ -335,7 +320,7 @@ def residual_renormalized(
             for value in by_step.ravel().tolist():  # a row per step, a column per noise field
                 sums[name] += value
 
-    gamma_0, gamma_T = renorm.gamma(fpath[0].values), renorm.gamma(fpath[-1].values)
+    gamma_0, gamma_T = (renorm.derivatives(f.values)[0] for f in (fpath[0], fpath[-1]))
     return WeakFormLedger.from_terms(sums, float(np.sum((gamma_T - gamma_0) * phi_vals)) * vol)
 
 

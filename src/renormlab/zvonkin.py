@@ -56,6 +56,8 @@ from .field import (
     GridScalar,
     TimeGridVector,
     _blocks,
+    _check_exponents,
+    _finite_float,
     divergence_stack,
     jacobian_stack,
     lp_norm_stack,
@@ -215,6 +217,7 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     u and grad u at the inverted nodes, and one batched determinant.  A zero
     row keeps x + u the identity: nothing to invert or interpolate.
     """
+    _finite_float(ZvonkinError, "damping lambda", lam)
     if lam <= 0.0:
         raise ZvonkinError(f"damping lambda must be positive, got {lam}")
     diffeo = build_diffeo(u)
@@ -365,6 +368,7 @@ def relaxation_metrics(
     Spatial magnitudes are Euclidean/Frobenius pointwise, time integrals
     left-endpoint like every other quadrature in the package.
     """
+    _check_exponents(ZvonkinError, "q, p, r", q, p, r)
     if min(q, p, r) < 1.0:
         raise ZvonkinError(f"norm exponents must be >= 1, got q={q}, p={p}, r={r}")
     if not r < p:

@@ -56,9 +56,7 @@ from renormlab.commutator import (
 L = 2.0 * math.pi
 
 TANH_RENORM = types.SimpleNamespace(
-    gamma=np.tanh,
-    gamma_prime=lambda z: 1.0 / np.cosh(z) ** 2,
-    gamma_second=lambda z: -2.0 * np.tanh(z) / np.cosh(z) ** 2,
+    derivatives=lambda z: (np.tanh(z), 1.0 / np.cosh(z) ** 2, -2.0 * np.tanh(z) / np.cosh(z) ** 2),
 )
 
 
@@ -419,6 +417,24 @@ class TestConvergence:
             convergence_study("T", sig, f, [L / 8, L / 16, L / 32], 0.5)
         with pytest.raises(FieldError, match="unknown operator tag"):
             convergence_study("U", sig, f, [L / 8, L / 16, L / 32], 2.0)
+
+    @pytest.mark.parametrize("epsilons,r,named", [
+        (["0.78", "0.39", "0.2"], 2.0, r"^epsilons must be a number, got '0\.78'$"),
+        ([L / 8, True, L / 32], 2.0, r"^epsilons must be a number, got True$"),
+        ([L / 8, L / 16, L / 32], True, r"^exponents must be numbers, got \(r\) = \(True\)$"),
+        ([L / 8, L / 16, L / 32], math.nan, r"^exponents must be positive, got \(r\) = \(nan\)$"),
+    ])
+    def test_a_scalar_that_is_no_number_is_refused_before_any_transform(
+        self, monkeypatch, epsilons, r, named
+    ):
+        # strings once fitted a rate, r = True ran at r = 1 and r = nan
+        # failed late, on its errors
+        g = build_grid(1, L, 64)
+        sig = GridVector.from_functions(g, [np.sin])
+        f = GridScalar.from_function(g, np.cos)
+        monkeypatch.setattr(commutator, "commutator_limits", lambda *a: pytest.fail("transformed"))
+        with pytest.raises(FieldError, match=named):
+            convergence_study("T", sig, f, epsilons, r)
         with pytest.raises(FieldError, match="strictly decreasing"):
             CommutatorStudy([0.1, 0.2], [1.0, 1.0], 0.0, [1.0, 1.0])
 
@@ -467,11 +483,7 @@ class TestRenormalizerIdentities:
     def test_r1_near_exact_for_polynomial_renormalizer(self):
         # Band-limited data and a cubic renormalizer leave no aliasing at all.
         _, sig, f = self._data_1d()
-        cubic = types.SimpleNamespace(
-            gamma=lambda z: z**3,
-            gamma_prime=lambda z: 3.0 * z**2,
-            gamma_second=lambda z: 6.0 * z,
-        )
+        cubic = types.SimpleNamespace(derivatives=lambda z: (z**3, 3.0 * z**2, 6.0 * z))
         m = mollify(sig, f, L / 8)
         defect = r1_remainder(m, cubic).values
         rebuilt = r1_reconstruction(m, cubic).values
@@ -492,8 +504,7 @@ class TestRenormalizerIdentities:
             f = GridScalar.from_function(g, lambda x, y: 1.0 + 0.5 * np.sin(x + 2 * y))
         eps, sign = L / 8, -1.0
         f_eps = convolve(mollifier(f.grid, eps), f).values
-        gamma, gamma_1 = TANH_RENORM.gamma(f_eps), TANH_RENORM.gamma_prime(f_eps)
-        gamma_2 = TANH_RENORM.gamma_second(f_eps)
+        gamma, gamma_1, gamma_2 = TANH_RENORM.derivatives(f_eps)
         t_val = op_T(mollify(sig, f, eps)).values
         r1_want = gamma_1 * t_val + sign * divergence(sig).values * gamma
         r1 = r1_remainder(mollify(sig, f, eps), TANH_RENORM)

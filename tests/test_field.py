@@ -372,6 +372,16 @@ class TestMollifier:
         with pytest.raises(FieldError, match=f"epsilon must be finite, got {eps}"):
             mollifier(build_grid(1, L, 32), eps)
 
+    @pytest.mark.parametrize("eps,named", [
+        ("0.5", "epsilon must be a number, got '0.5'"),
+        (True, "epsilon must be a number, got True"),
+        (10**400, "epsilon must be finite, got 1"),
+    ])
+    def test_an_epsilon_that_is_no_finite_number_is_refused_by_name(self, eps, named):
+        # a string or a bool once went through float() and built a kernel
+        with pytest.raises(FieldError, match=f"^{re.escape(named)}"):
+            mollifier(build_grid(1, L, 32), eps)
+
     def test_convolution_is_averaging(self):
         g = build_grid(1, L, 64)
         k = mollifier(g, L / 8)
@@ -549,6 +559,20 @@ class TestNormStack:
             lp_norm_stack(g, values, 2.0)
         with pytest.raises(FieldError, match="p must be >= 1"):
             lp_norm_stack(g, np.ones((3,) + g.shape), 0.5)
+
+    @pytest.mark.parametrize("p,named", [
+        (math.nan, r"exponents must be positive, got \(p\) = \(nan\)"),
+        (True, r"exponents must be numbers, got \(p\) = \(True\)"),
+        ("2", r"exponents must be numbers, got \(p\) = \('2'\)"),
+        (None, r"exponents must be numbers, got \(p\) = \(None\)"),
+    ])
+    def test_an_exponent_that_is_no_number_is_refused_by_name(self, p, named):
+        # nan read as nan and True as the L1 norm; inf stays the sup norm
+        g = build_grid(1, L, 16)
+        f = GridScalar(g, np.sin(g.axis_coordinates()))
+        with pytest.raises(FieldError, match=f"^{named}$"):
+            lp_norm(f, p)
+        assert lp_norm(f, math.inf) == np.abs(f.values).max()
 
 
 class TestTimeSlices:

@@ -240,6 +240,33 @@ class TestBrownian:
         assert np.array_equal(f.increments, want.reshape(40, 2))
         assert f.seed == mix_indices(7, 4)
 
+    @pytest.mark.parametrize("call,named", [
+        (lambda: stream(1.9, 2.5), "seed must be an integer, got 1.9"),
+        (lambda: stream(1, 2.5), "stream index must be an integer, got 2.5"),
+        (lambda: stream(True, 0), "seed must be an integer, got True"),
+        (lambda: stream(1, False), "stream index must be an integer, got False"),
+        (lambda: stream("1", 0), "seed must be an integer, got '1'"),
+        (lambda: stream(np.float64(1.0)), "seed must be an integer, got np.float64(1.0)"),
+        (lambda: mix_indices(2.5), "stream index must be an integer, got 2.5"),
+        (lambda: mix_indices(2, None), "stream index must be an integer, got None"),
+    ])
+    def test_a_key_that_is_no_integer_is_refused_by_name(self, call, named):
+        # a float, a bool or a string once drew the stream of its int()
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            call()
+
+    def test_an_integer_key_keeps_its_stream(self):
+        def draws(rng):
+            return rng.integers(0, 2**32, 3).tolist()
+
+        assert draws(stream(np.int64(5), 3)) == draws(stream(5, np.uint8(3))) == draws(stream(5, 3))
+        assert draws(stream(5, 3)) == [315366334, 832089344, 3806358616]
+        # a negative int or one of 2**64 or more keys by its low 64 bits
+        assert draws(stream(-3, 2**64 + 7)) == draws(stream(2**64 - 3, 7))
+        assert draws(stream(-3, 7)) == [3441365136, 1654985454, 3065374214]
+        assert mix_indices(-1) == 0x959E03B1E787FCE
+        assert mix_indices(2**64 + 2) == mix_indices(np.int64(2)) == 0x29A6929C76F4CD68
+
     def test_refinements_nest(self):
         # over 2,000 base paths (T 1, dt 0.25) the first increment of a
         # twice-refined path has variance dt/16 and no correlation with the
@@ -988,7 +1015,7 @@ def divfree_64_case():
 
 
 class TestLeanMarch:
-    """flow._march evaluates the spline's core into buffers it allocates once;
+    """flow._march reads the spline by its one read into buffers it allocates once;
     against a march of checked __call__s, bit for bit."""
 
     @staticmethod
@@ -1520,15 +1547,16 @@ class TestPushforwardPath:
         b, sigmas, path = case()
         ens = simulate_flow(b, sigmas, SdeConfig(dt=path.dt), path)
         ran, datum_ran = TestLeanMarch.evaluators(monkeypatch), set()
-        evaluate = PeriodicInterpolant._evaluate
+        read = PeriodicInterpolant._read
 
-        def spied(self, index_coords, out, row, plan=None):
+        def spied(self, rows, x, out, plan=None, kept=None):
             ran.clear()
-            evaluate(self, index_coords, out, row, plan)
+            got = read(self, rows, x, out, plan, kept)
             if self.head_shape == ():
                 datum_ran.update(ran)
+            return got
 
-        monkeypatch.setattr(PeriodicInterpolant, "_evaluate", spied)
+        monkeypatch.setattr(PeriodicInterpolant, "_read", spied)
         assert len(list(flow.pushforward_path(presets.default_datum(b.grid), ens))) > 1
         assert datum_ran == {evaluator}
 
@@ -1659,9 +1687,9 @@ class TestKeptGathers:
             assert np.array_equal(got, expected)
         if case == "2d_one_row":  # one row: the last round read it, and f0 reads at its plan
             datum = PeriodicInterpolant(grid, presets.default_datum(grid).values)
-            at_plan = np.empty((1, grid.N**2))
-            datum._evaluate(y.reshape(grid.dim, -1) / grid.h, at_plan, 0, plan)
-            assert plan[0].shape == (1, grid.N**2) and np.array_equal(at_plan, datum(y))
+            at_plan = np.empty((1, 1, grid.N**2))
+            datum._read(np.zeros(1, dtype=np.intp), y / grid.h, at_plan, plan)
+            assert plan[0].shape == (1, grid.N**2) and np.array_equal(at_plan[0], datum(y))
         else:  # rows that leave in different rounds hand out no plan
             assert len(set(rounds.tolist())) > 1 and plan is None
         if case == "1d_halving":

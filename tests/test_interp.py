@@ -261,15 +261,16 @@ class TestEvaluatorBySize:
         assert len(calls) == 40 * comps  # one map_coordinates call per varying component
         assert same_bits(whole, parts)
         assert np.all(whole[1] == 0.75)
-        # the core that flow._march calls gives __call__'s bits on both evaluators
-        core = np.full((comps + 1, 4000), np.nan)
-        itp._evaluate(pts / g.h, core, 0)
+        # the one read, which flow._march calls, gives __call__'s bits on both evaluators
+        row, x = np.zeros(1, dtype=np.intp), (pts / g.h)[:, None]
+        core = np.full((comps + 1, 1, 4000), np.nan)
+        assert itp._read(row, x, core) is not None  # the stencil's plan
         assert len(calls) == 40 * comps
-        assert same_bits(whole, core)
+        assert same_bits(whole, core[:, 0])
         for i in range(0, 4000, 100):
-            itp._evaluate(pts[:, i : i + 100] / g.h, core[:, i : i + 100], 0)
+            assert itp._read(row, x[:, :, i : i + 100], core[:, :, i : i + 100]) is None
         assert len(calls) == 80 * comps
-        assert same_bits(parts, core)
+        assert same_bits(parts, core[:, 0])
 
     def test_the_size_rule(self, monkeypatch):
         g = build_grid(1, L, 64)
@@ -281,6 +282,22 @@ class TestEvaluatorBySize:
         large = itp(stream(24, 0).uniform(0.0, L, (1, edge)))
         assert len(calls) == 3
         assert same_bits(small, large[:, : edge - 1])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_row_call_of_one_row_reads_it_as_one_row(self, monkeypatch, dim):
+        # rows [3, 3, 3] of 100 points ask for 600 values of 2 varying
+        # components: one compiled call per component reads all 300 points
+        g = build_grid(dim, L, 16)
+        values = stream(27, dim).normal(size=(4, 3) + g.shape)
+        values[3, 1] = -2.5
+        itp = PeriodicInterpolant(g, values)
+        pts = stream(28, dim).uniform(-L, 2 * L, (dim, 3, 100))
+        calls = self.count_map_coordinates(monkeypatch)
+        got = itp(pts, [3, 3, 3])
+        assert len(calls) == 2 and 3 * 100 * 2 < interp._STENCIL_VALUES
+        for n in range(3):
+            assert same_bits(got[:, n], itp(pts[:, n : n + 1], [3])[:, 0])
+        assert np.all(got[1] == -2.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dim,count", [(1, 64), (1, 4096), (2, 64), (2, 4096)])
@@ -348,7 +365,7 @@ def test_stencil_sums_map_coordinates_bits(dim, n, comps, rows, shared, seed, da
     rows=st.integers(1, 2), seed=st.integers(0, 2**31), data=st.data(),
 )
 def test_small_calls_equal_public_map_coordinates(dim, n, comps, rows, seed, data):
-    # _evaluate's small-call path runs map_coordinates' compiled routine;
+    # _read's small-call path runs map_coordinates' compiled routine;
     # against the public map_coordinates on the same coefficients, bit for
     # bit and sign of zero, with constant components written as their value
     g = build_grid(dim, L, n)
@@ -367,15 +384,15 @@ def test_small_calls_equal_public_map_coordinates(dim, n, comps, rows, seed, dat
     x[-1, 16:24] = rng.uniform(1.0, 2.0, 8)
     x[-1, 24:32] = [1.0, -0.0, -1e-300, n * (1 - 2**-52), n, 1e12, -1e12, 3e15 + 0.5]
     x[:, 32:40] = rng.uniform(-1e9, 1e9, (dim, 8))  # far outside the box
-    assert not itp._by_stencil(row, count)
-    out = np.full((comps, count), np.nan)
-    itp._evaluate(x, out, row)
+    assert count * len(splines) < interp._STENCIL_VALUES  # the size rule: a small call
+    out = np.full((comps, 1, count), np.nan)
+    assert itp._read(np.array([row]), x[:, None], out) is None
     for i, coeff in splines:
         want = ndimage.map_coordinates(coeff, x, order=3, mode="grid-wrap", prefilter=False)
-        assert same_bits(out[i], want)
-        assert np.all(out[i, 16:24] == 0.0)
+        assert same_bits(out[i, 0], want)
+        assert np.all(out[i, 0, 16:24] == 0.0)
     for i, value in itp._rows[row][0]:
-        assert same_bits(out[i], np.full(count, value))
+        assert same_bits(out[i, 0], np.full(count, value))
     assert len(splines) + len(itp._rows[row][0]) == comps
 
 

@@ -46,8 +46,13 @@
   ``interp`` names scipy's private ``_nd_image`` (its module-level load of
   the compiled file included), and it calls it at two sites, the prefilter
   in ``PeriodicInterpolant.__init__`` and the small call in
-  ``PeriodicInterpolant._evaluate``; no module in ``src/`` calls
+  ``PeriodicInterpolant._read``; no module in ``src/`` calls
   ``map_coordinates``: every small spline call is that one call.
+- In ``src/`` and ``scripts/`` only ``PeriodicInterpolant._read`` reads the
+  stencil's ``plan``, ``gather`` and ``add`` (off ``_stencil`` or
+  ``_Stencil``, called or not): march steps, row calls, Newton rounds and
+  f0 reads are one read.  The scan sees each form
+  (``test_stencil_read_scan_sees_each_form``).
 - In ``src/`` and ``scripts/`` only ``interp._Stencil.plan`` takes a point's
   cell (``floor``, and ``trunc`` for the periodic wrap), whence the B-spline
   weights, and only ``_Stencil`` reads the padded spline coefficients
@@ -713,8 +718,8 @@ def test_one_small_call_site():
     }
     assert {path: uses for path, uses in found.items() if uses != ([], [])} == {
         "src/renormlab/interp.py": (
-            ["<module>", "__init__", "_evaluate", "_load_nd_image"],
-            ["__init__: spline_filter1d", "_evaluate: geometric_transform"],
+            ["<module>", "__init__", "_load_nd_image", "_read"],
+            ["__init__: spline_filter1d", "_read: geometric_transform"],
         ),
     }
     calls = {
@@ -802,6 +807,48 @@ def test_one_stencil_plan():
             "_Stencil.plan: floor", "_Stencil.plan: trunc",
         ],
     }
+
+
+_STENCIL_READ = ("plan", "gather", "add")
+
+
+def _stencil_reads(tree: ast.Module) -> list[str]:
+    """``function: name`` for each read of ``plan``, ``gather`` or ``add`` off
+    a name or attribute ``_stencil`` or ``_Stencil`` (a call, or an alias
+    taken for one), each once, sorted.  A store or another owner's
+    attribute of the same name does not count."""
+    return sorted({
+        f"{function}: {node.attr}" for function, node in _with_function(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _STENCIL_READ
+        and isinstance(node.ctx, ast.Load)
+        and (getattr(node.value, "id", None) or getattr(node.value, "attr", None))
+        in ("_stencil", "_Stencil")
+    })
+
+
+def test_one_stencil_read():
+    reads = {
+        str(path.relative_to(ROOT)): _stencil_reads(_parse(path))
+        for part in ("src", "scripts") for path in sorted((ROOT / part).rglob("*.py"))
+    }
+    assert {path: found for path, found in reads.items() if found} == {
+        "src/renormlab/interp.py": ["_read: add", "_read: gather", "_read: plan"],
+    }
+
+
+def test_stencil_read_scan_sees_each_form():
+    tree = ast.parse(
+        "from renormlab import interp\n"
+        "def a(self, x):\n    return self._stencil.plan(x), self.spline._stencil.gather(x)\n"
+        "def b(s, x):\n    return interp._Stencil.add(s, x), _Stencil.plan(s, x)\n"
+        "def c(spline):\n    read = spline._stencil.add\n    return read\n"
+        "def d(reads, x):\n"
+        "    reads.plan, stencil = None, x._stencil\n"
+        "    return np.add(x, 1), reads.plan, x.gather(1), 'self._stencil.plan'\n"
+    )
+    assert _stencil_reads(tree) == [
+        "a: gather", "a: plan", "b: add", "b: plan", "c: add",
+    ]
 
 
 def test_stencil_work_scan_sees_each_form():

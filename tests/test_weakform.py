@@ -21,6 +21,7 @@ Oracles
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ def central_diff(fn, z, step):
     return (fn(z + step) - fn(z - step)) / (2 * step)
 
 
+def part(rn, k):
+    """Gamma (k = 0), Gamma' (1) or Gamma'' (2) of a renormalizer, as a function of z."""
+    return lambda z: rn.derivatives(z)[k]
+
+
 # ---------------------------------------------------------------------------
 # Renormalizers
 # ---------------------------------------------------------------------------
@@ -83,22 +89,22 @@ class TestRenormalizers:
     def test_tanh_closed_form_derivatives(self):
         rn = make_renormalizer("tanh")
         z = self.sample
-        assert np.max(np.abs(central_diff(rn.gamma, z, 1e-5) - rn.gamma_prime(z))) < 1e-8
-        assert np.max(np.abs(central_diff(rn.gamma_prime, z, 1e-5) - rn.gamma_second(z))) < 1e-7
+        assert np.max(np.abs(central_diff(part(rn, 0), z, 1e-5) - rn.derivatives(z)[1])) < 1e-8
+        assert np.max(np.abs(central_diff(part(rn, 1), z, 1e-5) - rn.derivatives(z)[2])) < 1e-7
 
     def test_defining_identities(self):
         for rn in (make_renormalizer("tanh"), make_renormalizer("abs_eps", 0.25)):
             z = self.sample
             _, g, h = rn.derived(z)
-            assert np.max(np.abs(g - (z * rn.gamma_prime(z) - rn.gamma(z)))) < 1e-12
-            g_prime = z * rn.gamma_second(z)
+            assert np.max(np.abs(g - (z * rn.derivatives(z)[1] - rn.derivatives(z)[0]))) < 1e-12
+            g_prime = z * rn.derivatives(z)[2]
             assert np.max(np.abs(h - (z * g_prime - g))) < 1e-12
 
     def test_tanh_bounded_family(self):
         rn = make_renormalizer("tanh")
         z = np.linspace(-50.0, 50.0, 20001)
         _, g, h = rn.derived(z)
-        assert np.max(np.abs(rn.gamma(z))) <= 1.0
+        assert np.max(np.abs(rn.derivatives(z)[0])) <= 1.0
         assert np.max(np.abs(g)) <= 1.0 + 1e-12
         assert np.max(np.abs(h)) <= 1.0 + 1e-12
 
@@ -112,17 +118,17 @@ class TestRenormalizers:
     def test_abs_eps_value_at_zero(self):
         for eps in (0.5, 0.03):
             rn = make_renormalizer("abs_eps", eps)
-            assert float(rn.gamma(0.0)) == eps / 2
+            assert float(rn.derivatives(0.0)[0]) == eps / 2
 
     def test_abs_eps_pointwise_limits(self):
         z = np.array([-2.3, -0.7, 0.03, 1.1, 3.0])
         gaps = []
         for eps in (0.5, 0.05, 0.005):
             rn = make_renormalizer("abs_eps", eps)
-            gaps.append(np.max(np.abs(rn.gamma(z) - np.abs(z))))
+            gaps.append(np.max(np.abs(rn.derivatives(z)[0] - np.abs(z))))
         assert gaps[0] > gaps[1] > gaps[2]
         tail = make_renormalizer("abs_eps", 0.005)
-        assert np.array_equal(tail.gamma(z), np.abs(z))
+        assert np.array_equal(tail.derivatives(z)[0], np.abs(z))
         _, g, h = tail.derived(z)
         assert np.array_equal(g, np.zeros_like(z))
         assert np.array_equal(h, np.zeros_like(z))
@@ -132,21 +138,21 @@ class TestRenormalizers:
         worst = 0.0
         for eps in (0.5, 0.1, 0.02, 0.004):
             rn = make_renormalizer("abs_eps", eps)
-            worst = max(worst, float(np.max(rn.gamma(z) / (1.0 + np.abs(z)))))
+            worst = max(worst, float(np.max(rn.derivatives(z)[0] / (1.0 + np.abs(z)))))
         assert worst <= 1.0 + 1e-9
 
     def test_abs_eps_c1_seam(self):
         eps = 0.3
         rn = make_renormalizer("abs_eps", eps)
         lo, hi = eps * (1 - 1e-8), eps * (1 + 1e-8)
-        assert abs(float(rn.gamma(hi)) - float(rn.gamma(lo))) < 1e-7
-        assert abs(float(rn.gamma_prime(hi)) - float(rn.gamma_prime(lo))) < 1e-6
+        assert abs(float(rn.derivatives(hi)[0]) - float(rn.derivatives(lo)[0])) < 1e-7
+        assert abs(float(rn.derivatives(hi)[1]) - float(rn.derivatives(lo)[1])) < 1e-6
 
     def test_abs_eps_derivatives_match_differences(self):
         rn = make_renormalizer("abs_eps", 0.3)
         z = np.array([0.1, 1.0, 2.0, 5.0, 20.0])  # away from the branch seams
-        assert np.max(np.abs(central_diff(rn.gamma, z, 1e-6) - rn.gamma_prime(z))) < 1e-5
-        assert np.max(np.abs(central_diff(rn.gamma_prime, z, 1e-6) - rn.gamma_second(z))) < 1e-4
+        assert np.max(np.abs(central_diff(part(rn, 0), z, 1e-6) - rn.derivatives(z)[1])) < 1e-5
+        assert np.max(np.abs(central_diff(part(rn, 1), z, 1e-6) - rn.derivatives(z)[2])) < 1e-4
 
     def test_validation(self):
         with pytest.raises(WeakFormError, match="epsilon"):
@@ -155,6 +161,17 @@ class TestRenormalizers:
             make_renormalizer("abs_eps", -0.1)
         with pytest.raises(WeakFormError, match="unknown"):
             make_renormalizer("cubic")
+
+    @pytest.mark.parametrize("eps,named", [
+        (math.nan, "abs_eps's epsilon must be finite, got nan"),
+        (math.inf, "abs_eps's epsilon must be finite, got inf"),
+        (True, "abs_eps's epsilon must be a number, got True"),
+        ("0.1", "abs_eps's epsilon must be a number, got '0.1'"),
+    ])
+    def test_an_epsilon_that_is_no_finite_number_is_refused_by_name(self, eps, named):
+        # nan once gave nan for every Gamma
+        with pytest.raises(WeakFormError, match=f"^{re.escape(named)}$"):
+            make_renormalizer("abs_eps", eps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +183,7 @@ def test_abs_eps_symmetry_and_sign(eps, z):
     """Gamma_eps is even and below |z| + eps/2; its G is never positive."""
     rn = make_renormalizer("abs_eps", eps)
     (gamma, g, h), mirrored = rn.derived(z), rn.derived(-z)
-    assert float(rn.gamma(z)) == float(rn.gamma(-z))
+    assert float(rn.derivatives(z)[0]) == float(rn.derivatives(-z)[0])
     assert float(g) == float(mirrored[1])
     assert float(h) == float(mirrored[2])
     assert 0.0 <= float(gamma) <= abs(z) + eps / 2 + 1e-12
@@ -295,7 +312,7 @@ def per_step_ledger(fpath, b, sigmas, phi, renorm, path) -> tuple[dict, float]:
             sums["g_div_sigma_transport"] -= float(np.sum(g_f * div_s * adv_s)) * vol * dt
             sums["g_gradsigma"] += 0.5 * float(np.sum(g_f * twist * psi)) * vol * dt
             sums["h_divsigma_sq"] += 0.5 * float(np.sum(h_f * div_s**2 * psi)) * vol * dt
-    gamma_0, gamma_T = renorm.gamma(fpath[0].values), renorm.gamma(fpath[-1].values)
+    gamma_0, gamma_T = (renorm.derivatives(f.values)[0] for f in (fpath[0], fpath[-1]))
     return sums, float(np.sum((gamma_T - gamma_0) * psi)) * vol
 
 

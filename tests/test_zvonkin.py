@@ -21,6 +21,7 @@ from the named streams; reruns are bitwise reproducible.
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,21 @@ class TestInversion:
 
 
 class TestTransformedCoeffs:
+    @pytest.mark.parametrize("lam,named", [
+        (math.nan, "damping lambda must be finite, got nan"),
+        (math.inf, "damping lambda must be finite, got inf"),
+        (True, "damping lambda must be a number, got True"),
+        ("4", "damping lambda must be a number, got '4'"),
+    ])
+    def test_a_lambda_that_is_no_finite_number_is_refused_before_any_array(
+        self, monkeypatch, lam, named
+    ):
+        # nan and inf once ended in a non-finite field after a RuntimeWarning,
+        # and True ran at lambda 1
+        monkeypatch.setattr(zvonkin, "build_diffeo", lambda *args: pytest.fail("built"))
+        with pytest.raises(ZvonkinError, match=f"^{re.escape(named)}$"):
+            transform_coeffs(zero_displacement(grid1(), steps=4), lam)
+
     def test_zero_displacement_gives_unit_coefficients(self):
         g = grid1()
         coeffs = transform_coeffs(zero_displacement(g, steps=4), 7.0)
@@ -561,6 +577,23 @@ class TestTransformedResidual:
 
 
 class TestRelaxationMetrics:
+    @pytest.mark.parametrize("exponents,named", [
+        ((math.nan, 8.0, 4.0), "exponents must be positive, got (q, p, r) = (nan, 8.0, 4.0)"),
+        ((4.0, 8.0, math.nan), "exponents must be positive, got (q, p, r) = (4.0, 8.0, nan)"),
+        ((True, 8.0, True), "exponents must be numbers, got (q, p, r) = (True, 8.0, True)"),
+        ((4.0, "8", 4.0), "exponents must be numbers, got (q, p, r) = (4.0, '8', 4.0)"),
+    ])
+    def test_an_exponent_that_is_no_number_is_refused_before_any_transform(
+        self, monkeypatch, exponents, named
+    ):
+        # nan once read as nan errors and True as 1
+        g = grid1()
+        zero = zero_displacement(g, T=0.25, steps=8)
+        coeffs = transform_coeffs(zero, 4.0)
+        monkeypatch.setattr(zvonkin, "jacobian_stack", lambda *args: pytest.fail("transformed"))
+        with pytest.raises(ZvonkinError, match=f"^{re.escape(named)}$"):
+            relaxation_metrics(coeffs, zero, *exponents)
+
     def test_trivial_zero(self):
         g = grid1()
         zero = zero_displacement(g, T=0.25, steps=8)
