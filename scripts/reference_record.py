@@ -9,7 +9,7 @@ The record holds, at master_seed 0:
   the same under ``--flip-sign g_div_b``;
 - the sha256 of each artifact of each shipped run config but
   acceptance.json;
-- the determinism check's payload at one worker, every float as
+- the determinism check's payload in one thread, every float as
   ``float.hex``;
 - the Python, numpy and scipy versions it was made on.
 
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from renormlab import lab, parallel
+from renormlab import lab
 from seed_sweep import read_report, run_seed
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,10 +83,9 @@ def artifact_digests(configs: Path = CONFIGS) -> list[list[str]]:
 
 
 def determinism_payload() -> list:
-    """The determinism check's payload at one worker, as _check_determinism takes it."""
+    """The determinism check's payload in one thread, as _check_determinism takes it first."""
     run = lab.Run(lab.ExperimentConfig(experiment="acceptance_all"))
-    with parallel.workers(1):
-        return hexes(lab._determinism_payload(run))
+    return hexes(lab._determinism_payload(run))
 
 
 def main() -> int:

@@ -7,8 +7,7 @@ renormalized term negated), ``inspect`` prints the header of a saved
 .fld/.flo artifact.
 Exit codes: 0 ok, 1 at least one acceptance check failed, 2 bad option,
 bad config or unreadable artifact; main returns the code and never raises
-SystemExit.  RENORMLAB_THREADS sizes the worker pool; any value
-produces bitwise-identical numbers.
+SystemExit.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parallel
 from .field import GridScalar, GridVector, load_field
 from .flow import load_ensemble
 from .lab import (
@@ -137,8 +135,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command != "inspect":  # a bad worker count exits before any output is made
-            parallel.worker_count()
         if args.command == "run":
             return _cmd_run(args.config)
         if args.command == "accept":

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .field import (
     FieldError,
     GridScalar,
@@ -161,8 +160,7 @@ def convergence_study(
     Also forms the uniform-bound ratio ||op_eps||_{L^r} / (||grad sigma||_{L^q}^m
     ||f||_{L^p}) with m = 1 for T and 2 for S and q = p = (m + 1) r, the
     Hoelder split 1/r = m/q + 1/p.  A degenerate study (grad sigma or all errors
-    negligible) fits rate 0.  Per-epsilon work runs through the ordered thread
-    map, so results are independent of the worker count.
+    negligible) fits rate 0.
     """
     if operator_tag not in (TAG_T, TAG_S):
         raise FieldError(f"unknown operator tag {operator_tag!r}")
@@ -190,7 +188,7 @@ def convergence_study(
         ratio = norm / denom if denom > _DEGENERATE_TOL else 0.0
         return err, ratio
 
-    results = parallel.ordered_map(one_epsilon, epsilons)
+    results = [one_epsilon(eps) for eps in epsilons]
     errors = [res[0] for res in results]
     ratios = [res[1] for res in results]
 

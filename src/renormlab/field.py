@@ -53,7 +53,7 @@ class FieldError(ValueError):
 
 # Points per batched call (a chunk of members, a block of steps or rows): past
 # a few thousand the per-call overhead no longer shows, and a bounded block
-# keeps the temporary arrays of each worker thread small.
+# keeps the temporary arrays small.
 _BLOCK_POINTS = 2048
 
 

@@ -20,8 +20,8 @@ Coefficients are evaluated off the nodes by one cubic spline whose rows are
 the groups of steps that share their rows of [b, sigma^1, ...] (one group
 for coefficients constant in time): each step reads its group's row.  All
 chunking lives here: _by_chunks integrates Monte Carlo members
-members_per_chunk at a time, in path order, and reduces each chunk on the
-worker pool before the next, and _march, the one Euler loop, moves a chunk
+members_per_chunk at a time and reduces each chunk before the next, all in
+path order and in one thread, and _march, the one Euler loop, moves a chunk
 with one spline read per step (interp's _read, without the refusals of a
 call) into buffers allocated once, checking each step's index points for
 finiteness before the next.  simulate_flows stores the steps its caller
@@ -74,7 +74,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .field import (
     FieldError,
     Grid,
@@ -85,7 +84,9 @@ from .field import (
     _GRID_HEADER,
     _blocks,
     _check_header,
+    _finite_float,
     _is_integer,
+    _is_real,
     _read_header,
     divergence_and_twist,
     jacobian_stack,
@@ -126,8 +127,9 @@ class SdeConfig:
     dt: float
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
+        if _is_real(self.dt) and not 0 < self.dt < math.inf:
             raise FlowError(f"dt must be a finite positive number, got {self.dt}")
+        _finite_float(FlowError, "dt", self.dt)  # no number, or an int beyond float range
 
 
 @dataclass
@@ -163,8 +165,9 @@ class BrownianPath:
 
 def _step_count(T: float, dt: float, k_count: int, seed: int) -> int:
     """The step count T/dt of a path, once T, dt, k_count and seed are checked."""
-    if not T > 0 or not dt > 0:
+    if _is_real(T) and _is_real(dt) and not (T > 0 and dt > 0):
         raise FlowError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
+    T, dt = _finite_float(FlowError, "T", T), _finite_float(FlowError, "dt", dt)
     if not (_is_integer(k_count) and k_count >= 0):
         raise FlowError(f"k_count must be an integer >= 0, got {k_count!r}")
     if not _is_integer(seed):
@@ -431,10 +434,10 @@ def _by_chunks(paths, per_chunk: int, integrate, reduce=None) -> list:
 
     integrate(chunk) returns the chunk's members, or the first step at which
     one of its trajectories lost finiteness.  Each chunk's members are
-    reduced on the worker pool, one item each, and let go before the next
-    chunk is integrated (with no reduce, all are returned).  Every chunk is
-    integrated even after a failure, so the error does not depend on the
-    chunking: the least lost step, else the first reduce error in path order.
+    reduced in path order and let go before the next chunk is integrated
+    (with no reduce, all are returned).  Every chunk is integrated even after
+    a failure, so the error does not depend on the chunking: the least lost
+    step, else the first reduce error in path order.
     """
     values, lost, failed = [], [], None
     for start in range(0, len(paths), per_chunk):
@@ -445,7 +448,7 @@ def _by_chunks(paths, per_chunk: int, integrate, reduce=None) -> list:
             values += members
         elif not (lost or failed):
             try:
-                values += parallel.ordered_map(reduce, members)
+                values += [reduce(member) for member in members]
             except Exception as exc:
                 failed = exc
         del members  # the chunk's positions go before the next chunk's are made
@@ -935,7 +938,7 @@ def _mean_stderr(values) -> tuple[float, float]:
     """Sample mean and its standard error, each summed from 0.0 in input order.
 
     The one Monte Carlo reduction of the package: it walks the values in the
-    order given, so an estimate does not depend on the worker count.
+    order given, so an estimate does not depend on the thread it runs on.
     """
     count = len(values)
     if count < 2:

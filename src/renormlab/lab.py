@@ -483,9 +483,9 @@ def _per_member(prob: Problem, paths: list[BrownianPath], reduce, store=None) ->
 
     The one Monte Carlo member loop of the lab: ``flow.simulate_flows``
     chunks the members, stores positions only at the steps in ``store``
-    (every step by default) and reduces each chunk on the worker pool before
-    the next, so a reduce returns numbers, never the ensemble.  ``reduce``
-    may be ``flow.logdet_gap``, which takes the fused pass that stores nothing.
+    (every step by default) and reduces each chunk before the next, so a
+    reduce returns numbers, never the ensemble.  ``reduce`` may be
+    ``flow.logdet_gap``, which takes the fused pass that stores nothing.
     """
     return simulate_flows(prob.b, prob.sigmas, SdeConfig(dt=prob.dt), paths, store, reduce)
 
@@ -592,9 +592,7 @@ def _environment_stamp(cfg: ExperimentConfig) -> dict[str, str]:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "grid": f"dim={cfg.grid.dim} N={cfg.grid.N}",
         "master_seed": str(cfg.scalars.master_seed),
-        "workers": str(parallel.worker_count()),
     }
 
 
@@ -916,23 +914,16 @@ def _check_cancellation(run: Run) -> list[CheckResult]:
     return out
 
 
-def _logdet_sup_gaps(run: Run, members: int, T: float, dt: float):
-    """Per-path sup gap at (dt, dt/4); bridge-coupled refinement.
-
-    The two levels are separate items on the worker pool, and each runs the
-    member loop's storage-free log-det pass.
-    """
-
-    def level(factor: int) -> list[float]:
-        prob = _problem("trig_flow", 64, T, dt / factor)
-        paths = run.paths(_STREAM_LOGDET, members, T, dt, len(prob.sigmas), factor)
-        return _per_member(prob, paths, logdet_gap)
-
-    return parallel.ordered_map(level, (1, 4))
+def _logdet_sup_gaps(run: Run, members: int, T: float, dt: float, factor: int) -> list[float]:
+    """Per-path sup gap at dt / factor, on the bridge refinement of the step-dt
+    paths, by the member loop's storage-free log-det pass."""
+    prob = _problem("trig_flow", 64, T, dt / factor)
+    paths = run.paths(_STREAM_LOGDET, members, T, dt, len(prob.sigmas), factor)
+    return _per_member(prob, paths, logdet_gap)
 
 
 def _check_jacobian(run: Run) -> list[CheckResult]:
-    coarse, fine = _logdet_sup_gaps(run, members=64, T=0.5, dt=1e-3)
+    coarse, fine = (_logdet_sup_gaps(run, 64, 0.5, 1e-3, factor) for factor in (1, 4))
     rms_c, rms_f = _rms(coarse), _rms(fine)
     order = math.log(rms_c / rms_f) / math.log(4.0)
     return [
@@ -1196,11 +1187,18 @@ def _check_stability(run: Run) -> list[CheckResult]:
 
 
 def _determinism_payload(run: Run) -> tuple:
-    """Reduced-scale re-run of the three Monte Carlo checks, flattened."""
-    coarse, fine = _logdet_sup_gaps(run, members=6, T=0.25, dt=2e-3)
+    """Reduced-scale re-run of the three Monte Carlo checks, flattened.
 
-    moment = _moment(run, _problem("trig_flow", 64, 0.25, 5e-3), 8, 4.0)
-    series = _stability_series(run, "trig_flow", _STREAM_STABILITY, 4, 0.25, 5e-3, 2.0)
+    Its four kernels (the two log-det levels, the moment and the stability
+    series) are the items of the package's one ordered thread map.
+    """
+    kernels = (
+        lambda: _logdet_sup_gaps(run, 6, 0.25, 2e-3, 1),
+        lambda: _logdet_sup_gaps(run, 6, 0.25, 2e-3, 4),
+        lambda: _moment(run, _problem("trig_flow", 64, 0.25, 5e-3), 8, 4.0),
+        lambda: _stability_series(run, "trig_flow", _STREAM_STABILITY, 4, 0.25, 5e-3, 2.0),
+    )
+    coarse, fine, moment, series = parallel.ordered_map(lambda kernel: kernel(), kernels)
     return (
         tuple(coarse),
         tuple(fine),

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .field import (
     Grid,
     GridScalar,
@@ -44,6 +43,7 @@ from .field import (
     TimeGridVector,
     _blocks,
     _check_exponents,
+    _finite_float,
     _is_integer,
     _is_real,
     _partials,
@@ -90,13 +90,14 @@ def _heat_multiplier(dim: int, L: float, N: int, t: float) -> np.ndarray:
 
 def heat_apply(g, t: float):
     """Heat semigroup exp(t/2 * Laplace), spectral, for scalars or vectors."""
-    if not 0 <= t < math.inf:
+    t = _finite_float(ParabolicError, "heat time", t)
+    if not t >= 0:
         raise ParabolicError(f"heat time must be finite and >= 0, got {t}")
     if not isinstance(g, (GridScalar, GridVector)):
         raise ParabolicError(f"heat_apply expects a grid field, got {type(g).__name__}")
     if t == 0.0:
         return type(g)(g.grid, g.values.copy())
-    mult = _heat_multiplier(g.grid.dim, g.grid.L, g.grid.N, float(t))
+    mult = _heat_multiplier(g.grid.dim, g.grid.L, g.grid.N, t)
     return type(g)(g.grid, _spectral(g.grid, g.values, [mult]).reshape(g.values.shape))
 
 
@@ -320,7 +321,7 @@ def decay_study(
     def solve_one(lam: float) -> float:
         return space_time_norm(mild_solve(b, lam, len(b.times) - 1).u, alpha, r, q)
 
-    norms = parallel.ordered_map(solve_one, lams)
+    norms = [solve_one(lam) for lam in lams]
     slope, _ = np.polyfit(np.log(lams), np.log(norms), 1)
     delta = 1.0 - alpha / 2.0 + (n / 2.0) * (1.0 / r - 1.0 / p)
     return DecayStudy(

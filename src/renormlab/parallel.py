@@ -1,28 +1,27 @@
-"""Thread-pool map that preserves input order.
+"""Thread-pool map that preserves input order: the determinism check's pool.
 
-Results are always gathered in the order of the input sequence (not completion
-order), and every reduction in the package iterates that list left to right,
-so measured values are bitwise identical at any worker count.  Pool size is
-set by a ``workers(n)`` scope, else by the RENORMLAB_THREADS environment
-variable (default 1); numpy's FFT and BLAS release the GIL, which is where
-threading actually pays off here.  Pool threads do not inherit the scope, and
-none needs it copied in: no pool item opens a pool of its own.
+Every estimate in the package runs in one thread.  Only
+``lab._determinism_payload`` maps work through ``ordered_map``, and
+``lab._check_determinism`` runs it in a ``workers(1)`` scope and in a
+``workers(8)`` scope, where its kernels run at once on pool threads.
+Results are gathered in input order (not completion order), so the two runs
+must agree bit for bit.  Outside any scope the count is 1.  Pool threads do
+not inherit the scope, and none needs it: no pool item opens a pool of its
+own.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-ENV_VAR = "RENORMLAB_THREADS"
-_SCOPED: ContextVar[int | None] = ContextVar("workers", default=None)
+_SCOPED: ContextVar[int] = ContextVar("workers", default=1)
 
 
 @contextmanager
 def workers(n: int):
-    """Size the pool at n workers inside the block, whatever the environment says."""
+    """Size the pool at n workers inside the block."""
     token = _SCOPED.set(n)
     try:
         yield
@@ -31,17 +30,7 @@ def workers(n: int):
 
 
 def worker_count() -> int:
-    scoped = _SCOPED.get()
-    if scoped is not None:
-        return scoped
-    raw = os.environ.get(ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"{ENV_VAR} must be >= 1, got {n}")
-    return n
+    return _SCOPED.get()
 
 
 def ordered_map(fn, items):

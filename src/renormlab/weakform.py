@@ -155,6 +155,7 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
 
 def bump_test_function(grid: Grid, center, radius: float) -> GridScalar:
     """Test function exp(1 - 1/(1 - |x-c|^2/r^2)): peak 1, support inside the central half."""
+    radius = _finite_float(WeakFormError, "radius", radius)
     center = tuple(float(c) for c in np.atleast_1d(np.asarray(center, dtype=np.float64)))
     if len(center) != grid.dim:
         raise WeakFormError(f"center {center} has wrong dimension for grid dim {grid.dim}")
@@ -346,6 +347,7 @@ def _center_distance_sq(grid: Grid) -> np.ndarray:
 
 
 def _stability_weight(grid: Grid, r_exponent: float) -> np.ndarray:
+    r_exponent = _finite_float(WeakFormError, "weight exponent", r_exponent)
     if r_exponent != 0.0 and r_exponent <= grid.dim:
         raise WeakFormError(
             f"weight exponent must be 0 (flat) or > dim = {grid.dim}, got {r_exponent}"

@@ -191,6 +191,7 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
     max_i |y_i + u_i(t, y) - x_i| < tol over the components and every query
     point.
     """
+    tol = _finite_float(ZvonkinError, "inversion tolerance", tol)
     if tol <= 0.0:
         raise ZvonkinError(f"inversion tolerance must be positive, got {tol}")
     sl = diffeo.u.slice_at(t)

@@ -127,6 +127,31 @@ class TestSdeConfig:
             simulate_flow(b, [], config, sample_brownian(T, 0.05, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SdeConfig(dt=True), "dt must be a number, got True"),
+        (lambda: SdeConfig(dt="x"), "dt must be a number, got 'x'"),
+        (lambda: SdeConfig(dt=None), "dt must be a number, got None"),
+        (lambda: SdeConfig(dt=10**400), "dt must be finite, got 1000"),
+        (lambda: SdeConfig(dt=-1.0), "dt must be a finite positive number, got -1.0"),
+        (lambda: sample_brownian(True, 0.5, 1, 0), "T must be a number, got True"),
+        (lambda: sample_brownian(1.0, True, 1, 0), "dt must be a number, got True"),
+        (lambda: sample_brownian("1", 0.5, 1, 0), "T must be a number, got '1'"),
+        (lambda: sample_brownian(math.inf, 0.5, 1, 0), "T must be finite, got inf"),
+        (lambda: sample_brownian(math.nan, 0.5, 1, 0), "need T > 0 and dt > 0, got T=nan"),
+        (lambda: BrownianPath(True, 0.5, 1, np.zeros((2, 1)), 0), "T must be a number, got True"),
+    ],
+    ids=[
+        "config_bool", "config_str", "config_none", "config_huge_int", "config_negative",
+        "draw_bool_T", "draw_bool_dt", "draw_str_T", "draw_inf_T", "draw_nan_T", "path_bool_T",
+    ],
+)
+def test_time_scalars_refused_by_name(make, message):
+    with pytest.raises(FlowError, match=f"^{re.escape(message)}"):
+        make()
+
+
 class TestBrownian:
     def test_deterministic(self):
         a = sample_brownian(T, 0.01, 2, 42)
@@ -670,9 +695,7 @@ class TestSimulateFlows:
             assert ens.path is p and ens.seeds_grid == b.grid
             assert np.array_equal(ens.paths, reference_flow(b, sigmas, p))
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_error_names_the_first_step_over_all_members(self, monkeypatch, workers):
-        monkeypatch.setenv("RENORMLAB_THREADS", workers)
+    def test_error_names_the_first_step_over_all_members(self):
         # 32 members per chunk: member 3 (first chunk) overflows at step 30,
         # member 35 (second chunk) at step 12, member 36 at step 20
         b, sigmas, paths = blow_up_case(40, {3: 30, 35: 12, 36: 20})
@@ -774,30 +797,27 @@ class TestLogdetGaps:
         row_sets, group_of_step = flow._slice_groups(b, sigmas, path)
         assert len(row_sets) == 2 and group_of_step[59] == 0 and group_of_step[60] == 1
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_chunks_by_the_block_rule_on_the_pool(self, monkeypatch, workers):
+    def test_chunks_by_the_block_rule(self, monkeypatch):
         # 500 steps on 64 nodes: a stored chunk holds 16 members, a fused one 32
-        monkeypatch.setenv("RENORMLAB_THREADS", workers)
         b, sigmas, path = trig_case()
-        marched, handed = [], []
-        march, ordered_map = flow._march, flow.parallel.ordered_map
+        marched, reduces = [], []
+        march, by_chunks = flow._march, flow._by_chunks
 
         def marching(grid, splines, groups, path, chunk, *rest):
             marched.append(len(chunk))
             return march(grid, splines, groups, path, chunk, *rest)
 
-        def recording(fn, items):
-            items = list(items)
-            handed.append(len(items))
-            return ordered_map(fn, items)
+        def chunking(paths, per_chunk, integrate, reduce=None):
+            reduces.append(reduce)
+            return by_chunks(paths, per_chunk, integrate, reduce)
 
         monkeypatch.setattr(flow, "_march", marching)
-        monkeypatch.setattr(flow.parallel, "ordered_map", recording)
+        monkeypatch.setattr(flow, "_by_chunks", chunking)
         assert flow.members_per_chunk(b.grid, path.steps + 1) == 16
         gaps = flow.logdet_gaps(b, sigmas, SdeConfig(dt=path.dt), member_paths(path, 37))
         # the chunks march in path order, and each member's gap is already
-        # reduced in the march: nothing is left to hand the pool
-        assert marched == [32, 5] and handed == [] and len(gaps) == 37
+        # reduced in the march: the chunk loop is handed no reduce
+        assert marched == [32, 5] and reduces == [None] and len(gaps) == 37
 
     @pytest.mark.parametrize("steps_of,step", [({3: 30, 35: 12, 36: 20}, 12), ({35: 12}, 12)])
     def test_trajectory_blow_up_names_the_same_step(self, steps_of, step):

@@ -13,8 +13,8 @@ import csv
 import gc
 import json
 import math
-import os
 import subprocess
+import threading
 import warnings
 import weakref
 from dataclasses import fields as dataclass_fields, replace
@@ -720,8 +720,9 @@ class TestReports:
     def test_environment_stamp_fields(self):
         cfg = ExperimentConfig(experiment="acceptance_all")
         stamp = lab._environment_stamp(cfg)
-        for key in ("renormlab", "python", "numpy", "grid", "master_seed", "workers"):
-            assert key in stamp
+        # every check builds its own grids, and every estimate runs in one
+        # thread: the stamp names no config grid and no worker count
+        assert list(stamp) == ["renormlab", "python", "numpy", "scipy", "master_seed"]
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=2, max_size=8))
     def test_adjacent_ratio_flags_strict_decrease(self, values):
@@ -1260,28 +1261,6 @@ class TestCli:
         assert cli.main(["accept", "--help"]) == cli.EXIT_OK
         assert "--flip-sign" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command,config,value", [
-        ("run", "zvonkin_relaxation.json", "abc"),  # its runner never reaches the pool
-        ("run", "acceptance.json", "-2"),
-        ("accept", "acceptance.json", "0"),
-        ("accept", "acceptance.json", "1.5"),
-    ])
-    def test_bad_worker_count_exits_two_before_any_output(
-        self, tmp_path, capsys, monkeypatch, command, config, value
-    ):
-        ran = []
-        monkeypatch.setattr(lab, "_SUITE", (lambda run: ran.append(1) or [],))
-        out = tmp_path / "out"
-        payload = json.loads((ROOT / "configs" / config).read_text())
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**payload, "output_dir": str(out)}))
-        monkeypatch.setenv(parallel.ENV_VAR, value)
-        assert cli.main([command, str(path)]) == cli.EXIT_CONFIG_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert parallel.ENV_VAR in captured.err and value in captured.err
-        assert ran == [] and not out.exists()
-
     def test_run_on_acceptance_all_takes_the_accept_path(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cfg.json"
         path.write_text(
@@ -1302,8 +1281,7 @@ class TestCli:
 
 
 class TestPerMember:
-    @pytest.mark.parametrize("workers", ["1", "3"])
-    def test_values_in_path_order_by_bounded_chunks(self, monkeypatch, workers):
+    def test_values_in_path_order_by_bounded_chunks(self, monkeypatch):
         prob = lab._problem("trig_flow", 64, 0.1, 0.01)
         per_chunk = flow.members_per_chunk(prob.grid, prob.steps + 1)
         paths = [sample_brownian(0.1, 0.01, 1, 7 + m) for m in range(2 * per_chunk + 3)]
@@ -1319,7 +1297,6 @@ class TestPerMember:
             return march(grid, splines, groups, path, chunk, targets, *rest)
 
         monkeypatch.setattr(flow, "_march", marching)
-        monkeypatch.setenv(parallel.ENV_VAR, workers)
         finals = lab._per_member(prob, paths, lambda ens: (ens.path.seed, ens.paths[-1].copy()))
         monkeypatch.setattr(flow, "_march", march)
         assert [seed for seed, _ in finals] == [p.seed for p in paths]
@@ -1406,63 +1383,65 @@ class TestPerMember:
 
 
 class TestWorkerInvariant:
-    def test_determinism_payload_hands_the_pool_several_items(self, monkeypatch):
+    def test_determinism_payload_hands_the_pool_its_four_kernels_at_once(self, monkeypatch):
         # determinism_workers compares 1 and 8 workers; it means something only
         # while the payload gives an 8-worker pool more than one item at once
-        handed = []
+        handed, threads, caller = [], [], threading.current_thread()
+        together = threading.Barrier(4, timeout=60)
 
         class Recording(parallel.ThreadPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
                 items = list(iterables[0])
-                handed.append((self._max_workers, len(items), fn.__qualname__))
+                handed.append((self._max_workers, len(items)))
                 return super().map(fn, items, **kwargs)
 
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
-        monkeypatch.delenv(parallel.ENV_VAR, raising=False)  # the scope alone asks for 8
-        with parallel.workers(8):
-            lab._determinism_payload(lab.Run(ExperimentConfig(experiment="acceptance_all")))
-        assert handed and all(workers == 8 for workers, _, _ in handed)
-        assert max(count for _, count, _ in handed) > 1
-        # the log-det part on its own, which the moment and stability items
-        # would otherwise hide if it went serial
-        assert max(
-            count for _, count, name in handed if name.startswith("_logdet_sup_gaps.")
-        ) > 1
-        # the moment and the stability members, which flow's chunk loop reduces
-        for estimate in ("_moment.", "_stability_series."):
-            assert max(count for _, count, name in handed if name.startswith(estimate)) > 1
+        def spied(name, kernel):
+            def run(*args):
+                threads.append((name, threading.current_thread()))
+                if threading.current_thread() is not caller:
+                    together.wait()  # passes once all four kernels run at the same time
+                return kernel(*args)
+            return run
 
-    def test_scope_sets_the_count_inside_and_the_environment_after(self, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_VAR, "3")
+        for name in ("_logdet_sup_gaps", "_moment", "_stability_series"):
+            monkeypatch.setattr(lab, name, spied(name, getattr(lab, name)))
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", Recording)
+        run = lab.Run(ExperimentConfig(experiment="acceptance_all"))
+        kernels = ["_logdet_sup_gaps", "_logdet_sup_gaps", "_moment", "_stability_series"]
+        serial = lab._determinism_payload(run)
+        assert handed == [] and threads == [(n, caller) for n in kernels]
+        threads.clear()
+        with parallel.workers(8):
+            pooled = lab._determinism_payload(run)
+        assert handed == [(8, 4)] and sorted(n for n, _ in threads) == kernels
+        assert len({t for _, t in threads}) == 4
+        assert caller not in {t for _, t in threads}
+        assert pooled == serial
+
+    def test_scope_sets_the_count_inside_and_one_after(self):
+        assert parallel.worker_count() == 1
         with parallel.workers(8):
             assert parallel.worker_count() == 8
             with parallel.workers(1):
                 assert parallel.worker_count() == 1
             assert parallel.worker_count() == 8
-        assert parallel.worker_count() == 3
+        assert parallel.worker_count() == 1
         with pytest.raises(ZeroDivisionError):
             with parallel.workers(8):
                 assert parallel.worker_count() == 8
                 1 / 0
-        assert parallel.worker_count() == 3
-        monkeypatch.setenv(parallel.ENV_VAR, "0")  # a bad environment is read after the scope
-        with parallel.workers(2):
-            assert parallel.worker_count() == 2
-        with pytest.raises(ValueError, match=parallel.ENV_VAR):
-            parallel.worker_count()
+        assert parallel.worker_count() == 1
 
-    def test_determinism_check_scopes_its_counts_and_leaves_the_environment(self, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_VAR, "3")
+    def test_determinism_check_runs_the_payload_at_one_then_eight(self, monkeypatch):
         seen = []
 
         def payload(run):
-            seen.append((parallel.worker_count(), os.environ[parallel.ENV_VAR]))
+            seen.append(parallel.worker_count())
             return (0.0,)
 
         monkeypatch.setattr(lab, "_determinism_payload", payload)
         [row] = lab._check_determinism(lab.Run(ExperimentConfig(experiment="acceptance_all")))
-        assert row.passed and seen == [(1, "3"), (8, "3")]
-        assert os.environ[parallel.ENV_VAR] == "3" and parallel.worker_count() == 3
+        assert row.passed and seen == [1, 8] and parallel.worker_count() == 1
 
 
 CONFIG_FILES = sorted((ROOT / "configs").glob("*.json"))

@@ -134,6 +134,17 @@ class TestHeatSemigroup:
             with pytest.raises(ParabolicError, match=f"heat time .* got {t}"):
                 heat_apply(GridScalar(g, np.zeros(g.shape)), t)
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [(True, "a number, got True"), ("1", "a number, got '1'"), (None, "a number, got None"),
+         (10**400, "finite, got 1000")],
+        ids=["bool", "str", "none", "huge_int"],
+    )
+    def test_non_number_time_rejected(self, t, message):
+        g = grid1()
+        with pytest.raises(ParabolicError, match=f"^heat time must be {message}"):
+            heat_apply(GridScalar(g, np.zeros(g.shape)), t)
+
     def test_non_field_rejected(self):
         with pytest.raises(ParabolicError):
             heat_apply(np.zeros(4), 0.1)

@@ -62,9 +62,12 @@
   or ``_derivative_multiplier``: every other module takes a derivative
   through ``field``'s stacks (``gradient``, ``jacobian_stack``,
   ``hessian_stack``, ...) or ``_partials``, never by a multi-index of its own.
-- No module of ``src/renormlab`` but ``parallel`` names ``environ``,
-  ``getenv`` or ``ENV_VAR``: the worker count is the one setting read from
-  the environment, and a check scopes its own count through ``parallel``.
+- No module of ``src/renormlab`` names ``environ``, ``getenv`` or
+  ``ENV_VAR``: the package reads no setting from the environment.
+- In ``src/renormlab`` only ``lab`` imports ``parallel``, and only
+  ``lab._determinism_payload`` names ``ordered_map``: every estimate runs in
+  one thread, and the determinism check owns the one thread pool.  The scan
+  sees each form (``test_pool_scan_sees_each_form``).
 - Every field of a ``@dataclass`` in ``src/renormlab`` is read as
   ``<...>.field`` somewhere in ``src/``, ``scripts/``, ``perfbench/`` or
   ``tests/``, outside its own class's ``__post_init__``: a record carries no
@@ -467,11 +470,9 @@ def _environment_names(tree: ast.Module) -> list[str]:
     return [name for name in _ENVIRONMENT if _uses(tree, name)]
 
 
-def test_only_parallel_reads_the_environment():
+def test_no_module_reads_the_environment():
     found = {path.name: _environment_names(_parse(path)) for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: names for name, names in found.items() if names} == {
-        "parallel.py": ["environ", "ENV_VAR"],
-    }
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_environment_scan_sees_each_form():
@@ -487,6 +488,39 @@ def test_environment_scan_sees_each_form():
         "'os.environ, os.getenv and ENV_VAR'\nenvironment = os.environb": [],
     }
     assert {text: _environment_names(ast.parse(text)) for text in forms} == forms
+
+
+def _pool_uses(tree: ast.Module) -> list[str]:
+    """"import" if the module imports ``parallel`` or a name from it, then the
+    functions that import or read ``ordered_map``; a string does neither."""
+    imports = any(
+        isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "parallel"
+        or isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.rpartition(".")[2] == "parallel" for alias in node.names)
+        for node in ast.walk(tree)
+    )
+    return ["import"] * imports + _uses(tree, "ordered_map")
+
+
+def test_one_thread_pool():
+    found = {path.name: _pool_uses(_parse(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "lab.py": ["import", "_determinism_payload"],
+    }
+
+
+def test_pool_scan_sees_each_form():
+    forms = {
+        "from . import parallel": ["import"],
+        "from . import commutator, parallel as pool": ["import"],
+        "import renormlab.parallel": ["import"],
+        "from .parallel import workers": ["import"],
+        "from .parallel import ordered_map as omap": ["import", "<module>"],
+        "def f(fn, xs):\n    return parallel.ordered_map(fn, xs)": ["f"],
+        "def g():\n    run = ordered_map\n    return run": ["g"],
+        "'parallel.ordered_map'\nfrom . import parallelism\nordered_maps = 1": [],
+    }
+    assert {text: _pool_uses(ast.parse(text)) for text in forms} == forms
 
 
 _MULTI_INDEX = ("spectral_derivative", "_derivative_multiplier")

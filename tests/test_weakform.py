@@ -232,6 +232,17 @@ class TestBumpTestFunction:
         with pytest.raises(WeakFormError, match="radius"):
             bump_test_function(g, center=(L / 2,), radius=-1.0)
 
+    @pytest.mark.parametrize(
+        "radius, message",
+        [(True, "radius must be a number, got True"),
+         ("1", "radius must be a number, got '1'"),
+         (math.nan, "radius must be finite, got nan")],
+        ids=["bool", "str", "nan"],
+    )
+    def test_radius_must_be_a_finite_number(self, radius, message):
+        with pytest.raises(WeakFormError, match=f"^{re.escape(message)}$"):
+            bump_test_function(grid1(), center=(L / 2,), radius=radius)
+
 
 # ---------------------------------------------------------------------------
 # Scalar transport oracle
@@ -664,6 +675,16 @@ class TestStability:
         other = GridScalar.constant(build_grid(1, L, 32), 1.0)
         with pytest.raises(FlowError, match="grid"):
             weighted_l1_masses(other, ensembles[0], 0.0)
+
+    @pytest.mark.parametrize("r_exponent", [math.nan, math.inf, True])
+    def test_weight_exponent_must_be_a_finite_number(self, r_exponent):
+        g, b, sig, f0, ensembles = translation_ensembles(members=2)
+        masses = [weighted_l1_masses(f0, ens, 0.0) for ens in ensembles]
+        message = "weight exponent must be"
+        with pytest.raises(WeakFormError, match=message):
+            weighted_l1_masses(f0, ensembles[0], r_exponent)
+        with pytest.raises(WeakFormError, match=message):
+            weighted_l1_stability(masses, f0, b, [sig], r_exponent, 0.02)
 
     @pytest.mark.parametrize("foreign", ["drift", "noise field 0"])
     def test_coefficient_on_another_grid_refused_by_name(self, foreign):

@@ -206,6 +206,18 @@ class TestInversion:
         with pytest.raises(ZvonkinError, match="^query points must be finite$"):
             invert_diffeo(d, 0.0, np.array([[0.5, np.nan, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(True, "must be a number, got True"), (math.nan, "must be finite, got nan"),
+         ("1e-12", "must be a number, got '1e-12'")],
+        ids=["bool", "nan", "str"],
+    )
+    def test_tolerance_must_be_a_finite_number(self, tol, message):
+        # tol=True ran as tol 1 and returned the start y = x unconverged
+        d = build_diffeo(still(grid1(16), [lambda x: 0.1 * np.sin(x)]))
+        with pytest.raises(ZvonkinError, match=f"^inversion tolerance {message}$"):
+            invert_diffeo(d, 0.0, np.array([[1.0]]), tol=tol)
+
 
 class TestTransformedCoeffs:
     @pytest.mark.parametrize("lam,named", [
