@@ -34,13 +34,13 @@ from .field import (
     GridScalar,
     GridVector,
     _check_exponents,
-    _finite_float,
     _partials,
     _spectral,
     central_half,
     convolve,
     divergence,
     divergence_and_twist,
+    epsilon_ladder,
     gradient,
     hessian_stack,
     jacobian,
@@ -164,9 +164,7 @@ def convergence_study(
     """
     if operator_tag not in (TAG_T, TAG_S):
         raise FieldError(f"unknown operator tag {operator_tag!r}")
-    epsilons = [_finite_float(FieldError, "epsilons", e) for e in epsilon_list]
-    if len(epsilons) < 3:
-        raise FieldError(f"need at least 3 epsilons, got {len(epsilons)}")
+    epsilons = epsilon_ladder(f.grid, epsilon_list)
     _check_exponents(FieldError, "r", r)
     limit_t, limit_s = commutator_limits(sigma, f)
 

@@ -38,6 +38,7 @@ __all__ = [
     "TimeGridVector",
     "build_grid",
     "central_half",
+    "epsilon_ladder",
     "mollifier",
     "convolve",
     "spectral_derivative",
@@ -79,11 +80,9 @@ class Grid:
             if not _is_integer(getattr(self, key)):
                 raise FieldError(f"{key} must be an integer, got {getattr(self, key)!r}")
         try:
-            box = float(self.L) if _is_real(self.L) else math.nan
-        except OverflowError:  # an int beyond float range
-            box = math.inf
-        if not 0 < box < math.inf:
-            raise FieldError(f"L must be a finite positive number, got {self.L!r}")
+            box = _positive_float(FieldError, "L", self.L)
+        except FieldError:  # in the header's words
+            raise FieldError(f"L must be a finite positive number, got {self.L!r}") from None
         for key, value in (("dim", int(self.dim)), ("L", box), ("N", int(self.N))):
             object.__setattr__(self, key, value)
         if self.dim not in (1, 2):
@@ -487,13 +486,25 @@ def bump_values(r2_over_rad2: np.ndarray) -> np.ndarray:
     return out
 
 
+def epsilon_ladder(grid: Grid, epsilon_list, least: int = 3) -> list[float]:
+    """The one epsilon check, before any kernel is built: ``least`` or more finite floats
+    (a rate fit needs 3), strictly decreasing, each in the mollifier's 2h <= eps <= L/4."""
+    epsilons = [_finite_float(FieldError, "epsilons", e) for e in epsilon_list]
+    if len(epsilons) < least:
+        raise FieldError(f"need at least {least} epsilons, got {len(epsilons)}")
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise FieldError(f"epsilons must be strictly decreasing, got {epsilons}")
+    for eps in epsilons:
+        if eps < 2.0 * grid.h:
+            raise FieldError(f"epsilon {eps} below resolution 2h = {2 * grid.h}")
+        if eps > grid.L / 4.0:
+            raise FieldError(f"epsilon {eps} above box quarter-width {grid.L / 4.0}")
+    return epsilons
+
+
 def mollifier(grid: Grid, epsilon: float) -> GridScalar:
     """Discrete eta_eps: nonnegative, unit discrete mass, support in |x| <= eps."""
-    eps = _finite_float(FieldError, "epsilon", epsilon)
-    if eps < 2.0 * grid.h:
-        raise FieldError(f"epsilon {eps} below resolution 2h = {2 * grid.h}")
-    if eps > grid.L / 4.0:
-        raise FieldError(f"epsilon {eps} above box quarter-width {grid.L / 4.0}")
+    [eps] = epsilon_ladder(grid, [_finite_float(FieldError, "epsilon", epsilon)], least=1)
     mesh = grid.wrapped_coordinates()
     r2 = np.zeros(grid.shape)
     for x in mesh:
@@ -598,9 +609,18 @@ def _finite_float(error, name: str, value) -> float:
     float range."""
     if not _is_real(value):
         raise error(f"{name} must be a number, got {value!r}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:
+    number = value if isinstance(value, int) else float(value)  # a float32 compared as float64
+    if not -sys.float_info.max <= number <= sys.float_info.max:
         raise error(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return float(number)
+
+
+def _positive_float(error, name: str, value) -> float:
+    """_finite_float's value, refused with ``error``, by name, unless positive."""
+    number = _finite_float(error, name, value)
+    if not number > 0:
+        raise error(f"{name} must be positive, got {number}")
+    return number
 
 
 def _check_exponents(error, names: str, *values) -> None:

@@ -172,9 +172,11 @@ def _step_count(T: float, dt: float, k_count: int, seed: int) -> int:
         raise FlowError(f"k_count must be an integer >= 0, got {k_count!r}")
     if not _is_integer(seed):
         raise FlowError(f"seed must be an integer, got {seed!r}")
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise FlowError(f"T/dt = {T / dt} is not an integer step count")
+    if not math.isfinite(T / dt):
+        raise FlowError(f"T/dt = {T / dt} is not a finite step count")
+    steps = round(T / dt)
+    if steps < 1 or abs(steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise FlowError(f"T/dt = {T / dt} is not an integer step count >= 1")
     return steps
 
 

@@ -41,7 +41,6 @@ import scipy
 
 from . import __version__, commutator, parallel, presets
 from .field import (
-    FieldError,
     Grid,
     GridScalar,
     GridVector,
@@ -51,6 +50,7 @@ from .field import (
     _is_number,
     divergence,
     divergence_and_twist,
+    epsilon_ladder,
     jacobian,
     jacobian_stack,
     kernel_moment,
@@ -64,6 +64,7 @@ from .flow import (
     FlowEnsemble,
     SdeConfig,
     _mean_stderr,
+    _step_count,
     logdet_gap,
     pushforward_path,
     pushforward_solution,
@@ -73,6 +74,8 @@ from .flow import (
     simulate_flows,
 )
 from .parabolic import (
+    check_decay_regime,
+    check_lambda_ladder,
     decay_study,
     mild_solve,
     relaxation_residuals,
@@ -86,6 +89,7 @@ from .weakform import (
     weighted_l1_stability,
 )
 from .zvonkin import (
+    _relaxation_exponents,
     relaxation_metrics,
     transform_coeffs,
     transformed_residual,
@@ -119,9 +123,11 @@ _LAST_STREAM = max(
     _STREAM_PUSHFORWARD, _STREAM_DIVFREE, _STREAM_STABILITY, _STREAM_CONSTANCY,
     _STREAM_LOGDET, _STREAM_ZVONKIN, _STREAM_MOMENT,
 ) + 255
-# A run config's time steps times grid nodes (round(T/dt) * N**dim) may not
-# exceed this: about 4x the divfree check's fine run (1,000 steps on 64^2 nodes).
+# The time steps times grid nodes of the largest level a run of a config
+# builds may not exceed this: about 4x the divfree check's fine run (1,000
+# steps on 64^2 nodes).
 _STEP_BUDGET = 2**24
+_REFINEMENT = 4  # a pushforward pair's refined level runs at dt / 4
 
 
 class LabError(ValueError):
@@ -232,96 +238,71 @@ def _sub_config(name: str, sub_cls, payload):
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
+    """Every problem of cfg, the rules a run applies in their own modules' words."""
     wrong = _type_errors(cfg)
     out = list(wrong.values())
 
     def typed(*names: str) -> bool:  # value checks run only on well-typed fields
         return not any(n in wrong or n.split(".")[0] in wrong for n in names)
 
+    def owned(name: str, check, *args):  # a module's rule, its refusal filed under name
+        try:
+            return check(*args)
+        except ValueError as exc:
+            out.append(f"{name}: {exc}")
+
     if typed("experiment") and cfg.experiment not in EXPERIMENT_TAGS:
         out.append(
             f"unknown experiment {cfg.experiment!r}; valid tags: {', '.join(EXPERIMENT_TAGS)}"
         )
     g, t, c, s = cfg.grid, cfg.time, cfg.coefficients, cfg.scalars
-    named = len(out)
-    if typed("grid.dim") and g.dim not in (1, 2):
-        out.append(f"grid.dim must be 1 or 2, got {g.dim}")
-    if typed("grid.N"):
-        if not 8 <= g.N <= 512:
-            out.append(f"grid.N must be an integer in [8, 512], got {g.N}")
-        elif g.N % 2 != 0:
-            out.append(f"grid.N must be even (odd N has no Nyquist mode), got {g.N}")
-    grid_ok = typed("grid.dim", "grid.N") and len(out) == named
-    if typed("time.T") and not t.T > 0:
-        out.append(f"time.T must be positive, got {t.T}")
-    if typed("time.T", "time.dt"):
-        if not (t.dt > 0 and t.dt <= t.T):
-            out.append(f"time.dt must lie in (0, T], got {t.dt}")
-        elif not math.isfinite(t.T / t.dt):
-            out.append(f"time.T / time.dt must be a finite step count, got {t.T / t.dt}")
-        elif abs(t.T / t.dt - round(t.T / t.dt)) > 1e-9:
-            out.append(f"time.T must be an integer multiple of dt, got T/dt = {t.T / t.dt}")
-        elif typed("grid.dim", "grid.N") and g.dim in (1, 2):
-            steps, nodes = round(t.T / t.dt), g.N**g.dim
-            if steps * nodes > _STEP_BUDGET:
-                out.append(
-                    f"time steps x grid nodes = {steps} x {nodes} = {steps * nodes} "
-                    f"exceeds the budget of {_STEP_BUDGET}"
-                )
+    # Grid refuses dim before N, so each is built beside a valid stand-in for the other
+    dim_ok = typed("grid.dim") and owned("grid.dim", Grid, g.dim, 2.0 * math.pi, 8)
+    n_ok = typed("grid.N") and owned("grid.N", Grid, 1, 2.0 * math.pi, g.N)
+    if typed("grid.N") and g.N > 512:
+        out.append(f"grid.N must be at most 512, got {g.N}")
+    grid = Grid(g.dim, 2.0 * math.pi, g.N) if dim_ok and n_ok and g.N <= 512 else None
+    steps = typed("time.T", "time.dt") and owned("time.T, time.dt", _step_count, t.T, t.dt, 0, 0)
+    if steps and grid and typed("experiment", "coefficients.drift_file"):
+        nodes = g.N**g.dim
+        if cfg.experiment == "renorm_residual":  # its refined level is the largest
+            steps, nodes = _REFINEMENT * steps, _fine_N(cfg) ** g.dim
+        if steps * nodes > _STEP_BUDGET:
+            out.append(
+                f"time steps x grid nodes = {steps} x {nodes} = {steps * nodes} "
+                f"exceeds the budget of {_STEP_BUDGET}"
+            )
     if typed("coefficients.preset", "coefficients.drift_file"):
         if c.preset is None and c.drift_file is None:
             out.append("coefficients need a preset or a drift_file")
-        if c.preset is not None:
-            if c.preset not in presets.PRESET_TAGS:
-                out.append(
-                    f"unknown coefficient preset {c.preset!r}; "
-                    f"valid presets: {', '.join(presets.PRESET_TAGS)}"
-                )
-            else:
-                want = presets.PRESETS[c.preset].dim
-                if want is not None and typed("grid.dim") and g.dim in (1, 2) and want != g.dim:
-                    out.append(f"preset {c.preset!r} is {want}-dimensional, grid.dim is {g.dim}")
+        if c.preset is not None and c.preset not in presets.PRESET_TAGS:
+            out.append(
+                f"unknown coefficient preset {c.preset!r}; "
+                f"valid presets: {', '.join(presets.PRESET_TAGS)}"
+            )
+        elif c.preset is not None and dim_ok and presets.PRESETS[c.preset].dim not in (None, g.dim):
+            want = presets.PRESETS[c.preset].dim
+            out.append(f"preset {c.preset!r} is {want}-dimensional, grid.dim is {g.dim}")
         if c.drift_file is not None and not Path(c.drift_file).is_file():
             out.append(f"drift_file {c.drift_file!r} does not exist")
     if typed("coefficients.noise_files"):
-        for nf in c.noise_files:
-            if not Path(nf).is_file():
-                out.append(f"noise file {nf!r} does not exist")
+        out += [f"noise file {f!r} does not exist" for f in c.noise_files if not Path(f).is_file()]
         if typed("coefficients.drift_file") and c.drift_file is not None and not c.noise_files:
             out.append("coefficients.noise_files must name at least one file with a drift_file")
-    if typed("scalars.lambdas"):
-        if len(s.lambdas) < 1 or any(l <= 0 for l in s.lambdas):
-            out.append(f"scalars.lambdas must be positive, got {s.lambdas}")
-        elif any(b <= a for a, b in zip(s.lambdas, s.lambdas[1:])):
-            out.append(f"scalars.lambdas must be strictly increasing, got {s.lambdas}")
-        elif cfg.experiment == "parabolic_decay" and len(s.lambdas) < 3:
-            out.append(f"scalars.lambdas needs at least 3 values for a decay fit, got {s.lambdas}")
-    if typed("scalars.epsilons"):
-        if any(e <= 0 for e in s.epsilons):
-            out.append(f"scalars.epsilons must be positive, got {s.epsilons}")
-        elif any(b >= a for a, b in zip(s.epsilons, s.epsilons[1:])):
-            out.append(f"scalars.epsilons must be strictly decreasing, got {s.epsilons}")
-        elif 0 < len(s.epsilons) < 3:  # a rate fit needs three; none means the default ladder
-            out.append(f"scalars.epsilons needs at least 3 values, got {s.epsilons}")
-        elif cfg.experiment == "commutator_study" and grid_ok:  # field's mollifier bounds
-            grid = Grid(dim=g.dim, L=2.0 * math.pi, N=g.N)
-            name = "scalars.epsilons" if s.epsilons else f"grid.N = {g.N} (default ladder)"
-            for eps in _epsilon_ladder(cfg, grid):
-                try:
-                    mollifier(grid, eps)
-                except FieldError as exc:
-                    out.append(f"{name}: {exc}")
-    for label in ("p", "q", "r"):
-        if typed(f"scalars.{label}") and not getattr(s, label) >= 1:
-            out.append(f"scalars.{label} must be >= 1, got {getattr(s, label)}")
+    out += [f"scalars.{k} must be >= 1, got {getattr(s, k)}" for k in ("p", "q", "r")
+            if typed(f"scalars.{k}") and not getattr(s, k) >= 1]
     exponents = typed("scalars.p", "scalars.q", "scalars.r") and min(s.p, s.q, s.r) >= 1
-    if cfg.experiment == "parabolic_decay" and exponents:  # decay_study's, at alpha 0 and 1
-        if typed("grid.dim") and g.dim in (1, 2) and not 2.0 / s.q + g.dim / s.p < 1.0:
-            out.append(f"scalars.q, scalars.p = {s.q}, {s.p} violate 2/q + n/p < 1 in dim {g.dim}")
-        if not s.r <= s.p:
-            out.append(f"scalars.r must not exceed scalars.p, got r = {s.r}, p = {s.p}")
-    if cfg.experiment == "zvonkin_relaxation" and exponents and not s.r < s.p:  # grad sigma's norm
-        out.append(f"scalars.r must be below scalars.p, got r = {s.r}, p = {s.p}")
+    if cfg.experiment == "parabolic_decay" and typed("scalars.lambdas"):
+        owned("scalars.lambdas", check_lambda_ladder, s.lambdas)
+    if cfg.experiment == "zvonkin_relaxation" and typed("scalars.lambdas"):  # one or more
+        owned("scalars.lambdas", check_lambda_ladder, s.lambdas, 1)
+    if cfg.experiment == "parabolic_decay" and exponents and dim_ok:  # at alpha 0 and 1: one rule
+        owned("scalars.r, scalars.p, scalars.q", check_decay_regime, 0, s.r, s.p, s.q, g.dim)
+    if cfg.experiment == "zvonkin_relaxation" and exponents:
+        owned("scalars.q, scalars.p, scalars.r", _relaxation_exponents, s.q, s.p, s.r)
+    if cfg.experiment == "commutator_study" and typed("scalars.epsilons") and grid:
+        name = "scalars.epsilons" if s.epsilons else f"grid.N = {g.N} (default ladder)"
+        owned(name, epsilon_ladder, grid, _epsilon_ladder(cfg, grid))
     if typed("scalars.mc_members") and not 2 <= s.mc_members <= 256:
         out.append(f"scalars.mc_members must be an integer in [2, 256], got {s.mc_members}")
     if typed("scalars.master_seed") and not 0 <= s.master_seed < 2**64 - _LAST_STREAM:
@@ -432,7 +413,7 @@ def _problem(source: str | presets.Preset, N: int, T: float, dt: float) -> Probl
     if isinstance(source, str):
         source = presets.PRESETS[source]
     grid = Grid(dim=source.dim, L=2.0 * math.pi, N=N)
-    steps = round(T / dt)
+    steps = _step_count(T, dt, 0, 0)
     b, *sigmas = [
         presets.sample_constant_in_time(v, T, steps)
         for v in (source.drift(grid), *source.noise(grid))
@@ -497,11 +478,11 @@ def _pushforward_pair(
     """f0 pushed forward at every step, base and refined, on member 0 of a consumer.
 
     The base run is (N, dt) on the member's path; the refined run is
-    (fine_N, dt / 4) on its bridge refinement.  Each entry is (problem, path,
-    pushforward at steps 0..steps).
+    (fine_N, dt / _REFINEMENT) on its bridge refinement.  Each entry is
+    (problem, path, pushforward at steps 0..steps).
     """
     levels = []
-    for n, factor in ((N, 1), (fine_N, 4)):
+    for n, factor in ((N, 1), (fine_N, _REFINEMENT)):
         prob = _problem(source, n, T, dt / factor)
         [path] = run.paths(consumer, 1, T, dt, len(prob.sigmas), factor)
         [fpath] = _per_member(prob, [path], lambda ens: list(pushforward_path(prob.f0, ens)))
@@ -644,9 +625,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _epsilon_ladder(cfg: ExperimentConfig, grid: Grid) -> list[float]:
-    if cfg.scalars.epsilons:
-        return list(cfg.scalars.epsilons)
-    return [grid.L / 4.0, grid.L / 8.0, grid.L / 16.0]
+    return list(cfg.scalars.epsilons) or [grid.L / 4.0, grid.L / 8.0, grid.L / 16.0]
 
 
 def _run_commutator_study(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -724,14 +703,17 @@ def _run_flow_conservation(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [csv_path, field_path, ens_path]
 
 
+def _fine_N(cfg: ExperimentConfig) -> int:
+    """renorm_residual's refined N: 2N (joint space-time refinement) for 1-d presets;
+    N in 2-d, where doubling N is past the desk budget, and for .fld files, which fix N."""
+    g = cfg.grid
+    return 2 * g.N if g.dim == 1 and cfg.coefficients.drift_file is None else g.N
+
+
 def _run_renorm_residual(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    N = cfg.grid.N
-    # Joint space-time refinement for 1-d presets; dt-only in 2-d, where
-    # doubling N is past the desk budget, and for .fld coefficients, whose
-    # files fix N.
-    fine_N = 2 * N if cfg.grid.dim == 1 and cfg.coefficients.drift_file is None else N
     levels = _tanh_ledgers(_pushforward_pair(
-        Run(cfg), _STREAM_PUSHFORWARD, _config_source(cfg), N, fine_N, cfg.time.T, cfg.time.dt
+        Run(cfg), _STREAM_PUSHFORWARD, _config_source(cfg), cfg.grid.N, _fine_N(cfg),
+        cfg.time.T, cfg.time.dt,
     ))
     base = levels[0][1]
     return [

@@ -45,8 +45,8 @@ from .field import (
     _check_exponents,
     _finite_float,
     _is_integer,
-    _is_real,
     _partials,
+    _positive_float,
     _spectral,
     _synthesize,
     _wavenumbers,
@@ -65,6 +65,8 @@ __all__ = [
     "mild_defect",
     "pde_residual",
     "backward_defect",
+    "check_lambda_ladder",
+    "check_decay_regime",
     "decay_study",
     "relaxation_residuals",
     "space_time_norm",
@@ -74,12 +76,14 @@ class ParabolicError(ValueError):
     pass
 
 
-def _float(value, name: str) -> float:
-    """A real (_is_real) as a float64, refused by name if it is an int beyond float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParabolicError(f"{name} must be finite, got an integer beyond float range") from None
+def check_lambda_ladder(lambda_list, least: int = 3) -> list[float]:
+    """``least`` or more (a decay fit needs 3) positive finite lambdas, strictly increasing."""
+    lams = [_positive_float(ParabolicError, "lambdas", lam) for lam in lambda_list]
+    if len(lams) < least:
+        raise ParabolicError(f"lambdas must hold at least {least}, got {len(lams)}")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ParabolicError(f"lambdas must be strictly increasing, got {lams}")
+    return lams
 
 
 @functools.lru_cache(maxsize=256)
@@ -134,11 +138,7 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
     """
     if not _is_integer(quad_steps):
         raise ParabolicError(f"quad_steps must be an integer, got {quad_steps!r}")
-    if not _is_real(lam):
-        raise ParabolicError(f"damping lambda must be a number, got {lam!r}")
-    lam = _float(lam, "damping lambda")  # a float32 lambda would round the weight to float32
-    if not 0 < lam < math.inf:
-        raise ParabolicError(f"damping lambda must be positive and finite, got {lam}")
+    lam = _positive_float(ParabolicError, "damping lambda", lam)  # float64, as the weight
     if len(b.times) != quad_steps + 1:
         raise ParabolicError(
             f"drift has {len(b.times) - 1} steps, quadrature wants {quad_steps}"
@@ -280,11 +280,18 @@ class DecayStudy:
     theory_delta: float
 
     def __post_init__(self):
-        lams = np.asarray(self.lambdas, dtype=float)
-        if not np.all(np.diff(lams) > 0):
-            raise ParabolicError("lambdas must be strictly increasing")
+        check_lambda_ladder(self.lambdas)
         if not all(n > 0 for n in self.norms):
             raise ParabolicError("norms must be positive")
+
+
+def check_decay_regime(alpha: int, r: float, p: float, q: float, n: int) -> None:
+    """decay_study's regime in dim n: 2/q + n/p < 1, and r <= p (r < p at alpha 2)."""
+    _check_exponents(ParabolicError, "r, p, q", r, p, q)
+    if 2.0 / q + n / p >= 1.0:
+        raise ParabolicError(f"(p, q) = ({p}, {q}) violates 2/q + n/p < 1 in dim {n}")
+    if (alpha in (0, 1) and r > p) or (alpha == 2 and r >= p):
+        raise ParabolicError(f"spatial exponent r = {r} incompatible with p = {p} at alpha = {alpha}")
 
 
 def decay_study(
@@ -303,20 +310,9 @@ def decay_study(
     the only ones mild_solve accepts.
     """
     _check_order(alpha)
-    lams = list(lambda_list)
-    if not all(map(_is_real, lams)):
-        raise ParabolicError(f"lambdas must be numbers, got {lams!r}")
-    lams = [_float(l, "lambdas") for l in lams]
-    if len(lams) < 3:
-        raise ParabolicError(f"need at least 3 lambdas, got {len(lams)}")
-    if not (0 < lams[0] and lams[-1] < math.inf and np.all(np.diff(lams) > 0)):
-        raise ParabolicError(f"lambdas must be positive, finite and strictly increasing: {lams}")
-    _check_exponents(ParabolicError, "r, p, q", r, p, q)
+    lams = check_lambda_ladder(lambda_list)
     n = b.grid.dim
-    if 2.0 / q + n / p >= 1.0:
-        raise ParabolicError(f"(p, q) = ({p}, {q}) violates 2/q + n/p < 1 in dim {n}")
-    if (alpha in (0, 1) and r > p) or (alpha == 2 and r >= p):
-        raise ParabolicError(f"spatial exponent r = {r} incompatible with p = {p} at alpha = {alpha}")
+    check_decay_regime(alpha, r, p, q, n)
 
     def solve_one(lam: float) -> float:
         return space_time_norm(mild_solve(b, lam, len(b.times) - 1).u, alpha, r, q)

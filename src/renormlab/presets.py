@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import Grid, GridScalar, GridVector, TimeGridVector
+from .field import Grid, GridScalar, GridVector, TimeGridVector, _is_integer, _positive_float
 from .rng import stream
 
 __all__ = [
@@ -43,7 +43,10 @@ __all__ = [
 
 def sample_constant_in_time(gv: GridVector, T: float, steps: int) -> TimeGridVector:
     """Hold one spatial slice on a uniform time grid of the given step count: one row."""
-    times = np.linspace(0.0, float(T), steps + 1)
+    if not (_is_integer(steps) and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    T = _positive_float(ValueError, "T", T)
+    times = np.linspace(0.0, T, steps + 1)
     return TimeGridVector(gv.grid, times, gv.values[None], np.zeros(steps + 1, dtype=np.intp))
 
 

@@ -31,6 +31,7 @@ from .field import (
     TimeGridVector,
     _blocks,
     _finite_float,
+    _positive_float,
     divergence_and_twist,
     gradient,
     hessian_stack,
@@ -140,10 +141,7 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
     if tag == "tanh":
         return Renormalizer(_tanh)
     if tag == "abs_eps":
-        eps = _finite_float(WeakFormError, "abs_eps's epsilon", epsilon)
-        if eps <= 0:
-            raise WeakFormError(f"abs_eps needs a positive epsilon, got {epsilon}")
-        return _abs_eps_family(eps)
+        return _abs_eps_family(_positive_float(WeakFormError, "abs_eps's epsilon", epsilon))
     if tag == "linear":
         return Renormalizer(_linear)
     raise WeakFormError(f"unknown renormalizer tag {tag!r}")
@@ -155,12 +153,11 @@ def make_renormalizer(tag: str, epsilon: float | None = None) -> Renormalizer:
 
 def bump_test_function(grid: Grid, center, radius: float) -> GridScalar:
     """Test function exp(1 - 1/(1 - |x-c|^2/r^2)): peak 1, support inside the central half."""
-    radius = _finite_float(WeakFormError, "radius", radius)
-    center = tuple(float(c) for c in np.atleast_1d(np.asarray(center, dtype=np.float64)))
+    radius = _positive_float(WeakFormError, "radius", radius)
+    center = np.atleast_1d(center).tolist()
+    center = tuple(_finite_float(WeakFormError, "center", c) for c in center)
     if len(center) != grid.dim:
         raise WeakFormError(f"center {center} has wrong dimension for grid dim {grid.dim}")
-    if radius <= 0:
-        raise WeakFormError(f"radius must be positive, got {radius}")
     lo, hi = grid.L / 4.0, 3.0 * grid.L / 4.0
     for c in center:
         if not (lo < c - radius and c + radius < hi):

@@ -57,7 +57,7 @@ from .field import (
     TimeGridVector,
     _blocks,
     _check_exponents,
-    _finite_float,
+    _positive_float,
     divergence_stack,
     jacobian_stack,
     lp_norm_stack,
@@ -191,9 +191,7 @@ def invert_diffeo(diffeo: Diffeo, t: float, x: np.ndarray, tol: float = 1e-12) -
     max_i |y_i + u_i(t, y) - x_i| < tol over the components and every query
     point.
     """
-    tol = _finite_float(ZvonkinError, "inversion tolerance", tol)
-    if tol <= 0.0:
-        raise ZvonkinError(f"inversion tolerance must be positive, got {tol}")
+    tol = _positive_float(ZvonkinError, "inversion tolerance", tol)
     sl = diffeo.u.slice_at(t)
     pts = np.asarray(x, dtype=np.float64)
     if pts.ndim == 0 or pts.shape[0] != sl.grid.dim:
@@ -218,9 +216,7 @@ def transform_coeffs(u: TimeGridVector, lam: float) -> Straightening:
     u and grad u at the inverted nodes, and one batched determinant.  A zero
     row keeps x + u the identity: nothing to invert or interpolate.
     """
-    _finite_float(ZvonkinError, "damping lambda", lam)
-    if lam <= 0.0:
-        raise ZvonkinError(f"damping lambda must be positive, got {lam}")
+    _positive_float(ZvonkinError, "damping lambda", lam)
     diffeo = build_diffeo(u)
     grid = u.grid
     dim = grid.dim
@@ -356,6 +352,15 @@ def _time_lq(values, dt: float, q: float) -> float:
     return float((np.abs(values[:-1]) ** q).sum() * dt) ** (1.0 / q)
 
 
+def _relaxation_exponents(q: float, p: float, r: float) -> None:
+    """relaxation_metrics' exponents: q, p, r >= 1, and r < p for grad sigma's norm."""
+    _check_exponents(ZvonkinError, "q, p, r", q, p, r)
+    if min(q, p, r) < 1.0:
+        raise ZvonkinError(f"norm exponents must be >= 1, got q={q}, p={p}, r={r}")
+    if not r < p:
+        raise ZvonkinError(f"gradient norm wants r < p, got r={r} and p={p}")
+
+
 def relaxation_metrics(
     coeffs: Straightening, b: TimeGridVector, q: float, p: float, r: float
 ) -> RelaxationRecord:
@@ -369,11 +374,7 @@ def relaxation_metrics(
     Spatial magnitudes are Euclidean/Frobenius pointwise, time integrals
     left-endpoint like every other quadrature in the package.
     """
-    _check_exponents(ZvonkinError, "q, p, r", q, p, r)
-    if min(q, p, r) < 1.0:
-        raise ZvonkinError(f"norm exponents must be >= 1, got q={q}, p={p}, r={r}")
-    if not r < p:
-        raise ZvonkinError(f"gradient norm wants r < p, got r={r} and p={p}")
+    _relaxation_exponents(q, p, r)
     grid = b.grid
     if coeffs.b_hat.grid != grid:
         raise ZvonkinError("coefficients and drift live on different grids")

@@ -219,8 +219,15 @@ class TestBrownian:
             (0.1, 0.01, 1.0, 10, 2, "k_count must be an integer >= 0, got 1.0"),
             (0.1, 0.03, 1, 3, 2, "is not an integer step count"),
             (0.0, 0.01, 1, 0, 2, "need T > 0 and dt > 0"),
+            # round(inf) raised a bare OverflowError
+            (1e308, 1e-300, 1, 0, 0, "T/dt = inf is not a finite step count"),
+            # T below the step tolerance drew a path of no steps
+            (1e-12, 1.0, 1, 0, 0, "T/dt = 1e-12 is not an integer step count >= 1"),
         ],
-        ids=["float_seed", "bool_seed", "float_k_count", "fractional_steps", "zero_horizon"],
+        ids=[
+            "float_seed", "bool_seed", "float_k_count", "fractional_steps", "zero_horizon",
+            "overflowing_steps", "no_steps",
+        ],
     )
     def test_direct_construction_is_checked_as_a_draw(self, T, dt, k_count, steps, seed, message):
         with pytest.raises(FlowError, match=re.escape(message)):

@@ -13,6 +13,7 @@ import csv
 import gc
 import json
 import math
+import re
 import subprocess
 import threading
 import warnings
@@ -26,12 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference_record
 import seed_sweep
-from renormlab import cli, commutator, flow, lab, parallel, presets, weakform
+from renormlab import cli, commutator, flow, lab, parabolic, parallel, presets, weakform, zvonkin
 from renormlab.field import (
     FieldError,
     Grid,
     GridVector,
     TimeGridVector,
+    epsilon_ladder,
     load_field,
     lp_norm,
     save_field,
@@ -110,7 +112,7 @@ class TestExperimentConfig:
 
     def test_odd_grid_rejected(self):
         payload = config_payload(grid={"dim": 1, "N": 63})
-        with pytest.raises(LabError, match="grid.N must be even"):
+        with pytest.raises(LabError, match=r"grid\.N: N must be even and >= 8"):
             ExperimentConfig.from_dict(payload)
 
     def test_lambda_ladder_must_increase(self):
@@ -123,22 +125,26 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "experiment,section,fields,message",
         [
-            ("commutator_study", "grid", {"N": 63}, "grid.N must be even"),
+            ("commutator_study", "grid", {"N": 63},
+             "grid.N: N must be even and >= 8 (aliasing hazard), got 63"),
             ("commutator_study", "scalars", {"epsilons": [0.8, 0.4]},
-             "scalars.epsilons needs at least 3 values, got (0.8, 0.4)"),
+             "scalars.epsilons: need at least 3 epsilons, got 2"),
             ("commutator_study", "scalars", {"r": 0.5}, "scalars.r must be >= 1"),
-            ("zvonkin_relaxation", "time", {"dt": 0}, "time.dt must lie in (0, T]"),
-            ("zvonkin_relaxation", "time", {"T": 0}, "time.T must be positive"),
+            ("zvonkin_relaxation", "time", {"dt": 0},
+             "time.T, time.dt: need T > 0 and dt > 0, got T=0.25, dt=0"),
+            ("zvonkin_relaxation", "time", {"T": 0},
+             "time.T, time.dt: need T > 0 and dt > 0, got T=0, dt=0.0125"),
             ("zvonkin_relaxation", "scalars", {"lambdas": [16.0, 4.0]},
-             "scalars.lambdas must be strictly increasing"),
+             "scalars.lambdas: lambdas must be strictly increasing, got [16.0, 4.0]"),
             ("parabolic_decay", "scalars", {"lambdas": [4.0, 16.0]},
-             "scalars.lambdas needs at least 3 values for a decay fit, got (4.0, 16.0)"),
+             "scalars.lambdas: lambdas must hold at least 3, got 2"),
             ("parabolic_decay", "scalars", {"q": 2.0},
-             "scalars.q, scalars.p = 2.0, 8.0 violate 2/q + n/p < 1 in dim 1"),
+             "scalars.r, scalars.p, scalars.q: "
+             "(p, q) = (8.0, 2.0) violates 2/q + n/p < 1 in dim 1"),
             ("parabolic_decay", "scalars", {"r": 9.0},
-             "scalars.r must not exceed scalars.p, got r = 9.0, p = 8.0"),
+             "scalars.r, scalars.p, scalars.q: spatial exponent r = 9.0 incompatible with p = 8.0"),
             ("zvonkin_relaxation", "scalars", {"r": 8.0, "p": 8.0},
-             "scalars.r must be below scalars.p, got r = 8.0, p = 8.0"),
+             "scalars.q, scalars.p, scalars.r: gradient norm wants r < p, got r=8.0 and p=8.0"),
             ("commutator_study", "grid", {"N": 16},
              f"grid.N = 16 (default ladder): epsilon {TWO_PI / 16} below resolution 2h"),
             ("commutator_study", "scalars", {"epsilons": [3.0, 1.0, 0.5]},
@@ -182,6 +188,73 @@ class TestExperimentConfig:
         # a study's own rule does not bind another experiment's config
         assert ExperimentConfig.from_dict(payload).experiment == experiment
 
+    @pytest.mark.parametrize(
+        "experiment,section,fields,name,owner",
+        [
+            ("commutator_study", "grid", {"dim": 3}, "grid.dim", lambda: Grid(3, TWO_PI, 32)),
+            ("commutator_study", "grid", {"N": 4}, "grid.N", lambda: Grid(1, TWO_PI, 4)),
+            ("commutator_study", "time", {"T": 0.5, "dt": 0.3}, "time.T, time.dt",
+             lambda: flow._step_count(0.5, 0.3, 0, 0)),
+            ("commutator_study", "time", {"T": 1e308, "dt": 1e-300}, "time.T, time.dt",
+             lambda: flow._step_count(1e308, 1e-300, 0, 0)),
+            ("commutator_study", "time", {"dt": -0.1}, "time.T, time.dt",
+             lambda: flow._step_count(0.25, -0.1, 0, 0)),
+            ("parabolic_decay", "scalars", {"lambdas": [4.0, 16.0]}, "scalars.lambdas",
+             lambda: parabolic.check_lambda_ladder([4.0, 16.0], 3)),
+            ("parabolic_decay", "scalars", {"lambdas": [4.0, -1.0, 16.0]}, "scalars.lambdas",
+             lambda: parabolic.check_lambda_ladder([4.0, -1.0, 16.0], 3)),
+            ("parabolic_decay", "scalars", {"q": 2.0}, "scalars.r, scalars.p, scalars.q",
+             lambda: parabolic.check_decay_regime(0, 2.0, 8.0, 2.0, 1)),
+            ("parabolic_decay", "scalars", {"r": 9.0}, "scalars.r, scalars.p, scalars.q",
+             lambda: parabolic.check_decay_regime(0, 9.0, 8.0, 4.0, 1)),
+            ("zvonkin_relaxation", "scalars", {"lambdas": [16.0, 4.0]}, "scalars.lambdas",
+             lambda: parabolic.check_lambda_ladder([16.0, 4.0], 1)),
+            ("zvonkin_relaxation", "scalars", {"r": 8.0, "p": 8.0},
+             "scalars.q, scalars.p, scalars.r",
+             lambda: zvonkin._relaxation_exponents(4.0, 8.0, 8.0)),
+            ("commutator_study", "scalars", {"epsilons": [0.8, 0.4]}, "scalars.epsilons",
+             lambda: epsilon_ladder(Grid(1, TWO_PI, 32), [0.8, 0.4])),
+            ("commutator_study", "scalars", {"epsilons": [0.4, 0.8, 0.3]}, "scalars.epsilons",
+             lambda: epsilon_ladder(Grid(1, TWO_PI, 32), [0.4, 0.8, 0.3])),
+            ("commutator_study", "scalars", {"epsilons": [3.0, 1.0, 0.5]}, "scalars.epsilons",
+             lambda: epsilon_ladder(Grid(1, TWO_PI, 32), [3.0, 1.0, 0.5])),
+            ("commutator_study", "grid", {"N": 16}, "grid.N = 16 (default ladder)",
+             lambda: epsilon_ladder(
+                 Grid(1, TWO_PI, 16), [TWO_PI / 4, TWO_PI / 8, TWO_PI / 16])),
+        ],
+        ids=[
+            "dim", "N", "fractional_steps", "overflowing_steps", "negative_dt",
+            "decay_ladder_short", "decay_ladder_negative", "decay_pq", "decay_r",
+            "zvonkin_ladder", "zvonkin_r", "epsilons_short", "epsilons_order",
+            "epsilon_above", "default_ladder",
+        ],
+    )
+    def test_an_owned_rule_is_refused_in_its_owners_words(
+        self, experiment, section, fields, name, owner
+    ):
+        # the run's own check, on the config's values, gives the one message;
+        # the config check files it under the field's name
+        with pytest.raises(ValueError) as own:
+            owner()
+        assert not isinstance(own.value, LabError)
+        payload = config_payload(experiment=experiment)
+        payload[section] = {**payload[section], **fields}
+        with pytest.raises(LabError) as info:
+            ExperimentConfig.from_dict(payload)
+        assert f"\n  - {name}: {own.value}\n" in f"{info.value}\n"
+
+    def test_construction_builds_no_kernel(self, monkeypatch):
+        # the ladder is checked by the function mollifier itself calls, so a
+        # config is checked without building any of the kernels its run builds
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(lab, "mollifier", no_kernel)
+        monkeypatch.setattr("renormlab.field.bump_values", no_kernel)
+        for epsilons in ([], [1.2, 0.8, 0.4]):
+            payload = config_payload(scalars={"epsilons": epsilons})
+            assert ExperimentConfig.from_dict(payload).experiment == "commutator_study"
+
     def test_box_must_be_two_pi(self, tmp_path, capsys):
         # every preset and the default datum is 2*pi-periodic, so the box is
         # not a config field: an L key is refused as unknown, before any run
@@ -197,7 +270,8 @@ class TestExperimentConfig:
             assert not (tmp_path / "out").exists()
 
     def test_horizon_must_be_step_multiple(self):
-        with pytest.raises(LabError, match="integer multiple"):
+        step_count = r"time\.T, time\.dt: T/dt = .* is not an integer step count"
+        with pytest.raises(LabError, match=step_count):
             ExperimentConfig(
                 experiment="commutator_study", time=TimeConfig(T=0.5, dt=0.3)
             )
@@ -612,6 +686,25 @@ class TestPresetTable:
                 coefficients=CoefficientConfig(preset=tag),
             )
 
+    @pytest.mark.parametrize(
+        "T, steps, message",
+        [
+            # numpy's "'float' object cannot be interpreted as an integer"
+            (0.5, 2.5, "steps must be an integer >= 1, got 2.5"),
+            (0.5, 0, "steps must be an integer >= 1, got 0"),
+            (0.5, True, "steps must be an integer >= 1, got True"),
+            # "first time must be 0, got nan"
+            (math.nan, 4, "T must be finite, got nan"),
+            (math.inf, 4, "T must be finite, got inf"),
+            (-0.5, 4, "T must be positive, got -0.5"),
+        ],
+        ids=["float_steps", "no_steps", "bool_steps", "nan_T", "inf_T", "negative_T"],
+    )
+    def test_sampling_in_time_refuses_its_arguments_by_name(self, T, steps, message):
+        drift = presets.constant_drift(Grid(dim=1, L=TWO_PI, N=16))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            presets.sample_constant_in_time(drift, T, steps)
+
 
 def test_cancellation_check_mollifies_once(monkeypatch):
     # R1 and R2, each from its definition and rebuilt at both signs, read one
@@ -802,7 +895,7 @@ class TestListFields:
 # (section or None for a top-level key, fields, the name the message gives)
 WRONG_TYPE_PROBES = [
     ("time", {"T": "abc"}, "time.T must be a number"),
-    ("time", {"T": 1e308, "dt": 1e-300}, "time.T / time.dt must be a finite step count"),
+    ("time", {"T": 1e308, "dt": 1e-300}, "time.T, time.dt: T/dt = inf is not a finite step count"),
     ("scalars", {"lambdas": [4, "x"]}, "scalars.lambdas must be a list of numbers"),
     ("grid", {"dim": True}, "grid.dim must be an integer"),
     (None, {"output_dir": 5}, "output_dir must be a string"),
@@ -932,7 +1025,7 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        assert "grid.N must be even" in err and "63" in err
+        assert "grid.N: N must be even" in err and "63" in err
 
     def test_overflowing_drift_exits_2_naming_the_step(self, tmp_path, capsys):
         # a .fld drift near 1e300 overflows the mild march of parabolic_decay
@@ -987,6 +1080,30 @@ class TestCli:
         assert str(err.value).count("\n  - ") == 1
         for path in sorted((ROOT / "configs").glob("*.json")):
             ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "grid,time,preset,largest",
+        [
+            # base level 512 x 32768 = 2**24, the budget; refined (2N, dt/4) 8x it
+            ({"dim": 1, "N": 512}, {"T": 1.0, "dt": 2**-15}, "drift_dominated",
+             "131072 x 1024 = 134217728"),
+            # dt-only refinement in 2-d: 4x the base level
+            ({"dim": 2, "N": 256}, {"T": 0.065, "dt": 0.001}, "divfree_2d",
+             "260 x 65536 = 17039360"),
+        ],
+        ids=["1d_joint", "2d_dt_only"],
+    )
+    def test_step_budget_counts_the_refined_level(self, grid, time, preset, largest):
+        # construction only: renorm_residual also runs its refined level, which
+        # is refused at construction although the config's own level fits
+        payload = config_payload(
+            experiment="renorm_residual", grid=grid, time=time, coefficients={"preset": preset}
+        )
+        with pytest.raises(LabError, match=f"{largest} exceeds the budget of 16777216") as err:
+            ExperimentConfig.from_dict(payload)
+        assert str(err.value).count("\n  - ") == 1
+        # the same grid and time on an experiment without a refined level fit
+        ExperimentConfig.from_dict({**payload, "experiment": "flow_conservation"})
 
     def test_run_prints_artifacts(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -1488,7 +1605,7 @@ def test_a_dimension_beyond_float_range_is_refused_by_name():
     # so an int no float can hold is refused by name, not by an OverflowError
     payload = json.loads((ROOT / "configs" / "parabolic_decay.json").read_text())
     payload["grid"] = {**payload.get("grid", {}), "dim": 10**400}
-    with pytest.raises(LabError, match=r"grid\.dim must be 1 or 2"):
+    with pytest.raises(LabError, match=r"grid\.dim: dim must be 1 or 2"):
         ExperimentConfig.from_dict(payload)
 
 
@@ -1512,6 +1629,16 @@ def test_mutated_config_returns_or_raises_lab_error(config_file, data):
         for value in vars(getattr(cfg, section)).values():
             for v in value if isinstance(value, tuple) else (value,):
                 assert not isinstance(v, float) or math.isfinite(v), (section, value)
+    # ... and passes the run's own checks: its grid builds, its (T, dt) is a
+    # step count, and its largest level (renorm_residual's refined one: dt/4,
+    # and 2N in 1-d on a preset) fits the budget
+    g = cfg.grid
+    Grid(g.dim, TWO_PI, g.N)
+    steps, nodes = flow._step_count(cfg.time.T, cfg.time.dt, 0, 0), g.N**g.dim
+    if cfg.experiment == "renorm_residual":
+        steps *= 4
+        nodes *= 2 if g.dim == 1 and cfg.coefficients.drift_file is None else 1
+    assert steps * nodes <= lab._STEP_BUDGET
 
 
 @pytest.mark.parametrize("suffix", [".fld", ".flo"])

@@ -137,13 +137,18 @@ class TestHeatSemigroup:
     @pytest.mark.parametrize(
         "t, message",
         [(True, "a number, got True"), ("1", "a number, got '1'"), (None, "a number, got None"),
-         (10**400, "finite, got 1000")],
-        ids=["bool", "str", "none", "huge_int"],
+         (10**400, "finite, got 1000"),
+         # compared with the float64 maximum cast to float32 (an overflow
+         # warning), a float32 infinity passed as finite and the heat step was nan
+         (np.float32("inf"), "finite, got np.float32")],
+        ids=["bool", "str", "none", "huge_int", "float32_inf"],
     )
     def test_non_number_time_rejected(self, t, message):
         g = grid1()
-        with pytest.raises(ParabolicError, match=f"^heat time must be {message}"):
-            heat_apply(GridScalar(g, np.zeros(g.shape)), t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParabolicError, match=f"^heat time must be {message}"):
+                heat_apply(GridScalar(g, np.zeros(g.shape)), t)
 
     def test_non_field_rejected(self):
         with pytest.raises(ParabolicError):
@@ -280,15 +285,15 @@ REFUSALS = {
     "lam_str": (lambda b: mild_solve(b, "8", 16), "damping lambda .* got '8'"),
     "lam_none": (lambda b: mild_solve(b, None, 16), "damping lambda .* got None"),
     "lam_beyond_float": (lambda b: mild_solve(b, 10**400, 16),
-                         "damping lambda must be finite, got an integer beyond float range"),
+                         "damping lambda must be finite, got 1000"),
     "lambdas_beyond_float": (lambda b: decay_study(b, [8.0, 10**400, 10**401], 0, 8.0, 8.0, 4.0),
-                             "lambdas must be finite, got an integer beyond float range"),
+                             "lambdas must be finite, got 1000"),
     "alpha_bool": (lambda b: decay_study(b, [8.0, 32.0, 128.0], True, 8.0, 8.0, 4.0),
                    "alpha .* got True"),
     "alpha_float": (lambda b: decay_study(b, [8.0, 32.0, 128.0], 1.0, 8.0, 8.0, 4.0),
                     "alpha .* got 1.0"),
     "lambdas_bool": (lambda b: decay_study(b, [8.0, True, 128.0], 0, 8.0, 8.0, 4.0),
-                     "lambdas must be numbers"),
+                     "lambdas must be a number, got True"),
     "norm_alpha_bool": (lambda b: space_time_norm(b, True, 2.0, 2.0), "alpha .* got True"),
     "norm_exponents_bool": (lambda b: space_time_norm(b, 0, True, True),
                             r"exponents must be numbers, got \(r, q\) = \(True, True\)"),
@@ -671,7 +676,7 @@ class TestDecayStudy:
         [
             ([16.0, 4.0, 64.0], (8.0, 8.0, 4.0), "strictly increasing"),
             ([4.0, 4.0, 64.0], (8.0, 8.0, 4.0), "strictly increasing"),
-            ([4.0, math.nan, 64.0], (8.0, 8.0, 4.0), "strictly increasing"),
+            ([4.0, math.nan, 64.0], (8.0, 8.0, 4.0), "lambdas must be finite, got nan"),
             ([0.0, 4.0, 64.0], (8.0, 8.0, 4.0), "positive"),
             ([4.0, 16.0, math.inf], (8.0, 8.0, 4.0), "finite"),
             ([4.0, 16.0, 64.0], (math.nan, 8.0, 4.0), "exponents"),

@@ -243,6 +243,18 @@ class TestBumpTestFunction:
         with pytest.raises(WeakFormError, match=f"^{re.escape(message)}$"):
             bump_test_function(grid1(), center=(L / 2,), radius=radius)
 
+    @pytest.mark.parametrize(
+        "center, message",
+        [((10**400,), "center must be finite, got 1000"),
+         (("a",), "center must be a number, got 'a'"),
+         ((math.inf,), "center must be finite, got inf")],
+        ids=["beyond_float", "str", "inf"],
+    )
+    def test_center_must_be_finite_numbers(self, center, message):
+        # a bare OverflowError and numpy's "could not convert string to float"
+        with pytest.raises(WeakFormError, match=f"^{re.escape(message)}"):
+            bump_test_function(grid1(), center=center, radius=L / 8)
+
 
 # ---------------------------------------------------------------------------
 # Scalar transport oracle
