@@ -273,6 +273,26 @@ class TimeGridVector:
         return j
 
 
+def _time_tolerance(T: float) -> float:
+    """The package's one slack on a time of an axis of horizon T: absolute up
+    to T = 1, relative beyond (a step count, a time on a path, an axis)."""
+    return 1e-9 * max(T, 1.0)
+
+
+def _step_axis(times, error, name: str, like=None) -> float:
+    """times[1] - times[0], once every times[j] is j T/n within _time_tolerance(T),
+    n steps to T, and, given like = (other, label), other is the same axis
+    within it; refused otherwise with ``error``, naming the axes."""
+    tol = _time_tolerance(float(times[-1]))
+    if not np.abs(times - np.linspace(0.0, times[-1], len(times))).max() <= tol:
+        raise error(f"{name} must be sampled on a uniform time grid (tolerance {tol:.3g})")
+    if like is not None:
+        other, label = like
+        if len(other) != len(times) or not np.abs(other - times).max() <= tol:
+            raise error(f"{label} and {name} live on different time grids (tolerance {tol:.3g})")
+    return float(times[1] - times[0])
+
+
 # ---------------------------------------------------------------------------
 # Spectral machinery
 # ---------------------------------------------------------------------------

@@ -84,10 +84,10 @@ from .field import (
     _GRID_HEADER,
     _blocks,
     _check_header,
-    _finite_float,
     _is_integer,
-    _is_real,
+    _positive_float,
     _read_header,
+    _time_tolerance,
     divergence_and_twist,
     jacobian_stack,
 )
@@ -127,9 +127,7 @@ class SdeConfig:
     dt: float
 
     def __post_init__(self):
-        if _is_real(self.dt) and not 0 < self.dt < math.inf:
-            raise FlowError(f"dt must be a finite positive number, got {self.dt}")
-        _finite_float(FlowError, "dt", self.dt)  # no number, or an int beyond float range
+        _positive_float(FlowError, "dt", self.dt)
 
 
 @dataclass
@@ -165,9 +163,7 @@ class BrownianPath:
 
 def _step_count(T: float, dt: float, k_count: int, seed: int) -> int:
     """The step count T/dt of a path, once T, dt, k_count and seed are checked."""
-    if _is_real(T) and _is_real(dt) and not (T > 0 and dt > 0):
-        raise FlowError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
-    T, dt = _finite_float(FlowError, "T", T), _finite_float(FlowError, "dt", dt)
+    T, dt = _positive_float(FlowError, "T", T), _positive_float(FlowError, "dt", dt)
     if not (_is_integer(k_count) and k_count >= 0):
         raise FlowError(f"k_count must be an integer >= 0, got {k_count!r}")
     if not _is_integer(seed):
@@ -175,7 +171,7 @@ def _step_count(T: float, dt: float, k_count: int, seed: int) -> int:
     if not math.isfinite(T / dt):
         raise FlowError(f"T/dt = {T / dt} is not a finite step count")
     steps = round(T / dt)
-    if steps < 1 or abs(steps * dt - T) > 1e-9 * max(T, 1.0):
+    if steps < 1 or abs(steps * dt - T) > _time_tolerance(T):
         raise FlowError(f"T/dt = {T / dt} is not an integer step count >= 1")
     return steps
 
@@ -282,7 +278,7 @@ def _validate_coefficients(b: TimeGridVector, sigmas, path: BrownianPath) -> Gri
             f"{len(sigmas)} noise fields but path carries {path.k_count} components"
         )
     horizons = [b.T] + [s.T for s in sigmas]
-    if min(horizons) < path.T - 1e-9:
+    if min(horizons) < path.T - _time_tolerance(path.T):
         raise FlowError("coefficients are not defined up to the path horizon")
     return grid
 
@@ -649,7 +645,7 @@ def logdet_gaps(
 
 def _step_of(path: BrownianPath, t: float) -> int:
     step = int(round(t / path.dt)) if math.isfinite(t / path.dt) else -1
-    if step < 0 or step > path.steps or abs(step * path.dt - t) > 1e-9 * max(path.T, 1.0):
+    if step < 0 or step > path.steps or abs(step * path.dt - t) > _time_tolerance(path.T):
         raise FlowError(f"time {t} is not on the path step grid")
     return step
 
@@ -999,10 +995,7 @@ def load_ensemble(path_name) -> FlowEnsemble:
         raise FlowError(f"{path_name}: payload of {len(raw)} bytes is not float64 values")
     raw = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     k_count = header["k_count"]
-    steps = header["T"] / header["dt"]
-    if not steps <= raw.size:
-        raise FlowError(f"{path_name}: header T/dt = {steps:.6g} exceeds the payload")
-    steps = int(round(steps))
+    steps = _step_count(header["T"], header["dt"], k_count, header["seed"])
     cut = steps * k_count
     size = cut + (steps + 1) * grid.dim * math.prod(grid.shape)
     if size > raw.size:

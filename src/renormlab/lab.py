@@ -263,7 +263,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         out.append(f"grid.N must be at most 512, got {g.N}")
     grid = Grid(g.dim, 2.0 * math.pi, g.N) if dim_ok and n_ok and g.N <= 512 else None
     steps = typed("time.T", "time.dt") and owned("time.T, time.dt", _step_count, t.T, t.dt, 0, 0)
-    if steps and grid and typed("experiment", "coefficients.drift_file"):
+    builds = typed("experiment") and cfg.experiment in _RUNNERS  # acceptance_all's sizes are fixed
+    if steps and grid and builds and typed("coefficients.drift_file"):
         nodes = g.N**g.dim
         if cfg.experiment == "renorm_residual":  # its refined level is the largest
             steps, nodes = _REFINEMENT * steps, _fine_N(cfg) ** g.dim

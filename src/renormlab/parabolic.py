@@ -48,6 +48,7 @@ from .field import (
     _partials,
     _positive_float,
     _spectral,
+    _step_axis,
     _synthesize,
     _wavenumbers,
     divergence_stack,
@@ -113,13 +114,6 @@ class ParabolicSolution:
     u: TimeGridVector
 
 
-def _check_uniform_times(times: np.ndarray) -> float:
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-10, atol=0.0):
-        raise ParabolicError("drift must be sampled on a uniform time grid")
-    return float(dts[0])
-
-
 def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolution:
     """March the mild form forward once on the spectrum of v; return backward-time slices.
 
@@ -143,7 +137,7 @@ def mild_solve(b: TimeGridVector, lam: float, quad_steps: int) -> ParabolicSolut
         raise ParabolicError(
             f"drift has {len(b.times) - 1} steps, quadrature wants {quad_steps}"
         )
-    grid, steps, dt = b.grid, quad_steps, _check_uniform_times(b.times)
+    grid, steps, dt = b.grid, quad_steps, _step_axis(b.times, ParabolicError, "drift")
     dim, cells = grid.dim, grid.shape
     grads = np.stack(_partials(grid, [(j,) for j in range(dim)]))
     heat = _heat_multiplier(dim, grid.L, grid.N, dt)
@@ -190,9 +184,8 @@ def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
     """Re-apply the mild map once in physical space, sources read off the stored
     slices; sup-norm distance to the stored solution.  It transforms each slice
     afresh, independent of mild_solve's spectral march, and reads round-off."""
-    if not np.array_equal(sol.u.times, b.times):
-        raise ParabolicError("solution and drift live on different time grids")
-    grid, steps, dt = b.grid, len(b.times) - 1, _check_uniform_times(b.times)
+    dt = _step_axis(b.times, ParabolicError, "drift", like=(sol.u.times, "solution"))
+    grid, steps = b.grid, len(b.times) - 1
     partials = _partials(grid, [(j,) for j in range(grid.dim)])
     heat = [_heat_multiplier(grid.dim, grid.L, grid.N, dt)]
     decay = math.exp(-sol.lam * dt)
@@ -210,9 +203,7 @@ def mild_defect(sol: ParabolicSolution, b: TimeGridVector) -> float:
 
 def pde_residual(sol: ParabolicSolution, b: TimeGridVector) -> float:
     """Space-time L2 residual of d_t u + b.grad u + (1/2)Lap u - lam u + b."""
-    if not np.array_equal(sol.u.times, b.times):
-        raise ParabolicError("solution and drift live on different time grids")
-    dt = _check_uniform_times(b.times)
+    dt = _step_axis(b.times, ParabolicError, "drift", like=(sol.u.times, "solution"))
     b_rows, u_rows = b.values[b.index], sol.u.values[sol.u.index]
     total = 0.0
     for j in range(len(b.times) - 1):
@@ -262,7 +253,7 @@ def space_time_norm(u: TimeGridVector, alpha: int, r: float, q: float) -> float:
     """
     _check_order(alpha)
     _check_exponents(ParabolicError, "r, q", r, q)
-    dt = _check_uniform_times(u.times)
+    dt = _step_axis(u.times, ParabolicError, "u")
     grid = u.grid
     per_step = u.per_sample(lambda v: lp_norm_stack(grid, _magnitudes(grid, v, alpha), r))[:-1]
     if math.isinf(q):
@@ -342,9 +333,7 @@ def relaxation_residuals(sol: ParabolicSolution, b: TimeGridVector) -> Parabolic
     constant-drift closed form free of box-volume factors.  The gaps, their
     divergences and their norms are taken a block of time samples at a time.
     """
-    if not np.array_equal(sol.u.times, b.times):
-        raise ParabolicError("solution and drift live on different time grids")
-    dt = _check_uniform_times(b.times)
+    dt = _step_axis(b.times, ParabolicError, "drift", like=(sol.u.times, "solution"))
     grid = b.grid
     drift_total = 0.0
     div_total = 0.0

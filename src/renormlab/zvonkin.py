@@ -58,6 +58,7 @@ from .field import (
     _blocks,
     _check_exponents,
     _positive_float,
+    _step_axis,
     divergence_stack,
     jacobian_stack,
     lp_norm_stack,
@@ -333,11 +334,8 @@ def transformed_residual(
             f"the untransformed problem carries one unit noise per coordinate; "
             f"path has {path.k_count} components for dim {grid.dim}"
         )
-    expected = np.linspace(0.0, path.T, path.steps + 1)
-    if len(u.times) != path.steps + 1 or np.abs(u.times - expected).max() > 1e-9 * max(
-        path.T, 1.0
-    ):
-        raise ZvonkinError("displacement time grid must match the driving path")
+    axis = np.linspace(0.0, path.T, path.steps + 1)
+    _step_axis(axis, ZvonkinError, "driving path", like=(u.times, "displacement"))
     _warn_if_displacement_mismatches(u, b, straightening.lam)
 
     hpath = pushforward_path_under_diffeo(fpath, straightening, u.times)
@@ -378,12 +376,8 @@ def relaxation_metrics(
     grid = b.grid
     if coeffs.b_hat.grid != grid:
         raise ZvonkinError("coefficients and drift live on different grids")
-    if len(coeffs.b_hat.times) != len(b.times) or np.abs(
-        coeffs.b_hat.times - b.times
-    ).max() > 1e-9 * max(float(b.times[-1]), 1.0):
-        raise ZvonkinError("coefficients and drift use different time grids")
+    dt = _step_axis(b.times, ZvonkinError, "drift", like=(coeffs.b_hat.times, "coefficients"))
     dim = grid.dim
-    dt = float(b.times[1] - b.times[0])
 
     # per row of the straightening, a block at a time: Div b_hat,
     # |sigma_hat - I| in L^p and |grad sigma_hat| in L^r

@@ -16,6 +16,7 @@ import math
 import re
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormlab import field, presets
+from renormlab import field, flow, parabolic, presets, weakform, zvonkin
 from renormlab.field import (
     FieldError,
     Grid,
@@ -699,6 +700,122 @@ class TestTimeSlices:
         rows[1, 0, 3] = bad
         with pytest.raises(FieldError, match="time-sliced field contains non-finite values"):
             TimeGridVector(g, [0.0, 1.0], rows, [0, 0])
+
+
+def _axis(off=0.0, T=2.0):
+    """Horizon T in 8 steps with sample 3 moved by off; past T = 1 the
+    time tolerance is relative, 2e-9 at the default T."""
+    times = np.linspace(0.0, T, 9)
+    times[3] += off
+    return times
+
+
+def _on(times, amp=0.3):
+    """amp sin(x), one row held on ``times``, 16 nodes of a line."""
+    g = build_grid(1, L, 16)
+    row = GridVector.from_functions(g, [lambda x: amp * np.sin(x)]).values
+    return TimeGridVector(g, times, row[None], np.zeros(len(times), dtype=int))
+
+
+def _solved_on(times):
+    """A damped solve on the uniform axis, its solution relabelled onto ``times``."""
+    sol = parabolic.mild_solve(_on(_axis()), 4.0, 8)
+    return replace(sol, u=replace(sol.u, times=times))
+
+
+def _transformed_residual(off):
+    """The straightened ledger with the displacement on an axis moved by off."""
+    b = _on(_axis())
+    fpath = [GridScalar.constant(b.grid, 1.0)] * 9
+    phi = weakform.bump_test_function(b.grid, (L / 2,), L / 8)
+    straightening = zvonkin.transform_coeffs(_on(_axis(off)), 4.0)
+    return zvonkin.transformed_residual(
+        fpath, straightening, b, phi, flow.sample_brownian(2.0, 0.25, 1, 0)
+    )
+
+
+def _flows(b, sigmas, k_count, second_T=2.0):
+    paths = [flow.sample_brownian(2.0, 0.25, k_count, 0)]
+    paths.append(flow.sample_brownian(second_T, 0.25, k_count, 1))
+    return flow.simulate_flows(b, sigmas, flow.SdeConfig(0.25), paths)
+
+
+# each site that reads a time axis: its call with the axis off by ``off``,
+# its error, its refusal, and the offsets just inside and just outside its
+# rule (the tolerance 2e-9 at T = 2; the paths and the noise count are exact)
+TIME_AXIS_SITES = {
+    "mild_solve": (
+        lambda off: parabolic.mild_solve(_on(_axis(off)), 4.0, 8),
+        parabolic.ParabolicError, "drift must be sampled on a uniform time grid", 1.8e-9, 2.2e-9,
+    ),
+    "mild_defect": (
+        lambda off: parabolic.mild_defect(_solved_on(_axis(off)), _on(_axis())),
+        parabolic.ParabolicError, "solution and drift live on different time grids",
+        1.8e-9, 2.2e-9,
+    ),
+    "pde_residual": (
+        lambda off: parabolic.pde_residual(_solved_on(_axis(off)), _on(_axis())),
+        parabolic.ParabolicError, "solution and drift live on different time grids",
+        1.8e-9, 2.2e-9,
+    ),
+    "relaxation_residuals": (
+        lambda off: parabolic.relaxation_residuals(_solved_on(_axis(off)), _on(_axis())),
+        parabolic.ParabolicError, "solution and drift live on different time grids",
+        1.8e-9, 2.2e-9,
+    ),
+    "space_time_norm": (
+        lambda off: parabolic.space_time_norm(_on(_axis(off)), 0, 2.0, 2.0),
+        parabolic.ParabolicError, "u must be sampled on a uniform time grid", 1.8e-9, 2.2e-9,
+    ),
+    "transformed_residual": (
+        _transformed_residual, zvonkin.ZvonkinError,
+        "displacement and driving path live on different time grids", 1.8e-9, 2.2e-9,
+    ),
+    "relaxation_metrics_coefficients": (
+        lambda off: zvonkin.relaxation_metrics(
+            zvonkin.transform_coeffs(_on(_axis(off)), 4.0), _on(_axis()), 4.0, 8.0, 4.0
+        ),
+        zvonkin.ZvonkinError, "coefficients and drift live on different time grids",
+        1.8e-9, 2.2e-9,
+    ),
+    "relaxation_metrics_drift": (
+        lambda off: zvonkin.relaxation_metrics(
+            zvonkin.transform_coeffs(_on(_axis(off)), 4.0), _on(_axis(off)), 4.0, 8.0, 4.0
+        ),
+        zvonkin.ZvonkinError, "drift must be sampled on a uniform time grid", 1.8e-9, 2.2e-9,
+    ),
+    "flow_horizon": (
+        lambda off: _flows(_on(np.linspace(0.0, 2.0 - off, 9)), [], 0),
+        flow.FlowError, "coefficients are not defined up to the path horizon", 1.8e-9, 2.2e-9,
+    ),
+    "flow_paths": (
+        lambda off: _flows(_on(_axis()), [], 0, second_T=2.0 + off),
+        flow.FlowError, "Brownian paths differ in horizon, step or noise count",
+        0.0, np.spacing(2.0),
+    ),
+    "flow_noise_count": (
+        lambda extra: _flows(_on(_axis()), [_on(_axis())] * (1 + extra), 1),
+        flow.FlowError, "2 noise fields but path carries 1 components", 0, 1,
+    ),
+}
+
+
+class TestTimeAxisRule:
+    @pytest.mark.parametrize("site", TIME_AXIS_SITES)
+    def test_each_site_keeps_the_one_rule(self, site):
+        run, error, message, inside, outside = TIME_AXIS_SITES[site]
+        run(inside)
+        with pytest.raises(error, match=re.escape(message)):
+            run(outside)
+
+    def test_the_step_is_the_axis_first_step(self):
+        times = _axis(0.9e-9, T=0.7)
+        assert field._step_axis(times, FieldError, "t") == float(times[1] - times[0])
+        # below T = 1 the tolerance is absolute: 1e-9
+        with pytest.raises(FieldError, match=r"^t must be sampled .* \(tolerance 1e-09\)$"):
+            field._step_axis(_axis(1.1e-9, T=0.7), FieldError, "t")
+        with pytest.raises(FieldError, match="s and t live on different time grids"):
+            field._step_axis(times, FieldError, "t", like=(times[:-1], "s"))
 
 
 class TestDivergenceAndTwist:

@@ -116,7 +116,7 @@ class TestSdeConfig:
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_refused_by_name(self, dt):
-        with pytest.raises(FlowError, match=f"dt must be a finite positive number, got {dt}"):
+        with pytest.raises(FlowError, match=f"dt must be finite, got {dt}"):
             SdeConfig(dt=dt)
 
     def test_nan_dt_matches_no_path(self):
@@ -134,12 +134,12 @@ class TestSdeConfig:
         (lambda: SdeConfig(dt="x"), "dt must be a number, got 'x'"),
         (lambda: SdeConfig(dt=None), "dt must be a number, got None"),
         (lambda: SdeConfig(dt=10**400), "dt must be finite, got 1000"),
-        (lambda: SdeConfig(dt=-1.0), "dt must be a finite positive number, got -1.0"),
+        (lambda: SdeConfig(dt=-1.0), "dt must be positive, got -1.0"),
         (lambda: sample_brownian(True, 0.5, 1, 0), "T must be a number, got True"),
         (lambda: sample_brownian(1.0, True, 1, 0), "dt must be a number, got True"),
         (lambda: sample_brownian("1", 0.5, 1, 0), "T must be a number, got '1'"),
         (lambda: sample_brownian(math.inf, 0.5, 1, 0), "T must be finite, got inf"),
-        (lambda: sample_brownian(math.nan, 0.5, 1, 0), "need T > 0 and dt > 0, got T=nan"),
+        (lambda: sample_brownian(math.nan, 0.5, 1, 0), "T must be finite, got nan"),
         (lambda: BrownianPath(True, 0.5, 1, np.zeros((2, 1)), 0), "T must be a number, got True"),
     ],
     ids=[
@@ -218,7 +218,7 @@ class TestBrownian:
             (0.1, 0.01, 1, 10, True, "seed must be an integer, got True"),
             (0.1, 0.01, 1.0, 10, 2, "k_count must be an integer >= 0, got 1.0"),
             (0.1, 0.03, 1, 3, 2, "is not an integer step count"),
-            (0.0, 0.01, 1, 0, 2, "need T > 0 and dt > 0"),
+            (0.0, 0.01, 1, 0, 2, "T must be positive, got 0.0"),
             # round(inf) raised a bare OverflowError
             (1e308, 1e-300, 1, 0, 0, "T/dt = inf is not a finite step count"),
             # T below the step tolerance drew a path of no steps

@@ -68,6 +68,12 @@
   ``lab._determinism_payload`` names ``ordered_map``: every estimate runs in
   one thread, and the determinism check owns the one thread pool.  The scan
   sees each form (``test_pool_scan_sees_each_form``).
+- ``field`` owns the time-axis rule: no module of ``src/renormlab`` calls
+  ``array_equal`` or ``allclose`` on times, and only
+  ``field._time_tolerance`` writes the tolerance 1e-9 * max(...).  Every
+  ``parabolic`` and ``zvonkin`` function that reads a time axis calls
+  ``field._step_axis``, and ``flow._step_count``, ``_step_of`` and
+  ``_validate_coefficients`` read ``_time_tolerance``.
 - Every field of a ``@dataclass`` in ``src/renormlab`` is read as
   ``<...>.field`` somewhere in ``src/``, ``scripts/``, ``perfbench/`` or
   ``tests/``, outside its own class's ``__post_init__``: a record carries no
@@ -896,4 +902,67 @@ def test_stencil_work_scan_sees_each_form():
     )
     assert _stencil_work(tree) == [
         "<module>: trunc", "S.plan: floor", "S.plan: trunc", "S.read: _coeff", "cells: floor",
+    ]
+
+
+def _called(node: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def _time_axis_rules(tree: ast.Module) -> list[str]:
+    """Each time-axis rule a module writes itself: a call of ``array_equal`` or
+    ``allclose`` with an argument that names a time, and a product of 1e-9
+    with a ``max(...)``, the time tolerance."""
+    found = []
+    for function, node in _with_function(tree):
+        if isinstance(node, ast.Call) and _called(node) in ("array_equal", "allclose"):
+            named = [
+                getattr(n, "id", None) or getattr(n, "attr", "")
+                for arg in node.args for n in ast.walk(arg)
+            ]
+            if any("time" in name for name in named):
+                found.append(f"{function}: {_called(node)}")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if any(isinstance(s, ast.Constant) and s.value == 1e-9 for s in sides) and any(
+                isinstance(s, ast.Call) and _called(s) == "max" for s in sides
+            ):
+                found.append(f"{function}: 1e-9 * max")
+    return found
+
+
+def test_field_owns_the_time_axis_rule():
+    trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: _time_axis_rules(tree) for name, tree in trees.items()}
+    assert {name: rules for name, rules in found.items() if rules} == {
+        "field.py": ["_time_tolerance: 1e-9 * max"],
+    }
+    readers = {
+        name: _readers(tree, "_step_axis") for name, tree in trees.items() if name != "field.py"
+    }
+    assert {name: fns for name, fns in readers.items() if fns} == {
+        "parabolic.py": [
+            "mild_defect", "mild_solve", "pde_residual", "relaxation_residuals", "space_time_norm",
+        ],
+        "zvonkin.py": ["relaxation_metrics", "transformed_residual"],
+    }
+    assert _readers(trees["flow.py"], "_time_tolerance") == [
+        "_step_count", "_step_of", "_validate_coefficients",
+    ]
+
+
+def test_time_axis_scan_sees_each_form():
+    tree = ast.parse(
+        "from numpy import allclose\n"
+        "def a(sol, b):\n    return np.array_equal(sol.u.times, b.times)\n"
+        "def b(times):\n    return allclose(np.diff(times), times[1], rtol=1e-10)\n"
+        "def c(T):\n    return 1e-9 * max(T, 1.0)\n"
+        "def d(path, t):\n    return abs(t) > max(path.T, 1.0) * 1e-9\n"
+        "def e(u, T):\n"
+        "    np.array_equal(u.values, u.index), 1e-12 * max(T, 1.0), 1e-9 * min(T, 1.0)\n"
+        "    return '1e-9 * max(T, 1)', np.allclose(u.values, 0.0)\n"
+    )
+    assert _time_axis_rules(tree) == [
+        "a: array_equal", "b: allclose", "c: 1e-9 * max", "d: 1e-9 * max",
     ]
